@@ -1,6 +1,7 @@
 package dhc_test
 
-// Benchmark targets, one per experiment of DESIGN.md's per-experiment index.
+// Benchmark targets, one per experiment: E1–E8 and D1 follow the per-theorem
+// index in internal/bench/experiments.go, A1–A4 are engineering ablations.
 // Each bench regenerates (a slice of) the corresponding table/series; run
 // all with `go test -bench=. -benchmem` and full sweeps with cmd/hcbench.
 

@@ -1,6 +1,7 @@
-// Command hcbench regenerates every experiment table of DESIGN.md's
-// per-experiment index and prints fitted scaling exponents. Its output is
-// the source of the measured columns in EXPERIMENTS.md.
+// Command hcbench regenerates every experiment table of the per-theorem
+// index in internal/bench/experiments.go and prints fitted scaling
+// exponents; its -json modes write the BENCH_<rev>.json trajectory (README,
+// "Benchmark trajectory").
 //
 // It is also the repository's benchmark pipeline: -json runs a
 // (algo × engine × n × workers) grid and writes a versioned machine-readable

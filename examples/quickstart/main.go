@@ -12,7 +12,7 @@ import (
 func main() {
 	const n = 256
 	// p = c·ln(n)/n^δ with δ = 1/2: the DHC1/DHC2 regime. Small n needs a
-	// generous density constant (see EXPERIMENTS.md on constants).
+	// generous density constant (README, "Scaling": density regimes).
 	p := dhc.ThresholdP(n, 2, 0.5)
 	g := dhc.NewGNP(n, p, 1)
 	fmt.Printf("G(n=%d, p=%.3f): %d edges, avg degree %.1f\n", n, p, g.M(), g.AvgDegree())

@@ -1,8 +1,9 @@
 // Package bench defines the experiment harness that regenerates the paper's
-// per-theorem results (experiment index in DESIGN.md): workload generation,
-// parameter sweeps, log-log exponent fitting, and table formatting. It is
-// used both by cmd/hcbench (full sweeps, EXPERIMENTS.md rows) and by the
-// testing.B benchmarks in the repository root.
+// per-theorem results (the experiment index is experiments.go, one E*
+// function per theorem): workload generation, parameter sweeps, log-log
+// exponent fitting, and table formatting. It is used both by cmd/hcbench
+// (full sweeps and experiment tables) and by the testing.B benchmarks in
+// the repository root.
 package bench
 
 import (

@@ -51,9 +51,8 @@ func (c Config) scale(n int) int {
 }
 
 // cEff is the effective density constant used by the sweeps: the paper's
-// analysis constant (86) forces p ≥ 1 at laptop n, so experiments use the
-// empirically sufficient multiple of the threshold and EXPERIMENTS.md
-// documents the gap.
+// analysis constant (86) forces p ≥ 1 at laptop n, so experiments use an
+// empirically sufficient multiple of the threshold instead.
 const cEff = 16.0
 
 // maxSweepP caps sweep densities: near-clamped p means a near-complete

@@ -34,7 +34,7 @@ func TestDHC2OnDenseGNP(t *testing.T) {
 	// Dense random graph, K = 5 partitions of expected size 64 with
 	// in-partition degree ~38 >> ln(64): comfortably above the rotation
 	// threshold (the Theorem 2 analysis wants degree >= c*ln(n') with a
-	// large constant; see EXPERIMENTS.md on constant sensitivity).
+	// large constant).
 	g := graph.GNP(320, 0.6, rng.New(2))
 	res, err := RunDHC2(g, 3, DHC2Options{NumColors: 5, B: 10}, congest.Options{})
 	if err != nil {

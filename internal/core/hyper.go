@@ -13,7 +13,7 @@ import (
 // incoming and v_i the outgoing port — and a rotation process over the K
 // hypernodes that finds a Hamiltonian cycle of the hypernode graph G'.
 //
-// A correction to the paper (see DESIGN.md): Lemma 6 computes the G'
+// A correction to the paper: Lemma 6 computes the G'
 // adjacency probability as 1-(1-p)², i.e. "at least one of the two cross
 // edges (v_i,u_j), (v_j,u_i) exists", but a cycle over such adjacencies only
 // lifts to a Hamiltonian cycle of G if every hypernode is entered at one

@@ -17,7 +17,7 @@ import (
 // the partner cycle's orientation when the bridge demands it, and every node
 // halves its color for the next level.
 //
-// Bandwidth adaptation (documented in DESIGN.md): paper line 14-16 has a
+// Bandwidth adaptation (a deviation from the paper): lines 14-16 have a
 // passive node relay every incoming verify(u) to its cycle neighbors, which
 // can exceed the CONGEST per-edge budget when many actives probe the same
 // passive node in one round. Here a passive node checks only the smallest

@@ -39,7 +39,8 @@ const (
 // but noticeable at small partition sizes; restarting on the (scope-wide
 // visible) failure flood drives the partition failure probability down
 // exponentially in the attempt count at O(D) extra rounds per attempt. This
-// is an engineering extension documented in DESIGN.md.
+// is an engineering extension, not part of the paper's algorithm or its
+// analysis.
 const maxDRAAttempts = 6
 
 // phase1Config parameterizes the shared first phase.

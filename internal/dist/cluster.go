@@ -76,9 +76,10 @@ type ShardStat struct {
 	LocalMsgs int64 `json:"local_msgs"`
 	CrossMsgs int64 `json:"cross_msgs"`
 	// BatchBytesFixed/BatchBytesDelta compare batch encodings for the
-	// coordinator->worker deliver payloads: what the PR 9 fixed-width
-	// encoding would have cost versus what the delta-varint encoding
-	// actually put on the wire.
+	// coordinator->worker deliver payloads: what the fixed-width reference
+	// encoding (a u32 count, then 10 bytes plus 4 per argument a record)
+	// would have cost versus the relayed per-destination sections, section
+	// headers included, actually put on the wire.
 	BatchBytesFixed int64 `json:"batch_bytes_fixed"`
 	BatchBytesDelta int64 `json:"batch_bytes_delta"`
 }

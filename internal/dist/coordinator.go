@@ -35,9 +35,10 @@ type link struct {
 	lo, hi int
 	fc     *frameConn
 	enc    enc
-	// batch and inbound are reused per-round decode/route buffers.
-	batch   []congest.Routed
-	inbound []congest.Routed
+	// out holds the shard's last reply's sections, indexed by destination
+	// shard (its own entry stays empty). They alias the link's receive
+	// buffer, so they are valid only until the link's next post.
+	out []section
 
 	// Pipelined I/O: reqCh feeds the link's ioLoop goroutine, resCh carries
 	// one in-flight reply back. Capacities are sized so the coordinator
@@ -117,20 +118,18 @@ func (l *link) tryPost(payload []byte) {
 //
 // Fusing moves the liveness decision to the coordinator: it keeps a global
 // halted bitmap (folded from each step reply's newly-halted list) and
-// declares message activity when any routed cross-shard message targets a
+// declares message activity when any relayed cross-shard message targets a
 // non-halted node or any shard retained a locally-deliverable message for a
 // non-halted node — exactly the condition under which the in-process deliver
-// would have put a message into a live node's inbox.
+// would have put a message into a live node's inbox. The coordinator relays
+// cross-shard sections as opaque bytes and decodes records only as far as
+// that decision needs.
 type coordinator struct {
 	links    []*link
-	n        int
 	opts     congest.Options // normalized
 	counters *metrics.Counters
 	progress func(int64)
 
-	// shardTable maps every vertex to its shard index: the lo(i) = i*n/K
-	// partition, precomputed so routing is one load per message.
-	shardTable []int32
 	// halted is the global halted bitmap, monotone (halts are terminal).
 	halted []bool
 
@@ -148,30 +147,15 @@ func newCoordinator(links []*link, n int, opts congest.Options, progress func(in
 	for _, l := range links {
 		l.reqCh = make(chan linkReq, 2)
 		l.resCh = make(chan linkRes, 1)
+		l.out = make([]section, len(links))
 	}
 	return &coordinator{
-		links:      links,
-		n:          n,
-		opts:       congest.NormalizeOptions(opts, n),
-		counters:   metrics.NewCounters(n),
-		progress:   progress,
-		shardTable: buildShardTable(n, len(links)),
-		halted:     make([]bool, n),
+		links:    links,
+		opts:     congest.NormalizeOptions(opts, n),
+		counters: metrics.NewCounters(n),
+		progress: progress,
+		halted:   make([]bool, n),
 	}
-}
-
-// buildShardTable precomputes the vertex-to-shard map for the contiguous
-// near-equal partition lo(i) = i*n/K. Filling by shard range is O(n + k) and
-// correct for every (n, k) including k > n, where trailing shards are empty.
-func buildShardTable(n, k int) []int32 {
-	t := make([]int32, n)
-	for i := 0; i < k; i++ {
-		lo, hi := shardRange(n, k, i)
-		for v := lo; v < hi; v++ {
-			t[v] = int32(i)
-		}
-	}
-	return t
 }
 
 // start launches one ioLoop per link. stop closes the request channels and
@@ -198,16 +182,7 @@ func (c *coordinator) stop() {
 // collection. The returned counters always reflect at least the charged
 // rounds; on a clean run they are the complete merged metering.
 func (c *coordinator) run(ctx context.Context, seed uint64) (*metrics.Counters, error) {
-	for _, l := range c.links {
-		// A fresh buffer per BEGIN: the frame is fire-and-forget, so the
-		// link's reusable encoder (fenced by reply collection) cannot carry
-		// it.
-		var e enc
-		e.b = make([]byte, 0, 16)
-		e.u8(frameBegin)
-		e.u64(seed)
-		l.post(e.b, false)
-	}
+	c.begin(seed)
 	if err := ctx.Err(); err != nil {
 		return c.counters, fmt.Errorf("congest: run canceled before round 0: %w", err)
 	}
@@ -259,6 +234,22 @@ func (c *coordinator) run(ctx context.Context, seed uint64) (*metrics.Counters, 
 	}
 }
 
+// begin posts every shard its BEGIN frame: the run seed and the shard
+// count the section layout is cut by.
+func (c *coordinator) begin(seed uint64) {
+	for _, l := range c.links {
+		// A fresh buffer per BEGIN: the frame is fire-and-forget, so the
+		// link's reusable encoder (fenced by reply collection) cannot carry
+		// it.
+		var e enc
+		e.b = make([]byte, 0, 16)
+		e.u8(frameBegin)
+		e.u64(seed)
+		e.u32(uint32(len(c.links)))
+		l.post(e.b, false)
+	}
+}
+
 // nextActiveRound mirrors runState.nextActiveRound over the aggregated shard
 // reports: the round itself while messages are in flight or a legacy-dense
 // node is live anywhere, else the earliest wake-up across every shard's
@@ -288,9 +279,9 @@ func (c *coordinator) collect(l *link, stage string) ([]byte, error) {
 }
 
 // fuseRound executes one fused exchange across every shard: fan out
-// FUSE(deliverRound, stepRound) carrying each shard's inbound cross-shard
-// batch, collect replies in shard order, fold halts and liveness, and route
-// the new outbound batches by destination.
+// FUSE(deliverRound, stepRound) carrying each shard's relayed inbound
+// sections, collect replies in shard order, fold halts and liveness, and
+// keep the new outbound sections for the next exchange.
 func (c *coordinator) fuseRound(deliverRound, stepRound int64, isInit, dense bool) error {
 	var flags byte
 	if isInit {
@@ -307,14 +298,10 @@ func (c *coordinator) fuseRound(deliverRound, stepRound int64, isInit, dense boo
 		e.i64(stepRound)
 		e.u8(flags)
 		if deliverRound >= 0 {
-			mark := len(e.b)
-			e.b = appendBatchDelta(e.b, l.inbound)
-			l.batchBytesDelta += int64(len(e.b) - mark)
-			l.batchBytesFixed += fixedBatchLen(l.inbound)
+			c.relay(l)
 		}
-		l.post(e.b, true)
-		l.rtts++
 	}
+	c.postAll()
 
 	// Collect in shard order. Shard ranges are contiguous and ascending and
 	// each shard reports its first error in local node order, so within a
@@ -324,7 +311,6 @@ func (c *coordinator) fuseRound(deliverRound, stepRound int64, isInit, dense boo
 	c.totalLive, c.legacyLive = 0, 0
 	c.hasActive, c.wakeOK = false, false
 	c.wakeRound = 0
-	anyLocalActive := false
 	var deliverErr, stepErr error
 	for _, l := range c.links {
 		payload, err := c.collect(l, "fuse reply")
@@ -366,15 +352,19 @@ func (c *coordinator) fuseRound(deliverRound, stepRound int64, isInit, dense boo
 		localActive := d.bool()
 		wakeOK := d.bool()
 		wake := d.i64()
+		for dst := range l.out {
+			if dst != l.shard {
+				l.out[dst] = readSection(&d)
+			}
+		}
 		if d.err != nil {
 			return l.down("fuse reply", d.err)
 		}
-		l.batch, err = decodeBatchDelta(&d, c.n, l.batch)
-		if err != nil {
-			return l.down("fuse reply", err)
+		if len(d.b) != 0 {
+			return l.down("fuse reply", fmt.Errorf("%d trailing bytes", len(d.b)))
 		}
 		if localActive {
-			anyLocalActive = true
+			c.hasActive = true
 		}
 		if wakeOK && (!c.wakeOK || wake < c.wakeRound) {
 			c.wakeOK = true
@@ -388,32 +378,52 @@ func (c *coordinator) fuseRound(deliverRound, stepRound int64, isInit, dense boo
 		return stepErr
 	}
 
-	// Route: split each source batch by destination shard and concatenate
-	// per destination in source-shard order. Each source batch is
-	// sender-ascending and the shard ranges partition the id space in order,
-	// so every destination sees its cross-shard messages in a shape
-	// Shard.Deliver can splice its retained local messages into,
-	// reconstructing the global sender-ascending order congest.deliver
-	// consumes. Message activity is decided here against the halted bitmap:
-	// the in-process deliver drops (but meters) messages to halted nodes, so
-	// only a message to a live node makes the next round non-quiet.
-	for _, dst := range c.links {
-		dst.inbound = dst.inbound[:0]
-	}
+	// Count and scan the new sections. Message activity is decided against
+	// the halted bitmap once every reply's halts are folded in: the
+	// in-process deliver drops (but meters) messages to halted nodes, so
+	// only a message to a live node makes the next round non-quiet. Once
+	// any message (or retained local message) is live, the remaining
+	// sections are not read at all.
 	for _, src := range c.links {
-		src.crossMsgs += int64(len(src.batch))
-		for i := range src.batch {
-			m := src.batch[i]
-			c.links[c.shardTable[m.To]].inbound = append(c.links[c.shardTable[m.To]].inbound, m)
-			if !c.halted[m.To] {
-				c.hasActive = true
+		for dst := range src.out {
+			sec := &src.out[dst]
+			src.crossMsgs += int64(sec.count)
+			if c.hasActive {
+				continue
 			}
+			live, err := sec.liveTarget(c.halted)
+			if err != nil {
+				return src.down("fuse reply", err)
+			}
+			c.hasActive = live
 		}
 	}
-	if anyLocalActive {
-		c.hasActive = true
-	}
 	return nil
+}
+
+// relay appends dst's inbound sections — every other shard's section for
+// dst from the last replies, in source-shard order — to dst's frame, and
+// accounts them under both encodings.
+func (c *coordinator) relay(dst *link) {
+	fixed := int64(4) // the fixed-width reference batch's u32 count
+	for _, src := range c.links {
+		sec := &src.out[dst.shard]
+		dst.enc.b = append(dst.enc.b, sec.raw...)
+		dst.batchBytesDelta += int64(len(sec.raw))
+		fixed += int64(sec.fixed)
+	}
+	dst.batchBytesFixed += fixed
+}
+
+// postAll posts every link's built frame, expecting a reply. Frames are
+// posted only once all of them are built, because relayed sections alias
+// the source links' receive buffers, which a posted link's ioLoop reuses
+// for its next reply.
+func (c *coordinator) postAll() {
+	for _, l := range c.links {
+		l.post(l.enc.b, true)
+		l.rtts++
+	}
 }
 
 // finish flushes the last executed round's deliver to every shard via
@@ -427,14 +437,10 @@ func (c *coordinator) finish(deliverRound int64) error {
 		e.u8(frameFinish)
 		e.i64(deliverRound)
 		if deliverRound >= 0 {
-			mark := len(e.b)
-			e.b = appendBatchDelta(e.b, l.inbound)
-			l.batchBytesDelta += int64(len(e.b) - mark)
-			l.batchBytesFixed += fixedBatchLen(l.inbound)
+			c.relay(l)
 		}
-		l.post(e.b, true)
-		l.rtts++
 	}
+	c.postAll()
 	var flushErr error
 	for _, l := range c.links {
 		payload, err := c.collect(l, "final")

@@ -3,10 +3,15 @@ package dist
 import (
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"dhc/internal/congest"
+	"dhc/internal/graph"
+	"dhc/internal/rng"
+	"dhc/internal/wire"
 )
 
 // pipeCoordinator wires a coordinator to k scripted workers over in-memory
@@ -52,22 +57,39 @@ func respond(fc *frameConn, reply []byte) {
 	}
 }
 
-// fuseReply crafts a complete FUSE reply frame with the given error stage,
-// code and message, no halts, no wake, and an empty outbound batch.
-func fuseReply(stage, code byte, msg string, live uint32) []byte {
+// fuseRes is the content of a scripted FUSE reply. sections, when non-nil,
+// replaces the encoded outbox verbatim (for corrupt-section tests).
+type fuseRes struct {
+	stage, code byte
+	msg         string
+	live        uint32
+	halted      []uint32 // newly halted nodes, local indices
+	out         []congest.Routed
+	sections    []byte
+}
+
+// fuseReply crafts a complete FUSE reply frame from shard self of a k-shard,
+// n-vertex run: no wake, and the outbox split into K-1 per-destination
+// sections exactly as a worker encodes it.
+func fuseReply(n, k, self int, r fuseRes) []byte {
 	var e enc
 	e.u8(frameFuseRes)
-	e.u8(stage)
-	e.u8(code)
-	e.str(msg)
-	e.u32(live)
+	e.u8(r.stage)
+	e.u8(r.code)
+	e.str(r.msg)
+	e.u32(r.live)
 	e.u32(0) // legacyLive
-	e.u32(0) // newly halted count
+	e.u32(uint32(len(r.halted)))
+	for _, lv := range r.halted {
+		e.u32(lv)
+	}
 	e.bool(false)
 	e.bool(false)
 	e.i64(0)
-	e.b = appendBatchDelta(e.b, nil)
-	return e.b
+	if r.sections != nil {
+		return append(e.b, r.sections...)
+	}
+	return newSectionWriter(n, k, self).appendSections(e.b, r.out)
 }
 
 // TestFuseStepErrorLowestShardWins: when several shards report step-stage
@@ -77,9 +99,9 @@ func fuseReply(stage, code byte, msg string, live uint32) []byte {
 func TestFuseStepErrorLowestShardWins(t *testing.T) {
 	coord, workers := pipeCoordinator(t, 30, 3)
 	replies := [][]byte{
-		fuseReply(stageNone, errCodeNone, "", 10),
-		fuseReply(stageStep, errCodeOther, "shard1 exploded", 0),
-		fuseReply(stageStep, errCodeOther, "shard2 exploded", 0),
+		fuseReply(30, 3, 0, fuseRes{live: 10}),
+		fuseReply(30, 3, 1, fuseRes{stage: stageStep, code: errCodeOther, msg: "shard1 exploded"}),
+		fuseReply(30, 3, 2, fuseRes{stage: stageStep, code: errCodeOther, msg: "shard2 exploded"}),
 	}
 	for i, fc := range workers {
 		go respond(fc, replies[i])
@@ -97,8 +119,8 @@ func TestFuseStepErrorLowestShardWins(t *testing.T) {
 func TestFuseDeliverErrorBeatsStep(t *testing.T) {
 	coord, workers := pipeCoordinator(t, 20, 2)
 	replies := [][]byte{
-		fuseReply(stageStep, errCodeOther, "step boom", 0),
-		fuseReply(stageDeliver, errCodeBandwidth, "congest: bandwidth exceeded: edge 3->12", 0),
+		fuseReply(20, 2, 0, fuseRes{stage: stageStep, code: errCodeOther, msg: "step boom"}),
+		fuseReply(20, 2, 1, fuseRes{stage: stageDeliver, code: errCodeBandwidth, msg: "congest: bandwidth exceeded: edge 3->12"}),
 	}
 	for i, fc := range workers {
 		go respond(fc, replies[i])
@@ -118,7 +140,7 @@ func TestFuseDeliverErrorBeatsStep(t *testing.T) {
 func TestFuseTruncatedReplyIsShardDown(t *testing.T) {
 	coord, workers := pipeCoordinator(t, 20, 2)
 	replies := [][]byte{
-		fuseReply(stageNone, errCodeNone, "", 10),
+		fuseReply(20, 2, 0, fuseRes{live: 10}),
 		{frameFuseRes, stageNone}, // ends before the error code
 	}
 	for i, fc := range workers {
@@ -133,31 +155,141 @@ func TestFuseTruncatedReplyIsShardDown(t *testing.T) {
 	}
 }
 
-// TestShardTableMatchesPartition is the property test for the precomputed
-// routing table: for adversarial (n, k) including k > n, every vertex must
-// map to the shard whose lo(i) = i*n/k range contains it.
-func TestShardTableMatchesPartition(t *testing.T) {
+// TestFuseHaltedTargetsStayQuiet pins the coordinator's liveness scan over
+// opaque sections: messages whose only targets are halted (by halts folded
+// from the same exchange, even from a later shard's reply) leave the round
+// quiet, while a live target after a halted prefix makes it active. Cross
+// message counts come from the section headers either way.
+func TestFuseHaltedTargetsStayQuiet(t *testing.T) {
+	tok := wire.Msg(wire.KindToken, 1)
+	cases := []struct {
+		name       string
+		to         []graph.NodeID
+		wantActive bool
+	}{
+		{"all-halted", []graph.NodeID{3, 4, 4}, false},
+		{"live-after-halted-prefix", []graph.NodeID{3, 4, 5}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, workers := pipeCoordinator(t, 20, 2)
+			var out []congest.Routed
+			for i, to := range tc.to {
+				out = append(out, congest.Routed{From: graph.NodeID(10 + i), To: to, Msg: tok})
+			}
+			replies := [][]byte{
+				fuseReply(20, 2, 0, fuseRes{live: 8, halted: []uint32{3, 4}}),
+				fuseReply(20, 2, 1, fuseRes{live: 10, out: out}),
+			}
+			for i, fc := range workers {
+				go respond(fc, replies[i])
+			}
+			if err := coord.fuseRound(-1, 0, true, true); err != nil {
+				t.Fatal(err)
+			}
+			if coord.hasActive != tc.wantActive {
+				t.Fatalf("hasActive = %v, want %v", coord.hasActive, tc.wantActive)
+			}
+			if got := coord.links[1].crossMsgs; got != int64(len(out)) {
+				t.Fatalf("shard 1 crossMsgs = %d, want %d", got, len(out))
+			}
+		})
+	}
+}
+
+// TestFuseCorruptSectionIsShardDown: the coordinator relays sections without
+// decoding the records past a live target, so a corrupt record reaches its
+// receiving worker, which must reject it as a protocol error — a record with
+// an unknown kind, or with a target outside the receiver's range — and drop
+// its connection. The run surfaces ErrShardDown for the receiving shard
+// within the step timeout, and no goroutine outlives the teardown.
+func TestFuseCorruptSectionIsShardDown(t *testing.T) {
+	const n, k, timeout = 20, 2, 5 * time.Second
+	// Shard 1's only section goes to shard 0; each body is one record from
+	// vertex 10 whose target is live, so the coordinator's scan stops there.
+	cases := []struct {
+		name    string
+		section []byte
+	}{
+		// count 1, sender delta 10, target 0, kind 0xEE, no args.
+		{"unknown-kind", rawSection(10, []byte{1, 10, 0, 0xEE, 0})},
+		// count 1, sender delta 10, target 15 (shard 1's own range), one arg.
+		{"target-outside-receiver", rawSection(14, []byte{1, 10, 15, byte(wire.KindToken), 1, 2})},
+	}
+	baseline := runtime.NumGoroutine()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, workers := pipeCoordinator(t, n, k)
+			for _, l := range coord.links {
+				l.fc.timeout = timeout
+			}
+			g := graph.GNP(n, 0.5, rng.New(9))
+			progs, err := BuildPrograms(congest.ProgramSpec{Algo: "dra", B: 8}, 0, n/k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh, err := congest.NewShard(g, progs, congest.Options{BandwidthBits: 64}, 0, n/k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() {
+				err := serveFrames(workers[0], sh, ServeOptions{})
+				workers[0].rw.(net.Conn).Close()
+				served <- err
+			}()
+			go respond(workers[1], fuseReply(n, k, 1, fuseRes{live: 10, sections: tc.section}))
+
+			coord.begin(1)
+			if err := coord.fuseRound(-1, 0, true, true); err != nil {
+				t.Fatalf("init exchange: %v", err)
+			}
+			if !coord.hasActive {
+				t.Fatal("a section with a live target left the round quiet")
+			}
+			start := time.Now()
+			err = coord.fuseRound(0, 1, false, true)
+			if !errors.Is(err, ErrShardDown) || !strings.Contains(err.Error(), "shard 0") {
+				t.Fatalf("corrupt section returned %v, want ErrShardDown from shard 0", err)
+			}
+			if elapsed := time.Since(start); elapsed >= timeout {
+				t.Fatalf("classification took %v, step timeout %v", elapsed, timeout)
+			}
+			if werr := <-served; werr == nil || !strings.Contains(werr.Error(), "dist:") {
+				t.Fatalf("receiving worker returned %v, want a protocol error", werr)
+			}
+		})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if got := runtime.NumGoroutine(); got <= baseline {
+			return
+		} else if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive after corrupt-section runs, baseline %d", got, baseline)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestShardOfMatchesPartition is the property test for the arithmetic
+// vertex-to-shard map the section writer routes by: for adversarial (n, k)
+// including k > n, every vertex must map to the shard whose lo(i) = i*n/k
+// range contains it.
+func TestShardOfMatchesPartition(t *testing.T) {
 	cases := [][2]int{
 		{1, 1}, {2, 5}, {3, 8}, {5, 2}, {10, 10}, {16, 3},
 		{17, 4}, {64, 5}, {97, 7}, {100, 101}, {1000, 13},
 	}
 	for _, c := range cases {
 		n, k := c[0], c[1]
-		table := buildShardTable(n, k)
-		if len(table) != n {
-			t.Fatalf("(n=%d,k=%d): table has %d entries", n, k, len(table))
-		}
 		for v := 0; v < n; v++ {
-			i := int(table[v])
+			i := shardOf(v, n, k)
 			if i < 0 || i >= k {
 				t.Fatalf("(n=%d,k=%d): vertex %d mapped to shard %d of %d", n, k, v, i, k)
 			}
 			lo, hi := shardRange(n, k, i)
 			if v < lo || v >= hi {
 				t.Fatalf("(n=%d,k=%d): vertex %d mapped to shard %d with range [%d,%d)", n, k, v, i, lo, hi)
-			}
-			if v > 0 && int(table[v-1]) > i {
-				t.Fatalf("(n=%d,k=%d): table not monotone at vertex %d", n, k, v)
 			}
 		}
 	}

@@ -33,10 +33,23 @@
 // runs a dedicated I/O goroutine, so fan-out and reply collection overlap
 // across shards; replies are aggregated in shard order for determinism.
 //
-// Cross-shard batches are delta-varint coded: outboxes are sender-ascending,
-// so From is delta-coded and ids/args are varint-coded, shrinking the wire
-// form well below the fixed-width reference encoding (appendBatch), which is
-// retained as the codec oracle in tests.
+// Each cross-shard message is encoded once, by its sender, and decoded
+// once, by its receiver. A worker splits its sender-ascending cross outbox
+// into K-1 per-destination sections (destinations ascending, partition
+// lo(i) = i*n/K), each a small header — the records' fixed-width cost, and
+// the body length — followed by a delta-varint batch: From is delta-coded
+// and ids/args are varint-coded, well below the fixed-width reference
+// encoding the codec tests keep as their oracle. The coordinator never
+// materialises message bodies: it relays each section as opaque bytes into
+// its destination's next FUSE/FINISH frame in source-shard order, takes
+// cross-shard message counts from each section's record count, and decides message
+// activity by decoding only up to the first record whose target is not
+// halted (reading on only while every target so far is halted). The
+// receiver decodes its K-1 sections back to back into exactly the global
+// sender-ascending inbound order, validating every record — kind, arg
+// count, argument range, endpoints, and that the target is its own — so a
+// corrupt section is caught by the shard that receives it, which drops its
+// connection and surfaces as ErrShardDown.
 //
 // The in-process engine remains the oracle: differential tests solve the
 // same instances both ways and assert byte-identical results and counters.
@@ -62,10 +75,10 @@ import (
 const (
 	frameHello   byte = 1 // worker -> coordinator: u32 shard index
 	frameConfig  byte = 2 // coordinator -> proc worker: run configuration + graph
-	frameBegin   byte = 3 // coordinator -> worker: u64 seed
-	frameFuse    byte = 4 // coordinator -> worker: i64 deliver round (-1 = none), i64 step round, u8 flags, delta batch
-	frameFuseRes byte = 5 // worker -> coordinator: stage, err, live, legacyLive, newly halted, local activity, wake, delta batch
-	frameFinish  byte = 6 // coordinator -> worker: i64 deliver round (-1 = none), delta batch (final flush)
+	frameBegin   byte = 3 // coordinator -> worker: u64 seed, u32 shard count K
+	frameFuse    byte = 4 // coordinator -> worker: i64 deliver round (-1 = none), i64 step round, u8 flags, K-1 relayed sections
+	frameFuseRes byte = 5 // worker -> coordinator: stage, err, live, legacyLive, newly halted, local activity, wake, K-1 outbound sections
+	frameFinish  byte = 6 // coordinator -> worker: i64 deliver round (-1 = none), K-1 relayed sections (final flush)
 	frameFinal   byte = 7 // worker -> coordinator: err, counters, busy, local-routed count, final program states
 	frameAbort   byte = 8 // coordinator -> worker: tear down
 )
@@ -162,16 +175,16 @@ func newFrameConn(rw io.ReadWriter) *frameConn {
 	return fc
 }
 
-// send writes one length-prefixed frame.
+// send writes one length-prefixed frame with a single Write: the header and
+// payload are assembled in the reused send buffer, so a frame costs one
+// syscall rather than two.
 func (c *frameConn) send(payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("dist: frame payload %d exceeds limit %d", len(payload), maxFramePayload)
 	}
-	binary.BigEndian.PutUint32(c.hdr[:], uint32(len(payload)))
-	if _, err := c.rw.Write(c.hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.rw.Write(payload); err != nil {
+	c.wbuf = binary.BigEndian.AppendUint32(c.wbuf[:0], uint32(len(payload)))
+	c.wbuf = append(c.wbuf, payload...)
+	if _, err := c.rw.Write(c.wbuf); err != nil {
 		return err
 	}
 	c.bytesOut += int64(4 + len(payload))
@@ -288,14 +301,49 @@ func (d *dec) lenPrefixed() []byte {
 
 func (d *dec) str() string { return string(d.lenPrefixed()) }
 
-func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+// uvarintPrefixed is lenPrefixed with a uvarint length.
+func (d *dec) uvarintPrefixed() []byte {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(len(d.b)) {
+		d.fail()
+		return nil
+	}
+	v := d.b[:n]
+	d.b = d.b[n:]
+	return v
+}
+
+// uvarintAt decodes the uvarint at the start of b exactly as binary.Uvarint
+// does (k <= 0 on a short or overlong input), taking one- and two-byte
+// values — vertex ids and message arguments of instances up to 2^14
+// vertices — without entering the general loop.
+func uvarintAt(b []byte) (v uint64, k int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1
+	}
+	if len(b) > 1 && b[1] < 0x80 {
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7, 2
+	}
+	return binary.Uvarint(b)
+}
+
+// varintAt is uvarintAt for zigzag varints (binary.Varint).
+func varintAt(b []byte) (v int64, k int) {
+	u, k := uvarintAt(b)
+	return int64(u>>1) ^ -int64(u&1), k
+}
+
+// truncated poisons d with the short-read error and returns it.
+func (d *dec) truncated() error {
+	d.fail()
+	return d.err
+}
 
 func (d *dec) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b)
+	v, n := uvarintAt(d.b)
 	if n <= 0 {
 		d.fail()
 		return 0
@@ -308,7 +356,7 @@ func (d *dec) varint() int64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Varint(d.b)
+	v, n := varintAt(d.b)
 	if n <= 0 {
 		d.fail()
 		return 0
@@ -321,33 +369,38 @@ func (d *dec) varint() int64 {
 // count, then per record a uvarint From delta (From minus the previous
 // record's From; the implicit predecessor is 0), a uvarint To, the kind and
 // arg-count bytes, and each argument as a zigzag varint. batch must be
-// sender-ascending (non-decreasing From), which both Shard.Step outboxes and
-// the coordinator's shard-order routing guarantee; the encoding exploits it
+// sender-ascending (non-decreasing From), which a Shard.Step outbox, and so
+// each of its per-destination buckets, guarantees; the encoding exploits it
 // so runs of one sender cost a single delta byte each.
 func appendBatchDelta(dst []byte, batch []congest.Routed) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
 	prev := uint64(0)
 	for i := range batch {
-		r := &batch[i]
-		from := uint64(uint32(r.From))
-		dst = binary.AppendUvarint(dst, from-prev)
-		prev = from
-		dst = binary.AppendUvarint(dst, uint64(uint32(r.To)))
-		dst = append(dst, byte(r.Msg.Kind), r.Msg.NArgs)
-		for j := 0; j < int(r.Msg.NArgs); j++ {
-			dst = binary.AppendVarint(dst, int64(r.Msg.Args[j]))
-		}
+		dst = appendRecordDelta(dst, &batch[i], prev)
+		prev = uint64(uint32(batch[i].From))
 	}
 	return dst
 }
 
-// decodeBatchDelta parses an appendBatchDelta section, validating every kind,
-// arg count, and endpoint exactly as the fixed-width decoder does. From is
-// reconstructed by prefix sum, so the output is sender-ascending by
-// construction. dst is reused; the returned slice is valid until the
-// caller's next decode. Any strict prefix of a valid encoding fails: a
-// truncated varint keeps its continuation bit, and a truncated record runs
-// out of payload before the count is satisfied.
+// appendRecordDelta appends one appendBatchDelta record whose predecessor's
+// sender is prev.
+func appendRecordDelta(dst []byte, r *congest.Routed, prev uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(uint32(r.From))-prev)
+	dst = binary.AppendUvarint(dst, uint64(uint32(r.To)))
+	dst = append(dst, byte(r.Msg.Kind), r.Msg.NArgs)
+	for j := 0; j < int(r.Msg.NArgs); j++ {
+		dst = binary.AppendVarint(dst, int64(r.Msg.Args[j]))
+	}
+	return dst
+}
+
+// decodeBatchDelta parses an appendBatchDelta batch and appends its records
+// to dst, validating every kind, arg count, argument range and endpoint.
+// From is reconstructed by prefix sum (an overflowing delta is rejected), so
+// the appended records are sender-ascending by construction. Any strict
+// prefix of a valid encoding fails: a truncated varint keeps its
+// continuation bit, and a truncated record runs out of payload before the
+// count is satisfied.
 func decodeBatchDelta(d *dec, n int, dst []congest.Routed) ([]congest.Routed, error) {
 	count := d.uvarint()
 	if d.err != nil {
@@ -359,108 +412,252 @@ func decodeBatchDelta(d *dec, n int, dst []congest.Routed) ([]congest.Routed, er
 	if count*4 > uint64(len(d.b)) {
 		return nil, fmt.Errorf("dist: batch count %d exceeds frame capacity", count)
 	}
-	dst = dst[:0]
+	// The record loop reads a local slice through the varint fast paths; d
+	// is only written back at the end (or poisoned on a short read).
+	b := d.b
 	from := uint64(0)
 	for i := uint64(0); i < count; i++ {
-		from += d.uvarint()
-		to := d.uvarint()
-		kind := wire.Kind(d.u8())
-		nargs := d.u8()
-		if d.err != nil {
-			return nil, d.err
+		delta, k1 := uvarintAt(b)
+		if k1 <= 0 {
+			return nil, d.truncated()
 		}
+		to, k2 := uvarintAt(b[k1:])
+		if k2 <= 0 || len(b) < k1+k2+2 {
+			return nil, d.truncated()
+		}
+		kind, nargs := wire.Kind(b[k1+k2]), b[k1+k2+1]
+		b = b[k1+k2+2:]
 		if !kind.Valid() {
 			return nil, fmt.Errorf("dist: unknown kind %d", kind)
 		}
-		msg := wire.Message{Kind: kind, NArgs: nargs}
-		if int(nargs) > len(msg.Args) {
+		if int(nargs) > len(wire.Message{}.Args) {
 			return nil, fmt.Errorf("dist: corrupt message record (nargs %d)", nargs)
 		}
+		from += delta
+		if from < delta || from >= uint64(n) || to >= uint64(n) {
+			return nil, fmt.Errorf("dist: message endpoints %d->%d outside %d-vertex graph", from, to, n)
+		}
+		// Decode in place: growing dst by one record and filling it avoids
+		// building the record on the stack and copying it in.
+		if len(dst) == cap(dst) {
+			dst = append(dst, congest.Routed{})
+		} else {
+			dst = dst[:len(dst)+1]
+		}
+		r := &dst[len(dst)-1]
+		r.From, r.To = graph.NodeID(from), graph.NodeID(to)
+		r.Msg = wire.Message{Kind: kind, NArgs: nargs}
 		for j := 0; j < int(nargs); j++ {
-			a := d.varint()
+			a, k := varintAt(b)
+			if k <= 0 {
+				return nil, d.truncated()
+			}
+			b = b[k:]
 			if a < math.MinInt32 || a > math.MaxInt32 {
 				return nil, fmt.Errorf("dist: message arg %d outside int32 range", a)
 			}
-			msg.Args[j] = int32(a)
+			r.Msg.Args[j] = int32(a)
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		if from >= uint64(n) || to >= uint64(n) {
-			return nil, fmt.Errorf("dist: message endpoints %d->%d outside %d-vertex graph", from, to, n)
-		}
-		dst = append(dst, congest.Routed{From: graph.NodeID(from), To: graph.NodeID(to), Msg: msg})
 	}
+	d.b = b
 	return dst, nil
 }
 
-// fixedBatchLen returns the byte length appendBatch would produce for batch:
-// the PR 9 fixed-width reference cost, kept for before/after wire-byte
-// accounting in ShardStats.
+// fixedCountLen is the size of the fixed-width reference encoding's u32
+// record count.
+const fixedCountLen = 4
+
+// fixedRecordLen is one record's size in the fixed-width reference encoding:
+// a u32 sender, a u32 receiver, kind and arg-count bytes, and 4-byte args.
+func fixedRecordLen(r *congest.Routed) int64 { return 10 + 4*int64(r.Msg.NArgs) }
+
+// fixedBatchLen returns the byte length of batch in the fixed-width
+// reference encoding, the baseline ShardStats.BatchBytesFixed reports.
 func fixedBatchLen(batch []congest.Routed) int64 {
-	n := int64(4)
+	n := int64(fixedCountLen)
 	for i := range batch {
-		n += 10 + 4*int64(batch[i].Msg.NArgs)
+		n += fixedRecordLen(&batch[i])
 	}
 	return n
 }
 
-// appendRouted appends one routed message record: sender, receiver, then the
-// message in the internal/wire codec's byte form (kind, arg count, 4-byte
-// big-endian args). Together with appendBatch/decodeBatch it is the
-// fixed-width reference encoding: no longer on the wire, but kept as the
-// oracle the delta codec's tests compare against.
-func appendRouted(dst []byte, codec wire.Codec, r congest.Routed) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.From))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.To))
-	return codec.AppendEncode(dst, r.Msg)
+// Per-destination sections. A fused reply ends with the worker's cross
+// outbox split by destination shard into K-1 sections, one per other shard
+// in ascending order. A section starts with a uvarint header: the
+// fixed-width cost of its records (fixedBatchLen without the count), so
+// ShardStats can report the reference cost without decoding anything. A
+// zero cost marks an empty section, which ends there in one byte; otherwise
+// a uvarint body length and the body — an appendBatchDelta batch — follow.
+//
+// The coordinator relays sections as opaque bytes: it copies each one
+// verbatim into its destination's next FUSE/FINISH frame, in source-shard
+// order. The receiver decodes its K-1 sections back to back, and because
+// each source's senders lie in that source's range and the ranges ascend,
+// the concatenation is the global sender-ascending order Shard.Deliver
+// consumes.
+
+// shardOf returns the shard whose lo(i) = i*n/k range holds vertex v: the
+// largest i with i*n/k <= v.
+func shardOf(v, n, k int) int { return int((int64(v+1)*int64(k) - 1) / int64(n)) }
+
+// sectionWriter is a worker's reusable per-destination section encoder.
+type sectionWriter struct {
+	n, k, self int
+	bufs       []sectionBuf // indexed by destination shard
 }
 
-// appendBatch appends a u32 count followed by the routed records.
-func appendBatch(dst []byte, codec wire.Codec, batch []congest.Routed) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(batch)))
-	for i := range batch {
-		dst = appendRouted(dst, codec, batch[i])
+// sectionBuf accumulates one destination's section while an outbox is
+// split.
+type sectionBuf struct {
+	recs  []byte // appendBatchDelta records, without the count
+	count uint64
+	fixed int64  // the records' fixed-width cost
+	prev  uint64 // the last record's sender, for delta coding
+}
+
+func newSectionWriter(n, k, self int) *sectionWriter {
+	return &sectionWriter{n: n, k: k, self: self, bufs: make([]sectionBuf, k)}
+}
+
+// appendSections appends out — a Shard.Step cross outbox: sender-ascending,
+// every target another shard's — to dst as K-1 per-destination sections. It
+// encodes each record once, straight into its destination's buffer, so the
+// split keeps each section sender-ascending as the delta body requires.
+func (w *sectionWriter) appendSections(dst []byte, out []congest.Routed) []byte {
+	for s := range w.bufs {
+		w.bufs[s] = sectionBuf{recs: w.bufs[s].recs[:0]}
+	}
+	for i := range out {
+		r := &out[i]
+		b := &w.bufs[shardOf(int(r.To), w.n, w.k)]
+		b.recs = appendRecordDelta(b.recs, r, b.prev)
+		b.prev = uint64(uint32(r.From))
+		b.count++
+		b.fixed += fixedRecordLen(r)
+	}
+	var count [binary.MaxVarintLen64]byte
+	for s := range w.bufs {
+		if s == w.self {
+			continue
+		}
+		b := &w.bufs[s]
+		dst = binary.AppendUvarint(dst, uint64(b.fixed))
+		if b.count == 0 {
+			continue
+		}
+		c := binary.PutUvarint(count[:], b.count)
+		dst = binary.AppendUvarint(dst, uint64(c+len(b.recs)))
+		dst = append(dst, count[:c]...)
+		dst = append(dst, b.recs...)
 	}
 	return dst
 }
 
-// decodeBatch parses an appendBatch section, validating every message with
-// the wire codec and every endpoint against the vertex count. dst is reused;
-// the returned slice is valid until the caller's next decode.
-func decodeBatch(d *dec, codec wire.Codec, n int, dst []congest.Routed) ([]congest.Routed, error) {
-	count := d.u32()
+// section is one per-destination section of a fused reply, as the
+// coordinator handles it: raw is the header and body to relay verbatim,
+// body the delta batch (nil when empty), fixed the header's fixed-width
+// cost and count the body's record count.
+type section struct {
+	raw, body    []byte
+	fixed, count uint64
+}
+
+// readSection consumes one section, reading its header and record count but
+// none of its records. Errors are sticky in d.
+func readSection(d *dec) section {
+	start := d.b
+	var s section
+	if s.fixed = d.uvarint(); s.fixed != 0 {
+		s.body = d.uvarintPrefixed()
+		bd := dec{b: s.body}
+		s.count = bd.uvarint()
+		if d.err == nil {
+			d.err = bd.err
+		}
+	}
 	if d.err != nil {
-		return nil, d.err
+		return section{}
 	}
-	// Each record is at least 4+4+2 bytes; a count beyond that bound is a
-	// corrupt frame, rejected before any allocation proportional to it.
-	if uint64(count)*10 > uint64(len(d.b)) {
-		return nil, fmt.Errorf("dist: batch count %d exceeds frame capacity", count)
+	s.raw = start[:len(start)-len(d.b)]
+	return s
+}
+
+// liveTarget reports whether the section holds a message to a node that is
+// not halted. It decodes records only up to the first such message, so a
+// round with live traffic costs the coordinator one record per section at
+// most; only while every target so far is halted does it read on. Targets
+// are bounds-checked before they index halted. The records' full
+// validation is the receiving worker's (decodeSections).
+func (s section) liveTarget(halted []bool) (bool, error) {
+	if s.body == nil {
+		return false, nil
 	}
+	d := dec{b: s.body}
+	count := d.uvarint()
+	for i := uint64(0); i < count && d.err == nil; i++ {
+		d.uvarint() // sender delta
+		to := d.uvarint()
+		if d.err != nil {
+			break
+		}
+		if to >= uint64(len(halted)) {
+			return false, fmt.Errorf("dist: message target %d outside %d-vertex graph", to, len(halted))
+		}
+		if !halted[to] {
+			return true, nil
+		}
+		d.u8() // kind
+		nargs := d.u8()
+		for j := 0; j < int(nargs); j++ {
+			d.varint()
+		}
+	}
+	return false, d.err
+}
+
+// decodeSections decodes the K-1 sections a FUSE/FINISH frame relays to
+// shard self — one from every other shard, in ascending order — into dst
+// (reused): self's inbound batch, in global sender-ascending order. On top
+// of decodeBatchDelta's checks, every sender must lie in its source shard's
+// range and every target in self's, a body must end where its length says,
+// and a header's fixed-width cost must match its records.
+func decodeSections(d *dec, n, k, self int, dst []congest.Routed) ([]congest.Routed, error) {
 	dst = dst[:0]
-	for i := uint32(0); i < count; i++ {
-		from := graph.NodeID(d.u32())
-		to := graph.NodeID(d.u32())
-		kindOff := d.b
-		if d.err != nil || len(kindOff) < 2 {
-			d.fail()
+	rlo, rhi := shardRange(n, k, self)
+	for s := 0; s < k; s++ {
+		if s == self {
+			continue
+		}
+		fixed := d.uvarint()
+		if fixed == 0 {
+			if d.err != nil {
+				return nil, d.err
+			}
+			continue
+		}
+		body := dec{b: d.uvarintPrefixed()}
+		if d.err != nil {
 			return nil, d.err
 		}
-		nargs := int(kindOff[1])
-		recLen := 2 + 4*nargs
-		if nargs > 4 || len(kindOff) < recLen {
-			return nil, fmt.Errorf("dist: corrupt message record (nargs %d, %d bytes left)", nargs, len(kindOff))
+		start := len(dst)
+		var err error
+		if dst, err = decodeBatchDelta(&body, n, dst); err != nil {
+			return nil, err
 		}
-		msg, err := codec.Decode(kindOff[:recLen])
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
+		if len(body.b) != 0 {
+			return nil, fmt.Errorf("dist: section from shard %d has %d trailing bytes", s, len(body.b))
 		}
-		d.b = d.b[recLen:]
-		if int(from) < 0 || int(from) >= n || int(to) < 0 || int(to) >= n {
-			return nil, fmt.Errorf("dist: message endpoints %d->%d outside %d-vertex graph", from, to, n)
+		slo, shi := shardRange(n, k, s)
+		for i := start; i < len(dst); i++ {
+			r := &dst[i]
+			if int(r.From) < slo || int(r.From) >= shi || int(r.To) < rlo || int(r.To) >= rhi {
+				return nil, fmt.Errorf("dist: message %d->%d in a section from shard %d [%d,%d) to shard %d [%d,%d)",
+					r.From, r.To, s, slo, shi, self, rlo, rhi)
+			}
 		}
-		dst = append(dst, congest.Routed{From: from, To: to, Msg: msg})
+		if cost := uint64(fixedBatchLen(dst[start:]) - fixedCountLen); cost != fixed {
+			return nil, fmt.Errorf("dist: section from shard %d declares fixed cost %d, its records cost %d", s, fixed, cost)
+		}
 	}
 	return dst, nil
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -75,6 +76,66 @@ func TestFrameConnRejectsCorruptLengths(t *testing.T) {
 	}
 }
 
+// appendRouted appends one routed message record: sender, receiver, then the
+// message in the internal/wire codec's byte form (kind, arg count, 4-byte
+// big-endian args). Together with appendBatch and decodeBatch it is the
+// fixed-width reference encoding: no longer on the wire, but kept as the
+// oracle the delta codec and fixedBatchLen are checked against.
+func appendRouted(dst []byte, codec wire.Codec, r congest.Routed) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.From))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.To))
+	return codec.AppendEncode(dst, r.Msg)
+}
+
+// appendBatch appends a u32 count followed by the routed records.
+func appendBatch(dst []byte, codec wire.Codec, batch []congest.Routed) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(batch)))
+	for i := range batch {
+		dst = appendRouted(dst, codec, batch[i])
+	}
+	return dst
+}
+
+// decodeBatch parses an appendBatch section, validating every message with
+// the wire codec and every endpoint against the vertex count. dst is reused;
+// the returned slice is valid until the caller's next decode.
+func decodeBatch(d *dec, codec wire.Codec, n int, dst []congest.Routed) ([]congest.Routed, error) {
+	count := d.u32()
+	if d.err != nil {
+		return nil, d.err
+	}
+	// Each record is at least 4+4+2 bytes; a count beyond that bound is a
+	// corrupt frame, rejected before any allocation proportional to it.
+	if uint64(count)*10 > uint64(len(d.b)) {
+		return nil, fmt.Errorf("dist: batch count %d exceeds frame capacity", count)
+	}
+	dst = dst[:0]
+	for i := uint32(0); i < count; i++ {
+		from := graph.NodeID(d.u32())
+		to := graph.NodeID(d.u32())
+		kindOff := d.b
+		if d.err != nil || len(kindOff) < 2 {
+			d.fail()
+			return nil, d.err
+		}
+		nargs := int(kindOff[1])
+		recLen := 2 + 4*nargs
+		if nargs > 4 || len(kindOff) < recLen {
+			return nil, fmt.Errorf("dist: corrupt message record (nargs %d, %d bytes left)", nargs, len(kindOff))
+		}
+		msg, err := codec.Decode(kindOff[:recLen])
+		if err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
+		}
+		d.b = d.b[recLen:]
+		if int(from) < 0 || int(from) >= n || int(to) < 0 || int(to) >= n {
+			return nil, fmt.Errorf("dist: message endpoints %d->%d outside %d-vertex graph", from, to, n)
+		}
+		dst = append(dst, congest.Routed{From: from, To: to, Msg: msg})
+	}
+	return dst, nil
+}
+
 // randomBatch builds a deterministic pseudo-random routed batch with valid
 // kinds, arg counts and endpoints for an n-vertex network.
 func randomBatch(r *rand.Rand, n, size int) []congest.Routed {
@@ -138,8 +199,8 @@ func TestBatchTruncationAlwaysErrors(t *testing.T) {
 	}
 }
 
-// TestBatchInterleaved decodes several shards' batch sections written
-// back-to-back in one payload — the coordinator's DELIVER layout — and checks
+// TestBatchInterleaved decodes several shards' fixed-width batches written
+// back-to-back in one payload — the layout relayed sections keep — and checks
 // that each section decodes to exactly its own records and that shard-order
 // concatenation preserves the global sender-ascending order the in-process
 // deliver consumes.
@@ -270,6 +331,9 @@ func TestBatchDeltaRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		batch := sortedBatch(r, 512, r.Intn(40))
+		if got, want := fixedBatchLen(batch), int64(len(appendBatch(nil, wire.NewCodec(512), batch))); got != want {
+			t.Fatalf("trial %d: fixedBatchLen = %d, fixed-width encoding is %d bytes", trial, got, want)
+		}
 		enc := appendBatchDelta(nil, batch)
 		if int64(len(enc)) > fixedBatchLen(batch) {
 			t.Fatalf("trial %d: delta form %d bytes exceeds fixed form %d", trial, len(enc), fixedBatchLen(batch))
@@ -305,6 +369,37 @@ func TestBatchDeltaTruncationAlwaysErrors(t *testing.T) {
 		if _, err := decodeBatchDelta(&d, 128, nil); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(full))
 		}
+	}
+}
+
+// TestVarintAtMatchesBinary pins the decoder's varint fast paths to the
+// standard library: on every one- and two-byte input, and on random and
+// overlong longer ones, uvarintAt and varintAt must return exactly what
+// binary.Uvarint and binary.Varint return, errors (k <= 0) included.
+func TestVarintAtMatchesBinary(t *testing.T) {
+	check := func(b []byte) {
+		u, k := uvarintAt(b)
+		if wu, wk := binary.Uvarint(b); k != wk || (k > 0 && u != wu) {
+			t.Fatalf("uvarintAt(%x) = %d, %d; binary.Uvarint = %d, %d", b, u, k, wu, wk)
+		}
+		v, k := varintAt(b)
+		if wv, wk := binary.Varint(b); k != wk || (k > 0 && v != wv) {
+			t.Fatalf("varintAt(%x) = %d, %d; binary.Varint = %d, %d", b, v, k, wv, wk)
+		}
+	}
+	check(nil)
+	for x := 0; x < 1<<16; x++ {
+		check([]byte{byte(x)})
+		check([]byte{byte(x), byte(x >> 8)})
+	}
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, 1+r.Intn(12))
+		for j := range b {
+			b[j] = byte(r.Intn(256)) | 0x80 // continuation bits, maybe overlong
+		}
+		b[r.Intn(len(b))] &= 0x7F
+		check(b)
 	}
 }
 
@@ -434,6 +529,251 @@ func FuzzDecodeBatchDelta(f *testing.F) {
 			}
 			if i > 0 && rec.From < batch[i-1].From {
 				t.Fatalf("sender order violated at %d: %d after %d", i, rec.From, batch[i-1].From)
+			}
+		}
+	})
+}
+
+// filterTo returns the records of batch whose target lies in [lo, hi), in
+// order.
+func filterTo(batch []congest.Routed, lo, hi int) []congest.Routed {
+	var out []congest.Routed
+	for _, r := range batch {
+		if int(r.To) >= lo && int(r.To) < hi {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// relayAll splits every shard's encoded outbox into sections with
+// readSection and relays them with the coordinator's own relay, returning
+// each destination's relayed bytes and the link accounting.
+func relayAll(tb testing.TB, outs [][]byte) []*link {
+	tb.Helper()
+	k := len(outs)
+	links := make([]*link, k)
+	for i := range links {
+		links[i] = &link{shard: i, out: make([]section, k)}
+	}
+	for i, l := range links {
+		d := dec{b: outs[i]}
+		for dst := range l.out {
+			if dst != i {
+				l.out[dst] = readSection(&d)
+			}
+		}
+		if d.err != nil || len(d.b) != 0 {
+			tb.Fatalf("shard %d outbox: err %v, %d trailing bytes", i, d.err, len(d.b))
+		}
+	}
+	c := &coordinator{links: links}
+	for _, l := range links {
+		c.relay(l)
+	}
+	return links
+}
+
+// randomOutbox builds a sender-ascending cross outbox for shard self: senders
+// in self's range, targets anywhere outside it.
+func randomOutbox(r *rand.Rand, n, k, self, size int) []congest.Routed {
+	lo, hi := shardRange(n, k, self)
+	out := sortedBatch(r, n, size)
+	for i := range out {
+		out[i].From = graph.NodeID(lo + (int(out[i].From)*(hi-lo))/n)
+		for shardOf(int(out[i].To), n, k) == self {
+			out[i].To = graph.NodeID(r.Intn(n))
+		}
+	}
+	return out
+}
+
+// TestSectionRoundTrip is split -> relay -> decode over random outboxes of
+// every shard: each destination must decode exactly the concatenation, in
+// source-shard order, of every source's records for it — the global
+// sender-ascending order — and the relay's accounting must match the
+// fixed-width oracle and the bytes relayed.
+func TestSectionRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	codec := wire.NewCodec(97)
+	for _, k := range []int{2, 3, 5} {
+		const n = 97
+		batches := make([][]congest.Routed, k)
+		outs := make([][]byte, k)
+		for s := range batches {
+			batches[s] = randomOutbox(r, n, k, s, r.Intn(30))
+			outs[s] = newSectionWriter(n, k, s).appendSections(nil, batches[s])
+		}
+		links := relayAll(t, outs)
+		for dst, l := range links {
+			lo, hi := shardRange(n, k, dst)
+			var want []congest.Routed
+			for s := range batches {
+				want = append(want, filterTo(batches[s], lo, hi)...)
+			}
+			d := dec{b: l.enc.b}
+			got, err := decodeSections(&d, n, k, dst, nil)
+			if err != nil {
+				t.Fatalf("k=%d dst %d: %v", k, dst, err)
+			}
+			if len(d.b) != 0 || len(got) != len(want) {
+				t.Fatalf("k=%d dst %d: %d records, %d trailing bytes; want %d records", k, dst, len(got), len(d.b), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d dst %d record %d: %+v != %+v", k, dst, i, got[i], want[i])
+				}
+			}
+			if fixed := int64(len(appendBatch(nil, codec, want))); l.batchBytesFixed != fixed {
+				t.Fatalf("k=%d dst %d: batchBytesFixed %d, fixed-width encoding %d", k, dst, l.batchBytesFixed, fixed)
+			}
+			if l.batchBytesDelta != int64(len(l.enc.b)) {
+				t.Fatalf("k=%d dst %d: batchBytesDelta %d, relayed %d bytes", k, dst, l.batchBytesDelta, len(l.enc.b))
+			}
+		}
+		for s, l := range links {
+			count := uint64(0)
+			for _, sec := range l.out {
+				count += sec.count
+			}
+			if count != uint64(len(batches[s])) {
+				t.Fatalf("k=%d shard %d: sections count %d records, outbox has %d", k, s, count, len(batches[s]))
+			}
+		}
+	}
+}
+
+// TestSectionEmptyCostsOneByte: a quiet outbox costs one byte per other
+// shard, and decodes back to an empty batch.
+func TestSectionEmptyCostsOneByte(t *testing.T) {
+	b := newSectionWriter(40, 4, 2).appendSections(nil, nil)
+	if !bytes.Equal(b, []byte{0, 0, 0}) {
+		t.Fatalf("empty outbox encoded as %v, want three zero bytes", b)
+	}
+	d := dec{b: b}
+	if got, err := decodeSections(&d, 40, 4, 1, nil); err != nil || len(got) != 0 || len(d.b) != 0 {
+		t.Fatalf("decode = %v records, err %v, %d trailing bytes", len(got), err, len(d.b))
+	}
+}
+
+// rawSection hand-assembles a non-empty section: header cost, body length,
+// body.
+func rawSection(fixed uint64, body []byte) []byte {
+	b := binary.AppendUvarint(nil, fixed)
+	b = binary.AppendUvarint(b, uint64(len(body)))
+	return append(b, body...)
+}
+
+// TestSectionRejectsCorrupt covers the receiver's section checks on top of
+// the delta decoder's: the relayed sections of a 20-vertex, 2-shard run as
+// shard 0 receives them, each corrupted one way.
+func TestSectionRejectsCorrupt(t *testing.T) {
+	const n, k = 20, 2
+	// One record 12 -> 3 carrying one arg: fixed cost 14.
+	valid := []byte{1, 12, 3, byte(wire.KindToken), 1, 2}
+	cases := []struct {
+		name    string
+		raw     []byte
+		wantSub string
+	}{
+		{"sender-outside-source", rawSection(14, []byte{1, 2, 3, byte(wire.KindToken), 1, 2}), "section from shard 1"},
+		{"target-outside-receiver", rawSection(14, []byte{1, 12, 13, byte(wire.KindToken), 1, 2}), "section from shard 1"},
+		{"fixed-cost-mismatch", rawSection(10, valid), "declares fixed cost"},
+		{"nonzero-cost-zero-records", rawSection(14, []byte{0}), "declares fixed cost"},
+		{"trailing-body-bytes", rawSection(14, append(append([]byte(nil), valid...), 0)), "trailing bytes"},
+		{"body-beyond-frame", rawSection(14, valid)[:4], "truncated"},
+		{"missing-section", nil, "truncated"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := dec{b: tc.raw}
+			if _, err := decodeSections(&d, n, k, 0, nil); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("got %v, want error containing %q", err, tc.wantSub)
+			}
+		})
+	}
+	d := dec{b: rawSection(14, valid)}
+	if got, err := decodeSections(&d, n, k, 0, nil); err != nil || len(got) != 1 || got[0].From != 12 || got[0].To != 3 {
+		t.Fatalf("valid section decoded to %+v, %v", got, err)
+	}
+}
+
+// TestSectionLiveTargetStopsAtFirstLive pins the coordinator's early exit:
+// the scan decodes records only up to the first live target (so garbage
+// after it is never read), reads on through halted targets, and
+// bounds-checks every target before indexing the halted bitmap.
+func TestSectionLiveTargetStopsAtFirstLive(t *testing.T) {
+	halted := make([]bool, 20)
+	halted[3], halted[4] = true, true
+	sec := func(body []byte) section { return section{body: body, fixed: 1} }
+	// count 3: 12->3 (halted), 12->5 (live), then a truncated record.
+	live, err := sec([]byte{3, 12, 3, byte(wire.KindToken), 1, 2, 0, 5, byte(wire.KindToken), 0, 0x80}).liveTarget(halted)
+	if err != nil || !live {
+		t.Fatalf("live target after halted prefix: live=%v err=%v", live, err)
+	}
+	live, err = sec([]byte{2, 12, 3, byte(wire.KindToken), 0, 0, 4, byte(wire.KindToken), 1, 0x7F}).liveTarget(halted)
+	if err != nil || live {
+		t.Fatalf("all-halted section: live=%v err=%v", live, err)
+	}
+	if _, err := sec([]byte{2, 12, 3, byte(wire.KindToken), 0, 0, 4, byte(wire.KindToken), 1}).liveTarget(halted); err == nil {
+		t.Fatal("truncated all-halted section scanned without error")
+	}
+	if _, err := sec([]byte{1, 12, 20, byte(wire.KindToken), 0}).liveTarget(halted); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("out-of-range target: %v", err)
+	}
+}
+
+// FuzzDecodeSections checks split -> relay -> decode on arbitrary outboxes,
+// seeded with the outboxes of a real 4-shard run: data is decoded as a delta
+// batch and restricted to a valid cross outbox of shard src; after the
+// sender's split and the coordinator's relay, every destination must decode
+// exactly the outbox filtered to its range, and every strict prefix of a
+// destination's relayed bytes must fail.
+func FuzzDecodeSections(f *testing.F) {
+	const n, k = 32, 4
+	for i, b := range corpusBatches(f) {
+		f.Add(b, uint8(i%k))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, src uint8) {
+		s := int(src) % k
+		d := dec{b: data}
+		batch, err := decodeBatchDelta(&d, n, nil)
+		if err != nil {
+			return
+		}
+		lo, hi := shardRange(n, k, s)
+		var out []congest.Routed
+		for _, r := range batch {
+			if int(r.From) >= lo && int(r.From) < hi && (int(r.To) < lo || int(r.To) >= hi) {
+				out = append(out, r)
+			}
+		}
+		outs := make([][]byte, k)
+		for i := range outs {
+			var own []congest.Routed
+			if i == s {
+				own = out
+			}
+			outs[i] = newSectionWriter(n, k, i).appendSections(nil, own)
+		}
+		for dst, l := range relayAll(t, outs) {
+			dlo, dhi := shardRange(n, k, dst)
+			want := filterTo(out, dlo, dhi)
+			rd := dec{b: l.enc.b}
+			got, err := decodeSections(&rd, n, k, dst, nil)
+			if err != nil || len(rd.b) != 0 || len(got) != len(want) {
+				t.Fatalf("dst %d: %d records (err %v, %d trailing bytes), want %d", dst, len(got), err, len(rd.b), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("dst %d record %d: %+v != %+v", dst, i, got[i], want[i])
+				}
+			}
+			for cut := 0; cut < len(l.enc.b); cut++ {
+				pd := dec{b: l.enc.b[:cut]}
+				if _, err := decodeSections(&pd, n, k, dst, nil); err == nil {
+					t.Fatalf("dst %d: prefix of %d/%d bytes decoded without error", dst, cut, len(l.enc.b))
+				}
 			}
 		}
 	})

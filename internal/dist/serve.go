@@ -57,6 +57,8 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 	var (
 		e        enc
 		batch    []congest.Routed
+		k, self  int            // shard count and this shard's index, from BEGIN
+		sections *sectionWriter // per-destination outbox encoder, from BEGIN
 		busy     time.Duration
 		stepErr  error // sticky: a step/deliver error is reported, then the loop idles until teardown
 		errStage byte  // which half of a fused exchange stepErr came from
@@ -70,9 +72,19 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 		switch tag := d.u8(); tag {
 		case frameBegin:
 			seed := d.u64()
+			k = int(d.u32())
 			if d.err != nil {
 				return d.err
 			}
+			n := shard.N()
+			if k < 1 || k > n {
+				return fmt.Errorf("dist: BEGIN shard count %d invalid for %d vertices", k, n)
+			}
+			self = shardOf(shard.Lo(), n, k)
+			if lo, hi := shardRange(n, k, self); lo != shard.Lo() || hi != shard.Hi() {
+				return fmt.Errorf("dist: shard range [%d,%d) is not a shard of the %d-way partition", shard.Lo(), shard.Hi(), k)
+			}
+			sections = newSectionWriter(n, k, self)
 			shard.Seed(seed)
 		case frameFuse:
 			deliverRound := d.i64()
@@ -80,6 +92,9 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 			flags := d.u8()
 			if d.err != nil {
 				return d.err
+			}
+			if sections == nil {
+				return fmt.Errorf("dist: FUSE before BEGIN")
 			}
 			// Faults key on the step round so a "round r" fault plan still
 			// means "while executing round r", exactly as under the
@@ -98,10 +113,8 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 				}
 			}
 			if stepErr == nil && deliverRound >= 0 {
-				var derr error
-				batch, derr = decodeBatchDelta(&d, shard.N(), batch)
-				if derr != nil {
-					return derr
+				if batch, err = readInbound(&d, shard.N(), k, self, batch); err != nil {
+					return err
 				}
 				start := time.Now()
 				stepErr = shard.Deliver(deliverRound, batch)
@@ -137,7 +150,7 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 			e.bool(rep.LocalActive)
 			e.bool(rep.WakeOK)
 			e.i64(rep.EarliestWake)
-			e.b = appendBatchDelta(e.b, out)
+			e.b = sections.appendSections(e.b, out)
 			if err := fc.send(e.b); err != nil {
 				return err
 			}
@@ -149,11 +162,12 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 			// The final flush: the in-process engine delivers the last
 			// executed round's messages even when every node has halted, so
 			// they are metered. Route them here for the same counters.
+			if sections == nil {
+				return fmt.Errorf("dist: FINISH before BEGIN")
+			}
 			if stepErr == nil && deliverRound >= 0 {
-				var derr error
-				batch, derr = decodeBatchDelta(&d, shard.N(), batch)
-				if derr != nil {
-					return derr
+				if batch, err = readInbound(&d, shard.N(), k, self, batch); err != nil {
+					return err
 				}
 				start := time.Now()
 				stepErr = shard.Deliver(deliverRound, batch)
@@ -183,6 +197,19 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 			return fmt.Errorf("dist: worker received unexpected frame %d", tag)
 		}
 	}
+}
+
+// readInbound decodes a FUSE/FINISH frame's relayed sections, which end the
+// frame, into batch (reused).
+func readInbound(d *dec, n, k, self int, batch []congest.Routed) ([]congest.Routed, error) {
+	batch, err := decodeSections(d, n, k, self, batch)
+	if err != nil {
+		return nil, err
+	}
+	if len(d.b) != 0 {
+		return nil, fmt.Errorf("dist: %d trailing bytes after inbound sections", len(d.b))
+	}
+	return batch, nil
 }
 
 // appendCounters serializes a shard's metering: the scalar totals plus the

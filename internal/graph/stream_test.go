@@ -65,7 +65,7 @@ func TestStreamingGNMMatchesReference(t *testing.T) {
 	// Below and above the dense-regime switch, so both the direct sampler and
 	// the complement path are cross-checked.
 	for _, m := range []int{0, 1, 5000, 200000, 450000, 499500} {
-		g := GNM(n, m, rng.New(uint64(m)*3 + 1))
+		g := GNM(n, m, rng.New(uint64(m)*3+1))
 		if g.M() != m {
 			t.Fatalf("GNM(n=%d, m=%d) realized %d edges", n, m, g.M())
 		}
@@ -194,10 +194,10 @@ func TestValidateEdgeCount(t *testing.T) {
 	}{
 		{1000, 0, true},
 		{1000, 499500, true},
-		{1000, 499501, false},   // beyond MaxEdges
-		{1000, -1, false},       // negative
-		{10_000_000, 1_000_000_000, true},  // 2m just fits int32
-		{10_000_000, 1_100_000_000, false}, // 2m beyond int32
+		{1000, 499501, false},               // beyond MaxEdges
+		{1000, -1, false},                   // negative
+		{10_000_000, 1_000_000_000, true},   // 2m just fits int32
+		{10_000_000, 1_100_000_000, false},  // 2m beyond int32
 		{100_000, MaxEdges(100_000), false}, // representable pairs, 2m overflows
 	}
 	for _, c := range cases {

@@ -145,9 +145,9 @@ func Trivial(g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
 
 // Levy reconstructs the three-phase structure of Levy, Louchard & Petit
 // (2004) — initial cycle, √n disjoint paths, patching — as described in the
-// paper's related-work section (the original is not publicly available; see
-// DESIGN.md for the substitution rationale). Phase A grows disjoint paths in
-// parallel linking rounds (the MacKenzie–Stout style core they adapt);
+// paper's related-work section: the original is not publicly available, so
+// the paper's description is the only specification. Phase A grows disjoint
+// paths in parallel linking rounds (the MacKenzie–Stout style core they adapt);
 // Phase B merges paths into one cycle; Phase C patches leftover vertices in
 // sequentially, each patch paying a broadcast. The sequential patching tail
 // is what gives this baseline its characteristically worse scaling.
