@@ -26,6 +26,9 @@ type tokenNode struct {
 }
 
 func (t *tokenNode) Init(ctx *congest.Context) {
+	// Message-driven: a node acts only when the token or the shutdown
+	// notice reaches it, so it needs no wake-ups of its own.
+	ctx.WakeEvery(0)
 	if ctx.ID() == 0 {
 		ctx.Send(t.succ, wire.Msg(wire.KindToken, 1))
 	}
@@ -59,9 +62,9 @@ func (t *tokenNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
 
 func (t *tokenNode) flood(ctx *congest.Context, except graph.NodeID) {
 	t.shutdown = true
-	for _, nb := range ctx.Neighbors() {
+	for port, nb := range ctx.Neighbors() {
 		if nb != except {
-			ctx.Send(nb, wire.Msg(wire.KindBroadcast, 0))
+			ctx.SendPort(port, wire.Msg(wire.KindBroadcast, 0))
 		}
 	}
 }

@@ -32,6 +32,18 @@
 // byte-identically under both modes because an invocation with an empty
 // inbox outside its scheduled wake-ups must be a no-op.
 //
+// # Sending
+//
+// A node sends only on its incident edges, and every send is validated.
+// Send(to, m) names the edge by the neighbor's id and checks it with a
+// binary search of the node's sorted neighbor list. SendPort(p, m) names it
+// by port, the index p of the neighbor in Neighbors(), and checks it with a
+// bounds check. Both append to the same outbox, so which one a program uses
+// never changes an execution. Fan-out loops (floods over all or a
+// precomputed subset of the incident edges) keep port lists and use
+// SendPort; point sends to a known id, such as a reply to Envelope.From,
+// use Send. Either failure records ErrNotNeighbor.
+//
 // Determinism: a run is a pure function of (graph, node programs, seed).
 // Each node receives its own RNG stream split from the run seed, inboxes
 // are assembled in sender-id order, and the active set is derived
@@ -121,7 +133,9 @@ func (c *Context) N() int { return c.net.g.N() }
 // Degree returns this node's degree.
 func (c *Context) Degree() int { return c.net.g.Degree(c.id) }
 
-// Neighbors returns this node's neighbor list (shared; do not modify).
+// Neighbors returns this node's neighbor list (shared; do not modify),
+// sorted by id. A neighbor's index in this list is its port: the name
+// SendPort addresses it by.
 func (c *Context) Neighbors() []graph.NodeID { return c.net.g.Neighbors(c.id) }
 
 // HasNeighbor reports whether v is adjacent.
@@ -130,16 +144,45 @@ func (c *Context) HasNeighbor(v graph.NodeID) bool { return c.net.g.HasEdge(c.id
 // Rand returns this node's private deterministic RNG stream.
 func (c *Context) Rand() *rng.Source { return c.rng }
 
-// Send queues a message to neighbor `to` for delivery next round. Sending to
-// a non-neighbor records ErrNotNeighbor and aborts the run after this round.
+// Send queues a message to neighbor `to` for delivery next round. The target
+// is validated by a binary search of this node's neighbor list, which suits
+// point sends (a reply to a sender, a tree parent, a cycle neighbor); fan-out
+// loops over incident edges should use SendPort instead. Sending to a
+// non-neighbor records ErrNotNeighbor and aborts the run after this round.
 func (c *Context) Send(to graph.NodeID, m wire.Message) {
 	if !c.net.g.HasEdge(c.id, to) {
-		if c.err == nil {
-			c.err = fmt.Errorf("%w: %d -> %d (%s)", ErrNotNeighbor, c.id, to, m)
-		}
+		c.fail(fmt.Errorf("%w: %d -> %d (%s)", ErrNotNeighbor, c.id, to, m))
 		return
 	}
+	c.push(to, m)
+}
+
+// SendPort queues a message on this node's incident edge number port — the
+// index of the neighbor in Neighbors() — for delivery next round. The port
+// is validated by a bounds check instead of Send's search, so a flood over
+// a precomputed port list costs O(1) per message. An out-of-range port
+// records ErrNotNeighbor and aborts the run after this round, exactly like
+// Send to a non-neighbor. Apart from how the target is named, the two are
+// indistinguishable: same outbox, delivery order, wire encoding and metering.
+func (c *Context) SendPort(port int, m wire.Message) {
+	nbrs := c.Neighbors()
+	if uint(port) >= uint(len(nbrs)) {
+		c.fail(fmt.Errorf("%w: %d -> port %d of %d (%s)", ErrNotNeighbor, c.id, port, len(nbrs), m))
+		return
+	}
+	c.push(nbrs[port], m)
+}
+
+// push is the one outbox append site behind Send and SendPort.
+func (c *Context) push(to graph.NodeID, m wire.Message) {
 	c.outbox = append(c.outbox, routedMsg{from: c.id, to: to, msg: m})
+}
+
+// fail records the invocation's first send error.
+func (c *Context) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
 }
 
 // Halt marks this node finished; it will receive no further Round calls.

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"dhc/internal/graph"
@@ -553,25 +554,50 @@ func (s *spinnerHalting) Round(ctx *Context, inbox []Envelope) {
 }
 
 // pingPongNode bounces a token to its peer forever: pure message-driven
-// steady-state traffic for the allocation test.
-type pingPongNode struct{ peer graph.NodeID }
+// steady-state traffic for the allocation test. byPort sends through
+// SendPort on the peer's port instead of Send by id.
+type pingPongNode struct {
+	peer   graph.NodeID
+	byPort bool
+	port   int
+}
 
 func (p *pingPongNode) Init(ctx *Context) {
 	ctx.WakeEvery(0)
+	p.port = slices.Index(ctx.Neighbors(), p.peer)
 	if ctx.ID()%2 == 0 {
-		ctx.Send(p.peer, wire.Msg(wire.KindToken, 1))
+		p.send(ctx)
 	}
 }
 func (p *pingPongNode) Round(ctx *Context, inbox []Envelope) {
 	for range inbox {
+		p.send(ctx)
+	}
+}
+
+func (p *pingPongNode) send(ctx *Context) {
+	if p.byPort {
+		ctx.SendPort(p.port, wire.Msg(wire.KindToken, 1))
+	} else {
 		ctx.Send(p.peer, wire.Msg(wire.KindToken, 1))
 	}
 }
 
 // TestPerRoundDeliveryZeroAllocs pins the engine's steady state at exactly
 // zero allocations per round: inbox buckets, outbox buffers, the bandwidth
-// stamps and the wake heap are all recycled.
+// stamps and the wake heap are all recycled — whether nodes send by id or
+// by port.
 func TestPerRoundDeliveryZeroAllocs(t *testing.T) {
+	for _, byPort := range []bool{false, true} {
+		name := "Send"
+		if byPort {
+			name = "SendPort"
+		}
+		t.Run(name, func(t *testing.T) { testPerRoundDeliveryZeroAllocs(t, byPort) })
+	}
+}
+
+func testPerRoundDeliveryZeroAllocs(t *testing.T, byPort bool) {
 	g := graph.Ring(64)
 	nodes := make([]Node, g.N())
 	for v := 0; v < g.N(); v++ {
@@ -579,7 +605,7 @@ func TestPerRoundDeliveryZeroAllocs(t *testing.T) {
 		if v%2 == 1 {
 			peer = graph.NodeID((v - 1 + g.N()) % g.N())
 		}
-		nodes[v] = &pingPongNode{peer: peer}
+		nodes[v] = &pingPongNode{peer: peer, byPort: byPort}
 	}
 	net, err := NewNetwork(g, nodes, Options{MaxRounds: 1 << 40})
 	if err != nil {

@@ -49,7 +49,7 @@ var _ congest.Node = (*dhc1Node)(nil)
 
 func (d *dhc1Node) Init(ctx *congest.Context) {
 	d.stage = 1
-	d.p1 = phase1{cfg: d.cfg}
+	d.p1 = phase1{cfg: d.cfg, scopePorts: d.p1.scopePorts[:0]}
 	d.p1.init(ctx)
 	d.armWake(ctx)
 }
@@ -98,7 +98,7 @@ func (d *dhc1Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 		return
 	}
 	if ctx.Round() >= d.hp.phaseStart {
-		if d.hp.tick(ctx, inbox, d.p1.leader, d.p1.scopeNbrs) {
+		if d.hp.tick(ctx, inbox, d.p1.leader, d.p1.scopePorts) {
 			ctx.Halt()
 			return
 		}

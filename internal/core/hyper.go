@@ -135,9 +135,9 @@ func (h *hyperPhase) start(color, cycindex, scopeSize int32, succ, pred graph.No
 }
 
 // tick advances one round; returns true when the phase has terminated at
-// this node. scopeNbrs lists the same-partition neighbors (for the
+// this node. scopePorts lists the same-partition neighbors' ports (for the
 // selection flood).
-func (h *hyperPhase) tick(ctx *congest.Context, inbox []congest.Envelope, isLeader bool, scopeNbrs []graph.NodeID) bool {
+func (h *hyperPhase) tick(ctx *congest.Context, inbox []congest.Envelope, isLeader bool, scopePorts []int32) bool {
 	if h.status == dra.Succeeded {
 		return true
 	}
@@ -162,15 +162,15 @@ func (h *hyperPhase) tick(ctx *congest.Context, inbox []congest.Envelope, isLead
 	// Leader floods the hypernode selection at phase start.
 	if round == h.selectStart() && isLeader && h.scopeSize >= 3 {
 		r := int32(ctx.Rand().Intn(int(h.scopeSize))) + 1
-		h.absorbChoice(ctx, r, -1, scopeNbrs)
+		h.absorbChoice(ctx, r, -1, scopePorts)
 	}
-	h.absorbFloods(ctx, inbox, scopeNbrs)
+	h.absorbFloods(ctx, inbox, scopePorts)
 
 	if round == h.announceAt() && h.rSeen {
 		h.decidePorts()
 		if h.isUPort || h.isVPort {
-			for _, nb := range ctx.Neighbors() {
-				ctx.Send(nb, wire.Msg(wire.KindPort, h.color))
+			for port := range ctx.Degree() {
+				ctx.SendPort(port, wire.Msg(wire.KindPort, h.color))
 			}
 			// The initial head is hypernode color 0, forward orientation.
 			if h.color == 0 {
@@ -244,12 +244,12 @@ func (h *hyperPhase) nextWake(now int64) int64 {
 // absorbFloods handles the r-selection flood, hyperpath rotations, and
 // terminal floods. Rotation and terminal floods are global: every node
 // forwards them (watermark dedup) and ports additionally apply them.
-func (h *hyperPhase) absorbFloods(ctx *congest.Context, inbox []congest.Envelope, scopeNbrs []graph.NodeID) {
+func (h *hyperPhase) absorbFloods(ctx *congest.Context, inbox []congest.Envelope, scopePorts []int32) {
 	for _, env := range inbox {
 		switch env.Msg.Kind {
 		case wire.KindSizeAnnounce:
 			if env.Msg.Arg(1) == tagPhase2DRA && !h.rSeen {
-				h.absorbChoice(ctx, env.Msg.Arg(0), env.From, scopeNbrs)
+				h.absorbChoice(ctx, env.Msg.Arg(0), env.From, scopePorts)
 			}
 		case wire.KindRotation:
 			step := int64(env.Msg.Arg(2))
@@ -275,12 +275,13 @@ func (h *hyperPhase) absorbFloods(ctx *congest.Context, inbox []congest.Envelope
 	}
 }
 
-func (h *hyperPhase) absorbChoice(ctx *congest.Context, r int32, from graph.NodeID, scopeNbrs []graph.NodeID) {
+func (h *hyperPhase) absorbChoice(ctx *congest.Context, r int32, from graph.NodeID, scopePorts []int32) {
 	h.rSeen = true
 	h.chosenR = r
-	for _, nb := range scopeNbrs {
-		if nb != from {
-			ctx.Send(nb, wire.Msg(wire.KindSizeAnnounce, r, tagPhase2DRA))
+	nbrs := ctx.Neighbors()
+	for _, port := range scopePorts {
+		if nbrs[port] != from {
+			ctx.SendPort(int(port), wire.Msg(wire.KindSizeAnnounce, r, tagPhase2DRA))
 		}
 	}
 }

@@ -33,14 +33,15 @@ type mergePhase struct {
 
 	color   int32
 	nbColor map[graph.NodeID]int32
-	// scopeNbrs/partnerNbrs cache the same-color and partner-color neighbor
-	// lists for this level (neighbor-list order), rebuilt from the level's
-	// color exchange so the flood hot paths iterate flat slices instead of
-	// filtering every neighbor through a map lookup.
-	scopeNbrs   []graph.NodeID
-	partnerNbrs []graph.NodeID
-	succ        graph.NodeID
-	pred        graph.NodeID
+	// scopePorts/partnerPorts cache the same-color and partner-color
+	// neighbors as ascending ports for this level, rebuilt from the level's
+	// color exchange so the flood hot paths iterate flat slices and send
+	// with SendPort instead of filtering every neighbor through a map
+	// lookup. The embedder carries both buffers across sessions.
+	scopePorts   []int32
+	partnerPorts []int32
+	succ         graph.NodeID
+	pred         graph.NodeID
 
 	level      int32
 	levelStart int64
@@ -113,8 +114,8 @@ func (m *mergePhase) start(color int32, succ, pred graph.NodeID, startRound int6
 
 func (m *mergePhase) resetLevel() {
 	m.nbColor = make(map[graph.NodeID]int32)
-	m.scopeNbrs = m.scopeNbrs[:0]
-	m.partnerNbrs = m.partnerNbrs[:0]
+	m.scopePorts = m.scopePorts[:0]
+	m.partnerPorts = m.partnerPorts[:0]
 	m.pendingProbe = probe{}
 	m.confirmedSucc = false
 	m.confirmedPred = false
@@ -203,8 +204,8 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	off := ctx.Round() - m.levelStart
 	switch {
 	case off == 0:
-		for _, nb := range ctx.Neighbors() {
-			ctx.Send(nb, wire.Msg(wire.KindColor, m.color))
+		for port := range ctx.Degree() {
+			ctx.SendPort(port, wire.Msg(wire.KindColor, m.color))
 		}
 	case off == 1:
 		for _, env := range inbox {
@@ -212,18 +213,18 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 				m.nbColor[env.From] = env.Msg.Arg(0)
 			}
 		}
-		for _, nb := range ctx.Neighbors() {
+		for port, nb := range ctx.Neighbors() {
 			if m.inScope(nb) {
-				m.scopeNbrs = append(m.scopeNbrs, nb)
+				m.scopePorts = append(m.scopePorts, int32(port))
 			} else if m.partnerScope(nb) {
-				m.partnerNbrs = append(m.partnerNbrs, nb)
+				m.partnerPorts = append(m.partnerPorts, int32(port))
 			}
 		}
 		if m.alive && m.activeThisLevel() {
 			// Algorithm 3 line 7: announce the cycle edge (v, succ(v))
 			// to every partner-colored neighbor.
-			for _, nb := range m.partnerNbrs {
-				ctx.Send(nb, wire.Msg(wire.KindVerify, int32(m.succ)))
+			for _, port := range m.partnerPorts {
+				ctx.SendPort(int(port), wire.Msg(wire.KindVerify, int32(m.succ)))
 			}
 		}
 	case off == 2:
@@ -483,10 +484,11 @@ func (m *mergePhase) applyReverse(ctx *congest.Context, msg wire.Message) {
 }
 
 func (m *mergePhase) floodScope(ctx *congest.Context, msg wire.Message, except graph.NodeID) {
-	for _, nb := range m.scopeNbrs {
-		if nb == except {
+	nbrs := ctx.Neighbors()
+	for _, port := range m.scopePorts {
+		if nbrs[port] == except {
 			continue
 		}
-		ctx.Send(nb, msg)
+		ctx.SendPort(int(port), msg)
 	}
 }

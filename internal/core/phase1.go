@@ -63,11 +63,12 @@ type phase1 struct {
 
 	color   int32
 	nbColor map[graph.NodeID]int32
-	// scopeNbrs caches the in-scope (same-color) neighbor list in
-	// neighbor-list order once colors are known; every scoped flood
-	// iterates it directly instead of filtering the full neighbor list
-	// through a map lookup, which profiling showed dominated flood cost.
-	scopeNbrs []graph.NodeID
+	// scopePorts caches the in-scope (same-color) neighbors as ascending
+	// ports once colors are known; every scoped flood iterates it and sends
+	// with SendPort instead of filtering the full neighbor list through a
+	// map lookup and searching for each target. The embedder carries the
+	// buffer across sessions.
+	scopePorts []int32
 
 	electBest graph.NodeID
 	leader    bool
@@ -111,8 +112,8 @@ func (p *phase1) init(ctx *congest.Context) {
 	p.color = int32(ctx.Rand().Intn(int(p.cfg.NumColors)))
 	p.nbColor = make(map[graph.NodeID]int32, ctx.Degree())
 	p.electBest = ctx.ID()
-	for _, nb := range ctx.Neighbors() {
-		ctx.Send(nb, wire.Msg(wire.KindColor, p.color))
+	for port := range ctx.Degree() {
+		ctx.SendPort(port, wire.Msg(wire.KindColor, p.color))
 	}
 	p.globalBFS = proto.NewBFSState(0)
 	p.globalBFS.Tag = tagGlobalTree
@@ -137,10 +138,10 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	}
 	if round == p.electStart() {
 		// All colors are in (announced at Init, delivered round 1): cache
-		// the in-scope neighbor list for the scoped flood hot paths.
-		for _, nb := range ctx.Neighbors() {
+		// the in-scope ports for the scoped flood hot paths.
+		for port, nb := range ctx.Neighbors() {
 			if c, ok := p.nbColor[nb]; ok && c == p.color {
-				p.scopeNbrs = append(p.scopeNbrs, nb)
+				p.scopePorts = append(p.scopePorts, int32(port))
 			}
 		}
 	}
@@ -266,7 +267,7 @@ func (p *phase1) newDRAState(ctx *congest.Context, startRound int64) *dra.State 
 	params := dra.Params{
 		ScopeSize:       p.scopeSize,
 		IsInitialHead:   p.leader,
-		ScopeNeighbors:  p.scopeNbrs,
+		ScopePorts:      p.scopePorts,
 		BroadcastRounds: p.cfg.B,
 		StartRound:      startRound,
 		Tag:             tagPhase1DRA + int32(p.attempts),
@@ -283,8 +284,8 @@ func (p *phase1) newDRAState(ctx *congest.Context, startRound int64) *dra.State 
 }
 
 func (p *phase1) sendCandidates(ctx *congest.Context) {
-	for _, nb := range p.scopeNbrs {
-		ctx.Send(nb, wire.Msg(wire.KindCandidate, int32(p.electBest)))
+	for _, port := range p.scopePorts {
+		ctx.SendPort(int(port), wire.Msg(wire.KindCandidate, int32(p.electBest)))
 	}
 }
 

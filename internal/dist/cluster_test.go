@@ -119,14 +119,100 @@ func TestFaultsLeakNoGoroutines(t *testing.T) {
 			t.Fatalf("fault %+v returned %v, want ErrShardDown", fault, err)
 		}
 	}
+	waitGoroutines(t, baseline)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// baseline within five seconds.
+func waitGoroutines(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= baseline {
 			return
 		} else if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines alive after fault runs, baseline %d", n, baseline)
+			t.Fatalf("%d goroutines alive after the runs, baseline %d", n, baseline)
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// badSendNode ticks every round and halts in round 6; the node with bad set
+// makes one invalid send in round 3, on an out-of-range port when byPort and
+// otherwise to the non-neighbor id to.
+type badSendNode struct {
+	bad    bool
+	byPort bool
+	to     graph.NodeID
+}
+
+func (b *badSendNode) Init(ctx *congest.Context) { ctx.WakeEvery(1) }
+
+func (b *badSendNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
+	if b.bad && ctx.Round() == 3 {
+		m := wire.Msg(wire.KindToken, 1)
+		if b.byPort {
+			ctx.SendPort(ctx.Degree(), m)
+		} else {
+			ctx.Send(b.to, m)
+		}
+	}
+	if ctx.Round() >= 6 {
+		ctx.Halt()
+	}
+}
+
+// TestDistNotNeighborCrossesTheWire: a send to a non-neighbor inside a shard
+// worker — by bad port or by non-adjacent id — must reach the caller of a
+// real 2-shard unix cluster as ErrNotNeighbor carrying the in-process
+// engine's message text, within the step timeout and without leaking
+// goroutines.
+func TestDistNotNeighborCrossesTheWire(t *testing.T) {
+	const stepTimeout = 10 * time.Second
+	g := graph.Path(8) // shards [0,4) and [4,8); node 6 is adjacent to 5 and 7 only
+	for _, byPort := range []bool{true, false} {
+		name := "bad-id"
+		if byPort {
+			name = "bad-port"
+		}
+		t.Run(name, func(t *testing.T) {
+			programs := func() []congest.Node {
+				nodes := make([]congest.Node, g.N())
+				for v := range nodes {
+					nodes[v] = &badSendNode{bad: v == 6, byPort: byPort, to: 1}
+				}
+				return nodes
+			}
+			net, err := congest.NewNetwork(g, programs(), congest.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, inErr := net.Run(1)
+			if !errors.Is(inErr, congest.ErrNotNeighbor) {
+				t.Fatalf("in-process run returned %v, want ErrNotNeighbor", inErr)
+			}
+
+			baseline := runtime.NumGoroutine()
+			cl, err := NewCluster(Options{Shards: 2, StepTimeout: stepTimeout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Reset(g, programs(), congest.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			_, distErr := cl.RunContext(context.Background(), 1)
+			if elapsed := time.Since(start); elapsed > stepTimeout {
+				t.Fatalf("error took %v, longer than the %v step timeout", elapsed, stepTimeout)
+			}
+			if !errors.Is(distErr, congest.ErrNotNeighbor) {
+				t.Fatalf("cluster run returned %v, want ErrNotNeighbor", distErr)
+			}
+			if !strings.Contains(distErr.Error(), inErr.Error()) {
+				t.Fatalf("cluster error %q lost the in-process text %q", distErr, inErr)
+			}
+			waitGoroutines(t, baseline)
+		})
 	}
 }
 

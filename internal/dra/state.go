@@ -48,10 +48,12 @@ type Params struct {
 	ScopeSize int
 	// IsInitialHead designates the single starting node.
 	IsInitialHead bool
-	// ScopeNeighbors lists this node's in-scope neighbors in neighbor-list
-	// order; the slice is retained (read-only) for flood forwarding, so one
-	// precomputed list serves every session.
-	ScopeNeighbors []graph.NodeID
+	// ScopePorts lists this node's in-scope neighbors as ports (indices into
+	// ctx.Neighbors()), ascending. Floods and probes address them with
+	// congest.Context.SendPort, so a send costs a bounds check instead of a
+	// neighbor-list search. The slice is retained (read-only) for flood
+	// forwarding, so one precomputed list serves every session.
+	ScopePorts []int32
 	// BroadcastRounds is the consistency wait after a rotation; it must be
 	// an upper bound on the scope diameter.
 	BroadcastRounds int64
@@ -87,14 +89,14 @@ type State struct {
 	terminalSeen  bool  // success/failure flood already forwarded
 	terminalRound int64 // round stamped into the terminal flood
 
-	scope  []graph.NodeID // in-scope neighbors (shared, read-only)
-	unused []graph.NodeID
+	scope  []int32 // in-scope neighbor ports (shared, read-only)
+	unused []int32 // in-scope ports no progress message has crossed yet
 	steps  int64
 	status Status
 }
 
 // NewState initializes the machine for one node. ctx is the Init (or current
-// round) context; the unused list is the node's in-scope neighbors.
+// round) context; the unused list starts as the node's in-scope ports.
 func NewState(ctx *congest.Context, p Params) *State {
 	s := &State{}
 	s.Reset(ctx, p)
@@ -123,7 +125,7 @@ func (s *State) Reset(ctx *congest.Context, p Params) {
 		succ:     -1,
 		lastSent: -1,
 		status:   Running,
-		scope:    p.ScopeNeighbors,
+		scope:    p.ScopePorts,
 	}
 	s.unused = append(unused, s.scope...)
 	if p.IsInitialHead {
@@ -235,11 +237,12 @@ func (s *State) originate(ctx *congest.Context, m wire.Message) {
 }
 
 func (s *State) forwardScope(ctx *congest.Context, m wire.Message, except graph.NodeID) {
-	for _, nb := range s.scope {
-		if nb == except {
+	nbrs := ctx.Neighbors()
+	for _, p := range s.scope {
+		if nbrs[p] == except {
 			continue
 		}
-		ctx.Send(nb, m)
+		ctx.SendPort(int(p), m)
 	}
 }
 
@@ -280,7 +283,7 @@ func (s *State) absorbProgress(ctx *congest.Context, inbox []congest.Envelope) {
 		}
 		pos := env.Msg.Arg(0)
 		stepsBefore := int64(env.Msg.Arg(1))
-		s.removeUnused(env.From)
+		s.removeUnused(ctx, env.From)
 		ctx.AddWork(1)
 		switch {
 		case pos == int32(s.p.ScopeSize) && s.cycindex == 1:
@@ -317,17 +320,18 @@ func (s *State) act(ctx *congest.Context) {
 		s.fail(ctx)
 		return
 	}
-	u, ok := s.popRandomUnused(ctx)
+	port, ok := s.popRandomUnused(ctx)
 	if !ok {
 		s.fail(ctx)
 		return
 	}
 	// Optimistically record u as successor; a rotation overwrites this via
 	// the old-head patch in applyRotation.
+	u := ctx.Neighbors()[port]
 	s.succ = u
 	s.lastSent = u
 	s.isHead = false // exactly one node becomes head as a consequence
-	ctx.Send(u, wire.Msg(wire.KindProgress, s.cycindex, int32(s.steps)))
+	ctx.SendPort(int(port), wire.Msg(wire.KindProgress, s.cycindex, int32(s.steps)))
 	ctx.AddWork(1)
 }
 
@@ -338,7 +342,7 @@ func (s *State) fail(ctx *congest.Context) {
 		int32(s.steps), int32(ctx.Round())))
 }
 
-func (s *State) popRandomUnused(ctx *congest.Context) (graph.NodeID, bool) {
+func (s *State) popRandomUnused(ctx *congest.Context) (int32, bool) {
 	if len(s.unused) == 0 {
 		return 0, false
 	}
@@ -349,9 +353,11 @@ func (s *State) popRandomUnused(ctx *congest.Context) (graph.NodeID, bool) {
 	return u, true
 }
 
-func (s *State) removeUnused(v graph.NodeID) {
-	for i, x := range s.unused {
-		if x == v {
+// removeUnused drops the port leading to neighbor v, if still unused.
+func (s *State) removeUnused(ctx *congest.Context, v graph.NodeID) {
+	nbrs := ctx.Neighbors()
+	for i, p := range s.unused {
+		if nbrs[p] == v {
 			s.unused[i] = s.unused[len(s.unused)-1]
 			s.unused = s.unused[:len(s.unused)-1]
 			return

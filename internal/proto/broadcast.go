@@ -80,10 +80,10 @@ func (s *ScopedBroadcaster) Reset() {
 func (s *ScopedBroadcaster) SeenCount() int { return len(s.seen) }
 
 func (s *ScopedBroadcaster) forward(ctx *congest.Context, m wire.Message, except graph.NodeID) {
-	for _, nb := range ctx.Neighbors() {
+	for port, nb := range ctx.Neighbors() {
 		if nb == except || !s.inScope(nb) {
 			continue
 		}
-		ctx.Send(nb, m)
+		ctx.SendPort(port, m)
 	}
 }

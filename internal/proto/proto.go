@@ -43,9 +43,7 @@ func NewFlooder(self graph.NodeID) *Flooder {
 
 // Start sends the initial candidate to all neighbors. Call from Init.
 func (f *Flooder) Start(ctx *congest.Context) {
-	for _, nb := range ctx.Neighbors() {
-		ctx.Send(nb, wire.Msg(wire.KindCandidate, int32(f.Best)))
-	}
+	f.sendBest(ctx)
 	f.changed = false
 }
 
@@ -63,12 +61,17 @@ func (f *Flooder) Absorb(ctx *congest.Context, inbox []congest.Envelope) bool {
 		}
 	}
 	if improved {
-		for _, nb := range ctx.Neighbors() {
-			ctx.Send(nb, wire.Msg(wire.KindCandidate, int32(f.Best)))
-		}
+		f.sendBest(ctx)
 	}
 	f.changed = improved
 	return improved
+}
+
+// sendBest sends the current candidate on every incident edge.
+func (f *Flooder) sendBest(ctx *congest.Context) {
+	for port := range ctx.Degree() {
+		ctx.SendPort(port, wire.Msg(wire.KindCandidate, int32(f.Best)))
+	}
 }
 
 // IsLeader reports whether this node currently believes it is the leader.
@@ -105,14 +108,14 @@ func NewScopedBFSState(root graph.NodeID, inScope func(graph.NodeID) bool) *BFSS
 }
 
 func (b *BFSState) sendExplore(ctx *congest.Context, except graph.NodeID) {
-	for _, nb := range ctx.Neighbors() {
+	for port, nb := range ctx.Neighbors() {
 		if nb == except {
 			continue
 		}
 		if b.InScope != nil && !b.InScope(nb) {
 			continue
 		}
-		ctx.Send(nb, wire.Msg(wire.KindBFSExplore, b.Level, b.Tag))
+		ctx.SendPort(port, wire.Msg(wire.KindBFSExplore, b.Level, b.Tag))
 	}
 }
 

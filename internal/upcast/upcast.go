@@ -312,9 +312,9 @@ func (u *node) observeMemory(ctx *congest.Context) {
 }
 
 func forward(ctx *congest.Context, m wire.Message, except graph.NodeID) {
-	for _, nb := range ctx.Neighbors() {
+	for port, nb := range ctx.Neighbors() {
 		if nb != except {
-			ctx.Send(nb, m)
+			ctx.SendPort(port, m)
 		}
 	}
 }
