@@ -11,26 +11,31 @@
 //
 // # Activity contract (event-driven execution)
 //
-// The default executor is event-driven: a node's Round method is invoked in
-// round r only if (a) at least one message was delivered to it this round,
-// (b) it scheduled a wake-up covering r via Context.WakeAt/WakeEvery, or
-// (c) r is the Init round (round 0, where every node runs). When the whole
-// network is quiet — no messages in flight and no wake-up due — the engine
-// skips directly to the next scheduled wake-up, charging the skipped rounds
-// to metrics.Counters so round accounting is identical to a dense sweep.
-// A round's cost is therefore O(active nodes + delivered messages) instead
-// of O(n).
+// The engine is event-driven: a node's Round method is invoked in round r
+// only if (a) at least one message was delivered to it this round, (b) it
+// scheduled a wake-up covering r via Context.WakeAt/WakeEvery, or (c) r is
+// the Init round (round 0, where every node runs). When the whole network is
+// quiet — no messages in flight and no wake-up due — the engine skips
+// directly to the next scheduled wake-up, charging the skipped rounds to
+// metrics.Counters so round accounting is identical to a dense sweep. A
+// round's cost is therefore O(active nodes + delivered messages) instead of
+// O(n).
 //
-// A node program that never calls a wake API is treated as legacy-dense: it
-// is invoked every round (and, while any such node is live, the engine
-// never skips rounds). Calling WakeAt or WakeEvery — including WakeEvery(0),
-// the explicit "message-driven only" declaration — permanently opts the node
-// into event-driven scheduling: from then on it is invoked only on delivery
-// or at its scheduled wake-ups, so each invocation must arrange the next
-// wake-up it needs. Options.DenseSweep restores the dense sweep for every
-// node; it is the differential-testing oracle, and a correct program behaves
+// A node that never calls a wake API is message-driven after Init: it runs
+// again only when a message reaches it. Each invocation must arrange the
+// next wake-up it needs; WakeEvery(1) is how a node asks to run every
+// round. Options.DenseSweep invokes every live node every round; it is the
+// differential-testing oracle, and a correct program behaves
 // byte-identically under both modes because an invocation with an empty
 // inbox outside its scheduled wake-ups must be a no-op.
+//
+// # Execution
+//
+// Shard is the one executor: it runs a contiguous vertex range over one
+// per-node state arena. A Network is a single Shard spanning every vertex;
+// the distributed engine (internal/dist) runs K Shards behind transports.
+// RunRounds is the one round loop, driving either through the Fused
+// interface.
 //
 // # Sending
 //
@@ -47,9 +52,9 @@
 // Determinism: a run is a pure function of (graph, node programs, seed).
 // Each node receives its own RNG stream split from the run seed, inboxes
 // are assembled in sender-id order, and the active set is derived
-// single-threaded from deliveries and the wake schedule, so the sequential
-// executor, the parallel executor, the event-driven schedule and the dense
-// sweep all produce identical executions.
+// single-threaded from deliveries and the wake schedule, so every Workers
+// count, the event-driven schedule, the dense sweep and every sharding
+// produce identical executions.
 package congest
 
 import (
@@ -97,11 +102,11 @@ type Node interface {
 // Context is a node's per-round handle to the simulator. It is only valid
 // during the Init or Round call that received it.
 type Context struct {
-	net    *Network
+	sh     *Shard
 	id     graph.NodeID
 	round  int64
 	rng    *rng.Source
-	outbox []routedMsg
+	outbox []Routed
 	halted bool
 	err    error
 
@@ -109,16 +114,10 @@ type Context struct {
 	wakeAt       int64 // earliest requested wake round (0 = none this call)
 	wakeEvery    int64 // requested standing interval (meaningful iff wakeEverySet)
 	wakeEverySet bool
-	wakeDeclared bool // any wake API call this invocation
 
-	// per-call metric deltas, merged by the executor
+	// per-call metric deltas, merged by the shard
 	memWords int64
 	workOps  int64
-}
-
-type routedMsg struct {
-	from, to graph.NodeID
-	msg      wire.Message
 }
 
 // ID returns this node's identifier.
@@ -128,18 +127,18 @@ func (c *Context) ID() graph.NodeID { return c.id }
 func (c *Context) Round() int64 { return c.round }
 
 // N returns the network size, which the paper assumes is global knowledge.
-func (c *Context) N() int { return c.net.g.N() }
+func (c *Context) N() int { return c.sh.g.N() }
 
 // Degree returns this node's degree.
-func (c *Context) Degree() int { return c.net.g.Degree(c.id) }
+func (c *Context) Degree() int { return c.sh.g.Degree(c.id) }
 
 // Neighbors returns this node's neighbor list (shared; do not modify),
 // sorted by id. A neighbor's index in this list is its port: the name
 // SendPort addresses it by.
-func (c *Context) Neighbors() []graph.NodeID { return c.net.g.Neighbors(c.id) }
+func (c *Context) Neighbors() []graph.NodeID { return c.sh.g.Neighbors(c.id) }
 
 // HasNeighbor reports whether v is adjacent.
-func (c *Context) HasNeighbor(v graph.NodeID) bool { return c.net.g.HasEdge(c.id, v) }
+func (c *Context) HasNeighbor(v graph.NodeID) bool { return c.sh.g.HasEdge(c.id, v) }
 
 // Rand returns this node's private deterministic RNG stream.
 func (c *Context) Rand() *rng.Source { return c.rng }
@@ -150,7 +149,7 @@ func (c *Context) Rand() *rng.Source { return c.rng }
 // loops over incident edges should use SendPort instead. Sending to a
 // non-neighbor records ErrNotNeighbor and aborts the run after this round.
 func (c *Context) Send(to graph.NodeID, m wire.Message) {
-	if !c.net.g.HasEdge(c.id, to) {
+	if !c.sh.g.HasEdge(c.id, to) {
 		c.fail(fmt.Errorf("%w: %d -> %d (%s)", ErrNotNeighbor, c.id, to, m))
 		return
 	}
@@ -175,7 +174,7 @@ func (c *Context) SendPort(port int, m wire.Message) {
 
 // push is the one outbox append site behind Send and SendPort.
 func (c *Context) push(to graph.NodeID, m wire.Message) {
-	c.outbox = append(c.outbox, routedMsg{from: c.id, to: to, msg: m})
+	c.outbox = append(c.outbox, Routed{From: c.id, To: to, Msg: m})
 }
 
 // fail records the invocation's first send error.
@@ -196,11 +195,8 @@ func (c *Context) Halted() bool { return c.halted }
 // WakeAt guarantees this node is invoked no later than the given absolute
 // round, even if no message is delivered to it. Requests for the current
 // round or earlier mean "next round". Multiple calls keep the earliest
-// round; an earlier wake-up already pending is never postponed. The first
-// wake-API call permanently opts the node into event-driven scheduling (see
-// the package doc).
+// round; an earlier wake-up already pending is never postponed.
 func (c *Context) WakeAt(round int64) {
-	c.wakeDeclared = true
 	if round <= c.round {
 		round = c.round + 1
 	}
@@ -211,12 +207,10 @@ func (c *Context) WakeAt(round int64) {
 
 // WakeEvery installs a standing wake-up: at most `interval` rounds pass
 // between invocations of this node (WakeEvery(1) keeps the node dense).
-// interval <= 0 clears the standing wake-up — WakeEvery(0) is the explicit
-// "message-driven only" declaration, opting the node into event-driven
-// scheduling without scheduling any wake-up. The interval persists until
-// changed by a later call.
+// interval <= 0 clears the standing wake-up — WakeEvery(0) declares the
+// node message-driven, which is also the default. The interval persists
+// until changed by a later call.
 func (c *Context) WakeEvery(interval int64) {
-	c.wakeDeclared = true
 	if interval < 0 {
 		interval = 0
 	}
@@ -245,7 +239,6 @@ func (c *Context) reset(round int64) {
 	c.wakeAt = 0
 	c.wakeEvery = 0
 	c.wakeEverySet = false
-	c.wakeDeclared = false
 	c.memWords = 0
 	c.workOps = 0
 }
@@ -283,7 +276,11 @@ type Options struct {
 	// 64 * n * ceil(log2 n) + 1024, comfortably above every algorithm's
 	// bound on its intended inputs.
 	MaxRounds int64
-	// Workers > 1 enables the parallel executor with that many goroutines.
+	// Workers > 1 runs each round's node invocations on a pool of that many
+	// goroutines inside the Network's Shard; the merge and delivery that
+	// follow stay single-threaded, so every Workers count yields the same
+	// execution. Shards of the distributed engine always run with 1: the
+	// shards are the parallelism there.
 	Workers int
 	// DenseSweep disables event-driven scheduling: every live node is
 	// invoked every round and no rounds are skipped, exactly the historical
@@ -293,6 +290,10 @@ type Options struct {
 	DenseSweep bool
 	// FaultHook, if non-nil, intercepts every delivery: return false to
 	// drop the message, or return a mutated copy. Used by robustness tests.
+	// The Shard calls it while delivering, single-threaded and in global
+	// sender order, at any Workers count. A dropped message is neither
+	// metered nor delivered. The distributed engine refuses it: a function
+	// value cannot cross a process boundary.
 	FaultHook func(round int64, from, to graph.NodeID, m wire.Message) (wire.Message, bool)
 	// Progress, if non-nil, is called with the charged round total at the
 	// engine's amortized checkpoint (every ctxCheckEvery executed rounds,
@@ -302,29 +303,18 @@ type Options struct {
 	Progress func(rounds int64)
 }
 
-// Network binds node programs to a graph and executes rounds. A Network is
+// Network binds node programs to a graph and executes rounds in process: it
+// is one Shard spanning every vertex, driven by RunRounds. A Network is
 // reusable: Reset rebinds it to a new graph and program set, and runs on a
-// same-sized graph recycle the per-run arena (persistent node Contexts, inbox
-// buckets, the wake-schedule heap, the outbox concatenation buffer, the
-// bandwidth stamps) instead of reallocating it, which is what makes repeated
-// solver trials cheap. A Network is not safe for concurrent runs.
+// same-sized graph recycle the Shard's arena (persistent node Contexts,
+// inbox buckets, the wake-schedule heap, the outbox buffers, the bandwidth
+// stamps) instead of reallocating it, which is what makes repeated solver
+// trials cheap. A Network is not safe for concurrent runs.
 type Network struct {
-	g     *graph.Graph
-	nodes []Node
-	codec wire.Codec
-	opts  Options
-	// arena is the reusable per-run storage; nil until the first run, and
-	// dropped when Reset changes the network size.
-	arena *runState
+	shard *Shard
 }
 
 var _ Runner = (*Network)(nil)
-
-// ctxCheckEvery is the engine's amortized checkpoint cadence: cancellation is
-// polled and Progress fired once per this many executed rounds, so the hot
-// loop pays one context poll per batch instead of per round and a run that is
-// never cancelled stays byte-identical to one run without a context.
-const ctxCheckEvery = 64
 
 // NewNetwork creates a network over g with one Node program per vertex.
 // len(nodes) must equal g.N().
@@ -337,18 +327,19 @@ func NewNetwork(g *graph.Graph, nodes []Node, opts Options) (*Network, error) {
 }
 
 // Reset rebinds the network to a new graph and program set, normalizing opts
-// exactly like NewNetwork. When the vertex count is unchanged the codec and
-// the per-run arena are kept, so the next run reuses every engine-side
-// allocation; a size change drops both.
+// exactly like NewNetwork. When the vertex count is unchanged the Shard and
+// its arena are kept, so the next run reuses every engine-side allocation; a
+// size change builds a new one.
 func (n *Network) Reset(g *graph.Graph, nodes []Node, opts Options) error {
 	if len(nodes) != g.N() {
 		return fmt.Errorf("congest: %d node programs for %d vertices", len(nodes), g.N())
 	}
-	if n.g == nil || n.g.N() != g.N() {
-		n.codec = wire.NewCodec(g.N())
-		n.arena = nil
+	opts = NormalizeOptions(opts, g.N())
+	if s := n.shard; s != nil && s.g.N() == g.N() {
+		s.g, s.nodes, s.opts = g, nodes, opts
+		return nil
 	}
-	n.g, n.nodes, n.opts = g, nodes, NormalizeOptions(opts, g.N())
+	n.shard = newShard(g, nodes, opts, 0, g.N())
 	return nil
 }
 
@@ -372,7 +363,7 @@ func NormalizeOptions(opts Options, n int) Options {
 }
 
 // Codec returns the codec sizing messages for this network.
-func (n *Network) Codec() wire.Codec { return n.codec }
+func (n *Network) Codec() wire.Codec { return n.shard.codec }
 
 // Run executes the network until every node halts. It returns the metered
 // counters; on failure the counters reflect the partial run.
@@ -388,212 +379,25 @@ func (n *Network) Run(seed uint64) (*metrics.Counters, error) {
 // resets the arena, so an uncancelled rerun of the same seed is byte-identical
 // to a run that was never cancelled.
 func (n *Network) RunContext(ctx context.Context, seed uint64) (*metrics.Counters, error) {
-	state, exec, counters := n.newRun(seed)
-	if err := ctx.Err(); err != nil {
-		return counters, fmt.Errorf("congest: run canceled before round 0: %w", err)
-	}
-
-	// Init phase (round 0).
-	if err := exec.step(0, true); err != nil {
-		return counters, err
-	}
-	sinceCheck := 0
-	for round := int64(1); ; round++ {
-		if state.live == 0 {
-			return counters, nil
-		}
-		if round > n.opts.MaxRounds {
-			return counters, fmt.Errorf("%w: %d rounds", ErrRoundLimit, n.opts.MaxRounds)
-		}
-		if !n.opts.DenseSweep {
-			next, ok := state.nextActiveRound(round)
-			if !ok || next > n.opts.MaxRounds {
-				// No activity before the budget: the dense sweep would spin
-				// through no-op rounds to the limit; charge them and stop.
-				counters.Rounds += n.opts.MaxRounds - round + 1
-				counters.RoundsSkipped += n.opts.MaxRounds - round + 1
-				return counters, fmt.Errorf("%w: %d rounds", ErrRoundLimit, n.opts.MaxRounds)
-			}
-			// Skip directly to the next active round, charging the quiet
-			// rounds so accounting matches the dense sweep bit for bit.
-			counters.Rounds += next - round + 1
-			counters.RoundsSkipped += next - round
-			round = next
-		} else {
-			counters.Rounds++
-		}
-		if sinceCheck++; sinceCheck >= ctxCheckEvery {
-			sinceCheck = 0
-			if err := ctx.Err(); err != nil {
-				return counters, fmt.Errorf("congest: run canceled in round %d: %w", round, err)
-			}
-			if n.opts.Progress != nil {
-				n.opts.Progress(counters.Rounds)
-			}
-		}
-		if err := exec.step(round, false); err != nil {
-			return counters, err
-		}
-	}
+	s := n.shard
+	s.Begin(seed)
+	err := RunRounds(ctx, wholeNetwork{s}, s.opts, s.counters)
+	return s.counters, err
 }
 
-// newRun readies the per-run storage and executor driving one execution,
-// recycling the arena of a previous same-sized run; split from Run so
-// white-box tests can step rounds individually.
-func (n *Network) newRun(seed uint64) (*runState, *executor, *metrics.Counters) {
-	N := n.g.N()
-	counters := metrics.NewCounters(N)
-	if n.arena == nil {
-		n.arena = newRunState(N)
-		for v := 0; v < N; v++ {
-			n.arena.rngs[v] = &rng.Source{}
-			n.arena.ctxs[v] = &Context{net: n, id: graph.NodeID(v), rng: n.arena.rngs[v]}
-		}
+// wholeNetwork drives a Shard spanning every vertex through RunRounds. With
+// no exchange to fuse a delivery into, it delivers each round as soon as the
+// round is stepped, so deliverRound was always delivered by the previous
+// call and Finish has nothing left to flush. Delivering eagerly keeps the
+// activity decision exact: it sees only the messages FaultHook let through.
+type wholeNetwork struct{ s *Shard }
+
+func (w wholeNetwork) Fuse(_, stepRound int64, isInit bool) (Activity, error) {
+	_, rep, err := w.s.Step(stepRound, isInit)
+	if err == nil {
+		err = w.s.Deliver(stepRound, nil)
 	}
-	state := n.arena
-	state.reset()
-	root := rng.New(seed)
-	for v := 0; v < N; v++ {
-		root.SplitInto(state.rngs[v], uint64(v))
-	}
-	return state, newExecutor(n, state, counters), counters
+	return Activity{Live: rep.Live, Messages: len(w.s.msgActive) > 0, Wake: rep.EarliestWake, WakeOK: rep.WakeOK}, err
 }
 
-// runState is the engine's mutable per-run storage. Everything here is
-// reused round over round — contexts keep their outbox capacity, inbox
-// buckets recycle their backing arrays, and the bandwidth stamps are flat
-// arrays — so a round's allocations are bounded by growth in message volume,
-// not by n or by round count.
-type runState struct {
-	halted []bool
-	live   int // number of non-halted nodes
-	rngs   []*rng.Source
-	// inboxes[v] is node v's current inbox bucket. deliver appends envelopes
-	// in sender-id order (the outbox concatenation is already sender-sorted)
-	// and the executor truncates the bucket back to length 0 after the node
-	// consumed it, recycling the backing array.
-	inboxes [][]Envelope
-	// ctxs are the persistent per-node contexts: each is reset and reused
-	// every invocation so outbox capacity survives. A Context is documented
-	// as valid only during the Init/Round call, which makes reuse safe.
-	ctxs []*Context
-	// out is the reused node-id-ordered outbox concatenation buffer.
-	out []routedMsg
-	// msgActive lists the receivers of the messages delivered for the next
-	// round (appended on first delivery to an empty bucket; never contains
-	// halted nodes or duplicates).
-	msgActive []int32
-	// active is the reused active-set buffer built by the executor.
-	active []int32
-	// dueScratch is a reused buffer for draining due wakes in dense rounds.
-	dueScratch []int32
-	// inActive marks membership while the active set is assembled.
-	inActive []bool
-	// sched is the wake-up schedule of the event-driven executor.
-	sched scheduler
-	// Bandwidth accounting scratch: bwBits[to] accumulates the bits the
-	// current sender pushed to `to` this round, valid while bwStamp[to]
-	// equals the current sender generation. Generations never repeat, so
-	// the arrays need no clearing between senders or rounds.
-	bwStamp []int64
-	bwBits  []int64
-	bwGen   int64
-}
-
-func newRunState(n int) *runState {
-	return &runState{
-		halted:   make([]bool, n),
-		live:     n,
-		rngs:     make([]*rng.Source, n),
-		inboxes:  make([][]Envelope, n),
-		ctxs:     make([]*Context, n),
-		inActive: make([]bool, n),
-		sched:    newScheduler(n),
-		bwStamp:  make([]int64, n),
-		bwBits:   make([]int64, n),
-	}
-}
-
-// reset restores the arena to its pre-run state while keeping every backing
-// array (inbox buckets, outbox concatenation buffer, heap storage, context
-// outboxes), so a rerun on a same-sized graph allocates nothing up front.
-// The bandwidth stamps are left as-is: generations are monotonically
-// increasing across runs, so stale stamps can never match a fresh generation.
-func (s *runState) reset() {
-	n := len(s.halted)
-	for v := 0; v < n; v++ {
-		s.halted[v] = false
-		s.inActive[v] = false
-		s.inboxes[v] = s.inboxes[v][:0]
-	}
-	s.live = n
-	s.out = s.out[:0]
-	s.msgActive = s.msgActive[:0]
-	s.active = s.active[:0]
-	s.dueScratch = s.dueScratch[:0]
-	s.sched.reset()
-}
-
-// nextActiveRound returns the earliest round >= round in which any node must
-// be invoked: `round` itself when messages are in flight or a legacy-dense
-// node is live, else the earliest scheduled wake-up. ok is false when no
-// activity can ever occur again (every live node is asleep with no wake-up).
-func (s *runState) nextActiveRound(round int64) (int64, bool) {
-	if len(s.msgActive) > 0 || s.sched.legacyLive > 0 {
-		return round, true
-	}
-	w, ok := s.sched.earliestWake(s.halted)
-	if !ok {
-		return 0, false
-	}
-	if w < round {
-		w = round
-	}
-	return w, true
-}
-
-// deliver routes the sender-ordered outbox concatenation into next-round
-// inbox buckets, applying fault hooks and bandwidth enforcement. Called
-// single-threaded. It performs no comparison sort and, at steady state, no
-// allocations: `out` is grouped by sender in ascending id order (the merge
-// loop concatenates outboxes in active-set order), so appending each
-// envelope to its receiver's recycled bucket yields sender-sorted inboxes
-// for free, and per-edge budgets are tracked with generation-stamped flat
-// arrays instead of a per-round map.
-func (n *Network) deliver(round int64, out []routedMsg, state *runState, counters *metrics.Counters) error {
-	curFrom := graph.NodeID(-1)
-	for i := range out {
-		rm := &out[i]
-		msg := rm.msg
-		if n.opts.FaultHook != nil {
-			var deliverIt bool
-			msg, deliverIt = n.opts.FaultHook(round, rm.from, rm.to, msg)
-			if !deliverIt {
-				continue
-			}
-		}
-		sz := n.codec.Bits(msg)
-		if rm.from != curFrom {
-			curFrom = rm.from
-			state.bwGen++
-		}
-		if state.bwStamp[rm.to] != state.bwGen {
-			state.bwStamp[rm.to] = state.bwGen
-			state.bwBits[rm.to] = 0
-		}
-		state.bwBits[rm.to] += sz
-		if state.bwBits[rm.to] > n.opts.BandwidthBits {
-			return fmt.Errorf("%w: edge %d->%d carried %d bits in round %d (budget %d)",
-				ErrBandwidth, rm.from, rm.to, state.bwBits[rm.to], round, n.opts.BandwidthBits)
-		}
-		counters.AddMessage(sz)
-		if state.halted[rm.to] {
-			continue // metered, but a halted node consumes nothing
-		}
-		if len(state.inboxes[rm.to]) == 0 {
-			state.msgActive = append(state.msgActive, int32(rm.to))
-		}
-		state.inboxes[rm.to] = append(state.inboxes[rm.to], Envelope{From: rm.from, Msg: msg})
-	}
-	return nil
-}
+func (wholeNetwork) Finish(int64) error { return nil }

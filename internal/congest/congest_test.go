@@ -2,10 +2,12 @@ package congest
 
 import (
 	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
 	"dhc/internal/graph"
+	"dhc/internal/metrics"
 	"dhc/internal/rng"
 	"dhc/internal/wire"
 )
@@ -13,7 +15,8 @@ import (
 // floodNode floods a value: node 0 starts with its own id as the value; every
 // node adopts the minimum value it hears and forwards it once, then halts
 // after quietRounds rounds of silence. This exercises send/receive, rounds
-// and halting.
+// and halting. Counting silent rounds needs an invocation every round, so
+// it runs dense (WakeEvery(1)).
 type floodNode struct {
 	value   int32
 	sent    bool
@@ -22,6 +25,7 @@ type floodNode struct {
 }
 
 func (f *floodNode) Init(ctx *Context) {
+	ctx.WakeEvery(1)
 	f.value = int32(ctx.ID())
 	if ctx.ID() == 0 {
 		f.adopted = true
@@ -118,14 +122,15 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// senderNode sends a configurable burst to neighbor 0 every round.
+// senderNode runs dense; node 1 sends a configurable burst to target in its
+// first round, and every node halts after 3 rounds.
 type senderNode struct {
 	burst  int
 	target graph.NodeID
 	rounds int
 }
 
-func (s *senderNode) Init(ctx *Context) {}
+func (s *senderNode) Init(ctx *Context) { ctx.WakeEvery(1) }
 
 func (s *senderNode) Round(ctx *Context, inbox []Envelope) {
 	s.rounds++
@@ -181,10 +186,10 @@ func (b *badSender) Init(ctx *Context) {
 }
 func (b *badSender) Round(ctx *Context, inbox []Envelope) { ctx.Halt() }
 
-// spinner never halts.
+// spinner runs every round and never halts.
 type spinner struct{}
 
-func (s *spinner) Init(ctx *Context)                    {}
+func (s *spinner) Init(ctx *Context)                    { ctx.WakeEvery(1) }
 func (s *spinner) Round(ctx *Context, inbox []Envelope) {}
 
 func TestRoundLimit(t *testing.T) {
@@ -240,6 +245,68 @@ func TestFaultHookDropsMessages(t *testing.T) {
 			t.Fatalf("node %d received a flood despite drops", i)
 		}
 	}
+
+	// A stateful hook that drops every third message it sees: any
+	// concurrent call, or any call out of global sender order, changes
+	// which messages are dropped. The Workers=4 and dense-sweep legs must
+	// drop exactly the messages the Workers=1 leg drops and meter the same
+	// execution.
+	type drop struct {
+		round    int64
+		from, to graph.NodeID
+	}
+	g = graph.GNP(80, 0.2, rng.New(3))
+	run := func(t *testing.T, opts Options) ([]drop, *metrics.Counters, []*fanoutNode) {
+		var seen int
+		var drops []drop
+		opts.FaultHook = func(round int64, from, to graph.NodeID, m wire.Message) (wire.Message, bool) {
+			if seen++; seen%3 == 0 {
+				drops = append(drops, drop{round, from, to})
+				return m, false
+			}
+			return m, true
+		}
+		progs, nodes := newFanout(g.N(), true)
+		net, err := NewNetwork(g, nodes, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters, err := net.Run(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return drops, counters, progs
+	}
+	refDrops, ref, refProgs := run(t, Options{Workers: 1})
+	if len(refDrops) == 0 || ref.Messages == 0 {
+		t.Fatalf("hook dropped %d and delivered %d messages; want both nonzero", len(refDrops), ref.Messages)
+	}
+	for _, leg := range []struct {
+		name string
+		opts Options
+	}{
+		{"workers=4", Options{Workers: 4}},
+		{"dense", Options{DenseSweep: true}},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			drops, got, progs := run(t, leg.opts)
+			if !reflect.DeepEqual(drops, refDrops) {
+				t.Fatalf("dropped %d messages, workers=1 dropped %d, or a different set", len(drops), len(refDrops))
+			}
+			if leg.opts.DenseSweep {
+				// The schedule-dependent counters differ by design.
+				got.Invocations, got.RoundsSkipped = ref.Invocations, ref.RoundsSkipped
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("counters differ from workers=1:\n got %v\nwant %v", got, ref)
+			}
+			for v := range progs {
+				if !reflect.DeepEqual(progs[v].log, refProgs[v].log) {
+					t.Fatalf("node %d inbox sequence differs from workers=1", v)
+				}
+			}
+		})
+	}
 }
 
 func TestMemoryAndWorkMetered(t *testing.T) {
@@ -287,6 +354,7 @@ func TestInboxSortedBySender(t *testing.T) {
 type leafSender struct{}
 
 func (l *leafSender) Init(ctx *Context) {
+	ctx.WakeEvery(1)
 	ctx.Send(0, wire.Msg(wire.KindBroadcast, int32(ctx.ID())))
 }
 func (l *leafSender) Round(ctx *Context, inbox []Envelope) { ctx.Halt() }
@@ -342,7 +410,7 @@ type randRecorder struct {
 	draws []uint64
 }
 
-func (r *randRecorder) Init(ctx *Context) {}
+func (r *randRecorder) Init(ctx *Context) { ctx.WakeEvery(1) }
 func (r *randRecorder) Round(ctx *Context, inbox []Envelope) {
 	r.draws = append(r.draws, ctx.Rand().Uint64())
 	if len(r.draws) >= 5 {
@@ -508,48 +576,55 @@ type delayedSender struct {
 
 func (d *delayedSender) Init(ctx *Context) { ctx.WakeAt(d.at) }
 func (d *delayedSender) Round(ctx *Context, inbox []Envelope) {
+	if ctx.Round() < d.at {
+		return // a dense-sweep invocation before the wake-up is a no-op
+	}
 	ctx.Send(d.target, wire.Msg(wire.KindToken))
 	ctx.Halt()
 }
 
-// TestLegacyNodesStayDense pins the compatibility contract: a node that
-// never calls a wake API is invoked every round and suppresses skipping.
-func TestLegacyNodesStayDense(t *testing.T) {
-	g := graph.Ring(4)
-	legacy := &countingLegacy{}
-	nodes := []Node{legacy, &tickerNode{every: 50, stops: 1}, &spinnerHalting{at: 20}, &spinnerHalting{at: 20}}
-	net, err := NewNetwork(g, nodes, Options{MaxRounds: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counters, err := net.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counters.RoundsSkipped != 0 {
-		t.Fatalf("skipped %d rounds with a legacy node live", counters.RoundsSkipped)
-	}
-	if legacy.rounds < 20 {
-		t.Fatalf("legacy node ran only %d rounds", legacy.rounds)
-	}
-}
+// silentNode never calls a wake API. It records every round it runs in and
+// halts on its first delivery.
+type silentNode struct{ ran []int64 }
 
-type countingLegacy struct{ rounds int }
-
-func (c *countingLegacy) Init(ctx *Context) {}
-func (c *countingLegacy) Round(ctx *Context, inbox []Envelope) {
-	c.rounds++
-	if c.rounds >= 30 {
+func (s *silentNode) Init(ctx *Context) { s.ran = append(s.ran, ctx.Round()) }
+func (s *silentNode) Round(ctx *Context, inbox []Envelope) {
+	s.ran = append(s.ran, ctx.Round())
+	if len(inbox) > 0 {
 		ctx.Halt()
 	}
 }
 
-type spinnerHalting struct{ at int64 }
-
-func (s *spinnerHalting) Init(ctx *Context) {}
-func (s *spinnerHalting) Round(ctx *Context, inbox []Envelope) {
-	if ctx.Round() >= s.at {
-		ctx.Halt()
+// TestNodeWithoutWakeIsMessageDriven pins the default activity contract: a
+// node that never calls a wake API runs at Init and afterwards only when a
+// message is delivered to it, and the quiet rounds in between are skipped.
+// The dense sweep invokes it every round to the same round count.
+func TestNodeWithoutWakeIsMessageDriven(t *testing.T) {
+	g := graph.Path(2)
+	for _, tc := range []struct {
+		dense                bool
+		ran                  []int64
+		skipped, invocations int64
+	}{
+		{dense: false, ran: []int64{0, 5}, skipped: 3, invocations: 4},
+		{dense: true, ran: []int64{0, 1, 2, 3, 4, 5}, skipped: 0, invocations: 2 + 4 + 5},
+	} {
+		silent := &silentNode{}
+		net, err := NewNetwork(g, []Node{&delayedSender{at: 4, target: 1}, silent}, Options{DenseSweep: tc.dense})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counters, err := net.Run(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(silent.ran, tc.ran) {
+			t.Fatalf("dense=%v: silent node ran in rounds %v, want %v", tc.dense, silent.ran, tc.ran)
+		}
+		if counters.Rounds != 5 || counters.RoundsSkipped != tc.skipped || counters.Invocations != tc.invocations {
+			t.Fatalf("dense=%v: rounds=%d skipped=%d invocations=%d, want 5, %d, %d",
+				tc.dense, counters.Rounds, counters.RoundsSkipped, counters.Invocations, tc.skipped, tc.invocations)
+		}
 	}
 }
 
@@ -611,14 +686,16 @@ func testPerRoundDeliveryZeroAllocs(t *testing.T, byPort bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, exec, _ := net.newRun(1)
-	if err := exec.step(0, true); err != nil {
+	sh := net.shard
+	sh.Begin(1)
+	ex := wholeNetwork{sh}
+	if _, err := ex.Fuse(-1, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	round := int64(0)
 	stepOnce := func() {
 		round++
-		if err := exec.step(round, false); err != nil {
+		if _, err := ex.Fuse(round-1, round, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -628,7 +705,7 @@ func testPerRoundDeliveryZeroAllocs(t *testing.T, byPort bool) {
 	if avg := testing.AllocsPerRun(200, stepOnce); avg != 0 {
 		t.Fatalf("per-round delivery allocates %.2f times per round", avg)
 	}
-	if state.live == 0 {
+	if sh.live == 0 {
 		t.Fatal("ping-pong network unexpectedly halted")
 	}
 }

@@ -1,19 +1,15 @@
 package congest
 
-// scheduler tracks per-node wake-ups for the event-driven executor. It is
+// scheduler tracks per-node wake-ups for the event-driven schedule. It is
 // only touched single-threaded (active-set assembly and the post-round merge
 // loop), so it needs no locking, and its decisions depend only on the
-// execution itself — never on worker count — which keeps the parallel and
-// sequential executors identical.
+// execution itself — never on worker count — which keeps every Workers
+// setting identical.
 type scheduler struct {
 	// nextWake[v] is the earliest pending wake round of node v, -1 none.
 	nextWake []int64
 	// every[v] is node v's standing wake interval (0 = none).
 	every []int64
-	// legacy[v] is true until node v first calls a wake API; legacy nodes
-	// are invoked every round and suppress round skipping while live.
-	legacy     []bool
-	legacyLive int
 	// heap is a binary min-heap of (round, node) wake entries, lazily
 	// invalidated: an entry is live iff nextWake[entry.v] == entry.round.
 	heap []wakeEntry
@@ -28,21 +24,18 @@ func newScheduler(n int) scheduler {
 	s := scheduler{
 		nextWake: make([]int64, n),
 		every:    make([]int64, n),
-		legacy:   make([]bool, n),
 	}
 	s.reset()
 	return s
 }
 
-// reset restores the schedule to its initial all-legacy state, keeping the
-// heap's backing array for reuse across runs.
+// reset restores the schedule to its initial state, no wake-up pending,
+// keeping the heap's backing array for reuse across runs.
 func (s *scheduler) reset() {
 	for v := range s.nextWake {
 		s.nextWake[v] = -1
 		s.every[v] = 0
-		s.legacy[v] = true
 	}
-	s.legacyLive = len(s.legacy)
 	s.heap = s.heap[:0]
 }
 
@@ -61,10 +54,6 @@ func (s *scheduler) arm(v int32, w int64) {
 // during its invocation at `round` and re-arms its standing interval.
 // Called from the single-threaded merge loop.
 func (s *scheduler) noteInvocation(v int32, round int64, ctx *Context) {
-	if ctx.wakeDeclared && s.legacy[v] {
-		s.legacy[v] = false
-		s.legacyLive--
-	}
 	if ctx.wakeEverySet {
 		s.every[v] = ctx.wakeEvery
 	}
@@ -76,13 +65,9 @@ func (s *scheduler) noteInvocation(v int32, round int64, ctx *Context) {
 	}
 }
 
-// noteHalt removes a halting node from the schedule's live accounting (its
-// heap entries die by lazy invalidation).
+// noteHalt drops a halting node's pending wake-up (its heap entries die by
+// lazy invalidation).
 func (s *scheduler) noteHalt(v int32) {
-	if s.legacy[v] {
-		s.legacy[v] = false
-		s.legacyLive--
-	}
 	s.nextWake[v] = -1
 }
 

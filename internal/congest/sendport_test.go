@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -80,60 +81,87 @@ func newFanout(n int, byPort bool) ([]*fanoutNode, []Node) {
 	return progs, nodes
 }
 
-// runShards executes nodes as k in-memory Shards the way the distributed
-// coordinator drives them: each round every shard steps, the cross-shard
-// outboxes are concatenated per destination in shard order, and every shard
-// delivers. It executes every round instead of skipping quiet ones, so the
-// returned counters leave Rounds and RoundsSkipped at zero.
+// memShards is a test-side Fused executor over k in-memory Shards: the
+// distributed coordinator without transports. Cross-shard outboxes are
+// routed per destination in shard order, and a cross message activates the
+// next round only if its target has not halted, judged against a global
+// halted view folded from every step's newly-halted nodes.
+type memShards struct {
+	shards  []*Shard
+	owner   []int // vertex -> shard
+	inbound [][]Routed
+	halted  []bool
+}
+
+func (m *memShards) deliver(round int64) error {
+	for i, sh := range m.shards {
+		if err := sh.Deliver(round, m.inbound[i]); err != nil {
+			return err
+		}
+		m.inbound[i] = m.inbound[i][:0]
+	}
+	return nil
+}
+
+func (m *memShards) Fuse(deliverRound, stepRound int64, isInit bool) (Activity, error) {
+	var act Activity
+	if deliverRound >= 0 {
+		if err := m.deliver(deliverRound); err != nil {
+			return act, err
+		}
+	}
+	for _, sh := range m.shards {
+		out, rep, err := sh.Step(stepRound, isInit)
+		if err != nil {
+			return act, err
+		}
+		act.Live += rep.Live
+		act.Messages = act.Messages || rep.LocalActive
+		if rep.WakeOK && (!act.WakeOK || rep.EarliestWake < act.Wake) {
+			act.Wake, act.WakeOK = rep.EarliestWake, true
+		}
+		for _, lv := range rep.NewlyHalted {
+			m.halted[sh.Lo()+int(lv)] = true
+		}
+		for _, rm := range out {
+			m.inbound[m.owner[rm.To]] = append(m.inbound[m.owner[rm.To]], rm)
+		}
+	}
+	for _, in := range m.inbound {
+		for _, rm := range in {
+			act.Messages = act.Messages || !m.halted[rm.To]
+		}
+	}
+	return act, nil
+}
+
+func (m *memShards) Finish(deliverRound int64) error { return m.deliver(deliverRound) }
+
+// runShards executes nodes as k in-memory Shards driven by RunRounds, and
+// returns the merged counters.
 func runShards(g *graph.Graph, nodes []Node, opts Options, k int, seed uint64) (*metrics.Counters, error) {
 	n := g.N()
-	shards := make([]*Shard, k)
-	owner := make([]int, n)
-	for i := range shards {
+	m := &memShards{owner: make([]int, n), inbound: make([][]Routed, k), halted: make([]bool, n)}
+	for i := 0; i < k; i++ {
 		lo, hi := i*n/k, (i+1)*n/k
 		sh, err := NewShard(g, nodes[lo:hi], opts, lo, hi)
 		if err != nil {
 			return nil, err
 		}
-		sh.Seed(seed)
-		shards[i] = sh
+		sh.Begin(seed)
+		m.shards = append(m.shards, sh)
 		for v := lo; v < hi; v++ {
-			owner[v] = i
+			m.owner[v] = i
 		}
 	}
-	inbound := make([][]Routed, k)
-	legacy := true
-	for round := int64(0); round <= 4*fanoutHalt; round++ {
-		for i := range inbound {
-			inbound[i] = inbound[i][:0]
-		}
-		live, legacyLive := 0, 0
-		for _, sh := range shards {
-			out, rep, err := sh.Step(round, round == 0, opts.DenseSweep || legacy)
-			if err != nil {
-				return nil, err
-			}
-			live += rep.Live
-			legacyLive += rep.LegacyLive
-			for _, rm := range out {
-				inbound[owner[rm.To]] = append(inbound[owner[rm.To]], rm)
-			}
-		}
-		for i, sh := range shards {
-			if err := sh.Deliver(round, inbound[i]); err != nil {
-				return nil, err
-			}
-		}
-		legacy = legacyLive > 0
-		if live == 0 {
-			total := metrics.NewCounters(n)
-			for _, sh := range shards {
-				total.Merge(sh.Counters())
-			}
-			return total, nil
-		}
+	total := metrics.NewCounters(n)
+	if err := RunRounds(context.Background(), m, NormalizeOptions(opts, n), total); err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("shards still live after %d rounds", 4*fanoutHalt)
+	for _, sh := range m.shards {
+		total.Merge(sh.Counters())
+	}
+	return total, nil
 }
 
 // TestSendPortMatchesSend: fanning out by port and by id must be the same
@@ -198,8 +226,12 @@ func TestSendPortMatchesSend(t *testing.T) {
 			if byPort.Messages != ref.Messages || byPort.Bits != ref.Bits {
 				t.Fatalf("metering differs from the sequential engine: %v vs %v", byPort, ref)
 			}
-			if !c.opts.DenseSweep && byPort.Invocations != ref.Invocations {
-				t.Fatalf("invocations %d, sequential engine %d", byPort.Invocations, ref.Invocations)
+			if byPort.Rounds != ref.Rounds {
+				t.Fatalf("rounds %d, sequential engine %d", byPort.Rounds, ref.Rounds)
+			}
+			if !c.opts.DenseSweep && (byPort.Invocations != ref.Invocations || byPort.RoundsSkipped != ref.RoundsSkipped) {
+				t.Fatalf("invocations %d, skipped rounds %d; sequential engine %d, %d",
+					byPort.Invocations, byPort.RoundsSkipped, ref.Invocations, ref.RoundsSkipped)
 			}
 		})
 	}
@@ -252,7 +284,7 @@ func BenchmarkSend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := &Context{net: net, id: 0, outbox: make([]routedMsg, 0, deg)}
+	ctx := &Context{sh: net.shard, id: 0, outbox: make([]Routed, 0, deg)}
 	m := wire.Msg(wire.KindBroadcast, 1)
 	perSend := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*deg), "ns/send")

@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"dhc/internal/graph"
 	"dhc/internal/metrics"
@@ -10,34 +11,27 @@ import (
 	"dhc/internal/wire"
 )
 
-// Routed is one routed message with explicit endpoints — the unit the
-// distributed engine moves between shards. It mirrors the engine-internal
-// routedMsg so transports can carry outbox concatenations without reaching
-// into the package.
+// Routed is one routed message with explicit endpoints: the unit a node's
+// outbox holds and the distributed engine moves between shards.
 type Routed struct {
 	From, To graph.NodeID
 	Msg      wire.Message
 }
 
-// StepReport is a shard's post-step summary, the coordinator's input for
-// global liveness and scheduling decisions. Halts are step-time-only and
-// terminal, and Deliver never touches the wake schedule, so everything the
-// coordinator needs to schedule the next round — including the fields that
-// logically describe the (not yet performed) delivery of this round's
-// messages — is already final when Step returns.
+// StepReport is a shard's post-step summary, the input for global liveness
+// and scheduling decisions. Halts are step-time-only and terminal, and
+// Deliver never touches the wake schedule, so everything needed to schedule
+// the next round — including the fields that logically describe the (not
+// yet performed) delivery of this round's messages — is already final when
+// Step returns.
 type StepReport struct {
 	// Live is the shard's non-halted node count after the step.
 	Live int
-	// LegacyLive counts live nodes that never called a wake API. While any
-	// shard reports a nonzero LegacyLive the whole network must run dense —
-	// the same global rule Network applies via its single scheduler.
-	LegacyLive int
 	// NewlyHalted lists the local indices (vertex - Lo) of nodes that halted
-	// during this step, ascending. The coordinator folds them into its
-	// global halted view so it can decide, for every routed cross-shard
-	// message, whether delivery would activate the destination — the same
-	// has-active rule the in-process deliver computes via msgActive. The
-	// slice is reused by the next Step.
+	// during this step, ascending. The distributed coordinator folds them
+	// into its global halted view so it can decide, for every routed
+	// cross-shard message, whether delivery would activate the destination.
+	// The slice is reused by the next Step.
 	NewlyHalted []int32
 	// LocalActive reports whether any locally-retained message targets a
 	// non-halted local node: the shard's contribution to the global
@@ -50,16 +44,15 @@ type StepReport struct {
 	WakeOK       bool
 }
 
-// Shard executes a contiguous vertex range [Lo, Hi) of a network, reusing
-// the exact per-round machinery of the in-process engine — the same active
-// set assembly, scheduler, merge loop and bucketed delivery — restricted to
-// local indices. The distributed engine composes K Shards behind transports;
-// because each piece of the round pipeline is the in-process code operating
-// on a partition of the same state, a distributed run is byte-identical to
-// an in-process run by construction, and the differential tests hold it
-// there.
+// Shard is the exact engine's executor. It runs the nodes of a contiguous
+// vertex range [Lo, Hi) over one per-node state arena: active-set assembly,
+// the wake scheduler, node invocation, the merge loop and bucketed,
+// bandwidth-metered delivery. An in-process Network is one Shard spanning
+// every vertex; the distributed engine composes K Shards behind transports.
+// RunRounds drives both, so a distributed run is byte-identical to an
+// in-process run by construction.
 //
-// The split of one round across the coordinator protocol:
+// The split of one round:
 //
 //	Step(r)    — build the local active set, invoke nodes, merge wake/halt
 //	             bookkeeping, retain messages whose destination is also
@@ -68,36 +61,40 @@ type StepReport struct {
 //	Deliver(r) — accept the round's inbound cross-shard messages (the
 //	             coordinator concatenates the other shards' batches in
 //	             shard order) and splice the retained local messages into
-//	             their sender position, reconstructing exactly the global
-//	             sender-ascending order Network.deliver consumes, then
-//	             meter bandwidth and fill inboxes. Local messages never
-//	             cross the wire but are metered identically.
+//	             their sender position, reconstructing the global
+//	             sender-ascending order, then meter bandwidth and fill
+//	             inboxes. Local messages never cross the wire but are
+//	             metered identically.
 //
-// Deliver must run before the next Step (the fused coordinator frame does
-// both in order), since Step assumes the previous round's retained local
-// messages have been drained.
+// Deliver must run before the next Step, since Step assumes the previous
+// round's retained local messages have been drained.
 //
 // A Shard is not safe for concurrent use.
 type Shard struct {
-	net    *Network // carrier for Contexts: graph, codec, normalized opts
+	g      *graph.Graph
+	codec  wire.Codec
+	opts   Options // normalized
 	lo, hi int
 	nodes  []Node // local programs, indexed v-lo
 
 	halted    []bool
 	live      int
-	rngs      []*rng.Source
 	ctxs      []*Context
 	inboxes   [][]Envelope
 	msgActive []int32 // local indices
 	active    []int32
-	dueScr    []int32
 	inActive  []bool
 	sched     scheduler
 	counters  *metrics.Counters // full-length; only [lo,hi) per-node entries used
 	out       []Routed
-	bwStamp   []int64 // indexed by local receiver
-	bwBits    []int64
-	bwGen     int64
+	// Bandwidth accounting scratch, indexed by local receiver: bwBits[v]
+	// accumulates the bits the current sender pushed to v this round, valid
+	// while bwStamp[v] equals the current sender generation. Generations
+	// never repeat, so the arrays need no clearing between senders, rounds
+	// or runs.
+	bwStamp []int64
+	bwBits  []int64
+	bwGen   int64
 
 	// localPending holds this round's src/dst-local messages between Step
 	// (which retains them) and Deliver (which splices them back into the
@@ -110,12 +107,11 @@ type Shard struct {
 	crossRouted int64
 }
 
-// NewShard builds the executor for nodes [lo, hi) of an n-vertex network.
-// local must hold exactly hi-lo programs; opts is normalized here, so the
-// caller may pass the same raw Options it would hand Network.Reset. Deliver
-// rejects FaultHook-bearing options up front: a delivery hook is a function
-// value the distributed engine cannot ship across a process boundary, and
-// silently dropping it would fake fault-free runs.
+// NewShard builds the executor for nodes [lo, hi) of an n-vertex network,
+// as one of several shards: the shards are the parallelism, so opts.Workers
+// is forced to 1. local must hold exactly hi-lo programs; opts is normalized
+// here, so the caller may pass the same raw Options it would hand
+// Network.Reset.
 func NewShard(g *graph.Graph, local []Node, opts Options, lo, hi int) (*Shard, error) {
 	n := g.N()
 	if lo < 0 || hi > n || lo >= hi {
@@ -124,50 +120,60 @@ func NewShard(g *graph.Graph, local []Node, opts Options, lo, hi int) (*Shard, e
 	if len(local) != hi-lo {
 		return nil, fmt.Errorf("congest: %d node programs for shard range [%d,%d)", len(local), lo, hi)
 	}
-	if opts.FaultHook != nil {
-		return nil, fmt.Errorf("congest: FaultHook is not supported by sharded execution")
-	}
-	opts.Workers = 1 // shards are the parallelism; keep the per-shard loop sequential
-	carrier := &Network{g: g, codec: wire.NewCodec(n), opts: NormalizeOptions(opts, n)}
+	opts.Workers = 1
+	return newShard(g, local, NormalizeOptions(opts, n), lo, hi), nil
+}
+
+// newShard allocates the arena for [lo, hi); opts must be normalized.
+func newShard(g *graph.Graph, local []Node, opts Options, lo, hi int) *Shard {
 	k := hi - lo
 	s := &Shard{
-		net:      carrier,
+		g:        g,
+		codec:    wire.NewCodec(g.N()),
+		opts:     opts,
 		lo:       lo,
 		hi:       hi,
 		nodes:    local,
 		halted:   make([]bool, k),
-		live:     k,
-		rngs:     make([]*rng.Source, k),
 		ctxs:     make([]*Context, k),
 		inboxes:  make([][]Envelope, k),
 		inActive: make([]bool, k),
 		sched:    newScheduler(k),
-		counters: metrics.NewCounters(n),
 		bwStamp:  make([]int64, k),
 		bwBits:   make([]int64, k),
 	}
-	for v := 0; v < k; v++ {
-		s.rngs[v] = &rng.Source{}
-		s.ctxs[v] = &Context{net: carrier, id: graph.NodeID(lo + v), rng: s.rngs[v]}
+	for v := range s.ctxs {
+		s.ctxs[v] = &Context{sh: s, id: graph.NodeID(lo + v), rng: &rng.Source{}}
 	}
-	return s, nil
+	return s
 }
 
-// Seed derives the local nodes' RNG streams from the run seed. SplitInto
+// Begin readies the shard for a run: it clears what a previous run left
+// (halts, inboxes, the wake schedule, retained messages), starts fresh
+// counters, and derives the local nodes' RNG streams from seed. SplitInto
 // never advances the root source, so a shard deriving only its own range
-// produces streams identical to the in-process engine deriving all n.
-func (s *Shard) Seed(seed uint64) {
+// produces the same streams a whole-network shard derives for it. Every
+// backing array is kept, so a rerun allocates nothing up front but its
+// counters.
+func (s *Shard) Begin(seed uint64) {
 	root := rng.New(seed)
-	for v := range s.rngs {
-		root.SplitInto(s.rngs[v], uint64(s.lo+v))
+	for v, ctx := range s.ctxs {
+		s.halted[v], s.inActive[v] = false, false
+		s.inboxes[v] = s.inboxes[v][:0]
+		root.SplitInto(ctx.rng, uint64(s.lo+v))
 	}
+	s.live = len(s.ctxs)
+	s.msgActive, s.localPending = s.msgActive[:0], s.localPending[:0]
+	s.sched.reset()
+	s.counters = metrics.NewCounters(s.g.N())
+	s.localRouted, s.crossRouted = 0, 0
 }
 
 // Codec returns the codec sizing and encoding this network's messages.
-func (s *Shard) Codec() wire.Codec { return s.net.codec }
+func (s *Shard) Codec() wire.Codec { return s.codec }
 
 // N returns the full network's vertex count.
-func (s *Shard) N() int { return s.net.g.N() }
+func (s *Shard) N() int { return s.g.N() }
 
 // Lo returns the first vertex of the shard's range.
 func (s *Shard) Lo() int { return s.lo }
@@ -183,68 +189,55 @@ func (s *Shard) Counters() *metrics.Counters { return s.counters }
 // Step executes round `round` (Init when isInit) for the shard's nodes and
 // returns the cross-shard outbound messages in sender-ascending order;
 // messages whose destination is also in [Lo, Hi) are retained for the next
-// Deliver instead of being shipped. dense selects the every-live-node sweep;
-// it is a global property (Init round, DenseSweep, or a legacy-dense node
-// live anywhere in the network) that only the coordinator can compute,
-// mirroring Network's single-scheduler decision. The returned slice is
-// reused by the next Step.
-func (s *Shard) Step(round int64, isInit, dense bool) ([]Routed, StepReport, error) {
+// Deliver instead of being shipped. The Init round and Options.DenseSweep
+// invoke every live node; other rounds invoke the nodes with deliveries or
+// a due wake-up. The returned slice is reused by the next Step.
+func (s *Shard) Step(round int64, isInit bool) ([]Routed, StepReport, error) {
 	active := s.active[:0]
-	if isInit || dense {
+	if isInit || s.opts.DenseSweep {
 		for v := range s.nodes {
 			if !s.halted[v] {
 				active = append(active, int32(v))
 			}
 		}
-		if !isInit && !s.net.opts.DenseSweep {
-			due := s.sched.popDue(round, s.halted, s.inActive, s.dueScr[:0])
-			for _, v := range due {
-				s.inActive[v] = false
-			}
-			s.dueScr = due[:0]
-		}
-		s.msgActive = s.msgActive[:0]
 	} else {
 		for _, v := range s.msgActive {
+			// Receivers are recorded at delivery time, after all halts of
+			// the sending round were merged, so they are live and unique.
 			s.inActive[v] = true
 			active = append(active, v)
 		}
-		s.msgActive = s.msgActive[:0]
 		active = s.sched.popDue(round, s.halted, s.inActive, active)
 		for _, v := range active {
 			s.inActive[v] = false
 		}
+		// Sort ascending so outbox concatenation (and thus delivery order
+		// and inbox sender order) is deterministic and sender-grouped.
+		// slices.Sort does not allocate, keeping the steady-state round
+		// allocation-free.
 		slices.Sort(active)
 	}
+	s.msgActive = s.msgActive[:0]
 	s.active = active
+	s.invoke(active, round, isInit)
 
-	for _, v := range active {
-		ctx := s.ctxs[v]
-		ctx.reset(round)
-		if isInit {
-			s.nodes[v].Init(ctx)
-			continue
-		}
-		inbox := s.inboxes[v]
-		s.nodes[v].Round(ctx, inbox)
-		s.inboxes[v] = inbox[:0]
-	}
-
-	// Merge in local-id order — the same order the in-process merge loop
-	// visits this range, so error selection, halt bookkeeping and outbox
-	// concatenation are position-identical. Splitting the outbox by
-	// destination preserves sender order within each class: the local and
-	// cross streams are both subsequences of the sender-ascending whole.
+	// Merge in local-id order (single-threaded), so error selection, halt
+	// bookkeeping and outbox concatenation are deterministic and, across
+	// shards, position-identical to one shard spanning every vertex.
+	// Splitting the outbox by destination preserves sender order within
+	// each class: the local and cross streams are both subsequences of the
+	// sender-ascending whole.
 	out := s.out[:0]
 	local := s.localPending[:0]
 	nh := s.newlyHalted[:0]
-	eventDriven := !s.net.opts.DenseSweep
+	eventDriven := !s.opts.DenseSweep
+	whole := s.hi-s.lo == s.g.N() // every target is local
 	rep := StepReport{}
 	for _, v := range active {
 		ctx := s.ctxs[v]
 		if ctx.err != nil {
 			s.out, s.localPending, s.newlyHalted = out, local, nh
-			rep.Live, rep.LegacyLive = s.live, s.sched.legacyLive
+			rep.Live = s.live
 			return nil, rep, ctx.err
 		}
 		s.counters.Invocations++
@@ -262,23 +255,25 @@ func (s *Shard) Step(round int64, isInit, dense bool) ([]Routed, StepReport, err
 		if ctx.workOps > 0 {
 			s.counters.AddWork(s.lo+int(v), ctx.workOps)
 		}
-		for i := range ctx.outbox {
-			rm := &ctx.outbox[i]
-			if t := int(rm.to); t >= s.lo && t < s.hi {
-				local = append(local, Routed{From: rm.from, To: rm.to, Msg: rm.msg})
-			} else {
-				out = append(out, Routed{From: rm.from, To: rm.to, Msg: rm.msg})
+		if whole {
+			local = append(local, ctx.outbox...)
+		} else {
+			for i := range ctx.outbox {
+				if rm := &ctx.outbox[i]; int(rm.To) >= s.lo && int(rm.To) < s.hi {
+					local = append(local, *rm)
+				} else {
+					out = append(out, *rm)
+				}
 			}
 		}
 	}
 	s.out, s.localPending, s.newlyHalted = out, local, nh
 	s.localRouted += int64(len(local))
 	s.crossRouted += int64(len(out))
-	rep.Live, rep.LegacyLive = s.live, s.sched.legacyLive
+	rep.Live = s.live
 	rep.NewlyHalted = nh
 	// Halts are final for the round here, so whether a retained local
-	// message will activate its destination is already decided — the same
-	// judgment the in-process deliver makes via msgActive.
+	// message will activate its destination is already decided.
 	for i := range local {
 		if !s.halted[int(local[i].To)-s.lo] {
 			rep.LocalActive = true
@@ -289,66 +284,106 @@ func (s *Shard) Step(round int64, isInit, dense bool) ([]Routed, StepReport, err
 	return out, rep, nil
 }
 
+// invoke runs the active nodes' Init or Round calls, on a pool of
+// Options.Workers goroutines when that is above 1. Calls for distinct nodes
+// touch only their own program, context and inbox, so they may run in any
+// order; everything order-sensitive happens in Step's merge loop.
+func (s *Shard) invoke(active []int32, round int64, isInit bool) {
+	workers := min(s.opts.Workers, len(active))
+	if workers <= 1 {
+		for _, v := range active {
+			s.invokeOne(v, round, isInit)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	work := make(chan int32)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := range work {
+				s.invokeOne(v, round, isInit)
+			}
+		}()
+	}
+	for _, v := range active {
+		work <- v
+	}
+	close(work)
+	wg.Wait()
+}
+
+func (s *Shard) invokeOne(v int32, round int64, isInit bool) {
+	ctx := s.ctxs[v]
+	ctx.reset(round)
+	if isInit {
+		s.nodes[v].Init(ctx)
+		return
+	}
+	inbox := s.inboxes[v]
+	s.nodes[v].Round(ctx, inbox)
+	// Recycle the bucket: the inbox is documented as valid only during the
+	// Round call, so next round's deliveries may reuse the backing array.
+	s.inboxes[v] = inbox[:0]
+}
+
 // Deliver routes this round's inbound messages into next-round inbox
-// buckets, enforcing per-edge bandwidth with the same generation-stamped
-// accounting as Network.deliver. inbound must be the concatenation of the
-// OTHER shards' cross-shard messages destined here, in shard order; the
+// buckets: each message passes through FaultHook, then is metered against
+// the per-edge bandwidth and bucketed. inbound must be the concatenation of
+// the OTHER shards' cross-shard messages destined here, in shard order; the
 // messages Step retained locally are spliced back in at their sender
 // position (inbound senders below Lo, then local, then the rest), which
-// reconstructs the global sender-ascending order Network.deliver consumes —
-// runs of equal From stay contiguous, so each run is one bandwidth
-// generation exactly as in-process delivery sees it.
+// reconstructs the global sender-ascending order — runs of equal From stay
+// contiguous, so each run is one bandwidth generation exactly as a
+// whole-network shard sees it. It performs no comparison sort and, at
+// steady state, no allocations.
 func (s *Shard) Deliver(round int64, inbound []Routed) error {
-	curFrom := graph.NodeID(-1)
-	i := 0
-	for ; i < len(inbound) && int(inbound[i].From) < s.lo; i++ {
-		if err := s.deliverOne(round, &inbound[i], &curFrom); err != nil {
-			return err
-		}
+	below := 0
+	for below < len(inbound) && int(inbound[below].From) < s.lo {
+		below++
 	}
-	for j := range s.localPending {
-		if err := s.deliverOne(round, &s.localPending[j], &curFrom); err != nil {
-			return err
+	curFrom := graph.NodeID(-1)
+	for _, part := range [...][]Routed{inbound[:below], s.localPending, inbound[below:]} {
+		for i := range part {
+			rm := &part[i]
+			lv := int(rm.To) - s.lo
+			if lv < 0 || lv >= len(s.halted) {
+				return fmt.Errorf("congest: shard [%d,%d) received message for node %d", s.lo, s.hi, rm.To)
+			}
+			if hook := s.opts.FaultHook; hook != nil {
+				msg, deliverIt := hook(round, rm.From, rm.To, rm.Msg)
+				if !deliverIt {
+					continue
+				}
+				hooked := Routed{From: rm.From, To: rm.To, Msg: msg}
+				rm = &hooked
+			}
+			sz := s.codec.Bits(rm.Msg)
+			if rm.From != curFrom {
+				curFrom = rm.From
+				s.bwGen++
+			}
+			if s.bwStamp[lv] != s.bwGen {
+				s.bwStamp[lv] = s.bwGen
+				s.bwBits[lv] = 0
+			}
+			s.bwBits[lv] += sz
+			if s.bwBits[lv] > s.opts.BandwidthBits {
+				return fmt.Errorf("%w: edge %d->%d carried %d bits in round %d (budget %d)",
+					ErrBandwidth, rm.From, rm.To, s.bwBits[lv], round, s.opts.BandwidthBits)
+			}
+			s.counters.AddMessage(sz)
+			if s.halted[lv] {
+				continue // metered, but a halted node consumes nothing
+			}
+			if len(s.inboxes[lv]) == 0 {
+				s.msgActive = append(s.msgActive, int32(lv))
+			}
+			s.inboxes[lv] = append(s.inboxes[lv], Envelope{From: rm.From, Msg: rm.Msg})
 		}
 	}
 	s.localPending = s.localPending[:0]
-	for ; i < len(inbound); i++ {
-		if err := s.deliverOne(round, &inbound[i], &curFrom); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// deliverOne meters and buckets a single message: one position of the
-// in-process deliver loop.
-func (s *Shard) deliverOne(round int64, rm *Routed, curFrom *graph.NodeID) error {
-	lv := int(rm.To) - s.lo
-	if lv < 0 || lv >= s.hi-s.lo {
-		return fmt.Errorf("congest: shard [%d,%d) received message for node %d", s.lo, s.hi, rm.To)
-	}
-	sz := s.net.codec.Bits(rm.Msg)
-	if rm.From != *curFrom {
-		*curFrom = rm.From
-		s.bwGen++
-	}
-	if s.bwStamp[lv] != s.bwGen {
-		s.bwStamp[lv] = s.bwGen
-		s.bwBits[lv] = 0
-	}
-	s.bwBits[lv] += sz
-	if s.bwBits[lv] > s.net.opts.BandwidthBits {
-		return fmt.Errorf("%w: edge %d->%d carried %d bits in round %d (budget %d)",
-			ErrBandwidth, rm.From, rm.To, s.bwBits[lv], round, s.net.opts.BandwidthBits)
-	}
-	s.counters.AddMessage(sz)
-	if s.halted[lv] {
-		return nil // metered, but a halted node consumes nothing
-	}
-	if len(s.inboxes[lv]) == 0 {
-		s.msgActive = append(s.msgActive, int32(lv))
-	}
-	s.inboxes[lv] = append(s.inboxes[lv], Envelope{From: rm.From, Msg: rm.Msg})
 	return nil
 }
 

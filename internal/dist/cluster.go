@@ -232,7 +232,7 @@ func (c *Cluster) RunContext(ctx context.Context, seed uint64) (*metrics.Counter
 		}
 	}()
 
-	coord = newCoordinator(links, c.g.N(), c.net, c.net.Progress)
+	coord = newCoordinator(links, c.g.N(), c.net)
 	coord.start()
 	counters, runErr := coord.run(ctx, seed)
 	if runErr != nil {

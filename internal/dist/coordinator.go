@@ -109,41 +109,33 @@ func (l *link) tryPost(payload []byte) {
 	}
 }
 
-// coordinator drives the round loop over the shard links, replicating
-// congest.Network.RunContext's control flow — liveness check, round budget,
-// quiet-round skipping with charged accounting, amortized cancellation
-// polling — with the per-round work farmed out over fused 1-RTT exchanges:
-// each visit to a shard delivers the previous round's cross-shard messages
-// and steps the current round.
+// coordinator is the distributed engine's congest.Fused executor:
+// congest.RunRounds drives it, and each call is one fused 1-RTT exchange
+// over the shard links — each visit to a shard delivers the previous
+// round's cross-shard messages and steps the current round.
 //
 // Fusing moves the liveness decision to the coordinator: it keeps a global
 // halted bitmap (folded from each step reply's newly-halted list) and
 // declares message activity when any relayed cross-shard message targets a
 // non-halted node or any shard retained a locally-deliverable message for a
-// non-halted node — exactly the condition under which the in-process deliver
-// would have put a message into a live node's inbox. The coordinator relays
-// cross-shard sections as opaque bytes and decodes records only as far as
-// that decision needs.
+// non-halted node — exactly the condition under which delivery puts a
+// message into a live node's inbox. The coordinator relays cross-shard
+// sections as opaque bytes and decodes records only as far as that
+// decision needs.
 type coordinator struct {
 	links    []*link
 	opts     congest.Options // normalized
 	counters *metrics.Counters
-	progress func(int64)
 
 	// halted is the global halted bitmap, monotone (halts are terminal).
 	halted []bool
 
 	ioWG sync.WaitGroup
-
-	// aggregated state from the last completed fused exchange
-	totalLive  int
-	legacyLive int
-	hasActive  bool
-	wakeRound  int64
-	wakeOK     bool
 }
 
-func newCoordinator(links []*link, n int, opts congest.Options, progress func(int64)) *coordinator {
+var _ congest.Fused = (*coordinator)(nil)
+
+func newCoordinator(links []*link, n int, opts congest.Options) *coordinator {
 	for _, l := range links {
 		l.reqCh = make(chan linkReq, 2)
 		l.resCh = make(chan linkRes, 1)
@@ -153,7 +145,6 @@ func newCoordinator(links []*link, n int, opts congest.Options, progress func(in
 		links:    links,
 		opts:     congest.NormalizeOptions(opts, n),
 		counters: metrics.NewCounters(n),
-		progress: progress,
 		halted:   make([]bool, n),
 	}
 }
@@ -178,60 +169,12 @@ func (c *coordinator) stop() {
 	c.ioWG.Wait()
 }
 
-// run executes the full protocol: BEGIN, the fused round loop, FINISH
+// run executes the full protocol: BEGIN, the round loop, FINISH
 // collection. The returned counters always reflect at least the charged
 // rounds; on a clean run they are the complete merged metering.
 func (c *coordinator) run(ctx context.Context, seed uint64) (*metrics.Counters, error) {
 	c.begin(seed)
-	if err := ctx.Err(); err != nil {
-		return c.counters, fmt.Errorf("congest: run canceled before round 0: %w", err)
-	}
-	// Init phase (round 0) runs dense by definition; there is no prior round
-	// to deliver.
-	if err := c.fuseRound(-1, 0, true, true); err != nil {
-		return c.counters, err
-	}
-	// pending is the executed round whose deliver is owed to the shards: its
-	// messages ride on the next fused frame, or on FINISH when the run ends.
-	pending := int64(0)
-	sinceCheck := 0
-	for round := int64(1); ; round++ {
-		if c.totalLive == 0 {
-			return c.counters, c.finish(pending)
-		}
-		if round > c.opts.MaxRounds {
-			return c.counters, fmt.Errorf("%w: %d rounds", congest.ErrRoundLimit, c.opts.MaxRounds)
-		}
-		if !c.opts.DenseSweep {
-			next, ok := c.nextActiveRound(round)
-			if !ok || next > c.opts.MaxRounds {
-				// Charge the quiet tail exactly like the in-process engine:
-				// the dense sweep would spin to the limit, so accounting does.
-				c.counters.Rounds += c.opts.MaxRounds - round + 1
-				c.counters.RoundsSkipped += c.opts.MaxRounds - round + 1
-				return c.counters, fmt.Errorf("%w: %d rounds", congest.ErrRoundLimit, c.opts.MaxRounds)
-			}
-			c.counters.Rounds += next - round + 1
-			c.counters.RoundsSkipped += next - round
-			round = next
-		} else {
-			c.counters.Rounds++
-		}
-		if sinceCheck++; sinceCheck >= 64 {
-			sinceCheck = 0
-			if err := ctx.Err(); err != nil {
-				return c.counters, fmt.Errorf("congest: run canceled in round %d: %w", round, err)
-			}
-			if c.progress != nil {
-				c.progress(c.counters.Rounds)
-			}
-		}
-		dense := c.opts.DenseSweep || c.legacyLive > 0
-		if err := c.fuseRound(pending, round, false, dense); err != nil {
-			return c.counters, err
-		}
-		pending = round
-	}
+	return c.counters, congest.RunRounds(ctx, c, c.opts, c.counters)
 }
 
 // begin posts every shard its BEGIN frame: the run seed and the shard
@@ -250,24 +193,6 @@ func (c *coordinator) begin(seed uint64) {
 	}
 }
 
-// nextActiveRound mirrors runState.nextActiveRound over the aggregated shard
-// reports: the round itself while messages are in flight or a legacy-dense
-// node is live anywhere, else the earliest wake-up across every shard's
-// schedule.
-func (c *coordinator) nextActiveRound(round int64) (int64, bool) {
-	if c.hasActive || c.legacyLive > 0 {
-		return round, true
-	}
-	if !c.wakeOK {
-		return 0, false
-	}
-	w := c.wakeRound
-	if w < round {
-		w = round
-	}
-	return w, true
-}
-
 // collect blocks for the link's next reply. A transport error becomes an
 // ErrShardDown with the exchange's stage label.
 func (c *coordinator) collect(l *link, stage string) ([]byte, error) {
@@ -278,25 +203,18 @@ func (c *coordinator) collect(l *link, stage string) ([]byte, error) {
 	return res.payload, nil
 }
 
-// fuseRound executes one fused exchange across every shard: fan out
-// FUSE(deliverRound, stepRound) carrying each shard's relayed inbound
-// sections, collect replies in shard order, fold halts and liveness, and
+// Fuse implements congest.Fused with one exchange across every shard: fan
+// out FUSE(deliverRound, stepRound) carrying each shard's relayed inbound
+// sections, collect replies in shard order, fold halts and activity, and
 // keep the new outbound sections for the next exchange.
-func (c *coordinator) fuseRound(deliverRound, stepRound int64, isInit, dense bool) error {
-	var flags byte
-	if isInit {
-		flags |= stepFlagInit
-	}
-	if dense {
-		flags |= stepFlagDense
-	}
+func (c *coordinator) Fuse(deliverRound, stepRound int64, isInit bool) (congest.Activity, error) {
 	for _, l := range c.links {
 		e := &l.enc
 		e.b = e.b[:0]
 		e.u8(frameFuse)
 		e.i64(deliverRound)
 		e.i64(stepRound)
-		e.u8(flags)
+		e.bool(isInit)
 		if deliverRound >= 0 {
 			c.relay(l)
 		}
@@ -307,19 +225,19 @@ func (c *coordinator) fuseRound(deliverRound, stepRound int64, isInit, dense boo
 	// each shard reports its first error in local node order, so within a
 	// stage the lowest erroring shard's error IS the globally first one; the
 	// deliver stage precedes the step stage because round r's deliver runs
-	// before round r+1's step in the in-process engine.
-	c.totalLive, c.legacyLive = 0, 0
-	c.hasActive, c.wakeOK = false, false
-	c.wakeRound = 0
-	var deliverErr, stepErr error
+	// before round r+1's step.
+	var (
+		act                 congest.Activity
+		deliverErr, stepErr error
+	)
 	for _, l := range c.links {
 		payload, err := c.collect(l, "fuse reply")
 		if err != nil {
-			return err
+			return act, err
 		}
 		d := dec{b: payload}
 		if tag := d.u8(); tag != frameFuseRes {
-			return l.down("fuse reply", fmt.Errorf("unexpected frame %d", tag))
+			return act, l.down("fuse reply", fmt.Errorf("unexpected frame %d", tag))
 		}
 		stage := d.u8()
 		code := d.u8()
@@ -333,19 +251,18 @@ func (c *coordinator) fuseRound(deliverRound, stepRound int64, isInit, dense boo
 				stepErr = err
 			}
 		}
-		c.totalLive += int(d.u32())
-		c.legacyLive += int(d.u32())
+		act.Live += int(d.u32())
 		nh := int(d.u32())
 		if d.err != nil {
-			return l.down("fuse reply", d.err)
+			return act, l.down("fuse reply", d.err)
 		}
 		if nh < 0 || nh > l.hi-l.lo {
-			return l.down("fuse reply", fmt.Errorf("%d newly halted nodes in a %d-node shard", nh, l.hi-l.lo))
+			return act, l.down("fuse reply", fmt.Errorf("%d newly halted nodes in a %d-node shard", nh, l.hi-l.lo))
 		}
 		for j := 0; j < nh; j++ {
 			lv := int(d.u32())
 			if lv < 0 || lv >= l.hi-l.lo {
-				return l.down("fuse reply", fmt.Errorf("halted node %d outside shard range", lv))
+				return act, l.down("fuse reply", fmt.Errorf("halted node %d outside shard range", lv))
 			}
 			c.halted[l.lo+lv] = true
 		}
@@ -358,47 +275,44 @@ func (c *coordinator) fuseRound(deliverRound, stepRound int64, isInit, dense boo
 			}
 		}
 		if d.err != nil {
-			return l.down("fuse reply", d.err)
+			return act, l.down("fuse reply", d.err)
 		}
 		if len(d.b) != 0 {
-			return l.down("fuse reply", fmt.Errorf("%d trailing bytes", len(d.b)))
+			return act, l.down("fuse reply", fmt.Errorf("%d trailing bytes", len(d.b)))
 		}
-		if localActive {
-			c.hasActive = true
-		}
-		if wakeOK && (!c.wakeOK || wake < c.wakeRound) {
-			c.wakeOK = true
-			c.wakeRound = wake
+		act.Messages = act.Messages || localActive
+		if wakeOK && (!act.WakeOK || wake < act.Wake) {
+			act.Wake, act.WakeOK = wake, true
 		}
 	}
 	if deliverErr != nil {
-		return deliverErr
+		return act, deliverErr
 	}
 	if stepErr != nil {
-		return stepErr
+		return act, stepErr
 	}
 
 	// Count and scan the new sections. Message activity is decided against
-	// the halted bitmap once every reply's halts are folded in: the
-	// in-process deliver drops (but meters) messages to halted nodes, so
-	// only a message to a live node makes the next round non-quiet. Once
+	// the halted bitmap once every reply's halts are folded in: delivery
+	// drops (but meters) messages to halted nodes, so only a message to a
+	// live node makes the next round non-quiet. Once
 	// any message (or retained local message) is live, the remaining
 	// sections are not read at all.
 	for _, src := range c.links {
 		for dst := range src.out {
 			sec := &src.out[dst]
 			src.crossMsgs += int64(sec.count)
-			if c.hasActive {
+			if act.Messages {
 				continue
 			}
 			live, err := sec.liveTarget(c.halted)
 			if err != nil {
-				return src.down("fuse reply", err)
+				return act, src.down("fuse reply", err)
 			}
-			c.hasActive = live
+			act.Messages = live
 		}
 	}
-	return nil
+	return act, nil
 }
 
 // relay appends dst's inbound sections — every other shard's section for
@@ -426,11 +340,10 @@ func (c *coordinator) postAll() {
 	}
 }
 
-// finish flushes the last executed round's deliver to every shard via
-// FINISH — so its messages are metered exactly as the in-process engine
-// meters them — and collects every FINAL frame, merging the metering into
-// the coordinator's counters.
-func (c *coordinator) finish(deliverRound int64) error {
+// Finish implements congest.Fused: it flushes the last executed round's
+// deliver to every shard via FINISH and collects every FINAL frame, merging
+// the metering into the coordinator's counters.
+func (c *coordinator) Finish(deliverRound int64) error {
 	for _, l := range c.links {
 		e := &l.enc
 		e.b = e.b[:0]

@@ -30,7 +30,7 @@ func pipeCoordinator(t *testing.T, n, k int) (*coordinator, []*frameConn) {
 		links[i] = &link{shard: i, lo: lo, hi: hi, fc: newFrameConn(a)}
 		workers[i] = newFrameConn(b)
 	}
-	coord := newCoordinator(links, n, congest.Options{BandwidthBits: 64}, nil)
+	coord := newCoordinator(links, n, congest.Options{BandwidthBits: 64})
 	coord.start()
 	t.Cleanup(func() {
 		for _, c := range conns {
@@ -78,7 +78,6 @@ func fuseReply(n, k, self int, r fuseRes) []byte {
 	e.u8(r.code)
 	e.str(r.msg)
 	e.u32(r.live)
-	e.u32(0) // legacyLive
 	e.u32(uint32(len(r.halted)))
 	for _, lv := range r.halted {
 		e.u32(lv)
@@ -106,9 +105,9 @@ func TestFuseStepErrorLowestShardWins(t *testing.T) {
 	for i, fc := range workers {
 		go respond(fc, replies[i])
 	}
-	err := coord.fuseRound(-1, 0, true, true)
+	_, err := coord.Fuse(-1, 0, true)
 	if err == nil || err.Error() != "shard1 exploded" {
-		t.Fatalf("fuseRound = %v, want shard 1's step error", err)
+		t.Fatalf("Fuse = %v, want shard 1's step error", err)
 	}
 }
 
@@ -125,9 +124,9 @@ func TestFuseDeliverErrorBeatsStep(t *testing.T) {
 	for i, fc := range workers {
 		go respond(fc, replies[i])
 	}
-	err := coord.fuseRound(0, 1, false, true)
+	_, err := coord.Fuse(0, 1, false)
 	if err == nil || !errors.Is(err, congest.ErrBandwidth) {
-		t.Fatalf("fuseRound = %v, want shard 1's deliver-stage bandwidth error", err)
+		t.Fatalf("Fuse = %v, want shard 1's deliver-stage bandwidth error", err)
 	}
 	if strings.Contains(err.Error(), "step boom") {
 		t.Fatalf("step-stage error won over deliver-stage: %v", err)
@@ -146,7 +145,7 @@ func TestFuseTruncatedReplyIsShardDown(t *testing.T) {
 	for i, fc := range workers {
 		go respond(fc, replies[i])
 	}
-	err := coord.fuseRound(-1, 0, true, true)
+	_, err := coord.Fuse(-1, 0, true)
 	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("truncated reply returned %v, want ErrShardDown", err)
 	}
@@ -184,11 +183,12 @@ func TestFuseHaltedTargetsStayQuiet(t *testing.T) {
 			for i, fc := range workers {
 				go respond(fc, replies[i])
 			}
-			if err := coord.fuseRound(-1, 0, true, true); err != nil {
+			act, err := coord.Fuse(-1, 0, true)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if coord.hasActive != tc.wantActive {
-				t.Fatalf("hasActive = %v, want %v", coord.hasActive, tc.wantActive)
+			if act.Messages != tc.wantActive {
+				t.Fatalf("act.Messages = %v, want %v", act.Messages, tc.wantActive)
 			}
 			if got := coord.links[1].crossMsgs; got != int64(len(out)) {
 				t.Fatalf("shard 1 crossMsgs = %d, want %d", got, len(out))
@@ -241,14 +241,15 @@ func TestFuseCorruptSectionIsShardDown(t *testing.T) {
 			go respond(workers[1], fuseReply(n, k, 1, fuseRes{live: 10, sections: tc.section}))
 
 			coord.begin(1)
-			if err := coord.fuseRound(-1, 0, true, true); err != nil {
+			act, err := coord.Fuse(-1, 0, true)
+			if err != nil {
 				t.Fatalf("init exchange: %v", err)
 			}
-			if !coord.hasActive {
+			if !act.Messages {
 				t.Fatal("a section with a live target left the round quiet")
 			}
 			start := time.Now()
-			err = coord.fuseRound(0, 1, false, true)
+			_, err = coord.Fuse(0, 1, false)
 			if !errors.Is(err, ErrShardDown) || !strings.Contains(err.Error(), "shard 0") {
 				t.Fatalf("corrupt section returned %v, want ErrShardDown from shard 0", err)
 			}

@@ -6,26 +6,27 @@
 // frames.
 //
 // The design goal is byte-identity with the in-process engine, and the
-// mechanism is structural: each shard runs congest.Shard — the in-process
-// round machinery restricted to a vertex range — and the coordinator
-// replicates congest.Network's round loop (round skipping, budget charging,
-// the dense/legacy global rule) over ONE fused exchange per executed round:
+// mechanism is structural: each shard runs congest.Shard — the executor an
+// in-process Network runs as a single shard over every vertex — and the
+// coordinator is a congest.Fused executor driven by congest.RunRounds, the
+// same round loop (round skipping, budget charging, cancellation) the
+// in-process engine runs, with ONE fused exchange per executed round:
 //
 //	FUSE(d, r): every shard first delivers round d's inbound cross-shard
 //	            messages (splicing back the messages it retained locally at
-//	            step time, reconstructing the global sender-ascending order
-//	            the in-process deliver consumes), then builds its local
-//	            active set for round r, invokes its nodes, and returns its
-//	            cross-shard outbound messages plus the scheduling facts the
-//	            coordinator needs (newly-halted nodes, local pending
-//	            activity, earliest wake).
+//	            step time, reconstructing the global sender-ascending
+//	            order), then builds its local active set for round r,
+//	            invokes its nodes, and returns its cross-shard outbound
+//	            messages plus the scheduling facts the coordinator needs
+//	            (newly-halted nodes, local pending activity, earliest
+//	            wake).
 //
 // Fusing is sound because delivery never touches the scheduler: the
 // liveness/wake aggregation the coordinator performs between rounds only
 // gates the NEXT fused frame, so a shard can route round d and step round
 // r = d+1 in one visit. A final FINISH frame carries the last round's
-// deliver so its messages are metered exactly as in-process (the oracle
-// delivers even when every node has halted).
+// deliver so its messages are metered exactly as in-process (delivery
+// happens even when every node has halted).
 //
 // The round-barrier handshake is the frame protocol itself: round r+1's
 // FUSE frames are sent only after every shard's round-r reply arrived, so no
@@ -51,8 +52,10 @@
 // corrupt section is caught by the shard that receives it, which drops its
 // connection and surfaces as ErrShardDown.
 //
-// The in-process engine remains the oracle: differential tests solve the
-// same instances both ways and assert byte-identical results and counters.
+// Differential tests solve the same instances in process and distributed
+// and assert byte-identical results and counters; the golden fixtures in
+// testdata/golden pin both against outputs recorded independently of this
+// shared code.
 package dist
 
 import (
@@ -76,23 +79,17 @@ const (
 	frameHello   byte = 1 // worker -> coordinator: u32 shard index
 	frameConfig  byte = 2 // coordinator -> proc worker: run configuration + graph
 	frameBegin   byte = 3 // coordinator -> worker: u64 seed, u32 shard count K
-	frameFuse    byte = 4 // coordinator -> worker: i64 deliver round (-1 = none), i64 step round, u8 flags, K-1 relayed sections
-	frameFuseRes byte = 5 // worker -> coordinator: stage, err, live, legacyLive, newly halted, local activity, wake, K-1 outbound sections
+	frameFuse    byte = 4 // coordinator -> worker: i64 deliver round (-1 = none), i64 step round, u8 init, K-1 relayed sections
+	frameFuseRes byte = 5 // worker -> coordinator: stage, err, u32 live, newly halted, local activity, wake, K-1 outbound sections
 	frameFinish  byte = 6 // coordinator -> worker: i64 deliver round (-1 = none), K-1 relayed sections (final flush)
 	frameFinal   byte = 7 // worker -> coordinator: err, counters, busy, local-routed count, final program states
 	frameAbort   byte = 8 // coordinator -> worker: tear down
 )
 
-// Step flag bits.
-const (
-	stepFlagInit  byte = 1 << 0
-	stepFlagDense byte = 1 << 1
-)
-
 // Fused-reply stage labels: which half of a fused exchange an error came
 // from. The coordinator aggregates deliver-stage errors ahead of step-stage
-// errors to match the in-process engine's observation order (round r's
-// deliver fails before round r+1's step runs).
+// errors to match the round order (round r's deliver fails before round
+// r+1's step runs).
 const (
 	stageNone    byte = 0
 	stageDeliver byte = 1

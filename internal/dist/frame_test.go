@@ -464,14 +464,14 @@ func corpusBatches(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		sh.Seed(11)
+		sh.Begin(11)
 		shards[i] = sh
 	}
 	var corpus [][]byte
 	step := func(round int64, isInit bool) {
 		outs := make([][]congest.Routed, k)
 		for i, sh := range shards {
-			out, _, err := sh.Step(round, isInit, true)
+			out, _, err := sh.Step(round, isInit)
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -85,11 +85,11 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 				return fmt.Errorf("dist: shard range [%d,%d) is not a shard of the %d-way partition", shard.Lo(), shard.Hi(), k)
 			}
 			sections = newSectionWriter(n, k, self)
-			shard.Seed(seed)
+			shard.Begin(seed)
 		case frameFuse:
 			deliverRound := d.i64()
 			stepRound := d.i64()
-			flags := d.u8()
+			isInit := d.bool()
 			if d.err != nil {
 				return d.err
 			}
@@ -129,7 +129,7 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 			)
 			if stepErr == nil {
 				start := time.Now()
-				out, rep, stepErr = shard.Step(stepRound, flags&stepFlagInit != 0, flags&stepFlagDense != 0)
+				out, rep, stepErr = shard.Step(stepRound, isInit)
 				busy += time.Since(start)
 				if stepErr != nil {
 					errStage = stageStep
@@ -142,7 +142,6 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 			e.u8(code)
 			e.str(msg)
 			e.u32(uint32(rep.Live))
-			e.u32(uint32(rep.LegacyLive))
 			e.u32(uint32(len(rep.NewlyHalted)))
 			for _, lv := range rep.NewlyHalted {
 				e.u32(uint32(lv))
@@ -159,9 +158,9 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 			if d.err != nil {
 				return d.err
 			}
-			// The final flush: the in-process engine delivers the last
-			// executed round's messages even when every node has halted, so
-			// they are metered. Route them here for the same counters.
+			// The final flush: the last executed round's messages are
+			// delivered even when every node has halted, so they are
+			// metered like every other round's.
 			if sections == nil {
 				return fmt.Errorf("dist: FINISH before BEGIN")
 			}

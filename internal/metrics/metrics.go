@@ -79,7 +79,7 @@ func (c *Counters) AddWork(v int, ops int64) {
 	}
 }
 
-// Merge folds other into c (used at round barriers by the parallel executor).
+// Merge folds other into c, for example one shard's counters into run totals.
 // Per-node slices must have equal length.
 func (c *Counters) Merge(other *Counters) {
 	c.Rounds += other.Rounds

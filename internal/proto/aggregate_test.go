@@ -9,6 +9,8 @@ import (
 )
 
 // countNode builds a BFS tree for bfsBudget rounds, then runs a Counter.
+// Like every test program in this package it counts rounds, so it runs
+// dense (WakeEvery(1)).
 type countNode struct {
 	bfs       *BFSState
 	counter   *Counter
@@ -17,6 +19,7 @@ type countNode struct {
 }
 
 func (n *countNode) Init(ctx *congest.Context) {
+	ctx.WakeEvery(1)
 	n.bfs = NewBFSState(0)
 	n.bfs.Start(ctx)
 }
@@ -98,6 +101,7 @@ type barrierNode struct {
 }
 
 func (n *barrierNode) Init(ctx *congest.Context) {
+	ctx.WakeEvery(1)
 	n.bfs = NewBFSState(0)
 	n.bfs.Start(ctx)
 	n.releasedAt = make(map[int32]int64)

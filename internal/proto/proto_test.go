@@ -9,7 +9,8 @@ import (
 	"dhc/internal/wire"
 )
 
-// electNode runs a Flooder for a fixed number of rounds then halts.
+// electNode runs a Flooder for a fixed number of rounds then halts. The test
+// programs in this file count rounds, so they run dense (WakeEvery(1)).
 type electNode struct {
 	f      *Flooder
 	rounds int
@@ -17,6 +18,7 @@ type electNode struct {
 }
 
 func (e *electNode) Init(ctx *congest.Context) {
+	ctx.WakeEvery(1)
 	e.f = NewFlooder(ctx.ID())
 	e.f.Start(ctx)
 }
@@ -79,6 +81,7 @@ type bfsNode struct {
 }
 
 func (n *bfsNode) Init(ctx *congest.Context) {
+	ctx.WakeEvery(1)
 	n.b = NewBFSState(0)
 	n.b.Start(ctx)
 }
@@ -155,6 +158,7 @@ type scopedNode struct {
 }
 
 func (s *scopedNode) Init(ctx *congest.Context) {
+	ctx.WakeEvery(1)
 	s.sb = NewScopedBroadcaster(func(v graph.NodeID) bool { return s.colors[v] == s.color })
 	if ctx.ID() == 0 {
 		s.sb.Originate(ctx, wire.Msg(wire.KindBroadcast, 7, 3))
