@@ -110,6 +110,30 @@ func TestDistMatchesInProcessOracle(t *testing.T) {
 	}
 }
 
+// TestDistUpcastWireDeterministic: a sharded run is deterministic on the
+// wire, not only in its counters. Upcast's root queues one downcast message
+// per vertex, so the order it queues them in decides every later frame; two
+// 4-shard unix runs must report identical ShardStats, frame and section
+// bytes included (BusySeconds, a wall-clock reading, aside).
+func TestDistUpcastWireDeterministic(t *testing.T) {
+	skipIfShort(t)
+	g := NewGNP(256, 0.5, 3)
+	var stats [2][]ShardStat
+	for i := range stats {
+		res, err := Solve(g, AlgorithmUpcast, Options{Seed: 2, Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range res.ShardStats {
+			res.ShardStats[j].BusySeconds = 0
+		}
+		stats[i] = res.ShardStats
+	}
+	if !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Fatalf("shard stats differ between identical runs:\n%+v\n%+v", stats[0], stats[1])
+	}
+}
+
 // hcshardBinary builds cmd/hcshard once per test process for the proc
 // transport legs.
 var hcshardBinary = sync.OnceValues(func() (string, error) {

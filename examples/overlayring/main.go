@@ -62,11 +62,7 @@ func (t *tokenNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
 
 func (t *tokenNode) flood(ctx *congest.Context, except graph.NodeID) {
 	t.shutdown = true
-	for port, nb := range ctx.Neighbors() {
-		if nb != except {
-			ctx.SendPort(port, wire.Msg(wire.KindBroadcast, 0))
-		}
-	}
+	ctx.SendPorts(ctx.AllPorts(), except, wire.Msg(wire.KindBroadcast, 0))
 }
 
 func main() {

@@ -43,11 +43,23 @@
 // Send(to, m) names the edge by the neighbor's id and checks it with a
 // binary search of the node's sorted neighbor list. SendPort(p, m) names it
 // by port, the index p of the neighbor in Neighbors(), and checks it with a
-// bounds check. Both append to the same outbox, so which one a program uses
-// never changes an execution. Fan-out loops (floods over all or a
-// precomputed subset of the incident edges) keep port lists and use
-// SendPort; point sends to a known id, such as a reply to Envelope.From,
-// use Send. Either failure records ErrNotNeighbor.
+// bounds check. SendPorts(ports, except, m) is a flood: it sends m on every
+// listed port whose neighbor is not except, with the same bounds check per
+// port; AllPorts() is the shared read-only [0, Degree()) list for floods
+// over every incident edge. Fan-out loops keep port lists and use
+// SendPorts; point sends to a known id, such as a reply to Envelope.From,
+// use Send. Any failure records ErrNotNeighbor.
+//
+// All three append to the same outbox through one record append: an
+// outbox entry is a Record — the sender, the message and its receivers —
+// so a flood is one entry however many edges it covers. The receiver ids
+// are copied into the node's per-invocation arena at call time, so the
+// caller may reuse its port slice at once; consecutive sends of an equal
+// message extend the previous record. Records change only how traffic is
+// carried, never what is metered: delivery expands each record edge by
+// edge in send order, and bandwidth, message and bit counts, halted drops
+// and FaultHook calls stay per edge. Which send form a program uses never
+// changes an execution.
 //
 // Determinism: a run is a pure function of (graph, node programs, seed).
 // Each node receives its own RNG stream split from the run seed, inboxes
@@ -106,9 +118,15 @@ type Context struct {
 	id     graph.NodeID
 	round  int64
 	rng    *rng.Source
-	outbox []Routed
 	halted bool
 	err    error
+
+	// This call's sends: outbox holds one Record per flood (or run of equal
+	// sends), whose receivers are copied into ids; last is the ids offset
+	// of the final record's receivers, so an equal send can extend it.
+	outbox []Record
+	ids    []graph.NodeID
+	last   int
 
 	// per-call wake-up requests, consumed by the scheduler
 	wakeAt       int64 // earliest requested wake round (0 = none this call)
@@ -145,36 +163,83 @@ func (c *Context) Rand() *rng.Source { return c.rng }
 
 // Send queues a message to neighbor `to` for delivery next round. The target
 // is validated by a binary search of this node's neighbor list, which suits
-// point sends (a reply to a sender, a tree parent, a cycle neighbor); fan-out
-// loops over incident edges should use SendPort instead. Sending to a
+// point sends (a reply to a sender, a tree parent, a cycle neighbor); floods
+// over incident edges should use SendPorts instead. Sending to a
 // non-neighbor records ErrNotNeighbor and aborts the run after this round.
 func (c *Context) Send(to graph.NodeID, m wire.Message) {
 	if !c.sh.g.HasEdge(c.id, to) {
 		c.fail(fmt.Errorf("%w: %d -> %d (%s)", ErrNotNeighbor, c.id, to, m))
 		return
 	}
-	c.push(to, m)
+	start := len(c.ids)
+	c.ids = append(c.ids, to)
+	c.push(start, m)
 }
 
 // SendPort queues a message on this node's incident edge number port — the
 // index of the neighbor in Neighbors() — for delivery next round. The port
-// is validated by a bounds check instead of Send's search, so a flood over
-// a precomputed port list costs O(1) per message. An out-of-range port
-// records ErrNotNeighbor and aborts the run after this round, exactly like
-// Send to a non-neighbor. Apart from how the target is named, the two are
-// indistinguishable: same outbox, delivery order, wire encoding and metering.
+// is validated by a bounds check instead of Send's search. An out-of-range
+// port records ErrNotNeighbor and aborts the run after this round, exactly
+// like Send to a non-neighbor. Apart from how the target is named, the two
+// are indistinguishable: same outbox, delivery order, wire encoding and
+// metering.
 func (c *Context) SendPort(port int, m wire.Message) {
 	nbrs := c.Neighbors()
 	if uint(port) >= uint(len(nbrs)) {
-		c.fail(fmt.Errorf("%w: %d -> port %d of %d (%s)", ErrNotNeighbor, c.id, port, len(nbrs), m))
+		c.failPort(port, len(nbrs), m)
 		return
 	}
-	c.push(nbrs[port], m)
+	start := len(c.ids)
+	c.ids = append(c.ids, nbrs[port])
+	c.push(start, m)
 }
 
-// push is the one outbox append site behind Send and SendPort.
-func (c *Context) push(to graph.NodeID, m wire.Message) {
-	c.outbox = append(c.outbox, Routed{From: c.id, To: to, Msg: m})
+// SendPorts floods m on every listed port whose neighbor is not except
+// (pass -1 to exclude none), in list order, for delivery next round. It is
+// the SendPort loop over ports as one outbox record: the receiver ids are
+// copied at call time, so ports may be reused as soon as it returns, and a
+// duplicated port sends twice exactly as the loop would. Each port is
+// bounds-checked; an out-of-range one records ErrNotNeighbor with SendPort's
+// text, queues nothing from this call, and aborts the run after this round.
+// Delivery still meters every edge separately.
+func (c *Context) SendPorts(ports []int32, except graph.NodeID, m wire.Message) {
+	nbrs := c.Neighbors()
+	start := len(c.ids)
+	for _, p := range ports {
+		if uint32(p) >= uint32(len(nbrs)) {
+			c.ids = c.ids[:start]
+			c.failPort(int(p), len(nbrs), m)
+			return
+		}
+		if to := nbrs[p]; to != except {
+			c.ids = append(c.ids, to)
+		}
+	}
+	c.push(start, m)
+}
+
+// AllPorts returns the ports [0, Degree()) of every incident edge, for
+// SendPorts floods over all of them. The slice is shared and read-only.
+func (c *Context) AllPorts() []int32 { return c.sh.ports[:c.Degree()] }
+
+// push is the one record append behind Send, SendPort and SendPorts: it
+// queues m to the receivers ids[start:]. A send of the message the last
+// record carries extends that record, since its receivers end at start.
+func (c *Context) push(start int, m wire.Message) {
+	if len(c.ids) == start {
+		return
+	}
+	if k := len(c.outbox) - 1; k >= 0 && c.outbox[k].Msg == m {
+		c.outbox[k].To = c.ids[c.last:len(c.ids):len(c.ids)]
+		return
+	}
+	c.last = start
+	c.outbox = append(c.outbox, Record{From: c.id, Msg: m, To: c.ids[start:len(c.ids):len(c.ids)]})
+}
+
+// failPort records an out-of-range port as ErrNotNeighbor.
+func (c *Context) failPort(port, deg int, m wire.Message) {
+	c.fail(fmt.Errorf("%w: %d -> port %d of %d (%s)", ErrNotNeighbor, c.id, port, deg, m))
 }
 
 // fail records the invocation's first send error.
@@ -230,10 +295,10 @@ func (c *Context) WakeAtOrSleep(w int64) {
 }
 
 // reset prepares a persistent context for this round's Init/Round call,
-// keeping the outbox's backing array.
+// keeping the outbox's and the receiver arena's backing arrays.
 func (c *Context) reset(round int64) {
 	c.round = round
-	c.outbox = c.outbox[:0]
+	c.outbox, c.ids = c.outbox[:0], c.ids[:0]
 	c.halted = false
 	c.err = nil
 	c.wakeAt = 0
@@ -290,8 +355,9 @@ type Options struct {
 	DenseSweep bool
 	// FaultHook, if non-nil, intercepts every delivery: return false to
 	// drop the message, or return a mutated copy. Used by robustness tests.
-	// The Shard calls it while delivering, single-threaded and in global
-	// sender order, at any Workers count. A dropped message is neither
+	// The Shard calls it while delivering, once per edge (a flood record is
+	// expanded first), single-threaded and in global sender order, at any
+	// Workers count. A dropped message is neither
 	// metered nor delivered. The distributed engine refuses it: a function
 	// value cannot cross a process boundary.
 	FaultHook func(round int64, from, to graph.NodeID, m wire.Message) (wire.Message, bool)

@@ -250,23 +250,25 @@ func TestFaultHookDropsMessages(t *testing.T) {
 	// concurrent call, or any call out of global sender order, changes
 	// which messages are dropped. The Workers=4 and dense-sweep legs must
 	// drop exactly the messages the Workers=1 leg drops and meter the same
-	// execution.
-	type drop struct {
+	// execution; the sendports leg sends each fan-out as one SendPorts
+	// record, which delivery must expand into the same per-edge hook calls.
+	type call struct {
 		round    int64
 		from, to graph.NodeID
+		m        wire.Message
 	}
 	g = graph.GNP(80, 0.2, rng.New(3))
-	run := func(t *testing.T, opts Options) ([]drop, *metrics.Counters, []*fanoutNode) {
-		var seen int
-		var drops []drop
+	run := func(t *testing.T, opts Options, form sendForm) ([]call, []call, *metrics.Counters, []*fanoutNode) {
+		var calls, drops []call
 		opts.FaultHook = func(round int64, from, to graph.NodeID, m wire.Message) (wire.Message, bool) {
-			if seen++; seen%3 == 0 {
-				drops = append(drops, drop{round, from, to})
+			calls = append(calls, call{round, from, to, m})
+			if len(calls)%3 == 0 {
+				drops = append(drops, call{round, from, to, m})
 				return m, false
 			}
 			return m, true
 		}
-		progs, nodes := newFanout(g.N(), true)
+		progs, nodes := newFanout(g.N(), form)
 		net, err := NewNetwork(g, nodes, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -275,21 +277,26 @@ func TestFaultHookDropsMessages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return drops, counters, progs
+		return calls, drops, counters, progs
 	}
-	refDrops, ref, refProgs := run(t, Options{Workers: 1})
+	refCalls, refDrops, ref, refProgs := run(t, Options{Workers: 1}, formSendPort)
 	if len(refDrops) == 0 || ref.Messages == 0 {
 		t.Fatalf("hook dropped %d and delivered %d messages; want both nonzero", len(refDrops), ref.Messages)
 	}
 	for _, leg := range []struct {
 		name string
 		opts Options
+		form sendForm
 	}{
-		{"workers=4", Options{Workers: 4}},
-		{"dense", Options{DenseSweep: true}},
+		{"workers=4", Options{Workers: 4}, formSendPort},
+		{"dense", Options{DenseSweep: true}, formSendPort},
+		{"sendports", Options{Workers: 1}, formSendPorts},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			drops, got, progs := run(t, leg.opts)
+			calls, drops, got, progs := run(t, leg.opts, leg.form)
+			if !reflect.DeepEqual(calls, refCalls) {
+				t.Fatalf("hook saw %d calls, workers=1 SendPort loop saw %d, or a different sequence", len(calls), len(refCalls))
+			}
 			if !reflect.DeepEqual(drops, refDrops) {
 				t.Fatalf("dropped %d messages, workers=1 dropped %d, or a different set", len(drops), len(refDrops))
 			}
@@ -629,17 +636,18 @@ func TestNodeWithoutWakeIsMessageDriven(t *testing.T) {
 }
 
 // pingPongNode bounces a token to its peer forever: pure message-driven
-// steady-state traffic for the allocation test. byPort sends through
-// SendPort on the peer's port instead of Send by id.
+// steady-state traffic for the allocation test. form selects how the token
+// is addressed: by id, by the peer's port, or as a SendPorts over a
+// one-port list.
 type pingPongNode struct {
-	peer   graph.NodeID
-	byPort bool
-	port   int
+	peer  graph.NodeID
+	form  sendForm
+	ports []int32 // the peer's port
 }
 
 func (p *pingPongNode) Init(ctx *Context) {
 	ctx.WakeEvery(0)
-	p.port = slices.Index(ctx.Neighbors(), p.peer)
+	p.ports = []int32{int32(slices.Index(ctx.Neighbors(), p.peer))}
 	if ctx.ID()%2 == 0 {
 		p.send(ctx)
 	}
@@ -651,28 +659,31 @@ func (p *pingPongNode) Round(ctx *Context, inbox []Envelope) {
 }
 
 func (p *pingPongNode) send(ctx *Context) {
-	if p.byPort {
-		ctx.SendPort(p.port, wire.Msg(wire.KindToken, 1))
-	} else {
-		ctx.Send(p.peer, wire.Msg(wire.KindToken, 1))
+	m := wire.Msg(wire.KindToken, 1)
+	switch p.form {
+	case formSend:
+		ctx.Send(p.peer, m)
+	case formSendPort:
+		ctx.SendPort(int(p.ports[0]), m)
+	default:
+		ctx.SendPorts(p.ports, -1, m)
 	}
 }
 
 // TestPerRoundDeliveryZeroAllocs pins the engine's steady state at exactly
-// zero allocations per round: inbox buckets, outbox buffers, the bandwidth
-// stamps and the wake heap are all recycled — whether nodes send by id or
-// by port.
+// zero allocations per round: inbox buckets, outbox records, receiver
+// arenas, the bandwidth stamps and the wake heap are all recycled — whether
+// nodes send by id, by port or by port list.
 func TestPerRoundDeliveryZeroAllocs(t *testing.T) {
-	for _, byPort := range []bool{false, true} {
-		name := "Send"
-		if byPort {
-			name = "SendPort"
-		}
-		t.Run(name, func(t *testing.T) { testPerRoundDeliveryZeroAllocs(t, byPort) })
+	for _, tc := range []struct {
+		name string
+		form sendForm
+	}{{"Send", formSend}, {"SendPort", formSendPort}, {"SendPorts", formSendPorts}} {
+		t.Run(tc.name, func(t *testing.T) { testPerRoundDeliveryZeroAllocs(t, tc.form) })
 	}
 }
 
-func testPerRoundDeliveryZeroAllocs(t *testing.T, byPort bool) {
+func testPerRoundDeliveryZeroAllocs(t *testing.T, form sendForm) {
 	g := graph.Ring(64)
 	nodes := make([]Node, g.N())
 	for v := 0; v < g.N(); v++ {
@@ -680,7 +691,7 @@ func testPerRoundDeliveryZeroAllocs(t *testing.T, byPort bool) {
 		if v%2 == 1 {
 			peer = graph.NodeID((v - 1 + g.N()) % g.N())
 		}
-		nodes[v] = &pingPongNode{peer: peer, byPort: byPort}
+		nodes[v] = &pingPongNode{peer: peer, form: form}
 	}
 	net, err := NewNetwork(g, nodes, Options{MaxRounds: 1 << 40})
 	if err != nil {

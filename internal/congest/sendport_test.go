@@ -17,15 +17,25 @@ import (
 // fanoutHalt is the round every fanoutNode halts in.
 const fanoutHalt = 12
 
+// sendForm selects how fanoutNode addresses its fan-out.
+type sendForm int
+
+const (
+	formSend      sendForm = iota // Send by neighbor id
+	formSendPort                  // a SendPort loop
+	formSendPorts                 // one SendPorts call over the chosen ports
+)
+
 // fanoutNode gossips over random subsets of its incident edges: every fifth
 // node seeds a message with a hop budget, and a node forwards the first
 // message of each inbox that has hops left to a random half of its edges,
-// skipping the edge it arrived on. byPort selects SendPort or Send for the
-// same fan-out, so the two variants must produce the same execution; log
-// records every delivery in inbox order.
+// skipping the edge it arrived on. form selects how the same fan-out is
+// sent, so every form must produce the same execution; log records every
+// delivery in inbox order.
 type fanoutNode struct {
-	byPort bool
-	log    []delivery
+	form  sendForm
+	ports []int32 // formSendPorts scratch
+	log   []delivery
 }
 
 type delivery struct {
@@ -57,39 +67,53 @@ func (f *fanoutNode) Round(ctx *Context, inbox []Envelope) {
 	}
 }
 
+// fanout sends m to a random half of the edges other than except's. The
+// SendPorts form lists except's port too, for SendPorts to skip.
 func (f *fanoutNode) fanout(ctx *Context, m wire.Message, except graph.NodeID) {
+	f.ports = f.ports[:0]
 	for port, nb := range ctx.Neighbors() {
-		if nb == except || ctx.Rand().Intn(2) == 0 {
+		if nb == except {
+			f.ports = append(f.ports, int32(port))
+			continue
+		}
+		if ctx.Rand().Intn(2) == 0 {
 			continue
 		}
 		ctx.AddWork(1)
-		if f.byPort {
-			ctx.SendPort(port, m)
-		} else {
+		switch f.form {
+		case formSend:
 			ctx.Send(nb, m)
+		case formSendPort:
+			ctx.SendPort(port, m)
+		default:
+			f.ports = append(f.ports, int32(port))
 		}
+	}
+	if f.form == formSendPorts {
+		ctx.SendPorts(f.ports, except, m)
 	}
 }
 
-func newFanout(n int, byPort bool) ([]*fanoutNode, []Node) {
+func newFanout(n int, form sendForm) ([]*fanoutNode, []Node) {
 	progs := make([]*fanoutNode, n)
 	nodes := make([]Node, n)
 	for v := range progs {
-		progs[v] = &fanoutNode{byPort: byPort}
+		progs[v] = &fanoutNode{form: form}
 		nodes[v] = progs[v]
 	}
 	return progs, nodes
 }
 
 // memShards is a test-side Fused executor over k in-memory Shards: the
-// distributed coordinator without transports. Cross-shard outboxes are
-// routed per destination in shard order, and a cross message activates the
-// next round only if its target has not halted, judged against a global
-// halted view folded from every step's newly-halted nodes.
+// distributed coordinator without transports. Each cross-shard record is
+// split per destination shard, keeping its receivers' send order, and
+// routed in shard order; a cross message activates the next round only if
+// its target has not halted, judged against a global halted view folded
+// from every step's newly-halted nodes.
 type memShards struct {
 	shards  []*Shard
 	owner   []int // vertex -> shard
-	inbound [][]Routed
+	inbound [][]Record
 	halted  []bool
 }
 
@@ -123,13 +147,25 @@ func (m *memShards) Fuse(deliverRound, stepRound int64, isInit bool) (Activity, 
 		for _, lv := range rep.NewlyHalted {
 			m.halted[sh.Lo()+int(lv)] = true
 		}
-		for _, rm := range out {
-			m.inbound[m.owner[rm.To]] = append(m.inbound[m.owner[rm.To]], rm)
+		for _, r := range out {
+			for dst := range m.shards {
+				var to []graph.NodeID
+				for _, v := range r.To {
+					if m.owner[v] == dst {
+						to = append(to, v)
+					}
+				}
+				if len(to) > 0 {
+					m.inbound[dst] = append(m.inbound[dst], Record{From: r.From, Msg: r.Msg, To: to})
+				}
+			}
 		}
 	}
 	for _, in := range m.inbound {
-		for _, rm := range in {
-			act.Messages = act.Messages || !m.halted[rm.To]
+		for _, r := range in {
+			for _, v := range r.To {
+				act.Messages = act.Messages || !m.halted[v]
+			}
 		}
 	}
 	return act, nil
@@ -141,7 +177,7 @@ func (m *memShards) Finish(deliverRound int64) error { return m.deliver(deliverR
 // returns the merged counters.
 func runShards(g *graph.Graph, nodes []Node, opts Options, k int, seed uint64) (*metrics.Counters, error) {
 	n := g.N()
-	m := &memShards{owner: make([]int, n), inbound: make([][]Routed, k), halted: make([]bool, n)}
+	m := &memShards{owner: make([]int, n), inbound: make([][]Record, k), halted: make([]bool, n)}
 	for i := 0; i < k; i++ {
 		lo, hi := i*n/k, (i+1)*n/k
 		sh, err := NewShard(g, nodes[lo:hi], opts, lo, hi)
@@ -164,54 +200,70 @@ func runShards(g *graph.Graph, nodes []Node, opts Options, k int, seed uint64) (
 	return total, nil
 }
 
+// config is one engine configuration of the send-form tests: in process
+// (shards == 0) or as that many in-memory shards.
+type config struct {
+	name   string
+	opts   Options
+	shards int
+}
+
+// sendConfigs lists the engine configurations every send form must agree
+// on, each on top of base.
+func sendConfigs(base Options) []config {
+	with := func(workers int, dense bool) Options {
+		o := base
+		o.Workers, o.DenseSweep = workers, dense
+		return o
+	}
+	return []config{
+		{name: "workers=1", opts: with(1, false)},
+		{name: "workers=4", opts: with(4, false)},
+		{name: "workers=1/dense", opts: with(1, true)},
+		{name: "workers=4/dense", opts: with(4, true)},
+		{name: "shards=2", opts: base, shards: 2},
+		{name: "shards=3", opts: base, shards: 3},
+		{name: "shards=3/dense", opts: with(0, true), shards: 3},
+	}
+}
+
+// runConfig runs nodes in process (shards == 0) or as that many in-memory
+// shards.
+func runConfig(g *graph.Graph, nodes []Node, opts Options, shards int, seed uint64) (*metrics.Counters, error) {
+	if shards > 0 {
+		return runShards(g, nodes, opts, shards, seed)
+	}
+	net, err := NewNetwork(g, nodes, opts)
+	if err != nil {
+		return nil, err
+	}
+	return net.Run(seed)
+}
+
 // TestSendPortMatchesSend: fanning out by port and by id must be the same
 // execution on every engine configuration — identical counters and the
 // identical per-node sequence of deliveries — and the sharded executions
 // must meter exactly what the in-process engine meters.
 func TestSendPortMatchesSend(t *testing.T) {
 	g := graph.GNP(120, 0.3, rng.New(5))
-	type config struct {
-		name   string
-		opts   Options
-		shards int
-	}
-	configs := []config{
-		{name: "workers=1", opts: Options{Workers: 1}},
-		{name: "workers=4", opts: Options{Workers: 4}},
-		{name: "workers=1/dense", opts: Options{Workers: 1, DenseSweep: true}},
-		{name: "workers=4/dense", opts: Options{Workers: 4, DenseSweep: true}},
-		{name: "shards=2", shards: 2},
-		{name: "shards=3", shards: 3},
-		{name: "shards=3/dense", opts: Options{DenseSweep: true}, shards: 3},
-	}
-	run := func(t *testing.T, c config, byPort bool) (*metrics.Counters, []*fanoutNode) {
+	configs := sendConfigs(Options{})
+	run := func(t *testing.T, c config, form sendForm) (*metrics.Counters, []*fanoutNode) {
 		t.Helper()
-		progs, nodes := newFanout(g.N(), byPort)
-		var (
-			counters *metrics.Counters
-			err      error
-		)
-		if c.shards > 0 {
-			counters, err = runShards(g, nodes, c.opts, c.shards, 9)
-		} else {
-			var net *Network
-			if net, err = NewNetwork(g, nodes, c.opts); err == nil {
-				counters, err = net.Run(9)
-			}
-		}
+		progs, nodes := newFanout(g.N(), form)
+		counters, err := runConfig(g, nodes, c.opts, c.shards, 9)
 		if err != nil {
-			t.Fatalf("byPort=%v: %v", byPort, err)
+			t.Fatalf("form %d: %v", form, err)
 		}
 		return counters, progs
 	}
-	ref, refProgs := run(t, configs[0], false)
+	ref, refProgs := run(t, configs[0], formSend)
 	if ref.Messages == 0 {
 		t.Fatal("fan-out sent no messages")
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
-			byID, idProgs := run(t, c, false)
-			byPort, portProgs := run(t, c, true)
+			byID, idProgs := run(t, c, formSend)
+			byPort, portProgs := run(t, c, formSendPort)
 			if !reflect.DeepEqual(byID, byPort) {
 				t.Fatalf("counters differ:\n  Send:     %v\n  SendPort: %v", byID, byPort)
 			}
@@ -237,22 +289,165 @@ func TestSendPortMatchesSend(t *testing.T) {
 	}
 }
 
-// portSender makes one SendPort call on the given port during Init.
-type portSender struct{ port int }
+// portsNode floods over port lists: a seed flood over AllPorts from every
+// seventh node, then each round a forward of the first hop-carrying message
+// to a random third of the ports (listing the arrival port, for except to
+// skip), an empty flood, and from some receiving nodes a flood naming port
+// 0 twice.
+// loop sends each flood as a SendPort loop instead of one SendPorts call,
+// so the two must produce the same execution. After every flood the node
+// overwrites its port list, which SendPorts must already have copied.
+type portsNode struct {
+	loop  bool
+	ports []int32
+	log   []delivery
+}
+
+func (p *portsNode) Init(ctx *Context) {
+	ctx.WakeAt(fanoutHalt)
+	if ctx.ID()%7 == 0 {
+		p.flood(ctx, ctx.AllPorts(), -1, wire.Msg(wire.KindBroadcast, 3, int32(ctx.ID())))
+	}
+}
+
+func (p *portsNode) Round(ctx *Context, inbox []Envelope) {
+	for _, env := range inbox {
+		p.log = append(p.log, delivery{round: ctx.Round(), env: env})
+	}
+	if ctx.Round() >= fanoutHalt {
+		ctx.Halt()
+		return
+	}
+	p.flood(ctx, p.ports[:0], -1, wire.Msg(wire.KindToken, 0))
+	for _, env := range inbox {
+		if hops := env.Msg.Arg(0); env.Msg.Kind == wire.KindBroadcast && hops > 0 {
+			p.ports = p.ports[:0]
+			for port, nb := range ctx.Neighbors() {
+				if nb == env.From || ctx.Rand().Intn(3) == 0 {
+					p.ports = append(p.ports, int32(port))
+				}
+			}
+			p.flood(ctx, p.ports, env.From, wire.Msg(wire.KindBroadcast, hops-1, env.Msg.Arg(1)))
+			p.scrub()
+			break
+		}
+	}
+	if len(inbox) > 0 && ctx.Round()%3 == 0 && ctx.ID()%4 == 1 && ctx.Degree() > 0 {
+		p.ports = append(p.ports[:0], 0, 0)
+		p.flood(ctx, p.ports, -1, wire.Msg(wire.KindColor, int32(ctx.Round())))
+		p.scrub()
+	}
+}
+
+func (p *portsNode) flood(ctx *Context, ports []int32, except graph.NodeID, m wire.Message) {
+	if p.loop {
+		nbrs := ctx.Neighbors()
+		for _, port := range ports {
+			if nbrs[port] != except {
+				ctx.SendPort(int(port), m)
+			}
+		}
+	} else {
+		ctx.SendPorts(ports, except, m)
+	}
+}
+
+// scrub overwrites the port list just flooded.
+func (p *portsNode) scrub() {
+	for i := range p.ports {
+		p.ports[i] = -1
+	}
+}
+
+// TestSendPortsMatchesSendPort: a flood sent as one SendPorts record must
+// be the same execution as the SendPort loop it replaces — identical
+// inboxes, counters, rounds and skipped rounds — with except set and unset,
+// an empty port list, a duplicated port, AllPorts, and the caller
+// overwriting its list right after the call, on every engine configuration.
+func TestSendPortsMatchesSendPort(t *testing.T) {
+	g := graph.GNP(120, 0.3, rng.New(6))
+	run := func(t *testing.T, c config, loop bool) (*metrics.Counters, []*portsNode) {
+		t.Helper()
+		progs := make([]*portsNode, g.N())
+		nodes := make([]Node, g.N())
+		for v := range progs {
+			progs[v] = &portsNode{loop: loop}
+			nodes[v] = progs[v]
+		}
+		counters, err := runConfig(g, nodes, c.opts, c.shards, 4)
+		if err != nil {
+			t.Fatalf("loop=%v: %v", loop, err)
+		}
+		return counters, progs
+	}
+	// The duplicated port puts two messages on one edge in a round, beside
+	// the forwards: budget past the default.
+	configs := sendConfigs(Options{BandwidthBits: 256})
+	ref, refProgs := run(t, configs[0], true)
+	if ref.Messages == 0 {
+		t.Fatal("floods sent no messages")
+	}
+	for _, c := range configs {
+		t.Run(c.name, func(t *testing.T) {
+			loop, loopProgs := run(t, c, true)
+			ports, portsProgs := run(t, c, false)
+			if !reflect.DeepEqual(loop, ports) {
+				t.Fatalf("counters differ:\n  SendPort loop: %v\n  SendPorts:     %v", loop, ports)
+			}
+			for v := range portsProgs {
+				if !reflect.DeepEqual(portsProgs[v].log, loopProgs[v].log) {
+					t.Fatalf("node %d inbox sequence differs between SendPorts and the SendPort loop", v)
+				}
+				if !reflect.DeepEqual(portsProgs[v].log, refProgs[v].log) {
+					t.Fatalf("node %d inbox sequence differs from the sequential engine", v)
+				}
+			}
+			if ports.Messages != ref.Messages || ports.Bits != ref.Bits || ports.Rounds != ref.Rounds {
+				t.Fatalf("metering differs from the sequential engine: %v vs %v", ports, ref)
+			}
+			if !c.opts.DenseSweep && (ports.Invocations != ref.Invocations || ports.RoundsSkipped != ref.RoundsSkipped) {
+				t.Fatalf("invocations %d, skipped rounds %d; sequential engine %d, %d",
+					ports.Invocations, ports.RoundsSkipped, ref.Invocations, ref.RoundsSkipped)
+			}
+		})
+	}
+}
+
+// portSender makes one send on the given port during Init: a SendPort, or
+// with flood a SendPorts over port 0 and then port.
+type portSender struct {
+	port  int
+	flood bool
+}
 
 func (p *portSender) Init(ctx *Context) {
+	if p.flood {
+		ctx.SendPorts([]int32{0, int32(p.port)}, -1, wire.Msg(wire.KindBroadcast, 0))
+		return
+	}
 	ctx.SendPort(p.port, wire.Msg(wire.KindBroadcast, 0))
 }
 func (p *portSender) Round(ctx *Context, inbox []Envelope) { ctx.Halt() }
 
 // TestSendPortOutOfRangeFails: a port outside [0, Degree()) is a send to a
 // non-neighbor — the run aborts after the round with ErrNotNeighbor, and the
-// valid sends of the same round are never delivered.
+// valid sends of the same round are never delivered. SendPorts reports a
+// bad port in its list with SendPort's text.
 func TestSendPortOutOfRangeFails(t *testing.T) {
 	g := graph.Path(3) // node 1 has ports 0 (node 0) and 1 (node 2)
-	for _, port := range []int{-1, 2} {
-		t.Run(fmt.Sprintf("port=%d", port), func(t *testing.T) {
-			nodes := []Node{&portSender{port: 0}, &portSender{port: port}, &portSender{port: 0}}
+	for _, tc := range []struct {
+		name  string
+		port  int
+		flood bool
+	}{
+		{"port=-1", -1, false},
+		{"port=2", 2, false},
+		{"SendPorts/port=-1", -1, true},
+		{"SendPorts/port=2", 2, true},
+	} {
+		port := tc.port
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := []Node{&portSender{port: 0}, &portSender{port: port, flood: tc.flood}, &portSender{port: 0}}
 			net, err := NewNetwork(g, nodes, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -271,8 +466,8 @@ func TestSendPortOutOfRangeFails(t *testing.T) {
 	}
 }
 
-// BenchmarkSend compares the per-send cost of Send and SendPort on one
-// degree-200 fan-out: an op is one send on every incident edge.
+// BenchmarkSend compares the per-send cost of Send, SendPort and SendPorts
+// on one degree-200 fan-out: an op is one send on every incident edge.
 func BenchmarkSend(b *testing.B) {
 	const deg = 200
 	bld := graph.NewBuilder(deg + 1)
@@ -284,17 +479,18 @@ func BenchmarkSend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := &Context{sh: net.shard, id: 0, outbox: make([]Routed, 0, deg)}
+	net.shard.Begin(1)
+	ctx := net.shard.ctxs[0]
 	m := wire.Msg(wire.KindBroadcast, 1)
 	perSend := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*deg), "ns/send")
-		if ctx.err != nil || len(ctx.outbox) != deg {
-			b.Fatalf("fan-out queued %d of %d sends: %v", len(ctx.outbox), deg, ctx.err)
+		if ctx.err != nil || len(ctx.ids) != deg {
+			b.Fatalf("fan-out queued %d of %d sends: %v", len(ctx.ids), deg, ctx.err)
 		}
 	}
 	b.Run("Send", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ctx.outbox = ctx.outbox[:0]
+			ctx.reset(0)
 			for _, nb := range ctx.Neighbors() {
 				ctx.Send(nb, m)
 			}
@@ -303,10 +499,17 @@ func BenchmarkSend(b *testing.B) {
 	})
 	b.Run("SendPort", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ctx.outbox = ctx.outbox[:0]
+			ctx.reset(0)
 			for port := range ctx.Degree() {
 				ctx.SendPort(port, m)
 			}
+		}
+		perSend(b)
+	})
+	b.Run("SendPorts", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ctx.reset(0)
+			ctx.SendPorts(ctx.AllPorts(), -1, m)
 		}
 		perSend(b)
 	})

@@ -11,11 +11,16 @@ import (
 	"dhc/internal/wire"
 )
 
-// Routed is one routed message with explicit endpoints: the unit a node's
-// outbox holds and the distributed engine moves between shards.
-type Routed struct {
-	From, To graph.NodeID
-	Msg      wire.Message
+// Record is one outbox entry: a message from one sender to receivers To,
+// in send order. It is the unit a node's outbox holds, Step moves and the
+// distributed engine carries between shards; delivery expands it to one
+// metered message per receiver. To is a view into an arena owned by the
+// producer (the sender's Context, the shard's split arena, or a decoder),
+// valid until that producer's next Step or decode.
+type Record struct {
+	From graph.NodeID
+	Msg  wire.Message
+	To   []graph.NodeID
 }
 
 // StepReport is a shard's post-step summary, the input for global liveness
@@ -86,7 +91,12 @@ type Shard struct {
 	inActive  []bool
 	sched     scheduler
 	counters  *metrics.Counters // full-length; only [lo,hi) per-node entries used
-	out       []Routed
+	out       []Record
+	// ports is the shared [0, max local degree) list Context.AllPorts views.
+	ports []int32
+	// splitLocal/splitCross hold, for one round, the receivers of the
+	// records Step splits into a local and a cross part.
+	splitLocal, splitCross []graph.NodeID
 	// Bandwidth accounting scratch, indexed by local receiver: bwBits[v]
 	// accumulates the bits the current sender pushed to v this round, valid
 	// while bwStamp[v] equals the current sender generation. Generations
@@ -99,10 +109,11 @@ type Shard struct {
 	// localPending holds this round's src/dst-local messages between Step
 	// (which retains them) and Deliver (which splices them back into the
 	// global sender order); newlyHalted is the reused StepReport buffer.
-	localPending []Routed
+	localPending []Record
 	newlyHalted  []int32
-	// localRouted/crossRouted are cumulative message counts by routing
-	// class, the shard's half of the ShardStats local-vs-cross split.
+	// localRouted/crossRouted are cumulative per-edge message counts by
+	// routing class, the shard's half of the ShardStats local-vs-cross
+	// split.
 	localRouted int64
 	crossRouted int64
 }
@@ -150,11 +161,11 @@ func newShard(g *graph.Graph, local []Node, opts Options, lo, hi int) *Shard {
 
 // Begin readies the shard for a run: it clears what a previous run left
 // (halts, inboxes, the wake schedule, retained messages), starts fresh
-// counters, and derives the local nodes' RNG streams from seed. SplitInto
-// never advances the root source, so a shard deriving only its own range
-// produces the same streams a whole-network shard derives for it. Every
-// backing array is kept, so a rerun allocates nothing up front but its
-// counters.
+// counters, sizes the AllPorts list for the bound graph, and derives the
+// local nodes' RNG streams from seed. SplitInto never advances the root
+// source, so a shard deriving only its own range produces the same streams
+// a whole-network shard derives for it. Every backing array is kept, so a
+// rerun allocates nothing up front but its counters.
 func (s *Shard) Begin(seed uint64) {
 	root := rng.New(seed)
 	for v, ctx := range s.ctxs {
@@ -163,6 +174,13 @@ func (s *Shard) Begin(seed uint64) {
 		root.SplitInto(ctx.rng, uint64(s.lo+v))
 	}
 	s.live = len(s.ctxs)
+	maxDeg := 0
+	for v := s.lo; v < s.hi; v++ {
+		maxDeg = max(maxDeg, s.g.Degree(graph.NodeID(v)))
+	}
+	for p := len(s.ports); p < maxDeg; p++ {
+		s.ports = append(s.ports, int32(p))
+	}
 	s.msgActive, s.localPending = s.msgActive[:0], s.localPending[:0]
 	s.sched.reset()
 	s.counters = metrics.NewCounters(s.g.N())
@@ -187,12 +205,14 @@ func (s *Shard) Hi() int { return s.hi }
 func (s *Shard) Counters() *metrics.Counters { return s.counters }
 
 // Step executes round `round` (Init when isInit) for the shard's nodes and
-// returns the cross-shard outbound messages in sender-ascending order;
-// messages whose destination is also in [Lo, Hi) are retained for the next
-// Deliver instead of being shipped. The Init round and Options.DenseSweep
-// invoke every live node; other rounds invoke the nodes with deliveries or
-// a due wake-up. The returned slice is reused by the next Step.
-func (s *Shard) Step(round int64, isInit bool) ([]Routed, StepReport, error) {
+// returns the cross-shard outbound records in sender-ascending order;
+// receivers that are also in [Lo, Hi) are retained for the next Deliver
+// instead of being shipped (a record with receivers on both sides is split
+// into a local and a cross record, each keeping its receivers' send
+// order). The Init round and Options.DenseSweep invoke every live node;
+// other rounds invoke the nodes with deliveries or a due wake-up. The
+// returned slice is reused by the next Step.
+func (s *Shard) Step(round int64, isInit bool) ([]Record, StepReport, error) {
 	active := s.active[:0]
 	if isInit || s.opts.DenseSweep {
 		for v := range s.nodes {
@@ -229,6 +249,7 @@ func (s *Shard) Step(round int64, isInit bool) ([]Routed, StepReport, error) {
 	// sender-ascending whole.
 	out := s.out[:0]
 	local := s.localPending[:0]
+	s.splitLocal, s.splitCross = s.splitLocal[:0], s.splitCross[:0]
 	nh := s.newlyHalted[:0]
 	eventDriven := !s.opts.DenseSweep
 	whole := s.hi-s.lo == s.g.N() // every target is local
@@ -257,31 +278,58 @@ func (s *Shard) Step(round int64, isInit bool) ([]Routed, StepReport, error) {
 		}
 		if whole {
 			local = append(local, ctx.outbox...)
-		} else {
 			for i := range ctx.outbox {
-				if rm := &ctx.outbox[i]; int(rm.To) >= s.lo && int(rm.To) < s.hi {
-					local = append(local, *rm)
-				} else {
-					out = append(out, *rm)
-				}
+				s.localRouted += int64(len(ctx.outbox[i].To))
 			}
+			continue
+		}
+		for i := range ctx.outbox {
+			local, out = s.route(&ctx.outbox[i], local, out)
 		}
 	}
 	s.out, s.localPending, s.newlyHalted = out, local, nh
-	s.localRouted += int64(len(local))
-	s.crossRouted += int64(len(out))
 	rep.Live = s.live
 	rep.NewlyHalted = nh
 	// Halts are final for the round here, so whether a retained local
 	// message will activate its destination is already decided.
-	for i := range local {
-		if !s.halted[int(local[i].To)-s.lo] {
-			rep.LocalActive = true
-			break
+	for i := 0; i < len(local) && !rep.LocalActive; i++ {
+		for _, to := range local[i].To {
+			if !s.halted[int(to)-s.lo] {
+				rep.LocalActive = true
+				break
+			}
 		}
 	}
 	rep.EarliestWake, rep.WakeOK = s.sched.earliestWake(s.halted)
 	return out, rep, nil
+}
+
+// route appends r to local when every receiver is in [Lo, Hi), to out when
+// none is, and otherwise splits it into a local and a cross record, whose
+// receivers it copies, each part in send order, into splitLocal and
+// splitCross. It counts r's edges by routing class.
+func (s *Shard) route(r *Record, local, out []Record) ([]Record, []Record) {
+	l0, c0 := len(s.splitLocal), len(s.splitCross)
+	for _, to := range r.To {
+		if uint(int(to)-s.lo) < uint(s.hi-s.lo) {
+			s.splitLocal = append(s.splitLocal, to)
+		} else {
+			s.splitCross = append(s.splitCross, to)
+		}
+	}
+	in := len(s.splitLocal) - l0
+	s.localRouted += int64(in)
+	s.crossRouted += int64(len(r.To) - in)
+	switch in {
+	case len(r.To):
+		s.splitLocal = s.splitLocal[:l0]
+		return append(local, *r), out
+	case 0:
+		s.splitCross = s.splitCross[:c0]
+		return local, append(out, *r)
+	}
+	local = append(local, Record{From: r.From, Msg: r.Msg, To: s.splitLocal[l0:len(s.splitLocal):len(s.splitLocal)]})
+	return local, append(out, Record{From: r.From, Msg: r.Msg, To: s.splitCross[c0:len(s.splitCross):len(s.splitCross)]})
 }
 
 // invoke runs the active nodes' Init or Round calls, on a pool of
@@ -328,66 +376,88 @@ func (s *Shard) invokeOne(v int32, round int64, isInit bool) {
 	s.inboxes[v] = inbox[:0]
 }
 
-// Deliver routes this round's inbound messages into next-round inbox
-// buckets: each message passes through FaultHook, then is metered against
-// the per-edge bandwidth and bucketed. inbound must be the concatenation of
-// the OTHER shards' cross-shard messages destined here, in shard order; the
-// messages Step retained locally are spliced back in at their sender
-// position (inbound senders below Lo, then local, then the rest), which
-// reconstructs the global sender-ascending order — runs of equal From stay
-// contiguous, so each run is one bandwidth generation exactly as a
-// whole-network shard sees it. It performs no comparison sort and, at
-// steady state, no allocations.
-func (s *Shard) Deliver(round int64, inbound []Routed) error {
+// Deliver routes this round's inbound records into next-round inbox
+// buckets, expanding each record edge by edge in send order: each message
+// passes through FaultHook, then is metered against the per-edge bandwidth
+// and bucketed. inbound must be the concatenation of the OTHER shards'
+// cross-shard records destined here, in shard order; the records Step
+// retained locally are spliced back in at their sender position (inbound
+// senders below Lo, then local, then the rest), which reconstructs the
+// global sender-ascending order — runs of equal From stay contiguous, so
+// each run is one bandwidth generation exactly as a whole-network shard
+// sees it. It performs no comparison sort and, at steady state, no
+// allocations.
+func (s *Shard) Deliver(round int64, inbound []Record) error {
 	below := 0
 	for below < len(inbound) && int(inbound[below].From) < s.lo {
 		below++
 	}
 	curFrom := graph.NodeID(-1)
-	for _, part := range [...][]Routed{inbound[:below], s.localPending, inbound[below:]} {
+	for _, part := range [...][]Record{inbound[:below], s.localPending, inbound[below:]} {
 		for i := range part {
-			rm := &part[i]
-			lv := int(rm.To) - s.lo
-			if lv < 0 || lv >= len(s.halted) {
-				return fmt.Errorf("congest: shard [%d,%d) received message for node %d", s.lo, s.hi, rm.To)
-			}
-			if hook := s.opts.FaultHook; hook != nil {
-				msg, deliverIt := hook(round, rm.From, rm.To, rm.Msg)
-				if !deliverIt {
-					continue
-				}
-				hooked := Routed{From: rm.From, To: rm.To, Msg: msg}
-				rm = &hooked
-			}
-			sz := s.codec.Bits(rm.Msg)
-			if rm.From != curFrom {
-				curFrom = rm.From
+			r := &part[i]
+			if r.From != curFrom {
+				curFrom = r.From
 				s.bwGen++
 			}
-			if s.bwStamp[lv] != s.bwGen {
-				s.bwStamp[lv] = s.bwGen
-				s.bwBits[lv] = 0
+			if err := s.deliverRecord(round, r); err != nil {
+				return err
 			}
-			s.bwBits[lv] += sz
-			if s.bwBits[lv] > s.opts.BandwidthBits {
-				return fmt.Errorf("%w: edge %d->%d carried %d bits in round %d (budget %d)",
-					ErrBandwidth, rm.From, rm.To, s.bwBits[lv], round, s.opts.BandwidthBits)
-			}
-			s.counters.AddMessage(sz)
-			if s.halted[lv] {
-				continue // metered, but a halted node consumes nothing
-			}
-			if len(s.inboxes[lv]) == 0 {
-				s.msgActive = append(s.msgActive, int32(lv))
-			}
-			s.inboxes[lv] = append(s.inboxes[lv], Envelope{From: rm.From, Msg: rm.Msg})
 		}
 	}
 	s.localPending = s.localPending[:0]
 	return nil
 }
 
-// RoutedSplit returns the shard's cumulative message counts by routing
-// class: messages retained and delivered locally versus messages shipped
-// through the coordinator.
+// deliverRecord expands one record. Its message size is computed once; with
+// a FaultHook set, each edge's hooked copy is sized and metered on its own.
+func (s *Shard) deliverRecord(round int64, r *Record) error {
+	hook := s.opts.FaultHook
+	sz := s.codec.Bits(r.Msg)
+	env := Envelope{From: r.From, Msg: r.Msg}
+	gen, budget := s.bwGen, s.opts.BandwidthBits
+	stamp, used, halted, inboxes := s.bwStamp, s.bwBits, s.halted, s.inboxes
+	metered := int64(0) // hook-free messages metered so far, added in bulk
+	for _, to := range r.To {
+		lv := int(to) - s.lo
+		if uint(lv) >= uint(len(halted)) {
+			s.counters.AddMessages(metered, sz)
+			return fmt.Errorf("congest: shard [%d,%d) received message for node %d", s.lo, s.hi, to)
+		}
+		e, bits := env, sz
+		if hook != nil {
+			var deliverIt bool
+			if e.Msg, deliverIt = hook(round, r.From, to, r.Msg); !deliverIt {
+				continue
+			}
+			bits = s.codec.Bits(e.Msg)
+		}
+		if stamp[lv] != gen {
+			stamp[lv], used[lv] = gen, 0
+		}
+		if used[lv] += bits; used[lv] > budget {
+			s.counters.AddMessages(metered, sz)
+			return fmt.Errorf("%w: edge %d->%d carried %d bits in round %d (budget %d)",
+				ErrBandwidth, r.From, to, used[lv], round, budget)
+		}
+		if hook != nil {
+			s.counters.AddMessage(bits)
+		} else {
+			metered++
+		}
+		if halted[lv] {
+			continue // metered, but a halted node consumes nothing
+		}
+		if len(inboxes[lv]) == 0 {
+			s.msgActive = append(s.msgActive, int32(lv))
+		}
+		inboxes[lv] = append(inboxes[lv], e)
+	}
+	s.counters.AddMessages(metered, sz)
+	return nil
+}
+
+// RoutedSplit returns the shard's cumulative per-edge message counts by
+// routing class: messages retained and delivered locally versus messages
+// shipped through the coordinator.
 func (s *Shard) RoutedSplit() (local, cross int64) { return s.localRouted, s.crossRouted }

@@ -169,9 +169,7 @@ func (h *hyperPhase) tick(ctx *congest.Context, inbox []congest.Envelope, isLead
 	if round == h.announceAt() && h.rSeen {
 		h.decidePorts()
 		if h.isUPort || h.isVPort {
-			for port := range ctx.Degree() {
-				ctx.SendPort(port, wire.Msg(wire.KindPort, h.color))
-			}
+			ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindPort, h.color))
 			// The initial head is hypernode color 0, forward orientation.
 			if h.color == 0 {
 				h.hypIdx = 1
@@ -278,12 +276,7 @@ func (h *hyperPhase) absorbFloods(ctx *congest.Context, inbox []congest.Envelope
 func (h *hyperPhase) absorbChoice(ctx *congest.Context, r int32, from graph.NodeID, scopePorts []int32) {
 	h.rSeen = true
 	h.chosenR = r
-	nbrs := ctx.Neighbors()
-	for _, port := range scopePorts {
-		if nbrs[port] != from {
-			ctx.SendPort(int(port), wire.Msg(wire.KindSizeAnnounce, r, tagPhase2DRA))
-		}
-	}
+	ctx.SendPorts(scopePorts, from, wire.Msg(wire.KindSizeAnnounce, r, tagPhase2DRA))
 }
 
 // decidePorts resolves whether this node is u_i (position r) or v_i (its

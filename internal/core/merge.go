@@ -35,9 +35,9 @@ type mergePhase struct {
 	nbColor map[graph.NodeID]int32
 	// scopePorts/partnerPorts cache the same-color and partner-color
 	// neighbors as ascending ports for this level, rebuilt from the level's
-	// color exchange so the flood hot paths iterate flat slices and send
-	// with SendPort instead of filtering every neighbor through a map
-	// lookup. The embedder carries both buffers across sessions.
+	// color exchange so the flood hot paths hand flat slices to SendPorts
+	// instead of filtering every neighbor through a map lookup. The
+	// embedder carries both buffers across sessions.
 	scopePorts   []int32
 	partnerPorts []int32
 	succ         graph.NodeID
@@ -204,9 +204,7 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	off := ctx.Round() - m.levelStart
 	switch {
 	case off == 0:
-		for port := range ctx.Degree() {
-			ctx.SendPort(port, wire.Msg(wire.KindColor, m.color))
-		}
+		ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindColor, m.color))
 	case off == 1:
 		for _, env := range inbox {
 			if env.Msg.Kind == wire.KindColor {
@@ -223,9 +221,7 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 		if m.alive && m.activeThisLevel() {
 			// Algorithm 3 line 7: announce the cycle edge (v, succ(v))
 			// to every partner-colored neighbor.
-			for _, port := range m.partnerPorts {
-				ctx.SendPort(int(port), wire.Msg(wire.KindVerify, int32(m.succ)))
-			}
+			ctx.SendPorts(m.partnerPorts, -1, wire.Msg(wire.KindVerify, int32(m.succ)))
 		}
 	case off == 2:
 		m.handleProbes(ctx, inbox)
@@ -484,11 +480,5 @@ func (m *mergePhase) applyReverse(ctx *congest.Context, msg wire.Message) {
 }
 
 func (m *mergePhase) floodScope(ctx *congest.Context, msg wire.Message, except graph.NodeID) {
-	nbrs := ctx.Neighbors()
-	for _, port := range m.scopePorts {
-		if nbrs[port] == except {
-			continue
-		}
-		ctx.SendPort(int(port), msg)
-	}
+	ctx.SendPorts(m.scopePorts, except, msg)
 }

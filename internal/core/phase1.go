@@ -64,10 +64,10 @@ type phase1 struct {
 	color   int32
 	nbColor map[graph.NodeID]int32
 	// scopePorts caches the in-scope (same-color) neighbors as ascending
-	// ports once colors are known; every scoped flood iterates it and sends
-	// with SendPort instead of filtering the full neighbor list through a
-	// map lookup and searching for each target. The embedder carries the
-	// buffer across sessions.
+	// ports once colors are known; every scoped flood is one SendPorts call
+	// over it instead of filtering the full neighbor list through a map
+	// lookup and searching for each target. The embedder carries the buffer
+	// across sessions.
 	scopePorts []int32
 
 	electBest graph.NodeID
@@ -112,9 +112,7 @@ func (p *phase1) init(ctx *congest.Context) {
 	p.color = int32(ctx.Rand().Intn(int(p.cfg.NumColors)))
 	p.nbColor = make(map[graph.NodeID]int32, ctx.Degree())
 	p.electBest = ctx.ID()
-	for port := range ctx.Degree() {
-		ctx.SendPort(port, wire.Msg(wire.KindColor, p.color))
-	}
+	ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindColor, p.color))
 	p.globalBFS = proto.NewBFSState(0)
 	p.globalBFS.Tag = tagGlobalTree
 	p.globalBFS.Start(ctx)
@@ -284,9 +282,7 @@ func (p *phase1) newDRAState(ctx *congest.Context, startRound int64) *dra.State 
 }
 
 func (p *phase1) sendCandidates(ctx *congest.Context) {
-	for _, port := range p.scopePorts {
-		ctx.SendPort(int(port), wire.Msg(wire.KindCandidate, int32(p.electBest)))
-	}
+	ctx.SendPorts(p.scopePorts, -1, wire.Msg(wire.KindCandidate, int32(p.electBest)))
 }
 
 func (p *phase1) absorbCandidates(ctx *congest.Context, inbox []congest.Envelope) {

@@ -75,11 +75,13 @@ type ShardStat struct {
 	// Both are metered identically in the run's Counters.
 	LocalMsgs int64 `json:"local_msgs"`
 	CrossMsgs int64 `json:"cross_msgs"`
-	// BatchBytesFixed/BatchBytesDelta compare batch encodings for the
-	// coordinator->worker deliver payloads: what the fixed-width reference
-	// encoding (a u32 count, then 10 bytes plus 4 per argument a record)
-	// would have cost versus the relayed per-destination sections, section
-	// headers included, actually put on the wire.
+	// BatchBytesFixed/BatchBytesDelta compare encodings of the
+	// coordinator->worker deliver payloads. BatchBytesFixed is what the
+	// per-edge fixed-width reference encoding (a u32 count, then 10 bytes
+	// plus 4 per argument for every edge's message) would have cost;
+	// BatchBytesDelta is what the relayed per-destination record sections,
+	// headers included, actually put on the wire, each flood carried once
+	// per destination shard with its receivers delta-coded.
 	BatchBytesFixed int64 `json:"batch_bytes_fixed"`
 	BatchBytesDelta int64 `json:"batch_bytes_delta"`
 }

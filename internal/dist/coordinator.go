@@ -301,11 +301,11 @@ func (c *coordinator) Fuse(deliverRound, stepRound int64, isInit bool) (congest.
 	for _, src := range c.links {
 		for dst := range src.out {
 			sec := &src.out[dst]
-			src.crossMsgs += int64(sec.count)
+			src.crossMsgs += int64(sec.edges)
 			if act.Messages {
 				continue
 			}
-			live, err := sec.liveTarget(c.halted)
+			live, err := sec.liveTarget(c.halted, c.links[dst].lo)
 			if err != nil {
 				return act, src.down("fuse reply", err)
 			}
@@ -317,9 +317,10 @@ func (c *coordinator) Fuse(deliverRound, stepRound int64, isInit bool) (congest.
 
 // relay appends dst's inbound sections — every other shard's section for
 // dst from the last replies, in source-shard order — to dst's frame, and
-// accounts them under both encodings.
+// accounts them: the record sections' bytes, and what the same messages
+// would cost one edge at a time in the fixed-width reference encoding.
 func (c *coordinator) relay(dst *link) {
-	fixed := int64(4) // the fixed-width reference batch's u32 count
+	fixed := int64(fixedCountLen)
 	for _, src := range c.links {
 		sec := &src.out[dst.shard]
 		dst.enc.b = append(dst.enc.b, sec.raw...)

@@ -64,7 +64,7 @@ type fuseRes struct {
 	msg         string
 	live        uint32
 	halted      []uint32 // newly halted nodes, local indices
-	out         []congest.Routed
+	out         []congest.Record
 	sections    []byte
 }
 
@@ -172,10 +172,13 @@ func TestFuseHaltedTargetsStayQuiet(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			coord, workers := pipeCoordinator(t, 20, 2)
-			var out []congest.Routed
+			// One record per target, then the same targets as one record:
+			// the scan reads on across receivers and records alike.
+			var out []congest.Record
 			for i, to := range tc.to {
-				out = append(out, congest.Routed{From: graph.NodeID(10 + i), To: to, Msg: tok})
+				out = append(out, congest.Record{From: graph.NodeID(10 + i), Msg: tok, To: []graph.NodeID{to}})
 			}
+			out = append(out, congest.Record{From: 19, Msg: tok, To: tc.to})
 			replies := [][]byte{
 				fuseReply(20, 2, 0, fuseRes{live: 8, halted: []uint32{3, 4}}),
 				fuseReply(20, 2, 1, fuseRes{live: 10, out: out}),
@@ -190,8 +193,8 @@ func TestFuseHaltedTargetsStayQuiet(t *testing.T) {
 			if act.Messages != tc.wantActive {
 				t.Fatalf("act.Messages = %v, want %v", act.Messages, tc.wantActive)
 			}
-			if got := coord.links[1].crossMsgs; got != int64(len(out)) {
-				t.Fatalf("shard 1 crossMsgs = %d, want %d", got, len(out))
+			if got := coord.links[1].crossMsgs; got != int64(2*len(tc.to)) {
+				t.Fatalf("shard 1 crossMsgs = %d, want %d", got, 2*len(tc.to))
 			}
 		})
 	}
@@ -206,15 +209,17 @@ func TestFuseHaltedTargetsStayQuiet(t *testing.T) {
 func TestFuseCorruptSectionIsShardDown(t *testing.T) {
 	const n, k, timeout = 20, 2, 5 * time.Second
 	// Shard 1's only section goes to shard 0; each body is one record from
-	// vertex 10 whose target is live, so the coordinator's scan stops there.
+	// vertex 10 whose first receiver is live, so the coordinator's scan
+	// stops there.
 	cases := []struct {
 		name    string
 		section []byte
 	}{
-		// count 1, sender delta 10, target 0, kind 0xEE, no args.
-		{"unknown-kind", rawSection(10, []byte{1, 10, 0, 0xEE, 0})},
-		// count 1, sender delta 10, target 15 (shard 1's own range), one arg.
-		{"target-outside-receiver", rawSection(14, []byte{1, 10, 15, byte(wire.KindToken), 1, 2})},
+		// count 1, sender delta 10, kind 0xEE, no args, one receiver: 0.
+		{"unknown-kind", rawSection(10, 1, []byte{1, 10, 0xEE, 0, 1, 0})},
+		// count 1, sender delta 10, one arg, receivers 0 (live) and 15
+		// (shard 1's own range).
+		{"target-outside-receiver", rawSection(28, 2, []byte{1, 10, byte(wire.KindToken), 1, 2, 2, 0, 30})},
 	}
 	baseline := runtime.NumGoroutine()
 	for _, tc := range cases {

@@ -34,23 +34,29 @@
 // runs a dedicated I/O goroutine, so fan-out and reply collection overlap
 // across shards; replies are aggregated in shard order for determinism.
 //
-// Each cross-shard message is encoded once, by its sender, and decoded
-// once, by its receiver. A worker splits its sender-ascending cross outbox
-// into K-1 per-destination sections (destinations ascending, partition
-// lo(i) = i*n/K), each a small header — the records' fixed-width cost, and
-// the body length — followed by a delta-varint batch: From is delta-coded
-// and ids/args are varint-coded, well below the fixed-width reference
-// encoding the codec tests keep as their oracle. The coordinator never
-// materialises message bodies: it relays each section as opaque bytes into
-// its destination's next FUSE/FINISH frame in source-shard order, takes
-// cross-shard message counts from each section's record count, and decides message
-// activity by decoding only up to the first record whose target is not
-// halted (reading on only while every target so far is halted). The
-// receiver decodes its K-1 sections back to back into exactly the global
-// sender-ascending inbound order, validating every record — kind, arg
-// count, argument range, endpoints, and that the target is its own — so a
-// corrupt section is caught by the shard that receives it, which drops its
-// connection and surfaces as ErrShardDown.
+// Cross-shard traffic moves as records, not per-edge messages: a record is
+// one sender's message with its list of receivers (a flood over a scope is
+// one record), and it is encoded once per destination shard, by its
+// sender, and decoded once, by its receiver. A worker splits its
+// sender-ascending cross outbox into K-1 per-destination sections
+// (destinations ascending, partition lo(i) = i*n/K). Each section carries
+// every record that reaches that shard once — the sender as a delta, the
+// message, then only that shard's receivers, in send order, as zigzag id
+// deltas — behind a small header: the messages' per-edge fixed-width cost,
+// their per-edge count, and the body length. Receivers are vertex ids
+// rather than the sender's ports because the coordinator holds no graph
+// and must read targets. The coordinator never materialises message
+// bodies: it relays each section as opaque bytes into its destination's
+// next FUSE/FINISH frame in source-shard order, takes cross-shard message
+// counts from the headers, and decides message activity by decoding only
+// up to the first receiver that is not halted (reading on only while every
+// receiver so far is halted). The receiver decodes its K-1 sections back to
+// back into exactly the global sender-ascending inbound record order,
+// validating every record — kind, arg count, argument range, sender and
+// receiver ranges, receiver count, and the header's counts — so a corrupt
+// section is caught by the shard that receives it, which drops its
+// connection and surfaces as ErrShardDown. Delivery then expands each
+// record edge by edge, so metering is per edge exactly as in process.
 //
 // Differential tests solve the same instances in process and distributed
 // and assert byte-identical results and counters; the golden fixtures in
@@ -66,6 +72,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 	"time"
 
 	"dhc/internal/congest"
@@ -362,129 +369,41 @@ func (d *dec) varint() int64 {
 	return v
 }
 
-// appendBatchDelta appends a batch in the delta-varint wire form: a uvarint
-// count, then per record a uvarint From delta (From minus the previous
-// record's From; the implicit predecessor is 0), a uvarint To, the kind and
-// arg-count bytes, and each argument as a zigzag varint. batch must be
-// sender-ascending (non-decreasing From), which a Shard.Step outbox, and so
-// each of its per-destination buckets, guarantees; the encoding exploits it
-// so runs of one sender cost a single delta byte each.
-func appendBatchDelta(dst []byte, batch []congest.Routed) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(batch)))
-	prev := uint64(0)
-	for i := range batch {
-		dst = appendRecordDelta(dst, &batch[i], prev)
-		prev = uint64(uint32(batch[i].From))
-	}
-	return dst
-}
-
-// appendRecordDelta appends one appendBatchDelta record whose predecessor's
-// sender is prev.
-func appendRecordDelta(dst []byte, r *congest.Routed, prev uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(uint32(r.From))-prev)
-	dst = binary.AppendUvarint(dst, uint64(uint32(r.To)))
-	dst = append(dst, byte(r.Msg.Kind), r.Msg.NArgs)
-	for j := 0; j < int(r.Msg.NArgs); j++ {
-		dst = binary.AppendVarint(dst, int64(r.Msg.Args[j]))
-	}
-	return dst
-}
-
-// decodeBatchDelta parses an appendBatchDelta batch and appends its records
-// to dst, validating every kind, arg count, argument range and endpoint.
-// From is reconstructed by prefix sum (an overflowing delta is rejected), so
-// the appended records are sender-ascending by construction. Any strict
-// prefix of a valid encoding fails: a truncated varint keeps its
-// continuation bit, and a truncated record runs out of payload before the
-// count is satisfied.
-func decodeBatchDelta(d *dec, n int, dst []congest.Routed) ([]congest.Routed, error) {
-	count := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
-	// Each record is at least 1+1+1+1 bytes (delta, to, kind, nargs); a
-	// count beyond that bound is a corrupt frame, rejected before any
-	// allocation proportional to it.
-	if count*4 > uint64(len(d.b)) {
-		return nil, fmt.Errorf("dist: batch count %d exceeds frame capacity", count)
-	}
-	// The record loop reads a local slice through the varint fast paths; d
-	// is only written back at the end (or poisoned on a short read).
-	b := d.b
-	from := uint64(0)
-	for i := uint64(0); i < count; i++ {
-		delta, k1 := uvarintAt(b)
-		if k1 <= 0 {
-			return nil, d.truncated()
-		}
-		to, k2 := uvarintAt(b[k1:])
-		if k2 <= 0 || len(b) < k1+k2+2 {
-			return nil, d.truncated()
-		}
-		kind, nargs := wire.Kind(b[k1+k2]), b[k1+k2+1]
-		b = b[k1+k2+2:]
-		if !kind.Valid() {
-			return nil, fmt.Errorf("dist: unknown kind %d", kind)
-		}
-		if int(nargs) > len(wire.Message{}.Args) {
-			return nil, fmt.Errorf("dist: corrupt message record (nargs %d)", nargs)
-		}
-		from += delta
-		if from < delta || from >= uint64(n) || to >= uint64(n) {
-			return nil, fmt.Errorf("dist: message endpoints %d->%d outside %d-vertex graph", from, to, n)
-		}
-		// Decode in place: growing dst by one record and filling it avoids
-		// building the record on the stack and copying it in.
-		if len(dst) == cap(dst) {
-			dst = append(dst, congest.Routed{})
-		} else {
-			dst = dst[:len(dst)+1]
-		}
-		r := &dst[len(dst)-1]
-		r.From, r.To = graph.NodeID(from), graph.NodeID(to)
-		r.Msg = wire.Message{Kind: kind, NArgs: nargs}
-		for j := 0; j < int(nargs); j++ {
-			a, k := varintAt(b)
-			if k <= 0 {
-				return nil, d.truncated()
-			}
-			b = b[k:]
-			if a < math.MinInt32 || a > math.MaxInt32 {
-				return nil, fmt.Errorf("dist: message arg %d outside int32 range", a)
-			}
-			r.Msg.Args[j] = int32(a)
-		}
-	}
-	d.b = b
-	return dst, nil
-}
-
 // fixedCountLen is the size of the fixed-width reference encoding's u32
 // record count.
 const fixedCountLen = 4
 
-// fixedRecordLen is one record's size in the fixed-width reference encoding:
-// a u32 sender, a u32 receiver, kind and arg-count bytes, and 4-byte args.
-func fixedRecordLen(r *congest.Routed) int64 { return 10 + 4*int64(r.Msg.NArgs) }
+// fixedRecordLen is the size of one per-edge message carrying m in the
+// fixed-width reference encoding: a u32 sender, a u32 receiver, kind and
+// arg-count bytes, and 4-byte args. ShardStats.BatchBytesFixed sums it over
+// every relayed edge.
+func fixedRecordLen(m wire.Message) uint64 { return 10 + 4*uint64(m.NArgs) }
 
-// fixedBatchLen returns the byte length of batch in the fixed-width
-// reference encoding, the baseline ShardStats.BatchBytesFixed reports.
-func fixedBatchLen(batch []congest.Routed) int64 {
-	n := int64(fixedCountLen)
-	for i := range batch {
-		n += fixedRecordLen(&batch[i])
-	}
-	return n
-}
-
-// Per-destination sections. A fused reply ends with the worker's cross
-// outbox split by destination shard into K-1 sections, one per other shard
-// in ascending order. A section starts with a uvarint header: the
-// fixed-width cost of its records (fixedBatchLen without the count), so
-// ShardStats can report the reference cost without decoding anything. A
-// zero cost marks an empty section, which ends there in one byte; otherwise
-// a uvarint body length and the body — an appendBatchDelta batch — follow.
+// Per-destination record sections. A fused reply ends with the worker's
+// cross outbox split by destination shard into K-1 sections, one per other
+// shard in ascending order. A section carries each outbox record once per
+// destination shard it reaches, with that shard's receivers only:
+//
+//	section := fixed                     (uvarint; 0 = empty, the section ends)
+//	           edges                     (uvarint: per-edge messages)
+//	           length body               (uvarint byte length, then the body)
+//	body    := count record...           (uvarint record count)
+//	record  := delta kind nargs arg...   (uvarint sender delta from the
+//	                                      previous record's sender, 0 first;
+//	                                      kind and arg-count bytes; zigzag
+//	                                      varint args)
+//	           rcount recv...            (uvarint receiver count >= 1, then
+//	                                      zigzag varint receiver deltas in
+//	                                      send order, the first from the
+//	                                      destination's lo, each next from
+//	                                      the previous receiver)
+//
+// fixed is what the section's messages would cost one edge at a time in the
+// fixed-width reference encoding (fixedRecordLen each) and edges is their
+// count, so the coordinator accounts ShardStats.CrossMsgs and
+// BatchBytesFixed from the header alone. Receivers travel as vertex ids,
+// not as the sender's ports: the coordinator holds no graph, and its
+// liveTarget scan must read targets.
 //
 // The coordinator relays sections as opaque bytes: it copies each one
 // verbatim into its destination's next FUSE/FINISH frame, in source-shard
@@ -501,36 +420,81 @@ func shardOf(v, n, k int) int { return int((int64(v+1)*int64(k) - 1) / int64(n))
 type sectionWriter struct {
 	n, k, self int
 	bufs       []sectionBuf // indexed by destination shard
+	touched    []int        // destinations of the record being split
 }
 
 // sectionBuf accumulates one destination's section while an outbox is
 // split.
 type sectionBuf struct {
-	recs  []byte // appendBatchDelta records, without the count
-	count uint64
-	fixed int64  // the records' fixed-width cost
-	prev  uint64 // the last record's sender, for delta coding
+	recs         []byte // records, without the count
+	count, edges uint64
+	fixed        uint64 // the messages' fixed-width cost
+	prev         uint64 // the last record's sender, for delta coding
+	lo           int64  // the destination's first vertex
+	last         int64  // the previous receiver written, for delta coding
+	pending      uint64 // receivers here of the record being split
 }
 
 func newSectionWriter(n, k, self int) *sectionWriter {
 	return &sectionWriter{n: n, k: k, self: self, bufs: make([]sectionBuf, k)}
 }
 
+// appendMessage appends m's record form: kind and arg-count bytes, then
+// each argument as a zigzag varint.
+func appendMessage(dst []byte, m wire.Message) []byte {
+	dst = append(dst, byte(m.Kind), m.NArgs)
+	for j := 0; j < int(m.NArgs); j++ {
+		dst = binary.AppendVarint(dst, int64(m.Args[j]))
+	}
+	return dst
+}
+
 // appendSections appends out — a Shard.Step cross outbox: sender-ascending,
-// every target another shard's — to dst as K-1 per-destination sections. It
-// encodes each record once, straight into its destination's buffer, so the
-// split keeps each section sender-ascending as the delta body requires.
-func (w *sectionWriter) appendSections(dst []byte, out []congest.Routed) []byte {
+// every receiver another shard's — to dst as K-1 per-destination sections.
+// Each record is written once per destination it reaches, straight into
+// that destination's buffer, so each section stays sender-ascending as the
+// delta coding requires.
+func (w *sectionWriter) appendSections(dst []byte, out []congest.Record) []byte {
 	for s := range w.bufs {
-		w.bufs[s] = sectionBuf{recs: w.bufs[s].recs[:0]}
+		lo, _ := shardRange(w.n, w.k, s)
+		w.bufs[s] = sectionBuf{recs: w.bufs[s].recs[:0], lo: int64(lo)}
 	}
 	for i := range out {
 		r := &out[i]
-		b := &w.bufs[shardOf(int(r.To), w.n, w.k)]
-		b.recs = appendRecordDelta(b.recs, r, b.prev)
-		b.prev = uint64(uint32(r.From))
-		b.count++
-		b.fixed += fixedRecordLen(r)
+		touched := w.touched[:0]
+		for _, v := range r.To {
+			s := shardOf(int(v), w.n, w.k)
+			if w.bufs[s].pending == 0 {
+				touched = append(touched, s)
+			}
+			w.bufs[s].pending++
+		}
+		from := uint64(uint32(r.From))
+		for _, s := range touched {
+			b := &w.bufs[s]
+			b.recs = binary.AppendUvarint(b.recs, from-b.prev)
+			b.recs = appendMessage(b.recs, r.Msg)
+			b.recs = binary.AppendUvarint(b.recs, b.pending)
+			b.prev, b.last = from, b.lo
+			b.count++
+			b.edges += b.pending
+			b.fixed += b.pending * fixedRecordLen(r.Msg)
+			b.pending = 0
+		}
+		if len(touched) == 1 {
+			b := &w.bufs[touched[0]]
+			for _, v := range r.To {
+				b.recs = binary.AppendVarint(b.recs, int64(v)-b.last)
+				b.last = int64(v)
+			}
+		} else {
+			for _, v := range r.To {
+				b := &w.bufs[shardOf(int(v), w.n, w.k)]
+				b.recs = binary.AppendVarint(b.recs, int64(v)-b.last)
+				b.last = int64(v)
+			}
+		}
+		w.touched = touched
 	}
 	var count [binary.MaxVarintLen64]byte
 	for s := range w.bufs {
@@ -538,10 +502,11 @@ func (w *sectionWriter) appendSections(dst []byte, out []congest.Routed) []byte 
 			continue
 		}
 		b := &w.bufs[s]
-		dst = binary.AppendUvarint(dst, uint64(b.fixed))
+		dst = binary.AppendUvarint(dst, b.fixed)
 		if b.count == 0 {
 			continue
 		}
+		dst = binary.AppendUvarint(dst, b.edges)
 		c := binary.PutUvarint(count[:], b.count)
 		dst = binary.AppendUvarint(dst, uint64(c+len(b.recs)))
 		dst = append(dst, count[:c]...)
@@ -552,25 +517,21 @@ func (w *sectionWriter) appendSections(dst []byte, out []congest.Routed) []byte 
 
 // section is one per-destination section of a fused reply, as the
 // coordinator handles it: raw is the header and body to relay verbatim,
-// body the delta batch (nil when empty), fixed the header's fixed-width
-// cost and count the body's record count.
+// body the records (nil when empty), and fixed and edges the header's
+// fixed-width cost and per-edge message count.
 type section struct {
 	raw, body    []byte
-	fixed, count uint64
+	fixed, edges uint64
 }
 
-// readSection consumes one section, reading its header and record count but
-// none of its records. Errors are sticky in d.
+// readSection consumes one section, reading its header but none of its
+// records. Errors are sticky in d.
 func readSection(d *dec) section {
 	start := d.b
 	var s section
 	if s.fixed = d.uvarint(); s.fixed != 0 {
+		s.edges = d.uvarint()
 		s.body = d.uvarintPrefixed()
-		bd := dec{b: s.body}
-		s.count = bd.uvarint()
-		if d.err == nil {
-			d.err = bd.err
-		}
 	}
 	if d.err != nil {
 		return section{}
@@ -579,13 +540,14 @@ func readSection(d *dec) section {
 	return s
 }
 
-// liveTarget reports whether the section holds a message to a node that is
-// not halted. It decodes records only up to the first such message, so a
-// round with live traffic costs the coordinator one record per section at
-// most; only while every target so far is halted does it read on. Targets
-// are bounds-checked before they index halted. The records' full
-// validation is the receiving worker's (decodeSections).
-func (s section) liveTarget(halted []bool) (bool, error) {
+// liveTarget reports whether the section, bound for the shard whose range
+// starts at lo, holds a message to a node that is not halted. It decodes
+// receivers only up to the first such one, so a round with live traffic
+// costs the coordinator one record per section at most; only while every
+// receiver so far is halted does it read on. Receivers are bounds-checked
+// before they index halted. The records' full validation is the receiving
+// worker's (decodeSections).
+func (s section) liveTarget(halted []bool, lo int) (bool, error) {
 	if s.body == nil {
 		return false, nil
 	}
@@ -593,68 +555,142 @@ func (s section) liveTarget(halted []bool) (bool, error) {
 	count := d.uvarint()
 	for i := uint64(0); i < count && d.err == nil; i++ {
 		d.uvarint() // sender delta
-		to := d.uvarint()
-		if d.err != nil {
-			break
-		}
-		if to >= uint64(len(halted)) {
-			return false, fmt.Errorf("dist: message target %d outside %d-vertex graph", to, len(halted))
-		}
-		if !halted[to] {
-			return true, nil
-		}
-		d.u8() // kind
+		d.u8()      // kind
 		nargs := d.u8()
 		for j := 0; j < int(nargs); j++ {
 			d.varint()
+		}
+		rcount := d.uvarint()
+		to := int64(lo)
+		for j := uint64(0); j < rcount && d.err == nil; j++ {
+			if to += d.varint(); d.err != nil {
+				break
+			}
+			if to < 0 || to >= int64(len(halted)) {
+				return false, fmt.Errorf("dist: message target %d outside %d-vertex graph", to, len(halted))
+			}
+			if !halted[to] {
+				return true, nil
+			}
 		}
 	}
 	return false, d.err
 }
 
 // decodeSections decodes the K-1 sections a FUSE/FINISH frame relays to
-// shard self — one from every other shard, in ascending order — into dst
-// (reused): self's inbound batch, in global sender-ascending order. On top
-// of decodeBatchDelta's checks, every sender must lie in its source shard's
-// range and every target in self's, a body must end where its length says,
-// and a header's fixed-width cost must match its records.
-func decodeSections(d *dec, n, k, self int, dst []congest.Routed) ([]congest.Routed, error) {
-	dst = dst[:0]
-	rlo, rhi := shardRange(n, k, self)
-	for s := 0; s < k; s++ {
-		if s == self {
+// shard self — one from every other shard, in ascending order — into recs,
+// with the receivers in ids (both reused): self's inbound records, in
+// global sender-ascending order.
+func decodeSections(d *dec, n, k, self int, recs []congest.Record, ids []graph.NodeID) ([]congest.Record, []graph.NodeID, error) {
+	recs, ids = recs[:0], ids[:0]
+	for src := 0; src < k; src++ {
+		if src == self {
 			continue
 		}
-		fixed := d.uvarint()
-		if fixed == 0 {
-			if d.err != nil {
-				return nil, d.err
-			}
-			continue
-		}
-		body := dec{b: d.uvarintPrefixed()}
-		if d.err != nil {
-			return nil, d.err
-		}
-		start := len(dst)
 		var err error
-		if dst, err = decodeBatchDelta(&body, n, dst); err != nil {
-			return nil, err
-		}
-		if len(body.b) != 0 {
-			return nil, fmt.Errorf("dist: section from shard %d has %d trailing bytes", s, len(body.b))
-		}
-		slo, shi := shardRange(n, k, s)
-		for i := start; i < len(dst); i++ {
-			r := &dst[i]
-			if int(r.From) < slo || int(r.From) >= shi || int(r.To) < rlo || int(r.To) >= rhi {
-				return nil, fmt.Errorf("dist: message %d->%d in a section from shard %d [%d,%d) to shard %d [%d,%d)",
-					r.From, r.To, s, slo, shi, self, rlo, rhi)
-			}
-		}
-		if cost := uint64(fixedBatchLen(dst[start:]) - fixedCountLen); cost != fixed {
-			return nil, fmt.Errorf("dist: section from shard %d declares fixed cost %d, its records cost %d", s, fixed, cost)
+		if recs, ids, err = decodeSection(d, n, k, src, self, recs, ids); err != nil {
+			return nil, nil, err
 		}
 	}
-	return dst, nil
+	return recs, ids, nil
+}
+
+// decodeSection decodes one section from shard src to shard dst, appending
+// its records to recs and their receivers to ids. It validates every
+// record: a known kind, at most four args each within int32, a sender in
+// src's range (reconstructed by prefix sum, so the records come out
+// sender-ascending), at least one receiver and every receiver in dst's
+// range. The body must end where its length says, and the header's edge
+// count and fixed-width cost must match the records. Any strict prefix of
+// a valid encoding fails: a truncated varint keeps its continuation bit,
+// and a truncated body runs out before its length or count is satisfied.
+func decodeSection(d *dec, n, k, src, dst int, recs []congest.Record, ids []graph.NodeID) ([]congest.Record, []graph.NodeID, error) {
+	fixed := d.uvarint()
+	if fixed == 0 {
+		return recs, ids, d.err
+	}
+	edges := d.uvarint()
+	body := d.uvarintPrefixed()
+	if d.err != nil {
+		return nil, nil, d.err
+	}
+	count, c := uvarintAt(body)
+	if c <= 0 {
+		return nil, nil, d.truncated()
+	}
+	b := body[c:]
+	// A record takes at least five bytes (sender delta, kind, arg count,
+	// receiver count, one receiver) and a receiver at least one; counts
+	// beyond that are a corrupt section, rejected before any allocation
+	// proportional to them.
+	if count > uint64(len(b))/5 || edges > uint64(len(b)) {
+		return nil, nil, fmt.Errorf("dist: section from shard %d declares %d records and %d messages in %d bytes", src, count, edges, len(b))
+	}
+	recs = slices.Grow(recs, int(count))
+	ids = slices.Grow(ids, int(edges))
+	slo, shi := shardRange(n, k, src)
+	rlo, rhi := shardRange(n, k, dst)
+	from, left, cost := uint64(0), edges, uint64(0)
+	for i := uint64(0); i < count; i++ {
+		delta, k1 := uvarintAt(b)
+		if k1 <= 0 || len(b) < k1+2 {
+			return nil, nil, d.truncated()
+		}
+		m := wire.Message{Kind: wire.Kind(b[k1]), NArgs: b[k1+1]}
+		b = b[k1+2:]
+		if !m.Kind.Valid() {
+			return nil, nil, fmt.Errorf("dist: unknown kind %d", m.Kind)
+		}
+		if int(m.NArgs) > len(m.Args) {
+			return nil, nil, fmt.Errorf("dist: corrupt message record (nargs %d)", m.NArgs)
+		}
+		if from += delta; from < delta || from < uint64(slo) || from >= uint64(shi) {
+			return nil, nil, fmt.Errorf("dist: sender %d outside [%d,%d) in a section from shard %d", from, slo, shi, src)
+		}
+		for j := 0; j < int(m.NArgs); j++ {
+			a, ka := varintAt(b)
+			if ka <= 0 {
+				return nil, nil, d.truncated()
+			}
+			b = b[ka:]
+			if a < math.MinInt32 || a > math.MaxInt32 {
+				return nil, nil, fmt.Errorf("dist: message arg %d outside int32 range", a)
+			}
+			m.Args[j] = int32(a)
+		}
+		rcount, k2 := uvarintAt(b)
+		if k2 <= 0 {
+			return nil, nil, d.truncated()
+		}
+		b = b[k2:]
+		if rcount == 0 || rcount > left {
+			return nil, nil, fmt.Errorf("dist: record with %d receivers in a section from shard %d with %d of %d messages left", rcount, src, left, edges)
+		}
+		left -= rcount
+		start := len(ids)
+		to := int64(rlo)
+		for j := uint64(0); j < rcount; j++ {
+			dv, kv := varintAt(b)
+			if kv <= 0 {
+				return nil, nil, d.truncated()
+			}
+			b = b[kv:]
+			if to += dv; to < int64(rlo) || to >= int64(rhi) {
+				return nil, nil, fmt.Errorf("dist: message %d->%d outside [%d,%d) in a section from shard %d to shard %d", from, to, rlo, rhi, src, dst)
+			}
+			ids = append(ids, graph.NodeID(to))
+		}
+		cost += rcount * fixedRecordLen(m)
+		recs = append(recs, congest.Record{From: graph.NodeID(from), Msg: m, To: ids[start:len(ids):len(ids)]})
+	}
+	if len(b) != 0 {
+		return nil, nil, fmt.Errorf("dist: section from shard %d has %d trailing bytes", src, len(b))
+	}
+	if left != 0 {
+		return nil, nil, fmt.Errorf("dist: section from shard %d declares %d messages, its records hold %d", src, edges, edges-left)
+	}
+	if cost != fixed {
+		return nil, nil, fmt.Errorf("dist: section from shard %d declares fixed cost %d, its records cost %d", src, fixed, cost)
+	}
+	return recs, ids, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -76,22 +77,29 @@ func TestFrameConnRejectsCorruptLengths(t *testing.T) {
 	}
 }
 
-// appendRouted appends one routed message record: sender, receiver, then the
-// message in the internal/wire codec's byte form (kind, arg count, 4-byte
-// big-endian args). Together with appendBatch and decodeBatch it is the
-// fixed-width reference encoding: no longer on the wire, but kept as the
-// oracle the delta codec and fixedBatchLen are checked against.
-func appendRouted(dst []byte, codec wire.Codec, r congest.Routed) []byte {
+// edge is one per-edge message: the unit the fixed-width reference
+// encoding writes, and what delivery expands a record into.
+type edge struct {
+	From, To graph.NodeID
+	Msg      wire.Message
+}
+
+// appendEdge appends one per-edge message record: sender, receiver, then
+// the message in the internal/wire codec's byte form (kind, arg count,
+// 4-byte big-endian args). Together with appendBatch and decodeBatch it is
+// the fixed-width reference encoding: not on the wire, but kept as the
+// oracle the record sections and fixedRecordLen are checked against.
+func appendEdge(dst []byte, codec wire.Codec, r edge) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(r.From))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(r.To))
 	return codec.AppendEncode(dst, r.Msg)
 }
 
-// appendBatch appends a u32 count followed by the routed records.
-func appendBatch(dst []byte, codec wire.Codec, batch []congest.Routed) []byte {
+// appendBatch appends a u32 count followed by the per-edge records.
+func appendBatch(dst []byte, codec wire.Codec, batch []edge) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(batch)))
 	for i := range batch {
-		dst = appendRouted(dst, codec, batch[i])
+		dst = appendEdge(dst, codec, batch[i])
 	}
 	return dst
 }
@@ -99,7 +107,7 @@ func appendBatch(dst []byte, codec wire.Codec, batch []congest.Routed) []byte {
 // decodeBatch parses an appendBatch section, validating every message with
 // the wire codec and every endpoint against the vertex count. dst is reused;
 // the returned slice is valid until the caller's next decode.
-func decodeBatch(d *dec, codec wire.Codec, n int, dst []congest.Routed) ([]congest.Routed, error) {
+func decodeBatch(d *dec, codec wire.Codec, n int, dst []edge) ([]edge, error) {
 	count := d.u32()
 	if d.err != nil {
 		return nil, d.err
@@ -131,29 +139,30 @@ func decodeBatch(d *dec, codec wire.Codec, n int, dst []congest.Routed) ([]conge
 		if int(from) < 0 || int(from) >= n || int(to) < 0 || int(to) >= n {
 			return nil, fmt.Errorf("dist: message endpoints %d->%d outside %d-vertex graph", from, to, n)
 		}
-		dst = append(dst, congest.Routed{From: from, To: to, Msg: msg})
+		dst = append(dst, edge{From: from, To: to, Msg: msg})
 	}
 	return dst, nil
 }
 
-// randomBatch builds a deterministic pseudo-random routed batch with valid
-// kinds, arg counts and endpoints for an n-vertex network.
-func randomBatch(r *rand.Rand, n, size int) []congest.Routed {
+// randomMsg draws a message with a valid kind and up to four args below n.
+func randomMsg(r *rand.Rand, n int) wire.Message {
 	kinds := []wire.Kind{
 		wire.KindProgress, wire.KindRotation, wire.KindSuccess,
 		wire.KindBroadcast, wire.KindToken, wire.KindColor,
 	}
-	batch := make([]congest.Routed, size)
+	args := make([]int32, r.Intn(5))
+	for j := range args {
+		args[j] = int32(r.Intn(n))
+	}
+	return wire.Msg(kinds[r.Intn(len(kinds))], args...)
+}
+
+// randomBatch builds a deterministic pseudo-random per-edge batch with
+// valid kinds, arg counts and endpoints for an n-vertex network.
+func randomBatch(r *rand.Rand, n, size int) []edge {
+	batch := make([]edge, size)
 	for i := range batch {
-		args := make([]int32, r.Intn(5))
-		for j := range args {
-			args[j] = int32(r.Intn(n))
-		}
-		batch[i] = congest.Routed{
-			From: graph.NodeID(r.Intn(n)),
-			To:   graph.NodeID(r.Intn(n)),
-			Msg:  wire.Msg(kinds[r.Intn(len(kinds))], args...),
-		}
+		batch[i] = edge{From: graph.NodeID(r.Intn(n)), To: graph.NodeID(r.Intn(n)), Msg: randomMsg(r, n)}
 	}
 	return batch
 }
@@ -209,7 +218,7 @@ func TestBatchInterleaved(t *testing.T) {
 	codec := wire.NewCodec(n)
 	r := rand.New(rand.NewSource(99))
 	var payload []byte
-	var want []congest.Routed
+	var want []edge
 	for s := 0; s < shards; s++ {
 		lo, hi := s*n/shards, (s+1)*n/shards
 		batch := randomBatch(r, n, 10)
@@ -221,7 +230,7 @@ func TestBatchInterleaved(t *testing.T) {
 		want = append(want, batch...)
 	}
 	d := dec{b: payload}
-	var got []congest.Routed
+	var got []edge
 	for s := 0; s < shards; s++ {
 		part, err := decodeBatch(&d, codec, n, nil)
 		if err != nil {
@@ -250,7 +259,7 @@ func TestBatchInterleaved(t *testing.T) {
 func TestDecodeBatchRejectsCorruptRecords(t *testing.T) {
 	codec := wire.NewCodec(16)
 	valid := func() []byte {
-		return appendBatch(nil, codec, []congest.Routed{
+		return appendBatch(nil, codec, []edge{
 			{From: 1, To: 2, Msg: wire.Msg(wire.KindToken, 3)},
 		})
 	}
@@ -279,7 +288,7 @@ func TestDecodeBatchRejectsCorruptRecords(t *testing.T) {
 		}
 	})
 	t.Run("endpoint-out-of-range", func(t *testing.T) {
-		enc := appendBatch(nil, codec, []congest.Routed{
+		enc := appendBatch(nil, codec, []edge{
 			{From: 1, To: 15, Msg: wire.Msg(wire.KindToken, 3)},
 		})
 		d := dec{b: enc}
@@ -315,58 +324,106 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// sortedBatch is randomBatch with senders made non-decreasing — the
-// precondition the delta encoder inherits from Step's sender-ascending
-// outboxes.
-func sortedBatch(r *rand.Rand, n, size int) []congest.Routed {
-	batch := randomBatch(r, n, size)
-	sort.Slice(batch, func(i, j int) bool { return batch[i].From < batch[j].From })
-	return batch
+// expand lists recs edge by edge in send order: what delivery meters.
+func expand(recs []congest.Record) []edge {
+	var out []edge
+	for _, r := range recs {
+		for _, to := range r.To {
+			out = append(out, edge{From: r.From, To: to, Msg: r.Msg})
+		}
+	}
+	return out
 }
 
-// TestBatchDeltaRoundTrip encodes sender-ascending random batches with the
-// delta-varint codec and decodes them back verbatim, and pins the point of
-// the encoding: it is never larger than the fixed-width reference.
-func TestBatchDeltaRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		batch := sortedBatch(r, 512, r.Intn(40))
-		if got, want := fixedBatchLen(batch), int64(len(appendBatch(nil, wire.NewCodec(512), batch))); got != want {
-			t.Fatalf("trial %d: fixedBatchLen = %d, fixed-width encoding is %d bytes", trial, got, want)
+// filterTo returns the edges of batch whose target lies in [lo, hi), in
+// order.
+func filterTo(batch []edge, lo, hi int) []edge {
+	var out []edge
+	for _, r := range batch {
+		if int(r.To) >= lo && int(r.To) < hi {
+			out = append(out, r)
 		}
-		enc := appendBatchDelta(nil, batch)
-		if int64(len(enc)) > fixedBatchLen(batch) {
-			t.Fatalf("trial %d: delta form %d bytes exceeds fixed form %d", trial, len(enc), fixedBatchLen(batch))
-		}
-		d := dec{b: enc}
-		got, err := decodeBatchDelta(&d, 512, nil)
-		if err != nil {
-			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		if len(got) != len(batch) {
-			t.Fatalf("trial %d: %d records, want %d", trial, len(got), len(batch))
-		}
-		for i := range got {
-			if got[i] != batch[i] {
-				t.Fatalf("trial %d record %d: %+v != %+v", trial, i, got[i], batch[i])
-			}
-		}
-		if len(d.b) != 0 {
-			t.Fatalf("trial %d: %d trailing bytes", trial, len(d.b))
+	}
+	return out
+}
+
+// equalEdges fails t unless got and want list the same edges in order.
+func equalEdges(t testing.TB, what string, got, want []edge) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d edges, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s edge %d: %+v != %+v", what, i, got[i], want[i])
 		}
 	}
 }
 
+// randomOutbox builds a sender-ascending cross outbox of records for shard
+// self: senders in self's range, each record with one to six receivers
+// anywhere outside it (so a record may reach several shards, and may name a
+// receiver twice).
+func randomOutbox(r *rand.Rand, n, k, self, size int) []congest.Record {
+	lo, hi := shardRange(n, k, self)
+	out := make([]congest.Record, size)
+	for i := range out {
+		to := make([]graph.NodeID, 1+r.Intn(6))
+		for j := range to {
+			for to[j] = graph.NodeID(r.Intn(n)); shardOf(int(to[j]), n, k) == self; {
+				to[j] = graph.NodeID(r.Intn(n))
+			}
+		}
+		out[i] = congest.Record{From: graph.NodeID(lo + r.Intn(hi-lo)), Msg: randomMsg(r, n), To: to}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].From < out[j].From })
+	return out
+}
+
+// TestBatchDeltaRoundTrip encodes sender-ascending random outboxes as a
+// record section and decodes them back verbatim: each record once, its
+// receivers in send order. It pins the point of the encoding too: a
+// section, header included, is never larger than the same messages in the
+// per-edge fixed-width reference, and its header's fixed cost and edge
+// count are that reference's.
+func TestBatchDeltaRoundTrip(t *testing.T) {
+	const n, k = 512, 2
+	r := rand.New(rand.NewSource(42))
+	codec := wire.NewCodec(n)
+	for trial := 0; trial < 50; trial++ {
+		out := randomOutbox(r, n, k, 1, r.Intn(40))
+		edges := expand(out)
+		fixed := len(appendBatch(nil, codec, edges))
+		enc := newSectionWriter(n, k, 1).appendSections(nil, out)
+		if len(enc) > fixed {
+			t.Fatalf("trial %d: section %d bytes exceeds fixed form %d", trial, len(enc), fixed)
+		}
+		if sec := readSection(&dec{b: enc}); sec.fixed != uint64(fixed-fixedCountLen) || sec.edges != uint64(len(edges)) {
+			t.Fatalf("trial %d: header fixed %d, edges %d; reference %d bytes for %d edges",
+				trial, sec.fixed, sec.edges, fixed-fixedCountLen, len(edges))
+		}
+		d := dec{b: enc}
+		got, _, err := decodeSection(&d, n, k, 1, 0, nil, nil)
+		if err != nil {
+			t.Fatalf("trial %d: decode: %v", trial, err)
+		}
+		if len(got) != len(out) || len(d.b) != 0 {
+			t.Fatalf("trial %d: %d records, %d trailing bytes; want %d records", trial, len(got), len(d.b), len(out))
+		}
+		equalEdges(t, fmt.Sprintf("trial %d", trial), expand(got), edges)
+	}
+}
+
 // TestBatchDeltaTruncationAlwaysErrors is the truncation property for the
-// delta codec: every strict prefix of a valid encoding must decode to an
+// record section: every strict prefix of a valid encoding must decode to an
 // error — truncated varints keep their continuation bit, and a truncated
-// record runs out of payload before the count is satisfied.
+// body runs out before its length or record count is satisfied.
 func TestBatchDeltaTruncationAlwaysErrors(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	full := appendBatchDelta(nil, sortedBatch(r, 128, 12))
+	full := newSectionWriter(128, 2, 1).appendSections(nil, randomOutbox(r, 128, 2, 1, 12))
 	for cut := 0; cut < len(full); cut++ {
 		d := dec{b: full[:cut]}
-		if _, err := decodeBatchDelta(&d, 128, nil); err == nil {
+		if _, _, err := decodeSection(&d, 128, 2, 1, 0, nil, nil); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(full))
 		}
 	}
@@ -403,54 +460,66 @@ func TestVarintAtMatchesBinary(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchDeltaRejectsCorrupt covers the delta decoder's validation:
-// a lying count, an unknown kind, an impossible arg count, an out-of-range
-// endpoint, and an argument outside int32.
+// rawSection hand-assembles a non-empty section: header cost, edge count,
+// body length, body.
+func rawSection(fixed, edges uint64, body []byte) []byte {
+	b := binary.AppendUvarint(nil, fixed)
+	b = binary.AppendUvarint(b, edges)
+	b = binary.AppendUvarint(b, uint64(len(body)))
+	return append(b, body...)
+}
+
+// TestDecodeBatchDeltaRejectsCorrupt covers the record decoder's
+// validation on one section from shard 1 to shard 0 of a 16-vertex, 2-shard
+// run: a lying record count, an unknown kind, an impossible arg count, an
+// out-of-range endpoint, and an argument outside int32.
 func TestDecodeBatchDeltaRejectsCorrupt(t *testing.T) {
-	valid := func() []byte {
-		return appendBatchDelta(nil, []congest.Routed{
-			{From: 1, To: 2, Msg: wire.Msg(wire.KindToken, 3)},
-		})
-	}
-	check := func(t *testing.T, enc []byte, n int, wantSub string) {
+	const n, k = 16, 2
+	// One record 9 -> 2 carrying one arg, 3: count, sender delta, kind,
+	// nargs, zigzag arg, receiver count, zigzag receiver delta from lo 0.
+	valid := func() []byte { return []byte{1, 9, byte(wire.KindToken), 1, 6, 1, 4} }
+	check := func(t *testing.T, body []byte, wantSub string) {
 		t.Helper()
-		d := dec{b: enc}
-		if _, err := decodeBatchDelta(&d, n, nil); err == nil || !strings.Contains(err.Error(), wantSub) {
+		d := dec{b: rawSection(14, 1, body)}
+		if _, _, err := decodeSection(&d, n, k, 1, 0, nil, nil); err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Fatalf("got %v, want error containing %q", err, wantSub)
 		}
 	}
+	d := dec{b: rawSection(14, 1, valid())}
+	if got, _, err := decodeSection(&d, n, k, 1, 0, nil, nil); err != nil || len(got) != 1 || got[0].From != 9 ||
+		len(got[0].To) != 1 || got[0].To[0] != 2 || got[0].Msg != wire.Msg(wire.KindToken, 3) {
+		t.Fatalf("valid section decoded to %+v, %v", got, err)
+	}
 	t.Run("count-beyond-capacity", func(t *testing.T) {
-		enc := valid()
-		enc[0] = 0xFF // uvarint count far beyond the payload
-		check(t, append([]byte{0xFF, 0xFF, 0x7F}, enc[1:]...), 16, "exceeds frame capacity")
+		check(t, append([]byte{0xFF, 0xFF, 0x7F}, valid()[1:]...), "declares")
 	})
 	t.Run("unknown-kind", func(t *testing.T) {
-		enc := valid()
-		enc[3] = 0xEE // kind byte: count, dFrom, to precede it
-		check(t, enc, 16, "unknown kind")
+		b := valid()
+		b[2] = 0xEE
+		check(t, b, "unknown kind")
 	})
 	t.Run("nargs-too-large", func(t *testing.T) {
-		enc := valid()
-		enc[4] = 9 // arg-count byte
-		check(t, enc, 16, "corrupt message record")
+		b := valid()
+		b[3] = 9
+		check(t, b, "corrupt message record")
 	})
 	t.Run("endpoint-out-of-range", func(t *testing.T) {
-		enc := appendBatchDelta(nil, []congest.Routed{
-			{From: 1, To: 15, Msg: wire.Msg(wire.KindToken, 3)},
-		})
-		check(t, enc, 8, "outside")
+		b := valid()
+		b[6] = 30 // receiver 15: shard 1's own range
+		check(t, b, "outside")
 	})
 	t.Run("arg-outside-int32", func(t *testing.T) {
-		enc := valid()[:5] // keep count, dFrom, to, kind, nargs=1
-		enc = binary.AppendVarint(enc, int64(1)<<40)
-		check(t, enc, 16, "outside int32 range")
+		b := binary.AppendVarint(valid()[:4], int64(1)<<40)
+		check(t, append(b, 1, 4), "outside int32 range")
 	})
 }
 
-// corpusBatches runs a real 4-shard DRA round over the actual shard engine
-// and returns the delta-encoded wire batches it produces: the fuzz corpus is
-// seeded with genuine protocol traffic, not just synthetic records.
-func corpusBatches(tb testing.TB) [][]byte {
+// corpusSections runs a real 4-shard DRA execution over the actual shard
+// engine for three rounds and returns its traffic: every shard's outbound
+// sections (with the source shard) and every shard's relayed inbound
+// sections (with the destination). Fuzz corpora are seeded with genuine
+// protocol traffic, not just synthetic records.
+func corpusSections(tb testing.TB) (outbound, inbound [][]byte, src, dst []uint8) {
 	const n, k = 32, 4
 	g := graph.GNP(n, 0.5, rng.New(9))
 	shards := make([]*congest.Shard, k)
@@ -467,83 +536,76 @@ func corpusBatches(tb testing.TB) [][]byte {
 		sh.Begin(11)
 		shards[i] = sh
 	}
-	var corpus [][]byte
-	step := func(round int64, isInit bool) {
-		outs := make([][]congest.Routed, k)
+	for round := int64(0); round < 3; round++ {
+		outs := make([][]byte, k)
 		for i, sh := range shards {
-			out, _, err := sh.Step(round, isInit)
+			out, _, err := sh.Step(round, round == 0)
 			if err != nil {
 				tb.Fatal(err)
 			}
-			outs[i] = out
-			corpus = append(corpus, appendBatchDelta(nil, out))
+			outs[i] = newSectionWriter(n, k, i).appendSections(nil, out)
+			outbound, src = append(outbound, outs[i]), append(src, uint8(i))
 		}
-		// Route cross-shard traffic and deliver, so the next step produces
-		// genuine second-round batches.
-		for i, sh := range shards {
-			lo, hi := shardRange(n, k, i)
-			var inbound []congest.Routed
-			for s := 0; s < k; s++ {
-				for _, m := range outs[s] {
-					if int(m.To) >= lo && int(m.To) < hi {
-						inbound = append(inbound, m)
-					}
-				}
+		// Relay and deliver, so the next step produces genuine later-round
+		// traffic.
+		for i, l := range relayAll(tb, outs) {
+			inbound, dst = append(inbound, l.enc.b), append(dst, uint8(i))
+			d := dec{b: l.enc.b}
+			recs, _, err := decodeSections(&d, n, k, i, nil, nil)
+			if err != nil {
+				tb.Fatal(err)
 			}
-			if err := sh.Deliver(round, inbound); err != nil {
+			if err := shards[i].Deliver(round, recs); err != nil {
 				tb.Fatal(err)
 			}
 		}
 	}
-	step(0, true)
-	step(1, false)
-	return corpus
+	return outbound, inbound, src, dst
 }
 
-// FuzzDecodeBatchDelta feeds arbitrary bytes to the delta batch decoder,
-// seeded with real 4-shard run traffic. The invariants: no panic, and any
-// successful decode yields only in-range endpoints, valid kinds, and a
-// sender-ascending record order (the structural property routing relies on).
+// FuzzDecodeBatchDelta feeds arbitrary bytes to the receiving worker's
+// decoder as the relayed sections of a FUSE frame for shard self of a
+// 32-vertex, 4-shard run, seeded with real relayed traffic. The invariants:
+// no panic, and any successful decode yields valid kinds and arg counts,
+// senders outside self's range in ascending order (the order delivery
+// relies on), and at least one receiver per record, every one in self's
+// range.
 func FuzzDecodeBatchDelta(f *testing.F) {
-	r := rand.New(rand.NewSource(3))
-	f.Add([]byte{})
-	f.Add(appendBatchDelta(nil, sortedBatch(r, 32, 5)))
-	for _, b := range corpusBatches(f) {
-		f.Add(b)
+	const n, k = 32, 4
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 0, 0}, uint8(1))
+	_, inbound, _, dst := corpusSections(f)
+	for i, b := range inbound {
+		f.Add(b, dst[i])
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, self uint8) {
+		s := int(self) % k
 		d := dec{b: data}
-		batch, err := decodeBatchDelta(&d, 32, nil)
+		recs, _, err := decodeSections(&d, n, k, s, nil, nil)
 		if err != nil {
 			return
 		}
-		for i, rec := range batch {
-			if rec.From < 0 || int(rec.From) >= 32 || rec.To < 0 || int(rec.To) >= 32 {
-				t.Fatalf("record %d has out-of-range endpoints %d->%d", i, rec.From, rec.To)
+		lo, hi := shardRange(n, k, s)
+		for i, rec := range recs {
+			if rec.From < 0 || int(rec.From) >= n || (int(rec.From) >= lo && int(rec.From) < hi) {
+				t.Fatalf("record %d has sender %d", i, rec.From)
 			}
-			if !rec.Msg.Kind.Valid() {
-				t.Fatalf("record %d has invalid kind %d", i, rec.Msg.Kind)
+			if i > 0 && rec.From < recs[i-1].From {
+				t.Fatalf("sender order violated at %d: %d after %d", i, rec.From, recs[i-1].From)
 			}
-			if rec.Msg.NArgs > 4 {
-				t.Fatalf("record %d has %d args", i, rec.Msg.NArgs)
+			if !rec.Msg.Kind.Valid() || rec.Msg.NArgs > 4 {
+				t.Fatalf("record %d has kind %d with %d args", i, rec.Msg.Kind, rec.Msg.NArgs)
 			}
-			if i > 0 && rec.From < batch[i-1].From {
-				t.Fatalf("sender order violated at %d: %d after %d", i, rec.From, batch[i-1].From)
+			if len(rec.To) == 0 {
+				t.Fatalf("record %d has no receivers", i)
+			}
+			for _, to := range rec.To {
+				if int(to) < lo || int(to) >= hi {
+					t.Fatalf("record %d has receiver %d outside [%d,%d)", i, to, lo, hi)
+				}
 			}
 		}
 	})
-}
-
-// filterTo returns the records of batch whose target lies in [lo, hi), in
-// order.
-func filterTo(batch []congest.Routed, lo, hi int) []congest.Routed {
-	var out []congest.Routed
-	for _, r := range batch {
-		if int(r.To) >= lo && int(r.To) < hi {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // relayAll splits every shard's encoded outbox into sections with
@@ -574,31 +636,18 @@ func relayAll(tb testing.TB, outs [][]byte) []*link {
 	return links
 }
 
-// randomOutbox builds a sender-ascending cross outbox for shard self: senders
-// in self's range, targets anywhere outside it.
-func randomOutbox(r *rand.Rand, n, k, self, size int) []congest.Routed {
-	lo, hi := shardRange(n, k, self)
-	out := sortedBatch(r, n, size)
-	for i := range out {
-		out[i].From = graph.NodeID(lo + (int(out[i].From)*(hi-lo))/n)
-		for shardOf(int(out[i].To), n, k) == self {
-			out[i].To = graph.NodeID(r.Intn(n))
-		}
-	}
-	return out
-}
-
-// TestSectionRoundTrip is split -> relay -> decode over random outboxes of
-// every shard: each destination must decode exactly the concatenation, in
-// source-shard order, of every source's records for it — the global
-// sender-ascending order — and the relay's accounting must match the
-// fixed-width oracle and the bytes relayed.
+// TestSectionRoundTrip is split -> relay -> decode over random record
+// outboxes of every shard: each destination must decode records that expand
+// to exactly the concatenation, in source-shard order, of every source's
+// edges to it — the global sender-ascending order — with each record
+// carried once per destination it reaches, and the relay's accounting must
+// match the fixed-width oracle, the bytes relayed and the edge count.
 func TestSectionRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	codec := wire.NewCodec(97)
 	for _, k := range []int{2, 3, 5} {
 		const n = 97
-		batches := make([][]congest.Routed, k)
+		batches := make([][]congest.Record, k)
 		outs := make([][]byte, k)
 		for s := range batches {
 			batches[s] = randomOutbox(r, n, k, s, r.Intn(30))
@@ -607,23 +656,25 @@ func TestSectionRoundTrip(t *testing.T) {
 		links := relayAll(t, outs)
 		for dst, l := range links {
 			lo, hi := shardRange(n, k, dst)
-			var want []congest.Routed
+			var want []edge
+			wantRecs := 0
 			for s := range batches {
-				want = append(want, filterTo(batches[s], lo, hi)...)
+				want = append(want, filterTo(expand(batches[s]), lo, hi)...)
+				for _, rec := range batches[s] {
+					if len(filterTo(expand([]congest.Record{rec}), lo, hi)) > 0 {
+						wantRecs++
+					}
+				}
 			}
 			d := dec{b: l.enc.b}
-			got, err := decodeSections(&d, n, k, dst, nil)
+			got, _, err := decodeSections(&d, n, k, dst, nil, nil)
 			if err != nil {
 				t.Fatalf("k=%d dst %d: %v", k, dst, err)
 			}
-			if len(d.b) != 0 || len(got) != len(want) {
-				t.Fatalf("k=%d dst %d: %d records, %d trailing bytes; want %d records", k, dst, len(got), len(d.b), len(want))
+			if len(d.b) != 0 || len(got) != wantRecs {
+				t.Fatalf("k=%d dst %d: %d records, %d trailing bytes; want %d records", k, dst, len(got), len(d.b), wantRecs)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("k=%d dst %d record %d: %+v != %+v", k, dst, i, got[i], want[i])
-				}
-			}
+			equalEdges(t, fmt.Sprintf("k=%d dst %d", k, dst), expand(got), want)
 			if fixed := int64(len(appendBatch(nil, codec, want))); l.batchBytesFixed != fixed {
 				t.Fatalf("k=%d dst %d: batchBytesFixed %d, fixed-width encoding %d", k, dst, l.batchBytesFixed, fixed)
 			}
@@ -632,12 +683,12 @@ func TestSectionRoundTrip(t *testing.T) {
 			}
 		}
 		for s, l := range links {
-			count := uint64(0)
+			edges := uint64(0)
 			for _, sec := range l.out {
-				count += sec.count
+				edges += sec.edges
 			}
-			if count != uint64(len(batches[s])) {
-				t.Fatalf("k=%d shard %d: sections count %d records, outbox has %d", k, s, count, len(batches[s]))
+			if edges != uint64(len(expand(batches[s]))) {
+				t.Fatalf("k=%d shard %d: sections count %d messages, outbox has %d", k, s, edges, len(expand(batches[s])))
 			}
 		}
 	}
@@ -651,106 +702,118 @@ func TestSectionEmptyCostsOneByte(t *testing.T) {
 		t.Fatalf("empty outbox encoded as %v, want three zero bytes", b)
 	}
 	d := dec{b: b}
-	if got, err := decodeSections(&d, 40, 4, 1, nil); err != nil || len(got) != 0 || len(d.b) != 0 {
+	if got, _, err := decodeSections(&d, 40, 4, 1, nil, nil); err != nil || len(got) != 0 || len(d.b) != 0 {
 		t.Fatalf("decode = %v records, err %v, %d trailing bytes", len(got), err, len(d.b))
 	}
 }
 
-// rawSection hand-assembles a non-empty section: header cost, body length,
-// body.
-func rawSection(fixed uint64, body []byte) []byte {
-	b := binary.AppendUvarint(nil, fixed)
-	b = binary.AppendUvarint(b, uint64(len(body)))
-	return append(b, body...)
-}
-
 // TestSectionRejectsCorrupt covers the receiver's section checks on top of
-// the delta decoder's: the relayed sections of a 20-vertex, 2-shard run as
+// the record decoder's: the relayed sections of a 20-vertex, 2-shard run as
 // shard 0 receives them, each corrupted one way.
 func TestSectionRejectsCorrupt(t *testing.T) {
 	const n, k = 20, 2
-	// One record 12 -> 3 carrying one arg: fixed cost 14.
-	valid := []byte{1, 12, 3, byte(wire.KindToken), 1, 2}
+	// One record 12 -> {3, 5} carrying one arg: fixed cost 28, 2 edges.
+	// Body: count, sender delta, kind, nargs, zigzag arg, receiver count,
+	// zigzag receiver deltas (3 from lo 0, then +2).
+	rec := func(from, r0 byte) []byte { return []byte{1, from, byte(wire.KindToken), 1, 2, 2, r0, 4} }
+	valid := rec(12, 6)
 	cases := []struct {
 		name    string
 		raw     []byte
 		wantSub string
 	}{
-		{"sender-outside-source", rawSection(14, []byte{1, 2, 3, byte(wire.KindToken), 1, 2}), "section from shard 1"},
-		{"target-outside-receiver", rawSection(14, []byte{1, 12, 13, byte(wire.KindToken), 1, 2}), "section from shard 1"},
-		{"fixed-cost-mismatch", rawSection(10, valid), "declares fixed cost"},
-		{"nonzero-cost-zero-records", rawSection(14, []byte{0}), "declares fixed cost"},
-		{"trailing-body-bytes", rawSection(14, append(append([]byte(nil), valid...), 0)), "trailing bytes"},
-		{"body-beyond-frame", rawSection(14, valid)[:4], "truncated"},
+		{"sender-outside-source", rawSection(28, 2, rec(2, 6)), "section from shard 1"},
+		{"target-outside-receiver", rawSection(28, 2, rec(12, 26)), "section from shard 1"},
+		{"fixed-cost-mismatch", rawSection(20, 2, valid), "declares fixed cost"},
+		{"nonzero-cost-zero-records", rawSection(28, 0, []byte{0}), "declares fixed cost"},
+		{"trailing-body-bytes", rawSection(28, 2, append(append([]byte(nil), valid...), 0)), "trailing bytes"},
+		{"body-beyond-frame", rawSection(28, 2, valid)[:5], "truncated"},
 		{"missing-section", nil, "truncated"},
+		{"zero-receivers", rawSection(14, 1, []byte{1, 12, byte(wire.KindToken), 1, 2, 0, 6}), "with 0 receivers"},
+		{"edge-count-above-records", rawSection(28, 3, valid), "declares 3 messages, its records hold 2"},
+		{"edge-count-below-records", rawSection(28, 1, valid), "with 2 receivers"},
+		{"edge-count-beyond-capacity", rawSection(28, 1<<40, valid), "declares 1 records and 1099511627776 messages"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := dec{b: tc.raw}
-			if _, err := decodeSections(&d, n, k, 0, nil); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			if _, _, err := decodeSections(&d, n, k, 0, nil, nil); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("got %v, want error containing %q", err, tc.wantSub)
 			}
 		})
 	}
-	d := dec{b: rawSection(14, valid)}
-	if got, err := decodeSections(&d, n, k, 0, nil); err != nil || len(got) != 1 || got[0].From != 12 || got[0].To != 3 {
+	d := dec{b: rawSection(28, 2, valid)}
+	if got, _, err := decodeSections(&d, n, k, 0, nil, nil); err != nil || len(got) != 1 || got[0].From != 12 ||
+		!slices.Equal(got[0].To, []graph.NodeID{3, 5}) {
 		t.Fatalf("valid section decoded to %+v, %v", got, err)
 	}
 }
 
 // TestSectionLiveTargetStopsAtFirstLive pins the coordinator's early exit:
-// the scan decodes records only up to the first live target (so garbage
-// after it is never read), reads on through halted targets, and
-// bounds-checks every target before indexing the halted bitmap.
+// the scan decodes receivers only up to the first live one (so garbage
+// after it is never read), reads on through halted receivers and records,
+// bounds-checks every receiver before indexing the halted bitmap, and
+// reads receiver deltas from the destination's lo.
 func TestSectionLiveTargetStopsAtFirstLive(t *testing.T) {
 	halted := make([]bool, 20)
 	halted[3], halted[4] = true, true
 	sec := func(body []byte) section { return section{body: body, fixed: 1} }
-	// count 3: 12->3 (halted), 12->5 (live), then a truncated record.
-	live, err := sec([]byte{3, 12, 3, byte(wire.KindToken), 1, 2, 0, 5, byte(wire.KindToken), 0, 0x80}).liveTarget(halted)
+	tok := byte(wire.KindToken)
+	// count 2: 12 -> {3 (halted), 5 (live), then a truncated receiver}.
+	live, err := sec([]byte{2, 12, tok, 1, 2, 3, 6, 4, 0x80}).liveTarget(halted, 0)
 	if err != nil || !live {
-		t.Fatalf("live target after halted prefix: live=%v err=%v", live, err)
+		t.Fatalf("live receiver after a halted one: live=%v err=%v", live, err)
 	}
-	live, err = sec([]byte{2, 12, 3, byte(wire.KindToken), 0, 0, 4, byte(wire.KindToken), 1, 0x7F}).liveTarget(halted)
+	// count 2: 12 -> {3, 4}, then 12 -> {4}: all halted.
+	allHalted := []byte{2, 12, tok, 0, 2, 6, 2, 0, tok, 1, 0x7F, 1, 8}
+	live, err = sec(allHalted).liveTarget(halted, 0)
 	if err != nil || live {
 		t.Fatalf("all-halted section: live=%v err=%v", live, err)
 	}
-	if _, err := sec([]byte{2, 12, 3, byte(wire.KindToken), 0, 0, 4, byte(wire.KindToken), 1}).liveTarget(halted); err == nil {
+	if _, err := sec(allHalted[:len(allHalted)-1]).liveTarget(halted, 0); err == nil {
 		t.Fatal("truncated all-halted section scanned without error")
 	}
-	if _, err := sec([]byte{1, 12, 20, byte(wire.KindToken), 0}).liveTarget(halted); err == nil || !strings.Contains(err.Error(), "outside") {
+	if _, err := sec([]byte{1, 12, tok, 0, 1, 40}).liveTarget(halted, 0); err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("out-of-range target: %v", err)
+	}
+	// From lo 10, delta -6 is receiver 4 (halted) and -1 then receiver 3.
+	live, err = sec([]byte{1, 2, tok, 0, 2, 11, 1}).liveTarget(halted, 10)
+	if err != nil || live {
+		t.Fatalf("halted receivers read from lo 10: live=%v err=%v", live, err)
 	}
 }
 
 // FuzzDecodeSections checks split -> relay -> decode on arbitrary outboxes,
-// seeded with the outboxes of a real 4-shard run: data is decoded as a delta
-// batch and restricted to a valid cross outbox of shard src; after the
-// sender's split and the coordinator's relay, every destination must decode
-// exactly the outbox filtered to its range, and every strict prefix of a
-// destination's relayed bytes must fail.
+// seeded with the outbound sections of a real 4-shard run: data is decoded
+// as shard src's K-1 outbound sections and merged back into a
+// sender-ascending cross outbox. After the sender's split and the
+// coordinator's relay, every destination's decoded records must expand to
+// exactly the outbox's per-edge messages filtered to its range, and every
+// strict prefix of a destination's relayed bytes must fail.
 func FuzzDecodeSections(f *testing.F) {
 	const n, k = 32, 4
-	for i, b := range corpusBatches(f) {
-		f.Add(b, uint8(i%k))
+	outbound, _, src, _ := corpusSections(f)
+	for i, b := range outbound {
+		f.Add(b, src[i])
 	}
-	f.Fuzz(func(t *testing.T, data []byte, src uint8) {
-		s := int(src) % k
+	f.Fuzz(func(t *testing.T, data []byte, from uint8) {
+		s := int(from) % k
 		d := dec{b: data}
-		batch, err := decodeBatchDelta(&d, n, nil)
-		if err != nil {
-			return
-		}
-		lo, hi := shardRange(n, k, s)
-		var out []congest.Routed
-		for _, r := range batch {
-			if int(r.From) >= lo && int(r.From) < hi && (int(r.To) < lo || int(r.To) >= hi) {
-				out = append(out, r)
+		var out []congest.Record
+		for dst := 0; dst < k; dst++ {
+			if dst == s {
+				continue
+			}
+			var err error
+			if out, _, err = decodeSection(&d, n, k, s, dst, out, nil); err != nil {
+				return
 			}
 		}
+		sort.SliceStable(out, func(i, j int) bool { return out[i].From < out[j].From })
+		edges := expand(out)
 		outs := make([][]byte, k)
 		for i := range outs {
-			var own []congest.Routed
+			var own []congest.Record
 			if i == s {
 				own = out
 			}
@@ -758,20 +821,15 @@ func FuzzDecodeSections(f *testing.F) {
 		}
 		for dst, l := range relayAll(t, outs) {
 			dlo, dhi := shardRange(n, k, dst)
-			want := filterTo(out, dlo, dhi)
 			rd := dec{b: l.enc.b}
-			got, err := decodeSections(&rd, n, k, dst, nil)
-			if err != nil || len(rd.b) != 0 || len(got) != len(want) {
-				t.Fatalf("dst %d: %d records (err %v, %d trailing bytes), want %d", dst, len(got), err, len(rd.b), len(want))
+			got, _, err := decodeSections(&rd, n, k, dst, nil, nil)
+			if err != nil || len(rd.b) != 0 {
+				t.Fatalf("dst %d: err %v, %d trailing bytes", dst, err, len(rd.b))
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("dst %d record %d: %+v != %+v", dst, i, got[i], want[i])
-				}
-			}
+			equalEdges(t, fmt.Sprintf("dst %d", dst), expand(got), filterTo(edges, dlo, dhi))
 			for cut := 0; cut < len(l.enc.b); cut++ {
 				pd := dec{b: l.enc.b[:cut]}
-				if _, err := decodeSections(&pd, n, k, dst, nil); err == nil {
+				if _, _, err := decodeSections(&pd, n, k, dst, nil, nil); err == nil {
 					t.Fatalf("dst %d: prefix of %d/%d bytes decoded without error", dst, cut, len(l.enc.b))
 				}
 			}

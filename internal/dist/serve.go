@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dhc/internal/congest"
+	"dhc/internal/graph"
 	"dhc/internal/metrics"
 )
 
@@ -56,7 +57,8 @@ func ServeShard(rw io.ReadWriter, shard *congest.Shard, opts ServeOptions) error
 func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 	var (
 		e        enc
-		batch    []congest.Routed
+		batch    []congest.Record
+		ids      []graph.NodeID // batch's receivers
 		k, self  int            // shard count and this shard's index, from BEGIN
 		sections *sectionWriter // per-destination outbox encoder, from BEGIN
 		busy     time.Duration
@@ -113,7 +115,7 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 				}
 			}
 			if stepErr == nil && deliverRound >= 0 {
-				if batch, err = readInbound(&d, shard.N(), k, self, batch); err != nil {
+				if batch, ids, err = readInbound(&d, shard.N(), k, self, batch, ids); err != nil {
 					return err
 				}
 				start := time.Now()
@@ -124,7 +126,7 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 				}
 			}
 			var (
-				out []congest.Routed
+				out []congest.Record
 				rep congest.StepReport
 			)
 			if stepErr == nil {
@@ -165,7 +167,7 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 				return fmt.Errorf("dist: FINISH before BEGIN")
 			}
 			if stepErr == nil && deliverRound >= 0 {
-				if batch, err = readInbound(&d, shard.N(), k, self, batch); err != nil {
+				if batch, ids, err = readInbound(&d, shard.N(), k, self, batch, ids); err != nil {
 					return err
 				}
 				start := time.Now()
@@ -199,16 +201,16 @@ func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 }
 
 // readInbound decodes a FUSE/FINISH frame's relayed sections, which end the
-// frame, into batch (reused).
-func readInbound(d *dec, n, k, self int, batch []congest.Routed) ([]congest.Routed, error) {
-	batch, err := decodeSections(d, n, k, self, batch)
+// frame, into batch and its receiver arena ids (both reused).
+func readInbound(d *dec, n, k, self int, batch []congest.Record, ids []graph.NodeID) ([]congest.Record, []graph.NodeID, error) {
+	batch, ids, err := decodeSections(d, n, k, self, batch, ids)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(d.b) != 0 {
-		return nil, fmt.Errorf("dist: %d trailing bytes after inbound sections", len(d.b))
+		return nil, nil, fmt.Errorf("dist: %d trailing bytes after inbound sections", len(d.b))
 	}
-	return batch, nil
+	return batch, ids, nil
 }
 
 // appendCounters serializes a shard's metering: the scalar totals plus the

@@ -49,10 +49,11 @@ type Params struct {
 	// IsInitialHead designates the single starting node.
 	IsInitialHead bool
 	// ScopePorts lists this node's in-scope neighbors as ports (indices into
-	// ctx.Neighbors()), ascending. Floods and probes address them with
-	// congest.Context.SendPort, so a send costs a bounds check instead of a
-	// neighbor-list search. The slice is retained (read-only) for flood
-	// forwarding, so one precomputed list serves every session.
+	// ctx.Neighbors()), ascending. A flood is one congest.Context.SendPorts
+	// call over them, so it is one outbox record and each send costs a
+	// bounds check instead of a neighbor-list search. The slice is retained
+	// (read-only) for flood forwarding, so one precomputed list serves every
+	// session.
 	ScopePorts []int32
 	// BroadcastRounds is the consistency wait after a rotation; it must be
 	// an upper bound on the scope diameter.
@@ -237,13 +238,7 @@ func (s *State) originate(ctx *congest.Context, m wire.Message) {
 }
 
 func (s *State) forwardScope(ctx *congest.Context, m wire.Message, except graph.NodeID) {
-	nbrs := ctx.Neighbors()
-	for _, p := range s.scope {
-		if nbrs[p] == except {
-			continue
-		}
-		ctx.SendPort(int(p), m)
-	}
+	ctx.SendPorts(s.scope, except, m)
 }
 
 // applyRotation applies the renumbering i <- h + j + 1 - i for positions in

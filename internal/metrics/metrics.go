@@ -64,6 +64,19 @@ func (c *Counters) AddMessage(bits int64) {
 	}
 }
 
+// AddMessages records count messages of bits bits each, exactly as count
+// AddMessage(bits) calls would.
+func (c *Counters) AddMessages(count, bits int64) {
+	if count == 0 {
+		return
+	}
+	c.Messages += count
+	c.Bits += count * bits
+	if bits > c.MaxMessageBits {
+		c.MaxMessageBits = bits
+	}
+}
+
 // ObserveMemory records the current retained-state size (words) of node v,
 // keeping the maximum.
 func (c *Counters) ObserveMemory(v int, words int64) {

@@ -15,6 +15,22 @@ func TestAddMessage(t *testing.T) {
 	}
 }
 
+// TestAddMessagesMatchesAddMessage: a bulk add meters exactly what the
+// same number of single adds would, and an empty one meters nothing.
+func TestAddMessagesMatchesAddMessage(t *testing.T) {
+	bulk, single := NewCounters(1), NewCounters(1)
+	for _, b := range []struct{ count, bits int64 }{{3, 10}, {0, 99}, {2, 32}, {1, 8}} {
+		bulk.AddMessages(b.count, b.bits)
+		for i := int64(0); i < b.count; i++ {
+			single.AddMessage(b.bits)
+		}
+	}
+	if bulk.Messages != single.Messages || bulk.Bits != single.Bits || bulk.MaxMessageBits != single.MaxMessageBits {
+		t.Fatalf("AddMessages metered %d msgs, %d bits, max %d; AddMessage calls %d, %d, %d",
+			bulk.Messages, bulk.Bits, bulk.MaxMessageBits, single.Messages, single.Bits, single.MaxMessageBits)
+	}
+}
+
 func TestObserveMemoryKeepsMax(t *testing.T) {
 	c := NewCounters(2)
 	c.ObserveMemory(0, 10)

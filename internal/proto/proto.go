@@ -69,9 +69,7 @@ func (f *Flooder) Absorb(ctx *congest.Context, inbox []congest.Envelope) bool {
 
 // sendBest sends the current candidate on every incident edge.
 func (f *Flooder) sendBest(ctx *congest.Context) {
-	for port := range ctx.Degree() {
-		ctx.SendPort(port, wire.Msg(wire.KindCandidate, int32(f.Best)))
-	}
+	ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindCandidate, int32(f.Best)))
 }
 
 // IsLeader reports whether this node currently believes it is the leader.

@@ -279,13 +279,20 @@ func (u *node) solveAtRoot(ctx *congest.Context) {
 		forward(ctx, wire.Msg(wire.KindSuccess, 0, treeTag), -1)
 		return
 	}
-	succ := hc.Successors()
-	u.succ = succ[ctx.ID()]
+	// Walk the cycle in order, not a successor map, so every run queues the
+	// downcast — and so puts it on the wire — in the same order.
+	order := hc.Order()
+	for i, v := range order {
+		if v == ctx.ID() {
+			u.succ = hc.At(i + 1)
+		}
+	}
 	u.haveSucc = true
-	for v, s := range succ {
+	for i, v := range order {
 		if v == ctx.ID() {
 			continue
 		}
+		s := hc.At(i + 1)
 		child, ok := u.route[v]
 		if !ok {
 			// A node whose samples never reached us (possible only if it
@@ -312,11 +319,7 @@ func (u *node) observeMemory(ctx *congest.Context) {
 }
 
 func forward(ctx *congest.Context, m wire.Message, except graph.NodeID) {
-	for port, nb := range ctx.Neighbors() {
-		if nb != except {
-			ctx.SendPort(port, m)
-		}
-	}
+	ctx.SendPorts(ctx.AllPorts(), except, m)
 }
 
 // Result is a successful run's output.
