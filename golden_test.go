@@ -39,9 +39,20 @@ type goldenMode struct {
 	RoundsSkipped int64 `json:"rounds_skipped"`
 }
 
+// goldenShard is one shard's wire accounting in the sharded configuration:
+// everything ShardStat reports that a run decides, so BusySeconds (a
+// wall-clock reading) and the shard bounds (fixed by n and K) are left out.
+type goldenShard struct {
+	BytesSent int64 `json:"bytes_sent"`
+	BytesRecv int64 `json:"bytes_recv"`
+	RTTs      int64 `json:"rtts"`
+	LocalMsgs int64 `json:"local_msgs"`
+	CrossMsgs int64 `json:"cross_msgs"`
+}
+
 // goldenRecord is a cell's pinned outcome: everything a run measures that
 // must not depend on Workers, DenseSweep or sharding, plus the per-mode
-// scheduling counters.
+// scheduling counters and the sharded configuration's wire accounting.
 type goldenRecord struct {
 	goldenCell
 	Rounds      int64                 `json:"rounds"`
@@ -52,6 +63,7 @@ type goldenRecord struct {
 	Bits        int64                 `json:"bits"`
 	MaxMemWords int64                 `json:"max_mem_words"`
 	CycleSHA256 string                `json:"cycle_sha256"`
+	Shards      []goldenShard         `json:"shards,omitempty"`
 	Modes       map[string]goldenMode `json:"modes"`
 }
 
@@ -109,6 +121,16 @@ func solveGolden(t *testing.T, c goldenCell, cfg goldenConfig) goldenRecord {
 		order = binary.LittleEndian.AppendUint32(order, uint32(v))
 	}
 	sum := sha256.Sum256(order)
+	var shards []goldenShard
+	for _, st := range res.ShardStats {
+		shards = append(shards, goldenShard{
+			BytesSent: st.BytesSent,
+			BytesRecv: st.BytesRecv,
+			RTTs:      st.RTTs,
+			LocalMsgs: st.LocalMsgs,
+			CrossMsgs: st.CrossMsgs,
+		})
+	}
 	return goldenRecord{
 		goldenCell:  c,
 		Rounds:      res.Rounds,
@@ -119,6 +141,7 @@ func solveGolden(t *testing.T, c goldenCell, cfg goldenConfig) goldenRecord {
 		Bits:        res.Counters.Bits,
 		MaxMemWords: res.Counters.MemoryDistribution().Max,
 		CycleSHA256: hex.EncodeToString(sum[:]),
+		Shards:      shards,
 		Modes: map[string]goldenMode{cfg.mode: {
 			Invocations:   res.Counters.Invocations,
 			RoundsSkipped: res.Counters.RoundsSkipped,
@@ -128,10 +151,12 @@ func solveGolden(t *testing.T, c goldenCell, cfg goldenConfig) goldenRecord {
 
 // TestGoldenExact pins the exact engine's observable output. Every cell of
 // the matrix must reproduce its committed record byte for byte under
-// Workers 1, Workers 4, the dense sweep and 4 unix shards. The fixture was
-// generated by the engines as they stood before the in-process and
-// distributed round loops were merged, so it stays an oracle that does not
-// depend on the code under test.
+// Workers 1, Workers 4, the dense sweep and 4 unix shards; the sharded run
+// must also reproduce every shard's frame bytes, round trips and local/cross
+// message split. The fixture was generated by the engines as they stood
+// before the in-process and distributed round loops were merged (the wire
+// fields before sessions stopped owning their executor), so it stays an
+// oracle that does not depend on the code under test.
 func TestGoldenExact(t *testing.T) {
 	skipIfShort(t)
 	var want []goldenRecord
@@ -166,8 +191,11 @@ func TestGoldenExact(t *testing.T) {
 					if _, ok := ref.Modes[cfg.mode]; !ok {
 						ref.Modes[cfg.mode] = r.Modes[cfg.mode]
 					}
+					if r.Shards != nil {
+						ref.Shards = r.Shards
+					}
 				}
-				if a, b := goldenJSON(t, r), goldenJSON(t, ref.forMode(cfg.mode)); !bytes.Equal(a, b) {
+				if a, b := goldenJSON(t, r), goldenJSON(t, ref.forConfig(cfg)); !bytes.Equal(a, b) {
 					t.Fatalf("%s differs from %s:\n got %s\nwant %s", cfg.name, goldenExactPath, a, b)
 				}
 			}
@@ -189,9 +217,15 @@ func TestGoldenExact(t *testing.T) {
 	}
 }
 
-// forMode returns r with only mode's scheduling counters.
-func (r goldenRecord) forMode(mode string) goldenRecord {
-	r.Modes = map[string]goldenMode{mode: r.Modes[mode]}
+// forConfig returns what cfg must reproduce of r: only cfg's mode of the
+// scheduling counters, and the wire accounting only for a sharded cfg.
+func (r goldenRecord) forConfig(cfg goldenConfig) goldenRecord {
+	r.Modes = map[string]goldenMode{cfg.mode: r.Modes[cfg.mode]}
+	var opts Options
+	cfg.opts(&opts)
+	if opts.Shards <= 1 {
+		r.Shards = nil
+	}
 	return r
 }
 
