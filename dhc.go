@@ -432,15 +432,14 @@ type Solver struct {
 	// (concurrent calls corrupt the reused arena) rather than queueing it.
 	inUse atomic.Bool
 
-	draSess  *dra.Session
-	dhc1Sess *core.DHC1Session
-	dhc2Sess *core.DHC2Session
-	upSess   *upcast.Session
-	stepSess *stepsim.Session
+	// exec is the one executor every exact trial runs on, built once at
+	// NewSolver: the in-process Network, or the shard cluster when
+	// Shards > 1. exact is the algorithm's session adapter, which binds the
+	// node programs to exec and extracts the result.
+	exec  congest.Runner
+	exact exactSession
 
-	// cluster is the distributed executor, built once at NewSolver when
-	// Shards > 1 and injected into whichever session the algorithm uses.
-	cluster *dist.Cluster
+	stepSess *stepsim.Session
 }
 
 // ErrSolverInUse is returned by Solver.Solve/SolveSeeded when the session
@@ -493,9 +492,15 @@ func NewSolver(algo Algorithm, opts Options) (*Solver, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.cluster = cluster
+		s.exec = cluster
 	} else if opts.Transport != "" {
 		return nil, fmt.Errorf("dhc: transport %q requires shards > 1", opts.Transport)
+	}
+	if opts.Engine == EngineExact {
+		if s.exec == nil {
+			s.exec = new(congest.Network)
+		}
+		s.exact = exactSessions[algo](opts)
 	}
 	return s, nil
 }
@@ -525,84 +530,62 @@ func (s *Solver) SolveSeeded(ctx context.Context, g *Graph, seed uint64) (*Resul
 	return s.solveExact(ctx, g, seed)
 }
 
+// exactSession runs one exact-engine trial on the executor ex and converts
+// the session's result. Errors pass through unwrapped.
+type exactSession func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error)
+
+// exactSessions builds, per algorithm, the session adapter a Solver keeps:
+// one session (and so one set of node programs) reused across trials, with
+// the algorithm's options resolved from opts once.
+var exactSessions = map[Algorithm]func(opts Options) exactSession{
+	AlgorithmDRA: func(o Options) exactSession {
+		sess, opts := dra.NewSession(), dra.NodeOptions{BroadcastRounds: o.BroadcastBound}
+		return func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
+			r, err := sess.Run(ctx, ex, g, seed, opts, netOpts)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Cycle: r.Cycle, Rounds: r.Counters.Rounds, Steps: r.Steps, Counters: r.Counters}, nil
+		}
+	},
+	AlgorithmDHC1: func(o Options) exactSession {
+		sess, opts := core.NewDHC1Session(), core.DHC1Options{NumColors: o.NumColors, B: o.BroadcastBound}
+		return func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
+			return fromCoreResult(sess.Run(ctx, ex, g, seed, opts, netOpts))
+		}
+	},
+	AlgorithmDHC2: func(o Options) exactSession {
+		sess, opts := core.NewDHC2Session(), core.DHC2Options{Delta: o.Delta, NumColors: o.NumColors, B: o.BroadcastBound}
+		return func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
+			return fromCoreResult(sess.Run(ctx, ex, g, seed, opts, netOpts))
+		}
+	},
+	AlgorithmUpcast: func(o Options) exactSession {
+		sess, opts := upcast.NewSession(), upcast.Options{SamplesPerNode: o.SamplesPerNode, B: o.BroadcastBound}
+		return func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
+			r, err := sess.Run(ctx, ex, g, seed, opts, netOpts)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Cycle: r.Cycle, Rounds: r.Counters.Rounds, Counters: r.Counters}, nil
+		}
+	},
+}
+
 func (s *Solver) solveExact(ctx context.Context, g *Graph, seed uint64) (*Result, error) {
-	opts := s.opts
-	// The DHC algorithms own their executor sizing and round budget through
-	// their core options (the single source of truth for those knobs); the
-	// single-phase algorithms take both via congest.Options directly.
 	netOpts := congest.Options{
-		Workers:    opts.Workers,
-		DenseSweep: opts.DenseSweep,
-		MaxRounds:  opts.MaxRounds,
-		Progress:   opts.Observer.progress(),
+		Workers:    s.opts.Workers,
+		DenseSweep: s.opts.DenseSweep,
+		MaxRounds:  s.opts.MaxRounds,
+		Progress:   s.opts.Observer.progress(),
 	}
-	opts.Observer.phase("run")
-	var res *Result
-	switch s.algo {
-	case AlgorithmDRA:
-		if s.draSess == nil {
-			s.draSess = dra.NewSession()
-		}
-		if s.cluster != nil {
-			s.draSess.SetRunner(s.cluster)
-		}
-		r, err := s.draSess.Run(ctx, g, seed, dra.NodeOptions{BroadcastRounds: opts.BroadcastBound}, netOpts)
-		if err != nil {
-			return nil, wrapNoHC(err)
-		}
-		res = &Result{Cycle: r.Cycle, Rounds: r.Counters.Rounds, Steps: r.Steps, Counters: r.Counters}
-	case AlgorithmDHC1:
-		if s.dhc1Sess == nil {
-			s.dhc1Sess = core.NewDHC1Session()
-		}
-		if s.cluster != nil {
-			s.dhc1Sess.SetRunner(s.cluster)
-		}
-		r, err := s.dhc1Sess.Run(ctx, g, seed, core.DHC1Options{
-			NumColors: opts.NumColors,
-			B:         opts.BroadcastBound,
-			MaxRounds: opts.MaxRounds,
-			Workers:   opts.Workers,
-		}, congest.Options{DenseSweep: opts.DenseSweep, Progress: opts.Observer.progress()})
-		if err != nil {
-			return nil, wrapNoHC(err)
-		}
-		res = fromCoreResult(r)
-	case AlgorithmDHC2:
-		if s.dhc2Sess == nil {
-			s.dhc2Sess = core.NewDHC2Session()
-		}
-		if s.cluster != nil {
-			s.dhc2Sess.SetRunner(s.cluster)
-		}
-		r, err := s.dhc2Sess.Run(ctx, g, seed, core.DHC2Options{
-			Delta:     opts.Delta,
-			NumColors: opts.NumColors,
-			B:         opts.BroadcastBound,
-			MaxRounds: opts.MaxRounds,
-			Workers:   opts.Workers,
-		}, congest.Options{DenseSweep: opts.DenseSweep, Progress: opts.Observer.progress()})
-		if err != nil {
-			return nil, wrapNoHC(err)
-		}
-		res = fromCoreResult(r)
-	case AlgorithmUpcast:
-		if s.upSess == nil {
-			s.upSess = upcast.NewSession()
-		}
-		if s.cluster != nil {
-			s.upSess.SetRunner(s.cluster)
-		}
-		r, err := s.upSess.Run(ctx, g, seed, upcast.Options{SamplesPerNode: opts.SamplesPerNode, B: opts.BroadcastBound}, netOpts)
-		if err != nil {
-			return nil, wrapNoHC(err)
-		}
-		res = &Result{Cycle: r.Cycle, Rounds: r.Counters.Rounds, Counters: r.Counters}
-	default:
-		return nil, fmt.Errorf("dhc: unknown algorithm %d", s.algo)
+	s.opts.Observer.phase("run")
+	res, err := s.exact(ctx, s.exec, g, seed, netOpts)
+	if err != nil {
+		return nil, wrapNoHC(err)
 	}
-	if s.cluster != nil {
-		res.ShardStats = s.cluster.Stats()
+	if cluster, ok := s.exec.(*dist.Cluster); ok {
+		res.ShardStats = cluster.Stats()
 	}
 	return res, nil
 }
@@ -652,7 +635,10 @@ func (s *Solver) solveStep(ctx context.Context, g *Graph, seed uint64) (*Result,
 	}, nil
 }
 
-func fromCoreResult(r *core.Result) *Result {
+func fromCoreResult(r *core.Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
 	return &Result{
 		Cycle:        r.Cycle,
 		Rounds:       r.Counters.Rounds,
@@ -660,7 +646,7 @@ func fromCoreResult(r *core.Result) *Result {
 		Counters:     r.Counters,
 		Phase1Rounds: r.Phase1Rounds,
 		Phase2Rounds: r.Counters.Rounds - r.Phase1Rounds,
-	}
+	}, nil
 }
 
 // noCycleErrs lists every engine's genuine negative outcomes — the run

@@ -323,9 +323,11 @@ func (c *Context) AddWork(ops int64) { c.workOps += ops }
 // vertex, RunContext runs the execution to completion. *Network is the
 // in-process implementation; the distributed engine (internal/dist) provides
 // one that partitions the vertex set across shard workers behind real
-// transports. Drivers program against this seam so a session can swap
-// execution engines without touching algorithm code — and the two
-// implementations are held byte-identical by differential tests.
+// transports. It is the executor parameter of every algorithm session's Run:
+// the caller owns the executor, the session only binds its programs to it
+// and extracts results, so one session drives either engine without a type
+// switch. The two implementations are held byte-identical by differential
+// tests and the golden fixtures.
 type Runner interface {
 	Reset(g *graph.Graph, nodes []Node, opts Options) error
 	RunContext(ctx context.Context, seed uint64) (*metrics.Counters, error)

@@ -25,13 +25,6 @@ type DHC1Options struct {
 	// HyperMaxSteps overrides the Phase 2 hypernode rotation budget
 	// (default 4 × the Theorem 2 budget for K, covering probe rejections).
 	HyperMaxSteps int64
-	// MaxRounds overrides the simulator's round budget when the caller's
-	// congest.Options leaves it unset (0 keeps the derived default).
-	MaxRounds int64
-	// Workers sizes the simulator's parallel executor when the caller's
-	// congest.Options leaves it unset; both phases run on the pool. Any
-	// value produces identical results; only wall-clock changes.
-	Workers int
 }
 
 // dhc1Node is the per-node program: shared Phase 1, then the hypernode
@@ -106,33 +99,28 @@ func (d *dhc1Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	d.armWake(ctx)
 }
 
-// RunDHC1 executes DHC1 on g and returns the verified Hamiltonian cycle.
+// RunDHC1 executes DHC1 on g on a fresh in-process Network and returns the
+// verified Hamiltonian cycle.
 func RunDHC1(g *graph.Graph, seed uint64, opts DHC1Options, netOpts congest.Options) (*Result, error) {
-	return NewDHC1Session().Run(context.Background(), g, seed, opts, netOpts)
+	return NewDHC1Session().Run(context.Background(), new(congest.Network), g, seed, opts, netOpts)
 }
 
-// DHC1Session is a reusable DHC1 runner: the per-node program slice, the
-// simulator Network, and its run arena survive across Run calls, so repeated
-// trials on same-sized graphs skip the engine-side allocations. Not safe for
-// concurrent use.
+// DHC1Session is a reusable DHC1 program set: the per-node program slice
+// survives across Run calls, so repeated trials on same-sized graphs skip
+// its allocations. The session binds programs and extracts the cycle; the
+// executor is the caller's. Not safe for concurrent use.
 type DHC1Session struct {
 	progs []*dhc1Node
 	nodes []congest.Node
-	net   congest.Runner
 }
 
 // NewDHC1Session returns an empty session; the first Run sizes it.
 func NewDHC1Session() *DHC1Session { return &DHC1Session{} }
 
-// SetRunner replaces the session's executor — the seam the distributed
-// engine injects its shard cluster through. A nil Runner restores the
-// default in-process Network on the next Run.
-func (sess *DHC1Session) SetRunner(r congest.Runner) { sess.net = r }
-
-// Run executes one DHC1 trial, honoring ctx at the simulator's amortized
-// cancellation checkpoint. A cancelled run returns ctx's error and leaves
-// the session reusable.
-func (sess *DHC1Session) Run(ctx context.Context, g *graph.Graph, seed uint64, opts DHC1Options, netOpts congest.Options) (*Result, error) {
+// Run resets ex to g and the session's programs and executes one DHC1
+// trial, honoring ctx at the executor's amortized cancellation checkpoint. A
+// cancelled run returns ctx's error and leaves the session reusable.
+func (sess *DHC1Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph, seed uint64, opts DHC1Options, netOpts congest.Options) (*Result, error) {
 	n := g.N()
 	if n < 3 {
 		return nil, fmt.Errorf("core: need n >= 3, got %d", n)
@@ -153,16 +141,10 @@ func (sess *DHC1Session) Run(ctx context.Context, g *graph.Graph, seed uint64, o
 	}
 	cfg := phase1Config{NumColors: int32(numColors), B: b, MaxSteps: opts.MaxSteps}
 	if netOpts.MaxRounds == 0 {
-		netOpts.MaxRounds = opts.MaxRounds
-	}
-	if netOpts.MaxRounds == 0 {
 		scope := 3 * n / numColors
 		steps := rotation.DefaultMaxSteps(scope)
 		hyperSteps := 4 * rotation.DefaultMaxSteps(numColors)
 		netOpts.MaxRounds = 4*b + 8 + steps*(b+3) + hyperSteps*(b+4) + 8*b + 2048
-	}
-	if netOpts.Workers == 0 {
-		netOpts.Workers = opts.Workers
 	}
 	sess.progs = arena.Resize(sess.progs, n)
 	sess.nodes = arena.Resize(sess.nodes, n)
@@ -173,15 +155,10 @@ func (sess *DHC1Session) Run(ctx context.Context, g *graph.Graph, seed uint64, o
 		*sess.progs[i] = dhc1Node{cfg: cfg, numK: int32(numColors), hyperMax: opts.HyperMaxSteps}
 		sess.nodes[i] = sess.progs[i]
 	}
-	if sess.net == nil {
-		sess.net = new(congest.Network)
-	}
-	// Reset handles first bind and rebind alike (NewNetwork is just a Reset
-	// on a zero Network), so the sessions cannot drift on bind semantics.
-	if err := sess.net.Reset(g, sess.nodes, netOpts); err != nil {
+	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
 		return nil, err
 	}
-	counters, err := sess.net.RunContext(ctx, seed)
+	counters, err := ex.RunContext(ctx, seed)
 	if err != nil {
 		return nil, fmt.Errorf("dhc1: %w", err)
 	}

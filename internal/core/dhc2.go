@@ -32,15 +32,6 @@ type DHC2Options struct {
 	B int64
 	// MaxSteps overrides the per-partition DRA step budget.
 	MaxSteps int64
-	// MaxRounds overrides the simulator's round budget when the caller's
-	// congest.Options leaves it unset (0 keeps the derived default).
-	MaxRounds int64
-	// Workers sizes the simulator's parallel executor when the caller's
-	// congest.Options leaves it unset, so one knob drives every phase of the
-	// run — the phase-1 partition DRAs and the phase-2 merge levels both
-	// execute round by round on that pool. Any value produces identical
-	// results; only wall-clock changes.
-	Workers int
 }
 
 // dhc2Node is the per-node program: Phase 1 (shared) then tree merging.
@@ -134,33 +125,28 @@ func intLog2(n int) int {
 	return l
 }
 
-// RunDHC2 executes DHC2 on g and returns the verified Hamiltonian cycle.
+// RunDHC2 executes DHC2 on g on a fresh in-process Network and returns the
+// verified Hamiltonian cycle.
 func RunDHC2(g *graph.Graph, seed uint64, opts DHC2Options, netOpts congest.Options) (*Result, error) {
-	return NewDHC2Session().Run(context.Background(), g, seed, opts, netOpts)
+	return NewDHC2Session().Run(context.Background(), new(congest.Network), g, seed, opts, netOpts)
 }
 
-// DHC2Session is a reusable DHC2 runner: the per-node program slice, the
-// simulator Network, and its run arena survive across Run calls, so repeated
-// trials on same-sized graphs skip the engine-side allocations. Not safe for
-// concurrent use.
+// DHC2Session is a reusable DHC2 program set: the per-node program slice
+// survives across Run calls, so repeated trials on same-sized graphs skip
+// its allocations. The session binds programs and extracts the cycle; the
+// executor is the caller's. Not safe for concurrent use.
 type DHC2Session struct {
 	progs []*dhc2Node
 	nodes []congest.Node
-	net   congest.Runner
 }
 
 // NewDHC2Session returns an empty session; the first Run sizes it.
 func NewDHC2Session() *DHC2Session { return &DHC2Session{} }
 
-// SetRunner replaces the session's executor — the seam the distributed
-// engine injects its shard cluster through. A nil Runner restores the
-// default in-process Network on the next Run.
-func (sess *DHC2Session) SetRunner(r congest.Runner) { sess.net = r }
-
-// Run executes one DHC2 trial, honoring ctx at the simulator's amortized
-// cancellation checkpoint. A cancelled run returns ctx's error and leaves
-// the session reusable.
-func (sess *DHC2Session) Run(ctx context.Context, g *graph.Graph, seed uint64, opts DHC2Options, netOpts congest.Options) (*Result, error) {
+// Run resets ex to g and the session's programs and executes one DHC2
+// trial, honoring ctx at the executor's amortized cancellation checkpoint. A
+// cancelled run returns ctx's error and leaves the session reusable.
+func (sess *DHC2Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph, seed uint64, opts DHC2Options, netOpts congest.Options) (*Result, error) {
 	n := g.N()
 	if n < 3 {
 		return nil, fmt.Errorf("core: need n >= 3, got %d", n)
@@ -171,9 +157,6 @@ func (sess *DHC2Session) Run(ctx context.Context, g *graph.Graph, seed uint64, o
 			return nil, fmt.Errorf("core: delta %v outside (0, 1]", opts.Delta)
 		}
 		numColors = int(math.Round(math.Pow(float64(n), 1-opts.Delta)))
-	}
-	if numColors < 1 {
-		numColors = 1
 	}
 	if numColors > n/3 {
 		numColors = n / 3 // partitions must be able to hold a 3-cycle
@@ -187,13 +170,7 @@ func (sess *DHC2Session) Run(ctx context.Context, g *graph.Graph, seed uint64, o
 	}
 	cfg := phase1Config{NumColors: int32(numColors), B: b, MaxSteps: opts.MaxSteps}
 	if netOpts.MaxRounds == 0 {
-		netOpts.MaxRounds = opts.MaxRounds
-	}
-	if netOpts.MaxRounds == 0 {
 		netOpts.MaxRounds = dhc2RoundBudget(n, numColors, b)
-	}
-	if netOpts.Workers == 0 {
-		netOpts.Workers = opts.Workers
 	}
 	sess.progs = arena.Resize(sess.progs, n)
 	sess.nodes = arena.Resize(sess.nodes, n)
@@ -204,15 +181,10 @@ func (sess *DHC2Session) Run(ctx context.Context, g *graph.Graph, seed uint64, o
 		*sess.progs[i] = dhc2Node{cfg: cfg}
 		sess.nodes[i] = sess.progs[i]
 	}
-	if sess.net == nil {
-		sess.net = new(congest.Network)
-	}
-	// Reset handles first bind and rebind alike (NewNetwork is just a Reset
-	// on a zero Network), so the sessions cannot drift on bind semantics.
-	if err := sess.net.Reset(g, sess.nodes, netOpts); err != nil {
+	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
 		return nil, err
 	}
-	counters, err := sess.net.RunContext(ctx, seed)
+	counters, err := ex.RunContext(ctx, seed)
 	if err != nil {
 		return nil, fmt.Errorf("dhc2: %w", err)
 	}

@@ -87,10 +87,11 @@ type ShardStat struct {
 }
 
 // Cluster runs a bound network across shard workers. It implements
-// congest.Runner, so algorithm sessions drive it exactly like the in-process
-// Network — Reset then RunContext — and the distributed run inherits the
-// sessions' binding, extraction and error wrapping unchanged. Not safe for
-// concurrent use.
+// congest.Runner, so an algorithm session's Run takes it in place of the
+// in-process Network — Reset then RunContext — and the distributed run
+// inherits the session's binding, extraction and error wrapping unchanged.
+// A Cluster is reusable: workers live for one RunContext, so a Solver keeps
+// one Cluster for all its trials. Not safe for concurrent use.
 type Cluster struct {
 	opts  Options
 	g     *graph.Graph
@@ -130,7 +131,7 @@ func (c *Cluster) Reset(g *graph.Graph, nodes []congest.Node, opts congest.Optio
 		return fmt.Errorf("dist: %d node programs for %d vertices", len(nodes), g.N())
 	}
 	if opts.FaultHook != nil {
-		return fmt.Errorf("congest: FaultHook is not supported by sharded execution")
+		return fmt.Errorf("dist: FaultHook is not supported by sharded execution")
 	}
 	if c.opts.Transport == TransportProc {
 		for v, nd := range nodes {

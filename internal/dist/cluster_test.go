@@ -16,12 +16,10 @@ import (
 )
 
 // runDRA drives one DRA trial through the cluster, exactly as the solver
-// injects it: the session binds the programs, the cluster executes them.
+// does: the session binds the programs, the cluster executes them.
 func runDRA(ctx context.Context, cl *Cluster, n int) error {
 	g := graph.GNP(n, 0.5, rng.New(7))
-	sess := dra.NewSession()
-	sess.SetRunner(cl)
-	_, err := sess.Run(ctx, g, 1, dra.NodeOptions{}, congest.Options{BandwidthBits: 64})
+	_, err := dra.NewSession().Run(ctx, cl, g, 1, dra.NodeOptions{}, congest.Options{BandwidthBits: 64})
 	return err
 }
 
@@ -253,27 +251,43 @@ func TestClusterOptionValidation(t *testing.T) {
 	}
 }
 
-// TestResetRejectsFaultHook: the in-process chaos hook cannot cross shard
-// boundaries, so sharded execution must refuse it rather than silently run
-// without faults.
-func TestResetRejectsFaultHook(t *testing.T) {
-	cl, err := NewCluster(Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestClusterResetRefusals pins the three configurations Reset refuses
+// before any worker starts: a FaultHook (the in-process chaos hook cannot
+// cross shard boundaries, and running without it would silently drop the
+// faults), a program count that does not match the vertex count, and a
+// program that cannot be rebuilt in a worker process under TransportProc.
+// Each refusal is a dist error naming its cause.
+func TestClusterResetRefusals(t *testing.T) {
 	g := graph.GNP(8, 0.5, rng.New(1))
-	nodes := make([]congest.Node, g.N())
-	progs, err := BuildPrograms(congest.ProgramSpec{Algo: "dra", B: 4}, 0, g.N())
+	portable, err := BuildPrograms(congest.ProgramSpec{Algo: "dra", B: 4}, 0, g.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(nodes, progs)
-	opts := congest.Options{
-		FaultHook: func(round int64, from, to graph.NodeID, m wire.Message) (wire.Message, bool) {
-			return m, true
-		},
+	plain := make([]congest.Node, g.N())
+	for v := range plain {
+		plain[v] = &badSendNode{}
 	}
-	if err := cl.Reset(g, nodes, opts); err == nil || !strings.Contains(err.Error(), "FaultHook") {
-		t.Fatalf("Reset with FaultHook returned %v", err)
+	hook := func(round int64, from, to graph.NodeID, m wire.Message) (wire.Message, bool) { return m, true }
+	for _, tc := range []struct {
+		name      string
+		transport string
+		nodes     []congest.Node
+		opts      congest.Options
+		want      string
+	}{
+		{"fault-hook", TransportUnix, portable, congest.Options{FaultHook: hook}, "FaultHook"},
+		{"program-count", TransportUnix, portable[:g.N()-1], congest.Options{}, "7 node programs for 8 vertices"},
+		{"not-portable", TransportProc, plain, congest.Options{}, "is not portable"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := NewCluster(Options{Shards: 2, Transport: tc.transport})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = cl.Reset(g, tc.nodes, tc.opts)
+			if err == nil || !strings.HasPrefix(err.Error(), "dist: ") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Reset returned %v, want a dist: error containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -97,35 +97,30 @@ type Result struct {
 	Steps    int64
 }
 
-// Run executes DRA on g with the given seed and returns the Hamiltonian
-// cycle assembled from the per-node successor pointers. The cycle is
-// verified against g before returning.
+// Run executes DRA on g with the given seed on a fresh in-process Network
+// and returns the Hamiltonian cycle assembled from the per-node successor
+// pointers. The cycle is verified against g before returning.
 func Run(g *graph.Graph, seed uint64, opts NodeOptions, netOpts congest.Options) (*Result, error) {
-	return NewSession().Run(context.Background(), g, seed, opts, netOpts)
+	return NewSession().Run(context.Background(), new(congest.Network), g, seed, opts, netOpts)
 }
 
-// Session is a reusable standalone-DRA runner: the node programs (with their
-// per-node state machines), the simulator Network, and its run arena survive
-// across Run calls, so repeated trials on same-sized graphs allocate only
-// what a single trial's execution needs. Not safe for concurrent use.
+// Session is a reusable standalone-DRA program set: the node programs (with
+// their per-node state machines) survive across Run calls, so repeated
+// trials on same-sized graphs allocate only what a single trial's execution
+// needs. The session binds programs and extracts the cycle; the executor is
+// the caller's. Not safe for concurrent use.
 type Session struct {
 	progs []*Node
 	nodes []congest.Node
-	net   congest.Runner
 }
 
 // NewSession returns an empty session; the first Run sizes it.
 func NewSession() *Session { return &Session{} }
 
-// SetRunner replaces the session's executor — the seam the distributed
-// engine injects its shard cluster through. A nil Runner restores the
-// default in-process Network on the next Run.
-func (sess *Session) SetRunner(r congest.Runner) { sess.net = r }
-
-// Run executes one DRA trial, honoring ctx at the simulator's amortized
-// cancellation checkpoint. A cancelled run returns ctx's error and leaves
-// the session reusable.
-func (sess *Session) Run(ctx context.Context, g *graph.Graph, seed uint64, opts NodeOptions, netOpts congest.Options) (*Result, error) {
+// Run resets ex to g and the session's programs and executes one DRA
+// trial, honoring ctx at the executor's amortized cancellation checkpoint. A
+// cancelled run returns ctx's error and leaves the session reusable.
+func (sess *Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph, seed uint64, opts NodeOptions, netOpts congest.Options) (*Result, error) {
 	if g.N() < 3 {
 		return nil, fmt.Errorf("dra: need n >= 3, got %d", g.N())
 	}
@@ -143,11 +138,22 @@ func (sess *Session) Run(ctx context.Context, g *graph.Graph, seed uint64, opts 
 		// for the terminal broadcast.
 		netOpts.MaxRounds = maxSteps*(opts.BroadcastRounds+3) + 1024
 	}
-	sess.bind(g, opts)
-	if err := sess.resetNet(g, netOpts); err != nil {
+	// Prior Node values keep their state machines for reuse; only the
+	// per-run options are refreshed.
+	sess.progs = arena.Resize(sess.progs, g.N())
+	sess.nodes = arena.Resize(sess.nodes, g.N())
+	for i, p := range sess.progs {
+		if p == nil {
+			p = &Node{}
+			sess.progs[i] = p
+		}
+		p.opts = opts
+		sess.nodes[i] = p
+	}
+	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
 		return nil, err
 	}
-	counters, err := sess.net.RunContext(ctx, seed)
+	counters, err := ex.RunContext(ctx, seed)
 	if err != nil {
 		return nil, fmt.Errorf("dra: %w", err)
 	}
@@ -160,30 +166,6 @@ func (sess *Session) Run(ctx context.Context, g *graph.Graph, seed uint64, opts 
 		return nil, err
 	}
 	return &Result{Cycle: hc, Counters: counters, Steps: steps}, nil
-}
-
-// bind sizes the program slices to g and refreshes per-run options, keeping
-// prior Node values (and their retained state machines) for reuse.
-func (sess *Session) bind(g *graph.Graph, opts NodeOptions) {
-	n := g.N()
-	sess.progs = arena.Resize(sess.progs, n)
-	sess.nodes = arena.Resize(sess.nodes, n)
-	for i := 0; i < n; i++ {
-		if sess.progs[i] == nil {
-			sess.progs[i] = &Node{}
-		}
-		sess.progs[i].opts = opts
-		sess.nodes[i] = sess.progs[i]
-	}
-}
-
-// resetNet rebinds the session's simulator; Reset handles first bind and
-// rebind alike (NewNetwork is just a Reset on a zero Network).
-func (sess *Session) resetNet(g *graph.Graph, netOpts congest.Options) error {
-	if sess.net == nil {
-		sess.net = new(congest.Network)
-	}
-	return sess.net.Reset(g, sess.nodes, netOpts)
 }
 
 // NewNode constructs a standalone program for one vertex — the reconstruction

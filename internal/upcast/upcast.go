@@ -331,33 +331,27 @@ type Result struct {
 	RootMemoryWords int64
 }
 
-// Run executes the Upcast algorithm on g.
+// Run executes the Upcast algorithm on g on a fresh in-process Network.
 func Run(g *graph.Graph, seed uint64, opts Options, netOpts congest.Options) (*Result, error) {
-	return NewSession().Run(context.Background(), g, seed, opts, netOpts)
+	return NewSession().Run(context.Background(), new(congest.Network), g, seed, opts, netOpts)
 }
 
-// Session is a reusable Upcast runner: the per-node program slice, the
-// simulator Network, and its run arena survive across Run calls, so repeated
-// trials on same-sized graphs skip the engine-side allocations. Not safe for
-// concurrent use.
+// Session is a reusable Upcast program set: the per-node program slice
+// survives across Run calls, so repeated trials on same-sized graphs skip
+// its allocations. The session binds programs and extracts the cycle; the
+// executor is the caller's. Not safe for concurrent use.
 type Session struct {
 	progs []*node
 	nodes []congest.Node
-	net   congest.Runner
 }
 
 // NewSession returns an empty session; the first Run sizes it.
 func NewSession() *Session { return &Session{} }
 
-// SetRunner replaces the session's executor — the seam the distributed
-// engine injects its shard cluster through. A nil Runner restores the
-// default in-process Network on the next Run.
-func (sess *Session) SetRunner(r congest.Runner) { sess.net = r }
-
-// Run executes one Upcast trial, honoring ctx at the simulator's amortized
-// cancellation checkpoint. A cancelled run returns ctx's error and leaves
-// the session reusable.
-func (sess *Session) Run(ctx context.Context, g *graph.Graph, seed uint64, opts Options, netOpts congest.Options) (*Result, error) {
+// Run resets ex to g and the session's programs and executes one Upcast
+// trial, honoring ctx at the executor's amortized cancellation checkpoint. A
+// cancelled run returns ctx's error and leaves the session reusable.
+func (sess *Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph, seed uint64, opts Options, netOpts congest.Options) (*Result, error) {
 	n := g.N()
 	if n < 3 {
 		return nil, fmt.Errorf("upcast: need n >= 3, got %d", n)
@@ -384,15 +378,10 @@ func (sess *Session) Run(ctx context.Context, g *graph.Graph, seed uint64, opts 
 		*sess.progs[i] = node{opts: opts}
 		sess.nodes[i] = sess.progs[i]
 	}
-	if sess.net == nil {
-		sess.net = new(congest.Network)
-	}
-	// Reset handles first bind and rebind alike (NewNetwork is just a Reset
-	// on a zero Network), so the sessions cannot drift on bind semantics.
-	if err := sess.net.Reset(g, sess.nodes, netOpts); err != nil {
+	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
 		return nil, err
 	}
-	counters, err := sess.net.RunContext(ctx, seed)
+	counters, err := ex.RunContext(ctx, seed)
 	if err != nil {
 		return nil, fmt.Errorf("upcast: %w", err)
 	}

@@ -53,19 +53,39 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 			t.Fatalf("%s: counters differ: want %v, got %v", label, want.Counters, got.Counters)
 		}
 	}
+	// Shard stats agree on everything but BusySeconds, a wall-clock reading.
+	if len(want.ShardStats) != len(got.ShardStats) {
+		t.Fatalf("%s: %d shard stats, want %d", label, len(got.ShardStats), len(want.ShardStats))
+	}
+	for i, ws := range want.ShardStats {
+		gs := got.ShardStats[i]
+		ws.BusySeconds, gs.BusySeconds = 0, 0
+		if ws != gs {
+			t.Fatalf("%s: shard %d stats differ: want %+v, got %+v", label, i, ws, gs)
+		}
+	}
 }
 
-// TestSolverReuseMatchesFreshSolve pins property 1 over both engines and
-// several algorithms: interleaved trials with distinct seeds (and a failing
-// sub-threshold trial in the middle) through one Solver must equal fresh
-// Solve calls byte for byte.
+// TestSolverReuseMatchesFreshSolve pins property 1 over both engines, the
+// sharded exact engine and every algorithm: interleaved trials with distinct
+// seeds (and a failing sub-threshold trial in the middle) through one Solver
+// must equal fresh Solve calls byte for byte. In the sharded leg the Solver
+// reuses one shard cluster for every trial, and each trial's per-shard wire
+// accounting must match too.
 func TestSolverReuseMatchesFreshSolve(t *testing.T) {
 	g := NewGNP(96, 0.6, 11)
 	sparse := NewGNP(96, 0.02, 12)
-	for _, engine := range []Engine{EngineExact, EngineStep} {
+	for _, leg := range []struct {
+		engine Engine
+		shards int
+	}{{EngineExact, 0}, {EngineStep, 0}, {EngineExact, 3}} {
 		for _, algo := range []Algorithm{AlgorithmDRA, AlgorithmDHC1, AlgorithmDHC2, AlgorithmUpcast} {
-			t.Run(fmt.Sprintf("%s/engine=%d", algo, engine), func(t *testing.T) {
-				opts := Options{Engine: engine, NumColors: 6}
+			name := fmt.Sprintf("%s/engine=%d", algo, leg.engine)
+			if leg.shards > 0 {
+				name += fmt.Sprintf("/shards=%d", leg.shards)
+			}
+			t.Run(name, func(t *testing.T) {
+				opts := Options{Engine: leg.engine, NumColors: 6, Shards: leg.shards}
 				solver, err := NewSolver(algo, opts)
 				if err != nil {
 					t.Fatal(err)
