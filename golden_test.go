@@ -116,11 +116,6 @@ func solveGolden(t *testing.T, c goldenCell, cfg goldenConfig) goldenRecord {
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.name, err)
 	}
-	var order []byte
-	for _, v := range res.Cycle.Order() {
-		order = binary.LittleEndian.AppendUint32(order, uint32(v))
-	}
-	sum := sha256.Sum256(order)
 	var shards []goldenShard
 	for _, st := range res.ShardStats {
 		shards = append(shards, goldenShard{
@@ -140,13 +135,23 @@ func solveGolden(t *testing.T, c goldenCell, cfg goldenConfig) goldenRecord {
 		Messages:    res.Counters.Messages,
 		Bits:        res.Counters.Bits,
 		MaxMemWords: res.Counters.MemoryDistribution().Max,
-		CycleSHA256: hex.EncodeToString(sum[:]),
+		CycleSHA256: cycleSHA256(res.Cycle),
 		Shards:      shards,
 		Modes: map[string]goldenMode{cfg.mode: {
 			Invocations:   res.Counters.Invocations,
 			RoundsSkipped: res.Counters.RoundsSkipped,
 		}},
 	}
+}
+
+// cycleSHA256 hashes a cycle's vertex order, each id a little-endian uint32.
+func cycleSHA256(c *Cycle) string {
+	var order []byte
+	for _, v := range c.Order() {
+		order = binary.LittleEndian.AppendUint32(order, uint32(v))
+	}
+	sum := sha256.Sum256(order)
+	return hex.EncodeToString(sum[:])
 }
 
 // TestGoldenExact pins the exact engine's observable output. Every cell of

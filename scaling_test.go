@@ -17,7 +17,8 @@ import (
 // TestGoldenCountersDRA pins the DRA step engine byte-for-byte: these exact
 // counters were recorded before the streaming CSR, packed treap node, and
 // flat rotation-machine refactors, so any RNG draw or rotation reordering
-// shows up as a diff here, not as a silent distribution shift.
+// shows up as a diff here, not as a silent distribution shift. The cycle's
+// SHA-256 (golden_test.go's encoding) pins the output bytes as well.
 func TestGoldenCountersDRA(t *testing.T) {
 	skipIfShort(t)
 	n := 4096
@@ -33,11 +34,16 @@ func TestGoldenCountersDRA(t *testing.T) {
 		t.Fatalf("solver drift: rounds=%d steps=%d, want rounds=275949 steps=42932",
 			res.Rounds, res.Steps)
 	}
+	const wantSHA = "1c48d1ea22ec2a8174ca924416a6879fe9f4166d6893dbc04d9e5165da2d577e"
+	if got := cycleSHA256(res.Cycle); got != wantSHA {
+		t.Fatalf("cycle drift: sha256 %s, want %s", got, wantSHA)
+	}
 }
 
 // TestGoldenCountersDHC2 pins the sharded DHC2 step engine at n=10^5 with
 // K=8 partitions and a 2-worker pool — the same configuration at every
-// worker count by the determinism contract.
+// worker count by the determinism contract. Like the DRA test it also pins
+// the cycle's SHA-256.
 func TestGoldenCountersDHC2(t *testing.T) {
 	skipIfShort(t)
 	n := 100000
@@ -56,6 +62,10 @@ func TestGoldenCountersDHC2(t *testing.T) {
 		t.Fatalf("solver drift: rounds=%d steps=%d p1=%d p2=%d, "+
 			"want rounds=1346463 steps=954948 p1=1346379 p2=84",
 			res.Rounds, res.Steps, res.Phase1Rounds, res.Phase2Rounds)
+	}
+	const wantSHA = "b017f638acaa93ef9ca214bf56aea6e94db28d78e053fd90c405f7f8d5a058e9"
+	if got := cycleSHA256(res.Cycle); got != wantSHA {
+		t.Fatalf("cycle drift: sha256 %s, want %s", got, wantSHA)
 	}
 }
 
