@@ -199,6 +199,17 @@ func TestRotatePanicsOutOfRange(t *testing.T) {
 			p.Rotate(j)
 		}()
 	}
+	// RotateAt refuses the head (j = h) and a vertex off the path.
+	for _, v := range []graph.NodeID{1, 7} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("RotateAt(%d) did not panic", v)
+				}
+			}()
+			p.RotateAt(v)
+		}()
+	}
 }
 
 func TestRotatePreservesPathProperty(t *testing.T) {

@@ -2,6 +2,8 @@ package cycle
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"dhc/internal/graph"
 )
@@ -11,169 +13,142 @@ import (
 // (Algorithm 1 keeps cycindex = 0 for unvisited vertices and assigns the
 // initial head cycindex = 1).
 //
-// Internally Path is an implicit treap with lazy suffix reversal: Extend,
-// Rotate, Position, At, and Head are all O(log h). This matters because a
-// rotation reverses the whole path suffix after position j — on an array
-// that is Θ(h) per rotation and makes the rotation process Θ(n²) overall,
-// which is exactly the wall that kept the step engine from 10^5+-vertex
-// partitions. Treap priorities come from a private deterministic stream
-// (they never touch the caller's RNG), so the sequence of observable states
-// is identical to the array implementation's.
+// Internally Path is a splay tree in path order with lazy suffix reversal
+// (Sleator & Tarjan, "Self-adjusting binary search trees", JACM 1985). A
+// rotation reverses the whole path suffix after position j; on an array that
+// is Θ(h) per rotation and makes the rotation process Θ(n²) overall. Here
+// RotateAt splays the rotation vertex to the root, reads j off its left
+// subtree and flips the reversal flag of its right subtree: amortized
+// O(log h). Extend, Head and Tail are O(1); Position and At are amortized
+// O(log h). The shape of the tree is unobservable, so every sequence of
+// positions and heads is the array implementation's.
 type Path struct {
+	// nodes[v+1] is vertex v's node; nodes[0] is the nil sentinel, whose
+	// size is 0 so that child sizes need no nil check. A node whose size is
+	// 0 is off the path. Vertex ids are dense, so indexing by id needs no
+	// map.
 	nodes []pathNode
 	root  int32
-	// vnode[v] is the arena index of v's node, -1 while v is off the path.
-	// Vertex ids are dense, so a growable slice beats a map by an order of
-	// magnitude on the per-step Position lookups.
-	vnode []int32
-	// prioState seeds the deterministic treap priorities (splitmix64 of the
-	// insertion counter).
-	prioState uint64
-	// scratch holds the root-to-node chain reused by Position.
-	scratch []int32
+	// head and tail are the node indices of v_h and v_1. A rotation keeps
+	// v_1, so tail never changes.
+	head, tail int32
 }
-
-const nilNode = int32(-1)
 
 // sizeMask extracts the subtree size from pathNode.szrev; bit 31 is the lazy
 // reversal flag. Path length is bounded far below 2^31 by the graph layout's
 // own vertex cap, so 31 bits of size lose nothing.
-const sizeMask = 1<<31 - 1
+const (
+	sizeMask = 1<<31 - 1
+	revBit   = 1 << 31
+)
 
-// pathNode is packed to 24 bytes (down from 32): the reversal flag rides in
-// the top bit of the size word and priorities are 32-bit. With millions of
-// nodes live during a big run this is a quarter of the treap's footprint and
-// measurably fewer cache lines per descent. Priority ties (possible at 32
-// bits) only skew treap shape, which is unobservable.
+// pathNode is 16 bytes: child and parent indices (0 is nil) and the subtree
+// size with the reversal flag in its top bit. A set flag means the subtree's
+// order is reversed and its children not yet swapped.
 type pathNode struct {
 	l, r, p int32
-	// szrev: subtree size in the low 31 bits, lazy reversal flag in bit 31.
-	szrev uint32
-	prio  uint32
-	v     graph.NodeID
+	szrev   uint32
 }
 
-func (n *pathNode) size() int32 { return int32(n.szrev & sizeMask) }
+func vertexOf(x int32) graph.NodeID { return graph.NodeID(x - 1) }
 
 // NewPath returns a path containing just the start vertex (the initial head).
 func NewPath(start graph.NodeID) *Path {
-	p := &Path{root: nilNode, prioState: 0x9e3779b97f4a7c15}
-	p.root = p.newNode(start)
+	p := &Path{}
+	x := p.node(start)
+	p.nodes[x].szrev = 1
+	p.root, p.head, p.tail = x, x, x
 	return p
 }
 
-func (p *Path) newNode(v graph.NodeID) int32 {
-	// splitmix64: deterministic, well-distributed priorities per insertion.
-	p.prioState += 0x9e3779b97f4a7c15
-	z := p.prioState
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	idx := int32(len(p.nodes))
-	p.nodes = append(p.nodes, pathNode{
-		l: nilNode, r: nilNode, p: nilNode,
-		szrev: 1, prio: uint32((z ^ (z >> 31)) >> 32), v: v,
-	})
-	for int(v) >= len(p.vnode) {
-		p.vnode = append(p.vnode, nilNode)
+// node returns v's node index, growing the arena to hold it.
+func (p *Path) node(v graph.NodeID) int32 {
+	x := int32(v) + 1
+	if need := int(x) + 1; need > len(p.nodes) {
+		// Slots past the length were never written, so they are zero: off
+		// the path.
+		p.nodes = slices.Grow(p.nodes, need-len(p.nodes))[:need]
 	}
-	p.vnode[v] = idx
-	return idx
+	return x
 }
 
-func (p *Path) size(x int32) int32 {
-	if x < 0 {
-		return 0
-	}
-	return p.nodes[x].size()
-}
+func (p *Path) size(x int32) int32 { return int32(p.nodes[x].szrev & sizeMask) }
 
 // push resolves x's pending reversal by swapping its children and deferring
-// the flag to them.
+// the flag to them. The sentinel may pick up a flag; its size stays 0.
 func (p *Path) push(x int32) {
 	n := &p.nodes[x]
-	if n.szrev>>31 == 0 {
+	if n.szrev&revBit == 0 {
 		return
 	}
 	n.l, n.r = n.r, n.l
-	if n.l >= 0 {
-		p.nodes[n.l].szrev ^= 1 << 31
-	}
-	if n.r >= 0 {
-		p.nodes[n.r].szrev ^= 1 << 31
-	}
+	p.nodes[n.l].szrev ^= revBit
+	p.nodes[n.r].szrev ^= revBit
 	n.szrev &= sizeMask
 }
 
-// pull recomputes x's size and claims its children's parent pointers.
-func (p *Path) pull(x int32) {
-	n := &p.nodes[x]
-	n.szrev = n.szrev&^sizeMask | uint32(1+p.size(n.l)+p.size(n.r))
-	if n.l >= 0 {
-		p.nodes[n.l].p = x
+// rotate moves x above its parent y, keeping in-order sequence and sizes.
+// Both must carry no pending reversal.
+func (p *Path) rotate(x int32) {
+	nodes := p.nodes
+	y := nodes[x].p
+	z := nodes[y].p
+	var b int32
+	if nodes[y].l == x {
+		b = nodes[x].r
+		nodes[y].l = b
+		nodes[x].r = y
+	} else {
+		b = nodes[x].l
+		nodes[y].r = b
+		nodes[x].l = y
 	}
-	if n.r >= 0 {
-		p.nodes[n.r].p = x
+	nodes[b].p = y
+	nodes[y].p = x
+	nodes[x].p = z
+	if nodes[z].l == y {
+		nodes[z].l = x
+	} else if nodes[z].r == y {
+		nodes[z].r = x
 	}
+	// x takes over y's subtree; y loses x but gains x's inner child b.
+	// Neither carries a flag, so their words are plain sizes.
+	sy := nodes[y].szrev
+	nodes[y].szrev = sy - nodes[x].szrev + nodes[b].szrev&sizeMask
+	nodes[x].szrev = sy
 }
 
-func (p *Path) merge(a, b int32) int32 {
-	if a < 0 {
-		return b
-	}
-	if b < 0 {
-		return a
-	}
-	if p.nodes[a].prio >= p.nodes[b].prio {
-		p.push(a)
-		p.nodes[a].r = p.merge(p.nodes[a].r, b)
-		p.pull(a)
-		return a
-	}
-	p.push(b)
-	p.nodes[b].l = p.merge(a, p.nodes[b].l)
-	p.pull(b)
-	return b
-}
-
-// split divides x's subtree into its first k elements and the rest.
-func (p *Path) split(x, k int32) (int32, int32) {
-	if x < 0 {
-		return nilNode, nilNode
+// splay splays x until its parent is top (0 for the tree root). It settles
+// pending reversals on the way, three nodes at a time from the top: a
+// rotation below an unpushed ancestor keeps that subtree's stored order, so
+// the ancestor's flag stays valid and no root-to-x pass is needed.
+func (p *Path) splay(x, top int32) {
+	nodes := p.nodes
+	for {
+		y := nodes[x].p
+		if y == top {
+			break
+		}
+		z := nodes[y].p
+		if z == top {
+			p.push(y)
+			p.push(x)
+			p.rotate(x)
+			break
+		}
+		p.push(z)
+		p.push(y)
+		p.push(x)
+		if (nodes[z].l == y) == (nodes[y].l == x) {
+			p.rotate(y)
+		} else {
+			p.rotate(x)
+		}
+		p.rotate(x)
 	}
 	p.push(x)
-	if ls := p.size(p.nodes[x].l); ls+1 <= k {
-		a, b := p.split(p.nodes[x].r, k-ls-1)
-		p.nodes[x].r = a
-		p.pull(x)
-		if b >= 0 {
-			p.nodes[b].p = nilNode
-		}
-		return x, b
-	}
-	a, b := p.split(p.nodes[x].l, k)
-	p.nodes[x].l = b
-	p.pull(x)
-	if a >= 0 {
-		p.nodes[a].p = nilNode
-	}
-	return a, x
-}
-
-// kth returns the node at 1-based position i, pushing flags on the way down.
-func (p *Path) kth(i int32) int32 {
-	x := p.root
-	for {
-		p.push(x)
-		ls := p.size(p.nodes[x].l)
-		switch {
-		case i <= ls:
-			x = p.nodes[x].l
-		case i == ls+1:
-			return x
-		default:
-			i -= ls + 1
-			x = p.nodes[x].r
-		}
+	if top == 0 {
+		p.root = x
 	}
 }
 
@@ -181,59 +156,62 @@ func (p *Path) kth(i int32) int32 {
 func (p *Path) Len() int { return int(p.size(p.root)) }
 
 // Head returns the current head v_h.
-func (p *Path) Head() graph.NodeID { return p.nodes[p.kth(p.size(p.root))].v }
+func (p *Path) Head() graph.NodeID { return vertexOf(p.head) }
 
 // Tail returns v_1.
-func (p *Path) Tail() graph.NodeID { return p.nodes[p.kth(1)].v }
-
-// Position returns the 1-based position of v on the path, or 0 if absent.
-func (p *Path) Position(v graph.NodeID) int {
-	if int(v) < 0 || int(v) >= len(p.vnode) {
-		return 0
-	}
-	x := p.vnode[v]
-	if x < 0 {
-		return 0
-	}
-	// Settle pending reversals along the root-to-x chain top down, summing
-	// each node's left-subtree contribution during the same descent (the
-	// comparison against the next chain node must follow its parent's push,
-	// which may swap the children).
-	chain := p.scratch[:0]
-	for y := x; y >= 0; y = p.nodes[y].p {
-		chain = append(chain, y)
-	}
-	pos := 1
-	for i := len(chain) - 1; i > 0; i-- {
-		y := chain[i]
-		p.push(y)
-		if p.nodes[y].r == chain[i-1] {
-			pos += int(p.size(p.nodes[y].l)) + 1
-		}
-	}
-	p.push(x)
-	pos += int(p.size(p.nodes[x].l))
-	p.scratch = chain
-	return pos
-}
+func (p *Path) Tail() graph.NodeID { return vertexOf(p.tail) }
 
 // Contains reports whether v lies on the path.
 func (p *Path) Contains(v graph.NodeID) bool {
-	return int(v) >= 0 && int(v) < len(p.vnode) && p.vnode[v] >= 0
+	return int(v) >= 0 && int(v)+1 < len(p.nodes) && p.nodes[v+1].szrev&sizeMask != 0
 }
 
-// At returns the vertex at 1-based position i.
-func (p *Path) At(i int) graph.NodeID { return p.nodes[p.kth(int32(i))].v }
+// Position returns the 1-based position of v on the path, or 0 if absent.
+func (p *Path) Position(v graph.NodeID) int {
+	if !p.Contains(v) {
+		return 0
+	}
+	x := int32(v) + 1
+	p.splay(x, 0)
+	return int(p.size(p.nodes[x].l)) + 1
+}
 
-// Extend appends u as the new head. It panics if u is already on the path;
-// callers decide between Extend and Rotate by checking Contains first, which
+// At returns the vertex at 1-based position i. It panics if i is out of
+// [1, h].
+func (p *Path) At(i int) graph.NodeID {
+	if i < 1 || i > p.Len() {
+		panic(fmt.Sprintf("cycle: At(%d) out of range for path length %d", i, p.Len()))
+	}
+	k := int32(i)
+	x := p.root
+	for {
+		p.push(x)
+		ls := p.size(p.nodes[x].l)
+		switch {
+		case k <= ls:
+			x = p.nodes[x].l
+		case k == ls+1:
+			p.splay(x, 0)
+			return vertexOf(x)
+		default:
+			k -= ls + 1
+			x = p.nodes[x].r
+		}
+	}
+}
+
+// Extend appends u as the new head: u's node becomes the root with the old
+// tree as its left subtree. It panics if u is already on the path; callers
+// decide between Extend and a rotation by checking Contains first, which
 // mirrors the algorithm's branch on cycindex = 0.
 func (p *Path) Extend(u graph.NodeID) {
 	if p.Contains(u) {
 		panic(fmt.Sprintf("cycle: Extend(%d) but vertex already at position %d", u, p.Position(u)))
 	}
-	p.root = p.merge(p.root, p.newNode(u))
-	p.nodes[p.root].p = nilNode
+	x := p.node(u)
+	p.nodes[x] = pathNode{l: p.root, szrev: uint32(p.size(p.root)) + 1}
+	p.nodes[p.root].p = x
+	p.root, p.head = x, x
 }
 
 // Rotate performs the rotation of paper Fig. 2 at the vertex with 1-based
@@ -243,50 +221,78 @@ func (p *Path) Extend(u graph.NodeID) {
 // of the paper is what the lazy reversal flag represents. It panics if j is
 // out of [1, h-1].
 func (p *Path) Rotate(j int) {
-	p.RotateHead(j)
-}
-
-// RotateHead performs Rotate(j) and returns the new head (the old v_{j+1}).
-// The head is read off the detached suffix during the rotation itself —
-// its leftmost node, reached in O(log(h-j)) — so hot loops that need the
-// head after every rotation skip the full-length root descent that a
-// Rotate-then-Head pair would pay.
-func (p *Path) RotateHead(j int) graph.NodeID {
-	h := p.Len()
-	if j < 1 || j >= h {
+	if h := p.Len(); j < 1 || j >= h {
 		panic(fmt.Sprintf("cycle: Rotate(j=%d) out of range for path length %d", j, h))
 	}
-	a, b := p.split(p.root, int32(j))
-	x := b
+	p.RotateAt(p.At(j))
+}
+
+// RotateAt performs the rotation at v's position j and returns j and the
+// new head (the old v_{j+1}). It splays v to the root, so j is its left
+// subtree's size plus one and the suffix to reverse is its right subtree,
+// whose leftmost node is the new head. It panics if v is off the path or is
+// the head.
+func (p *Path) RotateAt(v graph.NodeID) (j int, head graph.NodeID) {
+	if !p.Contains(v) {
+		panic(fmt.Sprintf("cycle: RotateAt(%d) but vertex is not on the path", v))
+	}
+	x := int32(v) + 1
+	p.splay(x, 0)
+	n := &p.nodes[x]
+	if n.r == 0 {
+		panic(fmt.Sprintf("cycle: RotateAt(%d) at the head", v))
+	}
+	y, depth := n.r, 0
 	for {
-		p.push(x)
-		l := p.nodes[x].l
-		if l < 0 {
+		p.push(y)
+		l := p.nodes[y].l
+		if l == 0 {
 			break
 		}
-		x = l
+		y = l
+		depth++
 	}
-	head := p.nodes[x].v
-	p.nodes[b].szrev ^= 1 << 31
-	p.root = p.merge(a, b)
-	p.nodes[p.root].p = nilNode
-	return head
+	// A descent longer than about 2·log₂h is paid for by splaying its end,
+	// which the amortized splay bound covers; a shorter one costs O(log h)
+	// as it is.
+	if depth > 2*bits.Len32(n.szrev&sizeMask) {
+		p.splay(y, x)
+	}
+	p.nodes[n.r].szrev ^= revBit
+	p.head = y
+	return int(p.size(n.l)) + 1, vertexOf(y)
 }
 
 // Order returns the vertices in path order. The returned slice is a copy.
+// The walk follows parent links instead of a stack: a splay tree can be a
+// single path of depth h.
 func (p *Path) Order() []graph.NodeID {
 	out := make([]graph.NodeID, 0, p.Len())
-	var walk func(int32)
-	walk = func(x int32) {
-		if x < 0 {
-			return
-		}
+	nodes := p.nodes
+	x := p.root
+	for x != 0 {
+		// Enter x's subtree: settle flags on the way to its leftmost node.
 		p.push(x)
-		walk(p.nodes[x].l)
-		out = append(out, p.nodes[x].v)
-		walk(p.nodes[x].r)
+		for nodes[x].l != 0 {
+			x = nodes[x].l
+			p.push(x)
+		}
+		// Emit x, then enter its right subtree or climb to the first
+		// ancestor reached from its left.
+		for {
+			out = append(out, vertexOf(x))
+			if r := nodes[x].r; r != 0 {
+				x = r
+				break
+			}
+			for y := nodes[x].p; y != 0 && nodes[y].r == x; y = nodes[x].p {
+				x = y
+			}
+			if x = nodes[x].p; x == 0 {
+				break
+			}
+		}
 	}
-	walk(p.root)
 	return out
 }
 

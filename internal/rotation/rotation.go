@@ -109,10 +109,6 @@ type Machine struct {
 	src  *rng.Source
 	cfg  Config
 	path *cycle.Path
-	// head caches the path head: Extend sets it directly and RotateHead
-	// returns the new head as a byproduct of the rotation, so Step never
-	// pays a root-to-leaf treap descent just to learn where it is.
-	head graph.NodeID
 	// Unused-edge state, flat: row v of uarena occupies the graph's own CSR
 	// row span (uoff is the graph's offset array, shared read-only) and its
 	// first ucnt[v] slots hold v's remaining unused incident edges. Replaces
@@ -135,7 +131,6 @@ func New(g *graph.Graph, start graph.NodeID, src *rng.Source, cfg Config) *Machi
 		src:  src,
 		cfg:  cfg,
 		path: cycle.NewPath(start),
-		head: start,
 	}
 	if cfg.TrackRemovals {
 		m.stats.RemovalsPerNode = make([]int64, g.N())
@@ -193,7 +188,7 @@ func (m *Machine) Step() (Event, error) {
 	if m.stats.Steps >= m.cfg.MaxSteps {
 		return Event{}, fmt.Errorf("%w: %d steps", ErrStepBudget, m.stats.Steps)
 	}
-	head := m.head
+	head := m.path.Head()
 	u, ok := m.popRandomUnused(head)
 	if !ok {
 		return Event{}, fmt.Errorf("%w: node %d after %d steps", ErrOutOfEdges, head, m.stats.Steps)
@@ -205,24 +200,22 @@ func (m *Machine) Step() (Event, error) {
 	// the used edge from its own list.
 	m.removeUnused(u, head)
 
-	pos := m.path.Position(u)
 	switch {
-	case pos == 0:
+	case !m.path.Contains(u):
 		// First visit: extend.
 		m.path.Extend(u)
-		m.head = u
 		m.stats.Extensions++
 		return Event{Kind: Extended, Head: head, Chosen: u, H: h + 1}, nil
-	case h == m.g.N() && pos == 1:
+	case h == m.g.N() && m.path.Tail() == u:
 		// progress(pos = |V|) arriving at the tail: success.
 		m.done = true
 		return Event{Kind: Closed, Head: head, Chosen: u, H: h}, nil
 	default:
-		// Rotation at j = pos (the head is at position h; renumbering
-		// i <- h + j + 1 - i is applied by Path.Rotate).
-		m.head = m.path.RotateHead(pos)
+		// Rotation at u's position j (the head is at position h;
+		// renumbering i <- h + j + 1 - i is applied by Path.RotateAt).
+		j, _ := m.path.RotateAt(u)
 		m.stats.Rotations++
-		return Event{Kind: Rotated, Head: head, Chosen: u, H: h, J: pos}, nil
+		return Event{Kind: Rotated, Head: head, Chosen: u, H: h, J: j}, nil
 	}
 }
 

@@ -287,11 +287,13 @@ func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.No
 		return out
 	}
 	sub, orig := g.InducedSubgraph(class)
-	if !sub.Connected() {
+	// One BFS gives both the connectivity check and broadcastBound's B.
+	ecc, reached := sub.Ecc(0)
+	if reached != sub.N() {
 		out.err = fmt.Errorf("%w: partition %d disconnected", ErrFailed, c)
 		return out
 	}
-	out.b = broadcastBound(sub)
+	out.b = int64(2*ecc + 1)
 	intr := interruptOf(ctx)
 	for a := 0; a < maxAttempts; a++ {
 		if ctx.Err() != nil {

@@ -15,10 +15,11 @@ import (
 )
 
 // TestGoldenCountersDRA pins the DRA step engine byte-for-byte: these exact
-// counters were recorded before the streaming CSR, packed treap node, and
-// flat rotation-machine refactors, so any RNG draw or rotation reordering
-// shows up as a diff here, not as a silent distribution shift. The cycle's
-// SHA-256 (golden_test.go's encoding) pins the output bytes as well.
+// counters were recorded before the streaming CSR, packed path node, flat
+// rotation-machine and splay-tree path refactors, so any RNG draw or
+// rotation reordering shows up as a diff here, not as a silent distribution
+// shift. The cycle's SHA-256 (golden_test.go's encoding) pins the output
+// bytes as well.
 func TestGoldenCountersDRA(t *testing.T) {
 	skipIfShort(t)
 	n := 4096
@@ -72,9 +73,10 @@ func TestGoldenCountersDHC2(t *testing.T) {
 // TestStepSolverBytesPerVertex is the packed-state allocation regression: a
 // DHC2 step solve at n=10^5 must stay within an allocation budget per vertex
 // (TotalAlloc delta, single-goroutine Workers=1 so the measurement is
-// stable). The budget has ~1.5x headroom over the current value; unpacking
-// the treap node back to 32 bytes, re-materializing an []Edge during
-// construction, or reverting a bitset to []bool all blow through it.
+// stable). The budget was set with ~1.5x headroom over the treap-path value
+// (627 bytes/vertex); the 16-byte splay-tree path node brought it to 522.
+// Re-materializing an []Edge during construction or reverting a bitset to
+// []bool blows through it.
 func TestStepSolverBytesPerVertex(t *testing.T) {
 	skipIfShort(t)
 	n := 100000
