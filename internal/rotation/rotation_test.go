@@ -107,6 +107,12 @@ func TestMachineStepEvents(t *testing.T) {
 			if ev.J < 1 || ev.J >= ev.H {
 				t.Fatalf("rotation event out of range: %+v", ev)
 			}
+			// J is Chosen's position: the prefix through v_j stays, and the
+			// reversed suffix now starts at the old head.
+			if p := m.Path(); p.At(ev.J) != ev.Chosen || p.At(ev.J+1) != ev.Head {
+				t.Fatalf("rotation event %+v: path has %d at J and %d at J+1",
+					ev, p.At(ev.J), p.At(ev.J+1))
+			}
 		case Closed:
 			if ev.H != g.N() {
 				t.Fatalf("closed with H=%d, want %d", ev.H, g.N())
