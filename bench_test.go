@@ -240,22 +240,6 @@ func BenchmarkA1_EngineAgreement(b *testing.B) {
 	b.ReportMetric(float64(step), "step-rounds")
 }
 
-// BenchmarkA2_ParallelExecutor — ablation: sequential vs goroutine-parallel
-// exact-engine executors.
-func BenchmarkA2_ParallelExecutor(b *testing.B) {
-	g := graph.GNP(300, 0.6, rng.New(29))
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dhc.Solve(g, dhc.AlgorithmDHC2,
-					dhc.Options{Seed: 5, NumColors: 6, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkA3_EdgeThinning — ablation: the Theorem 2 analysis coupling
 // (q-thinned unused lists) vs the practical full lists.
 func BenchmarkA3_EdgeThinning(b *testing.B) {

@@ -47,7 +47,7 @@ func run() error {
 		maxR      = flag.Int64("maxrounds", 0, "round-budget override for the exact engines (0 = derived default)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock bound on the run (0 = none)")
 		progress  = flag.Bool("progress", false, "stream phases, restarts and round progress to stderr")
-		workers   = flag.Int("workers", 1, "parallel workers (exact-engine executor / step-engine phase-1 shards)")
+		workers   = flag.Int("workers", 1, "step-engine parallel workers (phase-1 shards and phase-2 merge tree); the exact engine ignores it")
 		colors    = flag.Int("colors", 0, "override partition count K")
 		shards    = flag.Int("shards", 0, "run the exact engine distributed across this many shard workers (0/1 = in-process)")
 		transport = flag.String("transport", "", "shard transport when -shards > 1: unix (default), tcp, or proc (real hcshard processes)")

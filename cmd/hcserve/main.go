@@ -48,7 +48,7 @@ func run() error {
 		concurrency = flag.Int("concurrency", 2, "max simultaneously executing solves")
 		queue       = flag.Int("queue", 64, "max requests waiting for a solve slot; beyond it requests get 429 + Retry-After")
 		cache       = flag.Int("cache", 1024, "replay cache entries (0 disables); hits replay byte-identical responses for free")
-		workers     = flag.Int("workers", 1, "engine worker pool per solve (byte-identical results at any value)")
+		workers     = flag.Int("workers", 1, "step-engine worker pool per solve (byte-identical results at any value)")
 		maxTimeout  = flag.Duration("max-timeout", 60*time.Second, "hard cap on any request's solve deadline")
 		maxN        = flag.Int("max-n", 1<<20, "reject instances above this vertex count")
 		grace       = flag.Duration("grace", 2*time.Minute, "shutdown drain budget for in-flight solves")

@@ -2,9 +2,10 @@ package dhc
 
 // Determinism regression tests: same graph + same seed must yield a
 // byte-identical cycle and identical cost metrics for both engines, at every
-// Workers value. This pins the exact engine's parallel executor and the step
-// engine's sharded phase 1 AND parallel phase-2 merge tree to sequential
-// behavior — the property both rely on for reproducible experiments.
+// Workers value. This pins the step engine's sharded phase 1 AND parallel
+// phase-2 merge tree to sequential behavior — the property reproducible
+// experiments rely on — and pins that the exact engine, which ignores
+// Workers, gives the same result at every value.
 
 import (
 	"fmt"

@@ -179,11 +179,10 @@ type Options struct {
 	Delta float64
 	// NumColors overrides the partition count K for DHC1/DHC2.
 	NumColors int
-	// Workers bounds run parallelism in both phases of both engines: the
-	// exact engine's parallel executor (which drives phase 1 and the
-	// phase-2 merge levels alike) and the step engine's sharded phase 1
-	// plus parallel phase-2 merge tree. Any value (0, 1, 4, ...) produces
-	// byte-identical results; only wall-clock changes.
+	// Workers bounds the step engine's parallelism: its sharded phase 1
+	// and parallel phase-2 merge tree. Any value (0, 1, 4, ...) produces
+	// byte-identical results; only wall-clock changes. The exact engine
+	// ignores it: it runs on one goroutine, or on Shards workers.
 	Workers int
 	// DenseSweep forces the exact engine's dense per-round sweep (every
 	// node invoked every round) instead of the default event-driven
@@ -574,7 +573,6 @@ var exactSessions = map[Algorithm]func(opts Options) exactSession{
 
 func (s *Solver) solveExact(ctx context.Context, g *Graph, seed uint64) (*Result, error) {
 	netOpts := congest.Options{
-		Workers:    s.opts.Workers,
 		DenseSweep: s.opts.DenseSweep,
 		MaxRounds:  s.opts.MaxRounds,
 		Progress:   s.opts.Observer.progress(),

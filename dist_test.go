@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 )
 
 // checkDistIdentity solves g both ways and requires byte-identical results:
@@ -200,6 +201,33 @@ func TestDistProcShardDeath(t *testing.T) {
 	}
 	if class := Classify(err); class != FailureError {
 		t.Fatalf("shard death classified as %s (%v), want %s", class, err, FailureError)
+	}
+}
+
+// TestDistProcHangTeardownBounded hangs every worker process at round 2 and
+// cancels the run by deadline. The run must be classified canceled, and
+// teardown must reap the hung processes within one shared grace period
+// rather than one grace period per process.
+func TestDistProcHangTeardownBounded(t *testing.T) {
+	skipIfShort(t)
+	bin, err := hcshardBinary()
+	if err != nil {
+		t.Skipf("cannot build hcshard: %v", err)
+	}
+	t.Setenv("HCSHARD_FAULT_MODE", "hang")
+	t.Setenv("HCSHARD_FAULT_ROUND", "2")
+	g := NewGNP(64, 0.5, 11)
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	_, err = SolveContext(ctx, g, AlgorithmDRA, Options{
+		Seed: 3, NumColors: 8, Shards: 3, Transport: "proc", ShardBinary: bin,
+	})
+	if class := Classify(err); class != FailureCanceled {
+		t.Fatalf("hung shards classified as %s (%v), want %s", class, err, FailureCanceled)
+	}
+	if elapsed := time.Since(start); elapsed > 8*time.Second {
+		t.Fatalf("canceled run with 3 hung workers took %v to tear down", elapsed)
 	}
 }
 

@@ -63,10 +63,12 @@
 //
 // Determinism: a run is a pure function of (graph, node programs, seed).
 // Each node receives its own RNG stream split from the run seed, inboxes
-// are assembled in sender-id order, and the active set is derived
-// single-threaded from deliveries and the wake schedule, so every Workers
-// count, the event-driven schedule, the dense sweep and every sharding
-// produce identical executions.
+// are assembled in sender-id order, and a Shard invokes its active nodes
+// one after another on the caller's goroutine in local-id order, so the
+// event-driven schedule, the dense sweep and every sharding produce
+// identical executions. Parallelism comes only from running several Shards
+// (internal/dist); a round holds too little work to pay for a goroutine
+// fan-out inside one.
 package congest
 
 import (
@@ -343,12 +345,6 @@ type Options struct {
 	// 64 * n * ceil(log2 n) + 1024, comfortably above every algorithm's
 	// bound on its intended inputs.
 	MaxRounds int64
-	// Workers > 1 runs each round's node invocations on a pool of that many
-	// goroutines inside the Network's Shard; the merge and delivery that
-	// follow stay single-threaded, so every Workers count yields the same
-	// execution. Shards of the distributed engine always run with 1: the
-	// shards are the parallelism there.
-	Workers int
 	// DenseSweep disables event-driven scheduling: every live node is
 	// invoked every round and no rounds are skipped, exactly the historical
 	// O(n)-per-round sweep. It is the differential-testing oracle for the
@@ -358,10 +354,9 @@ type Options struct {
 	// FaultHook, if non-nil, intercepts every delivery: return false to
 	// drop the message, or return a mutated copy. Used by robustness tests.
 	// The Shard calls it while delivering, once per edge (a flood record is
-	// expanded first), single-threaded and in global sender order, at any
-	// Workers count. A dropped message is neither
-	// metered nor delivered. The distributed engine refuses it: a function
-	// value cannot cross a process boundary.
+	// expanded first), on the run's goroutine and in global sender order. A
+	// dropped message is neither metered nor delivered. The distributed
+	// engine refuses it: a function value cannot cross a process boundary.
 	FaultHook func(round int64, from, to graph.NodeID, m wire.Message) (wire.Message, bool)
 	// Progress, if non-nil, is called with the charged round total at the
 	// engine's amortized checkpoint (every ctxCheckEvery executed rounds,
@@ -412,10 +407,10 @@ func (n *Network) Reset(g *graph.Graph, nodes []Node, opts Options) error {
 }
 
 // NormalizeOptions fills the size-derived defaults of opts for an n-vertex
-// network: the CONGEST bandwidth budget, the round watchdog, and the worker
-// floor. Network.Reset applies it; the distributed engine's coordinator and
-// shard workers call it too, so every execution engine derives identical
-// budgets from identical inputs — a precondition for byte-identical runs.
+// network: the CONGEST bandwidth budget and the round watchdog.
+// Network.Reset applies it; the distributed engine's coordinator and shard
+// workers call it too, so every execution engine derives identical budgets
+// from identical inputs — a precondition for byte-identical runs.
 func NormalizeOptions(opts Options, n int) Options {
 	codec := wire.NewCodec(n)
 	if opts.BandwidthBits == 0 {
@@ -423,9 +418,6 @@ func NormalizeOptions(opts Options, n int) Options {
 	}
 	if opts.MaxRounds == 0 {
 		opts.MaxRounds = 64*int64(n)*int64(codec.IDBits) + 1024
-	}
-	if opts.Workers < 1 {
-		opts.Workers = 1
 	}
 	return opts
 }

@@ -100,28 +100,6 @@ func TestFloodReachesEveryone(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	g := graph.GNP(200, 0.05, rng.New(7))
-	netSeq, progsSeq := newFloodNet(t, g, Options{Workers: 1})
-	cSeq, err := netSeq.Run(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	netPar, progsPar := newFloodNet(t, g, Options{Workers: 8})
-	cPar, err := netPar.Run(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range progsSeq {
-		if progsSeq[i].value != progsPar[i].value {
-			t.Fatalf("node %d differs: seq=%d par=%d", i, progsSeq[i].value, progsPar[i].value)
-		}
-	}
-	if cSeq.Rounds != cPar.Rounds || cSeq.Messages != cPar.Messages || cSeq.Bits != cPar.Bits {
-		t.Fatalf("counters differ: seq=%v par=%v", cSeq, cPar)
-	}
-}
-
 // senderNode runs dense; node 1 sends a configurable burst to target in its
 // first round, and every node halts after 3 rounds.
 type senderNode struct {
@@ -246,12 +224,12 @@ func TestFaultHookDropsMessages(t *testing.T) {
 		}
 	}
 
-	// A stateful hook that drops every third message it sees: any
-	// concurrent call, or any call out of global sender order, changes
-	// which messages are dropped. The Workers=4 and dense-sweep legs must
-	// drop exactly the messages the Workers=1 leg drops and meter the same
-	// execution; the sendports leg sends each fan-out as one SendPorts
-	// record, which delivery must expand into the same per-edge hook calls.
+	// A stateful hook that drops every third message it sees: any call out
+	// of global sender order changes which messages are dropped. The
+	// dense-sweep leg must drop exactly the messages the event-driven
+	// SendPort leg drops and meter the same execution; the sendports leg
+	// sends each fan-out as one SendPorts record, which delivery must expand
+	// into the same per-edge hook calls.
 	type call struct {
 		round    int64
 		from, to graph.NodeID
@@ -279,7 +257,7 @@ func TestFaultHookDropsMessages(t *testing.T) {
 		}
 		return calls, drops, counters, progs
 	}
-	refCalls, refDrops, ref, refProgs := run(t, Options{Workers: 1}, formSendPort)
+	refCalls, refDrops, ref, refProgs := run(t, Options{}, formSendPort)
 	if len(refDrops) == 0 || ref.Messages == 0 {
 		t.Fatalf("hook dropped %d and delivered %d messages; want both nonzero", len(refDrops), ref.Messages)
 	}
@@ -288,28 +266,27 @@ func TestFaultHookDropsMessages(t *testing.T) {
 		opts Options
 		form sendForm
 	}{
-		{"workers=4", Options{Workers: 4}, formSendPort},
 		{"dense", Options{DenseSweep: true}, formSendPort},
-		{"sendports", Options{Workers: 1}, formSendPorts},
+		{"sendports", Options{}, formSendPorts},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			calls, drops, got, progs := run(t, leg.opts, leg.form)
 			if !reflect.DeepEqual(calls, refCalls) {
-				t.Fatalf("hook saw %d calls, workers=1 SendPort loop saw %d, or a different sequence", len(calls), len(refCalls))
+				t.Fatalf("hook saw %d calls, the SendPort reference saw %d, or a different sequence", len(calls), len(refCalls))
 			}
 			if !reflect.DeepEqual(drops, refDrops) {
-				t.Fatalf("dropped %d messages, workers=1 dropped %d, or a different set", len(drops), len(refDrops))
+				t.Fatalf("dropped %d messages, the reference dropped %d, or a different set", len(drops), len(refDrops))
 			}
 			if leg.opts.DenseSweep {
 				// The schedule-dependent counters differ by design.
 				got.Invocations, got.RoundsSkipped = ref.Invocations, ref.RoundsSkipped
 			}
 			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("counters differ from workers=1:\n got %v\nwant %v", got, ref)
+				t.Fatalf("counters differ from the reference:\n got %v\nwant %v", got, ref)
 			}
 			for v := range progs {
 				if !reflect.DeepEqual(progs[v].log, refProgs[v].log) {
-					t.Fatalf("node %d inbox sequence differs from workers=1", v)
+					t.Fatalf("node %d inbox sequence differs from the reference", v)
 				}
 			}
 		})
@@ -341,7 +318,7 @@ func TestInboxSortedBySender(t *testing.T) {
 	g := b.Build()
 	center := &inboxRecorder{}
 	nodes := []Node{center, &leafSender{}, &leafSender{}, &leafSender{}, &leafSender{}}
-	net, err := NewNetwork(g, nodes, Options{Workers: 4})
+	net, err := NewNetwork(g, nodes, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +364,7 @@ func TestRandIsPerNodeDeterministic(t *testing.T) {
 			recs[i] = &randRecorder{}
 			nodes[i] = recs[i]
 		}
-		net, err := NewNetwork(g, nodes, Options{Workers: 4})
+		net, err := NewNetwork(g, nodes, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,8 @@
 package congest
 
-// scheduler tracks per-node wake-ups for the event-driven schedule. It is
-// only touched single-threaded (active-set assembly and the post-round merge
-// loop), so it needs no locking, and its decisions depend only on the
-// execution itself — never on worker count — which keeps every Workers
-// setting identical.
+// scheduler tracks per-node wake-ups for the event-driven schedule. Only its
+// Shard touches it (active-set assembly and the invoke-and-merge loop), so it
+// needs no locking, and its decisions depend only on the execution itself.
 type scheduler struct {
 	// nextWake[v] is the earliest pending wake round of node v, -1 none.
 	nextWake []int64

@@ -3,7 +3,6 @@ package congest
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"dhc/internal/graph"
 	"dhc/internal/metrics"
@@ -59,10 +58,11 @@ type StepReport struct {
 //
 // The split of one round:
 //
-//	Step(r)    — build the local active set, invoke nodes, merge wake/halt
-//	             bookkeeping, retain messages whose destination is also
-//	             local, and return only the cross-shard outbox
-//	             (sender-ascending).
+//	Step(r)    — build the local active set, invoke its nodes one by one
+//	             in local-id order, merging each node's wake/halt
+//	             bookkeeping as it returns, retain messages whose
+//	             destination is also local, and return only the cross-shard
+//	             outbox (sender-ascending).
 //	Deliver(r) — accept the round's inbound cross-shard messages (the
 //	             coordinator concatenates the other shards' batches in
 //	             shard order) and splice the retained local messages into
@@ -74,7 +74,7 @@ type StepReport struct {
 // Deliver must run before the next Step, since Step assumes the previous
 // round's retained local messages have been drained.
 //
-// A Shard is not safe for concurrent use.
+// A Shard starts no goroutines and is not safe for concurrent use.
 type Shard struct {
 	g      *graph.Graph
 	codec  wire.Codec
@@ -119,9 +119,8 @@ type Shard struct {
 }
 
 // NewShard builds the executor for nodes [lo, hi) of an n-vertex network,
-// as one of several shards: the shards are the parallelism, so opts.Workers
-// is forced to 1. local must hold exactly hi-lo programs; opts is normalized
-// here, so the caller may pass the same raw Options it would hand
+// as one of several shards. local must hold exactly hi-lo programs; opts is
+// normalized here, so the caller may pass the same raw Options it would hand
 // Network.Reset.
 func NewShard(g *graph.Graph, local []Node, opts Options, lo, hi int) (*Shard, error) {
 	n := g.N()
@@ -131,7 +130,6 @@ func NewShard(g *graph.Graph, local []Node, opts Options, lo, hi int) (*Shard, e
 	if len(local) != hi-lo {
 		return nil, fmt.Errorf("congest: %d node programs for shard range [%d,%d)", len(local), lo, hi)
 	}
-	opts.Workers = 1
 	return newShard(g, local, NormalizeOptions(opts, n), lo, hi), nil
 }
 
@@ -239,11 +237,10 @@ func (s *Shard) Step(round int64, isInit bool) ([]Record, StepReport, error) {
 	}
 	s.msgActive = s.msgActive[:0]
 	s.active = active
-	s.invoke(active, round, isInit)
 
-	// Merge in local-id order (single-threaded), so error selection, halt
-	// bookkeeping and outbox concatenation are deterministic and, across
-	// shards, position-identical to one shard spanning every vertex.
+	// Invoke and merge in one pass in local-id order, so error selection,
+	// halt bookkeeping and outbox concatenation are deterministic and,
+	// across shards, position-identical to one shard spanning every vertex.
 	// Splitting the outbox by destination preserves sender order within
 	// each class: the local and cross streams are both subsequences of the
 	// sender-ascending whole.
@@ -255,7 +252,7 @@ func (s *Shard) Step(round int64, isInit bool) ([]Record, StepReport, error) {
 	whole := s.hi-s.lo == s.g.N() // every target is local
 	rep := StepReport{}
 	for _, v := range active {
-		ctx := s.ctxs[v]
+		ctx := s.invokeOne(v, round, isInit)
 		if ctx.err != nil {
 			s.out, s.localPending, s.newlyHalted = out, local, nh
 			rep.Live = s.live
@@ -332,48 +329,20 @@ func (s *Shard) route(r *Record, local, out []Record) ([]Record, []Record) {
 	return local, append(out, Record{From: r.From, Msg: r.Msg, To: s.splitCross[c0:len(s.splitCross):len(s.splitCross)]})
 }
 
-// invoke runs the active nodes' Init or Round calls, on a pool of
-// Options.Workers goroutines when that is above 1. Calls for distinct nodes
-// touch only their own program, context and inbox, so they may run in any
-// order; everything order-sensitive happens in Step's merge loop.
-func (s *Shard) invoke(active []int32, round int64, isInit bool) {
-	workers := min(s.opts.Workers, len(active))
-	if workers <= 1 {
-		for _, v := range active {
-			s.invokeOne(v, round, isInit)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	work := make(chan int32)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := range work {
-				s.invokeOne(v, round, isInit)
-			}
-		}()
-	}
-	for _, v := range active {
-		work <- v
-	}
-	close(work)
-	wg.Wait()
-}
-
-func (s *Shard) invokeOne(v int32, round int64, isInit bool) {
+// invokeOne runs node v's Init or Round call and returns its context.
+func (s *Shard) invokeOne(v int32, round int64, isInit bool) *Context {
 	ctx := s.ctxs[v]
 	ctx.reset(round)
 	if isInit {
 		s.nodes[v].Init(ctx)
-		return
+		return ctx
 	}
 	inbox := s.inboxes[v]
 	s.nodes[v].Round(ctx, inbox)
 	// Recycle the bucket: the inbox is documented as valid only during the
 	// Round call, so next round's deliveries may reuse the backing array.
 	s.inboxes[v] = inbox[:0]
+	return ctx
 }
 
 // Deliver routes this round's inbound records into next-round inbox

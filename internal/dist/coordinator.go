@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"time"
 
 	"dhc/internal/congest"
 	"dhc/internal/metrics"
@@ -16,19 +16,6 @@ import (
 // infrastructure fault, not evidence about the instance.
 var ErrShardDown = errors.New("dist: shard connection lost")
 
-// linkReq is one unit of work for a link's I/O goroutine: write this frame,
-// and if reply is set, read one frame back.
-type linkReq struct {
-	payload []byte
-	reply   bool
-}
-
-// linkRes is the I/O goroutine's answer to a reply-expecting request.
-type linkRes struct {
-	payload []byte
-	err     error
-}
-
 // link is the coordinator's handle to one shard worker.
 type link struct {
 	shard  int
@@ -37,18 +24,10 @@ type link struct {
 	enc    enc
 	// out holds the shard's last reply's sections, indexed by destination
 	// shard (its own entry stays empty). They alias the link's receive
-	// buffer, so they are valid only until the link's next post.
+	// buffer, so they are valid only until the link's next recv.
 	out []section
 
-	// Pipelined I/O: reqCh feeds the link's ioLoop goroutine, resCh carries
-	// one in-flight reply back. Capacities are sized so the coordinator
-	// never blocks posting (at most BEGIN plus one fused exchange queued)
-	// and the ioLoop never blocks replying (at most one reply outstanding).
-	reqCh chan linkReq
-	resCh chan linkRes
-	ioErr error // sticky transport error; owned by ioLoop
-
-	// Transport accounting, incremented by the coordinator goroutine.
+	// Transport accounting.
 	rtts            int64
 	localMsgs       int64
 	crossMsgs       int64
@@ -64,49 +43,26 @@ func (l *link) down(stage string, err error) error {
 	return fmt.Errorf("%w: shard %d (%s): %v", ErrShardDown, l.shard, stage, err)
 }
 
-// ioLoop is the link's dedicated I/O goroutine: it serializes writes and
-// reads on the connection so the coordinator can fan frames out to every
-// shard and collect replies concurrently instead of visiting links one at a
-// time. A transport error is sticky — every later reply-expecting request
-// reports it immediately instead of touching the dead connection.
-func (l *link) ioLoop() {
-	for req := range l.reqCh {
-		if l.ioErr == nil {
-			l.ioErr = l.fc.send(req.payload)
-		}
-		if !req.reply {
-			continue
-		}
-		if l.ioErr != nil {
-			l.resCh <- linkRes{err: l.ioErr}
-			continue
-		}
-		payload, err := l.fc.recv()
-		if err != nil {
-			l.ioErr = err
-			l.resCh <- linkRes{err: err}
-			continue
-		}
-		l.resCh <- linkRes{payload: payload}
+// recv reads the link's next reply. A transport error becomes an
+// ErrShardDown with the exchange's stage label.
+func (l *link) recv(stage string) ([]byte, error) {
+	payload, err := l.fc.recv()
+	if err != nil {
+		return nil, l.down(stage, err)
 	}
+	return payload, nil
 }
 
-// post enqueues a frame for the link's ioLoop. The payload must stay
-// untouched until the request is fenced: for reply-expecting requests the
-// fence is collecting the reply, for fire-and-forget frames the caller must
-// use a buffer it never reuses.
-func (l *link) post(payload []byte, reply bool) {
-	l.reqCh <- linkReq{payload: payload, reply: reply}
-}
+// abortTimeout bounds the best-effort ABORT write, so teardown never waits
+// long on a link whose worker stopped reading.
+const abortTimeout = 100 * time.Millisecond
 
-// tryPost enqueues a frame only if the ioLoop has queue space: best-effort
-// delivery for teardown-path frames (ABORT) that must never block the
-// coordinator behind a dead worker.
-func (l *link) tryPost(payload []byte) {
-	select {
-	case l.reqCh <- linkReq{payload: payload}:
-	default:
-	}
+// abort writes a best-effort ABORT frame so a live worker leaves its serve
+// loop cleanly before the connection closes. Its error is ignored: the run
+// has already failed.
+func (l *link) abort() {
+	l.fc.timeout = abortTimeout
+	_ = l.fc.send([]byte{frameAbort})
 }
 
 // coordinator is the distributed engine's congest.Fused executor:
@@ -122,6 +78,12 @@ func (l *link) tryPost(payload []byte) {
 // message into a live node's inbox. The coordinator relays cross-shard
 // sections as opaque bytes and decodes records only as far as that
 // decision needs.
+//
+// All link I/O runs on the caller's goroutine: an exchange writes every
+// shard's frame, then reads the replies in shard order. That cannot
+// deadlock, because a worker reads a whole frame before it replies, and a
+// shard that stops reading or answering trips the link's per-frame
+// deadline and surfaces as ErrShardDown.
 type coordinator struct {
 	links    []*link
 	opts     congest.Options // normalized
@@ -129,16 +91,12 @@ type coordinator struct {
 
 	// halted is the global halted bitmap, monotone (halts are terminal).
 	halted []bool
-
-	ioWG sync.WaitGroup
 }
 
 var _ congest.Fused = (*coordinator)(nil)
 
 func newCoordinator(links []*link, n int, opts congest.Options) *coordinator {
 	for _, l := range links {
-		l.reqCh = make(chan linkReq, 2)
-		l.resCh = make(chan linkRes, 1)
 		l.out = make([]section, len(links))
 	}
 	return &coordinator{
@@ -149,58 +107,30 @@ func newCoordinator(links []*link, n int, opts congest.Options) *coordinator {
 	}
 }
 
-// start launches one ioLoop per link. stop closes the request channels and
-// joins the goroutines; after stop returns, the links' frameConn byte
-// counters are safe to read from the caller's goroutine.
-func (c *coordinator) start() {
-	for _, l := range c.links {
-		c.ioWG.Add(1)
-		go func(l *link) {
-			defer c.ioWG.Done()
-			l.ioLoop()
-		}(l)
-	}
-}
-
-func (c *coordinator) stop() {
-	for _, l := range c.links {
-		close(l.reqCh)
-	}
-	c.ioWG.Wait()
-}
-
 // run executes the full protocol: BEGIN, the round loop, FINISH
 // collection. The returned counters always reflect at least the charged
 // rounds; on a clean run they are the complete merged metering.
 func (c *coordinator) run(ctx context.Context, seed uint64) (*metrics.Counters, error) {
-	c.begin(seed)
+	if err := c.begin(seed); err != nil {
+		return c.counters, err
+	}
 	return c.counters, congest.RunRounds(ctx, c, c.opts, c.counters)
 }
 
-// begin posts every shard its BEGIN frame: the run seed and the shard
+// begin writes every shard its BEGIN frame: the run seed and the shard
 // count the section layout is cut by.
-func (c *coordinator) begin(seed uint64) {
+func (c *coordinator) begin(seed uint64) error {
 	for _, l := range c.links {
-		// A fresh buffer per BEGIN: the frame is fire-and-forget, so the
-		// link's reusable encoder (fenced by reply collection) cannot carry
-		// it.
-		var e enc
-		e.b = make([]byte, 0, 16)
+		e := &l.enc
+		e.b = e.b[:0]
 		e.u8(frameBegin)
 		e.u64(seed)
 		e.u32(uint32(len(c.links)))
-		l.post(e.b, false)
+		if err := l.fc.send(e.b); err != nil {
+			return l.down("begin", err)
+		}
 	}
-}
-
-// collect blocks for the link's next reply. A transport error becomes an
-// ErrShardDown with the exchange's stage label.
-func (c *coordinator) collect(l *link, stage string) ([]byte, error) {
-	res := <-l.resCh
-	if res.err != nil {
-		return nil, l.down(stage, res.err)
-	}
-	return res.payload, nil
+	return nil
 }
 
 // Fuse implements congest.Fused with one exchange across every shard: fan
@@ -219,7 +149,9 @@ func (c *coordinator) Fuse(deliverRound, stepRound int64, isInit bool) (congest.
 			c.relay(l)
 		}
 	}
-	c.postAll()
+	if err := c.sendAll("fuse"); err != nil {
+		return congest.Activity{}, err
+	}
 
 	// Collect in shard order. Shard ranges are contiguous and ascending and
 	// each shard reports its first error in local node order, so within a
@@ -231,7 +163,7 @@ func (c *coordinator) Fuse(deliverRound, stepRound int64, isInit bool) (congest.
 		deliverErr, stepErr error
 	)
 	for _, l := range c.links {
-		payload, err := c.collect(l, "fuse reply")
+		payload, err := l.recv("fuse reply")
 		if err != nil {
 			return act, err
 		}
@@ -330,15 +262,18 @@ func (c *coordinator) relay(dst *link) {
 	dst.batchBytesFixed += fixed
 }
 
-// postAll posts every link's built frame, expecting a reply. Frames are
-// posted only once all of them are built, because relayed sections alias
-// the source links' receive buffers, which a posted link's ioLoop reuses
-// for its next reply.
-func (c *coordinator) postAll() {
+// sendAll writes every link's built frame. All frames go out before any
+// reply is read: that lets the shards compute concurrently, and the relayed
+// sections alias the source links' receive buffers, which the next recv
+// reuses.
+func (c *coordinator) sendAll(stage string) error {
 	for _, l := range c.links {
-		l.post(l.enc.b, true)
+		if err := l.fc.send(l.enc.b); err != nil {
+			return l.down(stage, err)
+		}
 		l.rtts++
 	}
+	return nil
 }
 
 // Finish implements congest.Fused: it flushes the last executed round's
@@ -354,10 +289,12 @@ func (c *coordinator) Finish(deliverRound int64) error {
 			c.relay(l)
 		}
 	}
-	c.postAll()
+	if err := c.sendAll("finish"); err != nil {
+		return err
+	}
 	var flushErr error
 	for _, l := range c.links {
-		payload, err := c.collect(l, "final")
+		payload, err := l.recv("final")
 		if err != nil {
 			return err
 		}

@@ -15,7 +15,7 @@ import (
 )
 
 // pipeCoordinator wires a coordinator to k scripted workers over in-memory
-// net.Pipe connections: the real link ioLoops and frame codec run, but the
+// net.Pipe connections: the real link I/O and frame codec run, but the
 // worker side is a test script instead of a shard — the cheapest way to
 // exercise the coordinator's error aggregation exactly.
 func pipeCoordinator(t *testing.T, n, k int) (*coordinator, []*frameConn) {
@@ -31,28 +31,27 @@ func pipeCoordinator(t *testing.T, n, k int) (*coordinator, []*frameConn) {
 		workers[i] = newFrameConn(b)
 	}
 	coord := newCoordinator(links, n, congest.Options{BandwidthBits: 64})
-	coord.start()
 	t.Cleanup(func() {
 		for _, c := range conns {
 			c.Close()
 		}
-		coord.stop()
 	})
 	return coord, workers
 }
 
-// respond consumes frames until a FUSE arrives, answers it with the scripted
-// reply, and exits. Connection errors end the script (the test's cleanup
-// closes the pipes).
+// respond answers the first FUSE with the scripted reply and, like a live
+// worker, keeps reading frames after it. Connection errors end the script
+// (the test's cleanup closes the pipes).
 func respond(fc *frameConn, reply []byte) {
+	replied := false
 	for {
 		payload, err := fc.recv()
 		if err != nil {
 			return
 		}
-		if len(payload) > 0 && payload[0] == frameFuse {
+		if !replied && len(payload) > 0 && payload[0] == frameFuse {
 			_ = fc.send(reply)
-			return
+			replied = true
 		}
 	}
 }
@@ -245,7 +244,9 @@ func TestFuseCorruptSectionIsShardDown(t *testing.T) {
 			}()
 			go respond(workers[1], fuseReply(n, k, 1, fuseRes{live: 10, sections: tc.section}))
 
-			coord.begin(1)
+			if err := coord.begin(1); err != nil {
+				t.Fatal(err)
+			}
 			act, err := coord.Fuse(-1, 0, true)
 			if err != nil {
 				t.Fatalf("init exchange: %v", err)
@@ -274,6 +275,40 @@ func TestFuseCorruptSectionIsShardDown(t *testing.T) {
 			t.Fatalf("%d goroutines alive after corrupt-section runs, baseline %d", got, baseline)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestFuseDeafShardIsShardDown: a worker that stops reading after BEGIN
+// must not block the run. The coordinator's write to it trips the step
+// timeout's write deadline, and Fuse returns ErrShardDown naming that shard.
+func TestFuseDeafShardIsShardDown(t *testing.T) {
+	const n, k, timeout = 20, 2, time.Second
+	coord, workers := pipeCoordinator(t, n, k)
+	for _, l := range coord.links {
+		l.fc.timeout = timeout
+	}
+	go respond(workers[0], fuseReply(n, k, 0, fuseRes{live: 10}))
+	go func() { _, _ = workers[1].recv() }() // reads BEGIN, then goes deaf
+	if err := coord.begin(1); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.Fuse(-1, 0, true)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrShardDown) || !strings.Contains(err.Error(), "shard 1") {
+			t.Fatalf("deaf shard returned %v, want ErrShardDown from shard 1", err)
+		}
+		// The write deadline is the step timeout; allow scheduling slack.
+		if elapsed := time.Since(start); elapsed > timeout+time.Second {
+			t.Fatalf("classification took %v, step timeout %v", elapsed, timeout)
+		}
+	case <-time.After(10 * timeout):
+		t.Fatalf("Fuse still blocked on a deaf shard after %v", 10*timeout)
 	}
 }
 

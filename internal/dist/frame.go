@@ -30,9 +30,12 @@
 //
 // The round-barrier handshake is the frame protocol itself: round r+1's
 // FUSE frames are sent only after every shard's round-r reply arrived, so no
-// shard can observe round r+1 before round r is globally complete. Each link
-// runs a dedicated I/O goroutine, so fan-out and reply collection overlap
-// across shards; replies are aggregated in shard order for determinism.
+// shard can observe round r+1 before round r is globally complete. The
+// coordinator does all link I/O on one goroutine: it writes every shard's
+// frame, then reads the replies in shard order, which also fixes the order
+// replies are aggregated in. Shards compute concurrently between the two.
+// Every coordinator-side write and read carries the step timeout as its
+// deadline, so a shard that stops reading or answering is declared down.
 //
 // Cross-shard traffic moves as records, not per-edge messages: a record is
 // one sender's message with its list of receivers (a flood over a scope is
@@ -168,7 +171,7 @@ type frameConn struct {
 	hdr      [4]byte
 	bytesIn  int64
 	bytesOut int64
-	timeout  time.Duration // per-recv read deadline; 0 = none
+	timeout  time.Duration // per-frame write and read deadline; 0 = none
 }
 
 func newFrameConn(rw io.ReadWriter) *frameConn {
@@ -185,6 +188,11 @@ func newFrameConn(rw io.ReadWriter) *frameConn {
 func (c *frameConn) send(payload []byte) error {
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("dist: frame payload %d exceeds limit %d", len(payload), maxFramePayload)
+	}
+	if c.nc != nil && c.timeout > 0 {
+		if err := c.nc.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
+			return err
+		}
 	}
 	c.wbuf = binary.BigEndian.AppendUint32(c.wbuf[:0], uint32(len(payload)))
 	c.wbuf = append(c.wbuf, payload...)

