@@ -12,6 +12,11 @@ import "sync"
 // goroutines. fn must only write state owned by its item or its worker
 // index; callers get determinism by folding per-item results in item order
 // afterwards.
+//
+// A panic in fn reaches the caller in both modes. On the pool, the worker
+// that panicked drains the remaining items without running them, so the
+// feeder never blocks, and once every worker has exited the first panic
+// value is re-raised on the calling goroutine.
 func RunPool(workers, items int, fn func(worker, item int)) {
 	if workers > items {
 		workers = items
@@ -22,14 +27,39 @@ func RunPool(workers, items int, fn func(worker, item int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		panicked bool
+		value    any
+	)
+	// run reports whether fn returned normally; a panic is recorded (the
+	// first one wins) instead of unwinding the worker goroutine.
+	run := func(w, i int) (ok bool) {
+		defer func() {
+			if !ok {
+				r := recover()
+				mu.Lock()
+				if !panicked {
+					panicked, value = true, r
+				}
+				mu.Unlock()
+			}
+		}()
+		fn(w, i)
+		return true
+	}
 	work := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := range work {
-				fn(w, i)
+				if !run(w, i) {
+					for range work {
+					}
+					return
+				}
 			}
 		}(w)
 	}
@@ -38,6 +68,9 @@ func RunPool(workers, items int, fn func(worker, item int)) {
 	}
 	close(work)
 	wg.Wait()
+	if panicked {
+		panic(value)
+	}
 }
 
 // Resize returns s with length n, recovering shrunken capacity (and the

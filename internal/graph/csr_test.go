@@ -132,32 +132,6 @@ func TestBuilderCSRMatchesBuilder(t *testing.T) {
 	}
 }
 
-// TestInducedSubgraphMembershipPaths exercises both the dense-table and the
-// map membership branches against a naive reference.
-func TestInducedSubgraphMembershipPaths(t *testing.T) {
-	g := GNP(300, 0.05, rng.New(9))
-	small := []NodeID{1, 2, 3} // < n/64: map branch
-	large := make([]NodeID, 0, 150)
-	for v := 0; v < 300; v += 2 { // >= n/64: dense branch
-		large = append(large, NodeID(v))
-	}
-	for _, vs := range [][]NodeID{small, large} {
-		sub, orig := g.InducedSubgraph(vs)
-		checkWellFormed(t, sub)
-		if sub.N() != len(vs) {
-			t.Fatalf("induced n=%d, want %d", sub.N(), len(vs))
-		}
-		for u := 0; u < sub.N(); u++ {
-			for v := u + 1; v < sub.N(); v++ {
-				if sub.HasEdge(NodeID(u), NodeID(v)) != g.HasEdge(orig[u], orig[v]) {
-					t.Fatalf("induced edge (%d,%d) disagrees with original (%d,%d)",
-						u, v, orig[u], orig[v])
-				}
-			}
-		}
-	}
-}
-
 func TestCSROffsetOverflowGuard(t *testing.T) {
 	defer func() {
 		if recover() == nil {

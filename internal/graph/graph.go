@@ -24,6 +24,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -311,86 +312,76 @@ func (g *Graph) Adjacency() (off []int32, arena []NodeID) { return g.off, g.aren
 // InducedSubgraph returns the subgraph induced by the given vertex set,
 // along with the mapping from new (dense) ids to original ids. The i-th
 // entry of the returned slice is the original id of new vertex i. Vertices
-// are relabeled in increasing original-id order.
+// are relabeled in increasing original-id order; the input may be unsorted
+// and hold duplicates.
 //
-// The subgraph's rows are written directly: because orig is ascending and
-// the parent's rows are sorted, relabeled neighbors arrive in row order, so
-// two passes (count, fill) build the CSR arrays with purely sequential
-// writes — no intermediate edge list, no growth reallocation. This is the
-// per-partition hot path of the sharded step engine.
+// It sorts and deduplicates a copy of the set, then builds through
+// InducedSubgraphIndexed with a table of its own. Callers that build many
+// subgraphs of one graph (the step engine's partition classes) call
+// InducedSubgraphIndexed directly with a reused table.
 func (g *Graph) InducedSubgraph(vertices []NodeID) (*Graph, []NodeID) {
 	orig := make([]NodeID, len(vertices))
 	copy(orig, vertices)
 	sort.Slice(orig, func(i, j int) bool { return orig[i] < orig[j] })
 	orig = dedupe(orig)
+	return g.InducedSubgraphIndexed(orig, make([]int32, g.n)), orig
+}
 
-	sub := len(orig)
+// InducedSubgraphIndexed returns the subgraph induced by members, which must
+// be strictly ascending; new vertex i is members[i]. index is the caller's
+// membership table: at least g.N() entries, all zero on entry, and all zero
+// again on every exit (a panic included). While the build runs, index[v]
+// holds v's new id plus one, so 0 means "not a member".
+//
+// Each member's row is read once. For every neighbor w the loop writes
+// index[w]-1 into a row buffer of the members' maximum degree and advances
+// the write position only when w is a member, with no branch on membership;
+// the kept prefix is then appended to the arena. Because members ascend and
+// the parent's rows are sorted, relabeled neighbors arrive in row order. The
+// arena is reserved from the members' row sum scaled by |members|/n (the
+// expected share of neighbors inside the set) plus a few standard
+// deviations, so on random graphs it is written without regrowth.
+func (g *Graph) InducedSubgraphIndexed(members []NodeID, index []int32) *Graph {
+	if len(index) < g.n {
+		panic(fmt.Sprintf("graph: induced index table has %d entries for %d vertices", len(index), g.n))
+	}
+	defer func() {
+		for _, v := range members {
+			index[v] = 0
+		}
+	}()
+	rowSum, maxDeg := 0, 0
+	for i, v := range members {
+		if i > 0 && v <= members[i-1] {
+			panic(fmt.Sprintf("graph: induced members not strictly ascending at %d", i))
+		}
+		index[v] = int32(i) + 1
+		d := g.Degree(v)
+		rowSum += d
+		if d > maxDeg {
+			maxDeg = d
+		}
+	}
+	sub := len(members)
+	reserve := rowSum // the full set keeps every neighbor
+	if sub < g.n {
+		want := float64(rowSum) * float64(sub) / float64(g.n)
+		reserve = min(rowSum, int(want+4*math.Sqrt(want)))
+	}
 	off := make([]int32, sub+1)
-
-	// Membership lookup: a dense table when the class is a sizable fraction
-	// of the graph (partition classes), a map for small ad-hoc sets. The
-	// dense branch keeps the table access inline — no closure in the per-edge
-	// loops.
-	if 64*sub >= g.n {
-		dense := make([]int32, g.n)
-		for i := range dense {
-			dense[i] = -1
-		}
-		for i, v := range orig {
-			dense[v] = int32(i)
-		}
-		for i, v := range orig {
-			d := int32(0)
-			for _, w := range g.Neighbors(v) {
-				if dense[w] >= 0 {
-					d++
-				}
-			}
-			off[i+1] = d
-		}
-		for i := 0; i < sub; i++ {
-			off[i+1] += off[i]
-		}
-		arena := make([]NodeID, off[sub])
-		pos := 0
-		for _, v := range orig {
-			for _, w := range g.Neighbors(v) {
-				if j := dense[w]; j >= 0 {
-					arena[pos] = NodeID(j)
-					pos++
-				}
-			}
-		}
-		return &Graph{n: sub, m: int(off[sub]) / 2, off: off, arena: arena}, orig
-	}
-
-	toNew := make(map[NodeID]NodeID, sub)
-	for i, v := range orig {
-		toNew[v] = NodeID(i)
-	}
-	for i, v := range orig {
-		d := int32(0)
+	arena := make([]NodeID, 0, reserve)
+	row := make([]NodeID, maxDeg)
+	for i, v := range members {
+		k := 0
 		for _, w := range g.Neighbors(v) {
-			if _, ok := toNew[w]; ok {
-				d++
-			}
+			j := index[w]
+			row[k] = NodeID(j - 1)
+			k += int(uint32(-j) >> 31) // 1 when w is a member (j > 0)
 		}
-		off[i+1] = d
+		arena = append(arena, row[:k]...)
+		off[i+1] = int32(len(arena))
 	}
-	for i := 0; i < sub; i++ {
-		off[i+1] += off[i]
-	}
-	arena := make([]NodeID, off[sub])
-	pos := 0
-	for _, v := range orig {
-		for _, w := range g.Neighbors(v) {
-			if j, ok := toNew[w]; ok {
-				arena[pos] = j
-				pos++
-			}
-		}
-	}
-	return &Graph{n: sub, m: int(off[sub]) / 2, off: off, arena: arena}, orig
+	return &Graph{n: sub, m: len(arena) / 2, off: off, arena: arena}
 }
 
 func dedupe(s []NodeID) []NodeID {

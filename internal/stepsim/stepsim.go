@@ -83,29 +83,38 @@ func (r *restartReporter) bump() {
 	r.hooks.restart(r.n)
 }
 
-// Session is a reusable step-engine runner: the phase-2 merge scratch
-// buffers (per-worker position-stamp arrays sized to the graph) survive
-// across runs on same-sized graphs. The Hooks field may be set between runs.
-// Not safe for concurrent use.
+// Session is a reusable step-engine runner: the per-worker scratch buffers
+// (vertex-indexed tables sized to the graph, used by phase 1's subgraph
+// builds and phase 2's bridge scans) survive across runs on same-sized
+// graphs. The Hooks field may be set between runs. Not safe for concurrent
+// use.
 type Session struct {
 	// Hooks receives the session's lifecycle callbacks.
 	Hooks Hooks
 
 	scratchN  int
-	scratches []*mergeScratch
+	scratches []*workerScratch
 }
 
 // NewSession returns an empty session; the first run sizes it.
 func NewSession() *Session { return &Session{} }
 
-// mergeScratches returns poolSize reusable scratch buffers for graphs of n
+// workerScratches returns one reusable scratch buffer per pool worker for a
+// pool of min(workers, items) goroutines (at least one) on graphs of n
 // vertices, reallocating only when the graph size changed.
-func (s *Session) mergeScratches(n, poolSize int) []*mergeScratch {
+func (s *Session) workerScratches(n, workers, items int) []*workerScratch {
+	poolSize := workers
+	if poolSize > items {
+		poolSize = items
+	}
+	if poolSize < 1 {
+		poolSize = 1
+	}
 	if s.scratchN != n {
 		s.scratches, s.scratchN = nil, n
 	}
 	for len(s.scratches) < poolSize {
-		s.scratches = append(s.scratches, newMergeScratch(n))
+		s.scratches = append(s.scratches, &workerScratch{pos: make([]int32, n)})
 	}
 	return s.scratches[:poolSize]
 }
@@ -278,15 +287,17 @@ type partOutcome struct {
 }
 
 // solvePartition runs DRA (with restarts) on the subgraph induced by class,
-// drawing all randomness from the partition's private stream. ctx is polled
-// between attempts and inside the rotation machine's step batches.
-func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.NodeID, src *rng.Source, maxAttempts int) partOutcome {
+// drawing all randomness from the partition's private stream. The class is
+// ascending (partition's order), so it is the subgraph's id map as is; the
+// build borrows the worker's scratch table. ctx is polled between attempts
+// and inside the rotation machine's step batches.
+func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.NodeID, src *rng.Source, maxAttempts int, sc *workerScratch) partOutcome {
 	out := partOutcome{b: 1}
 	if len(class) < 3 {
 		out.err = fmt.Errorf("%w: partition %d has %d nodes", ErrFailed, c, len(class))
 		return out
 	}
-	sub, orig := g.InducedSubgraph(class)
+	sub := g.InducedSubgraphIndexed(class, sc.pos)
 	// One BFS gives both the connectivity check and broadcastBound's B.
 	ecc, reached := sub.Ecc(0)
 	if reached != sub.N() {
@@ -305,7 +316,7 @@ func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.No
 		out.steps += st.Steps
 		out.rounds += chargeRotationRounds(st, out.b)
 		if err == nil {
-			out.cyc = hc.Relabel(orig)
+			out.cyc = hc.Relabel(class)
 			return out
 		}
 		if errors.Is(err, rotation.ErrInterrupted) {
@@ -323,7 +334,8 @@ func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.No
 // coloring that produces an unusably small or disconnected partition is
 // redrawn entirely (the distributed analogue: a failure flood triggers a
 // global recolor), up to maxAttempts times. Cancellation is never retried.
-func runPhase1(ctx context.Context, g *graph.Graph, k int, src *rng.Source, maxAttempts, workers int, rep *restartReporter) (*phase1Result, error) {
+func (s *Session) runPhase1(ctx context.Context, g *graph.Graph, k int, src *rng.Source, maxAttempts, workers int, rep *restartReporter) (*phase1Result, error) {
+	scratches := s.workerScratches(g.N(), workers, k)
 	var err error
 	for a := 0; a < maxAttempts; a++ {
 		if ctx.Err() != nil {
@@ -333,7 +345,7 @@ func runPhase1(ctx context.Context, g *graph.Graph, k int, src *rng.Source, maxA
 			rep.bump()
 		}
 		var res *phase1Result
-		res, err = runPhase1Once(ctx, g, k, src, maxAttempts, workers)
+		res, err = runPhase1Once(ctx, g, k, src, maxAttempts, scratches)
 		if err == nil {
 			return res, nil
 		}
@@ -345,19 +357,20 @@ func runPhase1(ctx context.Context, g *graph.Graph, k int, src *rng.Source, maxA
 }
 
 // runPhase1Once colors the graph from the main stream, then solves the K
-// color classes — sequentially or on a bounded worker pool. Each class only
-// ever touches its own split stream and its own outcome slot, and outcomes
-// are folded in partition-id order, so the result is a pure function of the
-// seed for every workers value.
-func runPhase1Once(ctx context.Context, g *graph.Graph, k int, src *rng.Source, maxAttempts, workers int) (*phase1Result, error) {
+// color classes — sequentially or on a pool of len(scratches) workers. Each
+// class only ever touches its own split stream and its own outcome slot (and
+// its worker's scratch, which every build leaves zeroed), and outcomes are
+// folded in partition-id order, so the result is a pure function of the seed
+// for every workers value.
+func runPhase1Once(ctx context.Context, g *graph.Graph, k int, src *rng.Source, maxAttempts int, scratches []*workerScratch) (*phase1Result, error) {
 	classes := partition(g.N(), k, src)
 	streams := make([]*rng.Source, k)
 	for c := 0; c < k; c++ {
 		streams[c] = src.Split(uint64(c) + 1)
 	}
 	outs := make([]partOutcome, k)
-	arena.RunPool(workers, k, func(_, c int) {
-		outs[c] = solvePartition(ctx, g, c, classes[c], streams[c], maxAttempts)
+	arena.RunPool(len(scratches), k, func(w, c int) {
+		outs[c] = solvePartition(ctx, g, c, classes[c], streams[c], maxAttempts, scratches[w])
 	})
 
 	res := &phase1Result{
@@ -413,7 +426,7 @@ func (s *Session) DHC1(ctx context.Context, g *graph.Graph, seed uint64, opts Op
 	maxAttempts := opts.attempts()
 	rep := &restartReporter{hooks: s.Hooks}
 	s.Hooks.phase("phase1")
-	p1, err := runPhase1(ctx, g, numColors, src, maxAttempts, opts.Workers, rep)
+	p1, err := s.runPhase1(ctx, g, numColors, src, maxAttempts, opts.Workers, rep)
 	if err != nil {
 		return nil, Cost{}, err
 	}
@@ -492,7 +505,7 @@ func (s *Session) DHC2(ctx context.Context, g *graph.Graph, seed uint64, opts Op
 	maxAttempts := opts.attempts()
 	rep := &restartReporter{hooks: s.Hooks}
 	s.Hooks.phase("phase1")
-	p1, err := runPhase1(ctx, g, numColors, src, maxAttempts, opts.Workers, rep)
+	p1, err := s.runPhase1(ctx, g, numColors, src, maxAttempts, opts.Workers, rep)
 	if err != nil {
 		return nil, Cost{}, err
 	}
@@ -544,14 +557,7 @@ func (s *Session) runMergeTree(ctx context.Context, g *graph.Graph, cycles []*cy
 	if len(cycles) == 1 {
 		return cycles[0], 0, nil
 	}
-	poolSize := workers
-	if poolSize > len(cycles)/2 {
-		poolSize = len(cycles) / 2
-	}
-	if poolSize < 1 {
-		poolSize = 1
-	}
-	scratches := s.mergeScratches(g.N(), poolSize)
+	scratches := s.workerScratches(g.N(), workers, len(cycles)/2)
 	levels := int64(0)
 	for len(cycles) > 1 {
 		if ctx.Err() != nil {
@@ -561,7 +567,7 @@ func (s *Session) runMergeTree(ctx context.Context, g *graph.Graph, cycles []*cy
 		levelSrc := src.Split(mergeTreeTag + uint64(levels))
 		pairs := len(cycles) / 2
 		outs := make([]mergeOutcome, pairs)
-		arena.RunPool(poolSize, pairs, func(w, i int) {
+		arena.RunPool(len(scratches), pairs, func(w, i int) {
 			outs[i].cyc, outs[i].err = mergePair(
 				g, cycles[2*i], cycles[2*i+1], levelSrc.Split(uint64(i)+1), scratches[w])
 		})
@@ -581,21 +587,23 @@ func (s *Session) runMergeTree(ctx context.Context, g *graph.Graph, cycles []*cy
 	return cycles[0], levels, nil
 }
 
-// mergeScratch is one worker's reusable state for mergePair's bridge scan:
-// pos[v] is v's index on the second cycle plus one (0 = not on it). It is
-// sized to the full graph once per run; mergePair wipes only the entries it
-// stamped, so repeated scans allocate nothing.
-type mergeScratch struct {
+// workerScratch is one pool worker's reusable vertex-indexed table, shared
+// by both phases: pos[v] is v's index in the set being scanned plus one
+// (0 = absent) — the color class whose subgraph phase 1 builds
+// (graph.InducedSubgraphIndexed), or the second cycle of phase 2's bridge
+// scan (mergePair). It is sized to the full graph and kept by the Session;
+// each user stamps only its set's entries and wipes them on every exit, so
+// the table is all zero between uses and repeated builds and scans allocate
+// nothing for it.
+type workerScratch struct {
 	pos []int32
 }
-
-func newMergeScratch(n int) *mergeScratch { return &mergeScratch{pos: make([]int32, n)} }
 
 // mergePair finds a bridge between two cycles (paper Fig. 3) and merges
 // them. It mirrors the distributed bridge search: for each cycle edge
 // (v -> u) of the first cycle, a neighbor w on the second cycle bridges if
 // (v, w) and (u, succ(w)) — or (u, pred(w)) — are graph edges.
-func mergePair(g *graph.Graph, c1, c2 *cycle.Cycle, src *rng.Source, sc *mergeScratch) (*cycle.Cycle, error) {
+func mergePair(g *graph.Graph, c1, c2 *cycle.Cycle, src *rng.Source, sc *workerScratch) (*cycle.Cycle, error) {
 	for i := 0; i < c2.Len(); i++ {
 		sc.pos[c2.At(i)] = int32(i) + 1
 	}

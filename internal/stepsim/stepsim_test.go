@@ -184,8 +184,9 @@ func TestMergeTreeWorkerDeterminism(t *testing.T) {
 	const k = 16
 	classes := partition(g.N(), k, src)
 	cycles := make([]*cycle.Cycle, k)
+	sc := &workerScratch{pos: make([]int32, g.N())}
 	for c := 0; c < k; c++ {
-		out := solvePartition(context.Background(), g, c, classes[c], src.Split(uint64(c)+1), 6)
+		out := solvePartition(context.Background(), g, c, classes[c], src.Split(uint64(c)+1), 6, sc)
 		if out.err != nil {
 			t.Fatalf("partition %d: %v", c, out.err)
 		}

@@ -74,8 +74,9 @@ func TestGoldenCountersDHC2(t *testing.T) {
 // DHC2 step solve at n=10^5 must stay within an allocation budget per vertex
 // (TotalAlloc delta, single-goroutine Workers=1 so the measurement is
 // stable). The budget was set with ~1.5x headroom over the treap-path value
-// (627 bytes/vertex); the 16-byte splay-tree path node brought it to 522.
-// Re-materializing an []Edge during construction or reverting a bitset to
+// (627 bytes/vertex); the 16-byte splay-tree path node brought it to 522,
+// and building phase 1's subgraphs over the reused per-worker index table
+// (no n-sized table per partition) to 489. Re-materializing an []Edge during construction or reverting a bitset to
 // []bool blows through it.
 func TestStepSolverBytesPerVertex(t *testing.T) {
 	skipIfShort(t)
