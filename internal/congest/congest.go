@@ -29,6 +29,13 @@
 // byte-identically under both modes because an invocation with an empty
 // inbox outside its scheduled wake-ups must be a no-op.
 //
+// The same holds per message kind: a scan that consumes only certain kinds
+// is a no-op when the inbox holds none of them, and Context.Received tells
+// the node so without a scan. Delivery keeps a kind mask per inbox, so a
+// program that hands its whole inbox to several sub-protocols pays only for
+// the messages each one consumes, not one pass over the inbox per
+// sub-protocol.
+//
 // # Execution
 //
 // Shard is the one executor: it runs a contiguous vertex range over one
@@ -122,6 +129,8 @@ type Context struct {
 	rng    *rng.Source
 	halted bool
 	err    error
+	// kinds is the kind mask of this call's inbox (see Received).
+	kinds uint32
 
 	// This call's sends: outbox holds one Record per flood (or run of equal
 	// sends), whose receivers are copied into ids; last is the ids offset
@@ -162,6 +171,23 @@ func (c *Context) HasNeighbor(v graph.NodeID) bool { return c.sh.g.HasEdge(c.id,
 
 // Rand returns this node's private deterministic RNG stream.
 func (c *Context) Rand() *rng.Source { return c.rng }
+
+// Received reports whether this call's inbox holds a message of kind k. It
+// is exact for every defined kind: an inbox scan that consumes only kinds
+// for which Received is false can return at once, which is what keeps a
+// node's receive cost proportional to the messages it actually consumes.
+// Init sees no kinds. Kinds 31 and above, which only a FaultHook can
+// produce, share the mask's top bit, so Received may report such a kind
+// that is absent, never the reverse.
+func (c *Context) Received(k wire.Kind) bool { return c.kinds&kindBit(k) != 0 }
+
+// kindBit is k's bit in an inbox kind mask. Defined kinds each own a bit;
+// undefined kinds a FaultHook might produce fold into the top bit, which no
+// defined kind uses.
+func kindBit(k wire.Kind) uint32 { return 1 << min(k, 31) }
+
+// Every defined kind must own a bit of the mask below the shared top bit.
+const _ = uint8(31 - wire.NumKinds)
 
 // Send queues a message to neighbor `to` for delivery next round. The target
 // is validated by a binary search of this node's neighbor list, which suits
@@ -308,6 +334,7 @@ func (c *Context) reset(round int64) {
 	c.wakeEverySet = false
 	c.memWords = 0
 	c.workOps = 0
+	c.kinds = 0
 }
 
 // ObserveMemory reports the node's current retained state size in words; the

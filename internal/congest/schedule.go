@@ -1,5 +1,7 @@
 package congest
 
+import "dhc/internal/bitset"
+
 // scheduler tracks per-node wake-ups for the event-driven schedule. Only its
 // Shard touches it (active-set assembly and the invoke-and-merge loop), so it
 // needs no locking, and its decisions depend only on the execution itself.
@@ -72,17 +74,17 @@ func (s *scheduler) noteHalt(v int32) {
 // popDue consumes every live wake entry due at or before `round`. Nodes not
 // already marked in inActive are marked and appended to dst; the extended
 // slice is returned. Stale entries encountered on the way are discarded.
-func (s *scheduler) popDue(round int64, halted, inActive []bool, dst []int32) []int32 {
+func (s *scheduler) popDue(round int64, halted []bool, inActive bitset.Set, dst []int32) []int32 {
 	for len(s.heap) > 0 && s.heap[0].round <= round {
 		e := s.pop()
 		if s.nextWake[e.v] != e.round || halted[e.v] {
 			continue // stale (superseded, consumed, or node halted)
 		}
 		s.nextWake[e.v] = -1
-		if inActive[e.v] {
+		if inActive.Has(int(e.v)) {
 			continue // already active via delivery
 		}
-		inActive[e.v] = true
+		inActive.Add(int(e.v))
 		dst = append(dst, e.v)
 	}
 	return dst
@@ -139,8 +141,9 @@ func (s *scheduler) pop() wakeEntry {
 }
 
 // wakeLess orders entries by round, then node id, so heap contents are a
-// pure function of the execution (the tiebreak is never observable — due
-// entries are re-sorted into the active set — but keeps traversal stable).
+// pure function of the execution (the tiebreak is never observable — the
+// active set is put in id order after the pops — but keeps traversal
+// stable).
 func wakeLess(a, b wakeEntry) bool {
 	if a.round != b.round {
 		return a.round < b.round

@@ -2,8 +2,10 @@ package congest
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
+	"dhc/internal/bitset"
 	"dhc/internal/graph"
 	"dhc/internal/metrics"
 	"dhc/internal/rng"
@@ -82,29 +84,28 @@ type Shard struct {
 	lo, hi int
 	nodes  []Node // local programs, indexed v-lo
 
-	halted    []bool
-	live      int
-	ctxs      []*Context
-	inboxes   [][]Envelope
+	halted []bool
+	live   int
+	ctxs   []*Context
+	// boxes[v] is local node v's next-round inbox and delivery state.
+	boxes     []mailbox
 	msgActive []int32 // local indices
 	active    []int32
-	inActive  []bool
-	sched     scheduler
-	counters  *metrics.Counters // full-length; only [lo,hi) per-node entries used
-	out       []Record
+	// inActive marks the members of the active set while Step assembles
+	// it, so a node due by both delivery and wake-up runs once; Step leaves
+	// it clear.
+	inActive bitset.Set
+	sched    scheduler
+	counters *metrics.Counters // full-length; only [lo,hi) per-node entries used
+	out      []Record
 	// ports is the shared [0, max local degree) list Context.AllPorts views.
 	ports []int32
 	// splitLocal/splitCross hold, for one round, the receivers of the
 	// records Step splits into a local and a cross part.
 	splitLocal, splitCross []graph.NodeID
-	// Bandwidth accounting scratch, indexed by local receiver: bwBits[v]
-	// accumulates the bits the current sender pushed to v this round, valid
-	// while bwStamp[v] equals the current sender generation. Generations
-	// never repeat, so the arrays need no clearing between senders, rounds
-	// or runs.
-	bwStamp []int64
-	bwBits  []int64
-	bwGen   int64
+	// bwGen is the current sender generation of the bandwidth accounting
+	// (see mailbox).
+	bwGen int64
 
 	// localPending holds this round's src/dst-local messages between Step
 	// (which retains them) and Deliver (which splices them back into the
@@ -145,11 +146,9 @@ func newShard(g *graph.Graph, local []Node, opts Options, lo, hi int) *Shard {
 		nodes:    local,
 		halted:   make([]bool, k),
 		ctxs:     make([]*Context, k),
-		inboxes:  make([][]Envelope, k),
-		inActive: make([]bool, k),
+		boxes:    make([]mailbox, k),
+		inActive: bitset.Make(k),
 		sched:    newScheduler(k),
-		bwStamp:  make([]int64, k),
-		bwBits:   make([]int64, k),
 	}
 	for v := range s.ctxs {
 		s.ctxs[v] = &Context{sh: s, id: graph.NodeID(lo + v), rng: &rng.Source{}}
@@ -166,9 +165,10 @@ func newShard(g *graph.Graph, local []Node, opts Options, lo, hi int) *Shard {
 // rerun allocates nothing up front but its counters.
 func (s *Shard) Begin(seed uint64) {
 	root := rng.New(seed)
+	s.inActive.Reset()
 	for v, ctx := range s.ctxs {
-		s.halted[v], s.inActive[v] = false, false
-		s.inboxes[v] = s.inboxes[v][:0]
+		s.halted[v] = false
+		s.boxes[v].envs, s.boxes[v].kinds = s.boxes[v].envs[:0], 0
 		root.SplitInto(ctx.rng, uint64(s.lo+v))
 	}
 	s.live = len(s.ctxs)
@@ -222,18 +222,13 @@ func (s *Shard) Step(round int64, isInit bool) ([]Record, StepReport, error) {
 		for _, v := range s.msgActive {
 			// Receivers are recorded at delivery time, after all halts of
 			// the sending round were merged, so they are live and unique.
-			s.inActive[v] = true
+			s.inActive.Add(int(v))
 			active = append(active, v)
 		}
 		active = s.sched.popDue(round, s.halted, s.inActive, active)
-		for _, v := range active {
-			s.inActive[v] = false
-		}
-		// Sort ascending so outbox concatenation (and thus delivery order
-		// and inbox sender order) is deterministic and sender-grouped.
-		// slices.Sort does not allocate, keeping the steady-state round
-		// allocation-free.
-		slices.Sort(active)
+		// Ascending order makes outbox concatenation (and thus delivery
+		// order and inbox sender order) deterministic and sender-grouped.
+		active = s.idOrder(active)
 	}
 	s.msgActive = s.msgActive[:0]
 	s.active = active
@@ -301,6 +296,31 @@ func (s *Shard) Step(round int64, isInit bool) ([]Record, StepReport, error) {
 	return out, rep, nil
 }
 
+// idOrder returns the marked active set in ascending local id and clears
+// the marks. A small set is sorted in place, O(k log k); a large one is
+// read back from the mark words in id order, O((Hi-Lo)/64 + k). Both give
+// the same list, and neither allocates.
+func (s *Shard) idOrder(active []int32) []int32 {
+	if k := len(active); k*bits.Len(uint(k)) < len(s.inActive) {
+		for _, v := range active {
+			s.inActive.Remove(int(v))
+		}
+		slices.Sort(active)
+		return active
+	}
+	active = active[:0]
+	for w, word := range s.inActive {
+		if word == 0 {
+			continue
+		}
+		s.inActive[w] = 0
+		for ; word != 0; word &= word - 1 {
+			active = append(active, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return active
+}
+
 // route appends r to local when every receiver is in [Lo, Hi), to out when
 // none is, and otherwise splits it into a local and a cross record, whose
 // receivers it copies, each part in send order, into splitLocal and
@@ -329,6 +349,23 @@ func (s *Shard) route(r *Record, local, out []Record) ([]Record, []Record) {
 	return local, append(out, Record{From: r.From, Msg: r.Msg, To: s.splitCross[c0:len(s.splitCross):len(s.splitCross)]})
 }
 
+// mailbox is one local receiver's delivery state. Delivering a message reads
+// and writes all of it, so it is one struct rather than parallel arrays.
+type mailbox struct {
+	// envs holds the messages delivered for the next round, in delivery
+	// order.
+	envs []Envelope
+	// bwBits accumulates the bits the current sender pushed to this
+	// receiver this round, valid while bwStamp equals the shard's sender
+	// generation. Generations never repeat, so neither needs clearing
+	// between senders, rounds or runs.
+	bwStamp, bwBits int64
+	// kinds is envs' kind mask: bit kindBit(k) is set iff envs holds a
+	// message of kind k. invokeOne hands it to the Context, so
+	// Context.Received costs one AND.
+	kinds uint32
+}
+
 // invokeOne runs node v's Init or Round call and returns its context.
 func (s *Shard) invokeOne(v int32, round int64, isInit bool) *Context {
 	ctx := s.ctxs[v]
@@ -337,11 +374,13 @@ func (s *Shard) invokeOne(v int32, round int64, isInit bool) *Context {
 		s.nodes[v].Init(ctx)
 		return ctx
 	}
-	inbox := s.inboxes[v]
-	s.nodes[v].Round(ctx, inbox)
+	box := &s.boxes[v]
+	envs := box.envs
+	ctx.kinds, box.kinds = box.kinds, 0
+	s.nodes[v].Round(ctx, envs)
 	// Recycle the bucket: the inbox is documented as valid only during the
 	// Round call, so next round's deliveries may reuse the backing array.
-	s.inboxes[v] = inbox[:0]
+	box.envs = envs[:0]
 	return ctx
 }
 
@@ -378,14 +417,16 @@ func (s *Shard) Deliver(round int64, inbound []Record) error {
 	return nil
 }
 
-// deliverRecord expands one record. Its message size is computed once; with
-// a FaultHook set, each edge's hooked copy is sized and metered on its own.
+// deliverRecord expands one record. Its message size and kind bit are
+// computed once; with a FaultHook set, each edge's hooked copy is sized,
+// metered and masked on its own.
 func (s *Shard) deliverRecord(round int64, r *Record) error {
 	hook := s.opts.FaultHook
 	sz := s.codec.Bits(r.Msg)
 	env := Envelope{From: r.From, Msg: r.Msg}
+	bit := kindBit(r.Msg.Kind)
 	gen, budget := s.bwGen, s.opts.BandwidthBits
-	stamp, used, halted, inboxes := s.bwStamp, s.bwBits, s.halted, s.inboxes
+	halted, boxes := s.halted, s.boxes
 	metered := int64(0) // hook-free messages metered so far, added in bulk
 	for _, to := range r.To {
 		lv := int(to) - s.lo
@@ -393,21 +434,22 @@ func (s *Shard) deliverRecord(round int64, r *Record) error {
 			s.counters.AddMessages(metered, sz)
 			return fmt.Errorf("congest: shard [%d,%d) received message for node %d", s.lo, s.hi, to)
 		}
-		e, bits := env, sz
+		e, bits, eBit := env, sz, bit
 		if hook != nil {
 			var deliverIt bool
 			if e.Msg, deliverIt = hook(round, r.From, to, r.Msg); !deliverIt {
 				continue
 			}
-			bits = s.codec.Bits(e.Msg)
+			bits, eBit = s.codec.Bits(e.Msg), kindBit(e.Msg.Kind)
 		}
-		if stamp[lv] != gen {
-			stamp[lv], used[lv] = gen, 0
+		box := &boxes[lv]
+		if box.bwStamp != gen {
+			box.bwStamp, box.bwBits = gen, 0
 		}
-		if used[lv] += bits; used[lv] > budget {
+		if box.bwBits += bits; box.bwBits > budget {
 			s.counters.AddMessages(metered, sz)
 			return fmt.Errorf("%w: edge %d->%d carried %d bits in round %d (budget %d)",
-				ErrBandwidth, r.From, to, used[lv], round, budget)
+				ErrBandwidth, r.From, to, box.bwBits, round, budget)
 		}
 		if hook != nil {
 			s.counters.AddMessage(bits)
@@ -417,10 +459,11 @@ func (s *Shard) deliverRecord(round int64, r *Record) error {
 		if halted[lv] {
 			continue // metered, but a halted node consumes nothing
 		}
-		if len(inboxes[lv]) == 0 {
+		if len(box.envs) == 0 {
 			s.msgActive = append(s.msgActive, int32(lv))
 		}
-		inboxes[lv] = append(inboxes[lv], e)
+		box.envs = append(box.envs, e)
+		box.kinds |= eBit
 	}
 	s.counters.AddMessages(metered, sz)
 	return nil

@@ -181,7 +181,7 @@ func (h *hyperPhase) tick(ctx *congest.Context, inbox []congest.Envelope, isLead
 			}
 		}
 	}
-	if round == h.announceAt()+1 && (h.isUPort || h.isVPort) {
+	if round == h.announceAt()+1 && (h.isUPort || h.isVPort) && ctx.Received(wire.KindPort) {
 		for _, env := range inbox {
 			if env.Msg.Kind == wire.KindPort && env.Msg.Arg(0) != h.color {
 				h.pool = append(h.pool, env.From)
@@ -243,6 +243,9 @@ func (h *hyperPhase) nextWake(now int64) int64 {
 // terminal floods. Rotation and terminal floods are global: every node
 // forwards them (watermark dedup) and ports additionally apply them.
 func (h *hyperPhase) absorbFloods(ctx *congest.Context, inbox []congest.Envelope, scopePorts []int32) {
+	if !ctx.Received(wire.KindSizeAnnounce) && !ctx.Received(wire.KindRotation) && !ctx.Received(wire.KindSuccess) {
+		return
+	}
 	for _, env := range inbox {
 		switch env.Msg.Kind {
 		case wire.KindSizeAnnounce:
@@ -324,6 +327,9 @@ func (h *hyperPhase) applyHypRotation(hh, j int32, step, initRound int64) {
 // absorbPortTraffic handles probes, relays and rejects addressed to this
 // port.
 func (h *hyperPhase) absorbPortTraffic(ctx *congest.Context, inbox []congest.Envelope) {
+	if !ctx.Received(wire.KindProgress) && !ctx.Received(wire.KindRelay) && !ctx.Received(wire.KindReject) {
+		return
+	}
 	for _, env := range inbox {
 		switch env.Msg.Kind {
 		case wire.KindProgress:

@@ -31,13 +31,17 @@ type mergePhase struct {
 	B int64
 	K int32
 
-	color   int32
-	nbColor map[graph.NodeID]int32
+	color int32
+	// nbColor[port] is the color the neighbor on that port announced this
+	// level, -1 until it has (see recordColors); nbKnown counts the
+	// announced ports. The table is refilled, not reallocated, per level.
+	nbColor []int32
+	nbKnown int
 	// scopePorts/partnerPorts cache the same-color and partner-color
 	// neighbors as ascending ports for this level, rebuilt from the level's
 	// color exchange so the flood hot paths hand flat slices to SendPorts
-	// instead of filtering every neighbor through a map lookup. The
-	// embedder carries both buffers across sessions.
+	// instead of filtering every neighbor. The embedder carries all three
+	// buffers across sessions.
 	scopePorts   []int32
 	partnerPorts []int32
 	succ         graph.NodeID
@@ -113,7 +117,7 @@ func (m *mergePhase) start(color int32, succ, pred graph.NodeID, startRound int6
 }
 
 func (m *mergePhase) resetLevel() {
-	m.nbColor = make(map[graph.NodeID]int32)
+	m.nbKnown = 0
 	m.scopePorts = m.scopePorts[:0]
 	m.partnerPorts = m.partnerPorts[:0]
 	m.pendingProbe = probe{}
@@ -148,14 +152,11 @@ func (m *mergePhase) colorsAtLevel() int32 {
 	return k
 }
 
-func (m *mergePhase) inScope(nb graph.NodeID) bool {
-	c, ok := m.nbColor[nb]
-	return ok && c == m.color
-}
+func (m *mergePhase) inScope(port int) bool { return m.nbColor[port] == m.color }
 
-func (m *mergePhase) partnerScope(nb graph.NodeID) bool {
-	c, ok := m.nbColor[nb]
-	if !ok {
+func (m *mergePhase) partnerScope(port int) bool {
+	c := m.nbColor[port]
+	if c < 0 {
 		return false
 	}
 	if m.activeThisLevel() {
@@ -206,15 +207,12 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	case off == 0:
 		ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindColor, m.color))
 	case off == 1:
-		for _, env := range inbox {
-			if env.Msg.Kind == wire.KindColor {
-				m.nbColor[env.From] = env.Msg.Arg(0)
-			}
-		}
-		for port, nb := range ctx.Neighbors() {
-			if m.inScope(nb) {
+		m.nbColor = unknownColors(m.nbColor, ctx.Degree())
+		m.nbKnown = recordColors(ctx, inbox, m.nbColor)
+		for port := range m.nbColor {
+			if m.inScope(port) {
 				m.scopePorts = append(m.scopePorts, int32(port))
-			} else if m.partnerScope(nb) {
+			} else if m.partnerScope(port) {
 				m.partnerPorts = append(m.partnerPorts, int32(port))
 			}
 		}
@@ -253,14 +251,14 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 		m.absorbCandidates(ctx, inbox)
 		m.handleBridgeAndReverse(ctx, inbox)
 	}
-	ctx.ObserveMemory(int64(len(m.nbColor)) + 24)
+	ctx.ObserveMemory(int64(m.nbKnown) + 24)
 	return false
 }
 
 // handleProbes runs at passive nodes: select the smallest probe and query
 // both cycle neighbors about adjacency to u.
 func (m *mergePhase) handleProbes(ctx *congest.Context, inbox []congest.Envelope) {
-	if !m.alive || !m.passiveThisLevel() {
+	if !m.alive || !m.passiveThisLevel() || !ctx.Received(wire.KindVerify) {
 		return
 	}
 	for _, env := range inbox {
@@ -282,6 +280,9 @@ func (m *mergePhase) handleProbes(ctx *congest.Context, inbox []congest.Envelope
 // (Algorithm 3 line 15: "ask succ(v) and pred(v) if they have u as their
 // neighbor").
 func (m *mergePhase) handleQueries(ctx *congest.Context, inbox []congest.Envelope) {
+	if !ctx.Received(wire.KindQuery) {
+		return
+	}
 	for _, env := range inbox {
 		if env.Msg.Kind != wire.KindQuery {
 			continue
@@ -302,19 +303,21 @@ func (m *mergePhase) handleQueryReplies(ctx *congest.Context, inbox []congest.En
 	if !m.pendingProbe.valid {
 		return
 	}
-	for _, env := range inbox {
-		if env.Msg.Kind != wire.KindQueryReply {
-			continue
-		}
-		if graph.NodeID(env.Msg.Arg(0)) != m.pendingProbe.u {
-			continue
-		}
-		if env.Msg.Arg(1) == 1 {
-			if env.From == m.succ {
-				m.confirmedSucc = true
+	if ctx.Received(wire.KindQueryReply) {
+		for _, env := range inbox {
+			if env.Msg.Kind != wire.KindQueryReply {
+				continue
 			}
-			if env.From == m.pred {
-				m.confirmedPred = true
+			if graph.NodeID(env.Msg.Arg(0)) != m.pendingProbe.u {
+				continue
+			}
+			if env.Msg.Arg(1) == 1 {
+				if env.From == m.succ {
+					m.confirmedSucc = true
+				}
+				if env.From == m.pred {
+					m.confirmedPred = true
+				}
 			}
 		}
 	}
@@ -337,17 +340,19 @@ func (m *mergePhase) handleVerified(ctx *congest.Context, inbox []congest.Envelo
 	if !m.activeThisLevel() {
 		return
 	}
-	for _, env := range inbox {
-		if env.Msg.Kind != wire.KindVerified {
-			continue
-		}
-		w := graph.NodeID(env.Msg.Arg(0))
-		if !m.bestVerified.valid || w < m.bestVerified.w {
-			m.bestVerified = verified{
-				w:       w,
-				wprime:  graph.NodeID(env.Msg.Arg(1)),
-				crossed: env.Msg.Arg(2) == 1,
-				valid:   true,
+	if ctx.Received(wire.KindVerified) {
+		for _, env := range inbox {
+			if env.Msg.Kind != wire.KindVerified {
+				continue
+			}
+			w := graph.NodeID(env.Msg.Arg(0))
+			if !m.bestVerified.valid || w < m.bestVerified.w {
+				m.bestVerified = verified{
+					w:       w,
+					wprime:  graph.NodeID(env.Msg.Arg(1)),
+					crossed: env.Msg.Arg(2) == 1,
+					valid:   true,
+				}
 			}
 		}
 	}
@@ -374,6 +379,9 @@ func boolArg(b bool) int32 {
 // candidate message per round and the minimum still reaches every node of
 // the cycle within its diameter.
 func (m *mergePhase) absorbCandidates(ctx *congest.Context, inbox []congest.Envelope) {
+	if !ctx.Received(wire.KindBridgeCand) {
+		return
+	}
 	improved := false
 	for _, env := range inbox {
 		if env.Msg.Kind != wire.KindBridgeCand {
@@ -427,6 +435,9 @@ func (m *mergePhase) commitBridge(ctx *congest.Context) {
 // handleBridgeAndReverse processes buildBridge commits and the partner
 // cycle's reversal flood.
 func (m *mergePhase) handleBridgeAndReverse(ctx *congest.Context, inbox []congest.Envelope) {
+	if !ctx.Received(wire.KindBuildBridge) && !ctx.Received(wire.KindReverse) {
+		return
+	}
 	for _, env := range inbox {
 		switch env.Msg.Kind {
 		case wire.KindBuildBridge:

@@ -18,6 +18,9 @@
 package core
 
 import (
+	"math"
+
+	"dhc/internal/arena"
 	"dhc/internal/congest"
 	"dhc/internal/dra"
 	"dhc/internal/graph"
@@ -61,8 +64,12 @@ type phase1Config struct {
 type phase1 struct {
 	cfg phase1Config
 
-	color   int32
-	nbColor map[graph.NodeID]int32
+	color int32
+	// nbColor[port] is the color the neighbor on that port announced, -1
+	// until it has (see recordColors); nbKnown counts the announced ports.
+	// The embedder carries the buffer across sessions.
+	nbColor []int32
+	nbKnown int
 	// scopePorts caches the in-scope (same-color) neighbors as ascending
 	// ports once colors are known; every scoped flood is one SendPorts call
 	// over it instead of filtering the full neighbor list through a map
@@ -88,6 +95,10 @@ type phase1 struct {
 
 	phase2Start int64 // common start round for Phase 2, set at barrier release
 	arrived     bool
+
+	// memHigh is the largest memoryWords value reported so far; a smaller
+	// or equal one cannot move the node's metered high-water mark.
+	memHigh int64
 }
 
 // Phase boundaries, in absolute rounds (B = cfg.B):
@@ -110,7 +121,7 @@ func (p *phase1) draStart() int64      { return 4*p.cfg.B + 8 }
 
 func (p *phase1) init(ctx *congest.Context) {
 	p.color = int32(ctx.Rand().Intn(int(p.cfg.NumColors)))
-	p.nbColor = make(map[graph.NodeID]int32, ctx.Degree())
+	p.nbColor = unknownColors(p.nbColor, ctx.Degree())
 	p.electBest = ctx.ID()
 	ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindColor, p.color))
 	p.globalBFS = proto.NewBFSState(0)
@@ -118,10 +129,48 @@ func (p *phase1) init(ctx *congest.Context) {
 	p.globalBFS.Start(ctx)
 }
 
-// inScope reports whether neighbor nb is in this node's partition.
-func (p *phase1) inScope(nb graph.NodeID) bool {
-	c, ok := p.nbColor[nb]
-	return ok && c == p.color
+// inScope reports whether the neighbor on port is in this node's partition.
+func (p *phase1) inScope(port int) bool { return p.nbColor[port] == p.color }
+
+// unknownColors returns table resized to deg ports, every port unannounced.
+func unknownColors(table []int32, deg int) []int32 {
+	table = arena.Resize(table, deg)
+	for i := range table {
+		table[i] = -1
+	}
+	return table
+}
+
+// recordColors stores the colors announced by inbox's KindColor messages in
+// the port-indexed table and returns how many ports became known. The inbox
+// is sorted by sender and the neighbor list by id, so one merge walk finds
+// every sender's port; the last of several announcements wins. Protocol
+// colors are non-negative, so -1 can mark an unannounced port: a negative
+// announcement (only a FaultHook can make one) is stored as MaxInt32, known
+// but equal to no color.
+func recordColors(ctx *congest.Context, inbox []congest.Envelope, table []int32) int {
+	if !ctx.Received(wire.KindColor) {
+		return 0
+	}
+	nbrs := ctx.Neighbors()
+	port, known := 0, 0
+	for _, env := range inbox {
+		if env.Msg.Kind != wire.KindColor {
+			continue
+		}
+		for nbrs[port] < env.From {
+			port++
+		}
+		c := env.Msg.Arg(0)
+		if c < 0 {
+			c = math.MaxInt32
+		}
+		if table[port] < 0 {
+			known++
+		}
+		table[port] = c
+	}
+	return known
 }
 
 // tick advances Phase 1 by one round; returns true once complete.
@@ -129,16 +178,12 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	round := ctx.Round()
 
 	// Color records arrive in round 1 and drive everything scoped.
-	for _, env := range inbox {
-		if env.Msg.Kind == wire.KindColor {
-			p.nbColor[env.From] = env.Msg.Arg(0)
-		}
-	}
+	p.nbKnown += recordColors(ctx, inbox, p.nbColor)
 	if round == p.electStart() {
 		// All colors are in (announced at Init, delivered round 1): cache
 		// the in-scope ports for the scoped flood hot paths.
-		for port, nb := range ctx.Neighbors() {
-			if c, ok := p.nbColor[nb]; ok && c == p.color {
+		for port := range p.nbColor {
+			if p.inScope(port) {
 				p.scopePorts = append(p.scopePorts, int32(port))
 			}
 		}
@@ -155,6 +200,7 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 		p.barrier.Absorb(ctx, inbox)
 	}
 
+	done := false
 	switch {
 	case round == p.electStart():
 		p.sendCandidates(ctx)
@@ -176,10 +222,16 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 		}
 		p.counter.Tick(ctx, inbox)
 	case round >= p.draStart():
-		return p.tickDRA(ctx, inbox)
+		done = p.tickDRA(ctx, inbox)
 	}
-	ctx.ObserveMemory(p.memoryWords())
-	return false
+	// Metering once per call: every component only grows within a call
+	// except a DRA restart, which refills its unused list before this point,
+	// so this one reading dominates any taken earlier in the call.
+	if w := p.memoryWords(); w > p.memHigh {
+		p.memHigh = w
+		ctx.ObserveMemory(w)
+	}
+	return done
 }
 
 func (p *phase1) tickDRA(ctx *congest.Context, inbox []congest.Envelope) bool {
@@ -206,14 +258,12 @@ func (p *phase1) tickDRA(ctx *congest.Context, inbox []congest.Envelope) bool {
 			p.stepsPrior += p.dra.Steps()
 			p.dra = p.newDRAState(ctx, ctx.Round()+1)
 		}
-		ctx.ObserveMemory(p.memoryWords())
 		return false
 	}
 	if p.dra.Status() != dra.Running && !p.arrived {
 		p.arrived = true
 		p.barrier.Arrive(ctx, 0)
 	}
-	ctx.ObserveMemory(p.memoryWords())
 	if p.arrived && p.barrier.Released(0) {
 		p.phase2Start = p.barrier.StartRound(0)
 		return true
@@ -286,6 +336,9 @@ func (p *phase1) sendCandidates(ctx *congest.Context) {
 }
 
 func (p *phase1) absorbCandidates(ctx *congest.Context, inbox []congest.Envelope) {
+	if !ctx.Received(wire.KindCandidate) {
+		return
+	}
 	improved := false
 	for _, env := range inbox {
 		if env.Msg.Kind != wire.KindCandidate {
@@ -304,7 +357,7 @@ func (p *phase1) absorbCandidates(ctx *congest.Context, inbox []congest.Envelope
 // memoryWords estimates retained state: neighbor colors (O(deg)), scope tree
 // children, DRA state, and O(1) scalars.
 func (p *phase1) memoryWords() int64 {
-	words := int64(len(p.nbColor)) + 16
+	words := int64(p.nbKnown) + 16
 	if p.scopeBFS != nil {
 		words += int64(len(p.scopeBFS.Children))
 	}

@@ -81,6 +81,7 @@ func (d *Node) armWake(ctx *congest.Context) {
 // Round implements congest.Node.
 func (d *Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	d.state.Tick(ctx, inbox)
+	ctx.ObserveMemory(d.state.MemoryWords())
 	if d.state.Status() != Running {
 		// Keep forwarding the terminal broadcast for one round; the
 		// scoped broadcaster already forwarded on receipt, so halt now.

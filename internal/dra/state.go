@@ -184,7 +184,8 @@ func (s *State) MemoryWords() int64 {
 // Tick advances the machine by one round. The embedding congest.Node must
 // call it exactly once per round while the instance runs, passing the full
 // inbox (non-DRA messages are ignored; DRA messages of other scopes cannot
-// arrive because all traffic stays inside the scope).
+// arrive because all traffic stays inside the scope). The embedder meters
+// memory, once per call, from MemoryWords and whatever state it adds.
 func (s *State) Tick(ctx *congest.Context, inbox []congest.Envelope) {
 	if s.status != Running {
 		return
@@ -194,12 +195,14 @@ func (s *State) Tick(ctx *congest.Context, inbox []congest.Envelope) {
 	if s.status == Running && s.isHead && ctx.Round() >= s.actAfter {
 		s.act(ctx)
 	}
-	ctx.ObserveMemory(s.MemoryWords())
 }
 
 // absorbBroadcasts handles rotation and success/failure floods with O(1)
 // dedup state (step watermark / terminal flag).
 func (s *State) absorbBroadcasts(ctx *congest.Context, inbox []congest.Envelope) {
+	if !ctx.Received(wire.KindRotation) && !ctx.Received(wire.KindSuccess) {
+		return
+	}
 	for _, env := range inbox {
 		switch env.Msg.Kind {
 		case wire.KindRotation:
@@ -272,6 +275,9 @@ func (s *State) applyRotation(h, j int32, step, initRound int64) {
 // absorbProgress handles progress(pos, steps) messages addressed directly to
 // this node (Algorithm 1, OnReceive progress).
 func (s *State) absorbProgress(ctx *congest.Context, inbox []congest.Envelope) {
+	if !ctx.Received(wire.KindProgress) {
+		return
+	}
 	for _, env := range inbox {
 		if env.Msg.Kind != wire.KindProgress || s.status != Running {
 			continue

@@ -39,6 +39,22 @@ func NewCounter(tree *BFSState, ownValue int64, tag int32) *Counter {
 // under event-driven execution the embedder schedules a wake-up for the
 // starting round and lets deliveries drive the rest.
 func (c *Counter) Tick(ctx *congest.Context, inbox []congest.Envelope) {
+	if ctx.Received(wire.KindCount) || ctx.Received(wire.KindSizeAnnounce) {
+		c.absorb(ctx, inbox)
+	}
+	if !c.sentUp && c.reports == len(c.tree.Children) {
+		subtree := c.sum + c.value
+		c.sentUp = true
+		if c.tree.IsRoot(ctx.ID()) {
+			c.Total = subtree
+			c.announceDown(ctx)
+		} else {
+			ctx.Send(c.tree.Parent, wire.Msg(wire.KindCount, int32(subtree), c.tag))
+		}
+	}
+}
+
+func (c *Counter) absorb(ctx *congest.Context, inbox []congest.Envelope) {
 	for _, env := range inbox {
 		switch env.Msg.Kind {
 		case wire.KindCount:
@@ -51,16 +67,6 @@ func (c *Counter) Tick(ctx *congest.Context, inbox []congest.Envelope) {
 				c.Total = int64(env.Msg.Arg(0))
 				c.announceDown(ctx)
 			}
-		}
-	}
-	if !c.sentUp && c.reports == len(c.tree.Children) {
-		subtree := c.sum + c.value
-		c.sentUp = true
-		if c.tree.IsRoot(ctx.ID()) {
-			c.Total = subtree
-			c.announceDown(ctx)
-		} else {
-			ctx.Send(c.tree.Parent, wire.Msg(wire.KindCount, int32(subtree), c.tag))
 		}
 	}
 }
@@ -81,62 +87,82 @@ func (c *Counter) Done() bool { return c.Total >= 0 }
 // costs O(tree depth) rounds — within the paper's round budgets, which are
 // all Ω(diameter).
 type Barrier struct {
-	tree         *BFSState
-	childReports map[int32]int
-	arrived      map[int32]bool
-	sentUp       map[int32]bool
-	released     map[int32]bool
-	startRound   map[int32]int64
+	tree *BFSState
+	seqs map[int32]*barrierSeq
+	// words is MemoryWords: one word per fact recorded across all
+	// barriers (a child report seen, arrived, reported up, released).
+	words int64
 	// ReleaseDelay is added by the root to the release round to produce a
 	// common StartRound at which all nodes may begin the next phase; it
 	// must be at least the tree depth so the Go flood arrives in time.
 	ReleaseDelay int64
 }
 
+// barrierSeq is one barrier's state at this node.
+type barrierSeq struct {
+	childReports int
+	arrived      bool
+	sentUp       bool
+	released     bool
+	startRound   int64
+}
+
 // NewBarrier creates barrier state over a final BFS tree. releaseDelay must
 // upper-bound the tree depth.
 func NewBarrier(tree *BFSState, releaseDelay int64) *Barrier {
-	return &Barrier{
-		tree:         tree,
-		childReports: make(map[int32]int),
-		arrived:      make(map[int32]bool),
-		sentUp:       make(map[int32]bool),
-		released:     make(map[int32]bool),
-		startRound:   make(map[int32]int64),
-		ReleaseDelay: releaseDelay,
+	return &Barrier{tree: tree, seqs: make(map[int32]*barrierSeq), ReleaseDelay: releaseDelay}
+}
+
+// seq returns barrier seq's state, creating it on first use.
+func (b *Barrier) seq(seq int32) *barrierSeq {
+	st := b.seqs[seq]
+	if st == nil {
+		st = &barrierSeq{}
+		b.seqs[seq] = st
 	}
+	return st
 }
 
 // Arrive marks this node's arrival at barrier seq (idempotent).
 func (b *Barrier) Arrive(ctx *congest.Context, seq int32) {
-	if b.arrived[seq] {
+	st := b.seq(seq)
+	if st.arrived {
 		return
 	}
-	b.arrived[seq] = true
-	b.maybeSendUp(ctx, seq)
+	st.arrived = true
+	b.words++
+	b.maybeSendUp(ctx, seq, st)
 }
 
 // Absorb processes barrier traffic for one round.
 func (b *Barrier) Absorb(ctx *congest.Context, inbox []congest.Envelope) {
+	if !ctx.Received(wire.KindBarrierUp) && !ctx.Received(wire.KindBarrierGo) {
+		return
+	}
 	for _, env := range inbox {
 		seq := env.Msg.Arg(0)
 		switch env.Msg.Kind {
 		case wire.KindBarrierUp:
-			b.childReports[seq]++
-			b.maybeSendUp(ctx, seq)
+			st := b.seq(seq)
+			if st.childReports == 0 {
+				b.words++
+			}
+			st.childReports++
+			b.maybeSendUp(ctx, seq, st)
 		case wire.KindBarrierGo:
-			b.release(ctx, seq, int64(env.Msg.Arg(1)))
+			b.release(ctx, seq, b.seq(seq), int64(env.Msg.Arg(1)))
 		}
 	}
 }
 
-func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32) {
-	if b.sentUp[seq] || !b.arrived[seq] || b.childReports[seq] != len(b.tree.Children) {
+func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32, st *barrierSeq) {
+	if st.sentUp || !st.arrived || st.childReports != len(b.tree.Children) {
 		return
 	}
-	b.sentUp[seq] = true
+	st.sentUp = true
+	b.words++
 	if b.tree.IsRoot(ctx.ID()) {
-		b.release(ctx, seq, ctx.Round()+b.ReleaseDelay)
+		b.release(ctx, seq, st, ctx.Round()+b.ReleaseDelay)
 	} else if b.tree.Adopted() {
 		ctx.Send(b.tree.Parent, wire.Msg(wire.KindBarrierUp, seq))
 	}
@@ -146,26 +172,34 @@ func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32) {
 	// cannot agree on anything, and one the model allows us to observe.
 }
 
-func (b *Barrier) release(ctx *congest.Context, seq int32, startRound int64) {
-	if b.released[seq] {
+func (b *Barrier) release(ctx *congest.Context, seq int32, st *barrierSeq, startRound int64) {
+	if st.released {
 		return
 	}
-	b.released[seq] = true
-	b.startRound[seq] = startRound
+	st.released = true
+	b.words++
+	st.startRound = startRound
 	for _, child := range b.tree.Children {
 		ctx.Send(child, wire.Msg(wire.KindBarrierGo, seq, int32(startRound)))
 	}
 }
 
 // Released reports whether barrier seq has been released at this node.
-func (b *Barrier) Released(seq int32) bool { return b.released[seq] }
+func (b *Barrier) Released(seq int32) bool {
+	st := b.seqs[seq]
+	return st != nil && st.released
+}
 
 // StartRound returns the common round at which the phase following barrier
 // seq begins (valid once Released(seq) is true). Every node receives the same
 // value, giving the network a synchronized phase boundary.
-func (b *Barrier) StartRound(seq int32) int64 { return b.startRound[seq] }
-
-// MemoryWords estimates retained state for metering.
-func (b *Barrier) MemoryWords() int64 {
-	return int64(len(b.childReports) + len(b.arrived) + len(b.sentUp) + len(b.released))
+func (b *Barrier) StartRound(seq int32) int64 {
+	if st := b.seqs[seq]; st != nil {
+		return st.startRound
+	}
+	return 0
 }
+
+// MemoryWords estimates retained state for metering: one word per recorded
+// fact, kept as a running count so reading it costs nothing.
+func (b *Barrier) MemoryWords() int64 { return b.words }

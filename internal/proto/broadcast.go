@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"slices"
+
 	"dhc/internal/congest"
 	"dhc/internal/graph"
 	"dhc/internal/wire"
@@ -49,13 +51,12 @@ func (s *ScopedBroadcaster) Originate(ctx *congest.Context, m wire.Message) {
 // forwarding each new payload once. It returns the newly seen payloads in
 // arrival order.
 func (s *ScopedBroadcaster) Absorb(ctx *congest.Context, inbox []congest.Envelope, kinds ...wire.Kind) []wire.Message {
-	wanted := make(map[wire.Kind]bool, len(kinds))
-	for _, k := range kinds {
-		wanted[k] = true
+	if !slices.ContainsFunc(kinds, ctx.Received) {
+		return nil
 	}
 	var fresh []wire.Message
 	for _, env := range inbox {
-		if !wanted[env.Msg.Kind] {
+		if !slices.Contains(kinds, env.Msg.Kind) {
 			continue
 		}
 		k := key(env.Msg)

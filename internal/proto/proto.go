@@ -13,6 +13,12 @@
 // deadline the embedder itself imposes (e.g. "read Leader after D rounds").
 // Barrier.Arrive is driven by the embedder's own progress and so needs no
 // wake-up of its own.
+//
+// The same holds per kind: an Absorb/Tick whose inbox holds none of the
+// machine's message kinds is a no-op, and congest.Context.Received is how it
+// knows without scanning. Every machine checks its kinds first and returns at
+// once when none is present, so an embedder may hand each machine the full
+// inbox every round and pay only for the messages that machine consumes.
 package proto
 
 import (
@@ -51,13 +57,15 @@ func (f *Flooder) Start(ctx *congest.Context) {
 // It returns true if Best changed.
 func (f *Flooder) Absorb(ctx *congest.Context, inbox []congest.Envelope) bool {
 	improved := false
-	for _, env := range inbox {
-		if env.Msg.Kind != wire.KindCandidate {
-			continue
-		}
-		if c := graph.NodeID(env.Msg.Arg(0)); c < f.Best {
-			f.Best = c
-			improved = true
+	if ctx.Received(wire.KindCandidate) {
+		for _, env := range inbox {
+			if env.Msg.Kind != wire.KindCandidate {
+				continue
+			}
+			if c := graph.NodeID(env.Msg.Arg(0)); c < f.Best {
+				f.Best = c
+				improved = true
+			}
 		}
 	}
 	if improved {
@@ -87,9 +95,9 @@ type BFSState struct {
 	Level    int32        // hop distance from root; -1 until adopted
 	Children []graph.NodeID
 	// InScope, if non-nil, restricts the tree to a vertex subset: explore
-	// messages are only sent to in-scope neighbors (DHC builds one tree
-	// per partition).
-	InScope func(graph.NodeID) bool
+	// messages are only sent on ports (indices into ctx.Neighbors()) it
+	// reports in scope (DHC builds one tree per partition).
+	InScope func(port int) bool
 	// Tag distinguishes concurrent BFS instances (e.g. the global tree vs
 	// per-partition trees); explore/ack messages carry it.
 	Tag int32
@@ -100,8 +108,9 @@ func NewBFSState(root graph.NodeID) *BFSState {
 	return &BFSState{Root: root, Parent: -1, Level: -1}
 }
 
-// NewScopedBFSState returns BFS state restricted to a vertex subset.
-func NewScopedBFSState(root graph.NodeID, inScope func(graph.NodeID) bool) *BFSState {
+// NewScopedBFSState returns BFS state restricted to the neighbors on the
+// ports inScope accepts.
+func NewScopedBFSState(root graph.NodeID, inScope func(port int) bool) *BFSState {
 	return &BFSState{Root: root, Parent: -1, Level: -1, InScope: inScope}
 }
 
@@ -110,7 +119,7 @@ func (b *BFSState) sendExplore(ctx *congest.Context, except graph.NodeID) {
 		if nb == except {
 			continue
 		}
-		if b.InScope != nil && !b.InScope(nb) {
+		if b.InScope != nil && !b.InScope(port) {
 			continue
 		}
 		ctx.SendPort(port, wire.Msg(wire.KindBFSExplore, b.Level, b.Tag))
@@ -132,6 +141,9 @@ func (b *BFSState) Start(ctx *congest.Context) {
 // node adopted a parent this round. After the BFS has quiesced (2*depth
 // rounds), Parent/Level/Children are final.
 func (b *BFSState) Absorb(ctx *congest.Context, inbox []congest.Envelope) bool {
+	if !ctx.Received(wire.KindBFSExplore) && !ctx.Received(wire.KindBFSAck) {
+		return false
+	}
 	adopted := false
 	for _, env := range inbox {
 		switch env.Msg.Kind {

@@ -177,6 +177,9 @@ type Stats struct {
 //	round_limit 422  the round budget cut the run off (raise max_rounds)
 //	canceled    504  the request deadline expired mid-solve
 //	error       400  the request itself is invalid (retrying cannot help)
+//
+// One error-class outcome answers outside the table: a solve that panicked
+// is the server's failure, not the request's, and runSolve answers it 500.
 func statusFor(class dhc.FailureClass) int {
 	switch class {
 	case dhc.FailureNone:
@@ -435,8 +438,19 @@ func (s *Server) deadline(ctx context.Context, req *SolveRequest) (context.Conte
 }
 
 // runSolve executes one admitted request on a pooled session and renders the
-// deterministic response body.
-func (s *Server) runSolve(ctx context.Context, p *parsedRequest, obs *dhc.Observer) (int, []byte) {
+// deterministic response body. It is the panic boundary: a panicking solve
+// becomes a FailureError response with status 500 — the request may be
+// fine, the server failed it — and, since the panic unwinds past pool.put,
+// its session, whose state the panic may have left half-written, is dropped
+// instead of pooled.
+func (s *Server) runSolve(ctx context.Context, p *parsedRequest, obs *dhc.Observer) (status int, body []byte) {
+	defer func() {
+		if v := recover(); v != nil {
+			status = http.StatusInternalServerError
+			body = mustJSON(SolveResponse{Status: dhc.FailureError.String(), N: p.g.N(), M: int64(p.g.M()),
+				Error: fmt.Sprintf("serve: solver panicked: %v", v)})
+		}
+	}()
 	key := poolKey{algo: p.algo, cfg: p.cfg, nClass: nClass(p.g.N())}
 	var (
 		res *dhc.Result
@@ -525,18 +539,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	// Generation runs inside the admission slot: instance construction is
-	// solver work, and an unbounded burst of cache misses must not build
-	// graphs beyond the configured concurrency.
-	if err := s.materialize(p); err != nil {
-		release()
+	status, body, err := s.solveInSlot(r.Context(), p, release)
+	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.deadline(r.Context(), &p.req)
-	status, body := s.runSolve(ctx, p, nil)
-	cancel()
-	release()
 
 	if cacheable(status) {
 		s.cache.put(key, replayEntry{status: status, body: body})
@@ -546,6 +553,22 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Solve-Wall-MS", fmt.Sprintf("%.3f", time.Since(start).Seconds()*1e3))
 	w.WriteHeader(status)
 	w.Write(body)
+}
+
+// solveInSlot builds the instance and solves it inside the admission slot
+// release frees, and frees it however the call ends. Generation runs inside
+// the slot: instance construction is solver work, and an unbounded burst of
+// cache misses must not build graphs beyond the configured concurrency. A
+// non-nil error is a generation failure, before any solve.
+func (s *Server) solveInSlot(ctx context.Context, p *parsedRequest, release func()) (int, []byte, error) {
+	defer release()
+	if err := s.materialize(p); err != nil {
+		return 0, nil, err
+	}
+	ctx, cancel := s.deadline(ctx, &p.req)
+	defer cancel()
+	status, body := s.runSolve(ctx, p, nil)
+	return status, body, nil
 }
 
 // handleStream is the chunked-ndjson variant: progress events from the

@@ -501,3 +501,55 @@ func TestExplicitEdgesMatchGeneratedInstance(t *testing.T) {
 		t.Fatalf("generated and explicit bodies differ:\n  %s\n  %s", genBody, expBody)
 	}
 }
+
+// TestSolvePanicFreesSlot pins the panic boundary on a one-slot server: a
+// solve that panics answers 500 with the error class and is not cached, its
+// slot is freed and its session dropped, and the next request succeeds with
+// the bytes a fresh server computes.
+func TestSolvePanicFreesSlot(t *testing.T) {
+	s := New(Config{Concurrency: 1, Queue: -1})
+	solve := s.solve
+	panics := 0
+	s.solve = func(ctx context.Context, sv *dhc.Solver, g *dhc.Graph, seed uint64) (*dhc.Result, error) {
+		if seed == 1 {
+			panics++
+			panic("injected solver fault")
+		}
+		return solve(ctx, sv, g, seed)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	fresh := httptest.NewServer(New(Config{}).Handler())
+	defer fresh.Close()
+
+	bad := `{"family":"gnp","n":48,"param":40,"seed":1,"algo":"dra","engine":"step"}`
+	for i := 0; i < 2; i++ {
+		resp, data := postJSON(t, ts.URL+"/solve", bad)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("panicking solve %d: HTTP status = %d, want 500 (body %s)", i, resp.StatusCode, data)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "miss" {
+			t.Fatalf("panicking solve %d: X-Cache = %q, want miss (a panic must not be cached)", i, got)
+		}
+		sr := decodeResponse(t, data)
+		if sr.Status != "error" || !strings.Contains(sr.Error, "injected solver fault") {
+			t.Fatalf("panicking solve %d: body %s, want status error naming the panic", i, data)
+		}
+	}
+	if panics != 2 {
+		t.Fatalf("solve seam panicked %d times, want 2", panics)
+	}
+
+	good := `{"family":"gnp","n":48,"param":40,"seed":2,"algo":"dra","engine":"step","include_cycle":true}`
+	resp, data := postJSON(t, ts.URL+"/solve", good)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("solve after a panic: HTTP status = %d, want 200 (body %s)", resp.StatusCode, data)
+	}
+	_, want := postJSON(t, fresh.URL+"/solve", good)
+	if !bytes.Equal(data, want) {
+		t.Fatalf("solve after a panic differs from a fresh server's:\n  got:  %s\n  want: %s", data, want)
+	}
+	if created, reused := s.pool.counts(); created != 3 || reused != 0 {
+		t.Fatalf("pool counts: created=%d reused=%d, want 3 created / 0 reused (panicked sessions are dropped)", created, reused)
+	}
+}

@@ -188,6 +188,46 @@ func (u *node) tickUpcast(ctx *congest.Context, inbox []congest.Envelope) {
 			u.route[ctx.ID()] = ctx.ID()
 		}
 	}
+	if ctx.Received(wire.KindEdgeSample) || ctx.Received(wire.KindHCEdge) ||
+		ctx.Received(wire.KindBroadcast) || ctx.Received(wire.KindSuccess) {
+		u.absorb(ctx, inbox)
+	}
+	if u.failed {
+		ctx.Halt()
+		return
+	}
+	// Root: solve once everything arrived.
+	if u.isRoot(ctx) && !u.solved && u.expect <= 0 && round > u.upcastAt() {
+		u.solveAtRoot(ctx)
+	}
+	// Pipelined forwarding: one message per edge per round.
+	if len(u.queue) > 0 && !u.isRoot(ctx) {
+		ctx.Send(u.tree.Parent, u.queue[0])
+		u.queue = u.queue[1:]
+	}
+	doneAllChildren := true
+	for _, child := range u.tree.Children {
+		q := u.childQ[child]
+		if len(q) == 0 {
+			continue
+		}
+		ctx.Send(child, q[0])
+		u.childQ[child] = q[1:]
+		if len(q) > 1 || q[0].Kind != wire.KindBroadcast {
+			doneAllChildren = false
+		}
+	}
+	// Halt when our successor arrived, the done marker passed through, and
+	// all queues drained.
+	if u.haveSucc && u.doneSent && doneAllChildren && len(u.queue) == 0 {
+		ctx.Halt()
+	}
+}
+
+// absorb consumes this round's upcast traffic: samples to route upward or
+// collect, cycle edges to route downward, the done marker and the failure
+// flood.
+func (u *node) absorb(ctx *congest.Context, inbox []congest.Envelope) {
 	for _, env := range inbox {
 		switch env.Msg.Kind {
 		case wire.KindEdgeSample:
@@ -219,36 +259,6 @@ func (u *node) tickUpcast(ctx *congest.Context, inbox []congest.Envelope) {
 			u.failed = true
 			forward(ctx, env.Msg, env.From)
 		}
-	}
-	if u.failed {
-		ctx.Halt()
-		return
-	}
-	// Root: solve once everything arrived.
-	if u.isRoot(ctx) && !u.solved && u.expect <= 0 && round > u.upcastAt() {
-		u.solveAtRoot(ctx)
-	}
-	// Pipelined forwarding: one message per edge per round.
-	if len(u.queue) > 0 && !u.isRoot(ctx) {
-		ctx.Send(u.tree.Parent, u.queue[0])
-		u.queue = u.queue[1:]
-	}
-	doneAllChildren := true
-	for _, child := range u.tree.Children {
-		q := u.childQ[child]
-		if len(q) == 0 {
-			continue
-		}
-		ctx.Send(child, q[0])
-		u.childQ[child] = q[1:]
-		if len(q) > 1 || q[0].Kind != wire.KindBroadcast {
-			doneAllChildren = false
-		}
-	}
-	// Halt when our successor arrived, the done marker passed through, and
-	// all queues drained.
-	if u.haveSucc && u.doneSent && doneAllChildren && len(u.queue) == 0 {
-		ctx.Halt()
 	}
 }
 

@@ -79,6 +79,10 @@ const (
 	kindMax
 )
 
+// NumKinds is one more than the largest defined kind: defined kinds lie in
+// [1, NumKinds). Receivers that keep per-kind bit masks size them by it.
+const NumKinds = int(kindMax)
+
 var kindNames = map[Kind]string{
 	KindProgress:     "progress",
 	KindRotation:     "rotation",
