@@ -3,7 +3,6 @@ package congest
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"dhc/internal/bitset"
 	"dhc/internal/graph"
@@ -296,18 +295,10 @@ func (s *Shard) Step(round int64, isInit bool) ([]Record, StepReport, error) {
 	return out, rep, nil
 }
 
-// idOrder returns the marked active set in ascending local id and clears
-// the marks. A small set is sorted in place, O(k log k); a large one is
-// read back from the mark words in id order, O((Hi-Lo)/64 + k). Both give
-// the same list, and neither allocates.
+// idOrder returns the marked active set in ascending local id, read back
+// from the mark words in O((Hi-Lo)/64 + k), and clears the marks. It
+// reuses active's backing array and allocates nothing.
 func (s *Shard) idOrder(active []int32) []int32 {
-	if k := len(active); k*bits.Len(uint(k)) < len(s.inActive) {
-		for _, v := range active {
-			s.inActive.Remove(int(v))
-		}
-		slices.Sort(active)
-		return active
-	}
 	active = active[:0]
 	for w, word := range s.inActive {
 		if word == 0 {

@@ -67,7 +67,6 @@ type phase1 struct {
 	color int32
 	// nbColor[port] is the color the neighbor on that port announced, -1
 	// until it has (see recordColors); nbKnown counts the announced ports.
-	// The embedder carries the buffer across sessions.
 	nbColor []int32
 	nbKnown int
 	// scopePorts caches the in-scope (same-color) neighbors as ascending
@@ -95,10 +94,6 @@ type phase1 struct {
 
 	phase2Start int64 // common start round for Phase 2, set at barrier release
 	arrived     bool
-
-	// memHigh is the largest memoryWords value reported so far; a smaller
-	// or equal one cannot move the node's metered high-water mark.
-	memHigh int64
 }
 
 // Phase boundaries, in absolute rounds (B = cfg.B):
@@ -227,10 +222,7 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	// Metering once per call: every component only grows within a call
 	// except a DRA restart, which refills its unused list before this point,
 	// so this one reading dominates any taken earlier in the call.
-	if w := p.memoryWords(); w > p.memHigh {
-		p.memHigh = w
-		ctx.ObserveMemory(w)
-	}
+	ctx.ObserveMemory(p.memoryWords())
 	return done
 }
 
