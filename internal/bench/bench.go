@@ -1,9 +1,8 @@
-// Package bench defines the experiment harness that regenerates the paper's
-// per-theorem results (the experiment index is experiments.go, one E*
-// function per theorem): workload generation, parameter sweeps, log-log
-// exponent fitting, and table formatting. It is used both by cmd/hcbench
-// (full sweeps and experiment tables) and by the testing.B benchmarks in
-// the repository root.
+// Package bench holds the experiment tables that regenerate the paper's
+// per-theorem results (experiments.go, one E* function per theorem, printed
+// by cmd/hcbench), the read-only decoder of the legacy BENCH_<rev>.json files
+// and hcsweep's report section (json.go), and the engine vocabulary that
+// hcsweep, hcrun and the service parse (grid.go).
 package bench
 
 import (
@@ -92,24 +91,6 @@ func FitExponent(xs []float64, ys []float64) float64 {
 		return math.NaN()
 	}
 	return (fn*sxy - sx*sy) / den
-}
-
-// GeoMeanRatio returns the geometric mean of ys[i]/xs[i], used to compare
-// algorithm round counts ("who wins, by what factor").
-func GeoMeanRatio(xs, ys []float64) float64 {
-	var s float64
-	n := 0
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			continue
-		}
-		s += math.Log(ys[i] / xs[i])
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return math.Exp(s / float64(n))
 }
 
 // Columns extracts (x, y) float series from rows via accessor functions,

@@ -25,13 +25,6 @@ func TestFitExponent(t *testing.T) {
 	}
 }
 
-func TestGeoMeanRatio(t *testing.T) {
-	r := GeoMeanRatio([]float64{1, 1}, []float64{2, 8})
-	if math.Abs(r-4) > 1e-9 {
-		t.Fatalf("ratio %v, want 4", r)
-	}
-}
-
 func TestTableWrite(t *testing.T) {
 	tb := &Table{Name: "X", Caption: "c", ExtraCols: []string{"k"}}
 	tb.Append(Row{Label: "a", N: 10, P: 0.5, Rounds: 7, Steps: 3, OK: true,

@@ -1,9 +1,8 @@
 package bench
 
-// Grid-spec parsing shared by the cmd/hcbench benchmark pipeline and the
-// cmd/hcsweep Monte Carlo pipeline: comma-separated list handling plus the
-// algorithm/engine column vocabulary, so both CLIs and both report sections
-// spell configurations identically.
+// Grid-spec parsing shared by cmd/hcsweep, cmd/hcrun and internal/serve:
+// comma-separated list handling plus the engine column vocabulary, so every
+// surface and the report schema spell configurations identically.
 
 import (
 	"fmt"
@@ -15,23 +14,17 @@ import (
 
 // EngineMode is one engine column of a grid: the simulation engine plus, for
 // the exact engine, the scheduling mode (event-driven vs the dense-sweep
-// oracle) and whether the run is distributed across shard workers.
+// oracle). Sharding is not an engine: it is dhc.Options.Shards.
 type EngineMode struct {
 	Engine dhc.Engine
 	Dense  bool
-	// Dist selects the distributed exact engine (shard workers behind real
-	// transports); the driver supplies the shard count and transport.
-	Dist bool
 }
 
-// Name returns the mode's report spelling: "step", "exact", "exact-dense" or
-// "dist".
+// Name returns the mode's report spelling: "step", "exact" or "exact-dense".
 func (e EngineMode) Name() string {
 	switch {
 	case e.Engine == dhc.EngineStep:
 		return "step"
-	case e.Dist:
-		return "dist"
 	case e.Dense:
 		return "exact-dense"
 	default:
@@ -42,7 +35,7 @@ func (e EngineMode) Name() string {
 // EngineModeNames returns the engine-column vocabulary in sorted order —
 // exactly the spelling ParseEngineMode's error reports.
 func EngineModeNames() []string {
-	return []string{"dist", "exact", "exact-dense", "step"}
+	return []string{"exact", "exact-dense", "step"}
 }
 
 // FamilyNames returns the graph-family vocabulary of the report schema in
@@ -53,8 +46,13 @@ func FamilyNames() []string {
 	return []string{"geometric", "gnm", "gnp", "hypercube", "powerlaw", "regular", "sbm", "torus"}
 }
 
-// ValidEngine reports whether name is in the EngineModeNames vocabulary.
+// ValidEngine reports whether name may label a report row: the
+// EngineModeNames vocabulary, plus "dist", which the legacy BENCH_pr10.json
+// gives its sharded rows.
 func ValidEngine(name string) bool {
+	if name == "dist" {
+		return true
+	}
 	for _, e := range EngineModeNames() {
 		if e == name {
 			return true
@@ -84,37 +82,9 @@ func ParseEngineMode(s string) (EngineMode, error) {
 		return EngineMode{Engine: dhc.EngineExact}, nil
 	case "exact-dense":
 		return EngineMode{Engine: dhc.EngineExact, Dense: true}, nil
-	case "dist":
-		return EngineMode{Engine: dhc.EngineExact, Dist: true}, nil
 	default:
 		return EngineMode{}, fmt.Errorf("unknown engine %q (valid: %s)", s, strings.Join(EngineModeNames(), ", "))
 	}
-}
-
-// ParseEngineModes resolves a comma-separated engine list.
-func ParseEngineModes(s string) ([]EngineMode, error) {
-	var out []EngineMode
-	for _, part := range SplitList(s) {
-		m, err := ParseEngineMode(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// ParseAlgorithms resolves a comma-separated algorithm list.
-func ParseAlgorithms(s string) ([]dhc.Algorithm, error) {
-	var out []dhc.Algorithm
-	for _, part := range SplitList(s) {
-		a, err := dhc.ParseAlgorithm(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // SplitList splits a comma-separated flag value, trimming whitespace and

@@ -1,10 +1,10 @@
 package bench
 
-// Versioned machine-readable benchmark reports. Every PR that touches a hot
-// path records a BENCH_<rev>.json at the repository root via
-// `hcbench -json`, so the perf trajectory of the codebase is comparable
-// across revisions without re-running old binaries. The schema is
-// intentionally flat: one Record per (algo, engine, n, workers, seed) run,
+// Versioned machine-readable reports. The BENCH_<rev>.json files at the
+// repository root are frozen legacy records of the retired hcbench grid,
+// reuse, generator and load-test modes; DecodeReport reads them and
+// `hcbench -validate` gates on them. hcsweep still writes the sweep section.
+// The schema is flat: one Record per (algo, engine, n, workers, seed) run,
 // wrapped in a Report that pins the schema version and the host shape the
 // numbers were measured on.
 
@@ -37,7 +37,7 @@ type Record struct {
 	// Algo is the short algorithm name ("dra", "dhc1", "dhc2", "upcast").
 	Algo string `json:"algo"`
 	// Engine is "exact" (event-driven), "exact-dense" (the dense-sweep
-	// oracle) or "step".
+	// oracle), "step", or "dist" (BENCH_pr10's sharded exact rows).
 	Engine string `json:"engine"`
 	// N and M are the instance's vertex and edge counts; P its density.
 	N int     `json:"n"`
@@ -53,17 +53,15 @@ type Record struct {
 	BroadcastBound int64 `json:"broadcast_bound,omitempty"`
 	// Workers is the worker-pool bound the run was measured at.
 	Workers int `json:"workers"`
-	// Mode distinguishes solver-lifecycle benchmark rows: "" for ordinary
-	// single-run records, "fresh" for a repeated-trial series through
-	// independent Solve calls, "reuse" for the same series through one
-	// reusable Solver session. Rows differing only in "fresh" vs "reuse"
-	// measure the session-reuse speedup.
+	// Mode distinguishes solver-lifecycle rows (BENCH_pr5/pr6): "" for
+	// ordinary single-run records, "fresh" for a repeated-trial series
+	// through independent Solve calls, "reuse" for the same series through
+	// one reusable Solver session.
 	Mode string `json:"mode,omitempty"`
 	// Trials is the number of repeated trials a Mode row aggregates (0 for
 	// ordinary records, which measure exactly one run).
 	Trials int `json:"trials,omitempty"`
-	// TrialsPerSec is Trials/WallSeconds for Mode rows — the repeated-trial
-	// throughput this PR series tracks.
+	// TrialsPerSec is Trials/WallSeconds for Mode rows.
 	TrialsPerSec float64 `json:"trials_per_sec,omitempty"`
 	// WallSeconds is the Solve call's wall-clock time (graph generation
 	// excluded — graphs are built once and shared across the worker grid).
@@ -86,28 +84,6 @@ type Record struct {
 	// RoundsSkipped is the quiet-round subset of Rounds the event-driven
 	// engine charged without executing (zero for exact-dense and step).
 	RoundsSkipped int64 `json:"rounds_skipped,omitempty"`
-	// Scaling marks rows produced by the hcbench -scaling mode: a workers
-	// curve measured over one shared instance with heap high-water metering.
-	// Successful scaling rows must carry MemPeakBytes (Validate enforces it)
-	// so a scaling report can never silently lose its memory story. A pure
-	// schema-v2 addition, like the three fields after it.
-	Scaling bool `json:"scaling,omitempty"`
-	// MemPeakBytes is the sampled heap high-water (runtime.ReadMemStats
-	// HeapAlloc, see PeakSampler) over the Solve call, including the pinned
-	// input graph.
-	MemPeakBytes int64 `json:"mem_peak_bytes,omitempty"`
-	// BytesPerVertex is the solver's working set per vertex above the pinned
-	// graph: (MemPeakBytes - GraphBytes) / N. This is the packed-node-state
-	// trajectory metric — it moves when per-vertex solver state is repacked,
-	// and stays put when only the graph grows denser.
-	BytesPerVertex float64 `json:"bytes_per_vertex,omitempty"`
-	// ConstructionPeakBytes is the heap high-water over the instance's graph
-	// construction, repeated on each of the instance's scaling rows. The
-	// streaming-construction contract is ConstructionPeakBytes <= ~2x
-	// GraphBytes plus a fixed per-vertex overhead.
-	ConstructionPeakBytes int64 `json:"construction_peak_bytes,omitempty"`
-	// GraphBytes is the built CSR's resident footprint (arena + offsets).
-	GraphBytes int64 `json:"graph_bytes,omitempty"`
 	// Shards and Transport describe the sharded topology of engine "dist"
 	// rows: how many worker shards the run was partitioned across and the
 	// transport their frames crossed ("unix", "tcp" or "proc"). Zero/empty
@@ -262,8 +238,8 @@ type GenRecord struct {
 	EdgesPerSec float64 `json:"edges_per_sec,omitempty"`
 }
 
-// ServiceRecord is one hcbench -client load-test pass against a running
-// hcserve instance: Requests solve requests issued over Conns concurrent
+// ServiceRecord is one load-test pass against a running hcserve instance
+// (BENCH_pr7): Requests solve requests issued over Conns concurrent
 // connections, drawn round-robin from a mix of Distinct distinct request
 // bodies. A cold pass touches each distinct request for the first time
 // (every response computed); a warm pass repeats the same mix against the
@@ -278,8 +254,7 @@ type ServiceRecord struct {
 	// size of the request mix they were drawn from.
 	Requests int `json:"requests"`
 	Distinct int `json:"distinct"`
-	// Algos, Engines and Sizes record the request mix's axes (comma lists,
-	// same spellings as the pipeline flags).
+	// Algos, Engines and Sizes record the request mix's axes (comma lists).
 	Algos   string `json:"algos"`
 	Engines string `json:"engines"`
 	Sizes   string `json:"sizes"`
@@ -331,12 +306,12 @@ type Report struct {
 	// benchmark reports. A report must carry records, a sweep, generator
 	// records, or any combination.
 	Sweep *SweepSection `json:"sweep,omitempty"`
-	// Generators holds graph-construction throughput rows (hcbench -gen).
+	// Generators holds graph-construction throughput rows (BENCH_pr6).
 	// A pure addition to schema v2: absent in older reports, ignored by
 	// older readers.
 	Generators []GenRecord `json:"generators,omitempty"`
-	// Service holds hcserve load-test passes (hcbench -client). Like
-	// Generators, a pure v2 addition.
+	// Service holds hcserve load-test passes (BENCH_pr7). Like Generators,
+	// a pure v2 addition.
 	Service []ServiceRecord `json:"service,omitempty"`
 }
 
@@ -349,9 +324,6 @@ func NewReport(rev, goVersion string, numCPU int) *Report {
 		NumCPU:        numCPU,
 	}
 }
-
-// Append adds a record.
-func (r *Report) Append(rec Record) { r.Records = append(r.Records, rec) }
 
 // Encode writes the report as indented JSON.
 func (r *Report) Encode(w io.Writer) error {
@@ -476,12 +448,6 @@ func (r *Report) Validate() error {
 		if !rec.OK && rec.Error == "" {
 			return fmt.Errorf("bench: record %d failed without an error message", i)
 		}
-		if rec.Scaling && rec.OK && rec.MemPeakBytes <= 0 {
-			return fmt.Errorf("bench: record %d is a scaling row without mem_peak_bytes", i)
-		}
-		if rec.MemPeakBytes < 0 || rec.ConstructionPeakBytes < 0 || rec.GraphBytes < 0 {
-			return fmt.Errorf("bench: record %d has a negative memory field", i)
-		}
 	}
 	return nil
 }
@@ -501,8 +467,9 @@ func (s *SweepSection) validate() error {
 		if c.Algo == "" {
 			return fmt.Errorf("bench: sweep cell %d missing algo", i)
 		}
-		if !ValidEngine(c.Engine) {
-			return fmt.Errorf("bench: sweep cell %d has unknown engine %q", i, c.Engine)
+		// Cells take the parse vocabulary: a "dist" cell ran in process.
+		if _, err := ParseEngineMode(c.Engine); err != nil {
+			return fmt.Errorf("bench: sweep cell %d: %w", i, err)
 		}
 		if c.N <= 0 {
 			return fmt.Errorf("bench: sweep cell %d has n = %d", i, c.N)
@@ -526,7 +493,7 @@ func (s *SweepSection) validate() error {
 }
 
 // FailedRecords returns the indices of records with OK=false, for callers
-// (the CI smoke job) that treat any failed run as fatal.
+// (hcbench -validate) that treat any failed run as fatal.
 func (r *Report) FailedRecords() []int {
 	var out []int
 	for i, rec := range r.Records {
@@ -535,48 +502,4 @@ func (r *Report) FailedRecords() []int {
 		}
 	}
 	return out
-}
-
-// CacheSpeedup returns the replay-cache hit speedup of the first cold/warm
-// service-pass pair — cold p50 latency over warm p50 latency — and false
-// when either pass is missing, errored, or degenerate. It is the accessor
-// the service perf trajectory is read through.
-func (r *Report) CacheSpeedup() (float64, bool) {
-	find := func(pass string) (ServiceRecord, bool) {
-		for _, s := range r.Service {
-			if s.Pass == pass && s.Errors == 0 {
-				return s, true
-			}
-		}
-		return ServiceRecord{}, false
-	}
-	cold, ok1 := find("cold")
-	warm, ok2 := find("warm")
-	if !ok1 || !ok2 || warm.P50MS <= 0 {
-		return 0, false
-	}
-	return cold.P50MS / warm.P50MS, true
-}
-
-// Speedup returns wall-clock ratio base/test between the first records
-// matching (algo, engine, n) at the two worker counts, and false when either
-// side is missing or failed. Mode rows (fresh/reuse series) are excluded:
-// their WallSeconds aggregates a whole trial series and would corrupt a
-// single-run ratio. It is the accessor the perf trajectory is read through:
-// Speedup(..., 1, 8) > 1 means workers=8 beat workers=1.
-func (r *Report) Speedup(algo, engine string, n, baseWorkers, testWorkers int) (float64, bool) {
-	find := func(workers int) (Record, bool) {
-		for _, rec := range r.Records {
-			if rec.Algo == algo && rec.Engine == engine && rec.N == n && rec.Workers == workers && rec.OK && rec.Mode == "" {
-				return rec, true
-			}
-		}
-		return Record{}, false
-	}
-	base, ok1 := find(baseWorkers)
-	test, ok2 := find(testWorkers)
-	if !ok1 || !ok2 || test.WallSeconds <= 0 {
-		return 0, false
-	}
-	return base.WallSeconds / test.WallSeconds, true
 }

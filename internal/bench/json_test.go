@@ -2,24 +2,25 @@ package bench
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func sampleReport() *Report {
 	r := NewReport("test-rev", "go1.x", 4)
-	r.Append(Record{
+	r.Records = []Record{{
 		Algo: "dhc2", Engine: "step", N: 512, M: 4000, P: 0.1,
 		Seed: 2, GraphSeed: 1, NumColors: 8, Workers: 1,
 		WallSeconds: 0.25, Rounds: 900, Steps: 4000,
 		Phase1Rounds: 700, Phase2Rounds: 200, OK: true,
-	})
-	r.Append(Record{
+	}, {
 		Algo: "dhc2", Engine: "step", N: 512, M: 4000, P: 0.1,
 		Seed: 2, GraphSeed: 1, NumColors: 8, Workers: 8,
 		WallSeconds: 0.05, Rounds: 900, Steps: 4000,
 		Phase1Rounds: 700, Phase2Rounds: 200, OK: true,
-	})
+	}}
 	return r
 }
 
@@ -38,17 +39,6 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if got.Records[1].Workers != 8 || got.Records[1].Rounds != 900 {
 		t.Fatalf("record mangled: %+v", got.Records[1])
-	}
-}
-
-func TestReportSpeedup(t *testing.T) {
-	r := sampleReport()
-	s, ok := r.Speedup("dhc2", "step", 512, 1, 8)
-	if !ok || s < 4.9 || s > 5.1 {
-		t.Fatalf("speedup = %v ok=%v, want 5.0", s, ok)
-	}
-	if _, ok := r.Speedup("dhc1", "step", 512, 1, 8); ok {
-		t.Fatal("speedup found for absent series")
 	}
 }
 
@@ -121,24 +111,6 @@ func TestServiceRecordValidation(t *testing.T) {
 				t.Fatalf("got %v, want error containing %q", err, tc.substr)
 			}
 		})
-	}
-}
-
-func TestCacheSpeedup(t *testing.T) {
-	r := sampleReport()
-	r.Service = sampleService()
-	s, ok := r.CacheSpeedup()
-	if !ok || s != 100 {
-		t.Fatalf("CacheSpeedup = %v ok=%v, want 100x", s, ok)
-	}
-	r.Service[1].Errors = 1
-	r.Service[1].Hits-- // keep the partition intact
-	if _, ok := r.CacheSpeedup(); ok {
-		t.Fatal("CacheSpeedup accepted an errored warm pass")
-	}
-	r.Service = r.Service[:1]
-	if _, ok := r.CacheSpeedup(); ok {
-		t.Fatal("CacheSpeedup without a warm pass")
 	}
 }
 
@@ -219,6 +191,7 @@ func TestSweepValidationRejects(t *testing.T) {
 		{"no-cells", func(r *Report) { r.Sweep.Cells = nil }, "no cells"},
 		{"bad-family", func(r *Report) { r.Sweep.Cells[0].Family = "smallworld" }, "unknown family"},
 		{"bad-engine", func(r *Report) { r.Sweep.Cells[0].Engine = "warp" }, "unknown engine"},
+		{"dist-engine", func(r *Report) { r.Sweep.Cells[0].Engine = "dist" }, "unknown engine"},
 		{"bad-n", func(r *Report) { r.Sweep.Cells[0].N = 0 }, "has n"},
 		{"no-trials", func(r *Report) { r.Sweep.Cells[0].Trials = 0 }, "trials"},
 		{"bad-partition", func(r *Report) { r.Sweep.Cells[0].FailNoHC = 5 }, "partition"},
@@ -288,15 +261,21 @@ func TestModeRecordValidation(t *testing.T) {
 }
 
 // TestEngineModeParseError pins the deterministic (sorted) vocabulary
-// listing of the engine parse error, per the CLI-stability satellite.
+// listing of the engine parse error. "dist" is not an engine: sharding is
+// Options.Shards, so the name must fail rather than run in process.
 func TestEngineModeParseError(t *testing.T) {
-	_, err := ParseEngineMode("warp")
-	if err == nil {
-		t.Fatal("bad engine name accepted")
+	for _, name := range []string{"warp", "dist"} {
+		_, err := ParseEngineMode(name)
+		if err == nil {
+			t.Fatalf("engine name %q accepted", name)
+		}
+		want := `unknown engine "` + name + `" (valid: exact, exact-dense, step)`
+		if err.Error() != want {
+			t.Fatalf("ParseEngineMode error = %q, want %q", err.Error(), want)
+		}
 	}
-	want := `unknown engine "warp" (valid: dist, exact, exact-dense, step)`
-	if err.Error() != want {
-		t.Fatalf("ParseEngineMode error = %q, want %q", err.Error(), want)
+	if !ValidEngine("dist") {
+		t.Fatal(`ValidEngine rejects "dist", which BENCH_pr10.json's rows carry`)
 	}
 }
 
@@ -319,11 +298,45 @@ func TestNewQuantiles(t *testing.T) {
 
 func TestFailedRecords(t *testing.T) {
 	r := sampleReport()
-	r.Append(Record{Algo: "dra", Engine: "step", N: 64, Workers: 1, OK: false, Error: "no cycle"})
+	r.Records = append(r.Records, Record{Algo: "dra", Engine: "step", N: 64, Workers: 1, OK: false, Error: "no cycle"})
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.FailedRecords(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("FailedRecords = %v, want [2]", got)
+	}
+}
+
+// TestCommittedReportsDecode reads every BENCH_*.json at the repository
+// root through DecodeReport (unknown fields rejected) and requires the
+// health -validate gates on: no failed record and no errored service
+// request. The files are frozen, so any failure here is a schema change
+// that stopped reading one of them.
+func TestCommittedReportsDecode(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no BENCH_*.json found at the repository root")
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := DecodeReport(data)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if failed := rep.FailedRecords(); len(failed) > 0 {
+			t.Errorf("%s: records %v failed", path, failed)
+		}
+		for i, s := range rep.Service {
+			if s.Errors > 0 {
+				t.Errorf("%s: service pass %d has %d errored requests", path, i, s.Errors)
+			}
+		}
 	}
 }

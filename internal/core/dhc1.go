@@ -42,7 +42,7 @@ var _ congest.Node = (*dhc1Node)(nil)
 
 func (d *dhc1Node) Init(ctx *congest.Context) {
 	d.stage = 1
-	d.p1 = phase1{cfg: d.cfg, scopePorts: d.p1.scopePorts[:0]}
+	d.p1 = phase1{cfg: d.cfg}
 	d.p1.init(ctx)
 	d.armWake(ctx)
 }

@@ -46,7 +46,7 @@ var _ congest.Node = (*dhc2Node)(nil)
 
 func (d *dhc2Node) Init(ctx *congest.Context) {
 	d.stage = 1
-	d.p1 = phase1{cfg: d.cfg, scopePorts: d.p1.scopePorts[:0]}
+	d.p1 = phase1{cfg: d.cfg}
 	d.p1.init(ctx)
 	d.armWake(ctx)
 }
@@ -67,8 +67,7 @@ func (d *dhc2Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	if d.stage == 1 {
 		if d.p1.tick(ctx, inbox) {
 			d.stage = 2
-			d.mp = mergePhase{B: d.cfg.B, K: d.cfg.NumColors,
-				scopePorts: d.mp.scopePorts[:0], partnerPorts: d.mp.partnerPorts[:0]}
+			d.mp = mergePhase{B: d.cfg.B, K: d.cfg.NumColors}
 			succ, pred := graph.NodeID(-1), graph.NodeID(-1)
 			if d.p1.dra != nil {
 				succ, pred = d.p1.dra.Succ(), d.p1.dra.Pred()

@@ -40,8 +40,7 @@ type mergePhase struct {
 	// scopePorts/partnerPorts cache the same-color and partner-color
 	// neighbors as ascending ports for this level, rebuilt from the level's
 	// color exchange so the flood hot paths hand flat slices to SendPorts
-	// instead of filtering every neighbor. The embedder carries both
-	// buffers across sessions.
+	// instead of filtering every neighbor. Each level refills both lists.
 	scopePorts   []int32
 	partnerPorts []int32
 	succ         graph.NodeID

@@ -72,8 +72,8 @@ type phase1 struct {
 	// scopePorts caches the in-scope (same-color) neighbors as ascending
 	// ports once colors are known; every scoped flood is one SendPorts call
 	// over it instead of filtering the full neighbor list through a map
-	// lookup and searching for each target. The embedder carries the buffer
-	// across sessions.
+	// lookup and searching for each target. It is filled once, in the
+	// election round, when every neighbor's color is in.
 	scopePorts []int32
 
 	electBest graph.NodeID

@@ -90,6 +90,14 @@ func TestStatusMapping(t *testing.T) {
 			wantStatus: "error",
 		},
 		{
+			// "dist" is not an engine (sharding is Options.Shards); it must
+			// not fall through to an in-process exact solve.
+			name:       "error_engine_dist",
+			body:       `{"family":"gnp","n":32,"param":3,"seed":1,"algo":"dra","engine":"dist"}`,
+			wantHTTP:   http.StatusBadRequest,
+			wantStatus: "error",
+		},
+		{
 			name:       "error_bad_edge",
 			body:       `{"n":4,"edges":[[0,9]],"seed":1,"algo":"dra"}`,
 			wantHTTP:   http.StatusBadRequest,
