@@ -129,7 +129,7 @@ func run() error {
 		g = graph.Complete(*n)
 	default:
 		// List the valid names deterministically (sorted), matching the
-		// ParseAlgorithm / ParseEngineMode error convention.
+		// ParseAlgorithm / ParseEngine error convention.
 		return fmt.Errorf("unknown model %q (valid: complete, geometric, gnm, gnp, hypercube, powerlaw, regular, ring, sbm, torus)", *model)
 	}
 

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"dhc"
-	"dhc/internal/bench"
 )
 
 func main() {
@@ -42,7 +41,7 @@ func run() error {
 		c         = flag.Float64("c", 16, "density constant of p = c ln(n)/n^delta")
 		delta     = flag.Float64("delta", 0.5, "sparsity exponent delta")
 		seed      = flag.Uint64("seed", 1, "run seed (graph uses seed+1)")
-		engine    = flag.String("engine", "exact", "engine: exact (event-driven), exact-dense (dense-sweep oracle) or step")
+		engine    = flag.String("engine", "exact", "engine: exact or step")
 		bound     = flag.Int64("bound", 0, "broadcast-bound override B for the exact engines (0 = tight default)")
 		maxR      = flag.Int64("maxrounds", 0, "round-budget override for the exact engines (0 = derived default)")
 		timeout   = flag.Duration("timeout", 0, "wall-clock bound on the run (0 = none)")
@@ -61,7 +60,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mode, err := bench.ParseEngineMode(*engine)
+	eng, err := dhc.ParseEngine(*engine)
 	if err != nil {
 		return err
 	}
@@ -72,8 +71,7 @@ func run() error {
 	g := dhc.NewGNP(*n, prob, *seed+1)
 	opts := dhc.Options{
 		Seed:           *seed,
-		Engine:         mode.Engine,
-		DenseSweep:     mode.Dense,
+		Engine:         eng,
 		Delta:          *delta,
 		NumColors:      *colors,
 		Workers:        *workers,

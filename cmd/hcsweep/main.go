@@ -100,7 +100,7 @@ func run() error {
 		params   = flag.String("params", "1.5", "comma-separated density parameters: threshold constant c for gnp/gnm/powerlaw/sbm, degree d for regular, radius constant c for geometric (ignored by hypercube/torus)")
 		delta    = flag.Float64("delta", 1.0, "threshold exponent of p = c*ln(n)/n^delta (gnp/gnm/powerlaw/sbm)")
 		algos    = flag.String("algos", "dra", "comma-separated algorithms (dra,dhc1,dhc2,upcast)")
-		engines  = flag.String("engines", "step", "comma-separated engines (step,exact,exact-dense)")
+		engines  = flag.String("engines", "step", "comma-separated engines (step,exact)")
 		trials   = flag.Int("trials", 20, "Monte Carlo trials per cell")
 		seed     = flag.Uint64("seed", 1, "master seed; the whole report is a pure function of grid + seed")
 		colors   = flag.Int("colors", 0, "partition count K override for dhc1/dhc2 (0 = derive)")
@@ -246,7 +246,7 @@ func buildGrid(configPath, families, sizes, params string, delta float64,
 		grid.Algos = append(grid.Algos, a)
 	}
 	for _, s := range cfg.Engines {
-		e, err := bench.ParseEngineMode(s)
+		e, err := dhc.ParseEngine(s)
 		if err != nil {
 			return grid, err
 		}

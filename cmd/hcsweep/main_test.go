@@ -57,7 +57,7 @@ func TestBuildGridConfigOverridesFlags(t *testing.T) {
 		t.Fatalf("config scalars lost: %+v", grid)
 	}
 	// The config omitted engines and delta, so the flag values remain.
-	if len(grid.Engines) != 1 || grid.Engines[0].Name() != "step" || grid.Delta != 0.5 {
+	if len(grid.Engines) != 1 || grid.Engines[0].String() != "step" || grid.Delta != 0.5 {
 		t.Fatalf("flag fallthrough lost: %+v", grid)
 	}
 }

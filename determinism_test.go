@@ -8,8 +8,11 @@ package dhc
 // Workers, gives the same result at every value.
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"dhc/internal/congest"
 )
 
 // fingerprint reduces a Result to a comparable string covering the cycle
@@ -106,48 +109,48 @@ func eventVsDenseFingerprint(res *Result) string {
 		res.Counters.Messages, res.Counters.Bits, res.Counters.MaxMessageBits)
 }
 
+// solveDense runs algo's exact-engine session on g under the dense sweep
+// (congest.Options.DenseSweep), the oracle of the event-driven schedule: an
+// in-process network that invokes every live node every round and skips no
+// round.
+func solveDense(g *Graph, algo Algorithm, opts Options) (*Result, error) {
+	return exactSessions[algo](opts)(context.Background(), new(congest.Network), g, opts.Seed,
+		congest.Options{DenseSweep: true})
+}
+
 // TestEventDrivenMatchesDenseSweep is the differential test of the
 // event-driven exact engine against its dense-sweep oracle: for both DHC
-// algorithms, across the full worker grid, the two scheduling modes must
-// produce byte-identical cycles, round counts, and message/bit counters —
-// while the event-driven runs must actually skip rounds and invoke far
-// fewer nodes, or the engine isn't event-driven at all.
+// algorithms, across the full worker grid, the event-driven runs must
+// produce the dense sweep's cycle, round counts, and message/bit counters
+// byte for byte — while actually skipping rounds and invoking far fewer
+// nodes, or the engine isn't event-driven at all.
 func TestEventDrivenMatchesDenseSweep(t *testing.T) {
 	skipIfShort(t)
 	g := NewGNP(160, 0.7, 13)
 	for _, algo := range []Algorithm{AlgorithmDHC1, AlgorithmDHC2} {
 		t.Run(algo.String(), func(t *testing.T) {
-			var want string
-			var denseInvocations int64
-			for _, dense := range []bool{true, false} {
-				for _, workers := range workerGrid {
-					res, err := Solve(g, algo, Options{
-						Seed: 5, NumColors: 8, Workers: workers, DenseSweep: dense,
-					})
-					if err != nil {
-						t.Fatalf("dense=%v workers=%d: %v", dense, workers, err)
-					}
-					got := eventVsDenseFingerprint(res)
-					if want == "" {
-						want = got
-					} else if got != want {
-						t.Fatalf("dense=%v workers=%d diverged:\n got %s\nwant %s",
-							dense, workers, got, want)
-					}
-					if dense {
-						denseInvocations = res.Counters.Invocations
-						if res.Counters.RoundsSkipped != 0 {
-							t.Fatalf("dense sweep skipped %d rounds", res.Counters.RoundsSkipped)
-						}
-					} else {
-						if res.Counters.RoundsSkipped == 0 {
-							t.Fatal("event-driven run skipped no rounds")
-						}
-						if res.Counters.Invocations >= denseInvocations {
-							t.Fatalf("event-driven run invoked %d nodes, dense %d — no activity savings",
-								res.Counters.Invocations, denseInvocations)
-						}
-					}
+			dense, err := solveDense(g, algo, Options{Seed: 5, NumColors: 8})
+			if err != nil {
+				t.Fatalf("dense: %v", err)
+			}
+			if dense.Counters.RoundsSkipped != 0 {
+				t.Fatalf("dense sweep skipped %d rounds", dense.Counters.RoundsSkipped)
+			}
+			want := eventVsDenseFingerprint(dense)
+			for _, workers := range workerGrid {
+				res, err := Solve(g, algo, Options{Seed: 5, NumColors: 8, Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if got := eventVsDenseFingerprint(res); got != want {
+					t.Fatalf("workers=%d diverged from the dense sweep:\n got %s\nwant %s", workers, got, want)
+				}
+				if res.Counters.RoundsSkipped == 0 {
+					t.Fatal("event-driven run skipped no rounds")
+				}
+				if res.Counters.Invocations >= dense.Counters.Invocations {
+					t.Fatalf("event-driven run invoked %d nodes, dense %d — no activity savings",
+						res.Counters.Invocations, dense.Counters.Invocations)
 				}
 			}
 		})
@@ -161,18 +164,16 @@ func TestEventDrivenMatchesDenseSweepSingleMachine(t *testing.T) {
 	g := NewGNP(200, 0.7, 17)
 	for _, algo := range []Algorithm{AlgorithmDRA, AlgorithmUpcast} {
 		t.Run(algo.String(), func(t *testing.T) {
-			var want string
-			for _, dense := range []bool{true, false} {
-				res, err := Solve(g, algo, Options{Seed: 9, DenseSweep: dense})
-				if err != nil {
-					t.Fatalf("dense=%v: %v", dense, err)
-				}
-				got := eventVsDenseFingerprint(res)
-				if want == "" {
-					want = got
-				} else if got != want {
-					t.Fatalf("dense=%v diverged:\n got %s\nwant %s", dense, got, want)
-				}
+			dense, err := solveDense(g, algo, Options{Seed: 9})
+			if err != nil {
+				t.Fatalf("dense: %v", err)
+			}
+			res, err := Solve(g, algo, Options{Seed: 9})
+			if err != nil {
+				t.Fatalf("event-driven: %v", err)
+			}
+			if got, want := eventVsDenseFingerprint(res), eventVsDenseFingerprint(dense); got != want {
+				t.Fatalf("event-driven run diverged from the dense sweep:\n got %s\nwant %s", got, want)
 			}
 		})
 	}

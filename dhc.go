@@ -168,6 +168,43 @@ const (
 	EngineStep
 )
 
+var engineNames = map[Engine]string{
+	EngineExact: "exact",
+	EngineStep:  "step",
+}
+
+// String returns the engine's short name.
+func (e Engine) String() string {
+	if s, ok := engineNames[e]; ok {
+		return s
+	}
+	return fmt.Sprintf("engine(%d)", int(e))
+}
+
+// EngineNames returns every engine's short name in sorted order — the
+// vocabulary ParseEngine accepts, spelled the way its error reports it.
+func EngineNames() []string {
+	names := make([]string, 0, len(engineNames))
+	for _, name := range engineNames {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// ParseEngine resolves a short name ("exact", "step"). The error of an
+// unknown name lists the valid names deterministically (sorted), so CLI
+// messages are stable across runs. Sharding is not an engine: it is
+// Options.Shards.
+func ParseEngine(s string) (Engine, error) {
+	for e, name := range engineNames {
+		if name == s {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("dhc: unknown engine %q (valid: %s)", s, strings.Join(EngineNames(), ", "))
+}
+
 // Options configures Solve.
 type Options struct {
 	// Seed makes the run deterministic. Same graph + same seed = same
@@ -184,13 +221,6 @@ type Options struct {
 	// byte-identical results; only wall-clock changes. The exact engine
 	// ignores it: it runs on one goroutine, or on Shards workers.
 	Workers int
-	// DenseSweep forces the exact engine's dense per-round sweep (every
-	// node invoked every round) instead of the default event-driven
-	// schedule that invokes only nodes with deliveries or due wake-ups and
-	// skips globally quiet rounds. Both modes produce byte-identical
-	// cycles, rounds, and message/bit counters; the dense sweep is retained
-	// as the differential-testing oracle. Ignored by EngineStep.
-	DenseSweep bool
 	// BroadcastBound overrides B, the bound every broadcast/BFS settling
 	// wait is charged at (rotation consistency waits, barrier release
 	// delays). Zero keeps each algorithm's default: a tight bound computed
@@ -454,7 +484,7 @@ func NewSolver(algo Algorithm, opts Options) (*Solver, error) {
 	if opts.Engine == 0 {
 		opts.Engine = EngineExact
 	}
-	if opts.Engine != EngineExact && opts.Engine != EngineStep {
+	if _, ok := engineNames[opts.Engine]; !ok {
 		return nil, fmt.Errorf("dhc: unknown engine %d", opts.Engine)
 	}
 	if _, ok := algorithmNames[algo]; !ok {
@@ -573,9 +603,8 @@ var exactSessions = map[Algorithm]func(opts Options) exactSession{
 
 func (s *Solver) solveExact(ctx context.Context, g *Graph, seed uint64) (*Result, error) {
 	netOpts := congest.Options{
-		DenseSweep: s.opts.DenseSweep,
-		MaxRounds:  s.opts.MaxRounds,
-		Progress:   s.opts.Observer.progress(),
+		MaxRounds: s.opts.MaxRounds,
+		Progress:  s.opts.Observer.progress(),
 	}
 	s.opts.Observer.phase("run")
 	res, err := s.exact(ctx, s.exec, g, seed, netOpts)

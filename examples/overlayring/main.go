@@ -27,8 +27,7 @@ type tokenNode struct {
 
 func (t *tokenNode) Init(ctx *congest.Context) {
 	// Message-driven: a node acts only when the token or the shutdown
-	// notice reaches it, so it needs no wake-ups of its own.
-	ctx.WakeEvery(0)
+	// notice reaches it, so it asks for no wake-ups of its own.
 	if ctx.ID() == 0 {
 		ctx.Send(t.succ, wire.Msg(wire.KindToken, 1))
 	}

@@ -51,7 +51,7 @@ type goldenShard struct {
 }
 
 // goldenRecord is a cell's pinned outcome: everything a run measures that
-// must not depend on Workers, DenseSweep or sharding, plus the per-mode
+// must not depend on Workers, the dense sweep or sharding, plus the per-mode
 // scheduling counters and the sharded configuration's wire accounting.
 type goldenRecord struct {
 	goldenCell
@@ -88,7 +88,8 @@ func goldenCells() []goldenCell {
 	return cells
 }
 
-// goldenConfig is one engine configuration every cell must reproduce.
+// goldenConfig is one engine configuration every cell must reproduce. Mode
+// "dense" runs the cell under the dense sweep (solveDense).
 type goldenConfig struct {
 	name string
 	mode string // key into goldenRecord.Modes
@@ -98,7 +99,7 @@ type goldenConfig struct {
 var goldenConfigs = []goldenConfig{
 	{"workers=1", "event", func(o *Options) { o.Workers = 1 }},
 	{"workers=4", "event", func(o *Options) { o.Workers = 4 }},
-	{"dense", "dense", func(o *Options) { o.DenseSweep = true }},
+	{"dense", "dense", func(*Options) {}},
 	{"shards=4", "event", func(o *Options) { o.Shards = 4 }},
 }
 
@@ -112,7 +113,11 @@ func solveGolden(t *testing.T, c goldenCell, cfg goldenConfig) goldenRecord {
 	}
 	opts := Options{Seed: c.Seed, NumColors: c.NumColors, Delta: c.Delta}
 	cfg.opts(&opts)
-	res, err := Solve(NewGNP(c.N, c.P, c.GraphSeed), algo, opts)
+	solve := Solve
+	if cfg.mode == "dense" {
+		solve = solveDense
+	}
+	res, err := solve(NewGNP(c.N, c.P, c.GraphSeed), algo, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.name, err)
 	}

@@ -1,8 +1,8 @@
 package bench
 
-// Grid-spec parsing shared by cmd/hcsweep, cmd/hcrun and internal/serve:
-// comma-separated list handling plus the engine column vocabulary, so every
-// surface and the report schema spell configurations identically.
+// Grid-spec parsing for cmd/hcsweep and the report schema's label
+// vocabularies: comma-separated list handling, the graph families and the
+// engine labels a report row may carry.
 
 import (
 	"fmt"
@@ -11,32 +11,6 @@ import (
 
 	"dhc"
 )
-
-// EngineMode is one engine column of a grid: the simulation engine plus, for
-// the exact engine, the scheduling mode (event-driven vs the dense-sweep
-// oracle). Sharding is not an engine: it is dhc.Options.Shards.
-type EngineMode struct {
-	Engine dhc.Engine
-	Dense  bool
-}
-
-// Name returns the mode's report spelling: "step", "exact" or "exact-dense".
-func (e EngineMode) Name() string {
-	switch {
-	case e.Engine == dhc.EngineStep:
-		return "step"
-	case e.Dense:
-		return "exact-dense"
-	default:
-		return "exact"
-	}
-}
-
-// EngineModeNames returns the engine-column vocabulary in sorted order —
-// exactly the spelling ParseEngineMode's error reports.
-func EngineModeNames() []string {
-	return []string{"exact", "exact-dense", "step"}
-}
 
 // FamilyNames returns the graph-family vocabulary of the report schema in
 // sorted order: the spellings sweep cells and generator records may carry.
@@ -47,18 +21,15 @@ func FamilyNames() []string {
 }
 
 // ValidEngine reports whether name may label a report row: the
-// EngineModeNames vocabulary, plus "dist", which the legacy BENCH_pr10.json
-// gives its sharded rows.
+// dhc.EngineNames vocabulary, plus two legacy labels the frozen files carry —
+// "exact-dense", BENCH_pr3.json's dense-sweep rows, and "dist",
+// BENCH_pr10.json's sharded rows.
 func ValidEngine(name string) bool {
-	if name == "dist" {
+	if name == "exact-dense" || name == "dist" {
 		return true
 	}
-	for _, e := range EngineModeNames() {
-		if e == name {
-			return true
-		}
-	}
-	return false
+	_, err := dhc.ParseEngine(name)
+	return err == nil
 }
 
 // ValidFamily reports whether name is in the FamilyNames vocabulary.
@@ -69,22 +40,6 @@ func ValidFamily(name string) bool {
 		}
 	}
 	return false
-}
-
-// ParseEngineMode resolves one engine column name. The error of an unknown
-// name lists the valid names deterministically (sorted), so CLI messages are
-// stable across runs.
-func ParseEngineMode(s string) (EngineMode, error) {
-	switch s {
-	case "step":
-		return EngineMode{Engine: dhc.EngineStep}, nil
-	case "exact":
-		return EngineMode{Engine: dhc.EngineExact}, nil
-	case "exact-dense":
-		return EngineMode{Engine: dhc.EngineExact, Dense: true}, nil
-	default:
-		return EngineMode{}, fmt.Errorf("unknown engine %q (valid: %s)", s, strings.Join(EngineModeNames(), ", "))
-	}
 }
 
 // SplitList splits a comma-separated flag value, trimming whitespace and

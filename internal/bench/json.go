@@ -36,8 +36,9 @@ const minSchemaVersion = 1
 type Record struct {
 	// Algo is the short algorithm name ("dra", "dhc1", "dhc2", "upcast").
 	Algo string `json:"algo"`
-	// Engine is "exact" (event-driven), "exact-dense" (the dense-sweep
-	// oracle), "step", or "dist" (BENCH_pr10's sharded exact rows).
+	// Engine is "exact", "step", or one of ValidEngine's legacy labels:
+	// "exact-dense" (BENCH_pr3's dense-sweep rows) or "dist" (BENCH_pr10's
+	// sharded exact rows).
 	Engine string `json:"engine"`
 	// N and M are the instance's vertex and edge counts; P its density.
 	N int     `json:"n"`
@@ -153,8 +154,9 @@ type CellStats struct {
 	Delta float64 `json:"delta,omitempty"`
 	// P is the derived edge probability (0 for regular).
 	P float64 `json:"p,omitempty"`
-	// Algo and Engine name the solver configuration, with the same
-	// spellings as Record ("dra", ... / "step", "exact", "exact-dense").
+	// Algo and Engine name the solver configuration, spelled as
+	// dhc.ParseAlgorithm and dhc.ParseEngine accept them ("dra", ... /
+	// "exact", "step").
 	Algo   string `json:"algo"`
 	Engine string `json:"engine"`
 	// Trials is the cell's trial count; the five outcome counters below
@@ -468,7 +470,7 @@ func (s *SweepSection) validate() error {
 			return fmt.Errorf("bench: sweep cell %d missing algo", i)
 		}
 		// Cells take the parse vocabulary: a "dist" cell ran in process.
-		if _, err := ParseEngineMode(c.Engine); err != nil {
+		if _, err := dhc.ParseEngine(c.Engine); err != nil {
 			return fmt.Errorf("bench: sweep cell %d: %w", i, err)
 		}
 		if c.N <= 0 {

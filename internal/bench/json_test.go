@@ -260,25 +260,6 @@ func TestModeRecordValidation(t *testing.T) {
 	}
 }
 
-// TestEngineModeParseError pins the deterministic (sorted) vocabulary
-// listing of the engine parse error. "dist" is not an engine: sharding is
-// Options.Shards, so the name must fail rather than run in process.
-func TestEngineModeParseError(t *testing.T) {
-	for _, name := range []string{"warp", "dist"} {
-		_, err := ParseEngineMode(name)
-		if err == nil {
-			t.Fatalf("engine name %q accepted", name)
-		}
-		want := `unknown engine "` + name + `" (valid: exact, exact-dense, step)`
-		if err.Error() != want {
-			t.Fatalf("ParseEngineMode error = %q, want %q", err.Error(), want)
-		}
-	}
-	if !ValidEngine("dist") {
-		t.Fatal(`ValidEngine rejects "dist", which BENCH_pr10.json's rows carry`)
-	}
-}
-
 // TestNewQuantiles checks the nearest-rank order statistics.
 func TestNewQuantiles(t *testing.T) {
 	if q := NewQuantiles(nil); q != (Quantiles{}) {

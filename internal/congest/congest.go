@@ -13,21 +13,21 @@
 //
 // The engine is event-driven: a node's Round method is invoked in round r
 // only if (a) at least one message was delivered to it this round, (b) it
-// scheduled a wake-up covering r via Context.WakeAt/WakeEvery, or (c) r is
-// the Init round (round 0, where every node runs). When the whole network is
-// quiet — no messages in flight and no wake-up due — the engine skips
-// directly to the next scheduled wake-up, charging the skipped rounds to
+// scheduled a wake-up for r via Context.WakeAt, or (c) r is the Init round
+// (round 0, where every node runs). When the whole network is quiet — no
+// messages in flight and no wake-up due — the engine skips directly to the
+// next scheduled wake-up, charging the skipped rounds to
 // metrics.Counters so round accounting is identical to a dense sweep. A
 // round's cost is therefore O(active nodes + delivered messages) instead of
 // O(n).
 //
-// A node that never calls a wake API is message-driven after Init: it runs
+// A node that never calls WakeAt is message-driven after Init: it runs
 // again only when a message reaches it. Each invocation must arrange the
-// next wake-up it needs; WakeEvery(1) is how a node asks to run every
-// round. Options.DenseSweep invokes every live node every round; it is the
-// differential-testing oracle, and a correct program behaves
-// byte-identically under both modes because an invocation with an empty
-// inbox outside its scheduled wake-ups must be a no-op.
+// next wake-up it needs; WakeAt(ctx.Round()+1) is how a node asks to run
+// the next round as well. Options.DenseSweep invokes every live node every
+// round; it is the differential-testing oracle, and a correct program
+// behaves byte-identically under both modes because an invocation with an
+// empty inbox outside its scheduled wake-ups must be a no-op.
 //
 // The same holds per message kind: a scan that consumes only certain kinds
 // is a no-op when the inbox holds none of them, and Context.Received tells
@@ -139,10 +139,9 @@ type Context struct {
 	ids    []graph.NodeID
 	last   int
 
-	// per-call wake-up requests, consumed by the scheduler
-	wakeAt       int64 // earliest requested wake round (0 = none this call)
-	wakeEvery    int64 // requested standing interval (meaningful iff wakeEverySet)
-	wakeEverySet bool
+	// wakeAt is the earliest wake round requested this call (0 = none),
+	// consumed by the scheduler.
+	wakeAt int64
 
 	// per-call metric deltas, merged by the shard
 	memWords int64
@@ -298,30 +297,6 @@ func (c *Context) WakeAt(round int64) {
 	}
 }
 
-// WakeEvery installs a standing wake-up: at most `interval` rounds pass
-// between invocations of this node (WakeEvery(1) keeps the node dense).
-// interval <= 0 clears the standing wake-up — WakeEvery(0) declares the
-// node message-driven, which is also the default. The interval persists
-// until changed by a later call.
-func (c *Context) WakeEvery(interval int64) {
-	if interval < 0 {
-		interval = 0
-	}
-	c.wakeEverySet = true
-	c.wakeEvery = interval
-}
-
-// WakeAtOrSleep arms a wake-up at round w when w > 0 and otherwise declares
-// the node message-driven (WakeEvery(0)) — the canonical re-arm idiom for
-// programs whose nextWake helpers return 0 to mean "no self-scheduled work".
-func (c *Context) WakeAtOrSleep(w int64) {
-	if w > 0 {
-		c.WakeAt(w)
-	} else {
-		c.WakeEvery(0)
-	}
-}
-
 // reset prepares a persistent context for this round's Init/Round call,
 // keeping the outbox's and the receiver arena's backing arrays.
 func (c *Context) reset(round int64) {
@@ -330,8 +305,6 @@ func (c *Context) reset(round int64) {
 	c.halted = false
 	c.err = nil
 	c.wakeAt = 0
-	c.wakeEvery = 0
-	c.wakeEverySet = false
 	c.memWords = 0
 	c.workOps = 0
 	c.kinds = 0
@@ -376,7 +349,8 @@ type Options struct {
 	// invoked every round and no rounds are skipped, exactly the historical
 	// O(n)-per-round sweep. It is the differential-testing oracle for the
 	// event-driven engine — both modes must produce byte-identical cycles,
-	// rounds, and message/bit counters.
+	// rounds, and message/bit counters — and only tests set it. The
+	// distributed engine refuses it.
 	DenseSweep bool
 	// FaultHook, if non-nil, intercepts every delivery: return false to
 	// drop the message, or return a mutated copy. Used by robustness tests.
@@ -448,9 +422,6 @@ func NormalizeOptions(opts Options, n int) Options {
 	}
 	return opts
 }
-
-// Codec returns the codec sizing messages for this network.
-func (n *Network) Codec() wire.Codec { return n.shard.codec }
 
 // Run executes the network until every node halts. It returns the metered
 // counters; on failure the counters reflect the partial run.

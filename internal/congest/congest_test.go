@@ -16,7 +16,7 @@ import (
 // node adopts the minimum value it hears and forwards it once, then halts
 // after quietRounds rounds of silence. This exercises send/receive, rounds
 // and halting. Counting silent rounds needs an invocation every round, so
-// it runs dense (WakeEvery(1)).
+// every invocation re-arms a wake-up for the next round.
 type floodNode struct {
 	value   int32
 	sent    bool
@@ -25,7 +25,7 @@ type floodNode struct {
 }
 
 func (f *floodNode) Init(ctx *Context) {
-	ctx.WakeEvery(1)
+	ctx.WakeAt(ctx.Round() + 1)
 	f.value = int32(ctx.ID())
 	if ctx.ID() == 0 {
 		f.adopted = true
@@ -37,6 +37,7 @@ func (f *floodNode) Init(ctx *Context) {
 }
 
 func (f *floodNode) Round(ctx *Context, inbox []Envelope) {
+	ctx.WakeAt(ctx.Round() + 1)
 	heard := false
 	for _, env := range inbox {
 		if env.Msg.Kind == wire.KindBroadcast && (!f.adopted || env.Msg.Arg(0) < f.value) {
@@ -100,7 +101,7 @@ func TestFloodReachesEveryone(t *testing.T) {
 	}
 }
 
-// senderNode runs dense; node 1 sends a configurable burst to target in its
+// senderNode runs every round; node 1 sends a configurable burst to target in its
 // first round, and every node halts after 3 rounds.
 type senderNode struct {
 	burst  int
@@ -108,9 +109,10 @@ type senderNode struct {
 	rounds int
 }
 
-func (s *senderNode) Init(ctx *Context) { ctx.WakeEvery(1) }
+func (s *senderNode) Init(ctx *Context) { ctx.WakeAt(ctx.Round() + 1) }
 
 func (s *senderNode) Round(ctx *Context, inbox []Envelope) {
+	ctx.WakeAt(ctx.Round() + 1)
 	s.rounds++
 	if ctx.ID() == 1 && s.rounds == 1 {
 		for i := 0; i < s.burst; i++ {
@@ -167,8 +169,8 @@ func (b *badSender) Round(ctx *Context, inbox []Envelope) { ctx.Halt() }
 // spinner runs every round and never halts.
 type spinner struct{}
 
-func (s *spinner) Init(ctx *Context)                    { ctx.WakeEvery(1) }
-func (s *spinner) Round(ctx *Context, inbox []Envelope) {}
+func (s *spinner) Init(ctx *Context)                    { ctx.WakeAt(ctx.Round() + 1) }
+func (s *spinner) Round(ctx *Context, inbox []Envelope) { ctx.WakeAt(ctx.Round() + 1) }
 
 func TestRoundLimit(t *testing.T) {
 	g := graph.Ring(4)
@@ -338,7 +340,7 @@ func TestInboxSortedBySender(t *testing.T) {
 type leafSender struct{}
 
 func (l *leafSender) Init(ctx *Context) {
-	ctx.WakeEvery(1)
+	ctx.WakeAt(ctx.Round() + 1)
 	ctx.Send(0, wire.Msg(wire.KindBroadcast, int32(ctx.ID())))
 }
 func (l *leafSender) Round(ctx *Context, inbox []Envelope) { ctx.Halt() }
@@ -394,32 +396,36 @@ type randRecorder struct {
 	draws []uint64
 }
 
-func (r *randRecorder) Init(ctx *Context) { ctx.WakeEvery(1) }
+func (r *randRecorder) Init(ctx *Context) { ctx.WakeAt(ctx.Round() + 1) }
 func (r *randRecorder) Round(ctx *Context, inbox []Envelope) {
+	ctx.WakeAt(ctx.Round() + 1)
 	r.draws = append(r.draws, ctx.Rand().Uint64())
 	if len(r.draws) >= 5 {
 		ctx.Halt()
 	}
 }
 
-// tickerNode wakes itself every `every` rounds, records the rounds it ran,
-// and halts after `stops` invocations. It never receives messages, so its
-// execution is driven purely by the wake schedule.
+// tickerNode wakes itself every `every` rounds by re-arming WakeAt(round +
+// every) on each invocation, records the rounds it ran, and halts after
+// `stops` invocations. It never receives messages, so its execution is
+// driven purely by the wake schedule.
 type tickerNode struct {
 	every int64
 	stops int
 	runs  []int64
 }
 
-func (tk *tickerNode) Init(ctx *Context) { ctx.WakeEvery(tk.every) }
+func (tk *tickerNode) Init(ctx *Context) { ctx.WakeAt(ctx.Round() + tk.every) }
 func (tk *tickerNode) Round(ctx *Context, inbox []Envelope) {
 	tk.runs = append(tk.runs, ctx.Round())
 	if len(tk.runs) >= tk.stops {
 		ctx.Halt()
+		return
 	}
+	ctx.WakeAt(ctx.Round() + tk.every)
 }
 
-func TestWakeEverySchedulesAndSkips(t *testing.T) {
+func TestWakeAtTickerSchedulesAndSkips(t *testing.T) {
 	g := graph.Ring(4)
 	progs := []*tickerNode{
 		{every: 7, stops: 5},
@@ -499,11 +505,11 @@ func TestWakeAtIsExact(t *testing.T) {
 	}
 }
 
-// sleeperNode opts into event-driven scheduling with no wake at all; it can
-// only be advanced by deliveries.
+// sleeperNode asks for no wake-up at all; it can only be advanced by
+// deliveries.
 type sleeperNode struct{ got int }
 
-func (s *sleeperNode) Init(ctx *Context) { ctx.WakeEvery(0) }
+func (s *sleeperNode) Init(ctx *Context) {}
 func (s *sleeperNode) Round(ctx *Context, inbox []Envelope) {
 	s.got += len(inbox)
 	ctx.Halt()
@@ -567,7 +573,7 @@ func (d *delayedSender) Round(ctx *Context, inbox []Envelope) {
 	ctx.Halt()
 }
 
-// silentNode never calls a wake API. It records every round it runs in and
+// silentNode never calls WakeAt. It records every round it runs in and
 // halts on its first delivery.
 type silentNode struct{ ran []int64 }
 
@@ -580,7 +586,7 @@ func (s *silentNode) Round(ctx *Context, inbox []Envelope) {
 }
 
 // TestNodeWithoutWakeIsMessageDriven pins the default activity contract: a
-// node that never calls a wake API runs at Init and afterwards only when a
+// node that never calls WakeAt runs at Init and afterwards only when a
 // message is delivered to it, and the quiet rounds in between are skipped.
 // The dense sweep invokes it every round to the same round count.
 func TestNodeWithoutWakeIsMessageDriven(t *testing.T) {
@@ -623,7 +629,6 @@ type pingPongNode struct {
 }
 
 func (p *pingPongNode) Init(ctx *Context) {
-	ctx.WakeEvery(0)
 	p.ports = []int32{int32(slices.Index(ctx.Neighbors(), p.peer))}
 	if ctx.ID()%2 == 0 {
 		p.send(ctx)

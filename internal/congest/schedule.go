@@ -8,8 +8,6 @@ import "dhc/internal/bitset"
 type scheduler struct {
 	// nextWake[v] is the earliest pending wake round of node v, -1 none.
 	nextWake []int64
-	// every[v] is node v's standing wake interval (0 = none).
-	every []int64
 	// heap is a binary min-heap of (round, node) wake entries, lazily
 	// invalidated: an entry is live iff nextWake[entry.v] == entry.round.
 	heap []wakeEntry
@@ -21,10 +19,7 @@ type wakeEntry struct {
 }
 
 func newScheduler(n int) scheduler {
-	s := scheduler{
-		nextWake: make([]int64, n),
-		every:    make([]int64, n),
-	}
+	s := scheduler{nextWake: make([]int64, n)}
 	s.reset()
 	return s
 }
@@ -34,7 +29,6 @@ func newScheduler(n int) scheduler {
 func (s *scheduler) reset() {
 	for v := range s.nextWake {
 		s.nextWake[v] = -1
-		s.every[v] = 0
 	}
 	s.heap = s.heap[:0]
 }
@@ -48,21 +42,6 @@ func (s *scheduler) arm(v int32, w int64) {
 	}
 	s.nextWake[v] = w
 	s.push(wakeEntry{round: w, v: v})
-}
-
-// noteInvocation records the wake requests node v's context accumulated
-// during its invocation at `round` and re-arms its standing interval.
-// Called from the single-threaded merge loop.
-func (s *scheduler) noteInvocation(v int32, round int64, ctx *Context) {
-	if ctx.wakeEverySet {
-		s.every[v] = ctx.wakeEvery
-	}
-	if ctx.wakeAt > 0 {
-		s.arm(v, ctx.wakeAt)
-	}
-	if e := s.every[v]; e > 0 {
-		s.arm(v, round+e)
-	}
 }
 
 // noteHalt drops a halting node's pending wake-up (its heap entries die by

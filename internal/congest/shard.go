@@ -184,9 +184,6 @@ func (s *Shard) Begin(seed uint64) {
 	s.localRouted, s.crossRouted = 0, 0
 }
 
-// Codec returns the codec sizing and encoding this network's messages.
-func (s *Shard) Codec() wire.Codec { return s.codec }
-
 // N returns the full network's vertex count.
 func (s *Shard) N() int { return s.g.N() }
 
@@ -258,8 +255,8 @@ func (s *Shard) Step(round int64, isInit bool) ([]Record, StepReport, error) {
 			s.live--
 			s.sched.noteHalt(v)
 			nh = append(nh, v)
-		} else if eventDriven {
-			s.sched.noteInvocation(v, round, ctx)
+		} else if eventDriven && ctx.wakeAt > 0 {
+			s.sched.arm(v, ctx.wakeAt)
 		}
 		if ctx.memWords > 0 {
 			s.counters.ObserveMemory(s.lo+int(v), ctx.memWords)

@@ -59,7 +59,9 @@ func (d *dhc1Node) armWake(ctx *congest.Context) {
 	default:
 		w = d.hp.nextWake(ctx.Round())
 	}
-	ctx.WakeAtOrSleep(w)
+	if w > 0 {
+		ctx.WakeAt(w)
+	}
 }
 
 func (d *dhc1Node) Round(ctx *congest.Context, inbox []congest.Envelope) {

@@ -60,7 +60,9 @@ func (d *dhc2Node) armWake(ctx *congest.Context) {
 	} else {
 		w = d.mp.nextWake(ctx.Round())
 	}
-	ctx.WakeAtOrSleep(w)
+	if w > 0 {
+		ctx.WakeAt(w)
+	}
 }
 
 func (d *dhc2Node) Round(ctx *congest.Context, inbox []congest.Envelope) {

@@ -125,13 +125,18 @@ func NewCluster(opts Options) (*Cluster, error) {
 
 // Reset implements congest.Runner: it binds the cluster to a graph and
 // program set. Workers are launched per run (RunContext), not per bind, so a
-// failed run cannot leak its topology into the next one.
+// failed run cannot leak its topology into the next one. It refuses the
+// in-process test options FaultHook and DenseSweep rather than honour them
+// on some transports and not others.
 func (c *Cluster) Reset(g *graph.Graph, nodes []congest.Node, opts congest.Options) error {
 	if len(nodes) != g.N() {
 		return fmt.Errorf("dist: %d node programs for %d vertices", len(nodes), g.N())
 	}
 	if opts.FaultHook != nil {
 		return fmt.Errorf("dist: FaultHook is not supported by sharded execution")
+	}
+	if opts.DenseSweep {
+		return fmt.Errorf("dist: DenseSweep is not supported by sharded execution")
 	}
 	if c.opts.Transport == TransportProc {
 		for v, nd := range nodes {

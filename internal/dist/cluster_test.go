@@ -144,9 +144,10 @@ type badSendNode struct {
 	to     graph.NodeID
 }
 
-func (b *badSendNode) Init(ctx *congest.Context) { ctx.WakeEvery(1) }
+func (b *badSendNode) Init(ctx *congest.Context) { ctx.WakeAt(ctx.Round() + 1) }
 
 func (b *badSendNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
+	ctx.WakeAt(ctx.Round() + 1)
 	if b.bad && ctx.Round() == 3 {
 		m := wire.Msg(wire.KindToken, 1)
 		if b.byPort {
@@ -251,10 +252,11 @@ func TestClusterOptionValidation(t *testing.T) {
 	}
 }
 
-// TestClusterResetRefusals pins the three configurations Reset refuses
-// before any worker starts: a FaultHook (the in-process chaos hook cannot
-// cross shard boundaries, and running without it would silently drop the
-// faults), a program count that does not match the vertex count, and a
+// TestClusterResetRefusals pins the configurations Reset refuses before any
+// worker starts: a FaultHook (the in-process chaos hook cannot cross shard
+// boundaries, and running without it would silently drop the faults), the
+// dense sweep (the in-process oracle schedule, which a proc worker's config
+// frame does not carry), a program count that does not match the vertex count, and a
 // program that cannot be rebuilt in a worker process under TransportProc.
 // Each refusal is a dist error naming its cause.
 func TestClusterResetRefusals(t *testing.T) {
@@ -276,6 +278,7 @@ func TestClusterResetRefusals(t *testing.T) {
 		want      string
 	}{
 		{"fault-hook", TransportUnix, portable, congest.Options{FaultHook: hook}, "FaultHook"},
+		{"dense-sweep", TransportUnix, portable, congest.Options{DenseSweep: true}, "DenseSweep"},
 		{"program-count", TransportUnix, portable[:g.N()-1], congest.Options{}, "7 node programs for 8 vertices"},
 		{"not-portable", TransportProc, plain, congest.Options{}, "is not portable"},
 	} {

@@ -31,7 +31,6 @@ func (c *Cluster) sendConfig(l *link) error {
 	l.enc.u32(uint32(l.hi))
 	l.enc.i64(c.net.BandwidthBits)
 	l.enc.i64(c.net.MaxRounds)
-	l.enc.bool(c.net.DenseSweep)
 	l.enc.str(spec.Algo)
 	l.enc.i32(spec.NumColors)
 	l.enc.i64(spec.B)
@@ -121,7 +120,6 @@ func RunWorker(conn net.Conn, shardIdx int, fault *FaultPlan) error {
 	opts := congest.Options{
 		BandwidthBits: d.i64(),
 		MaxRounds:     d.i64(),
-		DenseSweep:    d.bool(),
 	}
 	spec := congest.ProgramSpec{
 		Algo:      d.str(),

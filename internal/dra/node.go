@@ -75,7 +75,9 @@ func (d *Node) Init(ctx *congest.Context) {
 // message-driven except for the head, which must act at its own initiative
 // once its consistency wait elapses.
 func (d *Node) armWake(ctx *congest.Context) {
-	ctx.WakeAtOrSleep(d.state.NextWake(ctx.Round()))
+	if w := d.state.NextWake(ctx.Round()); w > 0 {
+		ctx.WakeAt(w)
+	}
 }
 
 // Round implements congest.Node.

@@ -9,8 +9,8 @@ import (
 )
 
 // countNode builds a BFS tree for bfsBudget rounds, then runs a Counter.
-// Like every test program in this package it counts rounds, so it runs
-// dense (WakeEvery(1)).
+// Like every test program in this package it counts rounds, so every
+// invocation re-arms a wake-up for the next round.
 type countNode struct {
 	bfs       *BFSState
 	counter   *Counter
@@ -19,12 +19,13 @@ type countNode struct {
 }
 
 func (n *countNode) Init(ctx *congest.Context) {
-	ctx.WakeEvery(1)
+	ctx.WakeAt(ctx.Round() + 1)
 	n.bfs = NewBFSState(0)
 	n.bfs.Start(ctx)
 }
 
 func (n *countNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
+	ctx.WakeAt(ctx.Round() + 1)
 	if ctx.Round() <= n.bfsBudget {
 		n.bfs.Absorb(ctx, inbox)
 		return
@@ -101,7 +102,7 @@ type barrierNode struct {
 }
 
 func (n *barrierNode) Init(ctx *congest.Context) {
-	ctx.WakeEvery(1)
+	ctx.WakeAt(ctx.Round() + 1)
 	n.bfs = NewBFSState(0)
 	n.bfs.Start(ctx)
 	n.releasedAt = make(map[int32]int64)
@@ -109,6 +110,7 @@ func (n *barrierNode) Init(ctx *congest.Context) {
 }
 
 func (n *barrierNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
+	ctx.WakeAt(ctx.Round() + 1)
 	if ctx.Round() <= n.bfsBudget {
 		n.bfs.Absorb(ctx, inbox)
 		return

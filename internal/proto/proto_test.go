@@ -10,7 +10,8 @@ import (
 )
 
 // electNode runs a Flooder for a fixed number of rounds then halts. The test
-// programs in this file count rounds, so they run dense (WakeEvery(1)).
+// programs in this file count rounds, so every invocation re-arms a wake-up
+// for the next round.
 type electNode struct {
 	f      *Flooder
 	rounds int
@@ -18,12 +19,13 @@ type electNode struct {
 }
 
 func (e *electNode) Init(ctx *congest.Context) {
-	ctx.WakeEvery(1)
+	ctx.WakeAt(ctx.Round() + 1)
 	e.f = NewFlooder(ctx.ID())
 	e.f.Start(ctx)
 }
 
 func (e *electNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
+	ctx.WakeAt(ctx.Round() + 1)
 	e.f.Absorb(ctx, inbox)
 	e.rounds++
 	if e.rounds >= e.budget {
@@ -81,12 +83,13 @@ type bfsNode struct {
 }
 
 func (n *bfsNode) Init(ctx *congest.Context) {
-	ctx.WakeEvery(1)
+	ctx.WakeAt(ctx.Round() + 1)
 	n.b = NewBFSState(0)
 	n.b.Start(ctx)
 }
 
 func (n *bfsNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
+	ctx.WakeAt(ctx.Round() + 1)
 	n.b.Absorb(ctx, inbox)
 	n.rounds++
 	if n.rounds >= n.budget {
@@ -158,7 +161,7 @@ type scopedNode struct {
 }
 
 func (s *scopedNode) Init(ctx *congest.Context) {
-	ctx.WakeEvery(1)
+	ctx.WakeAt(ctx.Round() + 1)
 	s.sb = NewScopedBroadcaster(func(v graph.NodeID) bool { return s.colors[v] == s.color })
 	if ctx.ID() == 0 {
 		s.sb.Originate(ctx, wire.Msg(wire.KindBroadcast, 7, 3))
@@ -166,6 +169,7 @@ func (s *scopedNode) Init(ctx *congest.Context) {
 }
 
 func (s *scopedNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
+	ctx.WakeAt(ctx.Round() + 1)
 	s.gotMsgs = append(s.gotMsgs, s.sb.Absorb(ctx, inbox, wire.KindBroadcast)...)
 	s.rounds++
 	if s.rounds >= s.budget {

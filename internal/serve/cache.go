@@ -73,11 +73,6 @@ func hashSolve(digest cacheKey, algo dhc.Algorithm, cfg solverConfig, seed uint6
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	u64(uint64(algo))
 	u64(uint64(cfg.engine))
-	if cfg.dense {
-		u64(1)
-	} else {
-		u64(0)
-	}
 	u64(math.Float64bits(cfg.delta))
 	u64(uint64(int64(cfg.numColors)))
 	u64(uint64(int64(cfg.maxAttempts)))

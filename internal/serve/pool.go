@@ -14,7 +14,6 @@ import (
 // dedicated construction — see handleStream).
 type solverConfig struct {
 	engine      dhc.Engine
-	dense       bool
 	delta       float64
 	numColors   int
 	maxAttempts int
@@ -26,7 +25,6 @@ type solverConfig struct {
 func (c solverConfig) options() dhc.Options {
 	return dhc.Options{
 		Engine:      c.engine,
-		DenseSweep:  c.dense,
 		Delta:       c.delta,
 		NumColors:   c.numColors,
 		MaxAttempts: c.maxAttempts,

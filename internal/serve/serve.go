@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"dhc"
-	"dhc/internal/bench"
 	"dhc/internal/graph"
 	"dhc/internal/sweep"
 )
@@ -100,7 +99,7 @@ type SolveRequest struct {
 
 	// Algo is the algorithm name ("dra", "dhc1", "dhc2", "upcast").
 	Algo string `json:"algo"`
-	// Engine is "step" (default), "exact", or "exact-dense".
+	// Engine is "step" (default) or "exact".
 	Engine string `json:"engine,omitempty"`
 	// Seed is the solver seed; the response is a pure function of
 	// (instance, algo, options, seed).
@@ -300,9 +299,9 @@ func (s *Server) parseSolve(r *http.Request) (*parsedRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := bench.EngineMode{Engine: dhc.EngineStep}
+	engine := dhc.EngineStep
 	if req.Engine != "" {
-		if engine, err = bench.ParseEngineMode(req.Engine); err != nil {
+		if engine, err = dhc.ParseEngine(req.Engine); err != nil {
 			return nil, err
 		}
 	}
@@ -347,8 +346,7 @@ func (s *Server) parseSolve(r *http.Request) (*parsedRequest, error) {
 		recipe: recipe,
 		algo:   algo,
 		cfg: solverConfig{
-			engine:      engine.Engine,
-			dense:       engine.Dense,
+			engine:      engine,
 			delta:       delta,
 			numColors:   req.NumColors,
 			maxAttempts: req.MaxAttempts,

@@ -98,6 +98,14 @@ func TestStatusMapping(t *testing.T) {
 			wantStatus: "error",
 		},
 		{
+			// The dense sweep is a test oracle (congest.Options.DenseSweep),
+			// not an engine a request can select.
+			name:       "error_engine_exact_dense",
+			body:       `{"family":"gnp","n":32,"param":3,"seed":1,"algo":"dra","engine":"exact-dense"}`,
+			wantHTTP:   http.StatusBadRequest,
+			wantStatus: "error",
+		},
+		{
 			name:       "error_bad_edge",
 			body:       `{"n":4,"edges":[[0,9]],"seed":1,"algo":"dra"}`,
 			wantHTTP:   http.StatusBadRequest,

@@ -24,7 +24,6 @@ import (
 	"testing"
 
 	"dhc"
-	"dhc/internal/bench"
 )
 
 // stepDRA is the atlas's reference solver configuration: the lattice
@@ -32,10 +31,10 @@ import (
 // engine is the one (algo, engine) pair every family can run.
 var stepDRA = struct {
 	algos   []dhc.Algorithm
-	engines []bench.EngineMode
+	engines []dhc.Engine
 }{
 	algos:   []dhc.Algorithm{dhc.AlgorithmDRA},
-	engines: []bench.EngineMode{{Engine: dhc.EngineStep}},
+	engines: []dhc.Engine{dhc.EngineStep},
 }
 
 // TestConformanceAtlasPowerlaw pins the Chung–Lu family above its calibrated

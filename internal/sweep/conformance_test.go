@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"dhc"
-	"dhc/internal/bench"
 )
 
 // conformanceSeed fixes the Monte Carlo sample used by the regression
@@ -76,7 +75,7 @@ func TestConformanceAboveThresholdDHC1Regime(t *testing.T) {
 		Params:     []float64{1.5},
 		Delta:      0.5,
 		Algos:      []dhc.Algorithm{dhc.AlgorithmDRA, dhc.AlgorithmUpcast},
-		Engines:    []bench.EngineMode{{Engine: dhc.EngineStep}},
+		Engines:    []dhc.Engine{dhc.EngineStep},
 		Trials:     24,
 		MasterSeed: conformanceSeed,
 	}
@@ -99,7 +98,7 @@ func TestConformanceConnectivityRegimeDHC2(t *testing.T) {
 		Params:     []float64{4},
 		Delta:      1,
 		Algos:      []dhc.Algorithm{dhc.AlgorithmDHC2},
-		Engines:    []bench.EngineMode{{Engine: dhc.EngineStep}},
+		Engines:    []dhc.Engine{dhc.EngineStep},
 		Trials:     24,
 		MasterSeed: conformanceSeed,
 	}
@@ -119,7 +118,7 @@ func TestConformanceBelowThreshold(t *testing.T) {
 		Params:     []float64{0.3},
 		Delta:      1,
 		Algos:      []dhc.Algorithm{dhc.AlgorithmDRA},
-		Engines:    []bench.EngineMode{{Engine: dhc.EngineStep}},
+		Engines:    []dhc.Engine{dhc.EngineStep},
 		Trials:     12,
 		MasterSeed: conformanceSeed,
 	}

@@ -18,12 +18,10 @@
 // The derivation hangs off the cell's instance key — family, n, parameter,
 // delta, but NOT algorithm or engine — so every (algo, engine) column of a
 // grid point solves the same instance set with the same solver seeds. That
-// makes cross-algorithm comparisons paired, and it turns the engine identity
-// contract into sweep-checkable data: the "exact" and "exact-dense" cells of
-// one grid point must agree byte for byte on their rounds/messages/bits
-// quantiles. Because the key is content-derived (never a grid position),
-// adding or removing cells does not change another cell's trials, which is
-// what makes per-cell resume sound. Trial outcomes land in pre-sized slots
+// makes cross-algorithm and cross-engine comparisons paired. Because the key
+// is content-derived (never a grid position), adding or removing cells does
+// not change another cell's trials, which is what makes per-cell resume
+// sound. Trial outcomes land in pre-sized slots
 // and are folded in trial order, and the report schema carries no wall-clock
 // fields, so a sweep's output is byte-identical at any worker count.
 package sweep
@@ -125,7 +123,7 @@ func FamilyNames() []string {
 
 // ParseFamily resolves a family name. The error of an unknown name lists the
 // valid names deterministically (sorted), so CLI messages are stable across
-// runs — the same contract as dhc.ParseAlgorithm and bench.ParseEngineMode.
+// runs — the same contract as dhc.ParseAlgorithm and dhc.ParseEngine.
 func ParseFamily(s string) (Family, error) {
 	for f, name := range familyNames {
 		if name == s {
@@ -159,10 +157,10 @@ type Grid struct {
 	// also passed to DHC2 as its partition exponent. Zero defaults to 1,
 	// the connectivity-threshold regime.
 	Delta float64 `json:"delta,omitempty"`
-	// Algos and Engines are parsed from the bench vocabulary ("dra", ... /
-	// "step", "exact", "exact-dense").
-	Algos   []dhc.Algorithm    `json:"-"`
-	Engines []bench.EngineMode `json:"-"`
+	// Algos and Engines are parsed with dhc.ParseAlgorithm and
+	// dhc.ParseEngine ("dra", ... / "exact", "step").
+	Algos   []dhc.Algorithm `json:"-"`
+	Engines []dhc.Engine    `json:"-"`
 	// Trials is the Monte Carlo sample size per cell (default 20).
 	Trials int `json:"trials,omitempty"`
 	// MasterSeed roots every cell's RNG stream.
@@ -180,14 +178,14 @@ type Cell struct {
 	Param  float64
 	Delta  float64 // 0 for regular (the degree needs no exponent)
 	Algo   dhc.Algorithm
-	Engine bench.EngineMode
+	Engine dhc.Engine
 }
 
 // Key identifies the cell, matching bench.CellStats.Key; it is the resume
 // key.
 func (c Cell) Key() string {
 	return fmt.Sprintf("%s/n=%d/param=%g/delta=%g/%s/%s",
-		c.Family, c.N, c.Param, c.Delta, c.Algo, c.Engine.Name())
+		c.Family, c.N, c.Param, c.Delta, c.Algo, c.Engine)
 }
 
 // InstanceKey identifies the cell's random-instance distribution — the grid
@@ -447,8 +445,7 @@ func runCell(ctx context.Context, grid *Grid, cell Cell, master *rng.Source, opt
 		obs = opts.Observer(cell)
 	}
 	solverOpts := dhc.Options{
-		Engine:      cell.Engine.Engine,
-		DenseSweep:  cell.Engine.Dense,
+		Engine:      cell.Engine,
 		Delta:       grid.delta(),
 		NumColors:   grid.NumColors,
 		MaxAttempts: grid.MaxAttempts,
@@ -510,7 +507,7 @@ func foldOutcomes(cell Cell, trials int, outs []trialOutcome) bench.CellStats {
 		Param:  cell.Param,
 		Delta:  cell.Delta,
 		Algo:   cell.Algo.String(),
-		Engine: cell.Engine.Name(),
+		Engine: cell.Engine.String(),
 		Trials: trials,
 	}
 	if cell.Family.usesDelta() {
@@ -549,7 +546,7 @@ func foldOutcomes(cell Cell, trials int, outs []trialOutcome) bench.CellStats {
 	stats.SuccessRate = float64(stats.Successes) / float64(trials)
 	stats.Rounds = bench.NewQuantiles(rounds)
 	stats.Steps = bench.NewQuantiles(steps)
-	if cell.Engine.Engine == dhc.EngineExact {
+	if cell.Engine == dhc.EngineExact {
 		m, b := bench.NewQuantiles(msgs), bench.NewQuantiles(bits)
 		stats.Messages, stats.Bits = &m, &b
 	}
@@ -575,8 +572,7 @@ func runTrial(ctx context.Context, grid *Grid, cell Cell, solver *dhc.Solver, st
 	} else {
 		res, err = dhc.SolveContext(ctx, g, cell.Algo, dhc.Options{
 			Seed:        solveSeed,
-			Engine:      cell.Engine.Engine,
-			DenseSweep:  cell.Engine.Dense,
+			Engine:      cell.Engine,
 			Delta:       grid.delta(),
 			NumColors:   grid.NumColors,
 			MaxAttempts: grid.MaxAttempts,

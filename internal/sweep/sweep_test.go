@@ -11,9 +11,10 @@ import (
 
 	"dhc"
 	"dhc/internal/bench"
+	"dhc/internal/rng"
 )
 
-func step() []bench.EngineMode { return []bench.EngineMode{{Engine: dhc.EngineStep}} }
+func step() []dhc.Engine { return []dhc.Engine{dhc.EngineStep} }
 
 // encodeSection renders a sweep section the way the report file does, so
 // byte comparisons test exactly what hcsweep promises.
@@ -58,11 +59,12 @@ func TestWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestInstanceSharingAcrossSolverColumns pins the paired-trial design: all
-// (algo, engine) cells of one grid point draw the same instances and solver
-// seeds, so the exact engine's event-driven and dense-sweep cells must agree
-// byte for byte on every cost quantile — the engine identity contract as
-// sweep data.
+// TestInstanceSharingAcrossSolverColumns pins the paired-trial design: every
+// (algo, engine) cell of one grid point draws the same instances and solver
+// seeds — the ones the point's instance key derives — whatever other columns
+// the grid holds. Each cell of an {exact, step} grid must equal its column
+// run alone, and its rounds must be those of a direct solve of the
+// key-derived trials.
 func TestInstanceSharingAcrossSolverColumns(t *testing.T) {
 	grid := Grid{
 		Families: []Family{FamilyGNP},
@@ -70,32 +72,47 @@ func TestInstanceSharingAcrossSolverColumns(t *testing.T) {
 		Params:   []float64{1.5},
 		Delta:    0.5,
 		Algos:    []dhc.Algorithm{dhc.AlgorithmDRA},
-		Engines: []bench.EngineMode{
-			{Engine: dhc.EngineExact},
-			{Engine: dhc.EngineExact, Dense: true},
-		},
-		Trials: 4, MasterSeed: 3,
+		Engines:  []dhc.Engine{dhc.EngineExact, dhc.EngineStep},
+		Trials:   4, MasterSeed: 3,
 	}
 	sec, err := Run(grid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sec.Cells) != 2 {
+	cells := grid.Cells()
+	if len(sec.Cells) != 2 || len(cells) != 2 {
 		t.Fatalf("got %d cells, want 2", len(sec.Cells))
 	}
-	ev, dn := sec.Cells[0], sec.Cells[1]
-	if ev.Engine != "exact" || dn.Engine != "exact-dense" {
-		t.Fatalf("unexpected cell order: %s, %s", ev.Engine, dn.Engine)
-	}
-	if ev.Successes != dn.Successes || ev.Rounds != dn.Rounds {
-		t.Fatalf("event-driven and dense cells disagree: %+v vs %+v", ev, dn)
-	}
-	if ev.Messages == nil || dn.Messages == nil {
-		t.Fatal("exact cells missing message quantiles")
-	}
-	if *ev.Messages != *dn.Messages || *ev.Bits != *dn.Bits {
-		t.Fatalf("message/bit quantiles differ: %+v/%+v vs %+v/%+v",
-			ev.Messages, ev.Bits, dn.Messages, dn.Bits)
+	for i, cell := range cells {
+		alone := grid
+		alone.Engines = []dhc.Engine{cell.Engine}
+		one, err := Run(alone, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := encodeCell(t, sec.Cells[i]), encodeCell(t, one.Cells[0]); !bytes.Equal(got, want) {
+			t.Fatalf("%s cell depends on the other column:\n got %s\nwant %s", cell.Engine, got, want)
+		}
+		inst := rng.New(grid.MasterSeed).Split(fnv1a(cell.InstanceKey()))
+		var rounds []int64
+		for trial := 0; trial < grid.Trials; trial++ {
+			stream := inst.Split(uint64(trial) + 1)
+			graphSeed, solveSeed := stream.Uint64(), stream.Uint64()
+			g, err := buildGraph(cell, graphSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := dhc.Solve(g, cell.Algo, dhc.Options{Seed: solveSeed, Engine: cell.Engine, Delta: grid.Delta})
+			if err == nil {
+				rounds = append(rounds, res.Rounds)
+			}
+		}
+		if len(rounds) == 0 {
+			t.Fatalf("%s: no trial succeeded", cell.Engine)
+		}
+		if got, want := sec.Cells[i].Rounds, bench.NewQuantiles(rounds); got != want {
+			t.Fatalf("%s cell rounds %+v, direct solves of the key-derived trials %+v", cell.Engine, got, want)
+		}
 	}
 }
 
@@ -283,7 +300,7 @@ func TestGridValidate(t *testing.T) {
 
 // TestParseFamily round-trips the family vocabulary and pins the
 // deterministic (sorted) vocabulary listing of the parse error, matching
-// the ParseAlgorithm / ParseEngineMode contract.
+// the ParseAlgorithm / ParseEngine contract.
 func TestParseFamily(t *testing.T) {
 	for _, f := range []Family{
 		FamilyGNP, FamilyGNM, FamilyRegular,
@@ -344,7 +361,7 @@ func TestGridValidateLatticeSizes(t *testing.T) {
 	base := Grid{
 		Params:  []float64{1},
 		Algos:   []dhc.Algorithm{dhc.AlgorithmDRA},
-		Engines: []bench.EngineMode{{Engine: dhc.EngineStep}},
+		Engines: []dhc.Engine{dhc.EngineStep},
 		Trials:  1, MasterSeed: 1,
 	}
 	for _, tc := range []struct {
@@ -385,7 +402,7 @@ func TestCellTimeoutRecordsCanceled(t *testing.T) {
 		Params:   []float64{1.5},
 		Delta:    0.5,
 		Algos:    []dhc.Algorithm{dhc.AlgorithmDRA},
-		Engines:  []bench.EngineMode{{Engine: dhc.EngineExact}},
+		Engines:  []dhc.Engine{dhc.EngineExact},
 		Trials:   4, MasterSeed: 5,
 	}
 	sec, err := Run(grid, Options{CellTimeout: time.Nanosecond})

@@ -146,8 +146,6 @@ func (u *node) armWake(ctx *congest.Context) {
 		}
 		if busy {
 			ctx.WakeAt(round + 1)
-		} else {
-			ctx.WakeEvery(0) // waiting on deliveries only
 		}
 	}
 }

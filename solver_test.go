@@ -420,6 +420,29 @@ func TestParseErrorsListValidNames(t *testing.T) {
 	}
 }
 
+// TestEngineParseError pins ParseEngine's vocabulary: the engine names
+// round-trip through String, and an unknown name fails with the sorted list.
+// "dist" and "exact-dense" are not engines — sharding is Options.Shards and
+// the dense sweep is congest.Options.DenseSweep, a test oracle — so both
+// must fail rather than run something else.
+func TestEngineParseError(t *testing.T) {
+	for _, name := range EngineNames() {
+		if e, err := ParseEngine(name); err != nil || e.String() != name {
+			t.Fatalf("ParseEngine(%q) = %v, %v", name, e, err)
+		}
+	}
+	for _, name := range []string{"warp", "dist", "exact-dense"} {
+		_, err := ParseEngine(name)
+		if err == nil {
+			t.Fatalf("engine name %q accepted", name)
+		}
+		want := `dhc: unknown engine "` + name + `" (valid: exact, step)`
+		if err.Error() != want {
+			t.Fatalf("ParseEngine error = %q, want %q", err.Error(), want)
+		}
+	}
+}
+
 // TestFailureCanceledString pins the taxonomy spelling used by the report
 // schema.
 func TestFailureCanceledString(t *testing.T) {
