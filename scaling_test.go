@@ -70,6 +70,34 @@ func TestGoldenCountersDHC2(t *testing.T) {
 	}
 }
 
+// TestGoldenCountersDHC1 pins the step engine's DHC1 on the DRA pin's
+// instance (the dense δ = 0.5 regime DHC1's hypernode phase needs): rounds,
+// steps, the two phase charges and the cycle's SHA-256, so the splice that
+// lifts the hypernode cycle onto the partition subcycles has an oracle
+// outside the code that builds it.
+func TestGoldenCountersDHC1(t *testing.T) {
+	skipIfShort(t)
+	n := 4096
+	g := NewGNP(n, ThresholdP(n, 4, 0.5), 0xA11CE)
+	if got, want := g.M(), 4359671; got != want {
+		t.Fatalf("generator drift: m=%d, want %d", got, want)
+	}
+	res, err := Solve(g, AlgorithmDHC1, Options{Seed: 0xBEEF, Engine: EngineStep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 6788 || res.Steps != 21298 ||
+		res.Phase1Rounds != 3540 || res.Phase2Rounds != 3248 {
+		t.Fatalf("solver drift: rounds=%d steps=%d p1=%d p2=%d, "+
+			"want rounds=6788 steps=21298 p1=3540 p2=3248",
+			res.Rounds, res.Steps, res.Phase1Rounds, res.Phase2Rounds)
+	}
+	const wantSHA = "ef93dcb565b7d1f89d13b22b0d72d350da3ccbca2b82ce9ce2ce5a4022321655"
+	if got := cycleSHA256(res.Cycle); got != wantSHA {
+		t.Fatalf("cycle drift: sha256 %s, want %s", got, wantSHA)
+	}
+}
+
 // TestStepSolverBytesPerVertex is the packed-state allocation regression: a
 // DHC2 step solve at n=10^5 must stay within an allocation budget per vertex
 // (TotalAlloc delta, single-goroutine Workers=1 so the measurement is
