@@ -333,8 +333,3 @@ func D1(cfg Config) *Table {
 	}
 	return t
 }
-
-// All runs every experiment.
-func All(cfg Config) []*Table {
-	return []*Table{E1(cfg), E2(cfg), E3(cfg), E4(cfg), E6(cfg), E8(cfg), D1(cfg)}
-}

@@ -4,7 +4,7 @@ package congest
 // for a worker process that shares no memory with the driver to reconstruct
 // an equivalent program for any vertex. Fields beyond Algo are interpreted
 // per algorithm (B is DRA's broadcast bound and DHC2's settling bound;
-// NumColors is the partition count; MaxSteps the rotation budget).
+// NumColors is DHC2's partition count; MaxSteps DRA's rotation budget).
 type ProgramSpec struct {
 	Algo      string
 	NumColors int32

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"dhc/internal/arena"
 	"dhc/internal/congest"
@@ -15,27 +14,24 @@ import (
 )
 
 // DHC1Options configures a DHC1 run (paper Algorithm 2, for p = c·ln n/√n).
+// The step budgets are derived, not set: each partition's DRA gets the
+// Theorem 2 budget for its counted size, and the hypernode rotation 4× the
+// budget for K (covering probe rejections).
 type DHC1Options struct {
 	// NumColors overrides the number of partitions K (default round(√n)).
 	NumColors int
 	// B bounds broadcast/BFS settling times (0 = defaultB).
 	B int64
-	// MaxSteps overrides the per-partition DRA step budget.
-	MaxSteps int64
-	// HyperMaxSteps overrides the Phase 2 hypernode rotation budget
-	// (default 4 × the Theorem 2 budget for K, covering probe rejections).
-	HyperMaxSteps int64
 }
 
 // dhc1Node is the per-node program: shared Phase 1, then the hypernode
 // rotation of Phase 2.
 type dhc1Node struct {
-	cfg      phase1Config
-	hyperMax int64
-	numK     int32
-	p1       phase1
-	hp       hyperPhase
-	stage    int
+	cfg   phase1Config
+	numK  int32
+	p1    phase1
+	hp    hyperPhase
+	stage int
 }
 
 var _ congest.Node = (*dhc1Node)(nil)
@@ -75,7 +71,7 @@ func (d *dhc1Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 					return
 				}
 			}
-			d.hp = hyperPhase{B: d.cfg.B, K: d.numK, maxSteps: d.hyperMax}
+			d.hp = hyperPhase{B: d.cfg.B, K: d.numK}
 			var cycindex int32
 			succ, pred := graph.NodeID(-1), graph.NodeID(-1)
 			if d.p1.succeeded() {
@@ -141,7 +137,7 @@ func (sess *DHC1Session) Run(ctx context.Context, ex congest.Runner, g *graph.Gr
 	if b == 0 {
 		b = defaultB(g)
 	}
-	cfg := phase1Config{NumColors: int32(numColors), B: b, MaxSteps: opts.MaxSteps}
+	cfg := phase1Config{NumColors: int32(numColors), B: b}
 	if netOpts.MaxRounds == 0 {
 		scope := 3 * n / numColors
 		steps := rotation.DefaultMaxSteps(scope)
@@ -154,7 +150,7 @@ func (sess *DHC1Session) Run(ctx context.Context, ex congest.Runner, g *graph.Gr
 		if sess.progs[i] == nil {
 			sess.progs[i] = &dhc1Node{}
 		}
-		*sess.progs[i] = dhc1Node{cfg: cfg, numK: int32(numColors), hyperMax: opts.HyperMaxSteps}
+		*sess.progs[i] = dhc1Node{cfg: cfg, numK: int32(numColors)}
 		sess.nodes[i] = sess.progs[i]
 	}
 	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
@@ -180,15 +176,8 @@ func (sess *DHC1Session) Run(ctx context.Context, ex congest.Runner, g *graph.Gr
 // partition subcycles from Phase 1 plus hypernode (index, orientation, port)
 // assignments from Phase 2.
 func extractDHC1(g *graph.Graph, progs []*dhc1Node, numColors int, res *Result) (*cycle.Cycle, error) {
-	n := g.N()
-	type hyp struct {
-		idx     int32
-		reverse bool
-		u, v    graph.NodeID
-	}
-	hyps := make([]hyp, numColors)
-	succ := make([]graph.NodeID, n)
-	pred := make([]graph.NodeID, n)
+	hyper := make([]cycle.Hypernode, numColors)
+	succ := make([]graph.NodeID, g.N())
 	colorSteps := make([]int64, numColors)
 	var hyperSteps int64
 	for v, p := range progs {
@@ -205,7 +194,6 @@ func extractDHC1(g *graph.Graph, progs []*dhc1Node, numColors int, res *Result) 
 			colorSteps[c] = s
 		}
 		succ[v] = p.p1.dra.Succ()
-		pred[v] = p.p1.dra.Pred()
 		if numColors > 1 {
 			if p.hp.status != dra.Succeeded {
 				return nil, fmt.Errorf("%w: node %d phase 2 status %d", ErrNoHC, v, p.hp.status)
@@ -214,12 +202,12 @@ func extractDHC1(g *graph.Graph, progs []*dhc1Node, numColors int, res *Result) 
 				hyperSteps = p.hp.steps
 			}
 			if p.hp.isUPort {
-				hyps[c].u = graph.NodeID(v)
-				hyps[c].idx = p.hp.hypIdx
-				hyps[c].reverse = p.hp.reverse
+				hyper[c].U = graph.NodeID(v)
+				hyper[c].Pos = p.hp.hypIdx
+				hyper[c].Reversed = p.hp.reverse
 			}
 			if p.hp.isVPort {
-				hyps[c].v = graph.NodeID(v)
+				hyper[c].V = graph.NodeID(v)
 			}
 		}
 	}
@@ -227,57 +215,18 @@ func extractDHC1(g *graph.Graph, progs []*dhc1Node, numColors int, res *Result) 
 		res.Steps += s
 	}
 	res.Steps += hyperSteps
+	var hc *cycle.Cycle
+	var err error
 	if numColors == 1 {
-		hc, err := cycle.FromSuccessors(succMap(succ), 0)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoHC, err)
-		}
-		if err := hc.Verify(g); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrNoHC, err)
-		}
-		return hc, nil
+		hc, err = cycle.FromSuccessors(succ, 0)
+	} else {
+		hc, err = cycle.SpliceHypernodes(succ, hyper)
 	}
-	sort.Slice(hyps, func(i, j int) bool { return hyps[i].idx < hyps[j].idx })
-	order := make([]graph.NodeID, 0, n)
-	for i, hy := range hyps {
-		if hy.idx != int32(i+1) {
-			return nil, fmt.Errorf("%w: hypernode indices not a permutation (saw %d at rank %d)",
-				ErrNoHC, hy.idx, i+1)
-		}
-		// Walk the partition subcycle from the entry port to the exit port.
-		var from, to graph.NodeID
-		var next []graph.NodeID
-		if !hy.reverse {
-			from, to, next = hy.u, hy.v, succ
-		} else {
-			from, to, next = hy.v, hy.u, pred
-		}
-		w := from
-		for steps := 0; ; steps++ {
-			if steps > n {
-				return nil, fmt.Errorf("%w: partition walk did not close", ErrNoHC)
-			}
-			order = append(order, w)
-			if w == to {
-				break
-			}
-			w = next[w]
-		}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNoHC, err)
 	}
-	if len(order) != n {
-		return nil, fmt.Errorf("%w: spliced %d of %d vertices", ErrNoHC, len(order), n)
-	}
-	hc := cycle.FromOrder(order)
 	if err := hc.Verify(g); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoHC, err)
 	}
 	return hc, nil
-}
-
-func succMap(succ []graph.NodeID) map[graph.NodeID]graph.NodeID {
-	m := make(map[graph.NodeID]graph.NodeID, len(succ))
-	for v, s := range succ {
-		m[graph.NodeID(v)] = s
-	}
-	return m
 }

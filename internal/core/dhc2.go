@@ -19,7 +19,8 @@ import (
 // certain on graphs below it).
 var ErrNoHC = errors.New("core: run did not produce a Hamiltonian cycle")
 
-// DHC2Options configures a DHC2 run (Algorithm 3).
+// DHC2Options configures a DHC2 run (Algorithm 3). Each partition's DRA gets
+// the Theorem 2 step budget for its counted size.
 type DHC2Options struct {
 	// Delta is the sparsity exponent δ of p = c·ln n / n^δ; the number of
 	// partitions is K = round(n^{1-δ}). Must be in (0, 1].
@@ -30,8 +31,6 @@ type DHC2Options struct {
 	// max(2·ecc(0)+1, 3·⌈log₂ n⌉+6), safe whp for threshold random
 	// graphs and their partitions.
 	B int64
-	// MaxSteps overrides the per-partition DRA step budget.
-	MaxSteps int64
 }
 
 // dhc2Node is the per-node program: Phase 1 (shared) then tree merging.
@@ -169,7 +168,7 @@ func (sess *DHC2Session) Run(ctx context.Context, ex congest.Runner, g *graph.Gr
 	if b == 0 {
 		b = defaultB(g)
 	}
-	cfg := phase1Config{NumColors: int32(numColors), B: b, MaxSteps: opts.MaxSteps}
+	cfg := phase1Config{NumColors: int32(numColors), B: b}
 	if netOpts.MaxRounds == 0 {
 		netOpts.MaxRounds = dhc2RoundBudget(n, numColors, b)
 	}
@@ -195,7 +194,7 @@ func (sess *DHC2Session) Run(ctx context.Context, ex congest.Runner, g *graph.Gr
 		MergeLevels:    int((&mergePhase{K: int32(numColors)}).levels()),
 	}
 	colorSteps := make([]int64, numColors)
-	succ := make(map[graph.NodeID]graph.NodeID, n)
+	succ := make([]graph.NodeID, n)
 	for v, p := range sess.progs {
 		if !p.p1.succeeded() {
 			return nil, fmt.Errorf("%w: node %d partition DRA failed", ErrNoHC, v)
@@ -207,7 +206,7 @@ func (sess *DHC2Session) Run(ctx context.Context, ex congest.Runner, g *graph.Gr
 			}
 		}
 		res.Phase1Rounds = p.p1.phase2Start
-		succ[graph.NodeID(v)] = p.mp.succ
+		succ[v] = p.mp.succ
 	}
 	for _, s := range colorSteps {
 		res.Steps += s

@@ -129,9 +129,7 @@ func (h *hyperPhase) start(color, cycindex, scopeSize int32, succ, pred graph.No
 	h.tree = tree
 	h.phaseStart = startRound
 	h.status = dra.Running
-	if h.maxSteps == 0 {
-		h.maxSteps = 4 * rotation.DefaultMaxSteps(int(h.K))
-	}
+	h.maxSteps = 4 * rotation.DefaultMaxSteps(int(h.K))
 }
 
 // tick advances one round; returns true when the phase has terminated at

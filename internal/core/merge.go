@@ -101,9 +101,6 @@ func (m *mergePhase) levels() int32 {
 	return lv
 }
 
-// totalRounds is the whole Phase 2 budget after its start round.
-func (m *mergePhase) totalRounds() int64 { return int64(m.levels()) * m.levelRounds() }
-
 // start initializes the phase from Phase 1 results.
 func (m *mergePhase) start(color int32, succ, pred graph.NodeID, startRound int64) {
 	m.color = color
@@ -125,11 +122,6 @@ func (m *mergePhase) resetLevel() {
 	m.bestVerified = verified{}
 	m.bestCand = candidate{}
 	m.reverseDone = false
-}
-
-// done reports whether all levels completed by the given round.
-func (m *mergePhase) done(round int64) bool {
-	return m.level >= m.levels()
 }
 
 // active reports whether this node's cycle initiates the merge this level.

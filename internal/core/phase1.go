@@ -25,7 +25,6 @@ import (
 	"dhc/internal/dra"
 	"dhc/internal/graph"
 	"dhc/internal/proto"
-	"dhc/internal/rotation"
 	"dhc/internal/wire"
 )
 
@@ -53,9 +52,6 @@ type phase1Config struct {
 	// B upper-bounds every broadcast/BFS settling time (global and scope
 	// diameters).
 	B int64
-	// MaxSteps overrides the per-partition DRA step budget (0 = Theorem 2
-	// default for the counted partition size).
-	MaxSteps int64
 }
 
 // phase1 is the per-node state of the shared first phase. The embedding node
@@ -300,10 +296,6 @@ func (p *phase1) nextWake(now int64) int64 {
 }
 
 func (p *phase1) newDRAState(ctx *congest.Context, startRound int64) *dra.State {
-	maxSteps := p.cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = rotation.DefaultMaxSteps(p.scopeSize)
-	}
 	params := dra.Params{
 		ScopeSize:       p.scopeSize,
 		IsInitialHead:   p.leader,
@@ -311,7 +303,6 @@ func (p *phase1) newDRAState(ctx *congest.Context, startRound int64) *dra.State 
 		BroadcastRounds: p.cfg.B,
 		StartRound:      startRound,
 		Tag:             tagPhase1DRA + int32(p.attempts),
-		MaxSteps:        maxSteps,
 	}
 	if p.dra != nil {
 		// Session restart: recycle the failed machine's allocations. The old

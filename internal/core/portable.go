@@ -14,14 +14,14 @@ import (
 // driver-resolved values (NumColors after clamping, B after the default
 // eccentricity bound), which DHC2Session computes before binding.
 func NewDHC2Node(spec congest.ProgramSpec) congest.Node {
-	return &dhc2Node{cfg: phase1Config{NumColors: spec.NumColors, B: spec.B, MaxSteps: spec.MaxSteps}}
+	return &dhc2Node{cfg: phase1Config{NumColors: spec.NumColors, B: spec.B}}
 }
 
 var _ congest.PortableProgram = (*dhc2Node)(nil)
 
 // DistSpec implements congest.PortableProgram.
 func (d *dhc2Node) DistSpec() congest.ProgramSpec {
-	return congest.ProgramSpec{Algo: "dhc2", NumColors: d.cfg.NumColors, B: d.cfg.B, MaxSteps: d.cfg.MaxSteps}
+	return congest.ProgramSpec{Algo: "dhc2", NumColors: d.cfg.NumColors, B: d.cfg.B}
 }
 
 // AppendFinal implements congest.PortableProgram: exactly the fields DHC2's

@@ -1,7 +1,9 @@
 // Package cycle provides the path and cycle representations shared by all
-// Hamiltonian-cycle algorithms in this repository, the rotation primitive of
-// Angluin–Valiant (paper Fig. 2), hierarchical cycles (the subcyc/hypcyc
-// indexing of DHC1, paper Section II-A.1), cycle stitching, and verification.
+// Hamiltonian-cycle algorithms in this repository: the rotation path of
+// Angluin–Valiant (paper Fig. 2), cycles built from successor pointers (the
+// paper's output condition: every node knows its cycle successor), DHC2's
+// two-cycle bridge merge, DHC1's hypernode splice, and verification. Every
+// engine assembles its cycle here.
 package cycle
 
 import (
@@ -34,36 +36,37 @@ func FromOrder(order []graph.NodeID) *Cycle {
 	return c
 }
 
-// FromSuccessors builds a Cycle from a successor map, starting at start and
-// following successors until returning to start. It returns ErrNotCycle if
-// the walk revisits a vertex before closing or leaves the map.
-func FromSuccessors(succ map[graph.NodeID]graph.NodeID, start graph.NodeID) (*Cycle, error) {
-	if len(succ) == 0 {
-		return nil, fmt.Errorf("%w: empty successor map", ErrNotCycle)
+// FromSuccessors builds a Cycle from a vertex-indexed successor table
+// (succ[v] is v's successor), starting at start and following successors
+// until returning to start. It returns ErrNotCycle unless the walk visits
+// every vertex of the table exactly once: an empty table, a successor out of
+// range (a negative one means missing), a revisit and an early close all
+// fail.
+func FromSuccessors(succ []graph.NodeID, start graph.NodeID) (*Cycle, error) {
+	n := len(succ)
+	if n == 0 {
+		return nil, fmt.Errorf("%w: empty successor table", ErrNotCycle)
 	}
-	order := make([]graph.NodeID, 0, len(succ))
-	seen := make(map[graph.NodeID]bool, len(succ))
+	order := make([]graph.NodeID, 0, n)
+	seen := bitset.Make(n)
 	v := start
 	for {
-		if seen[v] {
+		if v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("%w: successor %d out of range [0, %d)", ErrNotCycle, v, n)
+		}
+		if seen.Has(int(v)) {
 			return nil, fmt.Errorf("%w: revisited %d before closing", ErrNotCycle, v)
 		}
-		seen[v] = true
+		seen.Add(int(v))
 		order = append(order, v)
-		next, ok := succ[v]
-		if !ok {
-			return nil, fmt.Errorf("%w: no successor for %d", ErrNotCycle, v)
-		}
-		if next == start {
+		if v = succ[v]; v == start {
 			break
 		}
-		v = next
 	}
-	if len(order) != len(succ) {
-		return nil, fmt.Errorf("%w: walk closed after %d of %d vertices",
-			ErrNotCycle, len(order), len(succ))
+	if len(order) != n {
+		return nil, fmt.Errorf("%w: walk closed after %d of %d vertices", ErrNotCycle, len(order), n)
 	}
-	return FromOrder(order), nil
+	return &Cycle{order: order}, nil
 }
 
 // Len returns the number of vertices on the cycle.
@@ -86,24 +89,15 @@ func (c *Cycle) At(i int) graph.NodeID {
 	return c.order[i]
 }
 
-// Successors returns the successor map of the cycle.
-func (c *Cycle) Successors() map[graph.NodeID]graph.NodeID {
-	succ := make(map[graph.NodeID]graph.NodeID, len(c.order))
+// Successors returns the cycle's vertex-indexed successor table, the
+// inverse of FromSuccessors. The cycle must visit exactly the vertices
+// [0, Len()), as a Hamiltonian cycle does.
+func (c *Cycle) Successors() []graph.NodeID {
+	succ := make([]graph.NodeID, len(c.order))
 	for i, v := range c.order {
 		succ[v] = c.order[(i+1)%len(c.order)]
 	}
 	return succ
-}
-
-// EdgeSet returns the set of undirected edges used by the cycle, in canonical
-// form, e.g. for DOT highlighting.
-func (c *Cycle) EdgeSet() map[graph.Edge]bool {
-	set := make(map[graph.Edge]bool, len(c.order))
-	for i, v := range c.order {
-		w := c.order[(i+1)%len(c.order)]
-		set[graph.Edge{U: v, V: w}.Canonical()] = true
-	}
-	return set
 }
 
 // Verify checks that c is a Hamiltonian cycle of g: it must visit each of the

@@ -35,8 +35,8 @@ func TestSuccessors(t *testing.T) {
 }
 
 func TestFromSuccessorsRoundTrip(t *testing.T) {
-	orig := FromOrder([]graph.NodeID{5, 2, 7, 1, 0})
-	c, err := FromSuccessors(orig.Successors(), 5)
+	orig := FromOrder([]graph.NodeID{4, 2, 3, 1, 0})
+	c, err := FromSuccessors(orig.Successors(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,23 +51,25 @@ func TestFromSuccessorsRoundTrip(t *testing.T) {
 }
 
 func TestFromSuccessorsErrors(t *testing.T) {
-	if _, err := FromSuccessors(nil, 0); !errors.Is(err, ErrNotCycle) {
-		t.Fatal("empty map should fail")
-	}
-	// Two disjoint 2-cycles: walk closes early.
-	succ := map[graph.NodeID]graph.NodeID{0: 1, 1: 0, 2: 3, 3: 2}
-	if _, err := FromSuccessors(succ, 0); !errors.Is(err, ErrNotCycle) {
-		t.Fatal("disjoint cycles should fail")
-	}
-	// Walk leaves the map.
-	succ = map[graph.NodeID]graph.NodeID{0: 1, 1: 2}
-	if _, err := FromSuccessors(succ, 0); !errors.Is(err, ErrNotCycle) {
-		t.Fatal("dangling successor should fail")
-	}
-	// Rho shape: 0->1->2->1 revisits before closing.
-	succ = map[graph.NodeID]graph.NodeID{0: 1, 1: 2, 2: 1}
-	if _, err := FromSuccessors(succ, 0); !errors.Is(err, ErrNotCycle) {
-		t.Fatal("rho walk should fail")
+	for _, tc := range []struct {
+		name  string
+		succ  []graph.NodeID
+		start graph.NodeID
+	}{
+		{"empty table", nil, 0},
+		// Two disjoint 2-cycles: walk closes early.
+		{"early close", []graph.NodeID{1, 0, 3, 2}, 0},
+		// 1's successor is missing.
+		{"missing successor", []graph.NodeID{1, -1, 0}, 0},
+		// 1's successor leaves the table.
+		{"out of range", []graph.NodeID{1, 3, 0}, 0},
+		{"start out of range", []graph.NodeID{1, 2, 0}, 3},
+		// Rho shape: 0->1->2->1 revisits before closing.
+		{"revisit", []graph.NodeID{1, 2, 1}, 0},
+	} {
+		if _, err := FromSuccessors(tc.succ, tc.start); !errors.Is(err, ErrNotCycle) {
+			t.Errorf("%s: got %v, want ErrNotCycle", tc.name, err)
+		}
 	}
 }
 
@@ -115,19 +117,6 @@ func TestRelabel(t *testing.T) {
 	r := c.Relabel(table)
 	if r.At(0) != 10 || r.At(1) != 20 || r.At(2) != 30 {
 		t.Fatalf("relabel wrong: %v", r.Order())
-	}
-}
-
-func TestEdgeSetCanonical(t *testing.T) {
-	c := FromOrder([]graph.NodeID{2, 0, 1})
-	set := c.EdgeSet()
-	if len(set) != 3 {
-		t.Fatalf("edge set size %d", len(set))
-	}
-	for e := range set {
-		if e.U > e.V {
-			t.Fatalf("non-canonical edge %v", e)
-		}
 	}
 }
 

@@ -13,43 +13,55 @@ type OrientedEdge struct {
 	V, U graph.NodeID
 }
 
-// SpliceHypernodes combines the per-partition subcycles of DHC1 into a single
-// Hamiltonian cycle, given the hypernode ordering found in Phase 2.
-//
-// subcycles[i] is the cycle of partition i. hyper[k] is the hypernode of the
-// partition visited k-th by the Phase-2 cycle: an oriented edge (V -> U) of
-// that partition's subcycle. partitionOf maps a hypernode to its subcycle
-// index. The resulting cycle enters partition k at hyper[k].U, walks the
-// subcycle forward all the way around to hyper[k].V (covering every vertex of
-// the partition, omitting the internal edge V->U), then jumps to
-// hyper[k+1].U.
-//
-// It validates that each hypernode is a successor pair on its subcycle.
-func SpliceHypernodes(subcycles []*Cycle, hyper []OrientedEdge, partitionOf func(OrientedEdge) int) (*Cycle, error) {
-	if len(hyper) != len(subcycles) {
-		return nil, fmt.Errorf("cycle: %d hypernodes for %d subcycles", len(hyper), len(subcycles))
-	}
-	total := 0
-	for _, sc := range subcycles {
-		total += sc.Len()
-	}
-	out := make([]graph.NodeID, 0, total)
-	for _, h := range hyper {
-		idx := partitionOf(h)
-		if idx < 0 || idx >= len(subcycles) {
-			return nil, fmt.Errorf("cycle: hypernode %v maps to invalid partition %d", h, idx)
+// Hypernode places one partition on DHC1's Phase-2 hyperpath (paper
+// Algorithm 2): (V -> U) is an edge of the partition's subcycle, Pos is the
+// partition's 1-based position on the hyperpath (0 = not on it yet), and
+// Reversed means the hyperpath enters the partition at V and leaves at U.
+type Hypernode struct {
+	U, V     graph.NodeID
+	Pos      int32
+	Reversed bool
+}
+
+// SpliceHypernodes lifts a closed hyperpath onto the partition subcycles,
+// giving DHC1's Hamiltonian cycle. succ is the vertex-indexed successor
+// table of every subcycle together. In hyperpath order, each partition is
+// walked from U forward to V (its whole subcycle but the edge V -> U), or
+// from V backward to U when Reversed; the hyperpath's edges join consecutive
+// walks. The positions must be a permutation of 1..len(hyper) (ErrNotCycle),
+// and the walks must cover succ exactly (ErrNotSpanning).
+func SpliceHypernodes(succ []graph.NodeID, hyper []Hypernode) (*Cycle, error) {
+	byPos := make([]int, len(hyper))
+	for i, h := range hyper {
+		if h.Pos < 1 || int(h.Pos) > len(hyper) || byPos[h.Pos-1] != 0 {
+			return nil, fmt.Errorf("%w: hypernode positions not a permutation (partition %d at %d)",
+				ErrNotCycle, i, h.Pos)
 		}
-		sc := subcycles[idx]
-		segment, err := arcFrom(sc, h.U, h.V)
-		if err != nil {
-			return nil, fmt.Errorf("partition %d: %w", idx, err)
+		byPos[h.Pos-1] = i + 1
+	}
+	n := len(succ)
+	order := make([]graph.NodeID, 0, n)
+	for _, i := range byPos {
+		h := hyper[i-1]
+		start := len(order)
+		for w := h.U; ; w = succ[w] {
+			if w < 0 || int(w) >= n || len(order) == n {
+				return nil, fmt.Errorf("%w: partition %d: walk from %d does not reach %d",
+					ErrNotSpanning, i-1, h.U, h.V)
+			}
+			order = append(order, w)
+			if w == h.V {
+				break
+			}
 		}
-		out = append(out, segment...)
+		if h.Reversed {
+			reverse(order[start:])
+		}
 	}
-	if len(out) != total {
-		return nil, fmt.Errorf("%w: spliced %d of %d vertices", ErrNotSpanning, len(out), total)
+	if len(order) != n {
+		return nil, fmt.Errorf("%w: spliced %d of %d vertices", ErrNotSpanning, len(order), n)
 	}
-	return FromOrder(out), nil
+	return &Cycle{order: order}, nil
 }
 
 // arcFrom returns the vertices of c from u forward (in cycle orientation)

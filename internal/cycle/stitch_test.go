@@ -1,6 +1,8 @@
 package cycle
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"dhc/internal/graph"
@@ -91,35 +93,34 @@ func TestMergeTwoBadBridgeErrors(t *testing.T) {
 }
 
 func TestSpliceHypernodes(t *testing.T) {
-	// Three triangles 0-2, 3-5, 6-8 arranged so hypernode ports connect:
-	// hypernode_i = (v_i -> u_i) with u as incoming port, v as outgoing.
+	// Three triangles 0-2, 3-5, 6-8, each with subcycle 3k -> 3k+1 -> 3k+2
+	// and hypernode (3k -> 3k+1): U = 3k+1 is the forward entry, V = 3k the
+	// forward exit. The hyperpath visits partition 1, then 0 reversed, then
+	// 2 reversed: walks 4 5 3 | 0 2 1 | 6 8 7, so the hyperedges are (3,0),
+	// (1,6) and the closing (7,4).
 	b := graph.NewBuilder(9)
 	for base := 0; base < 9; base += 3 {
 		b.AddEdge(graph.NodeID(base), graph.NodeID(base+1))
 		b.AddEdge(graph.NodeID(base+1), graph.NodeID(base+2))
 		b.AddEdge(graph.NodeID(base+2), graph.NodeID(base))
 	}
-	// Outgoing port of partition k is vertex 3k (v), incoming is 3k+1 (u).
-	// Hyperedges: v_0 -> u_1 (0,4), v_1 -> u_2 (3,7), v_2 -> u_0 (6,1).
-	b.AddEdge(0, 4)
-	b.AddEdge(3, 7)
-	b.AddEdge(6, 1)
+	b.AddEdge(3, 0)
+	b.AddEdge(1, 6)
+	b.AddEdge(7, 4)
 	g := b.Build()
-
-	subcycles := []*Cycle{
-		FromOrder([]graph.NodeID{0, 1, 2}),
-		FromOrder([]graph.NodeID{3, 4, 5}),
-		FromOrder([]graph.NodeID{6, 7, 8}),
+	succ := []graph.NodeID{1, 2, 0, 4, 5, 3, 7, 8, 6}
+	hyper := []Hypernode{
+		{U: 1, V: 0, Pos: 2, Reversed: true},
+		{U: 4, V: 3, Pos: 1},
+		{U: 7, V: 6, Pos: 3, Reversed: true},
 	}
-	hyper := []OrientedEdge{
-		{V: 0, U: 1},
-		{V: 3, U: 4},
-		{V: 6, U: 7},
-	}
-	partitionOf := func(e OrientedEdge) int { return int(e.V) / 3 }
-	hc, err := SpliceHypernodes(subcycles, hyper, partitionOf)
+	hc, err := SpliceHypernodes(succ, hyper)
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := []graph.NodeID{4, 5, 3, 0, 2, 1, 6, 8, 7}
+	if got := hc.Order(); !slices.Equal(got, want) {
+		t.Fatalf("spliced order %v, want %v", got, want)
 	}
 	if err := hc.Verify(g); err != nil {
 		t.Fatalf("spliced cycle invalid: %v", err)
@@ -127,21 +128,25 @@ func TestSpliceHypernodes(t *testing.T) {
 }
 
 func TestSpliceHypernodesErrors(t *testing.T) {
-	subcycles := []*Cycle{FromOrder([]graph.NodeID{0, 1, 2})}
-	if _, err := SpliceHypernodes(subcycles, nil, nil); err == nil {
-		t.Fatal("count mismatch accepted")
-	}
-	// Hypernode whose (V -> U) is not a cycle edge.
-	hyper := []OrientedEdge{{V: 1, U: 0}}
-	partitionOf := func(OrientedEdge) int { return 0 }
-	if _, err := SpliceHypernodes(subcycles, hyper, partitionOf); err == nil {
-		t.Fatal("reversed hypernode accepted")
-	}
-	// partitionOf out of range.
-	hyper = []OrientedEdge{{V: 0, U: 1}}
-	bad := func(OrientedEdge) int { return 5 }
-	if _, err := SpliceHypernodes(subcycles, hyper, bad); err == nil {
-		t.Fatal("invalid partition index accepted")
+	succ := []graph.NodeID{1, 2, 0, 4, 5, 3}
+	for _, tc := range []struct {
+		name  string
+		hyper []Hypernode
+		want  error
+	}{
+		{"position off the path", []Hypernode{{U: 1, V: 0, Pos: 0}, {U: 4, V: 3, Pos: 1}}, ErrNotCycle},
+		{"position repeated", []Hypernode{{U: 1, V: 0, Pos: 1}, {U: 4, V: 3, Pos: 1}}, ErrNotCycle},
+		{"position past the end", []Hypernode{{U: 1, V: 0, Pos: 1}, {U: 4, V: 3, Pos: 3}}, ErrNotCycle},
+		// (0 -> 2) is not a subcycle edge: the walk from 2 stops at 0 and
+		// skips vertex 1.
+		{"hypernode not a subcycle edge", []Hypernode{{U: 2, V: 0, Pos: 1}, {U: 4, V: 3, Pos: 2}}, ErrNotSpanning},
+		// V on another partition: the walk never reaches it.
+		{"walk does not close", []Hypernode{{U: 1, V: 3, Pos: 1}, {U: 4, V: 3, Pos: 2}}, ErrNotSpanning},
+		{"partition missing", []Hypernode{{U: 1, V: 0, Pos: 1}}, ErrNotSpanning},
+	} {
+		if _, err := SpliceHypernodes(succ, tc.hyper); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

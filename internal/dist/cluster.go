@@ -27,10 +27,6 @@ const (
 	TransportProc = "proc"
 )
 
-// Transports lists the valid transport names in the order they escalate
-// isolation.
-func Transports() []string { return []string{TransportUnix, TransportTCP, TransportProc} }
-
 // defaultStepTimeout bounds every coordinator-side receive. A healthy shard
 // answers a STEP in milliseconds; a minute means the worker is gone.
 const defaultStepTimeout = 60 * time.Second

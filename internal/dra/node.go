@@ -216,7 +216,7 @@ func (d *Node) RestoreFinal(src []byte) ([]byte, error) {
 // output condition: every node knows its two incident HC edges).
 func ExtractCycle(g *graph.Graph, states []*State) (*cycle.Cycle, int64, error) {
 	var steps int64
-	succ := make(map[graph.NodeID]graph.NodeID, len(states))
+	succ := make([]graph.NodeID, len(states))
 	for v, st := range states {
 		if st.Status() != Succeeded {
 			return nil, st.Steps(), fmt.Errorf("%w: node %d status %d after %d steps",
@@ -225,7 +225,7 @@ func ExtractCycle(g *graph.Graph, states []*State) (*cycle.Cycle, int64, error) 
 		if st.Steps() > steps {
 			steps = st.Steps()
 		}
-		succ[graph.NodeID(v)] = st.Succ()
+		succ[v] = st.Succ()
 	}
 	hc, err := cycle.FromSuccessors(succ, 0)
 	if err != nil {

@@ -61,25 +61,3 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	}
 	return b.Build(), sc.Err()
 }
-
-// WriteDOT writes the graph in GraphViz DOT format, optionally highlighting a
-// set of edges (e.g. a Hamiltonian cycle) in bold red.
-func (g *Graph) WriteDOT(w io.Writer, highlight map[Edge]bool) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "graph G {"); err != nil {
-		return err
-	}
-	for _, e := range g.Edges() {
-		attr := ""
-		if highlight[e.Canonical()] {
-			attr = " [color=red, penwidth=2]"
-		}
-		if _, err := fmt.Fprintf(bw, "  %d -- %d%s;\n", e.U, e.V, attr); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(bw, "}"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}

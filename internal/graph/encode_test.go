@@ -45,19 +45,3 @@ func TestReadEdgeListErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteDOT(t *testing.T) {
-	g := Ring(4)
-	hl := map[Edge]bool{{U: 0, V: 1}: true}
-	var buf bytes.Buffer
-	if err := g.WriteDOT(&buf, hl); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "graph G {") || !strings.Contains(out, "0 -- 1 [color=red") {
-		t.Fatalf("unexpected DOT output:\n%s", out)
-	}
-	if !strings.Contains(out, "1 -- 2;") {
-		t.Fatalf("plain edge missing:\n%s", out)
-	}
-}

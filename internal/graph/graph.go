@@ -96,24 +96,6 @@ func guardHalfEdges(half int64) {
 	}
 }
 
-// sortDedupEdges canonically sorts the edge list in place and removes
-// duplicates, returning the shortened slice.
-func sortDedupEdges(edges []Edge) []Edge {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	out := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != edges[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Builder accumulates edges with online duplicate detection and produces an
 // immutable Graph. Use BuilderCSR when duplicates are impossible or may be
 // resolved at Build time: it avoids the per-edge hash-set cost.
@@ -149,9 +131,6 @@ func (b *Builder) HasEdge(u, v NodeID) bool {
 	_, ok := b.edges[Edge{U: u, V: v}.Canonical()]
 	return ok
 }
-
-// NumEdges returns the number of distinct edges added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // Build produces the immutable Graph. The Builder may be reused afterwards.
 func (b *Builder) Build() *Graph {
@@ -200,9 +179,6 @@ func (b *BuilderCSR) Add(u, v NodeID) bool {
 	b.pairs = append(b.pairs, packPair(u, v))
 	return true
 }
-
-// NumAdded returns the number of accepted Add calls (duplicates included).
-func (b *BuilderCSR) NumAdded() int { return len(b.pairs) }
 
 // Build sorts, deduplicates, and produces the immutable Graph. The builder's
 // edge storage is consumed; the builder must not be reused.

@@ -211,9 +211,6 @@ func TestBFSUnreachable(t *testing.T) {
 	if g.Connected() {
 		t.Fatal("disconnected graph reported connected")
 	}
-	if comps := g.Components(); len(comps) != 3 {
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
 }
 
 func TestDiameterSmall(t *testing.T) {

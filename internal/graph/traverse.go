@@ -87,25 +87,6 @@ func (g *Graph) Connected() bool {
 	return reached == g.n
 }
 
-// Components returns the connected components as vertex lists.
-func (g *Graph) Components() [][]NodeID {
-	seen := make([]bool, g.n)
-	var comps [][]NodeID
-	for v := 0; v < g.n; v++ {
-		if seen[v] {
-			continue
-		}
-		res := g.BFS(NodeID(v))
-		comp := make([]NodeID, len(res.Order))
-		copy(comp, res.Order)
-		for _, w := range comp {
-			seen[w] = true
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // Diameter computes the exact diameter by running BFS from every vertex.
 // It returns -1 for a disconnected graph. Cost is O(n(n+m)); use
 // DiameterSampled for large graphs.

@@ -135,15 +135,6 @@ type Distribution struct {
 	P50, P99 int64
 }
 
-// BalanceRatio is Max / Mean; ~1 means perfectly balanced, >> 1 means one
-// node does disproportionate work (the Upcast root).
-func (d Distribution) BalanceRatio() float64 {
-	if d.Mean == 0 {
-		return 0
-	}
-	return float64(d.Max) / d.Mean
-}
-
 func summarize(values []int64) Distribution {
 	if len(values) == 0 {
 		return Distribution{}

@@ -1,7 +1,7 @@
 // Package proto implements the reusable distributed primitives the paper's
-// algorithms are built from: flooding broadcast scoped to a subgraph, leader
-// election by minimum-id flooding, and BFS-tree construction. All primitives
-// run in the CONGEST model via package congest and are written as embeddable
+// algorithms are built from: leader election by minimum-id flooding, BFS-tree
+// construction, convergecast counting and a tree barrier. All primitives run
+// in the CONGEST model via package congest and are written as embeddable
 // state machines so algorithm nodes can compose them.
 //
 // Activity contract (for the event-driven simulator): every machine in this
@@ -79,9 +79,6 @@ func (f *Flooder) Absorb(ctx *congest.Context, inbox []congest.Envelope) bool {
 func (f *Flooder) sendBest(ctx *congest.Context) {
 	ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindCandidate, int32(f.Best)))
 }
-
-// IsLeader reports whether this node currently believes it is the leader.
-func (f *Flooder) IsLeader(self graph.NodeID) bool { return f.Best == self }
 
 // BFSState is a per-node state machine that builds a BFS tree rooted at a
 // designated node. The root sends KindBFSExplore in its start round; every

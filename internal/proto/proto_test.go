@@ -6,7 +6,6 @@ import (
 	"dhc/internal/congest"
 	"dhc/internal/graph"
 	"dhc/internal/rng"
-	"dhc/internal/wire"
 )
 
 // electNode runs a Flooder for a fixed number of rounds then halts. The test
@@ -64,7 +63,7 @@ func TestLeaderElection(t *testing.T) {
 				if p.f.Best != 0 {
 					t.Fatalf("node %d converged to %d, want 0", i, p.f.Best)
 				}
-				if p.f.IsLeader(graph.NodeID(i)) {
+				if p.f.Best == graph.NodeID(i) {
 					leaders++
 				}
 			}
@@ -147,84 +146,5 @@ func TestBFSTreeLevelsMatchGraphDistances(t *testing.T) {
 	}
 	if childCount != g.N()-1 {
 		t.Fatalf("tree has %d child links, want %d", childCount, g.N()-1)
-	}
-}
-
-// scopedNode floods a broadcast within its color class.
-type scopedNode struct {
-	color   int32
-	colors  []int32
-	sb      *ScopedBroadcaster
-	gotMsgs []wire.Message
-	rounds  int
-	budget  int
-}
-
-func (s *scopedNode) Init(ctx *congest.Context) {
-	ctx.WakeAt(ctx.Round() + 1)
-	s.sb = NewScopedBroadcaster(func(v graph.NodeID) bool { return s.colors[v] == s.color })
-	if ctx.ID() == 0 {
-		s.sb.Originate(ctx, wire.Msg(wire.KindBroadcast, 7, 3))
-	}
-}
-
-func (s *scopedNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
-	ctx.WakeAt(ctx.Round() + 1)
-	s.gotMsgs = append(s.gotMsgs, s.sb.Absorb(ctx, inbox, wire.KindBroadcast)...)
-	s.rounds++
-	if s.rounds >= s.budget {
-		ctx.Halt()
-	}
-}
-
-func TestScopedBroadcastStaysInPartition(t *testing.T) {
-	// Complete graph, two colors: evens (including origin 0) and odds.
-	g := graph.Complete(10)
-	colors := make([]int32, 10)
-	for v := range colors {
-		colors[v] = int32(v % 2)
-	}
-	progs := make([]*scopedNode, 10)
-	nodes := make([]congest.Node, 10)
-	for i := range progs {
-		progs[i] = &scopedNode{color: colors[i], colors: colors, budget: 12}
-		nodes[i] = progs[i]
-	}
-	net, err := congest.NewNetwork(g, nodes, congest.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	for v, p := range progs {
-		inScope := colors[v] == 0 && v != 0
-		if inScope && len(p.gotMsgs) != 1 {
-			t.Fatalf("in-scope node %d received %d messages, want 1", v, len(p.gotMsgs))
-		}
-		if !inScope && v != 0 && len(p.gotMsgs) != 0 {
-			t.Fatalf("out-of-scope node %d received %d messages, want 0", v, len(p.gotMsgs))
-		}
-	}
-}
-
-func TestScopedBroadcasterReset(t *testing.T) {
-	sb := NewScopedBroadcaster(func(graph.NodeID) bool { return true })
-	sb.seen[key(wire.Msg(wire.KindBroadcast, 1))] = true
-	if sb.SeenCount() != 1 {
-		t.Fatal("seen not recorded")
-	}
-	sb.Reset()
-	if sb.SeenCount() != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
-func TestKeyDistinguishesPayloads(t *testing.T) {
-	a := key(wire.Msg(wire.KindBroadcast, 1, 2, 0))
-	b := key(wire.Msg(wire.KindBroadcast, 1, 2, 1)) // different tag (arg 2)
-	c := key(wire.Msg(wire.KindRotation, 1, 2, 0))  // different kind
-	if a == b || a == c {
-		t.Fatalf("keys collide: %v %v %v", a, b, c)
 	}
 }

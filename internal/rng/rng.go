@@ -81,11 +81,6 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (r *Source) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform pseudo-random integer in [0, n). It panics if n <= 0,
 // mirroring math/rand; callers always pass positive bounds.
 func (r *Source) Intn(n int) int {

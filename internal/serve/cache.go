@@ -37,7 +37,7 @@ type cacheKey [sha256.Size]byte
 //
 // Computing this digest requires the graph, which for generated instances
 // means building it. The server therefore memoizes generator-recipe → digest
-// (recipeCache), so a repeated generated request is keyed — and on a cache
+// (newRecipeCache), so a repeated generated request is keyed — and on a cache
 // hit answered — without reconstructing the instance.
 func hashGraph(g *dhc.Graph) cacheKey {
 	h := sha256.New()
@@ -89,58 +89,82 @@ func hashSolve(digest cacheKey, algo dhc.Algorithm, cfg solverConfig, seed uint6
 	return key
 }
 
-// recipeCache memoizes generator recipe → graph-content digest, bounded LRU.
-// It is what keeps replay hits cheap for generated instances: without it
-// every request would rebuild and re-hash its graph just to look up the
-// cache, and a hit on a large instance would cost nearly as much as a solve.
-// The mapping is sound because generation is deterministic — a recipe always
-// yields the same graph, hence the same digest.
-type recipeCache struct {
+// lru is a bounded least-recently-used map, safe for concurrent use, that
+// counts its lookups' hits and misses. A capacity <= 0 stores nothing.
+type lru[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries map[string]*list.Element
+	entries map[K]*list.Element
 	order   *list.List // front = most recent
 	cap     int
+
+	hits   int64
+	misses int64
 }
 
-type recipeItem struct {
-	recipe string
-	digest cacheKey
+type lruItem[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newRecipeCache(capacity int) *recipeCache {
-	return &recipeCache{
-		entries: make(map[string]*list.Element),
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{
+		entries: make(map[K]*list.Element),
 		order:   list.New(),
 		cap:     capacity,
 	}
 }
 
-func (c *recipeCache) get(recipe string) (cacheKey, bool) {
+// get returns the value stored for key and whether it was present, updating
+// LRU order and the hit/miss counters.
+func (c *lru[K, V]) get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[recipe]; ok {
+	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
-		return el.Value.(*recipeItem).digest, true
+		c.hits++
+		return el.Value.(*lruItem[K, V]).val, true
 	}
-	return cacheKey{}, false
+	c.misses++
+	var zero V
+	return zero, false
 }
 
-func (c *recipeCache) put(recipe string, digest cacheKey) {
+// put stores a value, evicting the least recently used entry when full. Both
+// caches map a key to one deterministic value, so a repeated put only
+// refreshes recency.
+func (c *lru[K, V]) put(key K, val V) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[recipe]; ok {
+	if el, ok := c.entries[key]; ok {
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[recipe] = c.order.PushFront(&recipeItem{recipe: recipe, digest: digest})
+	c.entries[key] = c.order.PushFront(&lruItem[K, V]{key: key, val: val})
 	for c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*recipeItem).recipe)
+		delete(c.entries, oldest.Value.(*lruItem[K, V]).key)
 	}
+}
+
+// counts returns (hits, misses) for the stats endpoint.
+func (c *lru[K, V]) counts() (int64, int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
+}
+
+// newRecipeCache memoizes generator recipe → graph-content digest. It is what
+// keeps replay hits cheap for generated instances: without it every request
+// would rebuild and re-hash its graph just to look up the replay cache, and a
+// hit on a large instance would cost nearly as much as a solve. The mapping
+// is sound because generation is deterministic — a recipe always yields the
+// same graph, hence the same digest.
+func newRecipeCache(capacity int) *lru[string, cacheKey] {
+	return newLRU[string, cacheKey](capacity)
 }
 
 // replayEntry is one cached response: the HTTP status and the exact body
@@ -150,69 +174,4 @@ func (c *recipeCache) put(recipe string, digest cacheKey) {
 type replayEntry struct {
 	status int
 	body   []byte
-}
-
-// replayCache is a bounded LRU of deterministic solve responses.
-type replayCache struct {
-	mu      sync.Mutex
-	entries map[cacheKey]*list.Element
-	order   *list.List // front = most recent
-	cap     int
-
-	hits   int64
-	misses int64
-}
-
-type lruItem struct {
-	key   cacheKey
-	entry replayEntry
-}
-
-func newReplayCache(capacity int) *replayCache {
-	return &replayCache{
-		entries: make(map[cacheKey]*list.Element),
-		order:   list.New(),
-		cap:     capacity,
-	}
-}
-
-// get returns the cached entry and whether it was present, updating LRU order
-// and hit/miss counters. A zero-capacity cache misses everything.
-func (c *replayCache) get(key cacheKey) (replayEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		c.hits++
-		return el.Value.(*lruItem).entry, true
-	}
-	c.misses++
-	return replayEntry{}, false
-}
-
-// put stores an entry, evicting the least recently used one when full.
-func (c *replayCache) put(key cacheKey, e replayEntry) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// Determinism makes overwrites value-identical; refresh recency only.
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&lruItem{key: key, entry: e})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruItem).key)
-	}
-}
-
-// counts returns (hits, misses) for the stats endpoint.
-func (c *replayCache) counts() (int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -200,8 +200,8 @@ func statusFor(class dhc.FailureClass) int {
 type Server struct {
 	cfg     Config
 	pool    *solverPool
-	cache   *replayCache
-	recipes *recipeCache
+	cache   *lru[cacheKey, replayEntry] // deterministic solve responses
+	recipes *lru[string, cacheKey]
 
 	// sem holds one token per running solve; admission waits here (bounded
 	// by queued) so at most Concurrency solves execute at once.
@@ -223,7 +223,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:     cfg,
 		pool:    newSolverPool(cfg.Concurrency),
-		cache:   newReplayCache(cfg.CacheEntries),
+		cache:   newLRU[cacheKey, replayEntry](cfg.CacheEntries),
 		recipes: newRecipeCache(cfg.CacheEntries),
 		sem:     make(chan struct{}, cfg.Concurrency),
 		solve: func(ctx context.Context, s *dhc.Solver, g *dhc.Graph, seed uint64) (*dhc.Result, error) {

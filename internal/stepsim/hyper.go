@@ -23,14 +23,13 @@ func hyperRotation(g *graph.Graph, subcycles []*cycle.Cycle, src *rng.Source) (*
 		isU bool
 	}
 	ports := make(map[graph.NodeID]portInfo, 2*k)
-	uOf := make([]graph.NodeID, k)
-	vOf := make([]graph.NodeID, k)
+	hyp := make([]cycle.Hypernode, k)
 	for i, sc := range subcycles {
 		r := src.Intn(sc.Len())
-		uOf[i] = sc.At(r)
-		vOf[i] = sc.At(r - 1)
-		ports[uOf[i]] = portInfo{hyp: i, isU: true}
-		ports[vOf[i]] = portInfo{hyp: i, isU: false}
+		hyp[i].U = sc.At(r)
+		hyp[i].V = sc.At(r - 1)
+		ports[hyp[i].U] = portInfo{hyp: i, isU: true}
+		ports[hyp[i].V] = portInfo{hyp: i, isU: false}
 	}
 	// Pools: candidate neighbor ports of other hypernodes, per port.
 	pool := make(map[graph.NodeID][]graph.NodeID, 2*k)
@@ -41,25 +40,23 @@ func hyperRotation(g *graph.Graph, subcycles []*cycle.Cycle, src *rng.Source) (*
 			}
 		}
 	}
-	idx := make([]int32, k) // hyperpath position, 0 = off-path
-	rev := make([]bool, k)  // orientation: false = enter u exit v
-	idx[0] = 1
+	hyp[0].Pos = 1
 	head := 0
 	pathLen := int32(1)
 	maxSteps := 4 * rotation.DefaultMaxSteps(k)
 	var steps int64
 
 	exitPortOf := func(h int) graph.NodeID {
-		if rev[h] {
-			return uOf[h]
+		if hyp[h].Reversed {
+			return hyp[h].U
 		}
-		return vOf[h]
+		return hyp[h].V
 	}
 	enterPortOf := func(h int) graph.NodeID {
-		if rev[h] {
-			return vOf[h]
+		if hyp[h].Reversed {
+			return hyp[h].V
 		}
-		return uOf[h]
+		return hyp[h].U
 	}
 	popRandom := func(p graph.NodeID) (graph.NodeID, bool) {
 		list := pool[p]
@@ -97,24 +94,30 @@ func hyperRotation(g *graph.Graph, subcycles []*cycle.Cycle, src *rng.Source) (*
 		info := ports[target]
 		kk := info.hyp
 		switch {
-		case idx[kk] == 1 && target == enterPortOf(kk) && pathLen == int32(k):
+		case hyp[kk].Pos == 1 && target == enterPortOf(kk) && pathLen == int32(k):
 			// Closed: splice the lifted cycle.
-			hc, err := liftHyperCycle(subcycles, uOf, vOf, idx, rev)
+			succ := make([]graph.NodeID, g.N())
+			for _, sc := range subcycles {
+				for i := 0; i < sc.Len(); i++ {
+					succ[sc.At(i)] = sc.At(i + 1)
+				}
+			}
+			hc, err := cycle.SpliceHypernodes(succ, hyp)
 			return hc, steps, err
-		case idx[kk] == 0:
-			idx[kk] = pathLen + 1
-			rev[kk] = !info.isU // entering at v means flipped orientation
+		case hyp[kk].Pos == 0:
+			hyp[kk].Pos = pathLen + 1
+			hyp[kk].Reversed = !info.isU // entering at v means flipped orientation
 			head = kk
 			pathLen++
 		case target == exitPortOf(kk):
-			// Rotation at j = idx[kk]: reverse segment (j, h].
-			j, h := idx[kk], pathLen
+			// Rotation at j = hyp[kk].Pos: reverse segment (j, h].
+			j, h := hyp[kk].Pos, pathLen
 			newHead := -1
-			for c := 0; c < k; c++ {
-				if j < idx[c] && idx[c] <= h {
-					idx[c] = h + j + 1 - idx[c]
-					rev[c] = !rev[c]
-					if idx[c] == h {
+			for c := range hyp {
+				if j < hyp[c].Pos && hyp[c].Pos <= h {
+					hyp[c].Pos = h + j + 1 - hyp[c].Pos
+					hyp[c].Reversed = !hyp[c].Reversed
+					if hyp[c].Pos == h {
 						newHead = c
 					}
 				}
@@ -127,41 +130,4 @@ func hyperRotation(g *graph.Graph, subcycles []*cycle.Cycle, src *rng.Source) (*
 			// Rejected probe: entry port occupied; head retries.
 		}
 	}
-}
-
-// liftHyperCycle splices partition subcycles into the full Hamiltonian cycle
-// following hypernode indices and orientations.
-func liftHyperCycle(subcycles []*cycle.Cycle, uOf, vOf []graph.NodeID, idx []int32, rev []bool) (*cycle.Cycle, error) {
-	k := len(subcycles)
-	byIdx := make([]int, k)
-	for c := 0; c < k; c++ {
-		if idx[c] < 1 || int(idx[c]) > k {
-			return nil, errors.New("hypernode indices not a permutation")
-		}
-		byIdx[idx[c]-1] = c
-	}
-	var order []graph.NodeID
-	for _, c := range byIdx {
-		sc := subcycles[c]
-		// Forward arc u..v in subcycle orientation (v is u's predecessor,
-		// so the arc covers the whole partition).
-		start := 0
-		for i := 0; i < sc.Len(); i++ {
-			if sc.At(i) == uOf[c] {
-				start = i
-				break
-			}
-		}
-		arc := make([]graph.NodeID, 0, sc.Len())
-		for i := 0; i < sc.Len(); i++ {
-			arc = append(arc, sc.At(start+i))
-		}
-		if rev[c] {
-			for i, j := 0, len(arc)-1; i < j; i, j = i+1, j-1 {
-				arc[i], arc[j] = arc[j], arc[i]
-			}
-		}
-		order = append(order, arc...)
-	}
-	return cycle.FromOrder(order), nil
 }

@@ -134,19 +134,6 @@ func ParseFamily(s string) (Family, error) {
 		s, strings.Join(FamilyNames(), ", "))
 }
 
-// ParseFamilies resolves a comma-separated family list.
-func ParseFamilies(s string) ([]Family, error) {
-	var out []Family
-	for _, part := range bench.SplitList(s) {
-		f, err := ParseFamily(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 // Grid is a sweep specification: the cartesian product of its axes, run for
 // Trials Monte Carlo trials per cell from MasterSeed.
 type Grid struct {

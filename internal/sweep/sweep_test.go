@@ -319,10 +319,6 @@ func TestParseFamily(t *testing.T) {
 	if err.Error() != want {
 		t.Fatalf("ParseFamily error = %q, want %q", err.Error(), want)
 	}
-	fams, err := ParseFamilies("gnp, regular")
-	if err != nil || len(fams) != 2 {
-		t.Fatalf("ParseFamilies: %v, %v", fams, err)
-	}
 }
 
 // TestFamilyNamesLockstep pins the two family vocabularies to each other:

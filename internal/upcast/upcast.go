@@ -393,7 +393,7 @@ func (sess *Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph,
 	if err != nil {
 		return nil, fmt.Errorf("upcast: %w", err)
 	}
-	succ := make(map[graph.NodeID]graph.NodeID, n)
+	succ := make([]graph.NodeID, n)
 	for v, p := range sess.progs {
 		if p.failed {
 			return nil, fmt.Errorf("%w (node %d saw failure flood)", ErrNoHC, v)
@@ -401,7 +401,7 @@ func (sess *Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph,
 		if !p.haveSucc {
 			return nil, fmt.Errorf("upcast: node %d never received its successor", v)
 		}
-		succ[graph.NodeID(v)] = p.succ
+		succ[v] = p.succ
 	}
 	hc, err := cycle.FromSuccessors(succ, 0)
 	if err != nil {
