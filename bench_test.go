@@ -128,7 +128,7 @@ func BenchmarkE6_Upcast(b *testing.B) {
 			var cost stepsim.Cost
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, cost, err = stepsim.Upcast(g, uint64(i), 0)
+				_, cost, err = stepsim.Upcast(g, uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -180,7 +180,7 @@ func BenchmarkE8_Baselines(b *testing.B) {
 			return c, err
 		},
 		"upcast": func(s uint64) (stepsim.Cost, error) {
-			_, c, err := stepsim.Upcast(g, s, 0)
+			_, c, err := stepsim.Upcast(g, s)
 			return c, err
 		},
 		"levy": func(s uint64) (stepsim.Cost, error) {

@@ -49,7 +49,7 @@ func run() error {
 		workers   = flag.Int("workers", 1, "step-engine parallel workers (phase-1 shards and phase-2 merge tree); the exact engine ignores it")
 		colors    = flag.Int("colors", 0, "override partition count K")
 		shards    = flag.Int("shards", 0, "run the exact engine distributed across this many shard workers (0/1 = in-process)")
-		transport = flag.String("transport", "", "shard transport when -shards > 1: unix (default), tcp, or proc (real hcshard processes)")
+		transport = flag.String("transport", "", "shard transport when -shards > 1: unix (default, goroutine workers behind unix sockets) or proc (real hcshard processes)")
 		shardBin  = flag.String("shardbin", "", "hcshard binary for -transport proc (default: resolve hcshard via PATH)")
 		asJSON    = flag.Bool("json", false, "JSON output")
 		quiet     = flag.Bool("q", false, "suppress the cycle itself")

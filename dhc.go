@@ -231,8 +231,6 @@ type Options struct {
 	BroadcastBound int64
 	// MaxAttempts bounds restart retries (step engine and partition DRA).
 	MaxAttempts int
-	// SamplesPerNode is Upcast's per-node edge sample count (0 = 3·ln n).
-	SamplesPerNode int
 	// MaxRounds overrides the exact engine's round budget — the watchdog
 	// that turns a non-terminating run into ErrRoundLimit. Zero keeps each
 	// algorithm's derived default; negatives are rejected up front (like
@@ -249,7 +247,7 @@ type Options struct {
 	// in-process engine. Exact engine only.
 	Shards int
 	// Transport selects the shard transport when Shards > 1: "unix"
-	// (default) and "tcp" run goroutine workers behind real sockets; "proc"
+	// (default) runs goroutine workers behind unix-domain sockets; "proc"
 	// forks one hcshard OS process per shard (DRA and DHC2 only — their
 	// programs are portable across a process boundary).
 	Transport string
@@ -510,7 +508,7 @@ func NewSolver(algo Algorithm, opts Options) (*Solver, error) {
 			return nil, fmt.Errorf("dhc: shards require the exact engine")
 		}
 		if opts.Transport == dist.TransportProc && algo != AlgorithmDRA && algo != AlgorithmDHC2 {
-			return nil, fmt.Errorf("dhc: algorithm %s is not portable to worker processes (transport %q supports dra and dhc2; use unix or tcp)",
+			return nil, fmt.Errorf("dhc: algorithm %s is not portable to worker processes (transport %q supports dra and dhc2; use unix)",
 				algo, opts.Transport)
 		}
 		cluster, err := dist.NewCluster(dist.Options{
@@ -590,7 +588,7 @@ var exactSessions = map[Algorithm]func(opts Options) exactSession{
 		}
 	},
 	AlgorithmUpcast: func(o Options) exactSession {
-		sess, opts := upcast.NewSession(), upcast.Options{SamplesPerNode: o.SamplesPerNode, B: o.BroadcastBound}
+		sess, opts := upcast.NewSession(), upcast.Options{B: o.BroadcastBound}
 		return func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
 			r, err := sess.Run(ctx, ex, g, seed, opts, netOpts)
 			if err != nil {
@@ -646,7 +644,7 @@ func (s *Solver) solveStep(ctx context.Context, g *Graph, seed uint64) (*Result,
 	case AlgorithmDHC2:
 		hc, cost, err = s.stepSess.DHC2(ctx, g, seed, simOpts)
 	case AlgorithmUpcast:
-		hc, cost, err = s.stepSess.Upcast(ctx, g, seed, opts.SamplesPerNode)
+		hc, cost, err = s.stepSess.Upcast(ctx, g, seed)
 	default:
 		return nil, fmt.Errorf("dhc: unknown algorithm %d", s.algo)
 	}

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,7 +81,7 @@ func checkDistIdentity(t *testing.T, g *Graph, algo Algorithm, base Options, dis
 
 // TestDistMatchesInProcessOracle is the differential harness of the
 // distributed engine: n in {64, 256} x {dra, dhc2}, each across two shard
-// counts, goroutine workers behind real unix/tcp sockets. Run under -race
+// counts, goroutine workers behind real unix sockets. Run under -race
 // this also proves the coordinator/worker handoff is properly synchronized.
 func TestDistMatchesInProcessOracle(t *testing.T) {
 	skipIfShort(t)
@@ -90,12 +91,11 @@ func TestDistMatchesInProcessOracle(t *testing.T) {
 		p         float64
 		graphSeed uint64
 		shards    []int
-		transport string
 	}{
-		{AlgorithmDRA, 64, 0.5, 11, []int{2, 5}, ""},
-		{AlgorithmDRA, 256, 0.15, 11, []int{3, 4}, ""},
-		{AlgorithmDHC2, 64, 0.8, 4, []int{2, 5}, "tcp"},
-		{AlgorithmDHC2, 256, 0.7, 4, []int{3, 4}, ""},
+		{AlgorithmDRA, 64, 0.5, 11, []int{2, 5}},
+		{AlgorithmDRA, 256, 0.15, 11, []int{3, 4}},
+		{AlgorithmDHC2, 64, 0.8, 4, []int{2, 5}},
+		{AlgorithmDHC2, 256, 0.7, 4, []int{3, 4}},
 	}
 	for _, tc := range cases {
 		for _, k := range tc.shards {
@@ -104,7 +104,6 @@ func TestDistMatchesInProcessOracle(t *testing.T) {
 				base := Options{Seed: 3, Delta: 0.5}
 				dist := base
 				dist.Shards = k
-				dist.Transport = tc.transport
 				checkDistIdentity(t, g, tc.algo, base, dist)
 			})
 		}
@@ -258,13 +257,16 @@ func TestDistOptionValidation(t *testing.T) {
 	if _, err := Solve(g, AlgorithmDRA, Options{Shards: 2, Engine: EngineStep}); err == nil {
 		t.Fatal("step engine with shards accepted")
 	}
-	if _, err := Solve(g, AlgorithmDRA, Options{Transport: "tcp"}); err == nil {
+	if _, err := Solve(g, AlgorithmDRA, Options{Transport: "unix"}); err == nil {
 		t.Fatal("transport without shards accepted")
 	}
 	if _, err := Solve(g, AlgorithmDHC1, Options{Shards: 2, Transport: "proc"}); err == nil {
 		t.Fatal("proc transport with non-portable algorithm accepted")
 	}
-	if _, err := Solve(g, AlgorithmDRA, Options{Shards: 2, Transport: "quantum"}); err == nil {
-		t.Fatal("unknown transport accepted")
+	for _, transport := range []string{"quantum", "tcp"} {
+		_, err := Solve(g, AlgorithmDRA, Options{Shards: 2, Transport: transport})
+		if err == nil || !strings.Contains(err.Error(), "(valid: unix, proc)") {
+			t.Fatalf("unknown transport %q: err = %v, want a rejection listing unix, proc", transport, err)
+		}
 	}
 }

@@ -235,7 +235,7 @@ func E6(cfg Config) *Table {
 			ok := 0
 			for tr := 0; tr < cfg.trials(); tr++ {
 				g := graph.GNP(n, p, rng.New(cfg.Seed+uint64(n*43+tr)))
-				_, cost, err := stepsim.Upcast(g, cfg.Seed+uint64(tr), 0)
+				_, cost, err := stepsim.Upcast(g, cfg.Seed+uint64(tr))
 				rounds += cost.Rounds
 				if err == nil {
 					ok++
@@ -281,7 +281,7 @@ func E8(cfg Config) *Table {
 				return c.Rounds, err
 			}},
 			{"upcast", func(g *graph.Graph, s uint64) (int64, error) {
-				_, c, err := stepsim.Upcast(g, s, 0)
+				_, c, err := stepsim.Upcast(g, s)
 				return c.Rounds, err
 			}},
 			{"levy", func(g *graph.Graph, s uint64) (int64, error) {

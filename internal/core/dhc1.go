@@ -38,7 +38,7 @@ var _ congest.Node = (*dhc1Node)(nil)
 
 func (d *dhc1Node) Init(ctx *congest.Context) {
 	d.stage = 1
-	d.p1 = phase1{cfg: d.cfg}
+	d.p1 = d.p1.recycled(d.cfg)
 	d.p1.init(ctx)
 	d.armWake(ctx)
 }
@@ -150,8 +150,9 @@ func (sess *DHC1Session) Run(ctx context.Context, ex congest.Runner, g *graph.Gr
 		if sess.progs[i] == nil {
 			sess.progs[i] = &dhc1Node{}
 		}
-		*sess.progs[i] = dhc1Node{cfg: cfg, numK: int32(numColors)}
-		sess.nodes[i] = sess.progs[i]
+		p := sess.progs[i]
+		*p = dhc1Node{cfg: cfg, numK: int32(numColors), p1: p.p1.recycled(cfg)}
+		sess.nodes[i] = p
 	}
 	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
 		return nil, err

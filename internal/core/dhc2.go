@@ -45,7 +45,7 @@ var _ congest.Node = (*dhc2Node)(nil)
 
 func (d *dhc2Node) Init(ctx *congest.Context) {
 	d.stage = 1
-	d.p1 = phase1{cfg: d.cfg}
+	d.p1 = d.p1.recycled(d.cfg)
 	d.p1.init(ctx)
 	d.armWake(ctx)
 }
@@ -68,7 +68,7 @@ func (d *dhc2Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	if d.stage == 1 {
 		if d.p1.tick(ctx, inbox) {
 			d.stage = 2
-			d.mp = mergePhase{B: d.cfg.B, K: d.cfg.NumColors}
+			d.mp = d.mp.recycled(d.cfg.B, d.cfg.NumColors)
 			succ, pred := graph.NodeID(-1), graph.NodeID(-1)
 			if d.p1.dra != nil {
 				succ, pred = d.p1.dra.Succ(), d.p1.dra.Pred()
@@ -178,8 +178,9 @@ func (sess *DHC2Session) Run(ctx context.Context, ex congest.Runner, g *graph.Gr
 		if sess.progs[i] == nil {
 			sess.progs[i] = &dhc2Node{}
 		}
-		*sess.progs[i] = dhc2Node{cfg: cfg}
-		sess.nodes[i] = sess.progs[i]
+		p := sess.progs[i]
+		*p = dhc2Node{cfg: cfg, p1: p.p1.recycled(cfg), mp: p.mp.recycled(cfg.B, cfg.NumColors)}
+		sess.nodes[i] = p
 	}
 	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
 		return nil, err

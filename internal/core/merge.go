@@ -101,6 +101,12 @@ func (m *mergePhase) levels() int32 {
 	return lv
 }
 
+// recycled returns a zero phase for bound b and k colors that keeps the
+// backing arrays of m's per-port tables, which every level refills.
+func (m *mergePhase) recycled(b int64, k int32) mergePhase {
+	return mergePhase{B: b, K: k, nbColor: m.nbColor, scopePorts: m.scopePorts[:0], partnerPorts: m.partnerPorts[:0]}
+}
+
 // start initializes the phase from Phase 1 results.
 func (m *mergePhase) start(color int32, succ, pred graph.NodeID, startRound int64) {
 	m.color = color

@@ -110,6 +110,13 @@ func (p *phase1) scopeBFSStart() int64 { return p.cfg.B + 2 }
 func (p *phase1) countStart() int64    { return 2*p.cfg.B + 3 }
 func (p *phase1) draStart() int64      { return 4*p.cfg.B + 8 }
 
+// recycled returns a zero phase under cfg that keeps the backing arrays of
+// p's per-port tables: init refills nbColor and the election round refills
+// scopePorts, so a reused program does not reallocate them.
+func (p *phase1) recycled(cfg phase1Config) phase1 {
+	return phase1{cfg: cfg, nbColor: p.nbColor, scopePorts: p.scopePorts[:0]}
+}
+
 func (p *phase1) init(ctx *congest.Context) {
 	p.color = int32(ctx.Rand().Intn(int(p.cfg.NumColors)))
 	p.nbColor = unknownColors(p.nbColor, ctx.Degree())

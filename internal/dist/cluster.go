@@ -17,13 +17,12 @@ import (
 	"dhc/internal/metrics"
 )
 
-// Transport names. Unix and TCP run each shard as a goroutine worker behind a
-// real socket (the frames cross the kernel, the memory does not); Proc forks
-// one hcshard OS process per shard and ships the graph and program specs over
-// the socket too.
+// Transport names. Unix runs each shard as a goroutine worker behind a
+// unix-domain socket (the frames cross the kernel, the memory does not); Proc
+// forks one hcshard OS process per shard and ships the graph and program
+// specs over the socket too.
 const (
 	TransportUnix = "unix"
-	TransportTCP  = "tcp"
 	TransportProc = "proc"
 )
 
@@ -35,8 +34,7 @@ const defaultStepTimeout = 60 * time.Second
 type Options struct {
 	// Shards is the worker count K >= 1 (clamped to the vertex count).
 	Shards int
-	// Transport is one of TransportUnix (default), TransportTCP,
-	// TransportProc.
+	// Transport is TransportUnix (default) or TransportProc.
 	Transport string
 	// StepTimeout bounds each protocol exchange; a shard that does not
 	// answer within it is declared down (0 selects a 60s default). This is
@@ -106,9 +104,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 	switch opts.Transport {
 	case "", TransportUnix:
 		opts.Transport = TransportUnix
-	case TransportTCP, TransportProc:
+	case TransportProc:
 	default:
-		return nil, fmt.Errorf("dist: unknown transport %q (valid: unix, tcp, proc)", opts.Transport)
+		return nil, fmt.Errorf("dist: unknown transport %q (valid: unix, proc)", opts.Transport)
 	}
 	if opts.StepTimeout == 0 {
 		opts.StepTimeout = defaultStepTimeout
@@ -137,7 +135,7 @@ func (c *Cluster) Reset(g *graph.Graph, nodes []congest.Node, opts congest.Optio
 	if c.opts.Transport == TransportProc {
 		for v, nd := range nodes {
 			if _, ok := nd.(congest.PortableProgram); !ok {
-				return fmt.Errorf("dist: node %d program %T is not portable; transport %q requires congest.PortableProgram (use unix or tcp)",
+				return fmt.Errorf("dist: node %d program %T is not portable; transport %q requires congest.PortableProgram (use unix)",
 					v, nd, TransportProc)
 			}
 		}
@@ -164,11 +162,18 @@ func (c *Cluster) RunContext(ctx context.Context, seed uint64) (*metrics.Counter
 		k = c.g.N()
 	}
 
-	ln, addr, cleanup, err := c.listen()
+	// Both transports dial one unix-domain listener in a private directory.
+	dir, err := os.MkdirTemp("", "dhc-dist-")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dist: %w", err)
 	}
-	defer cleanup()
+	defer os.RemoveAll(dir)
+	addr := filepath.Join(dir, "coord.sock")
+	ln, err := net.ListenUnix("unix", &net.UnixAddr{Name: addr, Net: "unix"})
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	defer ln.Close()
 
 	var (
 		wg      sync.WaitGroup
@@ -266,42 +271,11 @@ func (c *Cluster) RunContext(ctx context.Context, seed uint64) (*metrics.Counter
 // (nil before the first run).
 func (c *Cluster) Stats() []ShardStat { return c.stats }
 
-// listen opens the coordinator's listener for the configured transport.
-func (c *Cluster) listen() (net.Listener, string, func(), error) {
-	if c.opts.Transport == TransportTCP {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("dist: %w", err)
-		}
-		return ln, ln.Addr().String(), func() { ln.Close() }, nil
-	}
-	dir, err := os.MkdirTemp("", "dhc-dist-")
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("dist: %w", err)
-	}
-	path := filepath.Join(dir, "coord.sock")
-	ln, err := net.Listen("unix", path)
-	if err != nil {
-		os.RemoveAll(dir)
-		return nil, "", nil, fmt.Errorf("dist: %w", err)
-	}
-	return ln, path, func() { ln.Close(); os.RemoveAll(dir) }, nil
-}
-
-// dialNetwork maps the transport to the dialer's network argument.
-func (c *Cluster) dialNetwork() string {
-	if c.opts.Transport == TransportTCP {
-		return "tcp"
-	}
-	return "unix"
-}
-
 // spawnWorkers starts one goroutine worker per shard. Each dials the
 // coordinator, identifies itself, builds its congest.Shard over the shared
 // node slice, and serves frames until FINISH/ABORT or connection loss.
 func (c *Cluster) spawnWorkers(wg *sync.WaitGroup, k int, addr string, unblock <-chan struct{}) ([]net.Conn, error) {
 	n := c.g.N()
-	network := c.dialNetwork()
 	conns := make([]net.Conn, 0, k)
 	for i := 0; i < k; i++ {
 		lo, hi := shardRange(n, k, i)
@@ -309,7 +283,7 @@ func (c *Cluster) spawnWorkers(wg *sync.WaitGroup, k int, addr string, unblock <
 		if err != nil {
 			return conns, err
 		}
-		conn, err := net.DialTimeout(network, addr, c.opts.StepTimeout)
+		conn, err := net.DialTimeout("unix", addr, c.opts.StepTimeout)
 		if err != nil {
 			return conns, fmt.Errorf("dist: shard %d dial: %w", i, err)
 		}
@@ -347,7 +321,6 @@ func (c *Cluster) spawnProcs(k int, addr string) ([]*exec.Cmd, error) {
 	for i := 0; i < k; i++ {
 		cmd := exec.Command(bin,
 			"-socket", addr,
-			"-network", c.dialNetwork(),
 			"-shard", strconv.Itoa(i),
 		)
 		cmd.Stderr = os.Stderr
@@ -394,11 +367,8 @@ func reapProcs(procs []*exec.Cmd) {
 // workers) ships the run configuration. It is all-or-nothing: on any error
 // every accepted connection is closed and links is nil, so callers never see
 // a half-connected cluster.
-func (c *Cluster) accept(ln net.Listener, k int) (links []*link, err error) {
-	type deadliner interface{ SetDeadline(time.Time) error }
-	if dl, ok := ln.(deadliner); ok {
-		_ = dl.SetDeadline(time.Now().Add(c.opts.StepTimeout))
-	}
+func (c *Cluster) accept(ln *net.UnixListener, k int) (links []*link, err error) {
+	_ = ln.SetDeadline(time.Now().Add(c.opts.StepTimeout))
 	defer func() {
 		if err == nil {
 			return

@@ -1,9 +1,8 @@
 // Package dist runs the exact CONGEST engine across real transport
 // boundaries: the vertex set is partitioned into K contiguous shards, each
-// executed by its own worker — a goroutine behind a unix-domain or TCP
-// loopback socket, or a separate OS process running cmd/hcshard — while a
-// hub coordinator drives the synchronous round loop over length-prefixed
-// frames.
+// executed by its own worker — a goroutine behind a unix-domain socket, or a
+// separate OS process running cmd/hcshard — while a hub coordinator drives
+// the synchronous round loop over length-prefixed frames.
 //
 // The design goal is byte-identity with the in-process engine, and the
 // mechanism is structural: each shard runs congest.Shard — the executor an

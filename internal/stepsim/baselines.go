@@ -12,25 +12,25 @@ import (
 	"dhc/internal/graph"
 	"dhc/internal/rng"
 	"dhc/internal/rotation"
+	"dhc/internal/upcast"
 )
 
 // Upcast simulates the Section III algorithm's round cost exactly from the
 // BFS-tree structure: election + tree build (O(D)), a pipelined upcast whose
 // duration is the maximum per-tree-edge load plus the tree depth, the free
 // local solve, and a downcast of the same shape.
-func Upcast(g *graph.Graph, seed uint64, samplesPerNode int) (*cycle.Cycle, Cost, error) {
-	return NewSession().Upcast(context.Background(), g, seed, samplesPerNode)
+func Upcast(g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
+	return NewSession().Upcast(context.Background(), g, seed)
 }
 
 // Upcast simulates the Section III algorithm, honoring ctx around the root's
-// local solve attempts.
-func (s *Session) Upcast(ctx context.Context, g *graph.Graph, seed uint64, samplesPerNode int) (*cycle.Cycle, Cost, error) {
+// local solve attempts. Each node samples upcast.SamplesPerNode(n) edges and
+// the root retries upcast.RootAttempts times, as in the exact engine.
+func (s *Session) Upcast(ctx context.Context, g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
 	n := g.N()
 	src := rng.New(seed)
 	s.Hooks.phase("run")
-	if samplesPerNode <= 0 {
-		samplesPerNode = int(math.Ceil(3 * math.Log(float64(n))))
-	}
+	samplesPerNode := upcast.SamplesPerNode(n)
 	b := broadcastBound(g)
 	cost := Cost{B: b}
 
@@ -86,7 +86,7 @@ func (s *Session) Upcast(ctx context.Context, g *graph.Graph, seed uint64, sampl
 	intr := interruptOf(ctx)
 	var hc *cycle.Cycle
 	var err error
-	for a := 0; a < 20; a++ {
+	for a := 0; a < upcast.RootAttempts; a++ {
 		if ctx.Err() != nil {
 			return nil, cost, canceled(ctx)
 		}

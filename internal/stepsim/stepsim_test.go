@@ -75,7 +75,7 @@ func TestUpcastSim(t *testing.T) {
 	n := 1000
 	p := 3 * math.Log(float64(n)) / math.Sqrt(float64(n))
 	g := denseGNP(n, p, 9)
-	hc, cost, err := Upcast(g, 10, 0)
+	hc, cost, err := Upcast(g, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

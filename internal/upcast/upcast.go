@@ -34,17 +34,20 @@ var ErrNoHC = errors.New("upcast: sampled subgraph has no Hamiltonian cycle")
 
 const treeTag int32 = 3
 
+// SamplesPerNode returns c'·log n at c' = 3, ⌈3·ln n⌉: the number of incident
+// edges each node samples (capped by its degree). The step engine's Upcast
+// charges the same sample.
+func SamplesPerNode(n int) int { return int(math.Ceil(3 * math.Log(float64(n)))) }
+
+// RootAttempts is how many times the root retries the local rotation
+// algorithm on the sampled subgraph (local computation is free in CONGEST).
+// The step engine's Upcast retries as often.
+const RootAttempts = 20
+
 // Options configures a run.
 type Options struct {
-	// SamplesPerNode is c'·log n, the number of incident edges each node
-	// samples (capped by its degree). Zero selects ceil(3·ln n).
-	SamplesPerNode int
 	// B bounds the election/BFS settling time (0 = 2·ecc(0)+1).
 	B int64
-	// RootAttempts is how many times the root retries the local rotation
-	// algorithm on the sampled subgraph (local computation is free in
-	// CONGEST). Zero selects 20.
-	RootAttempts int
 }
 
 // node is the per-node program.
@@ -154,10 +157,10 @@ func (u *node) isRoot(ctx *congest.Context) bool {
 	return u.tree != nil && u.tree.IsRoot(ctx.ID())
 }
 
-// pickSamples draws SamplesPerNode distinct incident edges uniformly.
+// pickSamples draws SamplesPerNode(n) distinct incident edges uniformly.
 func (u *node) pickSamples(ctx *congest.Context) {
 	nbs := ctx.Neighbors()
-	k := u.opts.SamplesPerNode
+	k := SamplesPerNode(ctx.N())
 	if k >= len(nbs) {
 		for _, nb := range nbs {
 			u.samples = append(u.samples, graph.Edge{U: ctx.ID(), V: nb})
@@ -270,12 +273,8 @@ func (u *node) solveAtRoot(ctx *congest.Context) {
 		b.AddEdge(e.U, e.V)
 	}
 	sampled := b.Build()
-	attempts := u.opts.RootAttempts
-	if attempts == 0 {
-		attempts = 20
-	}
 	var hc *cycle.Cycle
-	for a := 0; a < attempts; a++ {
+	for a := 0; a < RootAttempts; a++ {
 		c, _, err := rotation.Solve(sampled, ctx.Rand(), rotation.Config{})
 		if err == nil {
 			hc = c
@@ -367,13 +366,10 @@ func (sess *Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph,
 	if opts.B == 0 {
 		opts.B = int64(2*g.BFS(0).Ecc + 1)
 	}
-	if opts.SamplesPerNode == 0 {
-		opts.SamplesPerNode = int(math.Ceil(3 * math.Log(float64(n))))
-	}
 	if netOpts.MaxRounds == 0 {
 		// Upcast/downcast move O(n log n) messages over the root edges in
 		// the worst (star) case.
-		netOpts.MaxRounds = 8*opts.B + int64(n)*int64(opts.SamplesPerNode+2) + 4096
+		netOpts.MaxRounds = 8*opts.B + int64(n)*int64(SamplesPerNode(n)+2) + 4096
 	}
 	sess.progs = arena.Resize(sess.progs, n)
 	sess.nodes = arena.Resize(sess.nodes, n)
