@@ -327,10 +327,11 @@ func BenchmarkGraphRepresentation(b *testing.B) {
 			// Identical Batagelj-Brandes edge stream, stored the way the
 			// seed's Builder did it.
 			src := rng.New(42)
+			logq := math.Log1p(-p)
 			edges := make(map[graph.Edge]struct{})
 			v, w := 1, -1
 			for v < n {
-				w += 1 + src.Geometric(p)
+				w += 1 + src.Geometric(logq)
 				for w >= v && v < n {
 					w -= v
 					v++

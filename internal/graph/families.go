@@ -63,7 +63,7 @@ func ChungLu(n int, avgDeg, exponent float64, src *rng.Source) *Graph {
 		p := math.Min(1, w[u]*w[v]/total)
 		for v < n && p > 0 {
 			if p < 1 {
-				v += src.Geometric(p)
+				v += src.Geometric(math.Log1p(-p))
 			}
 			if v >= n {
 				break
@@ -231,10 +231,11 @@ func iterateBipartite(na, nb int, p float64, src *rng.Source, visit func(i, j in
 		}
 		return
 	}
-	t := int64(src.Geometric(p))
+	logq := math.Log1p(-p)
+	t := int64(src.Geometric(logq))
 	for t < total {
 		visit(int(t/int64(nb)), int(t%int64(nb)))
-		t += 1 + int64(src.Geometric(p))
+		t += 1 + int64(src.Geometric(logq))
 	}
 }
 

@@ -19,9 +19,10 @@ var ErrGeneration = errors.New("graph: generation failed")
 // all smaller neighbors (while v == x, w ascending) and then all larger ones
 // (as w for ascending v > x).
 func iterateGNP(n int, p float64, src *rng.Source, visit func(v, w NodeID)) {
+	logq := math.Log1p(-p)
 	v, w := 1, -1
 	for v < n {
-		w += 1 + src.Geometric(p)
+		w += 1 + src.Geometric(logq)
 		for w >= v && v < n {
 			w -= v
 			v++
@@ -50,6 +51,7 @@ func gnpTuned(n int, p float64, src *rng.Source, tune scatterTuning) *Graph {
 	if p >= 1 {
 		return Complete(n)
 	}
+	logq := math.Log1p(-p)
 	saved := *src // snapshot for the second, identical pass
 	off := make([]int32, n+1)
 	fwd := make([]int32, n) // per-row count of smaller neighbors (v-side visits)
@@ -57,7 +59,7 @@ func gnpTuned(n int, p float64, src *rng.Source, tune scatterTuning) *Graph {
 	{
 		v, w := 1, -1
 		for v < n {
-			w += 1 + src.Geometric(p)
+			w += 1 + src.Geometric(logq)
 			for w >= v && v < n {
 				w -= v
 				v++
@@ -91,7 +93,7 @@ func gnpTuned(n int, p float64, src *rng.Source, tune scatterTuning) *Graph {
 	{
 		v, w := 1, -1
 		for v < n {
-			w += 1 + src.Geometric(p)
+			w += 1 + src.Geometric(logq)
 			for w >= v && v < n {
 				w -= v
 				v++

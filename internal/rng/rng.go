@@ -158,12 +158,15 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 // Geometric samples the number of failures before the first success of a
 // Bernoulli(p) sequence, i.e. a geometric distribution on {0, 1, 2, ...}.
 // It is used to skip over absent edges when generating G(n,p) graphs in
-// expected O(np) time instead of O(n^2).
-func (r *Source) Geometric(p float64) int {
-	if p >= 1 {
+// expected O(np) time instead of O(n^2). The probability arrives as
+// logq = math.Log1p(-p), which skip loops compute once per p rather than
+// once per draw. p = 1 (logq = -Inf) returns 0 and p <= 0 (logq >= 0)
+// returns MaxInt32, both without drawing.
+func (r *Source) Geometric(logq float64) int {
+	if math.IsInf(logq, -1) {
 		return 0
 	}
-	if p <= 0 {
+	if !(logq < 0) {
 		return math.MaxInt32
 	}
 	u := r.Float64()
@@ -171,7 +174,7 @@ func (r *Source) Geometric(p float64) int {
 	if u == 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	k := math.Floor(math.Log(u) / math.Log1p(-p))
+	k := math.Floor(math.Log(u) / logq)
 	if k > math.MaxInt32 {
 		return math.MaxInt32
 	}

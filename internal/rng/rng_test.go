@@ -141,7 +141,7 @@ func TestGeometricMean(t *testing.T) {
 	const p, trials = 0.2, 200000
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		sum += float64(r.Geometric(p))
+		sum += float64(r.Geometric(math.Log1p(-p)))
 	}
 	mean := sum / trials
 	want := (1 - p) / p // mean of geometric on {0,1,...}
@@ -152,10 +152,10 @@ func TestGeometricMean(t *testing.T) {
 
 func TestGeometricEdges(t *testing.T) {
 	r := New(22)
-	if got := r.Geometric(1); got != 0 {
+	if got := r.Geometric(math.Log1p(-1)); got != 0 {
 		t.Fatalf("Geometric(1) = %d, want 0", got)
 	}
-	if got := r.Geometric(0); got != math.MaxInt32 {
+	if got := r.Geometric(math.Log1p(-0)); got != math.MaxInt32 {
 		t.Fatalf("Geometric(0) = %d, want MaxInt32", got)
 	}
 }
