@@ -1,18 +1,19 @@
 // Command hcgen generates random graphs in the repository's edge-list format
 // and reports structural statistics (degrees, connectivity, diameter).
 //
-// A graph is named by the recipe hcsweep cells and POST /solve use (family,
-// n, param, delta, seed) and built by sweep.BuildInstance, so one recipe is
-// one graph in all three; param is the family's density knob (see
-// sweep.Family).
+// A graph is named by its -graph recipe (sweep.Recipe: family, n, param,
+// delta, graph seed), the one hcrun, hcsweep cells and POST /solve use, so one
+// recipe is one graph in all four; param is the family's density knob (see
+// sweep.Family). Omitted keys take the defaults of a bare
+// gnp/n=1024/param=8/delta=1/gs=0.
 //
 // Usage:
 //
-//	hcgen -n 1024 -param 8 -delta 0.5 -seed 3 -o graph.txt
-//	hcgen -family regular -n 100 -param 6
-//	hcgen -family powerlaw -n 4096 -param 4 -delta 1 -stats
-//	hcgen -family hypercube -n 63 -stats
-//	hcgen -family torus -n 1024 -stats
+//	hcgen -graph gnp/n=1024/param=8/delta=0.5/gs=3 -o graph.txt
+//	hcgen -graph regular/n=100/param=6
+//	hcgen -graph powerlaw/n=4096/param=4 -stats
+//	hcgen -graph hypercube/n=63 -stats
+//	hcgen -graph torus/n=1024 -stats
 package main
 
 import (
@@ -41,22 +42,18 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("hcgen", flag.ContinueOnError)
 	var (
-		family = fs.String("family", "gnp", "graph family, as in hcsweep -families and POST /solve")
-		n      = fs.Int("n", 1024, "vertices")
-		param  = fs.Float64("param", 8, "family density parameter (c, regular degree, geometric radius scale)")
-		delta  = fs.Float64("delta", 0.5, "sparsity exponent of p = c ln(n)/n^delta")
-		seed   = fs.Uint64("seed", 1, "generator seed")
+		recipe = fs.String("graph", "gnp", "graph recipe FAMILY/n=N/param=C/delta=D/gs=SEED (omitted keys default)")
 		out    = fs.String("o", "", "write the edge list to this file instead of stdout")
 		stats  = fs.Bool("stats", false, "print statistics instead of the edge list")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fam, err := sweep.ParseFamily(*family)
+	r, err := sweep.ParseRecipe(*recipe)
 	if err != nil {
 		return err
 	}
-	g, err := sweep.BuildInstance(fam, *n, *param, *delta, *seed)
+	g, err := r.Build()
 	if err != nil {
 		return err
 	}
@@ -66,7 +63,7 @@ func run(args []string, w io.Writer) error {
 			g.N(), g.M(), g.AvgDegree(), g.MinDegree(), g.MaxDegree(), g.Connected())
 		if g.Connected() {
 			fmt.Fprintf(w, "diameter>=%d (double-sweep estimate)\n",
-				g.DiameterSampled(4, rng.New(*seed+7)))
+				g.DiameterSampled(4, rng.New(r.GraphSeed+7)))
 		}
 		return nil
 	}

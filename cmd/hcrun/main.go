@@ -1,5 +1,14 @@
-// Command hcrun runs one Hamiltonian-cycle algorithm on one generated random
-// graph and prints the result and cost metrics.
+// Command hcrun runs one Hamiltonian-cycle algorithm on one generated graph
+// and prints the result and cost metrics.
+//
+// The graph is named by its -graph recipe (sweep.Recipe: family, n, param,
+// delta, graph seed), the one hcgen, hcsweep cells and POST /solve use, so
+// one recipe is one graph everywhere; omitted keys take the defaults of a
+// bare gnp/n=1024/param=8/delta=1/gs=0. The recipe's delta is also DHC2's
+// partition exponent. -json prints the result record POST /solve answers
+// with (sweep.Record), failed runs included: it embeds the recipe,
+// algorithm, engine, seed and budgets, so pasting them back into hcrun
+// reproduces it.
 //
 // The run is a solver session: Ctrl-C cancels it at the engine's next
 // amortized checkpoint (the exit message reports the canceled failure
@@ -8,53 +17,67 @@
 //
 // Usage:
 //
-//	hcrun -algo dhc2 -n 1024 -c 16 -delta 0.5 -seed 1 -engine step
-//	hcrun -algo upcast -n 512 -p 0.3 -json
-//	hcrun -algo dhc1 -n 4096 -engine exact -progress -timeout 30s
+//	hcrun -algo dhc2 -graph gnp/n=1024/param=2/delta=0.5 -seed 1 -engine step
+//	hcrun -algo upcast -graph gnp/n=512/param=8/gs=3 -json
+//	hcrun -algo dra -graph torus/n=1024 -engine step
+//	hcrun -algo dhc1 -graph gnp/n=4096/param=4/delta=0.5 -progress -timeout 30s
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"dhc"
+	"dhc/internal/sweep"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "hcrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// solve is the solver entry point run calls; tests swap it to observe the
+// graph a recipe built.
+var solve = dhc.SolveContext
+
+// run parses args, builds the -graph recipe, solves it and writes the result
+// to stdout (progress and the flag usage to stderr).
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("hcrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		algoName  = flag.String("algo", "dhc2", "algorithm: dra, dhc1, dhc2, upcast")
-		n         = flag.Int("n", 1024, "number of vertices")
-		p         = flag.Float64("p", 0, "edge probability (overrides -c/-delta)")
-		c         = flag.Float64("c", 16, "density constant of p = c ln(n)/n^delta")
-		delta     = flag.Float64("delta", 0.5, "sparsity exponent delta")
-		seed      = flag.Uint64("seed", 1, "run seed (graph uses seed+1)")
-		engine    = flag.String("engine", "exact", "engine: exact or step")
-		bound     = flag.Int64("bound", 0, "broadcast-bound override B for the exact engines (0 = tight default)")
-		maxR      = flag.Int64("maxrounds", 0, "round-budget override for the exact engines (0 = derived default)")
-		timeout   = flag.Duration("timeout", 0, "wall-clock bound on the run (0 = none)")
-		progress  = flag.Bool("progress", false, "stream phases, restarts and round progress to stderr")
-		workers   = flag.Int("workers", 1, "step-engine parallel workers (phase-1 shards and phase-2 merge tree); the exact engine ignores it")
-		colors    = flag.Int("colors", 0, "override partition count K")
-		shards    = flag.Int("shards", 0, "run the exact engine distributed across this many shard workers (0/1 = in-process)")
-		transport = flag.String("transport", "", "shard transport when -shards > 1: unix (default, goroutine workers behind unix sockets) or proc (real hcshard processes)")
-		shardBin  = flag.String("shardbin", "", "hcshard binary for -transport proc (default: resolve hcshard via PATH)")
-		asJSON    = flag.Bool("json", false, "JSON output")
-		quiet     = flag.Bool("q", false, "suppress the cycle itself")
+		algoName  = fs.String("algo", "dhc2", "algorithm: dra, dhc1, dhc2, upcast")
+		recipe    = fs.String("graph", "gnp", "graph recipe FAMILY/n=N/param=C/delta=D/gs=SEED (omitted keys default)")
+		seed      = fs.Uint64("seed", 1, "solver seed (the graph seed is the recipe's gs)")
+		engine    = fs.String("engine", "exact", "engine: exact or step")
+		bound     = fs.Int64("bound", 0, "broadcast-bound override B for the exact engines (0 = tight default)")
+		maxR      = fs.Int64("maxrounds", 0, "round-budget override for the exact engines (0 = derived default)")
+		timeout   = fs.Duration("timeout", 0, "wall-clock bound on the run (0 = none)")
+		progress  = fs.Bool("progress", false, "stream phases, restarts and round progress to stderr")
+		workers   = fs.Int("workers", 1, "step-engine parallel workers (phase-1 shards and phase-2 merge tree); the exact engine ignores it")
+		colors    = fs.Int("colors", 0, "override partition count K")
+		shards    = fs.Int("shards", 0, "run the exact engine distributed across this many shard workers (0/1 = in-process)")
+		transport = fs.String("transport", "", "shard transport when -shards > 1: unix (default, goroutine workers behind unix sockets) or proc (real hcshard processes)")
+		shardBin  = fs.String("shardbin", "", "hcshard binary for -transport proc (default: resolve hcshard via PATH)")
+		asJSON    = fs.Bool("json", false, "print the result record as JSON")
+		quiet     = fs.Bool("q", false, "suppress the cycle itself")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	algo, err := dhc.ParseAlgorithm(*algoName)
 	if err != nil {
@@ -64,15 +87,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	prob := *p
-	if prob == 0 {
-		prob = dhc.ThresholdP(*n, *c, *delta)
+	r, err := sweep.ParseRecipe(*recipe)
+	if err != nil {
+		return err
 	}
-	g := dhc.NewGNP(*n, prob, *seed+1)
+	g, err := r.Build()
+	if err != nil {
+		return err
+	}
 	opts := dhc.Options{
 		Seed:           *seed,
 		Engine:         eng,
-		Delta:          *delta,
+		Delta:          r.Delta,
 		NumColors:      *colors,
 		Workers:        *workers,
 		BroadcastBound: *bound,
@@ -82,7 +108,7 @@ func run() error {
 		ShardBinary:    *shardBin,
 	}
 	if *progress {
-		opts.Observer = progressObserver()
+		opts.Observer = progressObserver(stderr)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -91,79 +117,60 @@ func run() error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	res, err := dhc.SolveContext(ctx, g, algo, opts)
+	res, err := solve(ctx, g, algo, opts)
+	if *asJSON {
+		rec := sweep.NewRecord(r.String(), algo, opts, g, res, err)
+		if err == nil && !*quiet {
+			rec.Cycle = res.Cycle.Order()
+		}
+		// A failed run prints its record too; its error sets the exit status.
+		if encErr := json.NewEncoder(stdout).Encode(rec); err == nil {
+			return encErr
+		}
+	}
 	if err != nil {
 		if class := dhc.Classify(err); class == dhc.FailureCanceled {
 			return fmt.Errorf("run canceled (class %s): %w", class, err)
 		}
 		return err
 	}
-	if *asJSON {
-		out := map[string]any{
-			"algo":   algo.String(),
-			"n":      *n,
-			"m":      g.M(),
-			"p":      prob,
-			"rounds": res.Rounds,
-			"steps":  res.Steps,
-			"phase1": res.Phase1Rounds,
-			"phase2": res.Phase2Rounds,
-		}
-		if res.Counters != nil {
-			out["messages"] = res.Counters.Messages
-			out["bits"] = res.Counters.Bits
-			out["maxMemWords"] = res.Counters.MemoryDistribution().Max
-		}
-		if res.ShardStats != nil {
-			out["shards"] = res.ShardStats
-		}
-		if !*quiet {
-			out["cycle"] = res.Cycle.Order()
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
-	}
-	fmt.Printf("%s on G(n=%d, p=%.5f) (m=%d): rounds=%d steps=%d\n",
-		algo, *n, prob, g.M(), res.Rounds, res.Steps)
+	fmt.Fprintf(stdout, "%s on %s (m=%d): rounds=%d steps=%d\n", algo, r, g.M(), res.Rounds, res.Steps)
 	if res.Phase1Rounds > 0 {
-		fmt.Printf("  phase1=%d rounds, phase2=%d rounds\n", res.Phase1Rounds, res.Phase2Rounds)
+		fmt.Fprintf(stdout, "  phase1=%d rounds, phase2=%d rounds\n", res.Phase1Rounds, res.Phase2Rounds)
 	}
 	if res.Counters != nil {
 		mem := res.Counters.MemoryDistribution()
-		fmt.Printf("  messages=%d bits=%d maxMsgBits=%d memMax=%d memP50=%d\n",
+		fmt.Fprintf(stdout, "  messages=%d bits=%d maxMsgBits=%d memMax=%d memP50=%d\n",
 			res.Counters.Messages, res.Counters.Bits, res.Counters.MaxMessageBits,
 			mem.Max, mem.P50)
 	}
-	if res.ShardStats != nil {
-		for _, st := range res.ShardStats {
-			fmt.Printf("  shard %d [%d,%d): sent=%dB recv=%dB busy=%.3fs rtts=%d local=%d cross=%d batch=%dB (fixed %dB)\n",
-				st.Shard, st.Lo, st.Hi, st.BytesSent, st.BytesRecv, st.BusySeconds,
-				st.RTTs, st.LocalMsgs, st.CrossMsgs, st.BatchBytesDelta, st.BatchBytesFixed)
-		}
+	for _, st := range res.ShardStats {
+		fmt.Fprintf(stdout, "  shard %d [%d,%d): sent=%dB recv=%dB busy=%.3fs rtts=%d local=%d cross=%d batch=%dB (fixed %dB)\n",
+			st.Shard, st.Lo, st.Hi, st.BytesSent, st.BytesRecv, st.BusySeconds,
+			st.RTTs, st.LocalMsgs, st.CrossMsgs, st.BatchBytesDelta, st.BatchBytesFixed)
 	}
 	if !*quiet {
-		fmt.Printf("  cycle: %v\n", res.Cycle)
+		fmt.Fprintf(stdout, "  cycle: %v\n", res.Cycle)
 	}
 	return nil
 }
 
-// progressObserver streams the run's lifecycle to stderr: every phase
-// transition and restart, plus round progress throttled to once per second
-// (the exact engine's OnRounds checkpoint fires far more often).
-func progressObserver() *dhc.Observer {
+// progressObserver streams the run's lifecycle to w: every phase transition
+// and restart, plus round progress throttled to once per second (the exact
+// engine's OnRounds checkpoint fires far more often).
+func progressObserver(w io.Writer) *dhc.Observer {
 	var lastBeat time.Time
 	return &dhc.Observer{
 		OnPhase: func(phase string) {
-			fmt.Fprintf(os.Stderr, "hcrun: entering %s\n", phase)
+			fmt.Fprintf(w, "hcrun: entering %s\n", phase)
 		},
 		OnRestart: func(restarts int) {
-			fmt.Fprintf(os.Stderr, "hcrun: restart (%d so far)\n", restarts)
+			fmt.Fprintf(w, "hcrun: restart (%d so far)\n", restarts)
 		},
 		OnRounds: func(rounds int64) {
 			if now := time.Now(); now.Sub(lastBeat) >= time.Second {
 				lastBeat = now
-				fmt.Fprintf(os.Stderr, "hcrun: %d rounds charged\n", rounds)
+				fmt.Fprintf(w, "hcrun: %d rounds charged\n", rounds)
 			}
 		},
 	}

@@ -75,7 +75,7 @@ func main() {
 }
 
 // gridConfig is the JSON grid spec (-config); string axes are resolved into
-// a sweep.Grid. Flags fill any axis the file leaves empty.
+// a sweep.Grid. Flags fill any axis the file omits.
 type gridConfig struct {
 	Families    []string  `json:"families"`
 	Sizes       []int     `json:"sizes"`
@@ -214,11 +214,11 @@ func buildGrid(configPath, families, sizes, params string, delta float64,
 		if err != nil {
 			return sweep.Grid{}, err
 		}
-		var file gridConfig
-		if err := json.Unmarshal(data, &file); err != nil {
+		// Decoding over the flag values replaces exactly the fields the
+		// file names.
+		if err := json.Unmarshal(data, &cfg); err != nil {
 			return sweep.Grid{}, fmt.Errorf("bad -config %s: %w", configPath, err)
 		}
-		cfg = mergeConfig(cfg, file)
 	}
 
 	if cfg.Trials <= 0 {
@@ -253,42 +253,6 @@ func buildGrid(configPath, families, sizes, params string, delta float64,
 		grid.Engines = append(grid.Engines, e)
 	}
 	return grid, nil
-}
-
-// mergeConfig overlays the config file's non-empty fields on the flag
-// defaults.
-func mergeConfig(base, file gridConfig) gridConfig {
-	if len(file.Families) > 0 {
-		base.Families = file.Families
-	}
-	if len(file.Sizes) > 0 {
-		base.Sizes = file.Sizes
-	}
-	if len(file.Params) > 0 {
-		base.Params = file.Params
-	}
-	if file.Delta != 0 {
-		base.Delta = file.Delta
-	}
-	if len(file.Algos) > 0 {
-		base.Algos = file.Algos
-	}
-	if len(file.Engines) > 0 {
-		base.Engines = file.Engines
-	}
-	if file.Trials != 0 {
-		base.Trials = file.Trials
-	}
-	if file.MasterSeed != 0 {
-		base.MasterSeed = file.MasterSeed
-	}
-	if file.NumColors != 0 {
-		base.NumColors = file.NumColors
-	}
-	if file.MaxAttempts != 0 {
-		base.MaxAttempts = file.MaxAttempts
-	}
-	return base
 }
 
 // traceObserver builds the -trace observer for one cell: first entry into

@@ -67,34 +67,6 @@ func NewRandomRegular(n, d int, seed uint64) (*Graph, error) {
 	return graph.RandomRegular(n, d, rng.New(seed))
 }
 
-// NewChungLu samples a Chung–Lu expected-degree power-law graph with mean
-// degree avgDeg and tail exponent > 2, deterministically from the seed.
-func NewChungLu(n int, avgDeg, exponent float64, seed uint64) *Graph {
-	return graph.ChungLu(n, avgDeg, exponent, rng.New(seed))
-}
-
-// NewGeometric samples a random geometric graph: n uniform points on the
-// unit square, edges between points within the given radius.
-func NewGeometric(n int, radius float64, seed uint64) *Graph {
-	return graph.Geometric(n, radius, rng.New(seed))
-}
-
-// NewSBM samples a stochastic block model with k contiguous near-equal
-// blocks, in-block edge probability pIn and cross-block probability pOut.
-func NewSBM(n, k int, pIn, pOut float64, seed uint64) *Graph {
-	return graph.SBM(n, k, pIn, pOut, rng.New(seed))
-}
-
-// NewHypercube returns the dim-dimensional hypercube Q_dim (deterministic).
-func NewHypercube(dim int) *Graph {
-	return graph.Hypercube(dim)
-}
-
-// NewTorus returns the rows×cols wraparound torus lattice (deterministic).
-func NewTorus(rows, cols int) *Graph {
-	return graph.Torus(rows, cols)
-}
-
 // ThresholdP returns p = c·ln(n)/n^delta, the paper's edge-probability
 // parameterization (clamped to [0, 1]).
 func ThresholdP(n int, c, delta float64) float64 {

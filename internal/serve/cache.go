@@ -67,16 +67,16 @@ func hashGraph(g *dhc.Graph) cacheKey {
 // hashSolve combines a graph digest with the outcome-shaping solver fields
 // into the replay-cache key. Constant-time: the graph's cost lives entirely
 // in its digest.
-func hashSolve(digest cacheKey, algo dhc.Algorithm, cfg solverConfig, seed uint64, includeCycle bool) cacheKey {
+func hashSolve(digest cacheKey, algo dhc.Algorithm, opts dhc.Options, seed uint64, includeCycle bool) cacheKey {
 	h := sha256.New()
 	buf := digest[:]
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	u64(uint64(algo))
-	u64(uint64(cfg.engine))
-	u64(math.Float64bits(cfg.delta))
-	u64(uint64(int64(cfg.numColors)))
-	u64(uint64(int64(cfg.maxAttempts)))
-	u64(uint64(cfg.maxRounds))
+	u64(uint64(opts.Engine))
+	u64(math.Float64bits(opts.Delta))
+	u64(uint64(int64(opts.NumColors)))
+	u64(uint64(int64(opts.MaxAttempts)))
+	u64(uint64(opts.MaxRounds))
 	u64(seed)
 	if includeCycle {
 		u64(1)
@@ -168,10 +168,12 @@ func newRecipeCache(capacity int) *lru[string, cacheKey] {
 }
 
 // replayEntry is one cached response: the HTTP status and the exact body
-// bytes that were computed for the key. Replaying the stored bytes (rather
-// than re-marshalling a stored struct) is what makes the byte-identity
-// contract trivially true — the test in serve_test.go asserts it end to end.
+// bytes that were computed for the key, under the recipe text the body
+// records. Replaying the stored bytes (rather than re-marshalling a stored
+// struct) is what makes the byte-identity contract trivially true — the test
+// in serve_test.go asserts it end to end.
 type replayEntry struct {
 	status int
+	recipe string
 	body   []byte
 }

@@ -7,40 +7,17 @@ import (
 	"dhc"
 )
 
-// solverConfig is the comparable subset of dhc.Options a pooled session is
-// keyed by: everything that shapes the session's engine arena or its results.
-// Seed is excluded (it is a per-trial input via SolveSeeded), and so is the
-// Observer (streaming requests attach one per call via dhc.Options on a
-// dedicated construction — see handleStream).
-type solverConfig struct {
-	engine      dhc.Engine
-	delta       float64
-	numColors   int
-	maxAttempts int
-	maxRounds   int64
-	workers     int
-}
-
-// options expands the config back into dhc.Options.
-func (c solverConfig) options() dhc.Options {
-	return dhc.Options{
-		Engine:      c.engine,
-		Delta:       c.delta,
-		NumColors:   c.numColors,
-		MaxAttempts: c.maxAttempts,
-		MaxRounds:   c.maxRounds,
-		Workers:     c.workers,
-	}
-}
-
 // poolKey identifies one free list of interchangeable sessions. Sessions are
 // additionally keyed by the n-class of the instances they have run — the
 // next power of two of n — because a session's arena grows to its largest
 // run: without the class a single huge request would pin every later small
 // request to an oversized arena, and mixed sizes would defeat arena reuse.
+// The options are a request's dhc.Options without its seed (a per-trial
+// input via SolveSeeded) and without an Observer (streaming requests attach
+// one on a dedicated session — see handleStream).
 type poolKey struct {
 	algo   dhc.Algorithm
-	cfg    solverConfig
+	opts   dhc.Options
 	nClass int
 }
 
@@ -90,7 +67,7 @@ func (p *solverPool) get(key poolKey) (*dhc.Solver, error) {
 	}
 	p.created++
 	p.mu.Unlock()
-	return dhc.NewSolver(key.algo, key.cfg.options())
+	return dhc.NewSolver(key.algo, key.opts)
 }
 
 // put returns a session to its free list, dropping it when the list is full.

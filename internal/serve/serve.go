@@ -19,7 +19,9 @@
 // The failure taxonomy survives the wire: dhc.Classify's classes map to
 // distinct HTTP statuses (ok 200, no_hc 404, round_limit 422, canceled 504,
 // error 400) and the JSON body carries the class name and message, so a
-// client can rebuild the same statistics a local harness would.
+// client can rebuild the same statistics a local harness would. A generated
+// instance is a sweep.Recipe and every body a sweep.Record, the recipe and
+// record hcrun -graph and hcrun -json use.
 package serve
 
 import (
@@ -80,9 +82,11 @@ func (c Config) withDefaults() Config {
 }
 
 // SolveRequest is the JSON body of POST /solve and POST /solve/stream. The
-// instance is either generated (family/n/param/delta/graph_seed, the same
-// parameterization as a sweep cell) or explicit (n plus an edge list);
-// exactly one of the two forms must be used.
+// instance is either generated (family/n/param/delta/graph_seed, decoded
+// into the sweep.Recipe hcrun -graph and hcgen -graph name, zero fields
+// taking its defaults) or explicit (n plus an edge list); exactly one of the
+// two forms must be used. Both answer with a sweep.Record, the record
+// hcrun -json prints.
 type SolveRequest struct {
 	// Family selects a generator ("gnp", "gnm", "regular", "powerlaw",
 	// "geometric", "sbm", "hypercube", "torus"); empty means explicit edges.
@@ -105,7 +109,7 @@ type SolveRequest struct {
 	// (instance, algo, options, seed).
 	Seed uint64 `json:"seed"`
 	// Delta is the threshold/partition exponent (generator families that use
-	// it, and DHC2); 0 defaults to 1.
+	// it, and DHC2); 0 defaults to 1, as in every recipe.
 	Delta float64 `json:"delta,omitempty"`
 	// NumColors / MaxAttempts / MaxRounds are the solver budget overrides,
 	// with dhc.Options semantics (0 = derived defaults).
@@ -119,41 +123,15 @@ type SolveRequest struct {
 	IncludeCycle bool `json:"include_cycle,omitempty"`
 }
 
-// SolveResponse is the JSON body of a solve outcome. It carries no
-// wall-clock or host fields: the body is a pure function of the request,
-// which is what lets the replay cache serve stored bytes. (Wall-clock surfaces
-// in the X-Solve-Wall-MS header, and cache state in X-Cache, outside the
-// cached body.)
-type SolveResponse struct {
-	// Status is the dhc failure-class name: "ok", "no_hc", "round_limit",
-	// "canceled", or "error".
-	Status string `json:"status"`
-	// N and M echo the solved instance's shape.
-	N int   `json:"n,omitempty"`
-	M int64 `json:"m,omitempty"`
-	// Rounds/Steps and the phase split are the run's charged costs (ok only).
-	Rounds       int64 `json:"rounds,omitempty"`
-	Steps        int64 `json:"steps,omitempty"`
-	Phase1Rounds int64 `json:"phase1_rounds,omitempty"`
-	Phase2Rounds int64 `json:"phase2_rounds,omitempty"`
-	// Messages/Bits are the exact engine's counters (zero for step).
-	Messages int64 `json:"messages,omitempty"`
-	Bits     int64 `json:"bits,omitempty"`
-	// Cycle is the Hamiltonian cycle's visit order (include_cycle only).
-	Cycle []graph.NodeID `json:"cycle,omitempty"`
-	// Error is the failure message for non-ok statuses.
-	Error string `json:"error,omitempty"`
-}
-
 // StreamEvent is one line of the POST /solve/stream ndjson response: progress
 // events ("phase", "rounds", "restart") as the solve advances, then a final
-// "result" event embedding the same SolveResponse a plain solve returns.
+// "result" event embedding the same record a plain solve returns.
 type StreamEvent struct {
-	Event    string         `json:"event"`
-	Phase    string         `json:"phase,omitempty"`
-	Rounds   int64          `json:"rounds,omitempty"`
-	Restarts int            `json:"restarts,omitempty"`
-	Result   *SolveResponse `json:"result,omitempty"`
+	Event    string        `json:"event"`
+	Phase    string        `json:"phase,omitempty"`
+	Rounds   int64         `json:"rounds,omitempty"`
+	Restarts int           `json:"restarts,omitempty"`
+	Result   *sweep.Record `json:"result,omitempty"`
 }
 
 // Stats is the GET /stats payload.
@@ -271,10 +249,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 type parsedRequest struct {
 	req    SolveRequest
 	g      *dhc.Graph
-	fam    sweep.Family
-	recipe string // generator recipe key; "" for explicit instances
+	recipe sweep.Recipe
+	text   string // recipe.String(); "" for explicit instances
 	algo   dhc.Algorithm
-	cfg    solverConfig
+	opts   dhc.Options // seedless, as the session pool keys them
 }
 
 // parseSolve validates and resolves a request body. Every rejection is a
@@ -289,12 +267,6 @@ func (s *Server) parseSolve(r *http.Request) (*parsedRequest, error) {
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("serve: bad request body: %w", err)
 	}
-	if req.N < 3 {
-		return nil, fmt.Errorf("serve: n = %d below the minimum cycle length 3", req.N)
-	}
-	if req.N > s.cfg.MaxN {
-		return nil, fmt.Errorf("serve: n = %d exceeds the server's limit %d", req.N, s.cfg.MaxN)
-	}
 	algo, err := dhc.ParseAlgorithm(req.Algo)
 	if err != nil {
 		return nil, err
@@ -308,23 +280,27 @@ func (s *Server) parseSolve(r *http.Request) (*parsedRequest, error) {
 	if req.MaxRounds < 0 || req.MaxAttempts < 0 || req.NumColors < 0 || req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("serve: negative budget field")
 	}
-	delta := req.Delta
-	if delta == 0 {
-		delta = 1
+	recipe := sweep.Recipe{N: req.N, Param: req.Param, Delta: req.Delta, GraphSeed: req.GraphSeed}
+	if req.Family != "" {
+		if recipe.Family, err = sweep.ParseFamily(req.Family); err != nil {
+			return nil, err
+		}
+	}
+	recipe = recipe.WithDefaults()
+	if recipe.N > s.cfg.MaxN {
+		return nil, fmt.Errorf("serve: n = %d exceeds the server's limit %d", recipe.N, s.cfg.MaxN)
+	}
+	if err := recipe.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 
 	var g *dhc.Graph
-	var fam sweep.Family
-	var recipe string
+	var text string
 	switch {
 	case req.Family != "" && len(req.Edges) > 0:
 		return nil, fmt.Errorf("serve: family and edges are mutually exclusive")
 	case req.Family != "":
-		if fam, err = sweep.ParseFamily(req.Family); err != nil {
-			return nil, err
-		}
-		recipe = fmt.Sprintf("%s/n=%d/param=%g/delta=%g/gs=%d",
-			fam, req.N, req.Param, delta, req.GraphSeed)
+		text = recipe.String()
 	case len(req.Edges) > 0:
 		edges := make([]graph.Edge, len(req.Edges))
 		for i, e := range req.Edges {
@@ -342,16 +318,16 @@ func (s *Server) parseSolve(r *http.Request) (*parsedRequest, error) {
 	return &parsedRequest{
 		req:    req,
 		g:      g,
-		fam:    fam,
 		recipe: recipe,
+		text:   text,
 		algo:   algo,
-		cfg: solverConfig{
-			engine:      engine,
-			delta:       delta,
-			numColors:   req.NumColors,
-			maxAttempts: req.MaxAttempts,
-			maxRounds:   req.MaxRounds,
-			workers:     s.cfg.Workers,
+		opts: dhc.Options{
+			Engine:      engine,
+			Delta:       recipe.Delta,
+			NumColors:   req.NumColors,
+			MaxAttempts: req.MaxAttempts,
+			MaxRounds:   req.MaxRounds,
+			Workers:     s.cfg.Workers,
 		},
 	}, nil
 }
@@ -362,12 +338,9 @@ func (s *Server) materialize(p *parsedRequest) error {
 	if p.g != nil {
 		return nil
 	}
-	g, err := sweep.BuildInstance(p.fam, p.req.N, p.req.Param, p.cfg.delta, p.req.GraphSeed)
-	if err != nil {
-		return err
-	}
-	p.g = g
-	return nil
+	var err error
+	p.g, err = p.recipe.Build()
+	return err
 }
 
 // solveKey computes the request's replay-cache key. Explicit instances are
@@ -376,20 +349,20 @@ func (s *Server) materialize(p *parsedRequest) error {
 // deterministic, so the memoized digest is exact).
 func (s *Server) solveKey(p *parsedRequest) (cacheKey, error) {
 	var digest cacheKey
-	if p.recipe != "" {
-		if d, ok := s.recipes.get(p.recipe); ok {
+	if p.text != "" {
+		if d, ok := s.recipes.get(p.text); ok {
 			digest = d
 		} else {
 			if err := s.materialize(p); err != nil {
 				return cacheKey{}, err
 			}
 			digest = hashGraph(p.g)
-			s.recipes.put(p.recipe, digest)
+			s.recipes.put(p.text, digest)
 		}
 	} else {
 		digest = hashGraph(p.g)
 	}
-	return hashSolve(digest, p.algo, p.cfg, p.req.Seed, p.req.IncludeCycle), nil
+	return hashSolve(digest, p.algo, p.opts, p.req.Seed, p.req.IncludeCycle), nil
 }
 
 // admit acquires a solve slot, waiting in the bounded queue. It returns a
@@ -435,21 +408,22 @@ func (s *Server) deadline(ctx context.Context, req *SolveRequest) (context.Conte
 	return context.WithTimeout(ctx, timeout)
 }
 
-// runSolve executes one admitted request on a pooled session and renders the
-// deterministic response body. It is the panic boundary: a panicking solve
+// runSolve executes one admitted request on a pooled session and returns
+// its status and deterministic record. It is the panic boundary: a panicking solve
 // becomes a FailureError response with status 500 — the request may be
 // fine, the server failed it — and, since the panic unwinds past pool.put,
 // its session, whose state the panic may have left half-written, is dropped
 // instead of pooled.
-func (s *Server) runSolve(ctx context.Context, p *parsedRequest, obs *dhc.Observer) (status int, body []byte) {
+func (s *Server) runSolve(ctx context.Context, p *parsedRequest, obs *dhc.Observer) (status int, rec sweep.Record) {
+	opts := p.opts
+	opts.Seed = p.req.Seed
 	defer func() {
 		if v := recover(); v != nil {
 			status = http.StatusInternalServerError
-			body = mustJSON(SolveResponse{Status: dhc.FailureError.String(), N: p.g.N(), M: int64(p.g.M()),
-				Error: fmt.Sprintf("serve: solver panicked: %v", v)})
+			rec = sweep.NewRecord(p.text, p.algo, opts, p.g, nil, fmt.Errorf("serve: solver panicked: %v", v))
 		}
 	}()
-	key := poolKey{algo: p.algo, cfg: p.cfg, nClass: nClass(p.g.N())}
+	key := poolKey{algo: p.algo, opts: p.opts, nClass: nClass(p.g.N())}
 	var (
 		res *dhc.Result
 		err error
@@ -458,10 +432,10 @@ func (s *Server) runSolve(ctx context.Context, p *parsedRequest, obs *dhc.Observ
 		// Streaming requests need a per-request Observer, which is per-session
 		// state; they use a dedicated session instead of a pooled one so the
 		// pooled sessions stay observer-free (and therefore shareable).
-		opts := p.cfg.options()
-		opts.Observer = obs
+		streamOpts := p.opts
+		streamOpts.Observer = obs
 		var solver *dhc.Solver
-		if solver, err = dhc.NewSolver(p.algo, opts); err == nil {
+		if solver, err = dhc.NewSolver(p.algo, streamOpts); err == nil {
 			res, err = s.solve(ctx, solver, p.g, p.req.Seed)
 		}
 	} else {
@@ -474,25 +448,11 @@ func (s *Server) runSolve(ctx context.Context, p *parsedRequest, obs *dhc.Observ
 		}
 	}
 
-	class := dhc.Classify(err)
-	resp := SolveResponse{Status: class.String(), N: p.g.N(), M: int64(p.g.M())}
-	if err != nil {
-		resp.Error = err.Error()
+	rec = sweep.NewRecord(p.text, p.algo, opts, p.g, res, err)
+	if err == nil && p.req.IncludeCycle {
+		rec.Cycle = res.Cycle.Order()
 	}
-	if class == dhc.FailureNone {
-		resp.Rounds = res.Rounds
-		resp.Steps = res.Steps
-		resp.Phase1Rounds = res.Phase1Rounds
-		resp.Phase2Rounds = res.Phase2Rounds
-		if res.Counters != nil {
-			resp.Messages = res.Counters.Messages
-			resp.Bits = res.Counters.Bits
-		}
-		if p.req.IncludeCycle {
-			resp.Cycle = res.Cycle.Order()
-		}
-	}
-	return statusFor(class), mustJSON(resp)
+	return statusFor(dhc.Classify(err)), rec
 }
 
 // cacheable reports whether a response may be replayed: only deterministic
@@ -519,10 +479,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if entry, ok := s.cache.get(key); ok {
+		body := entry.body
+		if entry.recipe != p.text {
+			// Another recipe or an edge list named the same graph: the
+			// outcome is shared, the recipe in the record is this request's.
+			var rec sweep.Record
+			json.Unmarshal(body, &rec)
+			rec.Recipe = p.text
+			body = mustJSON(rec)
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "hit")
 		w.WriteHeader(entry.status)
-		w.Write(entry.body)
+		w.Write(body)
 		return
 	}
 
@@ -544,7 +513,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if cacheable(status) {
-		s.cache.put(key, replayEntry{status: status, body: body})
+		s.cache.put(key, replayEntry{status: status, recipe: p.text, body: body})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", "miss")
@@ -565,8 +534,8 @@ func (s *Server) solveInSlot(ctx context.Context, p *parsedRequest, release func
 	}
 	ctx, cancel := s.deadline(ctx, &p.req)
 	defer cancel()
-	status, body := s.runSolve(ctx, p, nil)
-	return status, body, nil
+	status, rec := s.runSolve(ctx, p, nil)
+	return status, mustJSON(rec), nil
 }
 
 // handleStream is the chunked-ndjson variant: progress events from the
@@ -630,10 +599,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.deadline(r.Context(), &p.req)
 	defer cancel()
-	_, body := s.runSolve(ctx, p, obs)
-	var resp SolveResponse
-	json.Unmarshal(body, &resp)
-	emit(StreamEvent{Event: "result", Result: &resp})
+	_, rec := s.runSolve(ctx, p, obs)
+	emit(StreamEvent{Event: "result", Result: &rec})
 }
 
 // writeJSONError renders a non-outcome failure in the response shape; the
@@ -642,7 +609,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 func writeJSONError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(mustJSON(SolveResponse{Status: dhc.Classify(err).String(), Error: err.Error()}))
+	w.Write(mustJSON(sweep.Record{Status: dhc.Classify(err).String(), Error: err.Error()}))
 }
 
 // mustJSON marshals a value the package fully controls.

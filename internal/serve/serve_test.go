@@ -19,6 +19,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -41,9 +42,9 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, data
 }
 
-func decodeResponse(t *testing.T, data []byte) SolveResponse {
+func decodeResponse(t *testing.T, data []byte) sweep.Record {
 	t.Helper()
-	var sr SolveResponse
+	var sr sweep.Record
 	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatalf("bad response body %q: %v", data, err)
 	}
@@ -452,7 +453,7 @@ func TestRecipeMemoSkipsGeneration(t *testing.T) {
 	}
 	// The memoized digest must equal the instance's content digest — that
 	// equality is what makes serving from the memo sound.
-	g, err := sweep.BuildInstance(sweep.FamilyGNP, 48, 40, 1, 0)
+	g, err := sweep.Recipe{Family: sweep.FamilyGNP, N: 48, Param: 40, Delta: 1}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +494,9 @@ func TestRecipeCacheLRU(t *testing.T) {
 
 // TestExplicitEdgesMatchGeneratedInstance pins the content-addressed cache
 // key: posting a generated instance's explicit edge list hits the entry its
-// generated form created.
+// generated form created. The hit answers with the outcome the generated
+// solve computed but records no recipe, byte for byte what a fresh server
+// computes for the edge list.
 func TestExplicitEdgesMatchGeneratedInstance(t *testing.T) {
 	g := dhc.NewGNP(24, dhc.ThresholdP(24, 40, 1), 9)
 	var sb strings.Builder
@@ -508,13 +511,23 @@ func TestExplicitEdgesMatchGeneratedInstance(t *testing.T) {
 
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
+	fresh := httptest.NewServer(New(Config{}).Handler())
+	defer fresh.Close()
 	_, genBody := postJSON(t, ts.URL+"/solve", generated)
 	resp, expBody := postJSON(t, ts.URL+"/solve", explicit)
 	if resp.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("explicit edge list X-Cache = %q, want hit (content-addressed key)", resp.Header.Get("X-Cache"))
 	}
-	if !bytes.Equal(genBody, expBody) {
-		t.Fatalf("generated and explicit bodies differ:\n  %s\n  %s", genBody, expBody)
+	if _, want := postJSON(t, fresh.URL+"/solve", explicit); !bytes.Equal(expBody, want) {
+		t.Fatalf("replayed explicit body differs from a fresh computation:\n  %s\n  %s", expBody, want)
+	}
+	gen, exp := decodeResponse(t, genBody), decodeResponse(t, expBody)
+	if gen.Recipe != "gnp/n=24/param=40/delta=1/gs=9" || exp.Recipe != "" {
+		t.Fatalf("recipes %q (generated) and %q (explicit)", gen.Recipe, exp.Recipe)
+	}
+	gen.Recipe = ""
+	if !reflect.DeepEqual(gen, exp) {
+		t.Fatalf("generated and explicit records differ beyond the recipe:\n  %s\n  %s", genBody, expBody)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // when a later trial hit a genuine configuration error — that message is the
 // one hcsweep -validate prints for the cell.
 func TestFirstErrorPrefersConfigErrors(t *testing.T) {
-	cell := Cell{Family: FamilyGNP, N: 64, Param: 1.5, Delta: 1,
+	cell := Cell{Recipe: Recipe{Family: FamilyGNP, N: 64, Param: 1.5, Delta: 1},
 		Algo: dhc.AlgorithmDRA, Engine: step()[0]}
 	noHC := trialOutcome{class: dhc.FailureNoHC, err: errors.New("dhc: no Hamiltonian cycle found")}
 	cfg := trialOutcome{class: dhc.FailureError, err: errors.New("dhc: delta 7 outside (0, 1]")}
@@ -102,16 +102,16 @@ func TestConstructorErrorSurfacesAsFailError(t *testing.T) {
 // same outcome a session trial does (the solver determinism contract), never
 // dereference the nil pointer.
 func TestRunTrialNilSolver(t *testing.T) {
-	grid := Grid{Delta: 1}
-	cell := Cell{Family: FamilyGNP, N: 48, Param: 1.5, Delta: 1,
+	cell := Cell{Recipe: Recipe{Family: FamilyGNP, N: 48, Param: 1.5, Delta: 1},
 		Algo: dhc.AlgorithmDRA, Engine: step()[0]}
 
-	solver, err := dhc.NewSolver(cell.Algo, dhc.Options{Engine: dhc.EngineStep, Delta: 1})
+	opts := dhc.Options{Engine: dhc.EngineStep, Delta: 1}
+	solver, err := dhc.NewSolver(cell.Algo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withSession := runTrial(context.Background(), &grid, cell, solver, rng.New(9))
-	fallback := runTrial(context.Background(), &grid, cell, nil, rng.New(9))
+	withSession := runTrial(context.Background(), opts, cell, solver, rng.New(9))
+	fallback := runTrial(context.Background(), opts, cell, nil, rng.New(9))
 
 	if fallback.class != withSession.class {
 		t.Fatalf("fallback class %v != session class %v", fallback.class, withSession.class)

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -59,21 +58,11 @@ func TestRecipeDigests(t *testing.T) {
 
 // buildRecipe builds the graph a recipe text names.
 func buildRecipe(text string) (*dhc.Graph, error) {
-	parts := strings.Split(text, "/")
-	fam, err := ParseFamily(parts[0])
+	r, err := ParseRecipe(text)
 	if err != nil {
 		return nil, err
 	}
-	val := map[string]string{}
-	for _, kv := range parts[1:] {
-		k, v, _ := strings.Cut(kv, "=")
-		val[k] = v
-	}
-	n, _ := strconv.Atoi(val["n"])
-	param, _ := strconv.ParseFloat(val["param"], 64)
-	delta, _ := strconv.ParseFloat(val["delta"], 64)
-	gs, _ := strconv.ParseUint(val["gs"], 10, 64)
-	return BuildInstance(fam, n, param, delta, gs)
+	return r.Build()
 }
 
 // csrDigest is the SHA-256 of g's CSR offsets followed by its arena.

@@ -30,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -158,12 +157,11 @@ type Grid struct {
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
-// Cell is one grid point.
+// Cell is one grid point: the recipe of its instances (each trial sets its
+// own GraphSeed; Delta is the grid's, which DHC2 also partitions by) and the
+// solver columns.
 type Cell struct {
-	Family Family
-	N      int
-	Param  float64
-	Delta  float64 // 0 for regular (the degree needs no exponent)
+	Recipe Recipe
 	Algo   dhc.Algorithm
 	Engine dhc.Engine
 }
@@ -171,8 +169,7 @@ type Cell struct {
 // Key identifies the cell, matching bench.CellStats.Key; it is the resume
 // key.
 func (c Cell) Key() string {
-	return fmt.Sprintf("%s/n=%d/param=%g/delta=%g/%s/%s",
-		c.Family, c.N, c.Param, c.Delta, c.Algo, c.Engine)
+	return c.InstanceKey() + "/" + c.Algo.String() + "/" + c.Engine.String()
 }
 
 // InstanceKey identifies the cell's random-instance distribution — the grid
@@ -180,15 +177,8 @@ func (c Cell) Key() string {
 // (algo, engine) cell of one grid point draws identical graphs and solver
 // seeds; its format is part of the reproducibility contract.
 func (c Cell) InstanceKey() string {
-	return fmt.Sprintf("%s/n=%d/param=%g/delta=%g", c.Family, c.N, c.Param, c.Delta)
-}
-
-// delta returns the grid's effective threshold exponent.
-func (g *Grid) delta() float64 {
-	if g.Delta == 0 {
-		return 1
-	}
-	return g.Delta
+	r := c.Recipe
+	return fmt.Sprintf("%s/n=%d/param=%g/delta=%g", r.Family, r.N, r.Param, r.reportDelta())
 }
 
 // trials returns the grid's effective per-cell sample size.
@@ -199,110 +189,27 @@ func (g *Grid) trials() int {
 	return g.Trials
 }
 
-// Validate checks the grid's axes.
+// Validate checks the grid's axes: each must be non-empty and every cell's
+// recipe valid.
 func (g *Grid) Validate() error {
 	if len(g.Families) == 0 || len(g.Sizes) == 0 || len(g.Params) == 0 ||
 		len(g.Algos) == 0 || len(g.Engines) == 0 {
 		return fmt.Errorf("sweep: empty grid axis (families/sizes/params/algos/engines all required)")
 	}
-	for _, n := range g.Sizes {
-		if n < 3 {
-			return fmt.Errorf("sweep: size %d below the minimum cycle length 3", n)
-		}
-	}
-	if d := g.delta(); d <= 0 || d > 1 {
-		return fmt.Errorf("sweep: delta %v outside (0, 1]", d)
-	}
-	for _, f := range g.Families {
-		if _, ok := familyNames[f]; !ok {
-			return fmt.Errorf("sweep: unknown family %d", int(f))
-		}
-		switch f {
-		case FamilyRegular:
-			for _, p := range g.Params {
-				if p != math.Trunc(p) || p < 1 {
-					return fmt.Errorf("sweep: regular family needs integer degree params, got %v", p)
-				}
-			}
-		case FamilyHypercube:
-			// A size is either the full cube 2^d (Hamiltonian) or the
-			// vertex-deleted cube 2^d - 1 (the family's in-grid negative
-			// control: bipartite with unequal sides, hence no Hamiltonian
-			// cycle).
-			for _, n := range g.Sizes {
-				if n < 8 || (!isPow2(n) && !isPow2(n+1)) {
-					return fmt.Errorf("sweep: hypercube sizes must be 2^d or 2^d-1 with d >= 3, got %d", n)
-				}
-			}
-		case FamilyTorus:
-			for _, n := range g.Sizes {
-				if r := intSqrt(n); r < 3 || r*r != n {
-					return fmt.Errorf("sweep: torus sizes must be perfect squares >= 9, got %d", n)
-				}
-			}
+	for _, c := range g.Cells() {
+		if err := c.Recipe.Validate(); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	return nil
-}
-
-// isPow2 reports whether n is a positive power of two.
-func isPow2(n int) bool { return n > 0 && bits.OnesCount(uint(n)) == 1 }
-
-// intSqrt returns the floor of √n for n >= 0.
-func intSqrt(n int) int {
-	r := int(math.Sqrt(float64(n)))
-	for r*r > n {
-		r--
-	}
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	return r
-}
-
-// usesDelta reports whether the family's density is parameterized by the
-// threshold exponent δ of p = c·ln n / n^δ. Families with their own density
-// scaling (regular's degree, geometric's radius) and the deterministic
-// lattices record delta 0 in their cells.
-func (f Family) usesDelta() bool {
-	switch f {
-	case FamilyGNP, FamilyGNM, FamilyPowerlaw, FamilySBM:
-		return true
-	}
-	return false
-}
-
-// Deterministic reports whether the family ignores both the param axis and
-// the graph seed: one size fully determines the instance. Cells of a
-// deterministic family are emitted once per size with param recorded as 0.
-func (f Family) Deterministic() bool {
-	return f == FamilyHypercube || f == FamilyTorus
-}
-
-// BuildInstance samples one instance of the family at the given size,
-// density parameter, threshold exponent and seed, using exactly the mapping
-// the sweep's cells use (so bench and calibration tooling measure the same
-// graphs the Monte Carlo trials solve). Families that do not use delta or
-// the param axis ignore those arguments the same way their cells do.
-func BuildInstance(f Family, n int, param, delta float64, seed uint64) (*dhc.Graph, error) {
-	if !f.usesDelta() {
-		delta = 0
-	}
-	if f.Deterministic() {
-		param = 0
-	}
-	return buildGraph(Cell{Family: f, N: n, Param: param, Delta: delta}, seed)
 }
 
 // Cells enumerates the grid in its canonical order: family, n, param, algo,
 // engine. The order determines report layout only — never trial seeds.
 func (g *Grid) Cells() []Cell {
 	var cells []Cell
+	delta := Recipe{Delta: g.Delta}.WithDefaults().Delta
 	for _, f := range g.Families {
-		delta := g.delta()
-		if !f.usesDelta() {
-			delta = 0
-		}
 		params := g.Params
 		if f.Deterministic() {
 			// The lattice controls have no density knob: collapse the param
@@ -315,8 +222,8 @@ func (g *Grid) Cells() []Cell {
 				for _, algo := range g.Algos {
 					for _, engine := range g.Engines {
 						cells = append(cells, Cell{
-							Family: f, N: n, Param: param, Delta: delta,
-							Algo: algo, Engine: engine,
+							Recipe: Recipe{Family: f, N: n, Param: param, Delta: delta},
+							Algo:   algo, Engine: engine,
 						})
 					}
 				}
@@ -433,18 +340,12 @@ func runCell(ctx context.Context, grid *Grid, cell Cell, master *rng.Source, opt
 	}
 	solverOpts := dhc.Options{
 		Engine:      cell.Engine,
-		Delta:       grid.delta(),
+		Delta:       cell.Recipe.Delta,
 		NumColors:   grid.NumColors,
 		MaxAttempts: grid.MaxAttempts,
 		Observer:    obs,
 	}
-	poolSize := opts.Workers
-	if poolSize > trials {
-		poolSize = trials
-	}
-	if poolSize < 1 {
-		poolSize = 1
-	}
+	poolSize := min(max(opts.Workers, 1), trials)
 	solvers := make([]*dhc.Solver, poolSize)
 	ctorErrs := make([]error, poolSize)
 	instStream := master.Split(fnv1a(cell.InstanceKey()))
@@ -461,7 +362,7 @@ func runCell(ctx context.Context, grid *Grid, cell Cell, master *rng.Source, opt
 			outs[trial] = trialOutcome{class: dhc.FailureError, err: err}
 			return
 		}
-		outs[trial] = runTrial(cellCtx, grid, cell, solvers[worker], instStream.Split(uint64(trial)+1))
+		outs[trial] = runTrial(cellCtx, solverOpts, cell, solvers[worker], instStream.Split(uint64(trial)+1))
 	})
 	return foldOutcomes(cell, trials, outs)
 }
@@ -488,17 +389,18 @@ var firstErrorPriority = []dhc.FailureClass{
 // foldOutcomes aggregates a cell's trial outcomes in trial order into its
 // report row.
 func foldOutcomes(cell Cell, trials int, outs []trialOutcome) bench.CellStats {
+	r := cell.Recipe
 	stats := bench.CellStats{
-		Family: cell.Family.String(),
-		N:      cell.N,
-		Param:  cell.Param,
-		Delta:  cell.Delta,
+		Family: r.Family.String(),
+		N:      r.N,
+		Param:  r.Param,
+		Delta:  r.reportDelta(),
 		Algo:   cell.Algo.String(),
 		Engine: cell.Engine.String(),
 		Trials: trials,
 	}
-	if cell.Family.usesDelta() {
-		stats.P = graph.HCThresholdP(cell.N, cell.Param, cell.Delta)
+	if stats.Delta != 0 {
+		stats.P = graph.HCThresholdP(r.N, r.Param, r.Delta)
 	}
 	var rounds, steps, msgs, bits []int64
 	for _, out := range outs {
@@ -543,11 +445,12 @@ func foldOutcomes(cell Cell, trials int, outs []trialOutcome) bench.CellStats {
 // runTrial generates the trial's instance and solves it on the worker's
 // reusable solver session, drawing both seeds from the trial's private
 // stream. A nil solver (constructor failure) falls back to one-shot solving
-// so the configuration error still surfaces as a trial outcome.
-func runTrial(ctx context.Context, grid *Grid, cell Cell, solver *dhc.Solver, stream *rng.Source) trialOutcome {
-	graphSeed := stream.Uint64()
+// under opts so the configuration error still surfaces as a trial outcome.
+func runTrial(ctx context.Context, opts dhc.Options, cell Cell, solver *dhc.Solver, stream *rng.Source) trialOutcome {
+	recipe := cell.Recipe
+	recipe.GraphSeed = stream.Uint64()
 	solveSeed := stream.Uint64()
-	g, err := buildGraph(cell, graphSeed)
+	g, err := recipe.Build()
 	if err != nil {
 		// An infeasible generator request is a configuration problem, not
 		// a solver negative.
@@ -557,13 +460,8 @@ func runTrial(ctx context.Context, grid *Grid, cell Cell, solver *dhc.Solver, st
 	if solver != nil {
 		res, err = solver.SolveSeeded(ctx, g, solveSeed)
 	} else {
-		res, err = dhc.SolveContext(ctx, g, cell.Algo, dhc.Options{
-			Seed:        solveSeed,
-			Engine:      cell.Engine,
-			Delta:       grid.delta(),
-			NumColors:   grid.NumColors,
-			MaxAttempts: grid.MaxAttempts,
-		})
+		opts.Seed = solveSeed
+		res, err = dhc.SolveContext(ctx, g, cell.Algo, opts)
 	}
 	out := trialOutcome{class: dhc.Classify(err), err: err}
 	if out.class == dhc.FailureNone {
@@ -573,67 +471,6 @@ func runTrial(ctx context.Context, grid *Grid, cell Cell, solver *dhc.Solver, st
 		}
 	}
 	return out
-}
-
-// buildGraph samples the cell's instance from the graph seed. Deterministic
-// families ignore the seed: their instance is a pure function of the size.
-func buildGraph(cell Cell, seed uint64) (*dhc.Graph, error) {
-	switch cell.Family {
-	case FamilyGNP:
-		return dhc.NewGNP(cell.N, graph.HCThresholdP(cell.N, cell.Param, cell.Delta), seed), nil
-	case FamilyGNM:
-		p := graph.HCThresholdP(cell.N, cell.Param, cell.Delta)
-		// Pair counts in int64: at n >= 10^7, n(n-1)/2 wraps 32-bit arithmetic
-		// and would silently shrink the requested density.
-		maxM := graph.MaxEdges(cell.N)
-		m := int64(math.Round(p * float64(maxM)))
-		if m > maxM {
-			m = maxM
-		}
-		if err := graph.ValidateEdgeCount(cell.N, m); err != nil {
-			return nil, fmt.Errorf("sweep: gnm cell n=%d param=%v: %w", cell.N, cell.Param, err)
-		}
-		return dhc.NewGNM(cell.N, int(m), seed), nil
-	case FamilyRegular:
-		return dhc.NewRandomRegular(cell.N, int(cell.Param), seed)
-	case FamilyPowerlaw:
-		avg := float64(cell.N) * graph.HCThresholdP(cell.N, cell.Param, cell.Delta)
-		return dhc.NewChungLu(cell.N, avg, PowerlawExponent, seed), nil
-	case FamilyGeometric:
-		return dhc.NewGeometric(cell.N, graph.GeometricThresholdR(cell.N, cell.Param), seed), nil
-	case FamilySBM:
-		// The param scales the mean pair probability p̄ = c·ln n / n^δ; the
-		// fixed in/out ratio R and block count k then pin
-		// pOut = k·p̄/(R+k-1), pIn = R·pOut (equal-block mixture mean p̄).
-		pbar := graph.HCThresholdP(cell.N, cell.Param, cell.Delta)
-		pOut := float64(SBMBlocks) * pbar / (SBMRatio + float64(SBMBlocks) - 1)
-		return dhc.NewSBM(cell.N, SBMBlocks, SBMRatio*pOut, pOut, seed), nil
-	case FamilyHypercube:
-		dim := bits.Len(uint(cell.N)) - 1
-		if isPow2(cell.N + 1) {
-			// The vertex-deleted cube: Q_dim minus its all-ones corner,
-			// bipartite with unequal sides — the family's negative control.
-			dim = bits.Len(uint(cell.N+1)) - 1
-			keep := make([]graph.NodeID, cell.N)
-			for i := range keep {
-				keep[i] = graph.NodeID(i)
-			}
-			g, _ := dhc.NewHypercube(dim).InducedSubgraph(keep)
-			return g, nil
-		}
-		if !isPow2(cell.N) {
-			return nil, fmt.Errorf("sweep: hypercube size %d is neither 2^d nor 2^d-1", cell.N)
-		}
-		return dhc.NewHypercube(dim), nil
-	case FamilyTorus:
-		r := intSqrt(cell.N)
-		if r*r != cell.N {
-			return nil, fmt.Errorf("sweep: torus size %d is not a perfect square", cell.N)
-		}
-		return dhc.NewTorus(r, r), nil
-	default:
-		return nil, fmt.Errorf("sweep: unknown family %d", int(cell.Family))
-	}
 }
 
 // Fits computes scaling fits along every (family, param, delta, algo,

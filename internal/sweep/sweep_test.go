@@ -97,8 +97,10 @@ func TestInstanceSharingAcrossSolverColumns(t *testing.T) {
 		var rounds []int64
 		for trial := 0; trial < grid.Trials; trial++ {
 			stream := inst.Split(uint64(trial) + 1)
-			graphSeed, solveSeed := stream.Uint64(), stream.Uint64()
-			g, err := buildGraph(cell, graphSeed)
+			recipe := cell.Recipe
+			recipe.GraphSeed = stream.Uint64()
+			solveSeed := stream.Uint64()
+			g, err := recipe.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
