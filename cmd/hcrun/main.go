@@ -19,7 +19,7 @@
 //
 //	hcrun -algo dhc2 -graph gnp/n=1024/param=2/delta=0.5 -seed 1 -engine step
 //	hcrun -algo upcast -graph gnp/n=512/param=8/gs=3 -json
-//	hcrun -algo dra -graph torus/n=1024 -engine step
+//	hcrun -algo dra -graph sbm/n=1024/param=8 -engine step
 //	hcrun -algo dhc1 -graph gnp/n=4096/param=4/delta=0.5 -progress -timeout 30s
 package main
 
