@@ -146,13 +146,6 @@ func (r Recipe) reportDelta() float64 {
 	return 0
 }
 
-// Deterministic reports whether the family ignores both the param axis and
-// the graph seed: one size fully determines the instance. Cells of a
-// deterministic family are emitted once per size with param recorded as 0.
-func (f Family) Deterministic() bool {
-	return f == FamilyHypercube || f == FamilyTorus
-}
-
 // Build validates the recipe and samples its graph. Families read only the
 // fields their generator takes: δ only where p = c·ln n / n^δ sets the
 // density, and the deterministic lattices neither param nor seed.

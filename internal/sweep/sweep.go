@@ -204,6 +204,13 @@ func (g *Grid) Validate() error {
 	return nil
 }
 
+// Deterministic reports whether the family ignores both the param axis and
+// the graph seed: one size fully determines the instance. Cells of a
+// deterministic family are emitted once per size with param recorded as 0.
+func (f Family) Deterministic() bool {
+	return f == FamilyHypercube || f == FamilyTorus
+}
+
 // Cells enumerates the grid in its canonical order: family, n, param, algo,
 // engine. The order determines report layout only — never trial seeds.
 func (g *Grid) Cells() []Cell {
