@@ -140,3 +140,18 @@ func TestRunFlags(t *testing.T) {
 		t.Fatalf("text output %q, err %v", out, err)
 	}
 }
+
+// TestUpcastFailureIsNoHC: an exact-engine Upcast whose root finds no cycle
+// in the sampled subgraph floods the failure marker and ends as no_hc
+// within the default round limit, not as a bandwidth error or a round_limit.
+func TestUpcastFailureIsNoHC(t *testing.T) {
+	for _, recipe := range []string{"torus/n=64", "gnp/n=64/param=1"} {
+		out, _, err := hcrunGraph(t, "-graph", recipe, "-algo", "upcast", "-engine", "exact", "-seed", "3", "-json", "-q")
+		if class := dhc.Classify(err); class != dhc.FailureNoHC {
+			t.Errorf("%s: failure class %v (err %v), want no_hc", recipe, class, err)
+		}
+		if !strings.HasPrefix(out, `{"status":"no_hc",`) {
+			t.Errorf("%s: record %q does not report no_hc", recipe, out)
+		}
+	}
+}

@@ -69,7 +69,7 @@ type hyperPhase struct {
 	status       dra.Status
 
 	// Probing state at the acting exit port.
-	pool     []graph.NodeID // unused candidate port neighbors
+	pool     rotation.Unused // unused candidate port neighbors
 	amActor  bool
 	actAfter int64
 
@@ -358,7 +358,7 @@ func (h *hyperPhase) handleProbe(ctx *congest.Context, prober graph.NodeID, pos 
 	if h.status != dra.Running || !(h.isUPort || h.isVPort) {
 		return
 	}
-	h.removeFromPool(prober)
+	h.pool.Remove(prober)
 	switch {
 	case h.hypIdx == 1 && h.enterPort() && pos == h.K:
 		// Spanning hyperpath reached the tail's free entry: close.
@@ -392,7 +392,14 @@ func (h *hyperPhase) handleProbe(ctx *congest.Context, prober graph.NodeID, pos 
 // act performs the head's probe from its exit port.
 func (h *hyperPhase) act(ctx *congest.Context) {
 	h.amActor = false
-	if h.steps >= h.maxSteps || len(h.pool) == 0 {
+	// The budget is tested before the draw, so an exhausted budget consumes
+	// no randomness.
+	var target graph.NodeID
+	ok := h.steps < h.maxSteps
+	if ok {
+		target, ok = h.pool.Pop(ctx.Rand())
+	}
+	if !ok {
 		h.status = dra.Failed
 		h.terminalSeen = true
 		h.terminalRound = ctx.Round()
@@ -400,22 +407,8 @@ func (h *hyperPhase) act(ctx *congest.Context) {
 			int32(h.steps), int32(ctx.Round())), -1)
 		return
 	}
-	i := ctx.Rand().Intn(len(h.pool))
-	target := h.pool[i]
-	h.pool[i] = h.pool[len(h.pool)-1]
-	h.pool = h.pool[:len(h.pool)-1]
 	ctx.Send(target, wire.Msg(wire.KindProgress, h.hypIdx, int32(h.steps)))
 	ctx.AddWork(1)
-}
-
-func (h *hyperPhase) removeFromPool(v graph.NodeID) {
-	for i, x := range h.pool {
-		if x == v {
-			h.pool[i] = h.pool[len(h.pool)-1]
-			h.pool = h.pool[:len(h.pool)-1]
-			return
-		}
-	}
 }
 
 // forwardTree relays a phase-wide flood along the global BFS tree (skipping

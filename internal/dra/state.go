@@ -53,7 +53,7 @@ type Params struct {
 	// call over them, so it is one outbox record and each send costs a
 	// bounds check instead of a neighbor-list search. The slice is retained
 	// (read-only) for flood forwarding, so one precomputed list serves every
-	// session.
+	// session; Reset also seeds the unused list from it, as neighbor ids.
 	ScopePorts []int32
 	// BroadcastRounds is the consistency wait after a rotation; it must be
 	// an upper bound on the scope diameter.
@@ -90,14 +90,14 @@ type State struct {
 	terminalSeen  bool  // success/failure flood already forwarded
 	terminalRound int64 // round stamped into the terminal flood
 
-	scope  []int32 // in-scope neighbor ports (shared, read-only)
-	unused []int32 // in-scope ports no progress message has crossed yet
+	scope  []int32         // in-scope neighbor ports (shared, read-only)
+	unused rotation.Unused // in-scope neighbor ids no progress message has crossed yet
 	steps  int64
 	status Status
 }
 
 // NewState initializes the machine for one node. ctx is the Init (or current
-// round) context; the unused list starts as the node's in-scope ports.
+// round) context; the unused list starts as the node's in-scope neighbors.
 func NewState(ctx *congest.Context, p Params) *State {
 	s := &State{}
 	s.Reset(ctx, p)
@@ -128,7 +128,11 @@ func (s *State) Reset(ctx *congest.Context, p Params) {
 		status:   Running,
 		scope:    p.ScopePorts,
 	}
-	s.unused = append(unused, s.scope...)
+	nbrs := ctx.Neighbors()
+	for _, port := range s.scope {
+		unused = append(unused, nbrs[port])
+	}
+	s.unused = unused
 	if p.IsInitialHead {
 		s.cycindex = 1
 		s.isHead = true
@@ -284,7 +288,7 @@ func (s *State) absorbProgress(ctx *congest.Context, inbox []congest.Envelope) {
 		}
 		pos := env.Msg.Arg(0)
 		stepsBefore := int64(env.Msg.Arg(1))
-		s.removeUnused(ctx, env.From)
+		s.unused.Remove(env.From)
 		ctx.AddWork(1)
 		switch {
 		case pos == int32(s.p.ScopeSize) && s.cycindex == 1:
@@ -321,18 +325,17 @@ func (s *State) act(ctx *congest.Context) {
 		s.fail(ctx)
 		return
 	}
-	port, ok := s.popRandomUnused(ctx)
+	u, ok := s.unused.Pop(ctx.Rand())
 	if !ok {
 		s.fail(ctx)
 		return
 	}
 	// Optimistically record u as successor; a rotation overwrites this via
 	// the old-head patch in applyRotation.
-	u := ctx.Neighbors()[port]
 	s.succ = u
 	s.lastSent = u
 	s.isHead = false // exactly one node becomes head as a consequence
-	ctx.SendPort(int(port), wire.Msg(wire.KindProgress, s.cycindex, int32(s.steps)))
+	ctx.Send(u, wire.Msg(wire.KindProgress, s.cycindex, int32(s.steps)))
 	ctx.AddWork(1)
 }
 
@@ -341,29 +344,6 @@ func (s *State) fail(ctx *congest.Context) {
 	s.terminalRound = ctx.Round()
 	s.originate(ctx, wire.Msg(wire.KindSuccess, 0, s.p.Tag,
 		int32(s.steps), int32(ctx.Round())))
-}
-
-func (s *State) popRandomUnused(ctx *congest.Context) (int32, bool) {
-	if len(s.unused) == 0 {
-		return 0, false
-	}
-	i := ctx.Rand().Intn(len(s.unused))
-	u := s.unused[i]
-	s.unused[i] = s.unused[len(s.unused)-1]
-	s.unused = s.unused[:len(s.unused)-1]
-	return u, true
-}
-
-// removeUnused drops the port leading to neighbor v, if still unused.
-func (s *State) removeUnused(ctx *congest.Context, v graph.NodeID) {
-	nbrs := ctx.Neighbors()
-	for i, p := range s.unused {
-		if nbrs[p] == v {
-			s.unused[i] = s.unused[len(s.unused)-1]
-			s.unused = s.unused[:len(s.unused)-1]
-			return
-		}
-	}
 }
 
 // String aids debugging.

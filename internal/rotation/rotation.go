@@ -4,9 +4,12 @@
 //
 // One step is either a path extension or a rotation — the unit in which
 // Theorem 2 states its 7·n·ln(n) bound. The state machine is engine-neutral:
-// the sequential baseline runs it directly, the DRA CONGEST nodes mirror its
-// transitions with messages, and the step simulator drives it while charging
-// the paper's per-step broadcast cost.
+// the sequential baseline runs it directly and the step simulator drives it
+// while charging the paper's per-step broadcast cost. The one random choice
+// of a step — the head popping a uniformly random unused edge — is the
+// Unused type, which the machine, the DRA CONGEST nodes and both engines'
+// hypernode rotations all call, so the same stream and the same calls give
+// the same draws.
 package rotation
 
 import (
@@ -74,10 +77,6 @@ type Config struct {
 	// consume randomness, so an uninterrupted run is byte-identical with or
 	// without the hook — the step simulator wires a context check here.
 	Interrupt func() bool
-	// TrackRemovals allocates and maintains Stats.RemovalsPerNode. Off by
-	// default: the per-node counters cost 8 bytes per vertex per machine and
-	// are only read by the Theorem 2 analysis tests, not by any engine.
-	TrackRemovals bool
 }
 
 // interruptCheckEvery is Run's amortized cancellation-poll cadence in steps.
@@ -96,10 +95,6 @@ type Stats struct {
 	Steps      int64
 	Extensions int64
 	Rotations  int64
-	// RemovalsPerNode[v] counts unused-edge removals charged to v
-	// (event E2.1 of the analysis bounds these by 21 ln n whp). Nil unless
-	// Config.TrackRemovals is set.
-	RemovalsPerNode []int64
 }
 
 // Machine is the rotation process state. Create with New, then call Step
@@ -111,9 +106,9 @@ type Machine struct {
 	path *cycle.Path
 	// Unused-edge state, flat: row v of uarena occupies the graph's own CSR
 	// row span (uoff is the graph's offset array, shared read-only) and its
-	// first ucnt[v] slots hold v's remaining unused incident edges. Replaces
-	// the old [][]NodeID — one allocation instead of n, no 24-byte slice
-	// headers, and rows inherit the arena's cache layout.
+	// first ucnt[v] slots hold v's remaining unused incident edges, worked
+	// on through an Unused view (see unused). One allocation instead of n,
+	// no 24-byte slice headers, and rows inherit the arena's cache layout.
 	uoff   []int32
 	ucnt   []int32
 	uarena []graph.NodeID
@@ -131,9 +126,6 @@ func New(g *graph.Graph, start graph.NodeID, src *rng.Source, cfg Config) *Machi
 		src:  src,
 		cfg:  cfg,
 		path: cycle.NewPath(start),
-	}
-	if cfg.TrackRemovals {
-		m.stats.RemovalsPerNode = make([]int64, g.N())
 	}
 	off, arena := g.Adjacency()
 	m.uoff = off
@@ -172,8 +164,8 @@ func (m *Machine) Path() *cycle.Path { return m.path }
 // Stats returns the current step statistics.
 func (m *Machine) Stats() Stats { return m.stats }
 
-// UnusedCount returns the number of unused edges remaining at v, for memory
-// accounting in the distributed wrappers.
+// UnusedCount returns the number of unused edges remaining at v; the edges
+// a run removed at v are its initial row length minus this.
 func (m *Machine) UnusedCount(v graph.NodeID) int { return int(m.ucnt[v]) }
 
 // Done reports whether the machine has produced a Closed event.
@@ -189,16 +181,20 @@ func (m *Machine) Step() (Event, error) {
 		return Event{}, fmt.Errorf("%w: %d steps", ErrStepBudget, m.stats.Steps)
 	}
 	head := m.path.Head()
-	u, ok := m.popRandomUnused(head)
+	row := m.unused(head)
+	u, ok := row.Pop(m.src)
 	if !ok {
 		return Event{}, fmt.Errorf("%w: node %d after %d steps", ErrOutOfEdges, head, m.stats.Steps)
 	}
+	m.ucnt[head] = int32(len(row))
 	m.stats.Steps++
 	h := m.path.Len()
 
 	// Algorithm 1, OnReceive progress(pos): the receiver u also discards
 	// the used edge from its own list.
-	m.removeUnused(u, head)
+	if row = m.unused(u); row.Remove(head) {
+		m.ucnt[u] = int32(len(row))
+	}
 
 	switch {
 	case !m.path.Contains(u):
@@ -241,38 +237,46 @@ func (m *Machine) Run() (*cycle.Cycle, Stats, error) {
 	}
 }
 
-// popRandomUnused removes and returns a uniformly random entry of v's unused
-// list.
-func (m *Machine) popRandomUnused(v graph.NodeID) (graph.NodeID, bool) {
-	cnt := m.ucnt[v]
-	if cnt == 0 {
-		return 0, false
-	}
-	base := m.uoff[v]
-	i := base + int32(m.src.Intn(int(cnt)))
-	u := m.uarena[i]
-	m.uarena[i] = m.uarena[base+cnt-1]
-	m.ucnt[v] = cnt - 1
-	if m.stats.RemovalsPerNode != nil {
-		m.stats.RemovalsPerNode[v]++
-	}
-	return u, true
+// unused returns v's unused-edge row as an Unused view of the arena; after
+// Pop or Remove the caller writes the view's length back to ucnt[v].
+func (m *Machine) unused(v graph.NodeID) Unused {
+	off := m.uoff[v]
+	return Unused(m.uarena[off : off+m.ucnt[v]])
 }
 
-// removeUnused removes w from v's unused list if present.
-func (m *Machine) removeUnused(v, w graph.NodeID) {
-	base, cnt := m.uoff[v], m.ucnt[v]
-	list := m.uarena[base : base+cnt]
-	for i, x := range list {
+// Unused is one vertex's list of unused incident edges, named by neighbour
+// id. Popping a uniformly random entry is the only random choice of a
+// rotation step (Algorithm 1); every engine draws and discards through this
+// type, so the same stream and the same calls give the same draws.
+type Unused []graph.NodeID
+
+// Pop removes and returns a uniformly random entry with one src.Intn(len)
+// draw, moving the last entry into its slot. An empty list draws nothing
+// and reports false.
+func (u *Unused) Pop(src *rng.Source) (graph.NodeID, bool) {
+	l := *u
+	if len(l) == 0 {
+		return 0, false
+	}
+	i := src.Intn(len(l))
+	w := l[i]
+	l[i] = l[len(l)-1]
+	*u = l[:len(l)-1]
+	return w, true
+}
+
+// Remove drops the first entry equal to w, moving the last entry into its
+// slot, and reports whether w was present.
+func (u *Unused) Remove(w graph.NodeID) bool {
+	l := *u
+	for i, x := range l {
 		if x == w {
-			list[i] = list[cnt-1]
-			m.ucnt[v] = cnt - 1
-			if m.stats.RemovalsPerNode != nil {
-				m.stats.RemovalsPerNode[v]++
-			}
-			return
+			l[i] = l[len(l)-1]
+			*u = l[:len(l)-1]
+			return true
 		}
 	}
+	return false
 }
 
 // Solve runs the full sequential Angluin–Valiant algorithm on g: it starts

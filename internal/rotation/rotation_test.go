@@ -3,6 +3,7 @@ package rotation
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"dhc/internal/graph"
@@ -195,23 +196,75 @@ func TestThinnedSolveStillSucceeds(t *testing.T) {
 }
 
 func TestRemovalsBoundedPerNode(t *testing.T) {
-	// Event E2.1 of the analysis: no node should lose more than ~21 ln n
-	// unused edges during a successful run (we check a looser 30 ln n).
+	// Event E2.1 of the analysis bounds the unused edges any node loses
+	// during a successful run by 21 ln n whp; we check a looser 30 ln n.
+	// The machine keeps the count already: removals at v are v's initial
+	// row length (its degree, without thinning) minus UnusedCount(v).
 	n := 500
 	p := 8 * math.Log(float64(n)) / float64(n)
 	g := graph.GNP(n, p, rng.New(31))
-	_, stats, err := Solve(g, rng.New(32), Config{TrackRemovals: true})
-	if err != nil {
+	src := rng.New(32)
+	start := graph.NodeID(src.Intn(g.N())) // the start vertex Solve would draw
+	m := New(g, start, src, Config{})
+	if _, _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if stats.RemovalsPerNode == nil {
-		t.Fatal("TrackRemovals did not allocate RemovalsPerNode")
-	}
-	bound := int64(30 * math.Log(float64(n)))
-	for v, r := range stats.RemovalsPerNode {
-		if r > bound {
+	bound := int(30 * math.Log(float64(n)))
+	for v := 0; v < n; v++ {
+		if r := g.Degree(graph.NodeID(v)) - m.UnusedCount(graph.NodeID(v)); r > bound {
 			t.Fatalf("node %d lost %d unused edges, bound %d", v, r, bound)
 		}
+	}
+}
+
+func TestUnusedPopOrder(t *testing.T) {
+	// Pinned from the inline swap-remove draw every engine used before
+	// Unused: a change here shifts every engine's cycles.
+	l := Unused{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	want := []graph.NodeID{17, 14, 18, 12, 19, 10, 15, 11, 16, 13}
+	src := rng.New(1)
+	var got []graph.NodeID
+	for {
+		w, ok := l.Pop(src)
+		if !ok {
+			break
+		}
+		got = append(got, w)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pop order %v, want %v", got, want)
+	}
+}
+
+func TestUnusedPopEmptyDrawsNothing(t *testing.T) {
+	src := rng.New(7)
+	var l Unused
+	if w, ok := l.Pop(src); ok {
+		t.Fatalf("empty Pop returned %d, true", w)
+	}
+	if got, want := src.Uint64(), rng.New(7).Uint64(); got != want {
+		t.Fatalf("empty Pop consumed randomness: next %#x, fresh %#x", got, want)
+	}
+}
+
+func TestUnusedRemove(t *testing.T) {
+	l := Unused{4, 7, 9, 2}
+	if !l.Remove(7) || !slices.Equal(l, Unused{4, 2, 9}) {
+		t.Fatalf("Remove(7): %v, want [4 2 9]", l)
+	}
+	if l.Remove(5) || !slices.Equal(l, Unused{4, 2, 9}) {
+		t.Fatalf("Remove of an absent entry changed the list: %v", l)
+	}
+	if !l.Remove(9) || !slices.Equal(l, Unused{4, 2}) {
+		t.Fatalf("Remove(9) of the last entry: %v, want [4 2]", l)
+	}
+	for _, w := range []graph.NodeID{2, 4} {
+		if !l.Remove(w) {
+			t.Fatalf("Remove(%d) missed", w)
+		}
+	}
+	if len(l) != 0 || l.Remove(4) {
+		t.Fatalf("list not empty after removing every entry: %v", l)
 	}
 }
 

@@ -19,24 +19,23 @@ import (
 func hyperRotation(g *graph.Graph, subcycles []*cycle.Cycle, src *rng.Source) (*cycle.Cycle, int64, error) {
 	k := len(subcycles)
 	type portInfo struct {
-		hyp int
-		isU bool
+		hyp  int
+		isU  bool
+		pool rotation.Unused // candidate neighbor ports of other hypernodes
 	}
-	ports := make(map[graph.NodeID]portInfo, 2*k)
+	ports := make(map[graph.NodeID]*portInfo, 2*k)
 	hyp := make([]cycle.Hypernode, k)
 	for i, sc := range subcycles {
 		r := src.Intn(sc.Len())
 		hyp[i].U = sc.At(r)
 		hyp[i].V = sc.At(r - 1)
-		ports[hyp[i].U] = portInfo{hyp: i, isU: true}
-		ports[hyp[i].V] = portInfo{hyp: i, isU: false}
+		ports[hyp[i].U] = &portInfo{hyp: i, isU: true}
+		ports[hyp[i].V] = &portInfo{hyp: i, isU: false}
 	}
-	// Pools: candidate neighbor ports of other hypernodes, per port.
-	pool := make(map[graph.NodeID][]graph.NodeID, 2*k)
 	for p, info := range ports {
 		for _, nb := range g.Neighbors(p) {
 			if o, ok := ports[nb]; ok && o.hyp != info.hyp {
-				pool[p] = append(pool[p], nb)
+				info.pool = append(info.pool, nb)
 			}
 		}
 	}
@@ -58,40 +57,19 @@ func hyperRotation(g *graph.Graph, subcycles []*cycle.Cycle, src *rng.Source) (*
 		}
 		return hyp[h].U
 	}
-	popRandom := func(p graph.NodeID) (graph.NodeID, bool) {
-		list := pool[p]
-		if len(list) == 0 {
-			return 0, false
-		}
-		i := src.Intn(len(list))
-		t := list[i]
-		list[i] = list[len(list)-1]
-		pool[p] = list[:len(list)-1]
-		return t, true
-	}
-	removeFrom := func(p, q graph.NodeID) {
-		list := pool[p]
-		for i, x := range list {
-			if x == q {
-				list[i] = list[len(list)-1]
-				pool[p] = list[:len(list)-1]
-				return
-			}
-		}
-	}
 
 	for {
 		if steps >= maxSteps {
 			return nil, steps, errors.New("hypernode rotation exceeded step budget")
 		}
 		x := exitPortOf(head)
-		target, ok := popRandom(x)
+		target, ok := ports[x].pool.Pop(src)
 		if !ok {
 			return nil, steps, errors.New("hypernode head out of candidate edges")
 		}
 		steps++
-		removeFrom(target, x)
 		info := ports[target]
+		info.pool.Remove(x)
 		kk := info.hyp
 		switch {
 		case hyp[kk].Pos == 1 && target == enterPortOf(kk) && pathLen == int32(k):

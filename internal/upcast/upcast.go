@@ -200,6 +200,11 @@ func (u *node) tickUpcast(ctx *congest.Context, inbox []congest.Envelope) {
 	// Root: solve once everything arrived.
 	if u.isRoot(ctx) && !u.solved && u.expect <= 0 && round > u.upcastAt() {
 		u.solveAtRoot(ctx)
+		if u.failed {
+			// The failure flood is out; the root has nothing left to send.
+			ctx.Halt()
+			return
+		}
 	}
 	// Pipelined forwarding: one message per edge per round.
 	if len(u.queue) > 0 && !u.isRoot(ctx) {
@@ -256,9 +261,12 @@ func (u *node) absorb(ctx *congest.Context, inbox []congest.Envelope) {
 			}
 			u.doneSent = true
 		case wire.KindSuccess:
-			// Failure flood from the root.
-			u.failed = true
-			forward(ctx, env.Msg, env.From)
+			// Failure flood from the root: forward the first copy only, so
+			// copies arriving together do not share an edge in one round.
+			if !u.failed {
+				u.failed = true
+				forward(ctx, env.Msg, env.From)
+			}
 		}
 	}
 }
