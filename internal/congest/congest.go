@@ -47,17 +47,17 @@
 // # Sending
 //
 // A node sends only on its incident edges, and every send is validated.
-// Send(to, m) names the edge by the neighbor's id and checks it with a
-// binary search of the node's sorted neighbor list. SendPort(p, m) names it
-// by port, the index p of the neighbor in Neighbors(), and checks it with a
-// bounds check. SendPorts(ports, except, m) is a flood: it sends m on every
-// listed port whose neighbor is not except, with the same bounds check per
-// port; AllPorts() is the shared read-only [0, Degree()) list for floods
-// over every incident edge. Fan-out loops keep port lists and use
-// SendPorts; point sends to a known id, such as a reply to Envelope.From,
-// use Send. Any failure records ErrNotNeighbor.
+// There are two send forms. Send(to, m) names one edge by the neighbor's id
+// and checks it with a binary search of the node's sorted neighbor list;
+// point sends to a known id, such as a reply to Envelope.From, use it.
+// SendPorts(ports, except, m) is a flood: it sends m on every listed port
+// (the index of a neighbor in Neighbors()) whose neighbor is not except,
+// and checks each port with a bounds check. AllPorts() is the shared
+// read-only [0, Degree()) list for floods over every incident edge; a flood
+// inside a subgraph keeps its own port list. Any failure records
+// ErrNotNeighbor.
 //
-// All three append to the same outbox through one record append: an
+// Both append to the same outbox through one record append: an
 // outbox entry is a Record — the sender, the message and its receivers —
 // so a flood is one entry however many edges it covers. The receiver ids
 // are copied into the node's per-invocation arena at call time, so the
@@ -162,7 +162,7 @@ func (c *Context) Degree() int { return c.sh.g.Degree(c.id) }
 
 // Neighbors returns this node's neighbor list (shared; do not modify),
 // sorted by id. A neighbor's index in this list is its port: the name
-// SendPort addresses it by.
+// SendPorts addresses it by.
 func (c *Context) Neighbors() []graph.NodeID { return c.sh.g.Neighbors(c.id) }
 
 // HasNeighbor reports whether v is adjacent.
@@ -203,32 +203,16 @@ func (c *Context) Send(to graph.NodeID, m wire.Message) {
 	c.push(start, m)
 }
 
-// SendPort queues a message on this node's incident edge number port — the
-// index of the neighbor in Neighbors() — for delivery next round. The port
-// is validated by a bounds check instead of Send's search. An out-of-range
-// port records ErrNotNeighbor and aborts the run after this round, exactly
-// like Send to a non-neighbor. Apart from how the target is named, the two
-// are indistinguishable: same outbox, delivery order, wire encoding and
-// metering.
-func (c *Context) SendPort(port int, m wire.Message) {
-	nbrs := c.Neighbors()
-	if uint(port) >= uint(len(nbrs)) {
-		c.failPort(port, len(nbrs), m)
-		return
-	}
-	start := len(c.ids)
-	c.ids = append(c.ids, nbrs[port])
-	c.push(start, m)
-}
-
 // SendPorts floods m on every listed port whose neighbor is not except
-// (pass -1 to exclude none), in list order, for delivery next round. It is
-// the SendPort loop over ports as one outbox record: the receiver ids are
-// copied at call time, so ports may be reused as soon as it returns, and a
-// duplicated port sends twice exactly as the loop would. Each port is
-// bounds-checked; an out-of-range one records ErrNotNeighbor with SendPort's
-// text, queues nothing from this call, and aborts the run after this round.
-// Delivery still meters every edge separately.
+// (pass -1 to exclude none), in list order, for delivery next round. A port
+// is the index of the neighbor in Neighbors(). It is the Send loop over the
+// ports' neighbors as one outbox record: the receiver ids are copied at
+// call time, so ports may be reused as soon as it returns, and a duplicated
+// port sends twice exactly as the loop would. Each port is bounds-checked
+// instead of searched; an out-of-range one records ErrNotNeighbor naming
+// the port, queues nothing from this call, and aborts the run after this
+// round, exactly like Send to a non-neighbor. Delivery still meters every
+// edge separately.
 func (c *Context) SendPorts(ports []int32, except graph.NodeID, m wire.Message) {
 	nbrs := c.Neighbors()
 	start := len(c.ids)
@@ -249,7 +233,7 @@ func (c *Context) SendPorts(ports []int32, except graph.NodeID, m wire.Message) 
 // SendPorts floods over all of them. The slice is shared and read-only.
 func (c *Context) AllPorts() []int32 { return c.sh.ports[:c.Degree()] }
 
-// push is the one record append behind Send, SendPort and SendPorts: it
+// push is the one record append behind Send and SendPorts: it
 // queues m to the receivers ids[start:]. A send of the message the last
 // record carries extends that record, since its receivers end at start.
 func (c *Context) push(start int, m wire.Message) {

@@ -229,7 +229,7 @@ func TestFaultHookDropsMessages(t *testing.T) {
 	// A stateful hook that drops every third message it sees: any call out
 	// of global sender order changes which messages are dropped. The
 	// dense-sweep leg must drop exactly the messages the event-driven
-	// SendPort leg drops and meter the same execution; the sendports leg
+	// one-port leg drops and meter the same execution; the sendports leg
 	// sends each fan-out as one SendPorts record, which delivery must expand
 	// into the same per-edge hook calls.
 	type call struct {
@@ -259,7 +259,7 @@ func TestFaultHookDropsMessages(t *testing.T) {
 		}
 		return calls, drops, counters, progs
 	}
-	refCalls, refDrops, ref, refProgs := run(t, Options{}, formSendPort)
+	refCalls, refDrops, ref, refProgs := run(t, Options{}, formOnePort)
 	if len(refDrops) == 0 || ref.Messages == 0 {
 		t.Fatalf("hook dropped %d and delivered %d messages; want both nonzero", len(refDrops), ref.Messages)
 	}
@@ -268,13 +268,13 @@ func TestFaultHookDropsMessages(t *testing.T) {
 		opts Options
 		form sendForm
 	}{
-		{"dense", Options{DenseSweep: true}, formSendPort},
+		{"dense", Options{DenseSweep: true}, formOnePort},
 		{"sendports", Options{}, formSendPorts},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			calls, drops, got, progs := run(t, leg.opts, leg.form)
 			if !reflect.DeepEqual(calls, refCalls) {
-				t.Fatalf("hook saw %d calls, the SendPort reference saw %d, or a different sequence", len(calls), len(refCalls))
+				t.Fatalf("hook saw %d calls, the one-port reference saw %d, or a different sequence", len(calls), len(refCalls))
 			}
 			if !reflect.DeepEqual(drops, refDrops) {
 				t.Fatalf("dropped %d messages, the reference dropped %d, or a different set", len(drops), len(refDrops))
@@ -313,11 +313,7 @@ func TestMemoryAndWorkMetered(t *testing.T) {
 func TestInboxSortedBySender(t *testing.T) {
 	// Star center receives from all leaves in one round; inbox must arrive
 	// sorted by sender id.
-	b := graph.NewBuilder(5)
-	for v := 1; v < 5; v++ {
-		b.AddEdge(0, graph.NodeID(v))
-	}
-	g := b.Build()
+	g := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 0, V: 4}})
 	center := &inboxRecorder{}
 	nodes := []Node{center, &leafSender{}, &leafSender{}, &leafSender{}, &leafSender{}}
 	net, err := NewNetwork(g, nodes, Options{})
@@ -620,8 +616,7 @@ func TestNodeWithoutWakeIsMessageDriven(t *testing.T) {
 
 // pingPongNode bounces a token to its peer forever: pure message-driven
 // steady-state traffic for the allocation test. form selects how the token
-// is addressed: by id, by the peer's port, or as a SendPorts over a
-// one-port list.
+// is addressed: by id, or as a SendPorts over a one-port list.
 type pingPongNode struct {
 	peer  graph.NodeID
 	form  sendForm
@@ -645,8 +640,6 @@ func (p *pingPongNode) send(ctx *Context) {
 	switch p.form {
 	case formSend:
 		ctx.Send(p.peer, m)
-	case formSendPort:
-		ctx.SendPort(int(p.ports[0]), m)
 	default:
 		ctx.SendPorts(p.ports, -1, m)
 	}
@@ -655,12 +648,12 @@ func (p *pingPongNode) send(ctx *Context) {
 // TestPerRoundDeliveryZeroAllocs pins the engine's steady state at exactly
 // zero allocations per round: inbox buckets, outbox records, receiver
 // arenas, the bandwidth stamps and the wake heap are all recycled — whether
-// nodes send by id, by port or by port list.
+// nodes send by id or by port list.
 func TestPerRoundDeliveryZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		form sendForm
-	}{{"Send", formSend}, {"SendPort", formSendPort}, {"SendPorts", formSendPorts}} {
+	}{{"Send", formSend}, {"SendPorts", formSendPorts}} {
 		t.Run(tc.name, func(t *testing.T) { testPerRoundDeliveryZeroAllocs(t, tc.form) })
 	}
 }

@@ -60,7 +60,8 @@ func (m *maskNode) send(ctx *Context) {
 		case 0:
 			ctx.Send(ctx.Neighbors()[r.Intn(deg)], msg)
 		case 1:
-			ctx.SendPort(r.Intn(deg), msg)
+			m.ports = append(m.ports[:0], int32(r.Intn(deg)))
+			ctx.SendPorts(m.ports, -1, msg)
 		default:
 			m.ports = m.ports[:0]
 			for range 1 + r.Intn(2*deg) {
@@ -103,8 +104,8 @@ func kindFault(round int64, from, to graph.NodeID, m wire.Message) (wire.Message
 // Round call, for every kind below the mask's shared top bit, Received(k)
 // holds exactly when the inbox holds a message of kind k, and for kinds at
 // or above it exactly when the inbox holds any such kind; Init sees no
-// kinds. Traffic is random over G(n, p) through Send, SendPort and SendPorts
-// with duplicated ports, with and without a FaultHook that drops messages
+// kinds. Traffic is random over G(n, p) through Send, one-port SendPorts and
+// SendPorts with duplicated ports, with and without a FaultHook that drops messages
 // and rewrites kinds, with receivers that halt mid-run, event-driven and
 // dense, in one whole-network shard and in two shards. The whole-network
 // legs first cut a run short and then rerun on the same network.

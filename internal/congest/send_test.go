@@ -22,7 +22,7 @@ type sendForm int
 
 const (
 	formSend      sendForm = iota // Send by neighbor id
-	formSendPort                  // a SendPort loop
+	formOnePort                   // a one-port SendPorts call per edge
 	formSendPorts                 // one SendPorts call over the chosen ports
 )
 
@@ -34,7 +34,8 @@ const (
 // delivery in inbox order.
 type fanoutNode struct {
 	form  sendForm
-	ports []int32 // formSendPorts scratch
+	ports []int32  // formSendPorts scratch
+	one   [1]int32 // formOnePort scratch
 	log   []delivery
 }
 
@@ -83,8 +84,9 @@ func (f *fanoutNode) fanout(ctx *Context, m wire.Message, except graph.NodeID) {
 		switch f.form {
 		case formSend:
 			ctx.Send(nb, m)
-		case formSendPort:
-			ctx.SendPort(port, m)
+		case formOnePort:
+			f.one[0] = int32(port)
+			ctx.SendPorts(f.one[:], -1, m)
 		default:
 			f.ports = append(f.ports, int32(port))
 		}
@@ -236,11 +238,12 @@ func runConfig(g *graph.Graph, nodes []Node, opts Options, shards int, seed uint
 	return net.Run(seed)
 }
 
-// TestSendPortMatchesSend: fanning out by port and by id must be the same
-// execution on every engine configuration — identical counters and the
-// identical per-node sequence of deliveries — and the sharded executions
-// must meter exactly what the in-process engine meters.
-func TestSendPortMatchesSend(t *testing.T) {
+// TestOnePortSendPortsMatchesSend: fanning out by one-port SendPorts calls
+// and by id must be the same execution on every engine configuration —
+// identical counters and the identical per-node sequence of deliveries —
+// and the sharded executions must meter exactly what the in-process engine
+// meters.
+func TestOnePortSendPortsMatchesSend(t *testing.T) {
 	g := graph.GNP(120, 0.3, rng.New(5))
 	configs := sendConfigs(Options{})
 	run := func(t *testing.T, c config, form sendForm) (*metrics.Counters, []*fanoutNode) {
@@ -259,13 +262,13 @@ func TestSendPortMatchesSend(t *testing.T) {
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
 			byID, idProgs := run(t, c, formSend)
-			byPort, portProgs := run(t, c, formSendPort)
+			byPort, portProgs := run(t, c, formOnePort)
 			if !reflect.DeepEqual(byID, byPort) {
-				t.Fatalf("counters differ:\n  Send:     %v\n  SendPort: %v", byID, byPort)
+				t.Fatalf("counters differ:\n  Send:      %v\n  SendPorts: %v", byID, byPort)
 			}
 			for v := range idProgs {
 				if !reflect.DeepEqual(idProgs[v].log, portProgs[v].log) {
-					t.Fatalf("node %d inbox sequence differs between Send and SendPort", v)
+					t.Fatalf("node %d inbox sequence differs between Send and one-port SendPorts", v)
 				}
 				if !reflect.DeepEqual(portProgs[v].log, refProgs[v].log) {
 					t.Fatalf("node %d inbox sequence differs from the sequential engine", v)
@@ -290,9 +293,10 @@ func TestSendPortMatchesSend(t *testing.T) {
 // to a random third of the ports (listing the arrival port, for except to
 // skip), an empty flood, and from some receiving nodes a flood naming port
 // 0 twice.
-// loop sends each flood as a SendPort loop instead of one SendPorts call,
-// so the two must produce the same execution. After every flood the node
-// overwrites its port list, which SendPorts must already have copied.
+// loop sends each flood as a Send loop over the listed ports' neighbors
+// instead of one SendPorts call, so the two must produce the same
+// execution. After every flood the node overwrites its port list, which
+// SendPorts must already have copied.
 type portsNode struct {
 	loop  bool
 	ports []int32
@@ -340,7 +344,7 @@ func (p *portsNode) flood(ctx *Context, ports []int32, except graph.NodeID, m wi
 		nbrs := ctx.Neighbors()
 		for _, port := range ports {
 			if nbrs[port] != except {
-				ctx.SendPort(int(port), m)
+				ctx.Send(nbrs[port], m)
 			}
 		}
 	} else {
@@ -355,12 +359,13 @@ func (p *portsNode) scrub() {
 	}
 }
 
-// TestSendPortsMatchesSendPort: a flood sent as one SendPorts record must
-// be the same execution as the SendPort loop it replaces — identical
-// inboxes, counters, rounds and skipped rounds — with except set and unset,
-// an empty port list, a duplicated port, AllPorts, and the caller
-// overwriting its list right after the call, on every engine configuration.
-func TestSendPortsMatchesSendPort(t *testing.T) {
+// TestSendPortsMatchesSendLoop: a flood sent as one SendPorts record must
+// be the same execution as the Send loop over the ports' neighbors —
+// identical inboxes, counters, rounds and skipped rounds — with except set
+// and unset, an empty port list, a duplicated port, AllPorts, and the
+// caller overwriting its list right after the call, on every engine
+// configuration.
+func TestSendPortsMatchesSendLoop(t *testing.T) {
 	g := graph.GNP(120, 0.3, rng.New(6))
 	run := func(t *testing.T, c config, loop bool) (*metrics.Counters, []*portsNode) {
 		t.Helper()
@@ -388,11 +393,11 @@ func TestSendPortsMatchesSendPort(t *testing.T) {
 			loop, loopProgs := run(t, c, true)
 			ports, portsProgs := run(t, c, false)
 			if !reflect.DeepEqual(loop, ports) {
-				t.Fatalf("counters differ:\n  SendPort loop: %v\n  SendPorts:     %v", loop, ports)
+				t.Fatalf("counters differ:\n  Send loop: %v\n  SendPorts: %v", loop, ports)
 			}
 			for v := range portsProgs {
 				if !reflect.DeepEqual(portsProgs[v].log, loopProgs[v].log) {
-					t.Fatalf("node %d inbox sequence differs between SendPorts and the SendPort loop", v)
+					t.Fatalf("node %d inbox sequence differs between SendPorts and the Send loop", v)
 				}
 				if !reflect.DeepEqual(portsProgs[v].log, refProgs[v].log) {
 					t.Fatalf("node %d inbox sequence differs from the sequential engine", v)
@@ -409,41 +414,41 @@ func TestSendPortsMatchesSendPort(t *testing.T) {
 	}
 }
 
-// portSender makes one send on the given port during Init: a SendPort, or
-// with flood a SendPorts over port 0 and then port.
+// portSender makes one SendPorts call during Init: over the given port, or
+// with second over port 0 and then port.
 type portSender struct {
-	port  int
-	flood bool
+	port   int
+	second bool
 }
 
 func (p *portSender) Init(ctx *Context) {
-	if p.flood {
-		ctx.SendPorts([]int32{0, int32(p.port)}, -1, wire.Msg(wire.KindBroadcast, 0))
-		return
+	ports := []int32{int32(p.port)}
+	if p.second {
+		ports = []int32{0, int32(p.port)}
 	}
-	ctx.SendPort(p.port, wire.Msg(wire.KindBroadcast, 0))
+	ctx.SendPorts(ports, -1, wire.Msg(wire.KindBroadcast, 0))
 }
 func (p *portSender) Round(ctx *Context, inbox []Envelope) { ctx.Halt() }
 
-// TestSendPortOutOfRangeFails: a port outside [0, Degree()) is a send to a
-// non-neighbor — the run aborts after the round with ErrNotNeighbor, and the
-// valid sends of the same round are never delivered. SendPorts reports a
-// bad port in its list with SendPort's text.
-func TestSendPortOutOfRangeFails(t *testing.T) {
+// TestSendPortsOutOfRangeFails: a port outside [0, Degree()) is a send to a
+// non-neighbor — the run aborts after the round with ErrNotNeighbor naming
+// the port, and the valid sends of the same round, the same call's valid
+// port included, are never delivered.
+func TestSendPortsOutOfRangeFails(t *testing.T) {
 	g := graph.Path(3) // node 1 has ports 0 (node 0) and 1 (node 2)
 	for _, tc := range []struct {
-		name  string
-		port  int
-		flood bool
+		name   string
+		port   int
+		second bool
 	}{
 		{"port=-1", -1, false},
 		{"port=2", 2, false},
-		{"SendPorts/port=-1", -1, true},
-		{"SendPorts/port=2", 2, true},
+		{"second/port=-1", -1, true},
+		{"second/port=2", 2, true},
 	} {
 		port := tc.port
 		t.Run(tc.name, func(t *testing.T) {
-			nodes := []Node{&portSender{port: 0}, &portSender{port: port, flood: tc.flood}, &portSender{port: 0}}
+			nodes := []Node{&portSender{port: 0}, &portSender{port: port, second: tc.second}, &portSender{port: 0}}
 			net, err := NewNetwork(g, nodes, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -462,15 +467,15 @@ func TestSendPortOutOfRangeFails(t *testing.T) {
 	}
 }
 
-// BenchmarkSend compares the per-send cost of Send, SendPort and SendPorts
-// on one degree-200 fan-out: an op is one send on every incident edge.
+// BenchmarkSend compares the per-send cost of Send and SendPorts on one
+// degree-200 fan-out: an op is one send on every incident edge.
 func BenchmarkSend(b *testing.B) {
 	const deg = 200
-	bld := graph.NewBuilder(deg + 1)
-	for v := 1; v <= deg; v++ {
-		bld.AddEdge(0, graph.NodeID(v))
+	star := make([]graph.Edge, deg)
+	for v := range star {
+		star[v] = graph.Edge{U: 0, V: graph.NodeID(v + 1)}
 	}
-	g := bld.Build()
+	g := graph.FromEdges(deg+1, star)
 	net, err := NewNetwork(g, make([]Node, g.N()), Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -489,15 +494,6 @@ func BenchmarkSend(b *testing.B) {
 			ctx.reset(0)
 			for _, nb := range ctx.Neighbors() {
 				ctx.Send(nb, m)
-			}
-		}
-		perSend(b)
-	})
-	b.Run("SendPort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ctx.reset(0)
-			for port := range ctx.Degree() {
-				ctx.SendPort(port, m)
 			}
 		}
 		perSend(b)

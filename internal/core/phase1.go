@@ -66,18 +66,20 @@ type phase1 struct {
 	nbColor []int32
 	nbKnown int
 	// scopePorts caches the in-scope (same-color) neighbors as ascending
-	// ports once colors are known; every scoped flood is one SendPorts call
-	// over it instead of filtering the full neighbor list through a map
-	// lookup and searching for each target. It is filled once, in the
+	// ports once colors are known. It is the scope of every phase-1 flood
+	// (election, partition tree, DRA) and of the later phases' partition
+	// floods: each is one SendPorts call over it. It is filled once, in the
 	// election round, when every neighbor's color is in.
 	scopePorts []int32
 
-	electBest graph.NodeID
-	leader    bool
+	elect  proto.Flooder
+	leader bool
 
-	globalBFS *proto.BFSState
-	barrier   *proto.Barrier
-	scopeBFS  *proto.BFSState
+	// The machines live in the node's own object; one that has not started
+	// holds no children or barrier facts, so memoryWords reads 0 for it.
+	globalBFS proto.BFSState
+	barrier   proto.Barrier
+	scopeBFS  proto.BFSState
 	counter   *proto.Counter
 
 	dra       *dra.State
@@ -112,7 +114,9 @@ func (p *phase1) draStart() int64      { return 4*p.cfg.B + 8 }
 
 // recycled returns a zero phase under cfg that keeps the backing arrays of
 // p's per-port tables: init refills nbColor and the election round refills
-// scopePorts, so a reused program does not reallocate them.
+// scopePorts, so a reused program does not reallocate them. The machines
+// that point into the phase (the barrier, the counter) are set up after the
+// copy, by init and tick.
 func (p *phase1) recycled(cfg phase1Config) phase1 {
 	return phase1{cfg: cfg, nbColor: p.nbColor, scopePorts: p.scopePorts[:0]}
 }
@@ -120,15 +124,14 @@ func (p *phase1) recycled(cfg phase1Config) phase1 {
 func (p *phase1) init(ctx *congest.Context) {
 	p.color = int32(ctx.Rand().Intn(int(p.cfg.NumColors)))
 	p.nbColor = unknownColors(p.nbColor, ctx.Degree())
-	p.electBest = ctx.ID()
 	ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindColor, p.color))
-	p.globalBFS = proto.NewBFSState(0)
+	p.globalBFS = *proto.NewBFSState(0, ctx.AllPorts())
 	p.globalBFS.Tag = tagGlobalTree
 	p.globalBFS.Start(ctx)
+	// The barrier's tree is final by round B, and no barrier traffic flows
+	// before the first partition finishes DRA, long after.
+	p.barrier = *proto.NewBarrier(&p.globalBFS, p.cfg.B+2)
 }
-
-// inScope reports whether the neighbor on port is in this node's partition.
-func (p *phase1) inScope(port int) bool { return p.nbColor[port] == p.color }
 
 // unknownColors returns table resized to deg ports, every port unannounced.
 func unknownColors(table []int32, deg int) []int32 {
@@ -180,8 +183,8 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	if round == p.electStart() {
 		// All colors are in (announced at Init, delivered round 1): cache
 		// the in-scope ports for the scoped flood hot paths.
-		for port := range p.nbColor {
-			if p.inScope(port) {
+		for port, c := range p.nbColor {
+			if c == p.color {
 				p.scopePorts = append(p.scopePorts, int32(port))
 			}
 		}
@@ -190,24 +193,19 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 	// Global tree building and barrier traffic flow on their own kinds and
 	// can be absorbed every round.
 	p.globalBFS.Absorb(ctx, inbox)
-	if p.barrier == nil && round >= p.cfg.B {
-		// Tree final: barrier machinery becomes available.
-		p.barrier = proto.NewBarrier(p.globalBFS, p.cfg.B+2)
-	}
-	if p.barrier != nil {
-		p.barrier.Absorb(ctx, inbox)
-	}
+	p.barrier.Absorb(ctx, inbox)
 
 	done := false
 	switch {
 	case round == p.electStart():
-		p.sendCandidates(ctx)
+		p.elect = *proto.NewFlooder(ctx.ID(), p.scopePorts)
+		p.elect.Start(ctx)
 	case round > p.electStart() && round <= p.electEnd():
-		p.absorbCandidates(ctx, inbox)
+		p.elect.Absorb(ctx, inbox)
 	case round == p.scopeBFSStart():
-		p.absorbCandidates(ctx, inbox) // stragglers from the last send
-		p.leader = p.electBest == ctx.ID()
-		p.scopeBFS = proto.NewScopedBFSState(p.electBest, p.inScope)
+		p.elect.Absorb(ctx, inbox) // stragglers from the last send
+		p.leader = p.elect.Best == ctx.ID()
+		p.scopeBFS = *proto.NewBFSState(p.elect.Best, p.scopePorts)
 		p.scopeBFS.Tag = tagScopeTree
 		if p.leader {
 			p.scopeBFS.Start(ctx)
@@ -216,7 +214,7 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 		p.scopeBFS.Absorb(ctx, inbox)
 	case round >= p.countStart() && round < p.draStart():
 		if p.counter == nil {
-			p.counter = proto.NewCounter(p.scopeBFS, 1, tagScopeTree)
+			p.counter = proto.NewCounter(&p.scopeBFS, 1, tagScopeTree)
 		}
 		p.counter.Tick(ctx, inbox)
 	case round >= p.draStart():
@@ -321,42 +319,11 @@ func (p *phase1) newDRAState(ctx *congest.Context, startRound int64) *dra.State 
 	return dra.NewState(ctx, params)
 }
 
-func (p *phase1) sendCandidates(ctx *congest.Context) {
-	ctx.SendPorts(p.scopePorts, -1, wire.Msg(wire.KindCandidate, int32(p.electBest)))
-}
-
-func (p *phase1) absorbCandidates(ctx *congest.Context, inbox []congest.Envelope) {
-	if !ctx.Received(wire.KindCandidate) {
-		return
-	}
-	improved := false
-	for _, env := range inbox {
-		if env.Msg.Kind != wire.KindCandidate {
-			continue
-		}
-		if c := graph.NodeID(env.Msg.Arg(0)); c < p.electBest {
-			p.electBest = c
-			improved = true
-		}
-	}
-	if improved {
-		p.sendCandidates(ctx)
-	}
-}
-
 // memoryWords estimates retained state: neighbor colors (O(deg)), scope tree
 // children, DRA state, and O(1) scalars.
 func (p *phase1) memoryWords() int64 {
-	words := int64(p.nbKnown) + 16
-	if p.scopeBFS != nil {
-		words += int64(len(p.scopeBFS.Children))
-	}
-	if p.globalBFS != nil {
-		words += int64(len(p.globalBFS.Children))
-	}
-	if p.barrier != nil {
-		words += p.barrier.MemoryWords()
-	}
+	words := int64(p.nbKnown) + 16 + int64(len(p.scopeBFS.Children)) +
+		int64(len(p.globalBFS.Children)) + p.barrier.MemoryWords()
 	if p.dra != nil {
 		words += p.dra.MemoryWords()
 	}
@@ -369,7 +336,7 @@ func (p *phase1) memoryWords() int64 {
 // rounds. The root (its own parent) and unadopted nodes contribute only
 // their children.
 func (p *phase1) treeNeighbors(ctx *congest.Context) []graph.NodeID {
-	t := p.globalBFS
+	t := &p.globalBFS
 	nbrs := make([]graph.NodeID, 0, len(t.Children)+1)
 	if t.Adopted() && t.Parent != ctx.ID() {
 		nbrs = append(nbrs, t.Parent)

@@ -11,17 +11,8 @@ import (
 // twoTriangleGraph builds two disjoint triangles {0,1,2} and {3,4,5} plus
 // the given extra edges.
 func twoTriangleGraph(extra ...graph.Edge) *graph.Graph {
-	b := graph.NewBuilder(6)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 0)
-	b.AddEdge(3, 4)
-	b.AddEdge(4, 5)
-	b.AddEdge(5, 3)
-	for _, e := range extra {
-		b.AddEdge(e.U, e.V)
-	}
-	return b.Build()
+	edges := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 4}, {U: 4, V: 5}, {U: 5, V: 3}}
+	return graph.FromEdges(6, append(edges, extra...))
 }
 
 func TestMergeTwoParallelBridge(t *testing.T) {
@@ -98,16 +89,11 @@ func TestSpliceHypernodes(t *testing.T) {
 	// forward exit. The hyperpath visits partition 1, then 0 reversed, then
 	// 2 reversed: walks 4 5 3 | 0 2 1 | 6 8 7, so the hyperedges are (3,0),
 	// (1,6) and the closing (7,4).
-	b := graph.NewBuilder(9)
-	for base := 0; base < 9; base += 3 {
-		b.AddEdge(graph.NodeID(base), graph.NodeID(base+1))
-		b.AddEdge(graph.NodeID(base+1), graph.NodeID(base+2))
-		b.AddEdge(graph.NodeID(base+2), graph.NodeID(base))
+	edges := []graph.Edge{{U: 3, V: 0}, {U: 1, V: 6}, {U: 7, V: 4}}
+	for base := graph.NodeID(0); base < 9; base += 3 {
+		edges = append(edges, graph.Edge{U: base, V: base + 1}, graph.Edge{U: base + 1, V: base + 2}, graph.Edge{U: base + 2, V: base})
 	}
-	b.AddEdge(3, 0)
-	b.AddEdge(1, 6)
-	b.AddEdge(7, 4)
-	g := b.Build()
+	g := graph.FromEdges(9, edges)
 	succ := []graph.NodeID{1, 2, 0, 4, 5, 3, 7, 8, 6}
 	hyper := []Hypernode{
 		{U: 1, V: 0, Pos: 2, Reversed: true},

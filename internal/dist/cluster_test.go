@@ -149,7 +149,7 @@ func (b *badSendNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	if b.bad && ctx.Round() == 3 {
 		m := wire.Msg(wire.KindToken, 1)
 		if b.byPort {
-			ctx.SendPort(ctx.Degree(), m)
+			ctx.SendPorts([]int32{int32(ctx.Degree())}, -1, m)
 		} else {
 			ctx.Send(b.to, m)
 		}

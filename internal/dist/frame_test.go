@@ -77,71 +77,23 @@ func TestFrameConnRejectsCorruptLengths(t *testing.T) {
 	}
 }
 
-// edge is one per-edge message: the unit the fixed-width reference
-// encoding writes, and what delivery expands a record into.
+// edge is one per-edge message: what delivery expands a record into.
 type edge struct {
 	From, To graph.NodeID
 	Msg      wire.Message
 }
 
-// appendEdge appends one per-edge message record: sender, receiver, then
-// the message in the internal/wire codec's byte form (kind, arg count,
-// 4-byte big-endian args). Together with appendBatch and decodeBatch it is
-// the fixed-width reference encoding: not on the wire, but kept as the
-// oracle the record sections and fixedRecordLen are checked against.
-func appendEdge(dst []byte, codec wire.Codec, r edge) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.From))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.To))
-	return codec.AppendEncode(dst, r.Msg)
-}
-
-// appendBatch appends a u32 count followed by the per-edge records.
-func appendBatch(dst []byte, codec wire.Codec, batch []edge) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(batch)))
-	for i := range batch {
-		dst = appendEdge(dst, codec, batch[i])
+// fixedWidthLen is the length of edges in the fixed-width per-edge form a
+// section header's fixed cost counts: a 4-byte count, then per edge a
+// 4-byte sender, a 4-byte receiver, kind and arg-count bytes and 4 bytes
+// per arg. It is written out here rather than through fixedRecordLen, so a
+// wrong fixed cost in the codec shows.
+func fixedWidthLen(edges []edge) int {
+	n := 4
+	for _, e := range edges {
+		n += 10 + 4*int(e.Msg.NArgs)
 	}
-	return dst
-}
-
-// decodeBatch parses an appendBatch section, validating every message with
-// the wire codec and every endpoint against the vertex count. dst is reused;
-// the returned slice is valid until the caller's next decode.
-func decodeBatch(d *dec, codec wire.Codec, n int, dst []edge) ([]edge, error) {
-	count := d.u32()
-	if d.err != nil {
-		return nil, d.err
-	}
-	// Each record is at least 4+4+2 bytes; a count beyond that bound is a
-	// corrupt frame, rejected before any allocation proportional to it.
-	if uint64(count)*10 > uint64(len(d.b)) {
-		return nil, fmt.Errorf("dist: batch count %d exceeds frame capacity", count)
-	}
-	dst = dst[:0]
-	for i := uint32(0); i < count; i++ {
-		from := graph.NodeID(d.u32())
-		to := graph.NodeID(d.u32())
-		kindOff := d.b
-		if d.err != nil || len(kindOff) < 2 {
-			d.fail()
-			return nil, d.err
-		}
-		nargs := int(kindOff[1])
-		recLen := 2 + 4*nargs
-		if nargs > 4 || len(kindOff) < recLen {
-			return nil, fmt.Errorf("dist: corrupt message record (nargs %d, %d bytes left)", nargs, len(kindOff))
-		}
-		msg, err := codec.Decode(kindOff[:recLen])
-		if err != nil {
-			return nil, fmt.Errorf("dist: %w", err)
-		}
-		d.b = d.b[recLen:]
-		if int(from) < 0 || int(from) >= n || int(to) < 0 || int(to) >= n {
-			return nil, fmt.Errorf("dist: message endpoints %d->%d outside %d-vertex graph", from, to, n)
-		}
-		dst = append(dst, edge{From: from, To: to, Msg: msg})
-	}
-	return dst, nil
+	return n
 }
 
 // randomMsg draws a message with a valid kind and up to four args below n.
@@ -155,173 +107,6 @@ func randomMsg(r *rand.Rand, n int) wire.Message {
 		args[j] = int32(r.Intn(n))
 	}
 	return wire.Msg(kinds[r.Intn(len(kinds))], args...)
-}
-
-// randomBatch builds a deterministic pseudo-random per-edge batch with
-// valid kinds, arg counts and endpoints for an n-vertex network.
-func randomBatch(r *rand.Rand, n, size int) []edge {
-	batch := make([]edge, size)
-	for i := range batch {
-		batch[i] = edge{From: graph.NodeID(r.Intn(n)), To: graph.NodeID(r.Intn(n)), Msg: randomMsg(r, n)}
-	}
-	return batch
-}
-
-// TestBatchRoundTrip encodes random batches and decodes them back verbatim.
-func TestBatchRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	codec := wire.NewCodec(512)
-	for trial := 0; trial < 50; trial++ {
-		batch := randomBatch(r, 512, r.Intn(40))
-		enc := appendBatch(nil, codec, batch)
-		d := dec{b: enc}
-		got, err := decodeBatch(&d, codec, 512, nil)
-		if err != nil {
-			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		if len(got) != len(batch) {
-			t.Fatalf("trial %d: %d records, want %d", trial, len(got), len(batch))
-		}
-		for i := range got {
-			if got[i] != batch[i] {
-				t.Fatalf("trial %d record %d: %+v != %+v", trial, i, got[i], batch[i])
-			}
-		}
-		if len(d.b) != 0 {
-			t.Fatalf("trial %d: %d trailing bytes", trial, len(d.b))
-		}
-	}
-}
-
-// TestBatchTruncationAlwaysErrors is the truncation property: every strict
-// prefix of a valid batch encoding must decode to an error — never a panic,
-// never a silently shortened batch.
-func TestBatchTruncationAlwaysErrors(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	codec := wire.NewCodec(128)
-	full := appendBatch(nil, codec, randomBatch(r, 128, 12))
-	for cut := 0; cut < len(full); cut++ {
-		d := dec{b: full[:cut]}
-		if _, err := decodeBatch(&d, codec, 128, nil); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(full))
-		}
-	}
-}
-
-// TestBatchInterleaved decodes several shards' fixed-width batches written
-// back-to-back in one payload — the layout relayed sections keep — and checks
-// that each section decodes to exactly its own records and that shard-order
-// concatenation preserves the global sender-ascending order the in-process
-// deliver consumes.
-func TestBatchInterleaved(t *testing.T) {
-	const n, shards = 120, 4
-	codec := wire.NewCodec(n)
-	r := rand.New(rand.NewSource(99))
-	var payload []byte
-	var want []edge
-	for s := 0; s < shards; s++ {
-		lo, hi := s*n/shards, (s+1)*n/shards
-		batch := randomBatch(r, n, 10)
-		// Senders confined to the shard's range, ascending, as Step emits.
-		for i := range batch {
-			batch[i].From = graph.NodeID(lo + i*(hi-lo)/len(batch))
-		}
-		payload = appendBatch(payload, codec, batch)
-		want = append(want, batch...)
-	}
-	d := dec{b: payload}
-	var got []edge
-	for s := 0; s < shards; s++ {
-		part, err := decodeBatch(&d, codec, n, nil)
-		if err != nil {
-			t.Fatalf("section %d: %v", s, err)
-		}
-		got = append(got, part...)
-	}
-	if len(d.b) != 0 {
-		t.Fatalf("%d trailing bytes after %d sections", len(d.b), shards)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("record %d: %+v != %+v", i, got[i], want[i])
-		}
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].From < got[i-1].From {
-			t.Fatalf("sender order violated at %d: %d after %d", i, got[i].From, got[i-1].From)
-		}
-	}
-}
-
-// TestDecodeBatchRejectsCorruptRecords covers the decoder's validation: a
-// lying count, an impossible arg count, an unknown message kind, and
-// out-of-range endpoints.
-func TestDecodeBatchRejectsCorruptRecords(t *testing.T) {
-	codec := wire.NewCodec(16)
-	valid := func() []byte {
-		return appendBatch(nil, codec, []edge{
-			{From: 1, To: 2, Msg: wire.Msg(wire.KindToken, 3)},
-		})
-	}
-	t.Run("count-beyond-capacity", func(t *testing.T) {
-		enc := valid()
-		enc[0], enc[1], enc[2], enc[3] = 0x7F, 0xFF, 0xFF, 0xFF
-		d := dec{b: enc}
-		if _, err := decodeBatch(&d, codec, 16, nil); err == nil || !strings.Contains(err.Error(), "exceeds frame capacity") {
-			t.Fatalf("got %v", err)
-		}
-	})
-	t.Run("nargs-too-large", func(t *testing.T) {
-		enc := valid()
-		enc[4+4+4+1] = 9 // arg-count byte of the first record
-		d := dec{b: enc}
-		if _, err := decodeBatch(&d, codec, 16, nil); err == nil || !strings.Contains(err.Error(), "corrupt message record") {
-			t.Fatalf("got %v", err)
-		}
-	})
-	t.Run("unknown-kind", func(t *testing.T) {
-		enc := valid()
-		enc[4+4+4] = 0xEE // kind byte of the first record
-		d := dec{b: enc}
-		if _, err := decodeBatch(&d, codec, 16, nil); err == nil || !strings.Contains(err.Error(), "unknown kind") {
-			t.Fatalf("got %v", err)
-		}
-	})
-	t.Run("endpoint-out-of-range", func(t *testing.T) {
-		enc := appendBatch(nil, codec, []edge{
-			{From: 1, To: 15, Msg: wire.Msg(wire.KindToken, 3)},
-		})
-		d := dec{b: enc}
-		if _, err := decodeBatch(&d, codec, 8, nil); err == nil || !strings.Contains(err.Error(), "outside") {
-			t.Fatalf("got %v", err)
-		}
-	})
-}
-
-// FuzzDecodeBatch feeds arbitrary bytes to the batch decoder. The invariants:
-// no panic, and any successful decode yields only in-range endpoints and
-// messages the codec itself validates.
-func FuzzDecodeBatch(f *testing.F) {
-	codec := wire.NewCodec(64)
-	r := rand.New(rand.NewSource(3))
-	f.Add([]byte{})
-	f.Add(appendBatch(nil, codec, randomBatch(r, 64, 5)))
-	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 2, 3, 1, 0, 0, 0, 5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		d := dec{b: data}
-		batch, err := decodeBatch(&d, codec, 64, nil)
-		if err != nil {
-			return
-		}
-		for i, rec := range batch {
-			if rec.From < 0 || int(rec.From) >= 64 || rec.To < 0 || int(rec.To) >= 64 {
-				t.Fatalf("record %d has out-of-range endpoints %d->%d", i, rec.From, rec.To)
-			}
-			if rec.Msg.NArgs > 4 {
-				t.Fatalf("record %d has %d args", i, rec.Msg.NArgs)
-			}
-		}
-	})
 }
 
 // expand lists recs edge by edge in send order: what delivery meters.
@@ -384,23 +169,22 @@ func randomOutbox(r *rand.Rand, n, k, self, size int) []congest.Record {
 // record section and decodes them back verbatim: each record once, its
 // receivers in send order. It pins the point of the encoding too: a
 // section, header included, is never larger than the same messages in the
-// per-edge fixed-width reference, and its header's fixed cost and edge
-// count are that reference's.
+// per-edge fixed-width form, and its header's fixed cost and edge count are
+// that form's.
 func TestBatchDeltaRoundTrip(t *testing.T) {
 	const n, k = 512, 2
 	r := rand.New(rand.NewSource(42))
-	codec := wire.NewCodec(n)
 	for trial := 0; trial < 50; trial++ {
 		out := randomOutbox(r, n, k, 1, r.Intn(40))
 		edges := expand(out)
-		fixed := len(appendBatch(nil, codec, edges))
+		fixed := fixedWidthLen(edges)
 		enc := newSectionWriter(n, k, 1).appendSections(nil, out)
 		if len(enc) > fixed {
 			t.Fatalf("trial %d: section %d bytes exceeds fixed form %d", trial, len(enc), fixed)
 		}
-		if sec := readSection(&dec{b: enc}); sec.fixed != uint64(fixed-fixedCountLen) || sec.edges != uint64(len(edges)) {
-			t.Fatalf("trial %d: header fixed %d, edges %d; reference %d bytes for %d edges",
-				trial, sec.fixed, sec.edges, fixed-fixedCountLen, len(edges))
+		if sec := readSection(&dec{b: enc}); sec.fixed != uint64(fixed-4) || sec.edges != uint64(len(edges)) {
+			t.Fatalf("trial %d: header fixed %d, edges %d; fixed-width form %d bytes for %d edges",
+				trial, sec.fixed, sec.edges, fixed-4, len(edges))
 		}
 		d := dec{b: enc}
 		got, _, err := decodeSection(&d, n, k, 1, 0, nil, nil)
@@ -641,10 +425,9 @@ func relayAll(tb testing.TB, outs [][]byte) []*link {
 // to exactly the concatenation, in source-shard order, of every source's
 // edges to it — the global sender-ascending order — with each record
 // carried once per destination it reaches, and the relay's accounting must
-// match the fixed-width oracle, the bytes relayed and the edge count.
+// match the fixed-width length, the bytes relayed and the edge count.
 func TestSectionRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	codec := wire.NewCodec(97)
 	for _, k := range []int{2, 3, 5} {
 		const n = 97
 		batches := make([][]congest.Record, k)
@@ -675,7 +458,7 @@ func TestSectionRoundTrip(t *testing.T) {
 				t.Fatalf("k=%d dst %d: %d records, %d trailing bytes; want %d records", k, dst, len(got), len(d.b), wantRecs)
 			}
 			equalEdges(t, fmt.Sprintf("k=%d dst %d", k, dst), expand(got), want)
-			if fixed := int64(len(appendBatch(nil, codec, want))); l.batchBytesFixed != fixed {
+			if fixed := int64(fixedWidthLen(want)); l.batchBytesFixed != fixed {
 				t.Fatalf("k=%d dst %d: batchBytesFixed %d, fixed-width encoding %d", k, dst, l.batchBytesFixed, fixed)
 			}
 			if l.batchBytesDelta != int64(len(l.enc.b)) {

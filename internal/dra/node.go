@@ -26,9 +26,6 @@ var ErrFailed = errors.New("dra: rotation process failed")
 type Node struct {
 	state *State
 	opts  NodeOptions
-	// ports lists every incident edge (the whole graph is the scope); it
-	// is rebuilt in place by each Init, so session reuse keeps the buffer.
-	ports []int32
 }
 
 // NodeOptions configures the standalone instance.
@@ -48,14 +45,10 @@ func (d *Node) Init(ctx *congest.Context) {
 	if b == 0 {
 		b = int64(ctx.N())
 	}
-	d.ports = d.ports[:0]
-	for p := range ctx.Degree() {
-		d.ports = append(d.ports, int32(p))
-	}
 	p := Params{
 		ScopeSize:       ctx.N(),
 		IsInitialHead:   ctx.ID() == 0,
-		ScopePorts:      d.ports,
+		ScopePorts:      ctx.AllPorts(), // the whole graph is the scope
 		BroadcastRounds: b,
 		StartRound:      1,
 		Tag:             1,

@@ -38,7 +38,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if _, err := fmt.Sscanf(sc.Text(), "%d %d", &n, &m); err != nil {
 		return nil, fmt.Errorf("graph: bad header %q: %w", sc.Text(), err)
 	}
-	b := NewBuilder(n)
+	// No capacity hint: m comes from another process's input, and the
+	// header alone must not size an allocation.
+	b := NewBuilderCSR(n, 0)
 	for i := 0; i < m; i++ {
 		if !sc.Scan() {
 			return nil, fmt.Errorf("graph: expected %d edges, got %d", m, i)
@@ -55,9 +57,14 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: bad endpoint %q: %w", fields[1], err)
 		}
-		if !b.AddEdge(NodeID(u), NodeID(v)) {
-			return nil, fmt.Errorf("graph: invalid or duplicate edge (%d,%d)", u, v)
+		if !b.Add(NodeID(u), NodeID(v)) {
+			return nil, fmt.Errorf("graph: invalid edge (%d,%d)", u, v)
 		}
 	}
-	return b.Build(), sc.Err()
+	// Build drops duplicates, so each one shows as an edge short of m.
+	g := b.Build()
+	if g.M() < m {
+		return nil, fmt.Errorf("graph: %d duplicate edges among %d", m-g.M(), m)
+	}
+	return g, sc.Err()
 }

@@ -240,7 +240,14 @@ func tryStegerWormald(n, d int, src *rng.Source) (*Graph, bool) {
 			stubs = append(stubs, NodeID(v))
 		}
 	}
-	b := NewBuilder(n)
+	// seen holds the packed pairs added so far, for the duplicate test; b
+	// builds the same pairs once stubs run out.
+	seen := make(map[uint64]struct{}, n*d/2)
+	b := NewBuilderCSR(n, n*d/2)
+	add := func(u, v NodeID) {
+		seen[packPair(u, v)] = struct{}{}
+		b.Add(u, v)
+	}
 	for len(stubs) > 0 {
 		paired := false
 		// A bounded number of re-draws per pair keeps the loop O(nd) in
@@ -253,10 +260,10 @@ func tryStegerWormald(n, d int, src *rng.Source) (*Graph, bool) {
 				continue
 			}
 			u, v := stubs[i], stubs[j]
-			if u == v || b.HasEdge(u, v) {
+			if _, dup := seen[packPair(u, v)]; u == v || dup {
 				continue
 			}
-			b.AddEdge(u, v)
+			add(u, v)
 			removeStubPair(&stubs, i, j)
 			paired = true
 			break
@@ -264,8 +271,8 @@ func tryStegerWormald(n, d int, src *rng.Source) (*Graph, bool) {
 		if paired {
 			continue
 		}
-		if i, j, ok := findValidPair(stubs, b); ok {
-			b.AddEdge(stubs[i], stubs[j])
+		if i, j, ok := findValidPair(stubs, seen); ok {
+			add(stubs[i], stubs[j])
 			removeStubPair(&stubs, i, j)
 			continue
 		}
@@ -289,10 +296,10 @@ func removeStubPair(stubs *[]NodeID, i, j int) {
 	*stubs = s
 }
 
-func findValidPair(stubs []NodeID, b *Builder) (int, int, bool) {
+func findValidPair(stubs []NodeID, seen map[uint64]struct{}) (int, int, bool) {
 	for i := 0; i < len(stubs); i++ {
 		for j := i + 1; j < len(stubs); j++ {
-			if stubs[i] != stubs[j] && !b.HasEdge(stubs[i], stubs[j]) {
+			if _, dup := seen[packPair(stubs[i], stubs[j])]; stubs[i] != stubs[j] && !dup {
 				return i, j, true
 			}
 		}

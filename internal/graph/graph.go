@@ -96,51 +96,6 @@ func guardHalfEdges(half int64) {
 	}
 }
 
-// Builder accumulates edges with online duplicate detection and produces an
-// immutable Graph. Use BuilderCSR when duplicates are impossible or may be
-// resolved at Build time: it avoids the per-edge hash-set cost.
-type Builder struct {
-	n     int
-	edges map[Edge]struct{}
-}
-
-// NewBuilder returns a Builder for a graph on n vertices.
-func NewBuilder(n int) *Builder {
-	return &Builder{n: n, edges: make(map[Edge]struct{})}
-}
-
-// AddEdge records the undirected edge (u, v). Self-loops and duplicates are
-// ignored, keeping the graph simple. It returns true if the edge was new.
-func (b *Builder) AddEdge(u, v NodeID) bool {
-	if u == v {
-		return false
-	}
-	if int(u) < 0 || int(u) >= b.n || int(v) < 0 || int(v) >= b.n {
-		return false
-	}
-	e := Edge{U: u, V: v}.Canonical()
-	if _, dup := b.edges[e]; dup {
-		return false
-	}
-	b.edges[e] = struct{}{}
-	return true
-}
-
-// HasEdge reports whether (u, v) has been added.
-func (b *Builder) HasEdge(u, v NodeID) bool {
-	_, ok := b.edges[Edge{U: u, V: v}.Canonical()]
-	return ok
-}
-
-// Build produces the immutable Graph. The Builder may be reused afterwards.
-func (b *Builder) Build() *Graph {
-	pairs := make([]uint64, 0, len(b.edges))
-	for e := range b.edges {
-		pairs = append(pairs, packPair(e.U, e.V))
-	}
-	return csrFromPackedPairs(b.n, sortDedupPacked(pairs))
-}
-
 // BuilderCSR is the streaming construction path: edges append as packed
 // 8-byte pair keys (no per-edge hash-set entries, half the footprint of an
 // []Edge) and are sorted and deduplicated once at Build. Peak memory is 8

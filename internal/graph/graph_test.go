@@ -8,24 +8,21 @@ import (
 )
 
 func TestBuilderBasics(t *testing.T) {
-	b := NewBuilder(4)
-	if !b.AddEdge(0, 1) {
-		t.Fatal("AddEdge(0,1) rejected")
+	b := NewBuilderCSR(4, 0)
+	if !b.Add(0, 1) || !b.Add(1, 0) {
+		t.Fatal("valid edge rejected")
 	}
-	if b.AddEdge(1, 0) {
-		t.Fatal("duplicate (reversed) edge accepted")
-	}
-	if b.AddEdge(2, 2) {
+	if b.Add(2, 2) {
 		t.Fatal("self-loop accepted")
 	}
-	if b.AddEdge(0, 5) {
+	if b.Add(0, 5) {
 		t.Fatal("out-of-range edge accepted")
 	}
-	if b.AddEdge(-1, 0) {
+	if b.Add(-1, 0) {
 		t.Fatal("negative endpoint accepted")
 	}
-	b.AddEdge(1, 2)
-	g := b.Build()
+	b.Add(1, 2)
+	g := b.Build() // the reversed duplicate of (0,1) is dropped here
 	if g.N() != 4 || g.M() != 2 {
 		t.Fatalf("got n=%d m=%d, want 4, 2", g.N(), g.M())
 	}
@@ -201,9 +198,7 @@ func TestBFSDistances(t *testing.T) {
 }
 
 func TestBFSUnreachable(t *testing.T) {
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	g := b.Build()
+	g := FromEdges(4, []Edge{{U: 0, V: 1}})
 	res := g.BFS(0)
 	if res.Dist[2] != -1 || res.Dist[3] != -1 {
 		t.Fatal("unreachable vertices should have dist -1")
@@ -223,9 +218,7 @@ func TestDiameterSmall(t *testing.T) {
 	if d := Complete(8).Diameter(); d != 1 {
 		t.Fatalf("K8 diameter %d, want 1", d)
 	}
-	b := NewBuilder(3)
-	b.AddEdge(0, 1)
-	if d := b.Build().Diameter(); d != -1 {
+	if d := FromEdges(3, []Edge{{U: 0, V: 1}}).Diameter(); d != -1 {
 		t.Fatalf("disconnected diameter %d, want -1", d)
 	}
 }

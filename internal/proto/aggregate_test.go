@@ -20,7 +20,7 @@ type countNode struct {
 
 func (n *countNode) Init(ctx *congest.Context) {
 	ctx.WakeAt(ctx.Round() + 1)
-	n.bfs = NewBFSState(0)
+	n.bfs = NewBFSState(0, ctx.AllPorts())
 	n.bfs.Start(ctx)
 }
 
@@ -103,7 +103,7 @@ type barrierNode struct {
 
 func (n *barrierNode) Init(ctx *congest.Context) {
 	ctx.WakeAt(ctx.Round() + 1)
-	n.bfs = NewBFSState(0)
+	n.bfs = NewBFSState(0, ctx.AllPorts())
 	n.bfs.Start(ctx)
 	n.releasedAt = make(map[int32]int64)
 	n.arrivedAt = make(map[int32]int64)

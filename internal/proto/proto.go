@@ -4,13 +4,18 @@
 // in the CONGEST model via package congest and are written as embeddable
 // state machines so algorithm nodes can compose them.
 //
+// A flood's scope is a port list: Flooder and BFSState flood with one
+// congest.Context.SendPorts call over their Ports — ctx.AllPorts() for the
+// whole graph, a colour class's ports for the subgraph the class induces.
+//
 // Activity contract (for the event-driven simulator): every machine in this
 // package is message-driven after its start call — an Absorb/Tick with an
 // empty inbox is a no-op — with exactly two empty-inbox obligations the
 // embedder must cover with congest.Context.WakeAt wake-ups: the round a
 // machine is started in (Flooder.Start, BFSState.Start, the first
 // Counter.Tick, which sends a leaf's count upward unprompted), and any
-// deadline the embedder itself imposes (e.g. "read Leader after D rounds").
+// deadline the embedder itself imposes (e.g. "read Flooder.Best after D
+// rounds").
 // Barrier.Arrive is driven by the embedder's own progress and so needs no
 // wake-up of its own.
 //
@@ -28,99 +33,80 @@ import (
 )
 
 // Flooder is a per-node state machine implementing min-id leader election by
-// flooding: every node repeatedly forwards the smallest candidate id it has
-// seen. After Rounds() rounds with no new information for `patience` rounds,
-// the node with id == minimum considers itself leader.
-//
-// In a connected graph, flooding stabilizes after diameter rounds; callers
-// that know an upper bound D on the diameter should run the flooder for D
-// rounds and then read Leader.
+// flooding: every node forwards each improvement of the smallest id it has
+// seen on its Ports. Callers that know an upper bound D on the diameter of
+// the subgraph the ports span run it for D rounds from Start; then every
+// node's Best is that subgraph's minimum id, and the node it names leads.
 type Flooder struct {
 	// Best is the smallest id heard so far (initially the node's own).
 	Best graph.NodeID
-	// changed reports whether Best improved last round.
-	changed bool
+	// Ports are the ports (indices into ctx.Neighbors()) it floods on.
+	Ports []int32
 }
 
-// NewFlooder initializes election state for the given node.
-func NewFlooder(self graph.NodeID) *Flooder {
-	return &Flooder{Best: self, changed: true}
+// NewFlooder initializes election state for the given node over ports.
+func NewFlooder(self graph.NodeID, ports []int32) *Flooder {
+	return &Flooder{Best: self, Ports: ports}
 }
 
-// Start sends the initial candidate to all neighbors. Call from Init.
+// Start sends the initial candidate on every port. Call in the round the
+// election begins.
 func (f *Flooder) Start(ctx *congest.Context) {
 	f.sendBest(ctx)
-	f.changed = false
 }
 
 // Absorb processes this round's candidate messages and forwards improvements.
 // It returns true if Best changed.
 func (f *Flooder) Absorb(ctx *congest.Context, inbox []congest.Envelope) bool {
+	if !ctx.Received(wire.KindCandidate) {
+		return false
+	}
 	improved := false
-	if ctx.Received(wire.KindCandidate) {
-		for _, env := range inbox {
-			if env.Msg.Kind != wire.KindCandidate {
-				continue
-			}
-			if c := graph.NodeID(env.Msg.Arg(0)); c < f.Best {
-				f.Best = c
-				improved = true
-			}
+	for _, env := range inbox {
+		if env.Msg.Kind != wire.KindCandidate {
+			continue
+		}
+		if c := graph.NodeID(env.Msg.Arg(0)); c < f.Best {
+			f.Best = c
+			improved = true
 		}
 	}
 	if improved {
 		f.sendBest(ctx)
 	}
-	f.changed = improved
 	return improved
 }
 
-// sendBest sends the current candidate on every incident edge.
 func (f *Flooder) sendBest(ctx *congest.Context) {
-	ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindCandidate, int32(f.Best)))
+	ctx.SendPorts(f.Ports, -1, wire.Msg(wire.KindCandidate, int32(f.Best)))
 }
 
 // BFSState is a per-node state machine that builds a BFS tree rooted at a
-// designated node. The root sends KindBFSExplore in its start round; every
-// node adopts the first explorer heard (ties broken by smallest sender id,
-// which the simulator's sorted inboxes give us for free) and forwards the
-// exploration. Children acknowledge adoption so parents learn their subtree
-// edges.
+// designated node over the edges on its Ports. The root sends
+// KindBFSExplore in its start round; every node adopts the first explorer
+// heard (ties broken by smallest sender id, which the simulator's sorted
+// inboxes give us for free) and forwards the exploration. Children
+// acknowledge adoption so parents learn their subtree edges.
 type BFSState struct {
 	Root     graph.NodeID
 	Parent   graph.NodeID // -1 until adopted
 	Level    int32        // hop distance from root; -1 until adopted
 	Children []graph.NodeID
-	// InScope, if non-nil, restricts the tree to a vertex subset: explore
-	// messages are only sent on ports (indices into ctx.Neighbors()) it
-	// reports in scope (DHC builds one tree per partition).
-	InScope func(port int) bool
+	// Ports are the ports (indices into ctx.Neighbors()) it explores on.
+	Ports []int32
 	// Tag distinguishes concurrent BFS instances (e.g. the global tree vs
 	// per-partition trees); explore/ack messages carry it.
 	Tag int32
 }
 
-// NewBFSState returns idle BFS state; the root adopts itself at Start.
-func NewBFSState(root graph.NodeID) *BFSState {
-	return &BFSState{Root: root, Parent: -1, Level: -1}
-}
-
-// NewScopedBFSState returns BFS state restricted to the neighbors on the
-// ports inScope accepts.
-func NewScopedBFSState(root graph.NodeID, inScope func(port int) bool) *BFSState {
-	return &BFSState{Root: root, Parent: -1, Level: -1, InScope: inScope}
+// NewBFSState returns idle BFS state over ports; the root adopts itself at
+// Start.
+func NewBFSState(root graph.NodeID, ports []int32) *BFSState {
+	return &BFSState{Root: root, Parent: -1, Level: -1, Ports: ports}
 }
 
 func (b *BFSState) sendExplore(ctx *congest.Context, except graph.NodeID) {
-	for port, nb := range ctx.Neighbors() {
-		if nb == except {
-			continue
-		}
-		if b.InScope != nil && !b.InScope(port) {
-			continue
-		}
-		ctx.SendPort(port, wire.Msg(wire.KindBFSExplore, b.Level, b.Tag))
-	}
+	ctx.SendPorts(b.Ports, except, wire.Msg(wire.KindBFSExplore, b.Level, b.Tag))
 }
 
 // Start begins exploration if this node is the root. Call from the round the

@@ -19,7 +19,7 @@ type electNode struct {
 
 func (e *electNode) Init(ctx *congest.Context) {
 	ctx.WakeAt(ctx.Round() + 1)
-	e.f = NewFlooder(ctx.ID())
+	e.f = NewFlooder(ctx.ID(), ctx.AllPorts())
 	e.f.Start(ctx)
 }
 
@@ -83,7 +83,7 @@ type bfsNode struct {
 
 func (n *bfsNode) Init(ctx *congest.Context) {
 	ctx.WakeAt(ctx.Round() + 1)
-	n.b = NewBFSState(0)
+	n.b = NewBFSState(0, ctx.AllPorts())
 	n.b.Start(ctx)
 }
 

@@ -83,7 +83,7 @@ func (u *node) countStart() int64 { return 2*u.opts.B + 2 }
 func (u *node) upcastAt() int64   { return 4*u.opts.B + 8 }
 
 func (u *node) Init(ctx *congest.Context) {
-	u.flood = proto.NewFlooder(ctx.ID())
+	u.flood = proto.NewFlooder(ctx.ID(), ctx.AllPorts())
 	u.flood.Start(ctx)
 	u.succ = -1
 	u.route = make(map[graph.NodeID]graph.NodeID)
@@ -97,7 +97,7 @@ func (u *node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	case round <= u.electEnd():
 		u.flood.Absorb(ctx, inbox)
 		if round == u.electEnd() {
-			u.tree = proto.NewBFSState(u.flood.Best)
+			u.tree = proto.NewBFSState(u.flood.Best, ctx.AllPorts())
 			u.tree.Tag = treeTag
 			u.tree.Start(ctx)
 		}
@@ -276,11 +276,7 @@ func (u *node) absorb(ctx *congest.Context, inbox []congest.Envelope) {
 // starts the downcast.
 func (u *node) solveAtRoot(ctx *congest.Context) {
 	u.solved = true
-	b := graph.NewBuilder(ctx.N())
-	for _, e := range u.collected {
-		b.AddEdge(e.U, e.V)
-	}
-	sampled := b.Build()
+	sampled := graph.FromEdges(ctx.N(), u.collected)
 	var hc *cycle.Cycle
 	for a := 0; a < RootAttempts; a++ {
 		c, _, err := rotation.Solve(sampled, ctx.Rand(), rotation.Config{})

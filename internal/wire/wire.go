@@ -1,15 +1,16 @@
 // Package wire defines the message vocabulary of every distributed algorithm
-// in this repository and its binary encoding, with exact bit-size accounting.
+// in this repository, with exact bit-size accounting.
 //
 // The CONGEST model allows O(log n) bits per edge per round. All algorithm
 // messages carry a small constant number of node identifiers or path indices,
 // each of which needs ceil(log2 n) bits, so every message fits the model. The
 // Codec computes the exact width of a message for a given network size, and
 // the network simulator rejects messages wider than its per-edge bandwidth.
+// The bytes a message takes between processes are the distributed engine's
+// business (internal/dist), not this package's.
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -161,7 +162,7 @@ func (m Message) String() string {
 	return s + ")"
 }
 
-// Codec computes message widths and encodes messages for an n-node network.
+// Codec computes message widths for an n-node network.
 type Codec struct {
 	// IDBits is the width of one node id / index field: ceil(log2 n),
 	// minimum 1.
@@ -177,8 +178,7 @@ func NewCodec(n int) Codec {
 }
 
 // Valid reports whether k is a defined message kind. Decoders that rebuild
-// messages field by field (rather than through Codec.Decode's byte form) use
-// it to apply the same kind validation.
+// messages from bytes use it to reject undefined kinds.
 func (k Kind) Valid() bool { return k > 0 && k < kindMax }
 
 // kindBits is the width of the kind field. 8 bits covers all kinds with room
@@ -194,56 +194,4 @@ const kindBits = 8
 // 2^IDBits >= n.
 func (c Codec) Bits(m Message) int64 {
 	return kindBits + int64(m.NArgs)*int64(c.IDBits)
-}
-
-// MaxEncodedLen is the largest wire form of any message: kind + arg count +
-// maxArgs 4-byte arguments. Size reusable buffers for AppendEncode with it.
-const MaxEncodedLen = 2 + 4*maxArgs
-
-// EncodedLen returns the byte length of m's wire form.
-func (m Message) EncodedLen() int { return 2 + 4*int(m.NArgs) }
-
-// AppendEncode appends m's wire form — kind, arg count, then each argument
-// as a 4-byte big-endian value — to dst and returns the extended slice. It
-// is the zero-allocation fast path: when dst has spare capacity (at least
-// MaxEncodedLen), no allocation occurs, so a transcript writer reusing one
-// buffer encodes at steady state without garbage.
-func (c Codec) AppendEncode(dst []byte, m Message) []byte {
-	dst = append(dst, byte(m.Kind), m.NArgs)
-	for i := 0; i < int(m.NArgs); i++ {
-		a := uint32(m.Args[i])
-		dst = append(dst, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	}
-	return dst
-}
-
-// Encode serializes m to a fresh buffer (see AppendEncode for the
-// allocation-free form). The byte form is used for transcript dumps and
-// fidelity tests; the simulator itself accounts sizes with Bits, which
-// reflects the information-theoretic width rather than byte padding.
-func (c Codec) Encode(m Message) []byte {
-	return c.AppendEncode(make([]byte, 0, m.EncodedLen()), m)
-}
-
-// Decode parses the Encode format.
-func (c Codec) Decode(buf []byte) (Message, error) {
-	if len(buf) < 2 {
-		return Message{}, fmt.Errorf("wire: short message (%d bytes)", len(buf))
-	}
-	k := Kind(buf[0])
-	if k == 0 || k >= kindMax {
-		return Message{}, fmt.Errorf("wire: unknown kind %d", buf[0])
-	}
-	nargs := buf[1]
-	if nargs > maxArgs {
-		return Message{}, fmt.Errorf("wire: %d args exceeds max %d", nargs, maxArgs)
-	}
-	if len(buf) != 2+4*int(nargs) {
-		return Message{}, fmt.Errorf("wire: length %d inconsistent with %d args", len(buf), nargs)
-	}
-	m := Message{Kind: k, NArgs: nargs}
-	for i := 0; i < int(nargs); i++ {
-		m.Args[i] = int32(binary.BigEndian.Uint32(buf[2+4*i:]))
-	}
-	return m, nil
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMsgConstruction(t *testing.T) {
@@ -78,110 +77,12 @@ func TestAllMessagesFitCONGEST(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := NewCodec(1000)
-	check := func(kindRaw uint8, a, b int32, nargsRaw uint8) bool {
-		kind := Kind(kindRaw%uint8(kindMax-1)) + 1
-		nargs := nargsRaw % (maxArgs + 1)
-		m := Message{Kind: kind, NArgs: nargs}
-		m.Args[0], m.Args[1] = a, b
-		got, err := c.Decode(c.Encode(m))
-		if err != nil {
-			return false
-		}
-		if got.Kind != m.Kind || got.NArgs != m.NArgs {
-			return false
-		}
-		for i := 0; i < int(nargs); i++ {
-			if got.Args[i] != m.Args[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	c := NewCodec(100)
-	cases := map[string][]byte{
-		"short":            {},
-		"one byte":         {1},
-		"unknown kind":     {0, 0},
-		"kind too big":     {250, 0},
-		"too many args":    {1, 9},
-		"length mismatch":  {1, 2, 0, 0, 0, 1},
-		"trailing garbage": append(c.Encode(Msg(KindSuccess)), 0xff),
-	}
-	for name, buf := range cases {
-		if _, err := c.Decode(buf); err == nil {
-			t.Errorf("%s: decode accepted %v", name, buf)
-		}
-	}
-}
-
-// TestAppendEncodeMatchesEncode pins the fast path to the allocating form.
-func TestAppendEncodeMatchesEncode(t *testing.T) {
-	c := NewCodec(1024)
-	buf := make([]byte, 0, MaxEncodedLen)
-	for _, m := range []Message{
-		Msg(KindSuccess),
-		Msg(KindProgress, 7),
-		Msg(KindRotation, 1, 2, 3, 4),
-		Msg(KindVerified, -1, 1<<30, 0),
-	} {
-		want := c.Encode(m)
-		got := c.AppendEncode(buf[:0], m)
-		if string(got) != string(want) {
-			t.Fatalf("AppendEncode(%v) = %v, Encode = %v", m, got, want)
-		}
-		if m.EncodedLen() != len(want) {
-			t.Fatalf("EncodedLen(%v) = %d, encoded %d bytes", m, m.EncodedLen(), len(want))
-		}
-	}
-}
-
-// TestCodecFastPathZeroAllocs pins the steady-state allocation count of the
-// encode/decode fast path at exactly zero.
-func TestCodecFastPathZeroAllocs(t *testing.T) {
-	c := NewCodec(1 << 20)
-	m := Msg(KindRotation, 9, 4, 123, 77)
-	buf := make([]byte, 0, MaxEncodedLen)
-	encoded := c.Encode(m)
-	if avg := testing.AllocsPerRun(1000, func() {
-		buf = c.AppendEncode(buf[:0], m)
-	}); avg != 0 {
-		t.Fatalf("AppendEncode allocates %.1f times per op", avg)
-	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		got, err := c.Decode(encoded)
-		if err != nil || got.Kind != m.Kind {
-			t.Fatal("bad decode")
-		}
-	}); avg != 0 {
-		t.Fatalf("Decode allocates %.1f times per op", avg)
-	}
-}
-
-func BenchmarkAppendEncode(b *testing.B) {
-	c := NewCodec(1 << 20)
-	m := Msg(KindRotation, 9, 4, 123, 77)
-	buf := make([]byte, 0, MaxEncodedLen)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = c.AppendEncode(buf[:0], m)
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	c := NewCodec(1 << 20)
-	encoded := c.Encode(Msg(KindRotation, 9, 4, 123, 77))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(encoded); err != nil {
-			b.Fatal(err)
+// TestKindValid pins the defined-kind range decoders validate against:
+// [1, NumKinds), with 0 and everything from NumKinds up rejected.
+func TestKindValid(t *testing.T) {
+	for k := 0; k < 256; k++ {
+		if got, want := Kind(k).Valid(), k >= 1 && k < NumKinds; got != want {
+			t.Errorf("Kind(%d).Valid() = %v, want %v", k, got, want)
 		}
 	}
 }
