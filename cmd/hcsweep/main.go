@@ -358,7 +358,7 @@ func runValidate(path string) error {
 		return err
 	}
 	if rep.Sweep == nil {
-		return fmt.Errorf("%s: no sweep section (did you mean hcbench -validate?)", path)
+		return fmt.Errorf("%s: no sweep section (legacy BENCH_*.json files are checked by TestCommittedReportsDecode in ./internal/bench)", path)
 	}
 	bad := 0
 	for i := range rep.Sweep.Cells {

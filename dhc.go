@@ -201,7 +201,9 @@ type Options struct {
 	// assumption-free trivial bound; its long quiet waits are exactly what
 	// the event-driven engine skips. Exact engine only.
 	BroadcastBound int64
-	// MaxAttempts bounds restart retries (step engine and partition DRA).
+	// MaxAttempts bounds the step engine's restart retries (0 = 6). The
+	// exact engine ignores it: its partition DRA and hypernode phase stop
+	// after internal/core's fixed maxDRAAttempts and maxHyperAttempts (6).
 	MaxAttempts int
 	// MaxRounds overrides the exact engine's round budget — the watchdog
 	// that turns a non-terminating run into ErrRoundLimit. Zero keeps each
@@ -523,6 +525,11 @@ func (s *Solver) SolveSeeded(ctx context.Context, g *Graph, seed uint64) (*Resul
 		return nil, ErrSolverInUse
 	}
 	defer s.inUse.Store(false)
+	// Checked here, not per engine: below three vertices there is no cycle
+	// to look for, so both engines must call it a usage error, never no_hc.
+	if g.N() < 3 {
+		return nil, fmt.Errorf("dhc: a Hamiltonian cycle needs n >= 3, got %d", g.N())
+	}
 	if s.opts.Engine == EngineStep {
 		return s.solveStep(ctx, g, seed)
 	}

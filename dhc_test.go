@@ -2,7 +2,10 @@ package dhc
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+
+	"dhc/internal/graph"
 )
 
 func TestSolveAllAlgorithmsExact(t *testing.T) {
@@ -115,6 +118,26 @@ func TestConfigErrorsAreNotNoCycle(t *testing.T) {
 	if _, err := Solve(g, AlgorithmDRA, Options{Seed: 1, Engine: Engine(9)}); err == nil ||
 		errors.Is(err, ErrNoHamiltonianCycle) {
 		t.Fatalf("unknown engine: got %v, want plain error", err)
+	}
+}
+
+// TestTinyGraphsAreErrorsOnBothEngines pins that a graph with fewer than
+// three vertices is a usage error, not a negative outcome, whatever the
+// algorithm and engine: there is no cycle to look for, and a retry with a
+// fresh seed can never succeed.
+func TestTinyGraphsAreErrorsOnBothEngines(t *testing.T) {
+	for n := 0; n < 3; n++ {
+		g := graph.Complete(n)
+		for _, algo := range []Algorithm{AlgorithmDRA, AlgorithmDHC1, AlgorithmDHC2, AlgorithmUpcast} {
+			for _, engine := range []Engine{EngineExact, EngineStep} {
+				t.Run(fmt.Sprintf("n=%d/%s/%s", n, algo, engine), func(t *testing.T) {
+					_, class, err := Trial(g, algo, Options{Seed: 1, Engine: engine, Delta: 0.5})
+					if class != FailureError {
+						t.Fatalf("class %s (%v), want %s", class, err, FailureError)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package bench
 
 // Versioned machine-readable reports. The BENCH_<rev>.json files at the
-// repository root are frozen legacy records of the retired hcbench grid,
-// reuse, generator and load-test modes; DecodeReport reads them and
-// `hcbench -validate` gates on them. hcsweep still writes the sweep section.
+// repository root are frozen legacy records of an earlier benchmark
+// pipeline's grid, reuse, generator and load-test modes; DecodeReport reads
+// them and TestCommittedReportsDecode gates on them (CI's "Validate benchmark
+// trajectory files" step). hcsweep still writes the sweep section.
 // The schema is flat: one Record per (algo, engine, n, workers, seed) run,
 // wrapped in a Report that pins the schema version and the host shape the
 // numbers were measured on.
@@ -495,7 +496,7 @@ func (s *SweepSection) validate() error {
 }
 
 // FailedRecords returns the indices of records with OK=false, for callers
-// (hcbench -validate) that treat any failed run as fatal.
+// (TestCommittedReportsDecode) that treat any failed run as fatal.
 func (r *Report) FailedRecords() []int {
 	var out []int
 	for i, rec := range r.Records {

@@ -288,11 +288,13 @@ func TestFailedRecords(t *testing.T) {
 	}
 }
 
-// TestCommittedReportsDecode reads every BENCH_*.json at the repository
-// root through DecodeReport (unknown fields rejected) and requires the
-// health -validate gates on: no failed record and no errored service
-// request. The files are frozen, so any failure here is a schema change
-// that stopped reading one of them.
+// TestCommittedReportsDecode is the validator of the legacy trajectory
+// files, run on its own by CI's "Validate benchmark trajectory files" step.
+// It reads every BENCH_*.json at the repository root through DecodeReport
+// (unknown fields rejected, Validate applied) and requires no failed record
+// and no errored service request; an empty glob fails. The files are
+// frozen, so any failure here is a schema change that stopped reading one of
+// them.
 func TestCommittedReportsDecode(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
 	if err != nil {

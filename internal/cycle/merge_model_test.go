@@ -51,15 +51,16 @@ func randomDisjointCyclePair(src *rng.Source, maxExtra int) (*graph.Graph, *Cycl
 			br.E2.U = c2.At(i + 1)
 		}
 	}
+	// FromEdges orders each edge's endpoints, so edges go in as walked.
 	var edges []graph.Edge
 	for i := 0; i < a; i++ {
-		edges = append(edges, graph.Edge{U: c1.At(i), V: c1.At(i + 1)}.Canonical())
+		edges = append(edges, graph.Edge{U: c1.At(i), V: c1.At(i + 1)})
 	}
 	for i := 0; i < b; i++ {
-		edges = append(edges, graph.Edge{U: c2.At(i), V: c2.At(i + 1)}.Canonical())
+		edges = append(edges, graph.Edge{U: c2.At(i), V: c2.At(i + 1)})
 	}
 	for _, e := range br.BridgeEdges() {
-		edges = append(edges, e.Canonical())
+		edges = append(edges, e)
 	}
 	return graph.FromEdges(a+b, edges), c1, c2, br
 }

@@ -31,17 +31,9 @@ import (
 // NodeID identifies a vertex. IDs are dense in [0, N).
 type NodeID int32
 
-// Edge is an undirected edge between two vertices. Canonical form has U < V.
+// Edge is an undirected edge between two vertices.
 type Edge struct {
 	U, V NodeID
-}
-
-// Canonical returns the edge with endpoints ordered U < V.
-func (e Edge) Canonical() Edge {
-	if e.U > e.V {
-		return Edge{U: e.V, V: e.U}
-	}
-	return e
 }
 
 // Graph is an immutable undirected simple graph with vertices [0, n), stored

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -428,4 +429,21 @@ func sqrtf(x float64) float64 {
 		z = (z + x/z) / 2
 	}
 	return z
+}
+
+// TestGNPDiameterChungLu — the Chung–Lu fact Theorems 1 and 10 rely on:
+// G(n, 4·ln n/n) is connected and its diameter is Θ(ln n/ln ln n). The
+// sampled diameter must stay within 6× that bound.
+func TestGNPDiameterChungLu(t *testing.T) {
+	for _, n := range []int{64, 256, 1024, 4096} {
+		g := GNP(n, HCThresholdP(n, 4, 1), rng.New(2+uint64(n)))
+		if !g.Connected() {
+			t.Fatalf("n=%d: sample graph is disconnected", n)
+		}
+		d := g.DiameterSampled(4, rng.New(3+uint64(n)))
+		bound := math.Log(float64(n)) / math.Log(math.Log(float64(n)))
+		if float64(d) > 6*bound {
+			t.Fatalf("n=%d: diameter %d far above the Chung–Lu bound %.2f", n, d, bound)
+		}
+	}
 }

@@ -117,6 +117,50 @@ func TestLevySim(t *testing.T) {
 	}
 }
 
+// TestDRATheorem2Budget — Theorem 2: one DRA attempt closes on
+// G(n, 16·ln n/n) within 7·n·ln n steps.
+func TestDRATheorem2Budget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("six DRA runs up to n = 2048")
+	}
+	for _, n := range []int{64, 128, 256, 512, 1024, 2048} {
+		g := denseGNP(n, graph.HCThresholdP(n, 16, 1), 3+uint64(n*31))
+		hc, cost, err := DRA(g, 3, 1)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if err := hc.Verify(g); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if r := float64(cost.Steps) / (float64(n) * math.Log(float64(n))); r > 7 {
+			t.Fatalf("n=%d: steps/(n ln n) = %.2f exceeds Theorem 2's budget of 7", n, r)
+		}
+	}
+}
+
+// TestPartitionConcentration — Lemmas 4/7: the colour classes partition
+// draws stay near n/K. The Chernoff band's width scales as 1/√(n/K); the
+// paper's [½, 3/2] is its asymptotic form.
+func TestPartitionConcentration(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		delta float64
+	}{
+		{1024, 0.5}, {4096, 0.5}, {16384, 0.5}, {16384, 0.3}, {16384, 0.7},
+	} {
+		k := int(math.Round(math.Pow(float64(tc.n), 1-tc.delta)))
+		classes := partition(tc.n, k, rng.New(1+uint64(tc.n)+uint64(tc.delta*100)))
+		mean := float64(tc.n) / float64(k)
+		tol := 5 / math.Sqrt(mean)
+		for c, class := range classes {
+			if r := float64(len(class)) / mean; r < 1-tol || r > 1+tol {
+				t.Fatalf("n=%d delta=%.1f: class %d holds %.2f·n/K, outside 1±%.2f",
+					tc.n, tc.delta, c, r, tol)
+			}
+		}
+	}
+}
+
 func TestDRAFailsOnPath(t *testing.T) {
 	if _, _, err := DRA(graph.Path(20), 1, 2); err == nil {
 		t.Fatal("path accepted")
