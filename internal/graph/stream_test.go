@@ -8,7 +8,11 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"os"
 	"slices"
 	"testing"
 
@@ -58,6 +62,55 @@ func TestStreamingGNPMatchesReference(t *testing.T) {
 		assertSameCSR(t, "gnp forced-chunked vs default", g, forced)
 		checkWellFormed(t, g)
 	}
+}
+
+// csrSHA256 is the SHA-256 of g's CSR offsets followed by its arena, both
+// little-endian.
+func csrSHA256(g *Graph) string {
+	off, arena := g.Adjacency()
+	h := sha256.New()
+	buf := make([]byte, 0, 4<<10)
+	put := func(x uint32) {
+		buf = binary.LittleEndian.AppendUint32(buf, x)
+		if len(buf) == cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	for _, o := range off {
+		put(uint32(o))
+	}
+	for _, v := range arena {
+		put(uint32(v))
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGNPDigestLarge pins G(2·10^5, 32 ln n/n) at graph seed 1: its CSR
+// digest and the source's next Uint64 after the build, so a faster GNP must
+// keep every byte and every draw. It needs ~0.5 GB and a few seconds, so it
+// runs only with DHC_BIG set (and without -short):
+//
+//	DHC_BIG=1 go test -count=1 -run '^TestGNPDigestLarge$' -v ./internal/graph
+func TestGNPDigestLarge(t *testing.T) {
+	if testing.Short() || os.Getenv("DHC_BIG") == "" {
+		t.Skip("set DHC_BIG=1 to build the 2·10^5-vertex pin (and do not pass -short)")
+	}
+	const (
+		wantSHA  = "1219546d1c5f48e2c7db3c746f9f6a7b0f3e81cf48f6a75913a2ef4a52df37ac"
+		wantNext = uint64(0x1bf98152d4565f76)
+	)
+	n := 200_000
+	src := rng.New(1)
+	g := GNP(n, HCThresholdP(n, 32, 1), src)
+	if got := csrSHA256(g); got != wantSHA {
+		t.Errorf("CSR digest %s, want %s", got, wantSHA)
+	}
+	if got := src.Uint64(); got != wantNext {
+		t.Errorf("source's next Uint64 after the build %#x, want %#x", got, wantNext)
+	}
+	t.Logf("n=%d m=%d", g.N(), g.M())
 }
 
 func TestStreamingGNMMatchesReference(t *testing.T) {
