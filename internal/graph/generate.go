@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 
+	"dhc/internal/arena"
 	"dhc/internal/rng"
 )
 
@@ -35,11 +38,18 @@ func iterateGNP(n int, p float64, src *rng.Source, visit func(v, w NodeID)) {
 
 // GNP samples an Erdős–Rényi G(n, p) random graph: every unordered pair is an
 // edge independently with probability p. It builds the CSR arrays directly in
-// two generator passes over the same RNG state (count degrees, rewind, fill
-// rows), so peak memory is the final graph plus O(n) staging — no edge list
-// and no hash set ever exist. The fill keeps the geometric-skip loop inline
-// (no per-edge callback) and routes the random-access half of the writes
-// through the chunked counting-sort scatter.
+// one generator pass: each visited pair (v, w), w < v, appends w to the front
+// of an arena reserved from the expected edge count, so every row's smaller
+// neighbors arrive grouped and ascending. Once the degrees are known, each
+// such run moves to its row start, and the rows' larger-neighbor halves are
+// filled as a CSR transpose of the smaller halves, through the chunked
+// counting-sort scatter. Above defaultParallelEdges expected edges, the skip
+// arithmetic and the transpose run on min(GOMAXPROCS, maxBuildWorkers)
+// goroutines; the draws, the source's final state and every byte of the CSR
+// are the same at any GOMAXPROCS. No edge list or hash set ever exists: peak
+// memory is the final graph plus O(n) counters, plus, once the arena exceeds
+// defaultDirectBytes, scatter staging of up to half the arena (1.5× the CSR
+// measured at 10^6 vertices).
 func GNP(n int, p float64, src *rng.Source) *Graph {
 	return gnpTuned(n, p, src, scatterTuning{})
 }
@@ -52,61 +62,193 @@ func gnpTuned(n int, p float64, src *rng.Source, tune scatterTuning) *Graph {
 		return Complete(n)
 	}
 	logq := math.Log1p(-p)
-	saved := *src // snapshot for the second, identical pass
+	want := p * float64(MaxEdges(n))
+	parallelEdges := tune.parallelEdges
+	if parallelEdges == 0 {
+		parallelEdges = defaultParallelEdges
+	}
+	workers := 1
+	if want >= float64(parallelEdges) {
+		workers = min(runtime.GOMAXPROCS(0), maxBuildWorkers)
+	}
+	reserve := tune.reserve
+	if reserve == 0 {
+		reserve = 2 * int(min(want+4*math.Sqrt(want), maxHalfEdges/2))
+	}
+	s := gnpPass{n: n, v: 1, w: -1,
+		fwd: make([]int32, n), bwd: make([]int32, n),
+		adj: make([]NodeID, 0, reserve)}
+	if workers == 1 {
+		s.walk(nil, src, logq)
+	} else {
+		block := tune.skipBlock
+		if block == 0 {
+			block = defaultSkipBlock
+		}
+		s.walkBlocks(src, logq, workers, block)
+	}
+	m := len(s.adj)
+	adj := s.adj[:cap(s.adj)]
+	if len(adj) < 2*m {
+		adj = make([]NodeID, 2*m)
+		copy(adj, s.adj)
+	}
+	adj = adj[: 2*m : 2*m]
 	off := make([]int32, n+1)
-	fwd := make([]int32, n) // per-row count of smaller neighbors (v-side visits)
-	var m int
-	{
-		v, w := 1, -1
-		for v < n {
-			w += 1 + src.Geometric(logq)
-			for w >= v && v < n {
-				w -= v
-				v++
-			}
-			if v < n {
-				off[v+1]++
-				off[w+1]++
-				fwd[v]++
-				m++
-			}
-		}
-	}
-	guardHalfEdges(2 * int64(m))
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	arena := make([]NodeID, 2*m)
-	// Row x's smaller neighbors stream in while v == x (sequential writes at
-	// curF); its larger neighbors arrive as the w side of later rows (random
-	// writes at curB, batched by the scatter). Same final layout as the old
-	// single-cursor fill: [smaller ascending][larger ascending].
-	curF := fwd // reuse: consumed left to right as the cursor initializer
-	curB := make([]int32, n)
 	for x := 0; x < n; x++ {
-		f := off[x]
-		curB[x] = f + fwd[x]
-		curF[x] = f
+		off[x+1] = off[x] + s.fwd[x] + s.bwd[x]
 	}
-	sc := newDeferredScatter(arena, curB, n, tune)
-	*src = saved
-	{
-		v, w := 1, -1
-		for v < n {
-			w += 1 + src.Geometric(logq)
-			for w >= v && v < n {
-				w -= v
-				v++
-			}
-			if v < n {
-				arena[curF[v]] = NodeID(w)
-				curF[v]++
-				sc.add(NodeID(w), NodeID(v))
-			}
+	// Move each row's smaller half from its appended start to off[v], last
+	// row first: off[v] is at or after the appended start, and every run not
+	// yet moved lies below that start, so no move overwrites one.
+	at := int32(m)
+	for v := n - 1; v > 0; v-- {
+		f := s.fwd[v]
+		at -= f
+		copy(adj[off[v]:off[v]+f], adj[at:at+f])
+	}
+	fillLargerHalves(adj, off, s.fwd, s.bwd, workers, tune)
+	return &Graph{n: n, m: m, off: off, arena: adj}
+}
+
+// gnpPass is GNP's one Batagelj–Brandes walk over the pairs (v, w), w < v,
+// in row-major order: each geometric skip jumps over absent pairs, and each
+// pair landed on appends w to row v's smaller half in adj.
+type gnpPass struct {
+	n, v, w  int
+	fwd, bwd []int32 // per-row counts of smaller (v side) and larger neighbors
+	adj      []NodeID
+}
+
+// walk applies the skips ks in order or, when ks is nil, draws each skip
+// from src until the walk ends. It returns the number of skips used if the
+// walk ended (the last one passes the final pair), or -1 if ks ran out
+// first.
+func (s *gnpPass) walk(ks []int, src *rng.Source, logq float64) int {
+	n, v, w, adj, fwd, bwd := s.n, s.v, s.w, s.adj, s.fwd, s.bwd
+	used := -1
+	for i := 0; ks == nil || i < len(ks); i++ {
+		var k int
+		if ks == nil {
+			k = src.Geometric(logq)
+		} else {
+			k = ks[i]
+		}
+		w += 1 + k
+		for w >= v && v < n {
+			w -= v
+			v++
+		}
+		if v >= n {
+			used = i + 1
+			break
+		}
+		if len(adj) == cap(adj) {
+			guardHalfEdges(2 * int64(len(adj)+1))
+		}
+		adj = append(adj, NodeID(w))
+		fwd[v]++
+		bwd[w]++
+	}
+	s.v, s.w, s.adj = v, w, adj
+	return used
+}
+
+// walkBlocks runs the walk on blocks of uniforms that this goroutine draws
+// in stream order. Skips are pure functions of the uniforms, so workers
+// goroutines evaluate the next block's while one more walks the current
+// block. The block that ends the walk has drawn past its end, so src is
+// rewound to that block's start and advanced by exactly the draws the walk
+// used, ending where a serial walk leaves it.
+func (s *gnpPass) walkBlocks(src *rng.Source, logq float64, workers, block int) {
+	type skipBlock struct {
+		start rng.Source // src before the block's first draw
+		us    []float64
+		ks    []int
+	}
+	draw := func(b *skipBlock) {
+		b.start = *src
+		for i := range b.us {
+			b.us[i] = src.Float64()
 		}
 	}
-	sc.finish()
-	return &Graph{n: n, m: m, off: off, arena: arena}
+	skips := func(b *skipBlock, k int) {
+		for i := k * block / workers; i < (k+1)*block/workers; i++ {
+			b.ks[i] = rng.GeometricSkip(b.us[i], logq)
+		}
+	}
+	cur := &skipBlock{us: make([]float64, block), ks: make([]int, block)}
+	next := &skipBlock{us: make([]float64, block), ks: make([]int, block)}
+	draw(cur)
+	arena.RunPool(workers, workers, func(_, k int) { skips(cur, k) })
+	for {
+		draw(next)
+		used := -1
+		arena.RunPool(workers+1, workers+1, func(_, k int) {
+			if k == workers {
+				used = s.walk(cur.ks, nil, logq)
+			} else {
+				skips(next, k)
+			}
+		})
+		if used >= 0 {
+			*src = cur.start
+			for ; used > 0; used-- {
+				src.Uint64()
+			}
+			return
+		}
+		cur, next = next, cur
+	}
+}
+
+// fillLargerHalves writes each row w's larger neighbors after its smaller
+// half, at off[w]+fwd[w]: v lands in row w for every w in v's smaller half,
+// adds made in v ascending order, as the row order requires. workers
+// goroutines own disjoint target-row ranges, balanced by larger-half size
+// (bwd); each walks every smaller half, takes the entries in its range by
+// binary search, and writes through its own scatter with a 1/workers share
+// of the staging. No row is written by two workers, so the bytes do not
+// depend on workers. bwd is reused as the write cursors.
+func fillLargerHalves(adj []NodeID, off, fwd, bwd []int32, workers int, tune scatterTuning) {
+	n := len(fwd)
+	half := len(adj) / 2
+	cuts := make([]int, workers+1)
+	cuts[workers] = n
+	var acc int64
+	for x, k := 0, 1; x < n && k < workers; x++ {
+		acc += int64(bwd[x])
+		for k < workers && acc*int64(workers) >= int64(half)*int64(k) {
+			cuts[k] = x + 1
+			k++
+		}
+	}
+	cur := bwd
+	for x := range cur {
+		cur[x] = off[x] + fwd[x]
+	}
+	arena.RunPool(workers, workers, func(_, k int) {
+		lo, hi := cuts[k], cuts[k+1]
+		if lo == hi {
+			return
+		}
+		sc := newDeferredScatter(adj, cur, n, tune, workers)
+		for v := lo + 1; v < n; v++ {
+			row := adj[off[v] : off[v]+fwd[v]]
+			if lo > 0 {
+				i, _ := slices.BinarySearch(row, NodeID(lo))
+				row = row[i:]
+			}
+			if hi < v {
+				j, _ := slices.BinarySearch(row, NodeID(hi))
+				row = row[:j]
+			}
+			for _, w := range row {
+				sc.add(w, NodeID(v))
+			}
+		}
+		sc.finish()
+	})
 }
 
 // samplePackedPairs draws uniformly random vertex pairs (rejecting

@@ -76,9 +76,10 @@ func sortDedupPacked(pairs []uint64) []uint64 {
 	return slices.Compact(pairs)
 }
 
-// scatterTuning controls the chunked counting sort in deferredScatter. The
-// zero value selects production defaults; tests override the fields to force
-// the chunked path onto graphs small enough to cross-check exhaustively.
+// scatterTuning controls the chunked counting sort in deferredScatter and
+// GNP's parallel phases. The zero value selects production defaults; tests
+// override the fields to force the chunked and parallel paths onto graphs
+// small enough to cross-check exhaustively.
 type scatterTuning struct {
 	// directBytes: arenas at or below this size scatter writes in place
 	// (they fit cache well enough that batching only adds overhead).
@@ -91,6 +92,16 @@ type scatterTuning struct {
 	// regionBytes: target arena bytes per counting-sort region. Regions are
 	// what turn a full-arena random stride into a cache-window stride.
 	regionBytes int
+	// parallelEdges: GNP's expected edge count at or above which its skip
+	// arithmetic and transpose leave the calling goroutine. 0 selects
+	// defaultParallelEdges.
+	parallelEdges int
+	// skipBlock: uniforms per block of GNP's parallel skip arithmetic. 0
+	// selects defaultSkipBlock.
+	skipBlock int
+	// reserve: GNP's initial arena capacity in half-edges. 0 derives it from
+	// the expected edge count plus four standard deviations.
+	reserve int
 }
 
 const (
@@ -99,6 +110,16 @@ const (
 	// maxStageEntries caps the two staging buffers at 1 GiB total so the
 	// 10^7-vertex runs don't trade arena locality for staging residency.
 	maxStageEntries = 1 << 26
+	// defaultParallelEdges is GNP's cut-over to goroutines, in expected
+	// edges; below it the goroutine hand-offs cost more than they save.
+	defaultParallelEdges = 1 << 20
+	// maxBuildWorkers caps GNP's goroutines: the walk and the draws stay
+	// on one goroutine, so more workers than this only wait on it.
+	maxBuildWorkers = 4
+	// defaultSkipBlock uniforms (512 KB) per parallel skip block.
+	defaultSkipBlock = 1 << 16
+	// maxHalfEdges is the int32 CSR offset range.
+	maxHalfEdges = (1 << 31) - 1
 )
 
 // deferredScatter batches the random-access half of CSR filling. A direct
@@ -122,7 +143,9 @@ type deferredScatter struct {
 	slot   []uint64
 }
 
-func newDeferredScatter(arena []NodeID, cur []int32, n int, tune scatterTuning) *deferredScatter {
+// newDeferredScatter sizes one of share scatters that fill disjoint rows of
+// one arena at once; each stages 1/share of the single-scatter capacity.
+func newDeferredScatter(arena []NodeID, cur []int32, n int, tune scatterTuning, share int) *deferredScatter {
 	s := &deferredScatter{arena: arena, cur: cur}
 	directBytes := tune.directBytes
 	if directBytes == 0 {
@@ -154,6 +177,7 @@ func newDeferredScatter(arena []NodeID, cur []int32, n int, tune scatterTuning) 
 	if stageCap < 1024 {
 		stageCap = 1024
 	}
+	stageCap /= share
 	s.stage = make([]uint64, 0, stageCap)
 	s.slot = make([]uint64, stageCap)
 	return s
@@ -236,7 +260,7 @@ func csrFromPackedPairsTuned(n int, pairs []uint64, tune scatterTuning) *Graph {
 		curV[x] = off[x]
 		curU[x] = off[x] + smaller[x]
 	}
-	sc := newDeferredScatter(arena, curV, n, tune)
+	sc := newDeferredScatter(arena, curV, n, tune, 1)
 	for _, e := range pairs {
 		u, v := unpackPair(e)
 		arena[curU[u]] = v // u ascends: sequential

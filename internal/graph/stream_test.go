@@ -11,8 +11,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -45,23 +47,108 @@ func assertSameCSR(t *testing.T, label string, want, got *Graph) {
 	}
 }
 
+// serialGNP is the reference G(n, p): iterateGNP's serial walk, one
+// Geometric draw per skip, through newCSR. It returns the source's state
+// after the walk too.
+func serialGNP(n int, p float64, seed uint64) (*Graph, rng.Source) {
+	src := rng.New(seed)
+	var pairs []uint64
+	iterateGNP(n, p, src, func(v, w NodeID) { pairs = append(pairs, packPair(v, w)) })
+	slices.Sort(pairs)
+	edges := make([]Edge, len(pairs))
+	for i, e := range pairs {
+		u, v := unpackPair(e)
+		edges[i] = Edge{U: u, V: v}
+	}
+	return newCSR(n, edges), *src
+}
+
+// TestStreamingGNPMatchesReference checks every CSR byte of GNP, and the
+// source's state after it, against a serial pass through newCSR. Small
+// instances run at GOMAXPROCS 1, 2 and 4 with the parallel phases forced
+// on: chunked staging, target-row ranges of 1–3 rows (n ≤ 16 at 2 and 4
+// workers), skip blocks far shorter than the edge count, and arena
+// reservations that fall short and regrow.
 func TestStreamingGNPMatchesReference(t *testing.T) {
-	sizes := []int{1000}
-	if !testing.Short() {
-		sizes = append(sizes, 100000)
+	parallel := forcedChunked
+	parallel.parallelEdges = 1
+	tunings := []struct {
+		name string
+		tune scatterTuning
+	}{
+		{"default", scatterTuning{}},
+		{"forced-chunked", forcedChunked},
+		{"parallel-chunked", parallel},
+		{"parallel-block7", scatterTuning{parallelEdges: 1, skipBlock: 7}},
+		{"parallel-block1-reserve1", scatterTuning{parallelEdges: 1, skipBlock: 1, reserve: 1}},
+		{"parallel-chunked-block100-reserve64", scatterTuning{
+			directBytes: 1, stageCap: 1024, regionBytes: 256,
+			parallelEdges: 1, skipBlock: 100, reserve: 64}},
 	}
-	for _, n := range sizes {
-		p := 8 * math.Log(float64(n)) / float64(n)
-		g := GNP(n, p, rng.New(uint64(n)+7))
-		// Reference: the same realized edge set through the historical
-		// sort-then-pack construction.
-		ref := newCSR(n, g.Edges())
-		assertSameCSR(t, "gnp vs newCSR", ref, g)
-		// The chunked scatter must not change a single byte either.
-		forced := gnpTuned(n, p, rng.New(uint64(n)+7), forcedChunked)
-		assertSameCSR(t, "gnp forced-chunked vs default", g, forced)
-		checkWellFormed(t, g)
+	type instance struct {
+		n    int
+		p    float64
+		seed uint64
 	}
+	var instances []instance
+	for n := 2; n <= 16; n++ {
+		instances = append(instances, instance{n, 0.5, uint64(n)})
+	}
+	instances = append(instances,
+		instance{300, 0.3, 3},   // ~13k edges: many blocks and flushes per worker
+		instance{1000, 0.05, 5}, // ~25k edges
+		instance{1000, 8 * math.Log(1000) / 1000, 1007},
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, in := range instances {
+			want, wantSrc := serialGNP(in.n, in.p, in.seed)
+			for _, tc := range tunings {
+				label := fmt.Sprintf("GOMAXPROCS=%d n=%d p=%v %s", procs, in.n, in.p, tc.name)
+				src := rng.New(in.seed)
+				got := gnpTuned(in.n, in.p, src, tc.tune)
+				assertSameCSR(t, label, want, got)
+				if *src != wantSrc {
+					t.Fatalf("%s: source state after the build differs from the serial pass's", label)
+				}
+			}
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	// At 10^5 vertices the arena exceeds defaultDirectBytes and the expected
+	// edge count defaultParallelEdges, so the default tuning stages its writes
+	// and, with two or more CPUs, runs the parallel phases.
+	n := 100000
+	p := 8 * math.Log(float64(n)) / float64(n)
+	seed := uint64(n) + 7
+	src := rng.New(seed)
+	g := GNP(n, p, src)
+	assertSameCSR(t, "gnp n=100000 vs newCSR", newCSR(n, g.Edges()), g)
+	checkWellFormed(t, g)
+	// The serial walk visits exactly g's edges and leaves its source where
+	// GNP left src. (Cheaper than serialGNP's sort under -race.)
+	ref, visited, missing := rng.New(seed), 0, 0
+	iterateGNP(n, p, ref, func(v, w NodeID) {
+		visited++
+		if !g.HasEdge(v, w) {
+			missing++
+		}
+	})
+	if visited != g.M() || missing != 0 {
+		t.Fatalf("gnp n=100000: serial walk visits %d pairs, %d of them missing; GNP has m=%d",
+			visited, missing, g.M())
+	}
+	if *ref != *src {
+		t.Fatal("gnp n=100000: source state after the build differs from the serial pass's")
+	}
+	// Tiny stages on the serial path; with 2+ workers they would multiply
+	// the flushes, each clearing a count per row at rshift 0.
+	forced := forcedChunked
+	forced.parallelEdges = math.MaxInt
+	assertSameCSR(t, "gnp n=100000 serial forced-chunked", g, gnpTuned(n, p, rng.New(seed), forced))
 }
 
 // csrSHA256 is the SHA-256 of g's CSR offsets followed by its arena, both

@@ -161,7 +161,8 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 // expected O(np) time instead of O(n^2). The probability arrives as
 // logq = math.Log1p(-p), which skip loops compute once per p rather than
 // once per draw. p = 1 (logq = -Inf) returns 0 and p <= 0 (logq >= 0)
-// returns MaxInt32, both without drawing.
+// returns MaxInt32, both without drawing; otherwise it is one Float64 draw
+// passed through GeometricSkip.
 func (r *Source) Geometric(logq float64) int {
 	if math.IsInf(logq, -1) {
 		return 0
@@ -169,7 +170,15 @@ func (r *Source) Geometric(logq float64) int {
 	if !(logq < 0) {
 		return math.MaxInt32
 	}
-	u := r.Float64()
+	return GeometricSkip(r.Float64(), logq)
+}
+
+// GeometricSkip is Geometric's inversion for a uniform u in [0, 1) and a
+// finite logq < 0: floor(log(u)/logq), clamped to MaxInt32, with u = 0 read
+// as the smallest nonzero float. It is a pure function, so a caller may draw
+// uniforms in stream order and evaluate their skips elsewhere, on other
+// goroutines included, and get exactly Geometric's values.
+func GeometricSkip(u, logq float64) int {
 	// Guard against log(0).
 	if u == 0 {
 		u = math.SmallestNonzeroFloat64

@@ -160,6 +160,60 @@ func TestGeometricEdges(t *testing.T) {
 	}
 }
 
+// TestGeometricSkipMatchesFormula pins GeometricSkip to the inversion
+// Geometric used before the draw and the arithmetic were split, and
+// Geometric to one Float64 draw passed through GeometricSkip.
+func TestGeometricSkipMatchesFormula(t *testing.T) {
+	formula := func(u, logq float64) int {
+		if u == 0 {
+			u = math.SmallestNonzeroFloat64
+		}
+		k := math.Floor(math.Log(u) / logq)
+		if k > math.MaxInt32 {
+			return math.MaxInt32
+		}
+		return int(k)
+	}
+	us := []float64{
+		0, // read as the smallest nonzero float
+		math.SmallestNonzeroFloat64,
+		1.0 / (1 << 53), // Float64's smallest nonzero output
+		0.25, 0.5, 0.75,
+		1 - 1.0/(1<<53), // Float64's largest output, just below 1
+	}
+	r := New(23)
+	for i := 0; i < 64; i++ {
+		us = append(us, r.Float64())
+	}
+	for _, p := range []float64{1e-9, 0.01, 0.5} {
+		logq := math.Log1p(-p)
+		for _, u := range us {
+			if got, want := GeometricSkip(u, logq), formula(u, logq); got != want {
+				t.Errorf("p=%v u=%v: GeometricSkip %d, formula %d", p, u, got, want)
+			}
+		}
+		if got := GeometricSkip(1-1.0/(1<<53), logq); got != 0 {
+			t.Errorf("p=%v: skip just below u=1 is %d, want 0", p, got)
+		}
+		a, b := New(24), New(24)
+		for i := 0; i < 1000; i++ {
+			if got, want := a.Geometric(logq), GeometricSkip(b.Float64(), logq); got != want {
+				t.Fatalf("p=%v draw %d: Geometric %d, GeometricSkip(Float64) %d", p, i, got, want)
+			}
+		}
+		if *a != *b {
+			t.Fatalf("p=%v: Geometric and Float64 left the source in different states", p)
+		}
+	}
+	// At p = 1e-9 the smallest uniforms skip ~7·10^11 pairs: clamped.
+	logq := math.Log1p(-1e-9)
+	for _, u := range []float64{0, math.SmallestNonzeroFloat64, 1.0 / (1 << 53)} {
+		if got := GeometricSkip(u, logq); got != math.MaxInt32 {
+			t.Errorf("p=1e-9 u=%v: skip %d, want the MaxInt32 clamp", u, got)
+		}
+	}
+}
+
 func TestMul64(t *testing.T) {
 	cases := []struct {
 		a, b   uint64
