@@ -79,11 +79,14 @@ func newCSR(n int, edges []Edge) *Graph {
 	return &Graph{n: n, m: len(edges), off: off, arena: arena}
 }
 
+// maxHalfEdges is the int32 CSR offset range: 2m may not exceed it.
+const maxHalfEdges = (1 << 31) - 1
+
 // guardHalfEdges panics when a half-edge count would overflow the int32
 // offset arrays (2m must stay below 2^31). It takes int64 so callers can pass
 // pair counts that themselves exceed the int range on 32-bit platforms.
 func guardHalfEdges(half int64) {
-	if half > (1<<31)-1 {
+	if half > maxHalfEdges {
 		panic(fmt.Sprintf("graph: %d half-edges exceed the int32 CSR offset range", half))
 	}
 }
@@ -106,7 +109,7 @@ func NewBuilderCSR(n, capacityHint int) *BuilderCSR {
 	if capacityHint < 0 {
 		capacityHint = 0
 	}
-	limit := int64((1<<31 - 1) / 2)
+	limit := int64(maxHalfEdges / 2)
 	if max := MaxEdges(n); max < limit {
 		limit = max
 	}
