@@ -345,15 +345,17 @@ func BenchmarkA4_StitchVsMerge(b *testing.B) {
 }
 
 // BenchmarkGraphRepresentation — the CSR tentpole claim: constructing
-// G(n, c·ln n/n) at n = 10^5 through the two-pass CSR path vs a faithful
+// G(n, c·ln n/n) at n = 10^5 through the one-pass CSR path vs a faithful
 // replica of the seed's representation (map[Edge]struct{} dedup feeding
 // per-vertex []NodeID lists). Run with -benchmem; the CSR path must allocate
-// at least 2x fewer bytes (measured: 74.5 MB in 4 allocations vs 533 MB in
-// 365k allocations — 7.2x less memory — and 0.62 s vs 7.9 s wall-clock).
+// at least 2x fewer bytes (measured on 2 vCPUs: 112.6 MB in ~7.9k
+// allocations, most of them the skip blocks' goroutine hand-offs, vs 533 MB
+// in 366k allocations — 4.7x less memory — and 0.36–0.39 s vs 6.6–7.6 s
+// wall-clock).
 func BenchmarkGraphRepresentation(b *testing.B) {
 	n := 100_000
 	p := graph.HCThresholdP(n, 16, 1.0)
-	b.Run("csr-two-pass", func(b *testing.B) {
+	b.Run("csr-one-pass", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			g := graph.GNP(n, p, rng.New(42))
