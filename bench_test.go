@@ -348,9 +348,9 @@ func BenchmarkA4_StitchVsMerge(b *testing.B) {
 // G(n, c·ln n/n) at n = 10^5 through the one-pass CSR path vs a faithful
 // replica of the seed's representation (map[Edge]struct{} dedup feeding
 // per-vertex []NodeID lists). Run with -benchmem; the CSR path must allocate
-// at least 2x fewer bytes (measured on 2 vCPUs: 112.6 MB in ~7.9k
+// at least 2x fewer bytes (measured on 2 vCPUs: 115 MB in ~1.7k
 // allocations, most of them the skip blocks' goroutine hand-offs, vs 533 MB
-// in 366k allocations — 4.7x less memory — and 0.36–0.39 s vs 6.6–7.6 s
+// in 366k allocations — 4.6x less memory — and 0.26–0.33 s vs 6.6–7.6 s
 // wall-clock).
 func BenchmarkGraphRepresentation(b *testing.B) {
 	n := 100_000

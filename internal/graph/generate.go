@@ -83,7 +83,7 @@ func gnpTuned(n int, p float64, src *rng.Source, tune scatterTuning) *Graph {
 	} else {
 		block := tune.skipBlock
 		if block == 0 {
-			block = defaultSkipBlock
+			block = int(min(max(want/64, minSkipBlock), maxSkipBlock))
 		}
 		s.walkBlocks(src, logq, workers, block)
 	}
@@ -154,17 +154,22 @@ func (s *gnpPass) walk(ks []int, src *rng.Source, logq float64) int {
 	return used
 }
 
-// walkBlocks runs the walk on blocks of uniforms that this goroutine draws
-// in stream order. Skips are pure functions of the uniforms, so workers
-// goroutines evaluate the next block's while one more walks the current
-// block. The block that ends the walk has drawn past its end, so src is
-// rewound to that block's start and advanced by exactly the draws the walk
-// used, ending where a serial walk leaves it.
+// walkBlocks runs the walk on blocks of uniforms drawn in stream order.
+// Skips are pure functions of the uniforms, so while one goroutine walks
+// block r and then draws block r+2, the others evaluate block r+1's skips in
+// chunks, which the walker joins once it is done. The block that ends the
+// walk has drawn past its end, so src is rewound to that block's start and
+// advanced by exactly the draws the walk used, ending where a serial walk
+// leaves it.
 func (s *gnpPass) walkBlocks(src *rng.Source, logq float64, workers, block int) {
 	type skipBlock struct {
 		start rng.Source // src before the block's first draw
 		us    []float64
 		ks    []int
+	}
+	var blocks [3]skipBlock
+	for i := range blocks {
+		blocks[i] = skipBlock{us: make([]float64, block), ks: make([]int, block)}
 	}
 	draw := func(b *skipBlock) {
 		b.start = *src
@@ -172,23 +177,23 @@ func (s *gnpPass) walkBlocks(src *rng.Source, logq float64, workers, block int) 
 			b.us[i] = src.Float64()
 		}
 	}
-	skips := func(b *skipBlock, k int) {
-		for i := k * block / workers; i < (k+1)*block/workers; i++ {
+	chunks := 4 * workers
+	skips := func(b *skipBlock, c int) {
+		for i := c * block / chunks; i < (c+1)*block/chunks; i++ {
 			b.ks[i] = rng.GeometricSkip(b.us[i], logq)
 		}
 	}
-	cur := &skipBlock{us: make([]float64, block), ks: make([]int, block)}
-	next := &skipBlock{us: make([]float64, block), ks: make([]int, block)}
-	draw(cur)
-	arena.RunPool(workers, workers, func(_, k int) { skips(cur, k) })
-	for {
-		draw(next)
+	draw(&blocks[0])
+	draw(&blocks[1])
+	arena.RunPool(workers, chunks, func(_, c int) { skips(&blocks[0], c) })
+	for r := 0; ; r++ {
+		cur, next, after := &blocks[r%3], &blocks[(r+1)%3], &blocks[(r+2)%3]
 		used := -1
-		arena.RunPool(workers+1, workers+1, func(_, k int) {
-			if k == workers {
-				used = s.walk(cur.ks, nil, logq)
-			} else {
-				skips(next, k)
+		arena.RunPool(workers, 1+chunks, func(_, c int) {
+			if c > 0 {
+				skips(next, c-1)
+			} else if used = s.walk(cur.ks, nil, logq); used < 0 {
+				draw(after)
 			}
 		})
 		if used >= 0 {
@@ -198,7 +203,6 @@ func (s *gnpPass) walkBlocks(src *rng.Source, logq float64, workers, block int) 
 			}
 			return
 		}
-		cur, next = next, cur
 	}
 }
 

@@ -97,7 +97,7 @@ type scatterTuning struct {
 	// defaultParallelEdges.
 	parallelEdges int
 	// skipBlock: uniforms per block of GNP's parallel skip arithmetic. 0
-	// selects defaultSkipBlock.
+	// derives it from the expected edge count.
 	skipBlock int
 	// reserve: GNP's initial arena capacity in half-edges. 0 derives it from
 	// the expected edge count plus four standard deviations.
@@ -111,15 +111,19 @@ const (
 	// 10^7-vertex runs don't trade arena locality for staging residency.
 	maxStageEntries = 1 << 26
 	// defaultParallelEdges is GNP's cut-over to goroutines, in expected
-	// edges; below it the goroutine hand-offs cost more than they save.
-	defaultParallelEdges = 1 << 20
+	// edges: on 2 vCPUs the parallel phases took G(4096, 32 ln n/n), 545k
+	// edges, from 20–25 to 14–22 ms, and were no faster at 250k edges.
+	defaultParallelEdges = 1 << 19
 	// maxBuildWorkers caps GNP's goroutines: the walk and the draws stay
 	// on one goroutine, so more workers than this only wait on it.
 	maxBuildWorkers = 4
-	// defaultSkipBlock uniforms per parallel skip block: two blocks in
-	// flight hold 512 KB, and 2^14 to 2^16 measured alike at n = 8192 and
-	// 32768.
-	defaultSkipBlock = 1 << 14
+	// GNP's parallel skip blocks hold 1/64 of the expected draws, clamped
+	// to [minSkipBlock, maxSkipBlock]. Every block costs one round of
+	// goroutine hand-offs, so large blocks pay (at n = 2·10^5, 2^16 builds
+	// ~20 % faster than 2^14); three blocks in flight take 48 bytes a draw,
+	// under a tenth of the arena.
+	minSkipBlock = 1 << 12
+	maxSkipBlock = 1 << 16
 )
 
 // deferredScatter batches the random-access half of CSR filling. A direct
