@@ -47,9 +47,9 @@ func iterateGNP(n int, p float64, src *rng.Source, visit func(v, w NodeID)) {
 // arithmetic and the transpose run on min(GOMAXPROCS, maxBuildWorkers)
 // goroutines; the draws, the source's final state and every byte of the CSR
 // are the same at any GOMAXPROCS. No edge list or hash set ever exists: peak
-// memory is the final graph plus O(n) counters, plus, once the arena exceeds
-// defaultDirectBytes, scatter staging of up to half the arena (1.5× the CSR
-// measured at 10^6 vertices).
+// memory is the final graph plus O(n) counters and at most 3 MB of skip
+// blocks, plus, once the arena exceeds defaultDirectBytes, scatter staging of
+// up to half the arena (1.51× the CSR measured at 10^6 vertices).
 func GNP(n int, p float64, src *rng.Source) *Graph {
 	return gnpTuned(n, p, src, scatterTuning{})
 }

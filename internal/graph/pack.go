@@ -4,8 +4,8 @@ package graph
 // without ever materializing an []Edge: canonical vertex pairs travel either
 // as packed uint64 keys (8 bytes instead of Edge's 16, sortable with
 // slices.Sort and no comparator closure) or straight out of a generator
-// replay, and land in the CSR arena through a two-cursor fill whose
-// cache-hostile half goes through a chunked counting sort.
+// pass, and land in the CSR arena through a fill whose cache-hostile half
+// goes through a chunked counting sort.
 //
 // The fill exploits the same ordering contract as newCSR: when canonical
 // (u < v) pairs arrive sorted by (u, v), row x receives its smaller
