@@ -51,7 +51,7 @@ func BenchmarkE1_DRASteps(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				_, cost, err := stepsim.DRA(g, uint64(i), 3)
+				_, cost, err := stepsim.DRA(g, uint64(i))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -286,7 +286,7 @@ func BenchmarkA3_EdgeThinning(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		var steps int64
 		for i := 0; i < b.N; i++ {
-			_, cost, err := stepsim.DRA(g, uint64(i), 3)
+			_, cost, err := stepsim.DRA(g, uint64(i))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -77,16 +77,15 @@ func main() {
 // gridConfig is the JSON grid spec (-config); string axes are resolved into
 // a sweep.Grid. Flags fill any axis the file omits.
 type gridConfig struct {
-	Families    []string  `json:"families"`
-	Sizes       []int     `json:"sizes"`
-	Params      []float64 `json:"params"`
-	Delta       float64   `json:"delta"`
-	Algos       []string  `json:"algos"`
-	Engines     []string  `json:"engines"`
-	Trials      int       `json:"trials"`
-	MasterSeed  uint64    `json:"master_seed"`
-	NumColors   int       `json:"num_colors"`
-	MaxAttempts int       `json:"max_attempts"`
+	Families   []string  `json:"families"`
+	Sizes      []int     `json:"sizes"`
+	Params     []float64 `json:"params"`
+	Delta      float64   `json:"delta"`
+	Algos      []string  `json:"algos"`
+	Engines    []string  `json:"engines"`
+	Trials     int       `json:"trials"`
+	MasterSeed uint64    `json:"master_seed"`
+	NumColors  int       `json:"num_colors"`
 }
 
 func run() error {
@@ -104,7 +103,6 @@ func run() error {
 		trials   = flag.Int("trials", 20, "Monte Carlo trials per cell")
 		seed     = flag.Uint64("seed", 1, "master seed; the whole report is a pure function of grid + seed")
 		colors   = flag.Int("colors", 0, "partition count K override for dhc1/dhc2 (0 = derive)")
-		attempts = flag.Int("attempts", 0, "solver restart budget override (0 = engine default)")
 		workers  = flag.Int("workers", 1, "trial-level worker pool (byte-identical output at any value)")
 		resume   = flag.Bool("resume", false, "reuse finished cells from an existing -json file with the same seed and trial count")
 		cellTime = flag.Duration("cell-timeout", 0, "wall-clock cap per cell; cut-off trials count as canceled and the cell re-runs on -resume")
@@ -120,7 +118,7 @@ func run() error {
 	}
 
 	grid, err := buildGrid(*config, *families, *sizes, *params, *delta,
-		*algos, *engines, *trials, *seed, *colors, *attempts)
+		*algos, *engines, *trials, *seed, *colors)
 	if err != nil {
 		return err
 	}
@@ -150,7 +148,7 @@ func run() error {
 	rep := bench.NewReport(*rev, runtime.Version(), runtime.NumCPU())
 	rep.Sweep = &bench.SweepSection{
 		MasterSeed: grid.MasterSeed, TrialsPerCell: grid.Trials,
-		NumColors: grid.NumColors, MaxAttempts: grid.MaxAttempts,
+		NumColors: grid.NumColors,
 	}
 	start := time.Now()
 	opts.Progress = func(cell sweep.Cell, stats bench.CellStats, reused bool) {
@@ -196,11 +194,11 @@ func run() error {
 
 // buildGrid merges the -config file (if any) with the flag axes.
 func buildGrid(configPath, families, sizes, params string, delta float64,
-	algos, engines string, trials int, seed uint64, colors, attempts int) (sweep.Grid, error) {
+	algos, engines string, trials int, seed uint64, colors int) (sweep.Grid, error) {
 	cfg := gridConfig{
 		Families: bench.SplitList(families),
 		Delta:    delta, Algos: bench.SplitList(algos), Engines: bench.SplitList(engines),
-		Trials: trials, MasterSeed: seed, NumColors: colors, MaxAttempts: attempts,
+		Trials: trials, MasterSeed: seed, NumColors: colors,
 	}
 	var err error
 	if cfg.Sizes, err = bench.ParseInts(sizes); err != nil {
@@ -227,7 +225,7 @@ func buildGrid(configPath, families, sizes, params string, delta float64,
 	grid := sweep.Grid{
 		Sizes: cfg.Sizes, Params: cfg.Params, Delta: cfg.Delta,
 		Trials: cfg.Trials, MasterSeed: cfg.MasterSeed,
-		NumColors: cfg.NumColors, MaxAttempts: cfg.MaxAttempts,
+		NumColors: cfg.NumColors,
 	}
 	// Parse element-wise (not by re-joining on commas) so a malformed
 	// config entry like "gnp,gnm" is rejected instead of silently split.
@@ -311,10 +309,10 @@ func loadResume(path string, grid sweep.Grid) (map[string]bench.CellStats, error
 		return nil, fmt.Errorf("resume %s: no sweep section", path)
 	}
 	if rep.Sweep.MasterSeed != grid.MasterSeed || rep.Sweep.TrialsPerCell != grid.Trials ||
-		rep.Sweep.NumColors != grid.NumColors || rep.Sweep.MaxAttempts != grid.MaxAttempts {
-		return nil, fmt.Errorf("resume %s: grid mismatch (file: seed=%d trials=%d colors=%d attempts=%d; grid: seed=%d trials=%d colors=%d attempts=%d)",
-			path, rep.Sweep.MasterSeed, rep.Sweep.TrialsPerCell, rep.Sweep.NumColors, rep.Sweep.MaxAttempts,
-			grid.MasterSeed, grid.Trials, grid.NumColors, grid.MaxAttempts)
+		rep.Sweep.NumColors != grid.NumColors {
+		return nil, fmt.Errorf("resume %s: grid mismatch (file: seed=%d trials=%d colors=%d; grid: seed=%d trials=%d colors=%d)",
+			path, rep.Sweep.MasterSeed, rep.Sweep.TrialsPerCell, rep.Sweep.NumColors,
+			grid.MasterSeed, grid.Trials, grid.NumColors)
 	}
 	out := make(map[string]bench.CellStats, len(rep.Sweep.Cells))
 	for _, c := range rep.Sweep.Cells {

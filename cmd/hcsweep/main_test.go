@@ -18,7 +18,7 @@ import (
 // atlas family on one axis.
 func TestBuildGridFlagsAtlasFamilies(t *testing.T) {
 	grid, err := buildGrid("", "powerlaw,geometric,sbm,hypercube,torus", "64,256", "3",
-		1, "dra", "step", 5, 11, 0, 0)
+		1, "dra", "step", 5, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestBuildGridConfigOverridesFlags(t *testing.T) {
 	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	grid, err := buildGrid(path, "gnp", "512", "1.5", 0.5, "upcast", "step", 20, 1, 0, 0)
+	grid, err := buildGrid(path, "gnp", "512", "1.5", 0.5, "upcast", "step", 20, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +66,14 @@ func TestBuildGridConfigOverridesFlags(t *testing.T) {
 // family (in either form) and a comma-smuggled config entry are rejected
 // with the sorted-vocabulary error rather than silently split or accepted.
 func TestBuildGridRejectsBadAxes(t *testing.T) {
-	if _, err := buildGrid("", "smallworld", "64", "1", 1, "dra", "step", 1, 1, 0, 0); err == nil {
+	if _, err := buildGrid("", "smallworld", "64", "1", 1, "dra", "step", 1, 1, 0); err == nil {
 		t.Fatal("unknown flag family accepted")
 	}
 	path := filepath.Join(t.TempDir(), "grid.json")
 	if err := os.WriteFile(path, []byte(`{"families": ["gnp,torus"]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := buildGrid(path, "gnp", "64", "1", 1, "dra", "step", 1, 1, 0, 0); err == nil {
+	if _, err := buildGrid(path, "gnp", "64", "1", 1, "dra", "step", 1, 1, 0); err == nil {
 		t.Fatal("comma-smuggled config family accepted")
 	}
 }
@@ -85,7 +85,7 @@ func TestBuildGridRejectsBadAxes(t *testing.T) {
 // equal-keyed duplicate cells cannot arise.
 func TestAtlasCellKeyStability(t *testing.T) {
 	grid, err := buildGrid("", "powerlaw,geometric,sbm,hypercube,torus", "64", "3",
-		1, "dra", "step", 5, 11, 0, 0)
+		1, "dra", "step", 5, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

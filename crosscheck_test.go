@@ -7,7 +7,10 @@ package dhc
 // scaling experiments (the promise made in internal/stepsim's package doc).
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -204,6 +207,108 @@ func TestCrosscheckPhaseAccounting(t *testing.T) {
 				t.Fatalf("%s engine %d: phases %d+%d != total %d",
 					algo, engine, res.Phase1Rounds, res.Phase2Rounds, res.Rounds)
 			}
+		}
+	}
+}
+
+// TestCrosscheckSuccessCounts pins that the engines run one restart policy:
+// each partition DRA, standalone DRA and hypernode rotation makes at most
+// rotation.Attempts attempts, and nothing recolours. On margin cells, where
+// many trials fail, both engines solve the same instances with the same
+// solver seeds, and their success counts must be consistent with one success
+// probability: a two-sided Fisher exact test at p >= 0.01. A policy that
+// differs between the engines moves the counts far apart. When the step
+// engine alone recoloured after a partition failure and restarted a
+// standalone DRA, it solved 178/200 of the n = 16 DRA cell against the exact
+// engine's 82/200.
+func TestCrosscheckSuccessCounts(t *testing.T) {
+	for _, cell := range []struct {
+		algo     Algorithm
+		n        int
+		c, delta float64
+		trials   int
+	}{
+		{AlgorithmDRA, 16, 3, 1, 200},
+		{AlgorithmDRA, 32, 3, 1, 200},
+		{AlgorithmDHC2, 128, 1.5, 0.5, 48},
+		{AlgorithmDHC2, 128, 2, 0.5, 48},
+		{AlgorithmDHC2, 256, 1.5, 0.5, 48},
+		{AlgorithmDHC2, 256, 2, 0.5, 48},
+	} {
+		t.Run(fmt.Sprintf("%s/n=%d/c=%g/delta=%g", cell.algo, cell.n, cell.c, cell.delta), func(t *testing.T) {
+			t.Parallel() // the cells share nothing
+			engines := []Engine{EngineExact, EngineStep}
+			solvers := make([]*Solver, len(engines))
+			for i, engine := range engines {
+				var err error
+				if solvers[i], err = NewSolver(cell.algo, Options{Engine: engine, Delta: cell.delta}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := ThresholdP(cell.n, cell.c, cell.delta)
+			solved := make([]int, len(engines))
+			for trial := 0; trial < cell.trials; trial++ {
+				g := NewGNP(cell.n, p, uint64(1000+trial))
+				for i, solver := range solvers {
+					_, err := solver.SolveSeeded(context.Background(), g, uint64(trial))
+					switch {
+					case err == nil:
+						solved[i]++
+					case !errors.Is(err, ErrNoHamiltonianCycle):
+						t.Fatalf("%s engine, trial %d: %v", engines[i], trial, err)
+					}
+				}
+			}
+			pv := fisherTwoSided(solved[0], cell.trials, solved[1], cell.trials)
+			t.Logf("solved: exact %d/%d, step %d/%d (Fisher p = %.3g)",
+				solved[0], cell.trials, solved[1], cell.trials, pv)
+			if pv < 0.01 {
+				t.Errorf("success counts differ beyond chance: exact %d/%d, step %d/%d, Fisher p = %.3g < 0.01",
+					solved[0], cell.trials, solved[1], cell.trials, pv)
+			}
+		})
+	}
+}
+
+// fisherTwoSided returns the two-sided Fisher exact test p-value of the 2x2
+// table with a successes out of n1 against b out of n2: the probability,
+// under the hypergeometric law of the fixed margins, of every table no more
+// likely than the observed one.
+func fisherTwoSided(a, n1, b, n2 int) float64 {
+	k, n := a+b, n1+n2
+	lf := func(x int) float64 {
+		v, _ := math.Lgamma(float64(x + 1))
+		return v
+	}
+	logP := func(x int) float64 {
+		return lf(k) + lf(n-k) + lf(n1) + lf(n2) - lf(n) - lf(x) - lf(k-x) - lf(n1-x) - lf(n2-k+x)
+	}
+	observed := logP(a)
+	var p float64
+	for x := max(0, k-n2); x <= min(k, n1); x++ {
+		if lp := logP(x); lp <= observed+1e-7 {
+			p += math.Exp(lp)
+		}
+	}
+	return min(p, 1)
+}
+
+// TestCrosscheckFisherTwoSided pins the test statistic on hand-computed
+// tables: Fisher's tea tasting (3/4 against 1/4; the tables x = 0, 1, 3, 4 of
+// probabilities 1, 16, 16, 1 in 70), equal counts, and the old policies'
+// n = 16 DRA counts.
+func TestCrosscheckFisherTwoSided(t *testing.T) {
+	for _, tc := range []struct {
+		a, n1, b, n2 int
+		lo, hi       float64
+	}{
+		{3, 4, 1, 4, 34.0/70 - 1e-9, 34.0/70 + 1e-9},
+		{20, 48, 20, 48, 1 - 1e-9, 1},
+		{178, 200, 82, 200, 0, 1e-20},
+	} {
+		if p := fisherTwoSided(tc.a, tc.n1, tc.b, tc.n2); p < tc.lo || p > tc.hi {
+			t.Errorf("fisherTwoSided(%d/%d, %d/%d) = %.6g, want in [%g, %g]",
+				tc.a, tc.n1, tc.b, tc.n2, p, tc.lo, tc.hi)
 		}
 	}
 }

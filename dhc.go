@@ -201,10 +201,6 @@ type Options struct {
 	// assumption-free trivial bound; its long quiet waits are exactly what
 	// the event-driven engine skips. Exact engine only.
 	BroadcastBound int64
-	// MaxAttempts bounds the step engine's restart retries (0 = 6). The
-	// exact engine ignores it: its partition DRA and hypernode phase stop
-	// after internal/core's fixed maxDRAAttempts and maxHyperAttempts (6).
-	MaxAttempts int
 	// MaxRounds overrides the exact engine's round budget — the watchdog
 	// that turns a non-terminating run into ErrRoundLimit. Zero keeps each
 	// algorithm's derived default; negatives are rejected up front (like
@@ -252,12 +248,12 @@ type Observer struct {
 	// for EngineStep, which charges rounds analytically.
 	OnRounds func(rounds int64)
 	// OnRestart fires when the step engine burns a run-level restart
-	// attempt (a failed standalone rotation attempt, a phase-1 recolor, or
-	// a phase-2 retry), with a strictly increasing cumulative count per
-	// run. The step engine's per-partition internal restarts happen on
+	// attempt (a failed standalone rotation attempt or a failed DHC1
+	// phase-2 hypernode rotation), with a strictly increasing cumulative
+	// count per run. The step engine's per-partition restarts happen on
 	// pool workers and are aggregated into cost accounting rather than
-	// reported individually; the exact engine's restarts are per-node
-	// decisions and are not reported at all.
+	// reported individually, so DHC2 reports none; the exact engine's
+	// restarts are per-node decisions and are not reported at all.
 	OnRestart func(restarts int)
 }
 
@@ -596,15 +592,10 @@ func (s *Solver) solveExact(ctx context.Context, g *Graph, seed uint64) (*Result
 
 func (s *Solver) solveStep(ctx context.Context, g *Graph, seed uint64) (*Result, error) {
 	opts := s.opts
-	attempts := opts.MaxAttempts
-	if attempts == 0 {
-		attempts = 6
-	}
 	simOpts := stepsim.Options{
-		NumColors:   opts.NumColors,
-		Delta:       opts.Delta,
-		MaxAttempts: attempts,
-		Workers:     opts.Workers,
+		NumColors: opts.NumColors,
+		Delta:     opts.Delta,
+		Workers:   opts.Workers,
 	}
 	if s.stepSess == nil {
 		s.stepSess = stepsim.NewSession()
@@ -617,7 +608,7 @@ func (s *Solver) solveStep(ctx context.Context, g *Graph, seed uint64) (*Result,
 	)
 	switch s.algo {
 	case AlgorithmDRA:
-		hc, cost, err = s.stepSess.DRA(ctx, g, seed, attempts)
+		hc, cost, err = s.stepSess.DRA(ctx, g, seed)
 	case AlgorithmDHC1:
 		hc, cost, err = s.stepSess.DHC1(ctx, g, seed, simOpts)
 	case AlgorithmDHC2:

@@ -287,12 +287,11 @@ type ServiceRecord struct {
 type SweepSection struct {
 	MasterSeed    uint64 `json:"master_seed"`
 	TrialsPerCell int    `json:"trials_per_cell"`
-	// NumColors and MaxAttempts record the grid's solver overrides; cells
-	// computed under different overrides are not comparable.
-	NumColors   int          `json:"num_colors,omitempty"`
-	MaxAttempts int          `json:"max_attempts,omitempty"`
-	Cells       []CellStats  `json:"cells"`
-	Fits        []ScalingFit `json:"fits,omitempty"`
+	// NumColors records the grid's solver override; cells computed under
+	// different overrides are not comparable.
+	NumColors int          `json:"num_colors,omitempty"`
+	Cells     []CellStats  `json:"cells"`
+	Fits      []ScalingFit `json:"fits,omitempty"`
 }
 
 // Report is the top-level BENCH_<rev>.json document.

@@ -191,7 +191,7 @@ func extractDHC1(g *graph.Graph, progs []*dhc1Node, numColors int, res *Result) 
 			return nil, fmt.Errorf("%w: node %d has invalid color %d", ErrNoHC, v, c)
 		}
 		res.PartitionSizes[c]++
-		if s := p.p1.draSteps(); s > colorSteps[c] {
+		if s := p.p1.dra.Steps(); s > colorSteps[c] {
 			colorSteps[c] = s
 		}
 		succ[v] = p.p1.dra.Succ()

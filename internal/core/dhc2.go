@@ -202,7 +202,7 @@ func (sess *DHC2Session) Run(ctx context.Context, ex congest.Runner, g *graph.Gr
 		}
 		if c := int(p.p1.color); c >= 0 && c < numColors {
 			res.PartitionSizes[c]++
-			if s := p.p1.draSteps(); s > colorSteps[c] {
+			if s := p.p1.dra.Steps(); s > colorSteps[c] {
 				colorSteps[c] = s
 			}
 		}

@@ -79,10 +79,6 @@ type hyperPhase struct {
 	restartAt     int64
 }
 
-// maxHyperAttempts bounds Phase 2 restarts (same rationale as
-// maxDRAAttempts: the rotation process is flaky at small K).
-const maxHyperAttempts = 6
-
 // Offsets from phaseStart:
 //
 //	+0..+B   leader floods the chosen index r within each partition
@@ -141,7 +137,7 @@ func (h *hyperPhase) tick(ctx *congest.Context, inbox []congest.Envelope, isLead
 	}
 	round := ctx.Round()
 	if h.status == dra.Failed {
-		if h.attempts+1 >= maxHyperAttempts {
+		if h.attempts+1 >= rotation.Attempts {
 			return true
 		}
 		// Restart the whole phase (fresh hypernode selection) once stale
@@ -213,7 +209,7 @@ func (h *hyperPhase) nextWake(now int64) int64 {
 		// Exhausted attempts still need one more tick to report terminal
 		// (and make the embedder halt); a restartable failure needs a tick
 		// to compute restartAt and then the restart round itself.
-		if h.attempts+1 >= maxHyperAttempts || h.restartAt == 0 || h.restartAt <= now {
+		if h.attempts+1 >= rotation.Attempts || h.restartAt == 0 || h.restartAt <= now {
 			return now + 1
 		}
 		return h.restartAt

@@ -36,15 +36,6 @@ const (
 	tagPhase2DRA  int32 = 2   // hypernode rotation of DHC1 Phase 2
 )
 
-// maxDRAAttempts bounds partition-local DRA restarts. The paper's analysis
-// gives per-attempt failure O(1/n'^3), which is negligible asymptotically
-// but noticeable at small partition sizes; restarting on the (scope-wide
-// visible) failure flood drives the partition failure probability down
-// exponentially in the attempt count at O(D) extra rounds per attempt. This
-// is an engineering extension, not part of the paper's algorithm or its
-// analysis.
-const maxDRAAttempts = 6
-
 // phase1Config parameterizes the shared first phase.
 type phase1Config struct {
 	// NumColors is K, the number of partitions.
@@ -84,11 +75,6 @@ type phase1 struct {
 
 	dra       *dra.State
 	scopeSize int
-	attempts  int
-	restartAt int64
-	// stepsPrior accumulates the rotation steps of failed DRA sessions, so
-	// the partition's total step count survives the in-place session restart.
-	stepsPrior int64
 
 	phase2Start int64 // common start round for Phase 2, set at barrier release
 	arrived     bool
@@ -104,7 +90,8 @@ type phase1 struct {
 //	rounds B+3..2B+2: partition BFS settles
 //	round 2B+3:     partition size convergecast begins
 //	rounds ..4B+7:  count settles everywhere
-//	round 4B+8:     per-partition DRA begins (adaptive length)
+//	round 4B+8:     per-partition DRA begins (adaptive length, restarts
+//	                included: see dra.State)
 //	then:           global barrier 0; Phase 2 starts at barrier.StartRound(0)
 func (p *phase1) electStart() int64    { return 1 }
 func (p *phase1) electEnd() int64      { return p.cfg.B + 1 }
@@ -221,8 +208,9 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 		done = p.tickDRA(ctx, inbox)
 	}
 	// Metering once per call: every component only grows within a call
-	// except a DRA restart, which refills its unused list before this point,
-	// so this one reading dominates any taken earlier in the call.
+	// except a DRA restart, which refills its unused list inside Tick,
+	// before this point, so this one reading dominates any taken earlier in
+	// the call.
 	ctx.ObserveMemory(p.memoryWords())
 	return done
 }
@@ -233,26 +221,17 @@ func (p *phase1) tickDRA(ctx *congest.Context, inbox []congest.Envelope) bool {
 		if p.counter != nil && p.counter.Done() {
 			p.scopeSize = int(p.counter.Total)
 		}
-		p.dra = p.newDRAState(ctx, p.draStart())
+		params := dra.Params{
+			ScopeSize:       p.scopeSize,
+			IsInitialHead:   p.leader,
+			ScopePorts:      p.scopePorts,
+			BroadcastRounds: p.cfg.B,
+			StartRound:      p.draStart(),
+			Tag:             tagPhase1DRA,
+		}
+		p.dra = dra.NewState(ctx, params)
 	}
 	p.dra.Tick(ctx, inbox)
-	if p.dra.Status() == dra.Failed && !p.arrived &&
-		p.attempts+1 < maxDRAAttempts && p.scopeSize >= 3 {
-		// Retry after a quiet period long enough for every stale flood of
-		// the failed session to drain (<= B rounds past the terminal
-		// flood's origin). All scope nodes compute the same restart round
-		// from the flooded terminal round, so the session stays in step.
-		if p.restartAt == 0 {
-			p.restartAt = p.dra.TerminalRound() + 2*p.cfg.B + 2
-		}
-		if ctx.Round() >= p.restartAt {
-			p.attempts++
-			p.restartAt = 0
-			p.stepsPrior += p.dra.Steps()
-			p.dra = p.newDRAState(ctx, ctx.Round()+1)
-		}
-		return false
-	}
 	if p.dra.Status() != dra.Running && !p.arrived {
 		p.arrived = true
 		p.barrier.Arrive(ctx, 0)
@@ -268,11 +247,11 @@ func (p *phase1) tickDRA(ctx *congest.Context, inbox []congest.Envelope) bool {
 // messages, declaring Phase 1's wake-up discipline for the event-driven
 // simulator: each phase boundary performs empty-inbox work at every node
 // (start the scoped election, create the partition BFS, seed the size
-// convergecast, construct the DRA state), the DRA head acts on its own
-// timer, and a failed partition restarts its session at the commonly
-// computed restart round. Everything in between — flood absorption, BFS
-// adoption, convergecast propagation, barrier traffic — is message-driven.
-// Returns 0 when only messages can advance this node.
+// convergecast, construct the DRA state), and the DRA declares its own
+// wake-ups (its head's timer and its restarts). Everything in between —
+// flood absorption, BFS adoption, convergecast propagation, barrier
+// traffic — is message-driven. Returns 0 when only messages can advance
+// this node.
 func (p *phase1) nextWake(now int64) int64 {
 	switch {
 	case now < p.electStart():
@@ -287,36 +266,7 @@ func (p *phase1) nextWake(now int64) int64 {
 	if p.dra == nil {
 		return now + 1 // DRA state materializes on the next invocation
 	}
-	if p.dra.Status() == dra.Failed && !p.arrived {
-		// Waiting out the quiet period before a session restart: the
-		// restart round is set on the tick after the failure becomes
-		// visible, and every scope node must run at restartAt to swap in
-		// the fresh session before its first messages arrive.
-		if p.restartAt == 0 || p.restartAt <= now {
-			return now + 1
-		}
-		return p.restartAt
-	}
 	return p.dra.NextWake(now)
-}
-
-func (p *phase1) newDRAState(ctx *congest.Context, startRound int64) *dra.State {
-	params := dra.Params{
-		ScopeSize:       p.scopeSize,
-		IsInitialHead:   p.leader,
-		ScopePorts:      p.scopePorts,
-		BroadcastRounds: p.cfg.B,
-		StartRound:      startRound,
-		Tag:             tagPhase1DRA + int32(p.attempts),
-	}
-	if p.dra != nil {
-		// Session restart: recycle the failed machine's allocations. The old
-		// session's state is fully dead — stale floods are filtered by the
-		// per-attempt tag and the quiet period has drained them.
-		p.dra.Reset(ctx, params)
-		return p.dra
-	}
-	return dra.NewState(ctx, params)
 }
 
 // memoryWords estimates retained state: neighbor colors (O(deg)), scope tree
@@ -347,15 +297,4 @@ func (p *phase1) treeNeighbors(ctx *congest.Context) []graph.NodeID {
 // succeeded reports whether this node's partition completed its subcycle.
 func (p *phase1) succeeded() bool {
 	return p.dra != nil && p.dra.Status() == dra.Succeeded
-}
-
-// draSteps returns this node's view of the partition's total rotation-step
-// count across every DRA session, including failed attempts — the same
-// accounting the step engine charges.
-func (p *phase1) draSteps() int64 {
-	steps := p.stepsPrior
-	if p.dra != nil {
-		steps += p.dra.Steps()
-	}
-	return steps
 }

@@ -33,8 +33,8 @@ func (d *dhc2Node) AppendFinal(dst []byte) []byte {
 	var steps int64
 	if d.p1.dra != nil {
 		status = byte(d.p1.dra.Status())
+		steps = d.p1.dra.Steps()
 	}
-	steps = d.p1.draSteps()
 	dst = append(dst, status)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(steps))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(d.p1.color))
@@ -51,14 +51,9 @@ func (d *dhc2Node) RestoreFinal(src []byte) ([]byte, error) {
 	}
 	status := src[0]
 	steps := int64(binary.BigEndian.Uint64(src[1:]))
-	d.p1.stepsPrior = 0
 	d.p1.dra = nil
 	if status != 0 {
-		// The total step count rides on the restored session with stepsPrior
-		// zeroed, so draSteps() reproduces the worker's value.
 		d.p1.dra = dra.NewFinalState(dra.Status(status), steps, -1, -1)
-	} else {
-		d.p1.stepsPrior = steps
 	}
 	d.p1.color = int32(binary.BigEndian.Uint32(src[9:]))
 	d.p1.phase2Start = int64(binary.BigEndian.Uint64(src[13:]))

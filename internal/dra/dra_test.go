@@ -1,6 +1,8 @@
 package dra
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -60,6 +62,30 @@ func TestRunFailsOnSparseGraph(t *testing.T) {
 	g := graph.Path(12)
 	if _, err := Run(g, 1, NodeOptions{}, congest.Options{}); err == nil {
 		t.Fatal("path graph run succeeded")
+	}
+}
+
+// TestRunRestartsUpToAttempts pins the standalone restart: a run with no
+// Hamiltonian cycle ends only after rotation.Attempts attempts, each under
+// its own tag (1 + attempt), and every node ends Failed rather than waiting
+// on a restart.
+func TestRunRestartsUpToAttempts(t *testing.T) {
+	g := graph.Path(12)
+	sess := NewSession()
+	_, err := sess.Run(context.Background(), new(congest.Network), g, 1,
+		NodeOptions{}, congest.Options{})
+	if !errors.Is(err, ErrFailed) {
+		t.Fatalf("want ErrFailed, got %v", err)
+	}
+	var lastTag int32
+	for v, p := range sess.progs {
+		if p.state.Status() != Failed {
+			t.Fatalf("node %d ends with status %d", v, p.state.Status())
+		}
+		lastTag = p.state.p.Tag
+	}
+	if want := int32(rotation.Attempts); lastTag != want {
+		t.Fatalf("last attempt ran under tag %d, want %d (tag 1 + %d restarts)", lastTag, want, rotation.Attempts-1)
 	}
 }
 

@@ -36,8 +36,9 @@ const (
 	// Succeeded means the success broadcast arrived: the scope has a
 	// Hamiltonian cycle and this node knows its position and neighbors.
 	Succeeded
-	// Failed means the failure broadcast arrived (head ran out of unused
-	// edges or exceeded the step budget).
+	// Failed means the failure broadcast of the last attempt arrived (head
+	// ran out of unused edges or exceeded the step budget) and no restart
+	// is left: see rotation.Attempts.
 	Failed
 )
 
@@ -61,7 +62,9 @@ type Params struct {
 	// StartRound is the first round the initial head may act.
 	StartRound int64
 	// Tag distinguishes broadcast sessions of different DRA instances that
-	// could share nodes over time (DHC phase 1 vs phase 2).
+	// could share nodes over time (DHC phase 1 vs phase 2). A restart runs
+	// its attempt under Tag plus the attempt number, so a late terminal
+	// flood of a failed attempt cannot end the next one.
 	Tag int32
 	// MaxSteps overrides the Theorem 2 step budget; 0 selects
 	// rotation.DefaultMaxSteps(ScopeSize).
@@ -76,6 +79,12 @@ type Params struct {
 // so "new payload" is simply "step number above my watermark". This is what
 // keeps per-node memory at O(deg) words — the fully-distributed o(n) claim
 // of the paper.
+//
+// A failed attempt restarts in place, up to rotation.Attempts attempts in
+// all, when the scope has at least 3 vertices: after the failure flood every
+// node waits out a quiet period of 2·BroadcastRounds+2 rounds past the
+// flooded terminal round, so every stale flood has drained and the whole
+// scope starts the next attempt in the same round, at the same initial head.
 type State struct {
 	p Params
 
@@ -92,8 +101,12 @@ type State struct {
 
 	scope  []int32         // in-scope neighbor ports (shared, read-only)
 	unused rotation.Unused // in-scope neighbor ids no progress message has crossed yet
-	steps  int64
-	status Status
+	steps  int64           // this attempt's steps
+	status Status          // this attempt's status
+
+	attempt    int   // failed attempts before this one
+	restartAt  int64 // round the next attempt starts in, 0 = no restart pending
+	stepsPrior int64 // this node's view of the failed attempts' steps
 }
 
 // NewState initializes the machine for one node. ctx is the Init (or current
@@ -112,9 +125,9 @@ func NewFinalState(status Status, steps int64, succ, pred graph.NodeID) *State {
 	return &State{status: status, steps: steps, succ: succ, pred: pred}
 }
 
-// Reset reinitializes the machine in place for a fresh session, reusing the
-// unused-list allocation — the restart and solver-session reuse path that
-// keeps repeated instances from reallocating per-node state.
+// Reset reinitializes the machine in place for a fresh instance, reusing the
+// unused-list allocation — the solver-session reuse path that keeps
+// repeated instances from reallocating per-node state.
 func (s *State) Reset(ctx *congest.Context, p Params) {
 	if p.MaxSteps == 0 {
 		p.MaxSteps = rotation.DefaultMaxSteps(p.ScopeSize)
@@ -140,8 +153,14 @@ func (s *State) Reset(ctx *congest.Context, p Params) {
 	}
 }
 
-// Status returns the node's view of the instance lifecycle.
-func (s *State) Status() Status { return s.status }
+// Status returns the node's view of the instance lifecycle. A failed attempt
+// with a restart pending reads Running: the instance has not terminated.
+func (s *State) Status() Status {
+	if s.restartAt != 0 {
+		return Running
+	}
+	return s.status
+}
 
 // CycleIndex returns the node's 1-based position on the (sub)cycle, 0 if the
 // node never joined a path.
@@ -153,11 +172,14 @@ func (s *State) Succ() graph.NodeID { return s.succ }
 // Pred returns the cycle predecessor id, -1 if unknown.
 func (s *State) Pred() graph.NodeID { return s.pred }
 
-// Steps returns this node's view of the instance step count.
-func (s *State) Steps() int64 { return s.steps }
+// Steps returns this node's view of the instance step count, summed over
+// every attempt.
+func (s *State) Steps() int64 { return s.stepsPrior + s.steps }
 
 // NextWake returns the next round this node must be invoked even if no
-// message arrives — the head's action round — or 0 when the node is purely
+// message arrives — the head's action round, or the round a pending restart
+// starts the next attempt in (every scope node must run then to begin it
+// before its first messages arrive) — or 0 when the node is purely
 // message-driven (non-heads only react to progress messages and floods, and
 // terminal states never act again). Embedders call it after Tick to declare
 // the wake-up discipline of the event-driven simulator; a head's actAfter
@@ -165,19 +187,20 @@ func (s *State) Steps() int64 { return s.steps }
 // headship and a rotation's consistency wait outlasts the flood that
 // announces it.
 func (s *State) NextWake(now int64) int64 {
-	if s.status != Running || !s.isHead {
+	var w int64
+	switch {
+	case s.restartAt != 0:
+		w = s.restartAt
+	case s.status == Running && s.isHead:
+		w = s.actAfter
+	default:
 		return 0
 	}
-	if s.actAfter > now {
-		return s.actAfter
+	if w > now {
+		return w
 	}
 	return now + 1
 }
-
-// TerminalRound returns the round at which the terminal (success or failure)
-// flood was originated; every node of the scope sees the same value, so
-// restart logic can agree on a common restart round. Zero until terminal.
-func (s *State) TerminalRound() int64 { return s.terminalRound }
 
 // MemoryWords estimates the retained state in words for metering: the unused
 // list plus O(1) scalars.
@@ -191,14 +214,38 @@ func (s *State) MemoryWords() int64 {
 // arrive because all traffic stays inside the scope). The embedder meters
 // memory, once per call, from MemoryWords and whatever state it adds.
 func (s *State) Tick(ctx *congest.Context, inbox []congest.Envelope) {
-	if s.status != Running {
+	if s.status == Running {
+		s.absorbBroadcasts(ctx, inbox)
+		s.absorbProgress(ctx, inbox)
+		if s.status == Running && s.isHead && ctx.Round() >= s.actAfter {
+			s.act(ctx)
+		}
+	}
+	if s.status == Failed && s.attempt+1 < rotation.Attempts && s.p.ScopeSize >= 3 {
+		s.awaitRestart(ctx)
+	}
+}
+
+// awaitRestart schedules the next attempt once the failure flood is in, and
+// starts it when its round comes. The quiet period lets every stale flood of
+// the failed attempt drain (<= BroadcastRounds rounds past the terminal
+// flood's origin); every scope node computes the same round from the
+// flooded terminal round, so the next attempt starts in step. The failed
+// attempt ignores its inbox meanwhile, and the new attempt first acts in
+// the round after the restart.
+func (s *State) awaitRestart(ctx *congest.Context) {
+	if s.restartAt == 0 {
+		s.restartAt = s.terminalRound + 2*s.p.BroadcastRounds + 2
+	}
+	if ctx.Round() < s.restartAt {
 		return
 	}
-	s.absorbBroadcasts(ctx, inbox)
-	s.absorbProgress(ctx, inbox)
-	if s.status == Running && s.isHead && ctx.Round() >= s.actAfter {
-		s.act(ctx)
-	}
+	p := s.p
+	p.Tag++
+	p.StartRound = ctx.Round() + 1
+	attempt, prior := s.attempt+1, s.Steps()
+	s.Reset(ctx, p)
+	s.attempt, s.stepsPrior = attempt, prior
 }
 
 // absorbBroadcasts handles rotation and success/failure floods with O(1)

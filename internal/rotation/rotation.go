@@ -82,6 +82,17 @@ type Config struct {
 // interruptCheckEvery is Run's amortized cancellation-poll cadence in steps.
 const interruptCheckEvery = 1024
 
+// Attempts is the attempt budget of every distributed rotation run, in both
+// engines: a standalone DRA, each phase-1 partition DRA of DHC1/DHC2, and
+// DHC1's phase-2 hypernode rotation each make at most this many attempts,
+// restarting after a failure flood and a quiet period. The paper's
+// algorithms never restart: the analysis gives one attempt failure
+// probability O(1/n'^3), negligible asymptotically but noticeable at small
+// partition sizes, and each restart drives it down by that factor again at
+// O(D) extra rounds. This is an engineering extension, not part of the
+// paper's algorithm or its analysis.
+const Attempts = 6
+
 // DefaultMaxSteps returns the Theorem 2 step budget for an n-vertex graph.
 func DefaultMaxSteps(n int) int64 {
 	if n < 2 {
@@ -282,7 +293,7 @@ func (u *Unused) Remove(w graph.NodeID) bool {
 // Solve runs the full sequential Angluin–Valiant algorithm on g: it starts
 // from a random vertex and returns the Hamiltonian cycle, or the failure of
 // the single attempt (the paper's algorithms do not restart; whp analysis
-// covers one attempt).
+// covers one attempt). The distributed runs' restarts are Attempts.
 func Solve(g *graph.Graph, src *rng.Source, cfg Config) (*cycle.Cycle, Stats, error) {
 	if g.N() < 3 {
 		return nil, Stats{}, fmt.Errorf("rotation: need n >= 3, got %d", g.N())

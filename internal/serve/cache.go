@@ -75,7 +75,6 @@ func hashSolve(digest cacheKey, algo dhc.Algorithm, opts dhc.Options, seed uint6
 	u64(uint64(opts.Engine))
 	u64(math.Float64bits(opts.Delta))
 	u64(uint64(int64(opts.NumColors)))
-	u64(uint64(int64(opts.MaxAttempts)))
 	u64(uint64(opts.MaxRounds))
 	u64(seed)
 	if includeCycle {

@@ -111,11 +111,10 @@ type SolveRequest struct {
 	// Delta is the threshold/partition exponent (generator families that use
 	// it, and DHC2); 0 defaults to 1, as in every recipe.
 	Delta float64 `json:"delta,omitempty"`
-	// NumColors / MaxAttempts / MaxRounds are the solver budget overrides,
-	// with dhc.Options semantics (0 = derived defaults).
-	NumColors   int   `json:"num_colors,omitempty"`
-	MaxAttempts int   `json:"max_attempts,omitempty"`
-	MaxRounds   int64 `json:"max_rounds,omitempty"`
+	// NumColors / MaxRounds are the solver budget overrides, with
+	// dhc.Options semantics (0 = derived defaults).
+	NumColors int   `json:"num_colors,omitempty"`
+	MaxRounds int64 `json:"max_rounds,omitempty"`
 	// TimeoutMS bounds the solve's wall clock (clamped to the server's
 	// MaxTimeout). Expiry returns the "canceled" class with HTTP 504.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -277,7 +276,7 @@ func (s *Server) parseSolve(r *http.Request) (*parsedRequest, error) {
 			return nil, err
 		}
 	}
-	if req.MaxRounds < 0 || req.MaxAttempts < 0 || req.NumColors < 0 || req.TimeoutMS < 0 {
+	if req.MaxRounds < 0 || req.NumColors < 0 || req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("serve: negative budget field")
 	}
 	recipe := sweep.Recipe{N: req.N, Param: req.Param, Delta: req.Delta, GraphSeed: req.GraphSeed}
@@ -322,12 +321,11 @@ func (s *Server) parseSolve(r *http.Request) (*parsedRequest, error) {
 		text:   text,
 		algo:   algo,
 		opts: dhc.Options{
-			Engine:      engine,
-			Delta:       recipe.Delta,
-			NumColors:   req.NumColors,
-			MaxAttempts: req.MaxAttempts,
-			MaxRounds:   req.MaxRounds,
-			Workers:     s.cfg.Workers,
+			Engine:    engine,
+			Delta:     recipe.Delta,
+			NumColors: req.NumColors,
+			MaxRounds: req.MaxRounds,
+			Workers:   s.cfg.Workers,
 		},
 	}, nil
 }

@@ -144,6 +144,24 @@ func TestStatusMapping(t *testing.T) {
 	}
 }
 
+// TestMaxAttemptsIsUnknownField pins that the attempt budget is not a request
+// field: both engines share one fixed budget (rotation.Attempts), so a body
+// that still sets max_attempts is refused with 400 and a message naming the
+// field, not solved under a budget it did not get.
+func TestMaxAttemptsIsUnknownField(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	resp, data := postJSON(t, ts.URL+"/solve",
+		`{"family":"gnp","n":32,"param":40,"seed":1,"algo":"dra","engine":"step","max_attempts":1}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("HTTP status = %d, want %d (body %s)", resp.StatusCode, http.StatusBadRequest, data)
+	}
+	sr := decodeResponse(t, data)
+	if sr.Status != "error" || !strings.Contains(sr.Error, `"max_attempts"`) {
+		t.Fatalf("want an error naming max_attempts, got status %q error %q", sr.Status, sr.Error)
+	}
+}
+
 // TestStatusForTable pins the raw mapping function over every class.
 func TestStatusForTable(t *testing.T) {
 	want := map[dhc.FailureClass]int{

@@ -50,11 +50,11 @@ type Hooks struct {
 	// "phase2").
 	OnPhase func(phase string)
 	// OnRestart fires when the run burns a run-level restart attempt — a
-	// failed standalone rotation attempt, a phase-1 recolor, or a phase-2
-	// retry — with the cumulative count of reported restarts, which is
-	// strictly increasing within one run. Per-partition internal restarts
+	// failed standalone rotation attempt or a failed DHC1 phase-2 hypernode
+	// rotation — with the cumulative count of reported restarts, which is
+	// strictly increasing within one run. Per-partition restarts in phase 1
 	// happen on pool workers and are aggregated into Cost.Restarts instead
-	// of being reported individually.
+	// of being reported individually, so DHC2 reports none.
 	OnRestart func(restarts int)
 }
 
@@ -68,19 +68,6 @@ func (h Hooks) restart(restarts int64) {
 	if h.OnRestart != nil {
 		h.OnRestart(int(restarts))
 	}
-}
-
-// restartReporter keeps one strictly increasing cumulative restart count per
-// run, shared by every phase that reports run-level restarts, so the
-// OnRestart stream never regresses across phase boundaries.
-type restartReporter struct {
-	hooks Hooks
-	n     int64
-}
-
-func (r *restartReporter) bump() {
-	r.n++
-	r.hooks.restart(r.n)
 }
 
 // Session is a reusable step-engine runner: the per-worker scratch buffers
@@ -141,19 +128,10 @@ type Options struct {
 	NumColors int
 	// Delta is DHC2's sparsity exponent (0 < δ ≤ 1); ignored by DHC1.
 	Delta float64
-	// MaxAttempts bounds restart retries (0 = 6).
-	MaxAttempts int
 	// Workers bounds the worker pool shared by phase 1 (partition DRA runs)
 	// and DHC2's phase-2 merge tree (pair merges within a level); values
 	// <= 1 run sequentially. Results are identical for every value.
 	Workers int
-}
-
-func (o Options) attempts() int {
-	if o.MaxAttempts < 1 {
-		return 6
-	}
-	return o.MaxAttempts
 }
 
 // Cost is the round/step accounting of a simulated run.
@@ -167,14 +145,16 @@ type Cost struct {
 	// Phase1Rounds / Phase2Rounds split the total for the DHC algorithms.
 	Phase1Rounds int64
 	Phase2Rounds int64
-	// Restarts counts partition-level retries.
+	// Restarts counts failed rotation attempts (of partitions, of the
+	// standalone DRA and of DHC1's phase 2); their steps and rounds are in
+	// the totals above.
 	Restarts int64
 }
 
-// broadcastBound mirrors the exact engine's choice: one BFS gives
-// 2·ecc+1 >= diameter. It uses the allocation-lean eccentricity scan — this
-// runs once per partition, where a full BFSResult's parent/order arrays are
-// dead weight.
+// broadcastBound charges B = 2·ecc(0)+1 >= diameter, from one BFS. The
+// exact engine's default (core.defaultB) also floors B at 3⌈log₂ n⌉+6, so on
+// graphs of small diameter the exact engine waits longer per rotation than
+// the step engine charges. It uses the allocation-lean eccentricity scan.
 func broadcastBound(g *graph.Graph) int64 {
 	if g.N() == 0 {
 		return 1
@@ -190,30 +170,39 @@ func chargeRotationRounds(st rotation.Stats, b int64) int64 {
 	return st.Extensions + st.Rotations*(b+2) + 2
 }
 
-// DRA simulates the standalone Distributed Rotation Algorithm on g.
-func DRA(g *graph.Graph, seed uint64, maxAttempts int) (*cycle.Cycle, Cost, error) {
-	return NewSession().DRA(context.Background(), g, seed, maxAttempts)
+// DRA simulates the standalone Distributed Rotation Algorithm on g, with
+// rotation.Attempts attempts.
+func DRA(g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
+	return NewSession().DRA(context.Background(), g, seed)
 }
 
 // DRA simulates the standalone Distributed Rotation Algorithm on g, honoring
 // ctx between rotation-step batches.
-func (s *Session) DRA(ctx context.Context, g *graph.Graph, seed uint64, maxAttempts int) (*cycle.Cycle, Cost, error) {
-	src := rng.New(seed)
-	b := broadcastBound(g)
-	cost := Cost{B: b}
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
+func (s *Session) DRA(ctx context.Context, g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
 	s.Hooks.phase("run")
+	return rotate(ctx, g, rng.New(seed), broadcastBound(g), s.Hooks.restart)
+}
+
+// rotate runs DRA on g, the step engine's one restart loop: at most
+// rotation.Attempts attempts, each from a start vertex drawn from src, as the
+// exact engine's dra.State restarts. Every attempt is charged — its rotation
+// rounds at broadcast bound b, and for a failed one a restart plus the
+// failure flood and quiet period (2b+2 rounds). onRestart, if non-nil, sees
+// the restart count after each failure. A run that exhausts its attempts
+// returns ErrFailed wrapping the last attempt's error; a cancelled one, the
+// context's error.
+func rotate(ctx context.Context, g *graph.Graph, src *rng.Source, b int64, onRestart func(int64)) (*cycle.Cycle, Cost, error) {
+	cost := Cost{B: b}
 	intr := interruptOf(ctx)
-	rep := &restartReporter{hooks: s.Hooks}
-	var lastErr error
-	for a := 0; a < maxAttempts; a++ {
+	var err error
+	for a := 0; a < rotation.Attempts; a++ {
 		if ctx.Err() != nil {
 			return nil, cost, canceled(ctx)
 		}
 		m := rotation.New(g, graph.NodeID(src.Intn(g.N())), src, rotation.Config{Interrupt: intr})
-		hc, st, err := m.Run()
+		var hc *cycle.Cycle
+		var st rotation.Stats
+		hc, st, err = m.Run()
 		cost.Steps += st.Steps
 		cost.Extensions += st.Extensions
 		cost.Rotations += st.Rotations
@@ -224,12 +213,13 @@ func (s *Session) DRA(ctx context.Context, g *graph.Graph, seed uint64, maxAttem
 		if errors.Is(err, rotation.ErrInterrupted) {
 			return nil, cost, canceled(ctx)
 		}
-		lastErr = err
 		cost.Restarts++
-		rep.bump()
-		cost.Rounds += 2*b + 2 // failure flood + quiet period
+		if onRestart != nil {
+			onRestart(cost.Restarts)
+		}
+		cost.Rounds += 2*b + 2
 	}
-	return nil, cost, fmt.Errorf("%w: %v", ErrFailed, lastErr)
+	return nil, cost, fmt.Errorf("%w: %v", ErrFailed, err)
 }
 
 // partition assigns each vertex one of k colors uniformly, mirroring DHC
@@ -278,21 +268,18 @@ type phase1Result struct {
 // solvePartition from the partition's private RNG stream. Outcomes are
 // merged in partition-id order, never in completion order.
 type partOutcome struct {
-	cyc      *cycle.Cycle
-	steps    int64
-	rounds   int64
-	restarts int64
-	b        int64
-	err      error
+	cyc  *cycle.Cycle
+	cost Cost // cost.B is the partition's broadcast bound
+	err  error
 }
 
-// solvePartition runs DRA (with restarts) on the subgraph induced by class,
-// drawing all randomness from the partition's private stream. The class is
+// solvePartition runs DRA (rotate) on the subgraph induced by class, drawing
+// all randomness from the partition's private stream. The class is
 // ascending (partition's order), so it is the subgraph's id map as is; the
 // build borrows the worker's scratch table. ctx is polled between attempts
 // and inside the rotation machine's step batches.
-func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.NodeID, src *rng.Source, maxAttempts int, sc *workerScratch) partOutcome {
-	out := partOutcome{b: 1}
+func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.NodeID, src *rng.Source, sc *workerScratch) partOutcome {
+	out := partOutcome{cost: Cost{B: 1}}
 	if len(class) < 3 {
 		out.err = fmt.Errorf("%w: partition %d has %d nodes", ErrFailed, c, len(class))
 		return out
@@ -304,65 +291,32 @@ func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.No
 		out.err = fmt.Errorf("%w: partition %d disconnected", ErrFailed, c)
 		return out
 	}
-	out.b = int64(2*ecc + 1)
-	intr := interruptOf(ctx)
-	for a := 0; a < maxAttempts; a++ {
-		if ctx.Err() != nil {
-			out.err = canceled(ctx)
-			return out
-		}
-		m := rotation.New(sub, graph.NodeID(src.Intn(sub.N())), src, rotation.Config{Interrupt: intr})
-		hc, st, err := m.Run()
-		out.steps += st.Steps
-		out.rounds += chargeRotationRounds(st, out.b)
-		if err == nil {
-			out.cyc = hc.Relabel(class)
-			return out
-		}
-		if errors.Is(err, rotation.ErrInterrupted) {
-			out.err = canceled(ctx)
-			return out
-		}
-		out.restarts++
-		out.rounds += 2*out.b + 2
+	hc, cost, err := rotate(ctx, sub, src, int64(2*ecc+1), nil)
+	out.cost = cost
+	switch {
+	case err == nil:
+		out.cyc = hc.Relabel(class)
+	case errors.Is(err, ErrFailed):
+		out.err = fmt.Errorf("%w: partition %d exhausted %d attempts", ErrFailed, c, rotation.Attempts)
+	default:
+		out.err = err
 	}
-	out.err = fmt.Errorf("%w: partition %d exhausted %d attempts", ErrFailed, c, maxAttempts)
 	return out
 }
 
-// runPhase1 builds per-partition Hamiltonian subcycles with restarts. A
-// coloring that produces an unusably small or disconnected partition is
-// redrawn entirely (the distributed analogue: a failure flood triggers a
-// global recolor), up to maxAttempts times. Cancellation is never retried.
-func (s *Session) runPhase1(ctx context.Context, g *graph.Graph, k int, src *rng.Source, maxAttempts, workers int, rep *restartReporter) (*phase1Result, error) {
-	scratches := s.workerScratches(g.N(), workers, k)
-	var err error
-	for a := 0; a < maxAttempts; a++ {
-		if ctx.Err() != nil {
-			return nil, canceled(ctx)
-		}
-		if a > 0 {
-			rep.bump()
-		}
-		var res *phase1Result
-		res, err = runPhase1Once(ctx, g, k, src, maxAttempts, scratches)
-		if err == nil {
-			return res, nil
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
+// runPhase1 colors the graph once from the main stream, then solves the K
+// color classes — sequentially or on a pool of workers — each with its own
+// restarts, as the exact engine's partitions restart (dra.State); a
+// partition that exhausts them fails the run. Each class only ever touches
+// its own split stream and its own outcome slot (and its worker's scratch,
+// which every build leaves zeroed), and outcomes are folded in partition-id
+// order, so the result is a pure function of the seed for every workers
+// value.
+func (s *Session) runPhase1(ctx context.Context, g *graph.Graph, k int, src *rng.Source, workers int) (*phase1Result, error) {
+	if ctx.Err() != nil {
+		return nil, canceled(ctx)
 	}
-	return nil, err
-}
-
-// runPhase1Once colors the graph from the main stream, then solves the K
-// color classes — sequentially or on a pool of len(scratches) workers. Each
-// class only ever touches its own split stream and its own outcome slot (and
-// its worker's scratch, which every build leaves zeroed), and outcomes are
-// folded in partition-id order, so the result is a pure function of the seed
-// for every workers value.
-func runPhase1Once(ctx context.Context, g *graph.Graph, k int, src *rng.Source, maxAttempts int, scratches []*workerScratch) (*phase1Result, error) {
+	scratches := s.workerScratches(g.N(), workers, k)
 	classes := partition(g.N(), k, src)
 	streams := make([]*rng.Source, k)
 	for c := 0; c < k; c++ {
@@ -370,7 +324,7 @@ func runPhase1Once(ctx context.Context, g *graph.Graph, k int, src *rng.Source, 
 	}
 	outs := make([]partOutcome, k)
 	arena.RunPool(len(scratches), k, func(w, c int) {
-		outs[c] = solvePartition(ctx, g, c, classes[c], streams[c], maxAttempts, scratches[w])
+		outs[c] = solvePartition(ctx, g, c, classes[c], streams[c], scratches[w])
 	})
 
 	res := &phase1Result{
@@ -385,13 +339,13 @@ func runPhase1Once(ctx context.Context, g *graph.Graph, k int, src *rng.Source, 
 		}
 		res.cycles[c] = out.cyc
 		res.sizes[c] = len(classes[c])
-		res.steps += out.steps
-		res.restarts += out.restarts
-		if out.rounds > res.maxRounds {
-			res.maxRounds = out.rounds
+		res.steps += out.cost.Steps
+		res.restarts += out.cost.Restarts
+		if out.cost.Rounds > res.maxRounds {
+			res.maxRounds = out.cost.Rounds
 		}
-		if out.b > res.scopeB {
-			res.scopeB = out.b
+		if out.cost.B > res.scopeB {
+			res.scopeB = out.cost.B
 		}
 	}
 	return res, nil
@@ -423,10 +377,8 @@ func (s *Session) DHC1(ctx context.Context, g *graph.Graph, seed uint64, opts Op
 		numColors = 1
 	}
 	src := rng.New(seed)
-	maxAttempts := opts.attempts()
-	rep := &restartReporter{hooks: s.Hooks}
 	s.Hooks.phase("phase1")
-	p1, err := s.runPhase1(ctx, g, numColors, src, maxAttempts, opts.Workers, rep)
+	p1, err := s.runPhase1(ctx, g, numColors, src, opts.Workers)
 	if err != nil {
 		return nil, Cost{}, err
 	}
@@ -449,7 +401,7 @@ func (s *Session) DHC1(ctx context.Context, g *graph.Graph, seed uint64, opts Op
 	var p2rounds int64
 	ok := false
 	s.Hooks.phase("phase2")
-	for a := 0; a < maxAttempts; a++ {
+	for a := 0; a < rotation.Attempts; a++ {
 		if ctx.Err() != nil {
 			return nil, cost, canceled(ctx)
 		}
@@ -464,7 +416,7 @@ func (s *Session) DHC1(ctx context.Context, g *graph.Graph, seed uint64, opts Op
 			break
 		}
 		cost.Restarts++
-		rep.bump()
+		s.Hooks.restart(int64(a + 1))
 		p2rounds += 2*gb + 2
 	}
 	cost.Phase2Rounds = p2rounds
@@ -502,10 +454,8 @@ func (s *Session) DHC2(ctx context.Context, g *graph.Graph, seed uint64, opts Op
 		numColors = 1
 	}
 	src := rng.New(seed)
-	maxAttempts := opts.attempts()
-	rep := &restartReporter{hooks: s.Hooks}
 	s.Hooks.phase("phase1")
-	p1, err := s.runPhase1(ctx, g, numColors, src, maxAttempts, opts.Workers, rep)
+	p1, err := s.runPhase1(ctx, g, numColors, src, opts.Workers)
 	if err != nil {
 		return nil, Cost{}, err
 	}

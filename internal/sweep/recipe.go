@@ -214,21 +214,20 @@ func (r Recipe) Build() (*dhc.Graph, error) {
 // wall-clock time; POST /solve never shards, so its records are a pure
 // function of the request, which its replay cache relies on.
 type Record struct {
-	Status      string `json:"status"`
-	Recipe      string `json:"recipe,omitempty"`
-	Algo        string `json:"algo,omitempty"`
-	Engine      string `json:"engine,omitempty"`
-	Seed        uint64 `json:"seed"`
-	NumColors   int    `json:"num_colors,omitempty"`
-	MaxAttempts int    `json:"max_attempts,omitempty"`
-	MaxRounds   int64  `json:"max_rounds,omitempty"`
-	Bound       int64  `json:"bound,omitempty"`
-	N           int    `json:"n,omitempty"`
-	M           int64  `json:"m,omitempty"`
-	Rounds      int64  `json:"rounds,omitempty"`
-	Steps       int64  `json:"steps,omitempty"`
-	Phase1      int64  `json:"phase1,omitempty"`
-	Phase2      int64  `json:"phase2,omitempty"`
+	Status    string `json:"status"`
+	Recipe    string `json:"recipe,omitempty"`
+	Algo      string `json:"algo,omitempty"`
+	Engine    string `json:"engine,omitempty"`
+	Seed      uint64 `json:"seed"`
+	NumColors int    `json:"num_colors,omitempty"`
+	MaxRounds int64  `json:"max_rounds,omitempty"`
+	Bound     int64  `json:"bound,omitempty"`
+	N         int    `json:"n,omitempty"`
+	M         int64  `json:"m,omitempty"`
+	Rounds    int64  `json:"rounds,omitempty"`
+	Steps     int64  `json:"steps,omitempty"`
+	Phase1    int64  `json:"phase1,omitempty"`
+	Phase2    int64  `json:"phase2,omitempty"`
 	// Messages, Bits and MaxMemWords are the exact engine's counters.
 	Messages    int64           `json:"messages,omitempty"`
 	Bits        int64           `json:"bits,omitempty"`
@@ -244,8 +243,7 @@ func NewRecord(recipe string, algo dhc.Algorithm, opts dhc.Options, g *dhc.Graph
 	rec := Record{
 		Status: dhc.Classify(err).String(), Recipe: recipe,
 		Algo: algo.String(), Engine: opts.Engine.String(), Seed: opts.Seed,
-		NumColors: opts.NumColors, MaxAttempts: opts.MaxAttempts,
-		MaxRounds: opts.MaxRounds, Bound: opts.BroadcastBound,
+		NumColors: opts.NumColors, MaxRounds: opts.MaxRounds, Bound: opts.BroadcastBound,
 		N: g.N(), M: int64(g.M()),
 	}
 	if err != nil {

@@ -153,8 +153,6 @@ type Grid struct {
 	MasterSeed uint64 `json:"master_seed"`
 	// NumColors overrides the partition count K for DHC1/DHC2 (0 derives).
 	NumColors int `json:"num_colors,omitempty"`
-	// MaxAttempts bounds solver restart retries (0 = engine default).
-	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
 // Cell is one grid point: the recipe of its instances (each trial sets its
@@ -287,7 +285,6 @@ func RunContext(ctx context.Context, grid Grid, opts Options) (*bench.SweepSecti
 		MasterSeed:    grid.MasterSeed,
 		TrialsPerCell: grid.trials(),
 		NumColors:     grid.NumColors,
-		MaxAttempts:   grid.MaxAttempts,
 	}
 	master := rng.New(grid.MasterSeed)
 	for _, cell := range grid.Cells() {
@@ -346,11 +343,10 @@ func runCell(ctx context.Context, grid *Grid, cell Cell, master *rng.Source, opt
 		obs = opts.Observer(cell)
 	}
 	solverOpts := dhc.Options{
-		Engine:      cell.Engine,
-		Delta:       cell.Recipe.Delta,
-		NumColors:   grid.NumColors,
-		MaxAttempts: grid.MaxAttempts,
-		Observer:    obs,
+		Engine:    cell.Engine,
+		Delta:     cell.Recipe.Delta,
+		NumColors: grid.NumColors,
+		Observer:  obs,
 	}
 	poolSize := min(max(opts.Workers, 1), trials)
 	solvers := make([]*dhc.Solver, poolSize)

@@ -85,7 +85,9 @@ func TestSolverReuseMatchesFreshSolve(t *testing.T) {
 				name += fmt.Sprintf("/shards=%d", leg.shards)
 			}
 			t.Run(name, func(t *testing.T) {
-				opts := Options{Engine: leg.engine, NumColors: 6, Shards: leg.shards}
+				// K = 4 partitions of ~24 vertices: at K = 6 (16 vertices)
+				// some step-engine seeds exhaust a partition's attempts.
+				opts := Options{Engine: leg.engine, NumColors: 4, Shards: leg.shards}
 				solver, err := NewSolver(algo, opts)
 				if err != nil {
 					t.Fatal(err)
