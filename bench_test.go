@@ -141,12 +141,12 @@ func BenchmarkE4_DHC2Rounds(b *testing.B) {
 func BenchmarkE5_MergeBridges(b *testing.B) {
 	g := graph.GNP(240, 0.75, rng.New(99))
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunDHC2(g, uint64(i), core.DHC2Options{NumColors: 8, B: 10}, congest.Options{})
+		res, err := core.NewDHC2Session(core.Options{NumColors: 8, B: 10}).RunLocal(g, uint64(i), congest.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.MergeLevels != 3 {
-			b.Fatalf("merge levels %d, want 3", res.MergeLevels)
+		if len(res.PartitionSizes) != 8 {
+			b.Fatalf("%d partitions, want 8 (three merge levels)", len(res.PartitionSizes))
 		}
 	}
 }

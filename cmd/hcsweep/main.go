@@ -8,7 +8,9 @@
 // fields, per-trial RNG streams split from the master seed by cell key, so
 // -workers changes throughput only — the output file is byte-identical at
 // any worker count. The report is rewritten atomically after every completed
-// cell, and -resume reloads such a file and skips its finished cells.
+// cell, and -resume reloads such a file and skips its finished cells. The
+// report carries the SHA-256 of the executable that wrote it, and -resume
+// refuses a report that another executable wrote.
 //
 // The pipeline is interruptible: SIGINT/SIGTERM cancels in-flight solver
 // trials at the engines' amortized checkpoints, abandons the in-flight cell
@@ -44,6 +46,7 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -104,7 +107,7 @@ func run() error {
 		seed     = flag.Uint64("seed", 1, "master seed; the whole report is a pure function of grid + seed")
 		colors   = flag.Int("colors", 0, "partition count K override for dhc1/dhc2 (0 = derive)")
 		workers  = flag.Int("workers", 1, "trial-level worker pool (byte-identical output at any value)")
-		resume   = flag.Bool("resume", false, "reuse finished cells from an existing -json file with the same seed and trial count")
+		resume   = flag.Bool("resume", false, "reuse finished cells from an existing -json file with the same seed and trial count, written by this same executable")
 		cellTime = flag.Duration("cell-timeout", 0, "wall-clock cap per cell; cut-off trials count as canceled and the cell re-runs on -resume")
 		trace    = flag.Bool("trace", false, "log solver phase transitions and restarts per cell to stderr")
 	)
@@ -130,8 +133,12 @@ func run() error {
 	if *trace {
 		opts.Observer = traceObserver
 	}
+	stamp, err := executableStamp()
+	if err != nil {
+		return err
+	}
 	if *resume {
-		if opts.Resume, err = loadResume(*jsonOut, grid); err != nil {
+		if opts.Resume, err = loadResume(*jsonOut, grid, stamp); err != nil {
 			return err
 		}
 	}
@@ -146,6 +153,7 @@ func run() error {
 	// loses at most one cell of work; fits are recomputed over the cells
 	// done so far and the final write includes every cell.
 	rep := bench.NewReport(*rev, runtime.Version(), runtime.NumCPU())
+	rep.Executable = stamp
 	rep.Sweep = &bench.SweepSection{
 		MasterSeed: grid.MasterSeed, TrialsPerCell: grid.Trials,
 		NumColors: grid.NumColors,
@@ -289,11 +297,23 @@ func traceObserver(cell sweep.Cell) *dhc.Observer {
 	}
 }
 
+// executableStamp returns the SHA-256 of the running executable, the build
+// identity a report is stamped with.
+func executableStamp() (string, error) {
+	path, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	data, err := os.ReadFile(path)
+	return fmt.Sprintf("%x", sha256.Sum256(data)), err
+}
+
 // loadResume decodes a prior report at path (absence is not an error) and
-// returns its cells keyed for reuse. A master-seed or trial-count mismatch
-// is fatal: silently mixing two sweeps would corrupt the determinism
-// contract.
-func loadResume(path string, grid sweep.Grid) (map[string]bench.CellStats, error) {
+// returns its cells keyed for reuse. A master-seed, trial-count or colour
+// mismatch is fatal, and so is a report that carries no stamp or the stamp
+// of another executable: silently mixing two sweeps, or two builds' cells,
+// would corrupt the determinism contract.
+func loadResume(path string, grid sweep.Grid, stamp string) (map[string]bench.CellStats, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -309,10 +329,10 @@ func loadResume(path string, grid sweep.Grid) (map[string]bench.CellStats, error
 		return nil, fmt.Errorf("resume %s: no sweep section", path)
 	}
 	if rep.Sweep.MasterSeed != grid.MasterSeed || rep.Sweep.TrialsPerCell != grid.Trials ||
-		rep.Sweep.NumColors != grid.NumColors {
-		return nil, fmt.Errorf("resume %s: grid mismatch (file: seed=%d trials=%d colors=%d; grid: seed=%d trials=%d colors=%d)",
-			path, rep.Sweep.MasterSeed, rep.Sweep.TrialsPerCell, rep.Sweep.NumColors,
-			grid.MasterSeed, grid.Trials, grid.NumColors)
+		rep.Sweep.NumColors != grid.NumColors || rep.Executable != stamp {
+		return nil, fmt.Errorf("resume %s: grid or build mismatch (file: seed=%d trials=%d colors=%d executable=%q; this run: seed=%d trials=%d colors=%d executable=%q)",
+			path, rep.Sweep.MasterSeed, rep.Sweep.TrialsPerCell, rep.Sweep.NumColors, rep.Executable,
+			grid.MasterSeed, grid.Trials, grid.NumColors, stamp)
 	}
 	out := make(map[string]bench.CellStats, len(rep.Sweep.Cells))
 	for _, c := range rep.Sweep.Cells {

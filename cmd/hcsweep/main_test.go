@@ -7,10 +7,14 @@ package main
 // unresumable (or worse, mismatched).
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
+	"dhc/internal/bench"
 	"dhc/internal/sweep"
 )
 
@@ -106,6 +110,47 @@ func TestAtlasCellKeyStability(t *testing.T) {
 		}
 		if c.InstanceKey() == "" || c.InstanceKey() == c.Key() {
 			t.Errorf("cell %d instance key %q should drop the solver axes", i, c.InstanceKey())
+		}
+	}
+}
+
+// TestResumeRefusesAnotherExecutable pins -resume's build identity: a report
+// stamped with another executable's hash, or with none, is refused like a
+// seed mismatch, and only this executable's own stamp resumes.
+func TestResumeRefusesAnotherExecutable(t *testing.T) {
+	grid, err := buildGrid("", "gnp", "64", "3", 1, "dra", "step", 2, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp, err := executableStamp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, err := sweep.RunContext(context.Background(), grid, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	for _, tc := range []struct {
+		name, stamp string
+		ok          bool
+	}{
+		{"forged", strings.Repeat("0", len(stamp)), false},
+		{"missing", "", false},
+		{"own", stamp, true},
+	} {
+		rep := bench.NewReport("test", runtime.Version(), 1)
+		rep.Executable = tc.stamp
+		rep.Sweep = sec
+		if err := writeAtomic(path, rep); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadResume(path, grid, stamp)
+		if tc.ok && err != nil {
+			t.Errorf("%s stamp: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s stamp resumed", tc.name)
 		}
 	}
 }

@@ -114,7 +114,11 @@ func eventVsDenseFingerprint(res *Result) string {
 // in-process network that invokes every live node every round and skips no
 // round.
 func solveDense(g *Graph, algo Algorithm, opts Options) (*Result, error) {
-	return exactSessions[algo](opts)(context.Background(), new(congest.Network), g, opts.Seed,
+	s, err := NewSolver(algo, opts)
+	if err != nil {
+		return nil, err
+	}
+	return s.solveExact(context.Background(), new(congest.Network), g, opts.Seed,
 		congest.Options{DenseSweep: true})
 }
 

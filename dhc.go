@@ -431,10 +431,10 @@ type Solver struct {
 
 	// exec is the one executor every exact trial runs on, built once at
 	// NewSolver: the in-process Network, or the shard cluster when
-	// Shards > 1. exact is the algorithm's session adapter, which binds the
-	// node programs to exec and extracts the result.
+	// Shards > 1. exact is Run of the algorithm's congest.Session, whose one
+	// set of node programs every trial binds to exec.
 	exec  congest.Runner
-	exact exactSession
+	exact func(context.Context, congest.Runner, *Graph, uint64, congest.Options) (*congest.Result, error)
 
 	stepSess *stepsim.Session
 }
@@ -497,7 +497,16 @@ func NewSolver(algo Algorithm, opts Options) (*Solver, error) {
 		if s.exec == nil {
 			s.exec = new(congest.Network)
 		}
-		s.exact = exactSessions[algo](opts)
+		switch algo {
+		case AlgorithmDRA:
+			s.exact = dra.NewSession(dra.NodeOptions{BroadcastRounds: opts.BroadcastBound}).Run
+		case AlgorithmDHC1:
+			s.exact = core.NewDHC1Session(core.Options{NumColors: opts.NumColors, B: opts.BroadcastBound}).Run
+		case AlgorithmDHC2:
+			s.exact = core.NewDHC2Session(core.Options{Delta: opts.Delta, NumColors: opts.NumColors, B: opts.BroadcastBound}).Run
+		case AlgorithmUpcast:
+			s.exact = upcast.NewSession(upcast.Options{B: opts.BroadcastBound}).Run
+		}
 	}
 	return s, nil
 }
@@ -529,62 +538,31 @@ func (s *Solver) SolveSeeded(ctx context.Context, g *Graph, seed uint64) (*Resul
 	if s.opts.Engine == EngineStep {
 		return s.solveStep(ctx, g, seed)
 	}
-	return s.solveExact(ctx, g, seed)
-}
-
-// exactSession runs one exact-engine trial on the executor ex and converts
-// the session's result. Errors pass through unwrapped.
-type exactSession func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error)
-
-// exactSessions builds, per algorithm, the session adapter a Solver keeps:
-// one session (and so one set of node programs) reused across trials, with
-// the algorithm's options resolved from opts once.
-var exactSessions = map[Algorithm]func(opts Options) exactSession{
-	AlgorithmDRA: func(o Options) exactSession {
-		sess, opts := dra.NewSession(), dra.NodeOptions{BroadcastRounds: o.BroadcastBound}
-		return func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
-			r, err := sess.Run(ctx, ex, g, seed, opts, netOpts)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Cycle: r.Cycle, Rounds: r.Counters.Rounds, Steps: r.Steps, Counters: r.Counters}, nil
-		}
-	},
-	AlgorithmDHC1: func(o Options) exactSession {
-		sess, opts := core.NewDHC1Session(), core.DHC1Options{NumColors: o.NumColors, B: o.BroadcastBound}
-		return func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
-			return fromCoreResult(sess.Run(ctx, ex, g, seed, opts, netOpts))
-		}
-	},
-	AlgorithmDHC2: func(o Options) exactSession {
-		sess, opts := core.NewDHC2Session(), core.DHC2Options{Delta: o.Delta, NumColors: o.NumColors, B: o.BroadcastBound}
-		return func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
-			return fromCoreResult(sess.Run(ctx, ex, g, seed, opts, netOpts))
-		}
-	},
-	AlgorithmUpcast: func(o Options) exactSession {
-		sess, opts := upcast.NewSession(), upcast.Options{B: o.BroadcastBound}
-		return func(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
-			r, err := sess.Run(ctx, ex, g, seed, opts, netOpts)
-			if err != nil {
-				return nil, err
-			}
-			return &Result{Cycle: r.Cycle, Rounds: r.Counters.Rounds, Counters: r.Counters}, nil
-		}
-	},
-}
-
-func (s *Solver) solveExact(ctx context.Context, g *Graph, seed uint64) (*Result, error) {
-	netOpts := congest.Options{
+	s.opts.Observer.phase("run")
+	return s.solveExact(ctx, s.exec, g, seed, congest.Options{
 		MaxRounds: s.opts.MaxRounds,
 		Progress:  s.opts.Observer.progress(),
-	}
-	s.opts.Observer.phase("run")
-	res, err := s.exact(ctx, s.exec, g, seed, netOpts)
+	})
+}
+
+// solveExact runs one trial of the algorithm's session on ex and converts
+// its result; a two-phase run's rounds after Phase 1 are its Phase 2.
+func (s *Solver) solveExact(ctx context.Context, ex congest.Runner, g *Graph, seed uint64, netOpts congest.Options) (*Result, error) {
+	r, err := s.exact(ctx, ex, g, seed, netOpts)
 	if err != nil {
 		return nil, wrapNoHC(err)
 	}
-	if cluster, ok := s.exec.(*dist.Cluster); ok {
+	res := &Result{
+		Cycle:        r.Cycle,
+		Rounds:       r.Counters.Rounds,
+		Steps:        r.Steps,
+		Counters:     r.Counters,
+		Phase1Rounds: r.Phase1Rounds,
+	}
+	if r.Phase1Rounds > 0 {
+		res.Phase2Rounds = res.Rounds - r.Phase1Rounds
+	}
+	if cluster, ok := ex.(*dist.Cluster); ok {
 		res.ShardStats = cluster.Stats()
 	}
 	return res, nil
@@ -627,20 +605,6 @@ func (s *Solver) solveStep(ctx context.Context, g *Graph, seed uint64) (*Result,
 		Steps:        cost.Steps,
 		Phase1Rounds: cost.Phase1Rounds,
 		Phase2Rounds: cost.Phase2Rounds,
-	}, nil
-}
-
-func fromCoreResult(r *core.Result, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Cycle:        r.Cycle,
-		Rounds:       r.Counters.Rounds,
-		Steps:        r.Steps,
-		Counters:     r.Counters,
-		Phase1Rounds: r.Phase1Rounds,
-		Phase2Rounds: r.Counters.Rounds - r.Phase1Rounds,
 	}, nil
 }
 

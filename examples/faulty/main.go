@@ -24,7 +24,7 @@ func main() {
 	g := graph.GNP(n, p, rng.New(5))
 
 	// Healthy run first.
-	res, err := dra.Run(g, 1, dra.NodeOptions{}, congest.Options{})
+	res, err := dra.NewSession(dra.NodeOptions{}).RunLocal(g, 1, congest.Options{})
 	if err != nil {
 		log.Fatalf("healthy run failed: %v", err)
 	}
@@ -43,7 +43,7 @@ func main() {
 		}
 		return m, true
 	}
-	_, err = dra.Run(g, 1, dra.NodeOptions{}, congest.Options{FaultHook: hook})
+	_, err = dra.NewSession(dra.NodeOptions{}).RunLocal(g, 1, congest.Options{FaultHook: hook})
 	if err == nil {
 		log.Fatal("corrupted run produced a 'valid' cycle: verification gap!")
 	}

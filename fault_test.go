@@ -72,7 +72,7 @@ func TestFaultHookNeverYieldsUnverifiedCycle(t *testing.T) {
 				for seed := uint64(1); seed <= 3; seed++ {
 					netOpts := mkOpts()
 					netOpts.DenseSweep = dense
-					res, err := dra.Run(g, seed, dra.NodeOptions{}, netOpts)
+					res, err := dra.NewSession(dra.NodeOptions{}).RunLocal(g, seed, netOpts)
 					if err != nil {
 						sawFailure = true
 						continue
@@ -102,7 +102,7 @@ func TestFaultHookAcrossAlgorithms(t *testing.T) {
 		t.Run(fmt.Sprintf("dhc1/dense=%v", dense), func(t *testing.T) {
 			netOpts := corruptEveryNth(wire.KindRotation, 9)
 			netOpts.DenseSweep = dense
-			res, err := core.RunDHC1(g, 3, core.DHC1Options{NumColors: 4}, netOpts)
+			res, err := core.NewDHC1Session(core.Options{NumColors: 4}).RunLocal(g, 3, netOpts)
 			if err == nil {
 				if verr := Verify(g, res.Cycle); verr != nil {
 					t.Fatalf("perturbed DHC1 returned an unverified cycle: %v", verr)
@@ -112,7 +112,7 @@ func TestFaultHookAcrossAlgorithms(t *testing.T) {
 		t.Run(fmt.Sprintf("dhc2/dense=%v", dense), func(t *testing.T) {
 			netOpts := dropEveryNth(41)
 			netOpts.DenseSweep = dense
-			res, err := core.RunDHC2(g, 3, core.DHC2Options{NumColors: 4}, netOpts)
+			res, err := core.NewDHC2Session(core.Options{NumColors: 4}).RunLocal(g, 3, netOpts)
 			if err == nil {
 				if verr := Verify(g, res.Cycle); verr != nil {
 					t.Fatalf("perturbed DHC2 returned an unverified cycle: %v", verr)
@@ -127,7 +127,7 @@ func TestFaultHookAcrossAlgorithms(t *testing.T) {
 // to the injected faults and not to the instances.
 func TestFaultHookHealthyBaseline(t *testing.T) {
 	g := NewGNP(120, 0.4, 5)
-	res, err := dra.Run(g, 1, dra.NodeOptions{}, congest.Options{})
+	res, err := dra.NewSession(dra.NodeOptions{}).RunLocal(g, 1, congest.Options{})
 	if err != nil {
 		t.Fatalf("healthy run failed: %v", err)
 	}

@@ -299,6 +299,10 @@ type Report struct {
 	SchemaVersion int `json:"schema_version"`
 	// Rev labels the source revision the binary was built from.
 	Rev string `json:"rev"`
+	// Executable is the SHA-256 of the executable that wrote the report.
+	// hcsweep sets it and its -resume refuses a report whose stamp differs
+	// or is missing: another build may compute the same cell differently.
+	Executable string `json:"executable_sha256,omitempty"`
 	// GoVersion and NumCPU pin the host shape: wall-clock comparisons
 	// (notably worker scaling) are only meaningful at NumCPU > 1.
 	GoVersion string   `json:"go_version"`

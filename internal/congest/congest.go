@@ -309,10 +309,9 @@ func (c *Context) AddWork(ops int64) { c.workOps += ops }
 // vertex, RunContext runs the execution to completion. *Network is the
 // in-process implementation; the distributed engine (internal/dist) provides
 // one that partitions the vertex set across shard workers behind real
-// transports. It is the executor parameter of every algorithm session's Run:
-// the caller owns the executor, the session only binds its programs to it
-// and extracts results, so one session drives either engine without a type
-// switch. The two implementations are held byte-identical by differential
+// transports. It is the executor parameter of Session.Run: the caller owns
+// the executor, the session only binds its programs to it and extracts
+// results, so one session drives either engine without a type switch. The two implementations are held byte-identical by differential
 // tests and the golden fixtures.
 type Runner interface {
 	Reset(g *graph.Graph, nodes []Node, opts Options) error

@@ -1,28 +1,14 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"math"
 
-	"dhc/internal/arena"
 	"dhc/internal/congest"
 	"dhc/internal/cycle"
 	"dhc/internal/dra"
 	"dhc/internal/graph"
 	"dhc/internal/rotation"
 )
-
-// DHC1Options configures a DHC1 run (paper Algorithm 2, for p = c·ln n/√n).
-// The step budgets are derived, not set: each partition's DRA gets the
-// Theorem 2 budget for its counted size, and the hypernode rotation 4× the
-// budget for K (covering probe rejections).
-type DHC1Options struct {
-	// NumColors overrides the number of partitions K (default round(√n)).
-	NumColors int
-	// B bounds broadcast/BFS settling times (0 = defaultB).
-	B int64
-}
 
 // dhc1Node is the per-node program: shared Phase 1, then the hypernode
 // rotation of Phase 2.
@@ -97,111 +83,56 @@ func (d *dhc1Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	d.armWake(ctx)
 }
 
-// RunDHC1 executes DHC1 on g on a fresh in-process Network and returns the
-// verified Hamiltonian cycle.
-func RunDHC1(g *graph.Graph, seed uint64, opts DHC1Options, netOpts congest.Options) (*Result, error) {
-	return NewDHC1Session().Run(context.Background(), new(congest.Network), g, seed, opts, netOpts)
+// DHC1Session is a reusable DHC1 program set: the per-node programs and
+// their per-port tables survive across Run calls.
+type DHC1Session = congest.Session[dhc1Node, *dhc1Node]
+
+// NewDHC1Session returns an empty session that runs DHC1 under opts; the
+// first Run sizes it.
+func NewDHC1Session(opts Options) *DHC1Session {
+	return congest.NewSession[dhc1Node]("dhc1", &dhc1Algorithm{binding{opts: opts}})
 }
 
-// DHC1Session is a reusable DHC1 program set: the per-node program slice
-// survives across Run calls, so repeated trials on same-sized graphs skip
-// its allocations. The session binds programs and extracts the cycle; the
-// executor is the caller's. Not safe for concurrent use.
-type DHC1Session struct {
-	progs []*dhc1Node
-	nodes []congest.Node
-}
+// dhc1Algorithm is DHC1's part of a Session (paper Algorithm 2, for
+// p = c·ln n/√n, so K defaults to round(√n)).
+type dhc1Algorithm struct{ binding }
 
-// NewDHC1Session returns an empty session; the first Run sizes it.
-func NewDHC1Session() *DHC1Session { return &DHC1Session{} }
-
-// Run resets ex to g and the session's programs and executes one DHC1
-// trial, honoring ctx at the executor's amortized cancellation checkpoint. A
-// cancelled run returns ctx's error and leaves the session reusable.
-func (sess *DHC1Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph, seed uint64, opts DHC1Options, netOpts congest.Options) (*Result, error) {
-	n := g.N()
-	if n < 3 {
-		return nil, fmt.Errorf("core: need n >= 3, got %d", n)
-	}
-	numColors := opts.NumColors
-	if numColors <= 0 {
-		numColors = int(math.Round(math.Sqrt(float64(n))))
-	}
-	if numColors > n/3 {
-		numColors = n / 3
-	}
-	if numColors < 1 {
-		numColors = 1
-	}
-	b := opts.B
-	if b == 0 {
-		b = defaultB(g)
-	}
-	cfg := phase1Config{NumColors: int32(numColors), B: b}
+// Bind implements congest.Algorithm.
+func (a *dhc1Algorithm) Bind(g *graph.Graph, netOpts *congest.Options) error {
+	budget, _ := a.bind(g, 0.5) // δ = 1/2 is in range: no error
 	if netOpts.MaxRounds == 0 {
-		scope := 3 * n / numColors
-		steps := rotation.DefaultMaxSteps(scope)
-		hyperSteps := 4 * rotation.DefaultMaxSteps(numColors)
-		netOpts.MaxRounds = 4*b + 8 + steps*(b+3) + hyperSteps*(b+4) + 8*b + 2048
+		// Phase 2 adds the hypernode rotation, 4× the budget for K.
+		b, hyperSteps := a.cfg.B, 4*rotation.DefaultMaxSteps(int(a.cfg.NumColors))
+		netOpts.MaxRounds = budget + hyperSteps*(b+4) + 8*b + 2048
 	}
-	sess.progs = arena.Resize(sess.progs, n)
-	sess.nodes = arena.Resize(sess.nodes, n)
-	for i := 0; i < n; i++ {
-		if sess.progs[i] == nil {
-			sess.progs[i] = &dhc1Node{}
-		}
-		p := sess.progs[i]
-		*p = dhc1Node{cfg: cfg, numK: int32(numColors), p1: p.p1.recycled(cfg)}
-		sess.nodes[i] = p
-	}
-	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
-		return nil, err
-	}
-	counters, err := ex.RunContext(ctx, seed)
-	if err != nil {
-		return nil, fmt.Errorf("dhc1: %w", err)
-	}
-	res := &Result{
-		Counters:       counters,
-		PartitionSizes: make([]int, numColors),
-	}
-	hc, err := extractDHC1(g, sess.progs, numColors, res)
-	if err != nil {
-		return nil, err
-	}
-	res.Cycle = hc
-	return res, nil
+	return nil
 }
 
-// extractDHC1 reassembles the full Hamiltonian cycle from per-node states:
-// partition subcycles from Phase 1 plus hypernode (index, orientation, port)
-// assignments from Phase 2.
-func extractDHC1(g *graph.Graph, progs []*dhc1Node, numColors int, res *Result) (*cycle.Cycle, error) {
+// Recycle implements congest.Algorithm, keeping phase 1's per-port tables.
+func (a *dhc1Algorithm) Recycle(p *dhc1Node) {
+	*p = dhc1Node{cfg: a.cfg, numK: a.cfg.NumColors, p1: p.p1.recycled(a.cfg)}
+}
+
+// Extract implements congest.Algorithm: it reassembles the full Hamiltonian
+// cycle from per-node states, partition subcycles from Phase 1 plus
+// hypernode (index, orientation, port) assignments from Phase 2.
+func (a *dhc1Algorithm) Extract(g *graph.Graph, progs []*dhc1Node, res *congest.Result) error {
+	numColors := int(a.cfg.NumColors)
+	res.PartitionSizes = make([]int, numColors)
+	steps, succ := make([]int64, numColors), make([]graph.NodeID, g.N())
 	hyper := make([]cycle.Hypernode, numColors)
-	succ := make([]graph.NodeID, g.N())
-	colorSteps := make([]int64, numColors)
 	var hyperSteps int64
 	for v, p := range progs {
-		if !p.p1.succeeded() {
-			return nil, fmt.Errorf("%w: node %d partition DRA failed", ErrNoHC, v)
+		if err := tallyPhase1(res, steps, v, &p.p1); err != nil {
+			return err
 		}
-		res.Phase1Rounds = p.p1.phase2Start
-		c := int(p.p1.color)
-		if c < 0 || c >= numColors {
-			return nil, fmt.Errorf("%w: node %d has invalid color %d", ErrNoHC, v, c)
-		}
-		res.PartitionSizes[c]++
-		if s := p.p1.dra.Steps(); s > colorSteps[c] {
-			colorSteps[c] = s
-		}
+		c := p.p1.color
 		succ[v] = p.p1.dra.Succ()
 		if numColors > 1 {
 			if p.hp.status != dra.Succeeded {
-				return nil, fmt.Errorf("%w: node %d phase 2 status %d", ErrNoHC, v, p.hp.status)
+				return fmt.Errorf("%w: node %d phase 2 status %d", ErrNoHC, v, p.hp.status)
 			}
-			if p.hp.steps > hyperSteps {
-				hyperSteps = p.hp.steps
-			}
+			hyperSteps = max(hyperSteps, p.hp.steps)
 			if p.hp.isUPort {
 				hyper[c].U = graph.NodeID(v)
 				hyper[c].Pos = p.hp.hypIdx
@@ -212,22 +143,15 @@ func extractDHC1(g *graph.Graph, progs []*dhc1Node, numColors int, res *Result) 
 			}
 		}
 	}
-	for _, s := range colorSteps {
-		res.Steps += s
-	}
 	res.Steps += hyperSteps
-	var hc *cycle.Cycle
 	var err error
 	if numColors == 1 {
-		hc, err = cycle.FromSuccessors(succ, 0)
-	} else {
-		hc, err = cycle.SpliceHypernodes(succ, hyper)
+		res.Cycle, err = cycle.FromVerifiedSuccessors(g, succ)
+	} else if res.Cycle, err = cycle.SpliceHypernodes(succ, hyper); err == nil {
+		err = res.Cycle.Verify(g)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoHC, err)
+		return fmt.Errorf("%w: %v", ErrNoHC, err)
 	}
-	if err := hc.Verify(g); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoHC, err)
-	}
-	return hc, nil
+	return nil
 }

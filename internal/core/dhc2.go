@@ -1,16 +1,14 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
-	"dhc/internal/arena"
 	"dhc/internal/congest"
 	"dhc/internal/cycle"
 	"dhc/internal/graph"
-	"dhc/internal/metrics"
 	"dhc/internal/rotation"
 )
 
@@ -19,17 +17,19 @@ import (
 // certain on graphs below it).
 var ErrNoHC = errors.New("core: run did not produce a Hamiltonian cycle")
 
-// DHC2Options configures a DHC2 run (Algorithm 3). Each partition's DRA gets
-// the Theorem 2 step budget for its counted size.
-type DHC2Options struct {
-	// Delta is the sparsity exponent δ of p = c·ln n / n^δ; the number of
-	// partitions is K = round(n^{1-δ}). Must be in (0, 1].
+// Options configures a DHC1 or DHC2 run. The step budgets are derived, not
+// set: each partition's DRA gets the Theorem 2 budget for its counted size,
+// and DHC1's hypernode rotation 4× the budget for K (covering probe
+// rejections).
+type Options struct {
+	// Delta is DHC2's sparsity exponent δ of p = c·ln n / n^δ, giving K =
+	// round(n^{1-δ}); it must be in (0, 1]. DHC1 is the δ = 1/2 algorithm
+	// and ignores it.
 	Delta float64
 	// NumColors overrides K directly when positive (Delta then unused).
 	NumColors int
-	// B bounds every broadcast/BFS settling time. Zero selects
-	// max(2·ecc(0)+1, 3·⌈log₂ n⌉+6), safe whp for threshold random
-	// graphs and their partitions.
+	// B bounds every broadcast/BFS settling time. Zero selects defaultB,
+	// safe whp for threshold random graphs and their partitions.
 	B int64
 }
 
@@ -87,148 +87,117 @@ func (d *dhc2Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	d.armWake(ctx)
 }
 
-// Result carries a successful run's output and cost.
-type Result struct {
-	Cycle    *cycle.Cycle
-	Counters *metrics.Counters
-	// PartitionSizes are the Phase 1 color-class sizes.
-	PartitionSizes []int
-	// Steps is the rotation-step total across phases: the per-partition DRA
-	// step counts (every attempt, summed over partitions — the partitions
-	// run concurrently but steps meter work, not time) plus, for DHC1, the
-	// phase-2 hypernode rotation steps. It mirrors the step engine's Cost.
-	// Steps accounting so the crosscheck suite can pin the two engines
-	// against each other.
-	Steps int64
-	// Phase1Rounds is the common Phase 2 start round, i.e. the cost of
-	// Phase 1 including its barrier.
-	Phase1Rounds int64
-	// MergeLevels is ⌈log₂ K⌉ for DHC2 (0 for DHC1).
-	MergeLevels int
-}
-
-// defaultB returns the broadcast bound used when the caller does not set one.
+// defaultB returns the broadcast bound used when the caller does not set one:
+// rotation.BroadcastBound of ecc(0), floored at 3⌈log₂ n⌉+6 for the
+// partitions' own broadcasts on graphs of small diameter.
 func defaultB(g *graph.Graph) int64 {
-	ecc := int64(g.BFS(0).Ecc)
-	logB := int64(3*intLog2(g.N()) + 6)
-	if 2*ecc+1 > logB {
-		return 2*ecc + 1
-	}
-	return logB
+	ecc, _ := g.Ecc(0)
+	return max(rotation.BroadcastBound(ecc), int64(3*bits.Len(uint(g.N()-1))+6))
 }
 
-func intLog2(n int) int {
-	l := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		l++
-	}
-	return l
-}
-
-// RunDHC2 executes DHC2 on g on a fresh in-process Network and returns the
-// verified Hamiltonian cycle.
-func RunDHC2(g *graph.Graph, seed uint64, opts DHC2Options, netOpts congest.Options) (*Result, error) {
-	return NewDHC2Session().Run(context.Background(), new(congest.Network), g, seed, opts, netOpts)
-}
-
-// DHC2Session is a reusable DHC2 program set: the per-node program slice
-// survives across Run calls, so repeated trials on same-sized graphs skip
-// its allocations. The session binds programs and extracts the cycle; the
-// executor is the caller's. Not safe for concurrent use.
-type DHC2Session struct {
-	progs []*dhc2Node
-	nodes []congest.Node
-}
-
-// NewDHC2Session returns an empty session; the first Run sizes it.
-func NewDHC2Session() *DHC2Session { return &DHC2Session{} }
-
-// Run resets ex to g and the session's programs and executes one DHC2
-// trial, honoring ctx at the executor's amortized cancellation checkpoint. A
-// cancelled run returns ctx's error and leaves the session reusable.
-func (sess *DHC2Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph, seed uint64, opts DHC2Options, netOpts congest.Options) (*Result, error) {
-	n := g.N()
-	if n < 3 {
-		return nil, fmt.Errorf("core: need n >= 3, got %d", n)
-	}
-	numColors := opts.NumColors
+// Colors resolves the partition count K of a DHC run on n vertices, in both
+// engines: numColors when positive, else round(n^{1-δ}) (DHC1 passes
+// δ = 1/2, for which math.Pow is exactly math.Sqrt), clamped to [1, n/3] so
+// that every partition can hold a 3-cycle.
+func Colors(n, numColors int, delta float64) (int, error) {
 	if numColors <= 0 {
-		if opts.Delta <= 0 || opts.Delta > 1 {
-			return nil, fmt.Errorf("core: delta %v outside (0, 1]", opts.Delta)
+		if delta <= 0 || delta > 1 {
+			return 0, fmt.Errorf("delta %v outside (0, 1]", delta)
 		}
-		numColors = int(math.Round(math.Pow(float64(n), 1-opts.Delta)))
+		numColors = int(math.Round(math.Pow(float64(n), 1-delta)))
 	}
-	if numColors > n/3 {
-		numColors = n / 3 // partitions must be able to hold a 3-cycle
+	return max(1, min(numColors, n/3)), nil
+}
+
+// binding is a DHC session's Options and what it resolves from them per
+// graph.
+type binding struct {
+	opts Options
+	cfg  phase1Config
+}
+
+// bind resolves K at δ and B for g, and returns Phase 1's share of the round
+// budget: the scaffolding plus a worst-case partition DRA in which every
+// step pays a broadcast, over a generous 3n/K partition-size bound.
+func (a *binding) bind(g *graph.Graph, delta float64) (int64, error) {
+	k, err := Colors(g.N(), a.opts.NumColors, delta)
+	if err != nil {
+		return 0, fmt.Errorf("core: %w", err)
 	}
-	if numColors < 1 {
-		numColors = 1
-	}
-	b := opts.B
+	b := a.opts.B
 	if b == 0 {
 		b = defaultB(g)
 	}
-	cfg := phase1Config{NumColors: int32(numColors), B: b}
-	if netOpts.MaxRounds == 0 {
-		netOpts.MaxRounds = dhc2RoundBudget(n, numColors, b)
-	}
-	sess.progs = arena.Resize(sess.progs, n)
-	sess.nodes = arena.Resize(sess.nodes, n)
-	for i := 0; i < n; i++ {
-		if sess.progs[i] == nil {
-			sess.progs[i] = &dhc2Node{}
-		}
-		p := sess.progs[i]
-		*p = dhc2Node{cfg: cfg, p1: p.p1.recycled(cfg), mp: p.mp.recycled(cfg.B, cfg.NumColors)}
-		sess.nodes[i] = p
-	}
-	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
-		return nil, err
-	}
-	counters, err := ex.RunContext(ctx, seed)
-	if err != nil {
-		return nil, fmt.Errorf("dhc2: %w", err)
-	}
-	res := &Result{
-		Counters:       counters,
-		PartitionSizes: make([]int, numColors),
-		MergeLevels:    int((&mergePhase{K: int32(numColors)}).levels()),
-	}
-	colorSteps := make([]int64, numColors)
-	succ := make([]graph.NodeID, n)
-	for v, p := range sess.progs {
-		if !p.p1.succeeded() {
-			return nil, fmt.Errorf("%w: node %d partition DRA failed", ErrNoHC, v)
-		}
-		if c := int(p.p1.color); c >= 0 && c < numColors {
-			res.PartitionSizes[c]++
-			if s := p.p1.dra.Steps(); s > colorSteps[c] {
-				colorSteps[c] = s
-			}
-		}
-		res.Phase1Rounds = p.p1.phase2Start
-		succ[v] = p.mp.succ
-	}
-	for _, s := range colorSteps {
-		res.Steps += s
-	}
-	hc, err := cycle.FromSuccessors(succ, 0)
-	if err != nil {
-		return nil, fmt.Errorf("%w: merged pointers: %v", ErrNoHC, err)
-	}
-	if err := hc.Verify(g); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNoHC, err)
-	}
-	res.Cycle = hc
-	return res, nil
+	a.cfg = phase1Config{NumColors: int32(k), B: b}
+	return 4*b + 8 + rotation.DefaultMaxSteps(3*g.N()/k)*(b+3), nil
 }
 
-// dhc2RoundBudget upper-bounds a run's rounds for the simulator's watchdog:
-// Phase 1 scaffolding + worst-case DRA (every step pays a broadcast) +
-// merge levels.
-func dhc2RoundBudget(n, numColors int, b int64) int64 {
-	scope := 3 * n / numColors // generous partition-size bound
-	steps := rotation.DefaultMaxSteps(scope)
-	levels := int64((&mergePhase{K: int32(numColors)}).levels())
-	return 4*b + 8 + steps*(b+3) + levels*(2*b+10) + 4*b + 1024
+// tallyPhase1 checks node v's partition DRA and folds its Phase 1 outcome
+// into res: partition sizes, the Phase 2 start round, and Steps as the sum
+// over partitions of each one's step count, the maximum of its nodes' views
+// (kept per colour in steps).
+func tallyPhase1(res *congest.Result, steps []int64, v int, p *phase1) error {
+	if !p.succeeded() {
+		return fmt.Errorf("%w: node %d partition DRA failed", ErrNoHC, v)
+	}
+	res.Phase1Rounds = p.phase2Start
+	c := int(p.color)
+	if c < 0 || c >= len(steps) {
+		return fmt.Errorf("%w: node %d has invalid color %d", ErrNoHC, v, c)
+	}
+	res.PartitionSizes[c]++
+	if s := p.dra.Steps(); s > steps[c] {
+		res.Steps += s - steps[c]
+		steps[c] = s
+	}
+	return nil
+}
+
+// DHC2Session is a reusable DHC2 program set: the per-node programs and
+// their per-port tables survive across Run calls.
+type DHC2Session = congest.Session[dhc2Node, *dhc2Node]
+
+// NewDHC2Session returns an empty session that runs DHC2 under opts; the
+// first Run sizes it.
+func NewDHC2Session(opts Options) *DHC2Session {
+	return congest.NewSession[dhc2Node]("dhc2", &dhc2Algorithm{binding{opts: opts}})
+}
+
+// dhc2Algorithm is DHC2's part of a Session.
+type dhc2Algorithm struct{ binding }
+
+// Bind implements congest.Algorithm.
+func (a *dhc2Algorithm) Bind(g *graph.Graph, netOpts *congest.Options) error {
+	budget, err := a.bind(g, a.opts.Delta)
+	if err != nil {
+		return err
+	}
+	if netOpts.MaxRounds == 0 {
+		// Phase 2 adds the merge levels.
+		b, levels := a.cfg.B, int64((&mergePhase{K: a.cfg.NumColors}).levels())
+		netOpts.MaxRounds = budget + levels*(2*b+10) + 4*b + 1024
+	}
+	return nil
+}
+
+// Recycle implements congest.Algorithm, keeping the per-port tables.
+func (a *dhc2Algorithm) Recycle(p *dhc2Node) {
+	*p = dhc2Node{cfg: a.cfg, p1: p.p1.recycled(a.cfg), mp: p.mp.recycled(a.cfg.B, a.cfg.NumColors)}
+}
+
+// Extract implements congest.Algorithm: the merged successors form the cycle.
+func (a *dhc2Algorithm) Extract(g *graph.Graph, progs []*dhc2Node, res *congest.Result) error {
+	res.PartitionSizes = make([]int, a.cfg.NumColors)
+	steps, succ := make([]int64, a.cfg.NumColors), make([]graph.NodeID, len(progs))
+	for v, p := range progs {
+		if err := tallyPhase1(res, steps, v, &p.p1); err != nil {
+			return err
+		}
+		succ[v] = p.mp.succ
+	}
+	var err error
+	if res.Cycle, err = cycle.FromVerifiedSuccessors(g, succ); err != nil {
+		return fmt.Errorf("%w: merged pointers: %v", ErrNoHC, err)
+	}
+	return nil
 }

@@ -9,17 +9,22 @@ import (
 	"dhc/internal/rng"
 )
 
+// mergeLevels is ⌈log₂ K⌉ for a run's partition count K.
+func mergeLevels(res *congest.Result) int32 {
+	return (&mergePhase{K: int32(len(res.PartitionSizes))}).levels()
+}
+
 func TestDHC2OnCompleteGraph(t *testing.T) {
 	g := graph.Complete(60)
-	res, err := RunDHC2(g, 1, DHC2Options{NumColors: 4, B: 8}, congest.Options{})
+	res, err := NewDHC2Session(Options{NumColors: 4, B: 8}).RunLocal(g, 1, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cycle.Len() != g.N() {
 		t.Fatalf("cycle covers %d of %d", res.Cycle.Len(), g.N())
 	}
-	if res.MergeLevels != 2 {
-		t.Fatalf("merge levels %d, want 2", res.MergeLevels)
+	if l := mergeLevels(res); l != 2 {
+		t.Fatalf("merge levels %d, want 2", l)
 	}
 	total := 0
 	for _, s := range res.PartitionSizes {
@@ -36,7 +41,7 @@ func TestDHC2OnDenseGNP(t *testing.T) {
 	// threshold (the Theorem 2 analysis wants degree >= c*ln(n') with a
 	// large constant).
 	g := graph.GNP(320, 0.6, rng.New(2))
-	res, err := RunDHC2(g, 3, DHC2Options{NumColors: 5, B: 10}, congest.Options{})
+	res, err := NewDHC2Session(Options{NumColors: 5, B: 10}).RunLocal(g, 3, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +58,7 @@ func TestDHC2WithDeltaParameter(t *testing.T) {
 	// delta = 0.5 on n = 256 gives K = 16 partitions of ~16 nodes; use a
 	// dense graph so every partition is comfortably Hamiltonian.
 	g := graph.GNP(256, 0.9, rng.New(4))
-	res, err := RunDHC2(g, 5, DHC2Options{Delta: 0.5, B: 10}, congest.Options{})
+	res, err := NewDHC2Session(Options{Delta: 0.5, B: 10}).RunLocal(g, 5, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +70,12 @@ func TestDHC2WithDeltaParameter(t *testing.T) {
 func TestDHC2SingleColorDegeneratesToDRA(t *testing.T) {
 	// K=1: Phase 1 is a single whole-graph DRA and Phase 2 has zero levels.
 	g := graph.Complete(30)
-	res, err := RunDHC2(g, 7, DHC2Options{NumColors: 1, B: 6}, congest.Options{})
+	res, err := NewDHC2Session(Options{NumColors: 1, B: 6}).RunLocal(g, 7, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MergeLevels != 0 {
-		t.Fatalf("merge levels %d, want 0", res.MergeLevels)
+	if l := mergeLevels(res); l != 0 {
+		t.Fatalf("merge levels %d, want 0", l)
 	}
 	if res.Cycle.Len() != 30 {
 		t.Fatal("incomplete cycle")
@@ -81,7 +86,7 @@ func TestDHC2FailsCleanlyBelowThreshold(t *testing.T) {
 	// A ring has no partition subcycles: every partition DRA must fail and
 	// the run must return an error rather than hang.
 	g := graph.Ring(64)
-	_, err := RunDHC2(g, 1, DHC2Options{NumColors: 4, B: 70}, congest.Options{})
+	_, err := NewDHC2Session(Options{NumColors: 4, B: 70}).RunLocal(g, 1, congest.Options{})
 	if err == nil {
 		t.Fatal("ring accepted")
 	}
@@ -89,13 +94,13 @@ func TestDHC2FailsCleanlyBelowThreshold(t *testing.T) {
 
 func TestDHC2RejectsBadParams(t *testing.T) {
 	g := graph.Complete(10)
-	if _, err := RunDHC2(g, 1, DHC2Options{Delta: 0}, congest.Options{}); err == nil {
+	if _, err := NewDHC2Session(Options{Delta: 0}).RunLocal(g, 1, congest.Options{}); err == nil {
 		t.Fatal("delta=0 accepted")
 	}
-	if _, err := RunDHC2(g, 1, DHC2Options{Delta: 1.5}, congest.Options{}); err == nil {
+	if _, err := NewDHC2Session(Options{Delta: 1.5}).RunLocal(g, 1, congest.Options{}); err == nil {
 		t.Fatal("delta=1.5 accepted")
 	}
-	if _, err := RunDHC2(graph.Complete(2), 1, DHC2Options{NumColors: 1}, congest.Options{}); err == nil {
+	if _, err := NewDHC2Session(Options{NumColors: 1}).RunLocal(graph.Complete(2), 1, congest.Options{}); err == nil {
 		t.Fatal("n=2 accepted")
 	}
 }
@@ -104,11 +109,11 @@ func TestDHC2RejectsBadParams(t *testing.T) {
 // networks must produce the same cycle.
 func TestDHC2DeterministicAcrossExecutors(t *testing.T) {
 	g := graph.GNP(200, 0.8, rng.New(11))
-	a, err := RunDHC2(g, 9, DHC2Options{NumColors: 8, B: 10}, congest.Options{})
+	a, err := NewDHC2Session(Options{NumColors: 8, B: 10}).RunLocal(g, 9, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDHC2(g, 9, DHC2Options{NumColors: 8, B: 10}, congest.Options{})
+	b, err := NewDHC2Session(Options{NumColors: 8, B: 10}).RunLocal(g, 9, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +127,7 @@ func TestDHC2DeterministicAcrossExecutors(t *testing.T) {
 
 func TestDHC2MemorySublinear(t *testing.T) {
 	g := graph.GNP(300, 0.7, rng.New(13))
-	res, err := RunDHC2(g, 2, DHC2Options{NumColors: 6, B: 10}, congest.Options{})
+	res, err := NewDHC2Session(Options{NumColors: 6, B: 10}).RunLocal(g, 2, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +147,7 @@ func TestDHC2SuccessRateAcrossSeeds(t *testing.T) {
 	const trials = 5
 	for seed := uint64(0); seed < trials; seed++ {
 		g := graph.GNP(240, 0.75, rng.New(300+seed))
-		if _, err := RunDHC2(g, seed, DHC2Options{NumColors: 6, B: 10}, congest.Options{}); err == nil {
+		if _, err := NewDHC2Session(Options{NumColors: 6, B: 10}).RunLocal(g, seed, congest.Options{}); err == nil {
 			ok++
 		} else if !errors.Is(err, ErrNoHC) {
 			t.Fatalf("seed %d: unexpected error class: %v", seed, err)

@@ -11,8 +11,8 @@ import (
 
 // NewDHC2Node constructs one vertex's DHC2 program from a portable spec — the
 // reconstruction entry point worker processes use. The spec must carry the
-// driver-resolved values (NumColors after clamping, B after the default
-// eccentricity bound), which DHC2Session computes before binding.
+// resolved values (NumColors after clamping, B after defaultB's
+// rotation.BroadcastBound), which DHC2Session's Bind computes.
 func NewDHC2Node(spec congest.ProgramSpec) congest.Node {
 	return &dhc2Node{cfg: phase1Config{NumColors: spec.NumColors, B: spec.B}}
 }

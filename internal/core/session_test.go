@@ -12,7 +12,7 @@ import (
 
 // sameResult requires two results to agree in every field: cycle, counters,
 // partition sizes, steps and phase split.
-func sameResult(t *testing.T, what string, got, want *Result) {
+func sameResult(t *testing.T, what string, got, want *congest.Result) {
 	t.Helper()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: result differs from a fresh session's:\n got %+v\nwant %+v", what, got, want)
@@ -24,19 +24,19 @@ func sameResult(t *testing.T, what string, got, want *Result) {
 // for run, exactly what fresh sessions return.
 func TestDHC2SessionReusesNodeBuffers(t *testing.T) {
 	g := graph.GNP(320, 0.6, rng.New(2))
-	opts := DHC2Options{NumColors: 5, B: 10}
-	sess := NewDHC2Session()
+	opts := Options{NumColors: 5, B: 10}
+	sess := NewDHC2Session(opts)
 	seeds := []uint64{3, 4}
-	var results []*Result
+	var results []*congest.Result
 	var p1Color, mpColor *int32
 	var mpScope, mpPartner *int32
 	for i, seed := range seeds {
-		res, err := sess.Run(context.Background(), new(congest.Network), g, seed, opts, congest.Options{})
+		res, err := sess.Run(context.Background(), new(congest.Network), g, seed, congest.Options{})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		results = append(results, res)
-		p := sess.progs[5]
+		p := sess.Programs()[5]
 		if len(p.p1.nbColor) == 0 || len(p.mp.nbColor) == 0 ||
 			cap(p.mp.scopePorts) == 0 || cap(p.mp.partnerPorts) == 0 {
 			t.Fatalf("run %d: node 5 left a per-port table empty", i)
@@ -55,7 +55,7 @@ func TestDHC2SessionReusesNodeBuffers(t *testing.T) {
 		}
 	}
 	for i, seed := range seeds {
-		fresh, err := RunDHC2(g, seed, opts, congest.Options{})
+		fresh, err := NewDHC2Session(opts).RunLocal(g, seed, congest.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,18 +67,18 @@ func TestDHC2SessionReusesNodeBuffers(t *testing.T) {
 // colour table survives the second Run, and both runs match fresh sessions.
 func TestDHC1SessionReusesNodeBuffers(t *testing.T) {
 	g := graph.GNP(300, 0.9, rng.New(21))
-	opts := DHC1Options{B: 10}
-	sess := NewDHC1Session()
+	opts := Options{B: 10}
+	sess := NewDHC1Session(opts)
 	seeds := []uint64{2, 5}
-	var results []*Result
+	var results []*congest.Result
 	var p1Color *int32
 	for i, seed := range seeds {
-		res, err := sess.Run(context.Background(), new(congest.Network), g, seed, opts, congest.Options{})
+		res, err := sess.Run(context.Background(), new(congest.Network), g, seed, congest.Options{})
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		results = append(results, res)
-		p := sess.progs[5]
+		p := sess.Programs()[5]
 		if len(p.p1.nbColor) == 0 || cap(p.p1.scopePorts) == 0 {
 			t.Fatalf("run %d: node 5 left a per-port table empty", i)
 		}
@@ -89,7 +89,7 @@ func TestDHC1SessionReusesNodeBuffers(t *testing.T) {
 		}
 	}
 	for i, seed := range seeds {
-		fresh, err := RunDHC1(g, seed, opts, congest.Options{})
+		fresh, err := NewDHC1Session(opts).RunLocal(g, seed, congest.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,6 +69,20 @@ func FromSuccessors(succ []graph.NodeID, start graph.NodeID) (*Cycle, error) {
 	return &Cycle{order: order}, nil
 }
 
+// FromVerifiedSuccessors is FromSuccessors from vertex 0 followed by Verify
+// against g: how an exact run turns its nodes' successor pointers into its
+// result.
+func FromVerifiedSuccessors(g *graph.Graph, succ []graph.NodeID) (*Cycle, error) {
+	c, err := FromSuccessors(succ, 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Verify(g); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // Len returns the number of vertices on the cycle.
 func (c *Cycle) Len() int { return len(c.order) }
 

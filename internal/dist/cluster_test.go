@@ -19,7 +19,7 @@ import (
 // does: the session binds the programs, the cluster executes them.
 func runDRA(ctx context.Context, cl *Cluster, n int) error {
 	g := graph.GNP(n, 0.5, rng.New(7))
-	_, err := dra.NewSession().Run(ctx, cl, g, 1, dra.NodeOptions{}, congest.Options{BandwidthBits: 64})
+	_, err := dra.NewSession(dra.NodeOptions{}).Run(ctx, cl, g, 1, congest.Options{BandwidthBits: 64})
 	return err
 }
 

@@ -14,7 +14,7 @@ import (
 
 func TestRunOnCompleteGraph(t *testing.T) {
 	g := graph.Complete(24)
-	res, err := Run(g, 1, NodeOptions{}, congest.Options{})
+	res, err := NewSession(NodeOptions{}).RunLocal(g, 1, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRunOnThresholdGNP(t *testing.T) {
 	p := 8 * math.Log(float64(n)) / float64(n)
 	for seed := uint64(0); seed < 3; seed++ {
 		g := graph.GNP(n, p, rng.New(100+seed))
-		res, err := Run(g, seed, NodeOptions{}, congest.Options{})
+		res, err := NewSession(NodeOptions{}).RunLocal(g, seed, congest.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -46,7 +46,7 @@ func TestStepBudgetMatchesTheorem2(t *testing.T) {
 	n := 120
 	p := 10 * math.Log(float64(n)) / float64(n)
 	g := graph.GNP(n, p, rng.New(7))
-	res, err := Run(g, 3, NodeOptions{}, congest.Options{})
+	res, err := NewSession(NodeOptions{}).RunLocal(g, 3, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRunFailsOnSparseGraph(t *testing.T) {
 	// A path graph has no HC; the head strands and the failure broadcast
 	// must terminate every node.
 	g := graph.Path(12)
-	if _, err := Run(g, 1, NodeOptions{}, congest.Options{}); err == nil {
+	if _, err := NewSession(NodeOptions{}).RunLocal(g, 1, congest.Options{}); err == nil {
 		t.Fatal("path graph run succeeded")
 	}
 }
@@ -71,14 +71,13 @@ func TestRunFailsOnSparseGraph(t *testing.T) {
 // on a restart.
 func TestRunRestartsUpToAttempts(t *testing.T) {
 	g := graph.Path(12)
-	sess := NewSession()
-	_, err := sess.Run(context.Background(), new(congest.Network), g, 1,
-		NodeOptions{}, congest.Options{})
+	sess := NewSession(NodeOptions{})
+	_, err := sess.Run(context.Background(), new(congest.Network), g, 1, congest.Options{})
 	if !errors.Is(err, ErrFailed) {
 		t.Fatalf("want ErrFailed, got %v", err)
 	}
 	var lastTag int32
-	for v, p := range sess.progs {
+	for v, p := range sess.Programs() {
 		if p.state.Status() != Failed {
 			t.Fatalf("node %d ends with status %d", v, p.state.Status())
 		}
@@ -91,13 +90,13 @@ func TestRunRestartsUpToAttempts(t *testing.T) {
 
 func TestRunFailsOnStepBudget(t *testing.T) {
 	g := graph.Complete(20)
-	if _, err := Run(g, 1, NodeOptions{MaxSteps: 2}, congest.Options{}); err == nil {
+	if _, err := NewSession(NodeOptions{MaxSteps: 2}).RunLocal(g, 1, congest.Options{}); err == nil {
 		t.Fatal("tiny step budget run succeeded")
 	}
 }
 
 func TestRunRejectsTinyGraph(t *testing.T) {
-	if _, err := Run(graph.Complete(2), 1, NodeOptions{}, congest.Options{}); err == nil {
+	if _, err := NewSession(NodeOptions{}).RunLocal(graph.Complete(2), 1, congest.Options{}); err == nil {
 		t.Fatal("n=2 accepted")
 	}
 }
@@ -108,11 +107,11 @@ func TestDeterministicAcrossExecutors(t *testing.T) {
 	n := 100
 	p := 10 * math.Log(float64(n)) / float64(n)
 	g := graph.GNP(n, p, rng.New(9))
-	a, err := Run(g, 5, NodeOptions{}, congest.Options{})
+	a, err := NewSession(NodeOptions{}).RunLocal(g, 5, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(g, 5, NodeOptions{}, congest.Options{})
+	b, err := NewSession(NodeOptions{}).RunLocal(g, 5, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestCongestCompliance(t *testing.T) {
 	n := 80
 	p := 12 * math.Log(float64(n)) / float64(n)
 	g := graph.GNP(n, p, rng.New(13))
-	res, err := Run(g, 2, NodeOptions{}, congest.Options{})
+	res, err := NewSession(NodeOptions{}).RunLocal(g, 2, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +157,7 @@ func TestMemoryIsSublinear(t *testing.T) {
 	n := 200
 	p := 8 * math.Log(float64(n)) / float64(n)
 	g := graph.GNP(n, p, rng.New(17))
-	res, err := Run(g, 4, NodeOptions{}, congest.Options{})
+	res, err := NewSession(NodeOptions{}).RunLocal(g, 4, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +172,11 @@ func TestMemoryIsSublinear(t *testing.T) {
 
 func TestExtractCycleRejectsIncompleteRun(t *testing.T) {
 	g := graph.Complete(5)
-	states := make([]*State, 5)
-	for i := range states {
-		states[i] = &State{status: Running}
+	progs := make([]*Node, 5)
+	for i := range progs {
+		progs[i] = &Node{state: &State{status: Running}}
 	}
-	if _, _, err := ExtractCycle(g, states); err == nil {
+	if err := new(algorithm).Extract(g, progs, &congest.Result{}); err == nil {
 		t.Fatal("running states accepted")
 	}
 }

@@ -1,18 +1,14 @@
 package dra
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"dhc/internal/arena"
 	"dhc/internal/congest"
 	"dhc/internal/cycle"
 	"dhc/internal/graph"
-	"dhc/internal/metrics"
 	"dhc/internal/rotation"
-	"dhc/internal/wire"
 )
 
 // ErrFailed is returned by Run when the rotation process fails (out of
@@ -86,88 +82,70 @@ func (d *Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	d.armWake(ctx)
 }
 
-// Result is the outcome of a standalone run.
-type Result struct {
-	Cycle    *cycle.Cycle
-	Counters *metrics.Counters
-	Steps    int64
+// Session is a reusable standalone-DRA program set: the node programs, with
+// their per-node state machines, survive across Run calls.
+type Session = congest.Session[Node, *Node]
+
+// NewSession returns an empty session that runs DRA under opts; the first
+// Run sizes it.
+func NewSession(opts NodeOptions) *Session {
+	return congest.NewSession[Node]("dra", &algorithm{opts: opts})
 }
 
-// Run executes DRA on g with the given seed on a fresh in-process Network
-// and returns the Hamiltonian cycle assembled from the per-node successor
-// pointers. The cycle is verified against g before returning.
-func Run(g *graph.Graph, seed uint64, opts NodeOptions, netOpts congest.Options) (*Result, error) {
-	return NewSession().Run(context.Background(), new(congest.Network), g, seed, opts, netOpts)
+// algorithm is the standalone DRA's part of a Session: opts as configured,
+// run as resolved for the current graph.
+type algorithm struct {
+	opts, run NodeOptions
 }
 
-// Session is a reusable standalone-DRA program set: the node programs (with
-// their per-node state machines) survive across Run calls, so repeated
-// trials on same-sized graphs allocate only what a single trial's execution
-// needs. The session binds programs and extracts the cycle; the executor is
-// the caller's. Not safe for concurrent use.
-type Session struct {
-	progs []*Node
-	nodes []congest.Node
-}
-
-// NewSession returns an empty session; the first Run sizes it.
-func NewSession() *Session { return &Session{} }
-
-// Run resets ex to g and the session's programs and executes one DRA
-// trial, honoring ctx at the executor's amortized cancellation checkpoint. A
-// cancelled run returns ctx's error and leaves the session reusable.
-func (sess *Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph, seed uint64, opts NodeOptions, netOpts congest.Options) (*Result, error) {
-	if g.N() < 3 {
-		return nil, fmt.Errorf("dra: need n >= 3, got %d", g.N())
-	}
-	if opts.BroadcastRounds == 0 {
-		// 2*ecc(v) >= diameter for any v, so one BFS yields a safe
-		// consistency-wait bound far below the trivial n.
-		opts.BroadcastRounds = int64(2*g.BFS(0).Ecc + 1)
+// Bind implements congest.Algorithm.
+func (a *algorithm) Bind(g *graph.Graph, netOpts *congest.Options) error {
+	a.run = a.opts
+	if a.run.BroadcastRounds == 0 {
+		ecc, _ := g.Ecc(0)
+		a.run.BroadcastRounds = rotation.BroadcastBound(ecc)
 	}
 	if netOpts.MaxRounds == 0 {
-		maxSteps := opts.MaxSteps
+		maxSteps := a.run.MaxSteps
 		if maxSteps == 0 {
 			maxSteps = rotation.DefaultMaxSteps(g.N())
 		}
 		// Every step costs at most BroadcastRounds+2 rounds, plus slack
 		// for the terminal broadcast.
-		netOpts.MaxRounds = maxSteps*(opts.BroadcastRounds+3) + 1024
+		netOpts.MaxRounds = maxSteps*(a.run.BroadcastRounds+3) + 1024
 	}
-	// Prior Node values keep their state machines for reuse; only the
-	// per-run options are refreshed.
-	sess.progs = arena.Resize(sess.progs, g.N())
-	sess.nodes = arena.Resize(sess.nodes, g.N())
-	for i, p := range sess.progs {
-		if p == nil {
-			p = &Node{}
-			sess.progs[i] = p
+	return nil
+}
+
+// Recycle implements congest.Algorithm: the program keeps its state machine
+// for reuse; only the run's options are refreshed.
+func (a *algorithm) Recycle(p *Node) { p.opts = a.run }
+
+// Extract implements congest.Algorithm: it reconstructs and verifies the
+// Hamiltonian cycle from the per-node successors (every node knows its two
+// incident HC edges, the paper's output condition).
+func (a *algorithm) Extract(g *graph.Graph, progs []*Node, res *congest.Result) error {
+	succ := make([]graph.NodeID, len(progs))
+	for v, p := range progs {
+		st := p.state
+		if st.Status() != Succeeded {
+			return fmt.Errorf("%w: node %d status %d after %d steps",
+				ErrFailed, v, st.Status(), st.Steps())
 		}
-		p.opts = opts
-		sess.nodes[i] = p
+		res.Steps = max(res.Steps, st.Steps())
+		succ[v] = st.Succ()
 	}
-	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
-		return nil, err
+	var err error
+	if res.Cycle, err = cycle.FromVerifiedSuccessors(g, succ); err != nil {
+		return fmt.Errorf("dra: %w", err)
 	}
-	counters, err := ex.RunContext(ctx, seed)
-	if err != nil {
-		return nil, fmt.Errorf("dra: %w", err)
-	}
-	states := make([]*State, g.N())
-	for i, p := range sess.progs {
-		states[i] = p.state
-	}
-	hc, steps, err := ExtractCycle(g, states)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Cycle: hc, Counters: counters, Steps: steps}, nil
+	return nil
 }
 
 // NewNode constructs a standalone program for one vertex — the reconstruction
 // entry point worker processes use to rebuild a session's programs from a
-// ProgramSpec. opts must carry a resolved BroadcastRounds (the driver session
-// computes it from an eccentricity BFS before binding).
+// ProgramSpec. opts must carry a resolved BroadcastRounds, which Session's
+// Bind computes with rotation.BroadcastBound.
 func NewNode(opts NodeOptions) *Node { return &Node{opts: opts} }
 
 var _ congest.PortableProgram = (*Node)(nil)
@@ -178,7 +156,7 @@ func (d *Node) DistSpec() congest.ProgramSpec {
 }
 
 // AppendFinal implements congest.PortableProgram: status, step count, and the
-// two cycle pointers — exactly what ExtractCycle consumes.
+// two cycle pointers — exactly what the session's Extract consumes.
 func (d *Node) AppendFinal(dst []byte) []byte {
 	st := d.state
 	if st == nil {
@@ -203,33 +181,3 @@ func (d *Node) RestoreFinal(src []byte) ([]byte, error) {
 	d.state = NewFinalState(status, steps, succ, pred)
 	return src[17:], nil
 }
-
-// ExtractCycle reconstructs and verifies the Hamiltonian cycle from per-node
-// DRA states (each node knows its cycle successor, which is the paper's
-// output condition: every node knows its two incident HC edges).
-func ExtractCycle(g *graph.Graph, states []*State) (*cycle.Cycle, int64, error) {
-	var steps int64
-	succ := make([]graph.NodeID, len(states))
-	for v, st := range states {
-		if st.Status() != Succeeded {
-			return nil, st.Steps(), fmt.Errorf("%w: node %d status %d after %d steps",
-				ErrFailed, v, st.Status(), st.Steps())
-		}
-		if st.Steps() > steps {
-			steps = st.Steps()
-		}
-		succ[v] = st.Succ()
-	}
-	hc, err := cycle.FromSuccessors(succ, 0)
-	if err != nil {
-		return nil, steps, fmt.Errorf("dra: bad successor structure: %w", err)
-	}
-	if err := hc.Verify(g); err != nil {
-		return nil, steps, fmt.Errorf("dra: extracted cycle invalid: %w", err)
-	}
-	return hc, steps, nil
-}
-
-// wireCheck documents that all DRA messages fit the CONGEST budget; the
-// compiler keeps this in sync with wire.Msg arity limits.
-var _ = wire.Msg(wire.KindRotation, 0, 0, 0, 0)

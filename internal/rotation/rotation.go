@@ -93,6 +93,13 @@ const interruptCheckEvery = 1024
 // paper's algorithm or its analysis.
 const Attempts = 6
 
+// BroadcastBound is B = 2·ecc+1 for a scope whose root has eccentricity ecc
+// within it: 2·ecc is at least the scope's diameter, so a broadcast from any
+// member settles within B rounds. Both engines charge the rotation
+// consistency wait at it, and the exact algorithms also bound their
+// election and BFS settling times by it.
+func BroadcastBound(ecc int) int64 { return int64(2*ecc + 1) }
+
 // DefaultMaxSteps returns the Theorem 2 step budget for an n-vertex graph.
 func DefaultMaxSteps(n int) int64 {
 	if n < 2 {

@@ -31,10 +31,10 @@ func (s *Session) Upcast(ctx context.Context, g *graph.Graph, seed uint64) (*cyc
 	src := rng.New(seed)
 	s.Hooks.phase("run")
 	samplesPerNode := upcast.SamplesPerNode(n)
-	b := broadcastBound(g)
-	cost := Cost{B: b}
-
+	// One BFS gives B, the connectivity check and the upcast tree.
 	bfs := g.BFS(0)
+	b := rotation.BroadcastBound(bfs.Ecc)
+	cost := Cost{B: b}
 	if len(bfs.Order) != n {
 		return nil, cost, fmt.Errorf("%w: graph disconnected", ErrFailed)
 	}

@@ -28,9 +28,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"dhc/internal/arena"
+	"dhc/internal/core"
 	"dhc/internal/cycle"
 	"dhc/internal/graph"
 	"dhc/internal/rng"
@@ -151,16 +151,17 @@ type Cost struct {
 	Restarts int64
 }
 
-// broadcastBound charges B = 2·ecc(0)+1 >= diameter, from one BFS. The
-// exact engine's default (core.defaultB) also floors B at 3⌈log₂ n⌉+6, so on
+// broadcastBound charges rotation.BroadcastBound of ecc(0), the bound every
+// exact algorithm defaults to, from the allocation-lean eccentricity scan.
+// The exact DHC default (core.defaultB) also floors B at 3⌈log₂ n⌉+6, so on
 // graphs of small diameter the exact engine waits longer per rotation than
-// the step engine charges. It uses the allocation-lean eccentricity scan.
+// the step engine charges.
 func broadcastBound(g *graph.Graph) int64 {
 	if g.N() == 0 {
 		return 1
 	}
 	ecc, _ := g.Ecc(0)
-	return int64(2*ecc + 1)
+	return rotation.BroadcastBound(ecc)
 }
 
 // chargeRotationRounds prices a machine run like the adaptive exact engine:
@@ -285,13 +286,13 @@ func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.No
 		return out
 	}
 	sub := g.InducedSubgraphIndexed(class, sc.pos)
-	// One BFS gives both the connectivity check and broadcastBound's B.
+	// One BFS gives both the connectivity check and B.
 	ecc, reached := sub.Ecc(0)
 	if reached != sub.N() {
 		out.err = fmt.Errorf("%w: partition %d disconnected", ErrFailed, c)
 		return out
 	}
-	hc, cost, err := rotate(ctx, sub, src, int64(2*ecc+1), nil)
+	hc, cost, err := rotate(ctx, sub, src, rotation.BroadcastBound(ecc), nil)
 	out.cost = cost
 	switch {
 	case err == nil:
@@ -365,17 +366,7 @@ func DHC1(g *graph.Graph, seed uint64, opts Options) (*cycle.Cycle, Cost, error)
 // DHC1 simulates Algorithm 2, honoring ctx between partitions, attempts and
 // rotation-step batches.
 func (s *Session) DHC1(ctx context.Context, g *graph.Graph, seed uint64, opts Options) (*cycle.Cycle, Cost, error) {
-	n := g.N()
-	numColors := opts.NumColors
-	if numColors <= 0 {
-		numColors = int(math.Round(math.Sqrt(float64(n))))
-	}
-	if numColors > n/3 {
-		numColors = n / 3
-	}
-	if numColors < 1 {
-		numColors = 1
-	}
+	numColors, _ := core.Colors(g.N(), opts.NumColors, 0.5) // δ = 1/2 is in range: no error
 	src := rng.New(seed)
 	s.Hooks.phase("phase1")
 	p1, err := s.runPhase1(ctx, g, numColors, src, opts.Workers)
@@ -439,19 +430,9 @@ func DHC2(g *graph.Graph, seed uint64, opts Options) (*cycle.Cycle, Cost, error)
 // DHC2 simulates Algorithm 3, honoring ctx between partitions, merge levels
 // and rotation-step batches.
 func (s *Session) DHC2(ctx context.Context, g *graph.Graph, seed uint64, opts Options) (*cycle.Cycle, Cost, error) {
-	n := g.N()
-	numColors := opts.NumColors
-	if numColors <= 0 {
-		if opts.Delta <= 0 || opts.Delta > 1 {
-			return nil, Cost{}, fmt.Errorf("stepsim: delta %v outside (0, 1]", opts.Delta)
-		}
-		numColors = int(math.Round(math.Pow(float64(n), 1-opts.Delta)))
-	}
-	if numColors > n/3 {
-		numColors = n / 3
-	}
-	if numColors < 1 {
-		numColors = 1
+	numColors, err := core.Colors(g.N(), opts.NumColors, opts.Delta)
+	if err != nil {
+		return nil, Cost{}, fmt.Errorf("stepsim: %w", err)
 	}
 	src := rng.New(seed)
 	s.Hooks.phase("phase1")

@@ -13,16 +13,13 @@
 package upcast
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 
-	"dhc/internal/arena"
 	"dhc/internal/congest"
 	"dhc/internal/cycle"
 	"dhc/internal/graph"
-	"dhc/internal/metrics"
 	"dhc/internal/proto"
 	"dhc/internal/rotation"
 	"dhc/internal/wire"
@@ -46,7 +43,7 @@ const RootAttempts = 20
 
 // Options configures a run.
 type Options struct {
-	// B bounds the election/BFS settling time (0 = 2·ecc(0)+1).
+	// B bounds election/BFS settling (0 = rotation.BroadcastBound of ecc(0)).
 	B int64
 }
 
@@ -333,86 +330,58 @@ func forward(ctx *congest.Context, m wire.Message, except graph.NodeID) {
 	ctx.SendPorts(ctx.AllPorts(), except, m)
 }
 
-// Result is a successful run's output.
-type Result struct {
-	Cycle    *cycle.Cycle
-	Counters *metrics.Counters
-	// RootMemoryWords is the root's memory high-water, demonstrating the
-	// Ω(n) concentration.
-	RootMemoryWords int64
-}
-
-// Run executes the Upcast algorithm on g on a fresh in-process Network.
-func Run(g *graph.Graph, seed uint64, opts Options, netOpts congest.Options) (*Result, error) {
-	return NewSession().Run(context.Background(), new(congest.Network), g, seed, opts, netOpts)
-}
-
 // Session is a reusable Upcast program set: the per-node program slice
-// survives across Run calls, so repeated trials on same-sized graphs skip
-// its allocations. The session binds programs and extracts the cycle; the
-// executor is the caller's. Not safe for concurrent use.
-type Session struct {
-	progs []*node
-	nodes []congest.Node
+// survives across Run calls.
+type Session = congest.Session[node, *node]
+
+// NewSession returns an empty session that runs Upcast under opts; the first
+// Run sizes it.
+func NewSession(opts Options) *Session {
+	return congest.NewSession[node]("upcast", &algorithm{opts: opts})
 }
 
-// NewSession returns an empty session; the first Run sizes it.
-func NewSession() *Session { return &Session{} }
+// algorithm is Upcast's part of a Session: opts as configured, run as
+// resolved for the current graph.
+type algorithm struct {
+	opts, run Options
+}
 
-// Run resets ex to g and the session's programs and executes one Upcast
-// trial, honoring ctx at the executor's amortized cancellation checkpoint. A
-// cancelled run returns ctx's error and leaves the session reusable.
-func (sess *Session) Run(ctx context.Context, ex congest.Runner, g *graph.Graph, seed uint64, opts Options, netOpts congest.Options) (*Result, error) {
+// Bind implements congest.Algorithm.
+func (a *algorithm) Bind(g *graph.Graph, netOpts *congest.Options) error {
 	n := g.N()
-	if n < 3 {
-		return nil, fmt.Errorf("upcast: need n >= 3, got %d", n)
-	}
-	if opts.B == 0 {
-		opts.B = int64(2*g.BFS(0).Ecc + 1)
+	a.run = a.opts
+	if a.run.B == 0 {
+		ecc, _ := g.Ecc(0)
+		a.run.B = rotation.BroadcastBound(ecc)
 	}
 	if netOpts.MaxRounds == 0 {
 		// Upcast/downcast move O(n log n) messages over the root edges in
 		// the worst (star) case.
-		netOpts.MaxRounds = 8*opts.B + int64(n)*int64(SamplesPerNode(n)+2) + 4096
+		netOpts.MaxRounds = 8*a.run.B + int64(n)*int64(SamplesPerNode(n)+2) + 4096
 	}
-	sess.progs = arena.Resize(sess.progs, n)
-	sess.nodes = arena.Resize(sess.nodes, n)
-	for i := 0; i < n; i++ {
-		// The program's routing maps and queues are rebuilt by Init; a fresh
-		// value drops the previous trial's state.
-		if sess.progs[i] == nil {
-			sess.progs[i] = &node{}
-		}
-		*sess.progs[i] = node{opts: opts}
-		sess.nodes[i] = sess.progs[i]
-	}
-	if err := ex.Reset(g, sess.nodes, netOpts); err != nil {
-		return nil, err
-	}
-	counters, err := ex.RunContext(ctx, seed)
-	if err != nil {
-		return nil, fmt.Errorf("upcast: %w", err)
-	}
-	succ := make([]graph.NodeID, n)
-	for v, p := range sess.progs {
+	return nil
+}
+
+// Recycle implements congest.Algorithm. The program's routing maps and queues
+// are rebuilt by Init; a fresh value drops the previous trial's state.
+func (a *algorithm) Recycle(p *node) { *p = node{opts: a.run} }
+
+// Extract implements congest.Algorithm: the downcast successors form the
+// cycle.
+func (a *algorithm) Extract(g *graph.Graph, progs []*node, res *congest.Result) error {
+	succ := make([]graph.NodeID, len(progs))
+	for v, p := range progs {
 		if p.failed {
-			return nil, fmt.Errorf("%w (node %d saw failure flood)", ErrNoHC, v)
+			return fmt.Errorf("%w (node %d saw failure flood)", ErrNoHC, v)
 		}
 		if !p.haveSucc {
-			return nil, fmt.Errorf("upcast: node %d never received its successor", v)
+			return fmt.Errorf("upcast: node %d never received its successor", v)
 		}
 		succ[v] = p.succ
 	}
-	hc, err := cycle.FromSuccessors(succ, 0)
-	if err != nil {
-		return nil, fmt.Errorf("upcast: bad successor structure: %w", err)
+	var err error
+	if res.Cycle, err = cycle.FromVerifiedSuccessors(g, succ); err != nil {
+		return fmt.Errorf("upcast: %w", err)
 	}
-	if err := hc.Verify(g); err != nil {
-		return nil, fmt.Errorf("upcast: invalid cycle: %w", err)
-	}
-	return &Result{
-		Cycle:           hc,
-		Counters:        counters,
-		RootMemoryWords: counters.MemoryDistribution().Max,
-	}, nil
+	return nil
 }
