@@ -68,6 +68,14 @@
 // and FaultHook calls stay per edge. Which send form a program uses never
 // changes an execution.
 //
+// A flood reaches a node once from every neighbor that forwards it, and a
+// flood kind's programs act on the first copy only. So for the kinds wire
+// declares idempotent floods (wire.Kind.Flood) delivery still meters every
+// copy, but appends only the first copy of each payload a receiver gets in
+// one round, in sender order: later identical copies would be read and
+// dropped by the program anyway. Payloads compare after the FaultHook, so a
+// corrupted copy is never merged with an intact one.
+//
 // Determinism: a run is a pure function of (graph, node programs, seed).
 // Each node receives its own RNG stream split from the run seed, inboxes
 // are assembled in sender-id order, and a Shard invokes its active nodes

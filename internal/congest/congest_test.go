@@ -640,6 +640,10 @@ func (p *pingPongNode) send(ctx *Context) {
 	switch p.form {
 	case formSend:
 		ctx.Send(p.peer, m)
+	case formFlood:
+		// Both ring neighbors flood the same payload here, and delivery
+		// keeps one copy, so each node still sends once per round.
+		ctx.SendPorts(ctx.AllPorts(), -1, wire.Msg(wire.KindRotation, 1))
 	default:
 		ctx.SendPorts(p.ports, -1, m)
 	}
@@ -648,12 +652,12 @@ func (p *pingPongNode) send(ctx *Context) {
 // TestPerRoundDeliveryZeroAllocs pins the engine's steady state at exactly
 // zero allocations per round: inbox buckets, outbox records, receiver
 // arenas, the bandwidth stamps and the wake heap are all recycled — whether
-// nodes send by id or by port list.
+// nodes send by id or by port list, or flood copies that delivery coalesces.
 func TestPerRoundDeliveryZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		form sendForm
-	}{{"Send", formSend}, {"SendPorts", formSendPorts}} {
+	}{{"Send", formSend}, {"SendPorts", formSendPorts}, {"Flood", formFlood}} {
 		t.Run(tc.name, func(t *testing.T) { testPerRoundDeliveryZeroAllocs(t, tc.form) })
 	}
 }

@@ -24,6 +24,7 @@ const (
 	formSend      sendForm = iota // Send by neighbor id
 	formOnePort                   // a one-port SendPorts call per edge
 	formSendPorts                 // one SendPorts call over the chosen ports
+	formFlood                     // a flood-kind SendPorts over every port (ping-pong only)
 )
 
 // fanoutNode gossips over random subsets of its incident edges: every fifth

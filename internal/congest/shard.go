@@ -354,6 +354,29 @@ type mailbox struct {
 	kinds uint32
 }
 
+// holds reports whether envs already holds m: delivery keeps only the first
+// copy of a flood payload per receiver per round. A receiver's inbox holds
+// at most a few flood payloads in one round, so the scan is short.
+func (b *mailbox) holds(m wire.Message) bool {
+	for i := range b.envs {
+		if b.envs[i].Msg == m {
+			return true
+		}
+	}
+	return false
+}
+
+// floodKinds is the kind mask of the idempotent flood kinds (wire.Kind.Flood).
+var floodKinds = func() uint32 {
+	var mask uint32
+	for k := wire.Kind(1); k.Valid(); k++ {
+		if k.Flood() {
+			mask |= kindBit(k)
+		}
+	}
+	return mask
+}()
+
 // invokeOne runs node v's Init or Round call and returns its context.
 func (s *Shard) invokeOne(v int32, round int64, isInit bool) *Context {
 	ctx := s.ctxs[v]
@@ -375,7 +398,8 @@ func (s *Shard) invokeOne(v int32, round int64, isInit bool) *Context {
 // Deliver routes this round's inbound records into next-round inbox
 // buckets, expanding each record edge by edge in send order: each message
 // passes through FaultHook, then is metered against the per-edge bandwidth
-// and bucketed. inbound must be the concatenation of the OTHER shards'
+// and bucketed, unless the receiver already holds the same flood payload
+// this round (see deliverRecord). inbound must be the concatenation of the OTHER shards'
 // cross-shard records destined here, in shard order; the records Step
 // retained locally are spliced back in at their sender position (inbound
 // senders below Lo, then local, then the rest), which reconstructs the
@@ -407,7 +431,11 @@ func (s *Shard) Deliver(round int64, inbound []Record) error {
 
 // deliverRecord expands one record. Its message size and kind bit are
 // computed once; with a FaultHook set, each edge's hooked copy is sized,
-// metered and masked on its own.
+// metered and masked on its own. Every copy is metered against its edge,
+// but a copy of a flood kind (wire.Kind.Flood) whose exact payload, after
+// the FaultHook, the receiver already holds this round is not appended: the
+// receiver keeps the first copy in sender order, the one whose From a
+// forwarding flood excludes.
 func (s *Shard) deliverRecord(round int64, r *Record) error {
 	hook := s.opts.FaultHook
 	sz := s.codec.Bits(r.Msg)
@@ -446,6 +474,9 @@ func (s *Shard) deliverRecord(round int64, r *Record) error {
 		}
 		if halted[lv] {
 			continue // metered, but a halted node consumes nothing
+		}
+		if eBit&floodKinds&box.kinds != 0 && box.holds(e.Msg) {
+			continue // metered, but the receiver reads one copy of a flood payload
 		}
 		if len(box.envs) == 0 {
 			s.msgActive = append(s.msgActive, int32(lv))

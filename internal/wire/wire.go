@@ -177,6 +177,16 @@ func NewCodec(n int) Codec {
 	return Codec{IDBits: bits.Len(uint(n - 1))}
 }
 
+// Flood reports whether k is an idempotent flood: every message of the kind
+// is a flood payload that a receiver acts on once, so a second copy of the
+// same payload arriving in the same round is a no-op for every program that
+// reads the kind. DRA's rotation(h, j) broadcast and its success/failure
+// announcement are such floods (so are DHC1's hypernode rotation floods and
+// Upcast's failure flood, which share the kinds). The exact engine meters
+// every copy per edge but hands a receiver only the first copy of each
+// payload per round, in sender order (congest.Shard.Deliver).
+func (k Kind) Flood() bool { return k == KindRotation || k == KindSuccess }
+
 // Valid reports whether k is a defined message kind. Decoders that rebuild
 // messages from bytes use it to reject undefined kinds.
 func (k Kind) Valid() bool { return k > 0 && k < kindMax }
