@@ -88,10 +88,20 @@ func TestRunRestartsUpToAttempts(t *testing.T) {
 	}
 }
 
+// TestRunFailsOnStepBudget: every attempt stops at its step budget, and
+// every node charges each failed attempt in full — the count the failure
+// flood carries, not the node's own partial view of it.
 func TestRunFailsOnStepBudget(t *testing.T) {
 	g := graph.Complete(20)
-	if _, err := NewSession(NodeOptions{MaxSteps: 2}).RunLocal(g, 1, congest.Options{}); err == nil {
+	const maxSteps = 2
+	sess := NewSession(NodeOptions{MaxSteps: maxSteps})
+	if _, err := sess.RunLocal(g, 1, congest.Options{}); err == nil {
 		t.Fatal("tiny step budget run succeeded")
+	}
+	for v, p := range sess.Programs() {
+		if got, want := p.state.Steps(), int64(rotation.Attempts*maxSteps); got != want {
+			t.Fatalf("node %d charges %d steps, want %d (%d attempts of %d)", v, got, want, rotation.Attempts, maxSteps)
+		}
 	}
 }
 

@@ -249,7 +249,9 @@ func (s *State) awaitRestart(ctx *congest.Context) {
 }
 
 // absorbBroadcasts handles rotation and success/failure floods with O(1)
-// dedup state (step watermark / terminal flag).
+// dedup state (step watermark / terminal flag). Delivery hands it one copy
+// of each flood payload per round (wire.Kind.Flood); the watermark and the
+// flag drop the copies that arrive in later rounds.
 func (s *State) absorbBroadcasts(ctx *congest.Context, inbox []congest.Envelope) {
 	if !ctx.Received(wire.KindRotation) && !ctx.Received(wire.KindSuccess) {
 		return
@@ -270,6 +272,11 @@ func (s *State) absorbBroadcasts(ctx *congest.Context, inbox []congest.Envelope)
 			}
 			s.terminalSeen = true
 			s.terminalRound = int64(env.Msg.Arg(3))
+			// The flood carries the attempt's step count: adopting it
+			// charges a failed attempt in full at every node, not as
+			// each node's partial view, once a restart folds it into
+			// the prior attempts' total.
+			s.steps = max(s.steps, int64(env.Msg.Arg(2)))
 			s.forwardScope(ctx, env.Msg, env.From)
 			if env.Msg.Arg(0) == 1 {
 				s.status = Succeeded
