@@ -15,53 +15,92 @@ import (
 )
 
 // crossEngineRoundSlack bounds the multiplicative disagreement between the
-// exact engine's measured rounds and the step engine's charged rounds, in
-// either direction. Measured ratios on the fixed instances below range from
-// 0.53 (DRA: the step engine over-charges rotations at the full broadcast
-// bound) to 5.3 (DHC1/DHC2: the exact engine pays scaffolding the step
-// engine prices more tightly); 8 leaves constant-factor headroom without
-// letting an asymptotic divergence slip through.
-const crossEngineRoundSlack = 8
+// exact engine's measured rounds (and steps) and the step engine's charged
+// ones, in either direction. Measured on the fixed instances below, the
+// widest gap is 1.90 (standalone DRA at n = 64, where the step engine
+// charges every rotation the full broadcast bound and the exact engine
+// waits it only after rotations); 2.5 leaves a third of that as headroom
+// without letting an asymptotic divergence slip through.
+const crossEngineRoundSlack = 2.5
+
+// crossEnginePhase2Slack is the same bound for phase 2 alone, which is short
+// and so noisier: the widest measured gap is 2.81 (DHC1 at n = 64, K = 4,
+// where the hypernode rotation takes a handful of steps), and 3.5 leaves a
+// quarter as headroom.
+const crossEnginePhase2Slack = 3.5
+
+// exactRoundCeiling bounds exact/step one way for DHC2's rounds and DHC1's
+// phase-1 rounds. Each partition waits its own measured broadcast bound, as
+// the step engine charges it, so what is left is the scaffolding windows the
+// exact engine times by the floored global bound, and the two engines'
+// different random draws. The widest measured ratio is 1.47 (DHC1 phase 1
+// at n = 128), and the threshold point n = 2048, K = 8 reads 0.61.
+const exactRoundCeiling = 1.5
+
+// agree fails the test when exact and step differ by more than slack, in
+// either direction.
+func agree(t *testing.T, what string, exact, step int64, slack float64) {
+	t.Helper()
+	if exact <= 0 || step <= 0 {
+		t.Fatalf("%s: missing charge: exact=%d step=%d", what, exact, step)
+	}
+	lo, hi := min(exact, step), max(exact, step)
+	if float64(hi) > slack*float64(lo) {
+		t.Fatalf("%s: engines disagree beyond %vx slack: exact=%d step=%d", what, slack, exact, step)
+	}
+}
+
+// underCeiling fails the test when exact/step exceeds exactRoundCeiling.
+func underCeiling(t *testing.T, what string, exact, step int64) {
+	t.Helper()
+	if float64(exact) > exactRoundCeiling*float64(step) {
+		t.Fatalf("%s: exact/step = %d/%d = %.2f, above %v", what, exact, step,
+			float64(exact)/float64(step), exactRoundCeiling)
+	}
+}
 
 func crosscheckAlgos() []Algorithm {
 	return []Algorithm{AlgorithmDRA, AlgorithmDHC1, AlgorithmDHC2, AlgorithmUpcast}
 }
 
+// crosscheckRounds solves G(n, 0.8) with K = n/16 on both engines, verifies
+// both cycles and holds their rounds to the slack, and DHC2's rounds and
+// DHC1's phase 1 to the ceiling.
+func crosscheckRounds(t *testing.T, n int, algos []Algorithm) {
+	g := NewGNP(n, 0.8, uint64(n))
+	k := n / 16
+	for _, algo := range algos {
+		t.Run(fmt.Sprintf("%s/n=%d", algo, n), func(t *testing.T) {
+			opts := Options{Seed: 7, NumColors: k, Delta: 0.5}
+			exact, err := Solve(g, algo, opts)
+			if err != nil {
+				t.Fatalf("exact engine: %v", err)
+			}
+			opts.Engine = EngineStep
+			step, err := Solve(g, algo, opts)
+			if err != nil {
+				t.Fatalf("step engine: %v", err)
+			}
+			for name, res := range map[string]*Result{"exact": exact, "step": step} {
+				if err := Verify(g, res.Cycle); err != nil {
+					t.Fatalf("%s engine produced invalid cycle: %v", name, err)
+				}
+			}
+			agree(t, "rounds", exact.Rounds, step.Rounds, crossEngineRoundSlack)
+			switch algo {
+			case AlgorithmDHC2:
+				underCeiling(t, "rounds", exact.Rounds, step.Rounds)
+			case AlgorithmDHC1:
+				underCeiling(t, "phase-1 rounds", exact.Phase1Rounds, step.Phase1Rounds)
+			}
+		})
+	}
+}
+
 func TestCrosscheckEngines(t *testing.T) {
 	skipIfShort(t)
 	for _, n := range []int{64, 128, 256} {
-		g := NewGNP(n, 0.8, uint64(n))
-		k := n / 16
-		for _, algo := range crosscheckAlgos() {
-			t.Run(fmt.Sprintf("%s/n=%d", algo, n), func(t *testing.T) {
-				opts := Options{Seed: 7, NumColors: k, Delta: 0.5}
-				exact, err := Solve(g, algo, opts)
-				if err != nil {
-					t.Fatalf("exact engine: %v", err)
-				}
-				opts.Engine = EngineStep
-				step, err := Solve(g, algo, opts)
-				if err != nil {
-					t.Fatalf("step engine: %v", err)
-				}
-				for name, res := range map[string]*Result{"exact": exact, "step": step} {
-					if err := Verify(g, res.Cycle); err != nil {
-						t.Fatalf("%s engine produced invalid cycle: %v", name, err)
-					}
-					if res.Rounds <= 0 {
-						t.Fatalf("%s engine charged no rounds", name)
-					}
-				}
-				lo, hi := exact.Rounds, step.Rounds
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if hi > crossEngineRoundSlack*lo {
-					t.Fatalf("engines disagree beyond %dx slack: exact=%d step=%d",
-						crossEngineRoundSlack, exact.Rounds, step.Rounds)
-				}
-			})
-		}
+		crosscheckRounds(t, n, crosscheckAlgos())
 	}
 }
 
@@ -71,42 +110,11 @@ func TestCrosscheckEngines(t *testing.T) {
 // scope spans the whole graph, so every rotation floods Θ(m) messages and
 // exact simulation at n = 1024 costs ~10⁹ envelope-hops — the very cost the
 // DHC partitioning exists to avoid; DRA stays covered at n ≤ 256 above.
-// The slack is the same documented constant as the base test.
+// The slack and the ceiling are the same documented constants.
 func TestCrosscheckEnginesLarge(t *testing.T) {
 	skipIfShort(t)
 	for _, n := range []int{512, 1024} {
-		g := NewGNP(n, 0.8, uint64(n))
-		k := n / 16
-		for _, algo := range []Algorithm{AlgorithmDHC1, AlgorithmDHC2, AlgorithmUpcast} {
-			t.Run(fmt.Sprintf("%s/n=%d", algo, n), func(t *testing.T) {
-				opts := Options{Seed: 7, NumColors: k, Delta: 0.5}
-				exact, err := Solve(g, algo, opts)
-				if err != nil {
-					t.Fatalf("exact engine: %v", err)
-				}
-				opts.Engine = EngineStep
-				step, err := Solve(g, algo, opts)
-				if err != nil {
-					t.Fatalf("step engine: %v", err)
-				}
-				for name, res := range map[string]*Result{"exact": exact, "step": step} {
-					if err := Verify(g, res.Cycle); err != nil {
-						t.Fatalf("%s engine produced invalid cycle: %v", name, err)
-					}
-					if res.Rounds <= 0 {
-						t.Fatalf("%s engine charged no rounds", name)
-					}
-				}
-				lo, hi := exact.Rounds, step.Rounds
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if hi > crossEngineRoundSlack*lo {
-					t.Fatalf("engines disagree beyond %dx slack: exact=%d step=%d",
-						crossEngineRoundSlack, exact.Rounds, step.Rounds)
-				}
-			})
-		}
+		crosscheckRounds(t, n, []Algorithm{AlgorithmDHC1, AlgorithmDHC2, AlgorithmUpcast})
 	}
 }
 
@@ -114,11 +122,10 @@ func TestCrosscheckEnginesLarge(t *testing.T) {
 // engine, per phase rather than in total: the step engine charges the merge
 // tree at levels·(2·scopeB+10) (DHC2) and the hypernode rotation at the
 // global broadcast bound (DHC1), while the exact engine measures its phase 2
-// round by round. The two must agree within the same documented slack as the
-// total-rounds crosscheck — the step engine prices broadcasts at the scope
-// bound where the exact engine pays the global one, a constant-factor gap,
-// and anything beyond the slack would mean the merge-tree accounting
-// diverged asymptotically.
+// round by round, timed by the largest partition or global-tree bound the
+// phase-1 barrier reported. The two must agree within the phase-2 slack;
+// anything beyond it would mean the phase-2 accounting diverged
+// asymptotically.
 func TestCrosscheckPhase2Costs(t *testing.T) {
 	for _, n := range []int{64, 128, 256} {
 		g := NewGNP(n, 0.8, uint64(n))
@@ -135,18 +142,7 @@ func TestCrosscheckPhase2Costs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step engine: %v", err)
 				}
-				if exact.Phase2Rounds <= 0 || step.Phase2Rounds <= 0 {
-					t.Fatalf("missing phase-2 charge: exact=%d step=%d",
-						exact.Phase2Rounds, step.Phase2Rounds)
-				}
-				lo, hi := exact.Phase2Rounds, step.Phase2Rounds
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if hi > crossEngineRoundSlack*lo {
-					t.Fatalf("phase-2 accounting disagrees beyond %dx slack: exact=%d step=%d",
-						crossEngineRoundSlack, exact.Phase2Rounds, step.Phase2Rounds)
-				}
+				agree(t, "phase-2 rounds", exact.Phase2Rounds, step.Phase2Rounds, crossEnginePhase2Slack)
 			})
 		}
 	}
@@ -174,17 +170,7 @@ func TestCrosscheckSteps(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step engine: %v", err)
 				}
-				if exact.Steps <= 0 || step.Steps <= 0 {
-					t.Fatalf("missing step metering: exact=%d step=%d", exact.Steps, step.Steps)
-				}
-				lo, hi := exact.Steps, step.Steps
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if hi > crossEngineRoundSlack*lo {
-					t.Fatalf("step accounting disagrees beyond %dx slack: exact=%d step=%d",
-						crossEngineRoundSlack, exact.Steps, step.Steps)
-				}
+				agree(t, "steps", exact.Steps, step.Steps, crossEngineRoundSlack)
 			})
 		}
 	}

@@ -193,13 +193,21 @@ type Options struct {
 	// byte-identical results; only wall-clock changes. The exact engine
 	// ignores it: it runs on one goroutine, or on Shards workers.
 	Workers int
-	// BroadcastBound overrides B, the bound every broadcast/BFS settling
-	// wait is charged at (rotation consistency waits, barrier release
-	// delays). Zero keeps each algorithm's default: a tight bound computed
-	// from an eccentricity BFS — global knowledge the CONGEST model does
-	// not actually grant. Setting BroadcastBound to n selects the paper's
-	// assumption-free trivial bound; its long quiet waits are exactly what
-	// the event-driven engine skips. Exact engine only.
+	// BroadcastBound overrides B, the bound the exact engine's
+	// broadcast/BFS settling waits are charged at. For DRA and Upcast that
+	// is every wait (DRA's rotation consistency waits included). For DHC1
+	// and DHC2 it is the windows timed before anything is measured: the
+	// global BFS and each partition's election, BFS tree and size count.
+	// Their partitions then wait their own measured bounds (2·depth+1 of
+	// the partition's BFS tree) after each rotation, and the phase after
+	// the barrier waits the largest of those and the global tree's, as the
+	// barrier reports it. Zero keeps each algorithm's default: a tight
+	// bound computed from an eccentricity BFS — global knowledge the
+	// CONGEST model does not actually grant — which DHC floors at
+	// 3⌈log₂ n⌉+6 for colour classes of larger diameter than the graph.
+	// Setting BroadcastBound to n selects the paper's assumption-free
+	// trivial bound for those windows; its long quiet waits are exactly
+	// what the event-driven engine skips. Exact engine only.
 	BroadcastBound int64
 	// MaxRounds overrides the exact engine's round budget — the watchdog
 	// that turns a non-terminating run into ErrRoundLimit. Zero keeps each

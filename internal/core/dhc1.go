@@ -33,12 +33,9 @@ func (d *dhc1Node) Init(ctx *congest.Context) {
 // event-driven simulator; everything else is driven by deliveries.
 func (d *dhc1Node) armWake(ctx *congest.Context) {
 	var w int64
-	switch {
-	case d.stage == 1:
+	if d.stage == 1 {
 		w = d.p1.nextWake(ctx.Round())
-	case d.numK == 1:
-		w = ctx.Round() + 1 // one more invocation to halt, as in the dense sweep
-	default:
+	} else {
 		w = d.hp.nextWake(ctx.Round())
 	}
 	if w > 0 {
@@ -49,29 +46,19 @@ func (d *dhc1Node) armWake(ctx *congest.Context) {
 func (d *dhc1Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	if d.stage == 1 {
 		if d.p1.tick(ctx, inbox) {
+			if d.numK == 1 || !d.p1.everySucceeded() {
+				// A single partition's cycle is the answer, and a failed
+				// partition leaves no cycle to find.
+				ctx.Halt()
+				return
+			}
 			d.stage = 2
-			if d.numK == 1 {
-				// Single partition: Phase 1's cycle is the answer.
-				if d.p1.succeeded() {
-					ctx.Halt()
-					return
-				}
-			}
-			d.hp = hyperPhase{B: d.cfg.B, K: d.numK}
-			var cycindex int32
-			succ, pred := graph.NodeID(-1), graph.NodeID(-1)
-			if d.p1.succeeded() {
-				cycindex = d.p1.dra.CycleIndex()
-				succ, pred = d.p1.dra.Succ(), d.p1.dra.Pred()
-			}
-			d.hp.start(d.p1.color, cycindex, int32(d.p1.scopeSize), succ, pred,
+			d.hp = hyperPhase{B: d.p1.phase2B(), K: d.numK}
+			st := d.p1.dra
+			d.hp.start(d.p1.color, st.CycleIndex(), int32(d.p1.scopeSize), st.Succ(), st.Pred(),
 				d.p1.treeNeighbors(ctx), d.p1.phase2Start)
 		}
 		d.armWake(ctx)
-		return
-	}
-	if d.numK == 1 {
-		ctx.Halt()
 		return
 	}
 	if ctx.Round() >= d.hp.phaseStart {
@@ -121,37 +108,45 @@ func (a *dhc1Algorithm) Extract(g *graph.Graph, progs []*dhc1Node, res *congest.
 	res.PartitionSizes = make([]int, numColors)
 	steps, succ := make([]int64, numColors), make([]graph.NodeID, g.N())
 	hyper := make([]cycle.Hypernode, numColors)
-	var hyperSteps int64
 	for v, p := range progs {
 		if err := tallyPhase1(res, steps, v, &p.p1); err != nil {
 			return err
 		}
-		c := p.p1.color
 		succ[v] = p.p1.dra.Succ()
-		if numColors > 1 {
-			if p.hp.status != dra.Succeeded {
-				return fmt.Errorf("%w: node %d phase 2 status %d", ErrNoHC, v, p.hp.status)
-			}
-			hyperSteps = max(hyperSteps, p.hp.steps)
-			if p.hp.isUPort {
-				hyper[c].U = graph.NodeID(v)
-				hyper[c].Pos = p.hp.hypIdx
-				hyper[c].Reversed = p.hp.reverse
-			}
-			if p.hp.isVPort {
-				hyper[c].V = graph.NodeID(v)
-			}
-		}
 	}
-	res.Steps += hyperSteps
 	var err error
 	if numColors == 1 {
 		res.Cycle, err = cycle.FromVerifiedSuccessors(g, succ)
-	} else if res.Cycle, err = cycle.SpliceHypernodes(succ, hyper); err == nil {
-		err = res.Cycle.Verify(g)
+	} else if err = a.tallyPhase2(progs, res, hyper); err == nil {
+		if res.Cycle, err = cycle.SpliceHypernodes(succ, hyper); err == nil {
+			err = res.Cycle.Verify(g)
+		}
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrNoHC, err)
 	}
+	return nil
+}
+
+// tallyPhase2 checks that every node's hypernode rotation succeeded, adds
+// its step count to res, and fills hyper with each partition's ports.
+func (a *dhc1Algorithm) tallyPhase2(progs []*dhc1Node, res *congest.Result, hyper []cycle.Hypernode) error {
+	var steps int64
+	for v, p := range progs {
+		if p.hp.status != dra.Succeeded {
+			return fmt.Errorf("node %d phase 2 status %d", v, p.hp.status)
+		}
+		steps = max(steps, p.hp.steps)
+		c := p.p1.color
+		if p.hp.isUPort {
+			hyper[c].U = graph.NodeID(v)
+			hyper[c].Pos = p.hp.hypIdx
+			hyper[c].Reversed = p.hp.reverse
+		}
+		if p.hp.isVPort {
+			hyper[c].V = graph.NodeID(v)
+		}
+	}
+	res.Steps += steps
 	return nil
 }

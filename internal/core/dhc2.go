@@ -28,8 +28,12 @@ type Options struct {
 	Delta float64
 	// NumColors overrides K directly when positive (Delta then unused).
 	NumColors int
-	// B bounds every broadcast/BFS settling time. Zero selects defaultB,
-	// safe whp for threshold random graphs and their partitions.
+	// B bounds the settling times that are fixed before anything is
+	// measured: the global BFS, and each partition's election, BFS tree
+	// and size count. Zero selects defaultB, safe whp for threshold random
+	// graphs and their partitions. The partitions' rotations and restarts
+	// and the phase after the barrier wait bounds the run measures itself
+	// (see phase1), whatever B is.
 	B int64
 }
 
@@ -67,13 +71,13 @@ func (d *dhc2Node) armWake(ctx *congest.Context) {
 func (d *dhc2Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	if d.stage == 1 {
 		if d.p1.tick(ctx, inbox) {
-			d.stage = 2
-			d.mp = d.mp.recycled(d.cfg.B, d.cfg.NumColors)
-			succ, pred := graph.NodeID(-1), graph.NodeID(-1)
-			if d.p1.dra != nil {
-				succ, pred = d.p1.dra.Succ(), d.p1.dra.Pred()
+			if !d.p1.everySucceeded() {
+				ctx.Halt() // no subcycles to merge
+				return
 			}
-			d.mp.start(d.p1.color, succ, pred, d.p1.phase2Start)
+			d.stage = 2
+			d.mp = d.mp.recycled(d.p1.phase2B(), d.cfg.NumColors)
+			d.mp.start(d.p1.color, d.p1.dra.Succ(), d.p1.dra.Pred(), d.p1.phase2Start)
 		}
 		d.armWake(ctx)
 		return
@@ -88,8 +92,11 @@ func (d *dhc2Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 }
 
 // defaultB returns the broadcast bound used when the caller does not set one:
-// rotation.BroadcastBound of ecc(0), floored at 3⌈log₂ n⌉+6 for the
-// partitions' own broadcasts on graphs of small diameter.
+// rotation.BroadcastBound of ecc(0), floored at 3⌈log₂ n⌉+6. The floor is
+// for the partition windows timed before a partition has measured itself
+// (election, BFS tree, size count): a colour class can have a larger
+// diameter than the whole graph. Once its count is in, a partition waits
+// its own measured bound instead.
 func defaultB(g *graph.Graph) int64 {
 	ecc, _ := g.Ecc(0)
 	return max(rotation.BroadcastBound(ecc), int64(3*bits.Len(uint(g.N()-1))+6))

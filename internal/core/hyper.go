@@ -43,8 +43,9 @@ type hyperPhase struct {
 	// tree lists this node's global-BFS-tree neighbors (parent + children).
 	// Rotation and terminal floods are routed over the tree — O(n) messages
 	// per flood instead of O(m) for edge-wise flooding — and settle within
-	// 2·depth <= 2·ecc(root) < B rounds, so the consistency waits that
-	// assume B-bounded settling are unaffected.
+	// 2·depth < B rounds, since B (phase1.phase2B) is at least the tree's
+	// 2·depth+1, so the consistency waits that assume B-bounded settling are
+	// unaffected.
 	tree []graph.NodeID
 
 	// Hypernode-selection state.

@@ -27,7 +27,15 @@ import (
 // Unlike Phase 1's DRA, merging needs no position indices — only the
 // succ/pred pointers, which is exactly the paper's output format.
 type mergePhase struct {
-	// B is the broadcast settling bound, K the initial color count.
+	// B is the broadcast settling bound, K the initial color count. B is
+	// phase1.phase2B: at least every partition's measured bound. A level's
+	// scope is a union of partitions, and it settles within B as long as
+	// every node of it has a neighbor in each partition of it, so that any
+	// two of its nodes are at most one hop plus one partition's diameter
+	// apart. That holds with high probability wherever every partition has
+	// the minimum degree a subcycle needs, the regime the algorithm is run
+	// in. A level whose floods fail to settle leaves pointers the final
+	// cycle verification rejects.
 	B int64
 	K int32
 
@@ -48,11 +56,6 @@ type mergePhase struct {
 
 	level      int32
 	levelStart int64
-
-	// alive is false when Phase 1 left this node without cycle pointers
-	// (its partition failed); such nodes still exchange colors and forward
-	// floods but take no merge actions, and extraction reports the failure.
-	alive bool
 
 	// per-level scratch, reset at each level start
 	pendingProbe  probe // the probe this passive node is verifying
@@ -112,7 +115,6 @@ func (m *mergePhase) start(color int32, succ, pred graph.NodeID, startRound int6
 	m.color = color
 	m.succ = succ
 	m.pred = pred
-	m.alive = succ >= 0 && pred >= 0
 	m.level = 0
 	m.levelStart = startRound
 	m.resetLevel()
@@ -213,7 +215,7 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 				m.partnerPorts = append(m.partnerPorts, int32(port))
 			}
 		}
-		if m.alive && m.activeThisLevel() {
+		if m.activeThisLevel() {
 			// Algorithm 3 line 7: announce the cycle edge (v, succ(v))
 			// to every partner-colored neighbor.
 			ctx.SendPorts(m.partnerPorts, -1, wire.Msg(wire.KindVerify, int32(m.succ)))
@@ -255,7 +257,7 @@ func (m *mergePhase) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 // handleProbes runs at passive nodes: select the smallest probe and query
 // both cycle neighbors about adjacency to u.
 func (m *mergePhase) handleProbes(ctx *congest.Context, inbox []congest.Envelope) {
-	if !m.alive || !m.passiveThisLevel() || !ctx.Received(wire.KindVerify) {
+	if !m.passiveThisLevel() || !ctx.Received(wire.KindVerify) {
 		return
 	}
 	for _, env := range inbox {

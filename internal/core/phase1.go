@@ -25,6 +25,7 @@ import (
 	"dhc/internal/dra"
 	"dhc/internal/graph"
 	"dhc/internal/proto"
+	"dhc/internal/rotation"
 	"dhc/internal/wire"
 )
 
@@ -40,8 +41,11 @@ const (
 type phase1Config struct {
 	// NumColors is K, the number of partitions.
 	NumColors int32
-	// B upper-bounds every broadcast/BFS settling time (global and scope
-	// diameters).
+	// B upper-bounds every settling time that must be fixed before a
+	// partition has measured its own: the global BFS and barrier, and the
+	// scoped election, partition BFS and count, whose colour class may
+	// have a larger diameter than the whole graph. The partition's DRA
+	// waits its own bound instead (see tickDRA).
 	B int64
 }
 
@@ -75,12 +79,21 @@ type phase1 struct {
 
 	dra       *dra.State
 	scopeSize int
+	// scopeB is the partition's broadcast bound, announced with its size
+	// (proto.Counter.Bound), and draAt the round its DRA starts: scopeB
+	// rounds into the count, by when the announcement has reached the
+	// whole partition tree. Both read 0 until this node's count completed.
+	scopeB int64
+	draAt  int64
 
 	phase2Start int64 // common start round for Phase 2, set at barrier release
-	arrived     bool
+	// finishedAt is the round this node's partition DRA terminated in, and
+	// arrived records its barrier arrival, one round later.
+	finishedAt int64
+	arrived    bool
 }
 
-// Phase boundaries, in absolute rounds (B = cfg.B):
+// Phase boundaries, in absolute rounds (B = cfg.B, the global bound):
 //
 //	round 0 (Init): pick color, announce to neighbors, start global BFS
 //	rounds 1..B:    global BFS settles; round 1 records neighbor colors and
@@ -88,16 +101,35 @@ type phase1 struct {
 //	rounds 2..B+1:  scoped election settles
 //	round B+2:      scope leader starts the partition BFS
 //	rounds B+3..2B+2: partition BFS settles
-//	round 2B+3:     partition size convergecast begins
-//	rounds ..4B+7:  count settles everywhere
-//	round 4B+8:     per-partition DRA begins (adaptive length, restarts
-//	                included: see dra.State)
-//	then:           global barrier 0; Phase 2 starts at barrier.StartRound(0)
+//	round 2B+3:     partition size convergecast begins; it carries the
+//	                partition tree's depth d up and announces the
+//	                partition's bound Bp = 2d+1 down with the size, which
+//	                reaches the whole partition by round 2B+3+2d
+//	round 2B+3+Bp:  the partition's DRA begins (adaptive length, restarts
+//	                included: see dra.State), waiting Bp after each
+//	                rotation and 2Bp+2 before a restart; a node the count
+//	                never reached waits until 4B+8, as if d were B+2
+//	then:           global barrier 0, which each node arrives at one round
+//	                after its partition finished, carrying the larger of Bp
+//	                and its global tree level's bound and whether the
+//	                partition succeeded; Phase 2 starts at
+//	                barrier.StartRound(0) if every partition succeeded
+//	                (everySucceeded) and times its floods by the largest
+//	                value carried (phase2B)
 func (p *phase1) electStart() int64    { return 1 }
 func (p *phase1) electEnd() int64      { return p.cfg.B + 1 }
 func (p *phase1) scopeBFSStart() int64 { return p.cfg.B + 2 }
 func (p *phase1) countStart() int64    { return 2*p.cfg.B + 3 }
-func (p *phase1) draStart() int64      { return 4*p.cfg.B + 8 }
+
+// draStart is the round the partition's DRA begins at this node: its
+// measured start once the count completed here, else the latest start any
+// partition can have.
+func (p *phase1) draStart() int64 {
+	if p.draAt > 0 {
+		return p.draAt
+	}
+	return 4*p.cfg.B + 8
+}
 
 // recycled returns a zero phase under cfg that keeps the backing arrays of
 // p's per-port tables: init refills nbColor and the election round refills
@@ -117,7 +149,7 @@ func (p *phase1) init(ctx *congest.Context) {
 	p.globalBFS.Start(ctx)
 	// The barrier's tree is final by round B, and no barrier traffic flows
 	// before the first partition finishes DRA, long after.
-	p.barrier = *proto.NewBarrier(&p.globalBFS, p.cfg.B+2)
+	p.barrier = *proto.NewBarrier(&p.globalBFS)
 }
 
 // unknownColors returns table resized to deg ports, every port unannounced.
@@ -204,6 +236,10 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 			p.counter = proto.NewCounter(&p.scopeBFS, 1, tagScopeTree)
 		}
 		p.counter.Tick(ctx, inbox)
+		if p.draAt == 0 && p.counter.Done() {
+			p.scopeB = p.counter.Bound
+			p.draAt = min(p.countStart()+p.scopeB, 4*p.cfg.B+8)
+		}
 	case round >= p.draStart():
 		done = p.tickDRA(ctx, inbox)
 	}
@@ -217,15 +253,20 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 
 func (p *phase1) tickDRA(ctx *congest.Context, inbox []congest.Envelope) bool {
 	if p.dra == nil {
+		// The partition times its rotations and restarts by its own
+		// measured bound; a node the count never reached keeps the global
+		// bound.
 		p.scopeSize = 0
-		if p.counter != nil && p.counter.Done() {
+		if p.draAt > 0 {
 			p.scopeSize = int(p.counter.Total)
+		} else {
+			p.scopeB = p.cfg.B
 		}
 		params := dra.Params{
 			ScopeSize:       p.scopeSize,
 			IsInitialHead:   p.leader,
 			ScopePorts:      p.scopePorts,
-			BroadcastRounds: p.cfg.B,
+			BroadcastRounds: p.scopeB,
 			StartRound:      p.draStart(),
 			Tag:             tagPhase1DRA,
 		}
@@ -233,8 +274,16 @@ func (p *phase1) tickDRA(ctx *congest.Context, inbox []congest.Envelope) bool {
 	}
 	p.dra.Tick(ctx, inbox)
 	if p.dra.Status() != dra.Running && !p.arrived {
-		p.arrived = true
-		p.barrier.Arrive(ctx, 0)
+		// In the round the partition finished, this node forwarded its
+		// terminal flood on partition edges; its barrier report waits a
+		// round so that the two never share an edge's budget.
+		if p.finishedAt == 0 {
+			p.finishedAt = ctx.Round()
+		} else if ctx.Round() > p.finishedAt {
+			p.arrived = true
+			treeB := rotation.BroadcastBound(int(p.globalBFS.Level))
+			p.barrier.Arrive(ctx, 0, max(p.scopeB, treeB), p.succeeded())
+		}
 	}
 	if p.arrived && p.barrier.Released(0) {
 		p.phase2Start = p.barrier.StartRound(0)
@@ -247,8 +296,9 @@ func (p *phase1) tickDRA(ctx *congest.Context, inbox []congest.Envelope) bool {
 // messages, declaring Phase 1's wake-up discipline for the event-driven
 // simulator: each phase boundary performs empty-inbox work at every node
 // (start the scoped election, create the partition BFS, seed the size
-// convergecast, construct the DRA state), and the DRA declares its own
-// wake-ups (its head's timer and its restarts). Everything in between —
+// convergecast, construct the DRA state, arrive at the barrier the round
+// after the DRA ended), and the DRA declares its own wake-ups (its head's
+// timer and its restarts). Everything in between —
 // flood absorption, BFS adoption, convergecast propagation, barrier
 // traffic — is message-driven. Returns 0 when only messages can advance
 // this node.
@@ -263,8 +313,10 @@ func (p *phase1) nextWake(now int64) int64 {
 	case now < p.draStart():
 		return p.draStart()
 	}
-	if p.dra == nil {
-		return now + 1 // DRA state materializes on the next invocation
+	if p.dra == nil || (p.finishedAt > 0 && !p.arrived) {
+		// DRA state materializes, or the barrier arrival happens, on the
+		// next invocation.
+		return now + 1
 	}
 	return p.dra.NextWake(now)
 }
@@ -282,9 +334,9 @@ func (p *phase1) memoryWords() int64 {
 
 // treeNeighbors returns this node's global-BFS-tree neighbor list (parent,
 // then children) for phase-wide flood routing: a tree flood costs O(n)
-// messages instead of O(m) and settles within 2·depth <= 2·ecc(root) < B
-// rounds. The root (its own parent) and unadopted nodes contribute only
-// their children.
+// messages instead of O(m) and settles within 2·depth < phase2B rounds.
+// The root (its own parent) and unadopted nodes contribute only their
+// children.
 func (p *phase1) treeNeighbors(ctx *congest.Context) []graph.NodeID {
 	t := &p.globalBFS
 	nbrs := make([]graph.NodeID, 0, len(t.Children)+1)
@@ -293,6 +345,19 @@ func (p *phase1) treeNeighbors(ctx *congest.Context) []graph.NodeID {
 	}
 	return append(nbrs, t.Children...)
 }
+
+// phase2B is the broadcast bound of the phase after the barrier: the largest
+// value any node arrived with, so at least every partition's measured bound
+// and the global tree's, 2·depth+1 for the tree rooted at node 0. Every
+// partition flood and every tree flood therefore settles within it. Valid
+// once the barrier released.
+func (p *phase1) phase2B() int64 { return p.barrier.Max(0) }
+
+// everySucceeded reports whether every partition completed its subcycle, as
+// the barrier learned from the arrivals. Without that there is nothing to
+// join, so Phase 2 does not run: every node halts once the barrier released
+// and the run ends without a cycle. Valid once the barrier released.
+func (p *phase1) everySucceeded() bool { return p.barrier.AllOK(0) }
 
 // succeeded reports whether this node's partition completed its subcycle.
 func (p *phase1) succeeded() bool {

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"dhc/internal/congest"
+	"dhc/internal/rotation"
 	"dhc/internal/wire"
 )
 
@@ -13,6 +14,13 @@ import (
 // success test), and Upcast uses the same shape for congestion-free
 // aggregation.
 //
+// The same messages measure the tree: each report also carries the deepest
+// level of its subtree, so the root learns the tree's depth d, its own
+// eccentricity in the tree's scope, and announces the scope's broadcast
+// bound 2·d+1 (rotation.BroadcastBound) with the total. A scope of diameter
+// at most 2·d settles any broadcast within that bound, whichever member
+// starts it; the DHC partitions time their rotations by it.
+//
 // Values must fit in int32 (they are vertex counts, bounded by n, so they
 // respect the CONGEST word size).
 type Counter struct {
@@ -21,9 +29,13 @@ type Counter struct {
 	value   int64
 	reports int
 	sum     int64
+	depth   int32 // deepest tree level in this node's subtree reported so far
 	sentUp  bool
 	// Total is the tree-wide sum, or -1 until the announcement arrives.
 	Total int64
+	// Bound is the tree scope's broadcast bound, 2·depth+1, announced with
+	// Total; it is valid once Done.
+	Bound int64
 }
 
 // NewCounter creates a counter over a final BFS tree. ownValue is this
@@ -44,12 +56,14 @@ func (c *Counter) Tick(ctx *congest.Context, inbox []congest.Envelope) {
 	}
 	if !c.sentUp && c.reports == len(c.tree.Children) {
 		subtree := c.sum + c.value
+		depth := max(c.depth, c.tree.Level)
 		c.sentUp = true
 		if c.tree.IsRoot(ctx.ID()) {
 			c.Total = subtree
+			c.Bound = rotation.BroadcastBound(int(depth))
 			c.announceDown(ctx)
 		} else {
-			ctx.Send(c.tree.Parent, wire.Msg(wire.KindCount, int32(subtree), c.tag))
+			ctx.Send(c.tree.Parent, wire.Msg(wire.KindCount, int32(subtree), c.tag, depth))
 		}
 	}
 }
@@ -60,11 +74,13 @@ func (c *Counter) absorb(ctx *congest.Context, inbox []congest.Envelope) {
 		case wire.KindCount:
 			if env.Msg.Arg(1) == c.tag {
 				c.sum += int64(env.Msg.Arg(0))
+				c.depth = max(c.depth, env.Msg.Arg(2))
 				c.reports++
 			}
 		case wire.KindSizeAnnounce:
 			if env.Msg.Arg(1) == c.tag && c.Total < 0 {
 				c.Total = int64(env.Msg.Arg(0))
+				c.Bound = int64(env.Msg.Arg(2))
 				c.announceDown(ctx)
 			}
 		}
@@ -73,7 +89,7 @@ func (c *Counter) absorb(ctx *congest.Context, inbox []congest.Envelope) {
 
 func (c *Counter) announceDown(ctx *congest.Context) {
 	for _, child := range c.tree.Children {
-		ctx.Send(child, wire.Msg(wire.KindSizeAnnounce, int32(c.Total), c.tag))
+		ctx.Send(child, wire.Msg(wire.KindSizeAnnounce, int32(c.Total), c.tag, int32(c.Bound)))
 	}
 }
 
@@ -81,21 +97,20 @@ func (c *Counter) announceDown(ctx *congest.Context) {
 func (c *Counter) Done() bool { return c.Total >= 0 }
 
 // Barrier synchronizes global phase transitions over a network-wide BFS
-// tree: every node Arrives at numbered barriers in order; a node reports
-// "subtree at barrier s" to its parent once it has arrived and all children
-// reported; the root then releases the barrier down the tree. One barrier
-// costs O(tree depth) rounds — within the paper's round budgets, which are
-// all Ω(diameter).
+// tree: every node Arrives at numbered barriers in order, with a value and
+// an outcome; a node reports "subtree at barrier s" to its parent once it
+// has arrived and all children reported, carrying the largest value, whether
+// every outcome was ok, and the deepest tree level of its subtree; the root
+// then releases the barrier down the tree with the tree-wide largest value
+// and outcome. One barrier costs O(tree depth) rounds — within the paper's
+// round budgets, which are all Ω(diameter) — and the reports measure that
+// depth, so the release needs no bound on it.
 type Barrier struct {
 	tree *BFSState
 	seqs map[int32]*barrierSeq
 	// words is MemoryWords: one word per fact recorded across all
 	// barriers (a child report seen, arrived, reported up, released).
 	words int64
-	// ReleaseDelay is added by the root to the release round to produce a
-	// common StartRound at which all nodes may begin the next phase; it
-	// must be at least the tree depth so the Go flood arrives in time.
-	ReleaseDelay int64
 }
 
 // barrierSeq is one barrier's state at this node.
@@ -105,12 +120,18 @@ type barrierSeq struct {
 	sentUp       bool
 	released     bool
 	startRound   int64
+	// max is the largest value arrived with in this node's subtree so
+	// far, and after the release the tree-wide largest; failed is whether
+	// any of those arrivals was not ok, likewise; depth is the deepest
+	// tree level reported from the subtree so far.
+	max    int64
+	failed bool
+	depth  int32
 }
 
-// NewBarrier creates barrier state over a final BFS tree. releaseDelay must
-// upper-bound the tree depth.
-func NewBarrier(tree *BFSState, releaseDelay int64) *Barrier {
-	return &Barrier{tree: tree, seqs: make(map[int32]*barrierSeq), ReleaseDelay: releaseDelay}
+// NewBarrier creates barrier state over a final BFS tree.
+func NewBarrier(tree *BFSState) *Barrier {
+	return &Barrier{tree: tree, seqs: make(map[int32]*barrierSeq)}
 }
 
 // seq returns barrier seq's state, creating it on first use.
@@ -123,13 +144,17 @@ func (b *Barrier) seq(seq int32) *barrierSeq {
 	return st
 }
 
-// Arrive marks this node's arrival at barrier seq (idempotent).
-func (b *Barrier) Arrive(ctx *congest.Context, seq int32) {
+// Arrive marks this node's arrival at barrier seq with a non-negative value
+// that fits in int32 and whether its part of the phase went ok (idempotent:
+// a second arrival changes nothing).
+func (b *Barrier) Arrive(ctx *congest.Context, seq int32, value int64, ok bool) {
 	st := b.seq(seq)
 	if st.arrived {
 		return
 	}
 	st.arrived = true
+	st.max = max(st.max, value)
+	st.failed = st.failed || !ok
 	b.words++
 	b.maybeSendUp(ctx, seq, st)
 }
@@ -148,9 +173,16 @@ func (b *Barrier) Absorb(ctx *congest.Context, inbox []congest.Envelope) {
 				b.words++
 			}
 			st.childReports++
+			st.max = max(st.max, int64(env.Msg.Arg(1)))
+			st.failed = st.failed || env.Msg.Arg(3) != 0
+			st.depth = max(st.depth, env.Msg.Arg(2))
 			b.maybeSendUp(ctx, seq, st)
 		case wire.KindBarrierGo:
-			b.release(ctx, seq, b.seq(seq), int64(env.Msg.Arg(1)))
+			st := b.seq(seq)
+			if !st.released {
+				st.max, st.failed = int64(env.Msg.Arg(2)), env.Msg.Arg(3) != 0
+				b.release(ctx, seq, st, int64(env.Msg.Arg(1)))
+			}
 		}
 	}
 }
@@ -161,10 +193,14 @@ func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32, st *barrierSeq) {
 	}
 	st.sentUp = true
 	b.words++
+	depth := max(st.depth, b.tree.Level)
 	if b.tree.IsRoot(ctx.ID()) {
-		b.release(ctx, seq, st, ctx.Round()+b.ReleaseDelay)
+		// The release reaches a node at level k k rounds from now and is
+		// read in that round, so the next phase starts one round after it
+		// reached the deepest node.
+		b.release(ctx, seq, st, ctx.Round()+int64(depth)+1)
 	} else if b.tree.Adopted() {
-		ctx.Send(b.tree.Parent, wire.Msg(wire.KindBarrierUp, seq))
+		ctx.Send(b.tree.Parent, wire.Msg(wire.KindBarrierUp, seq, int32(st.max), depth, flag(st.failed)))
 	}
 	// A node the tree never adopted (disconnected from the root) has nowhere
 	// to report; it stays silent and the barrier never releases, so the run
@@ -172,16 +208,23 @@ func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32, st *barrierSeq) {
 	// cannot agree on anything, and one the model allows us to observe.
 }
 
+// release records barrier seq released at startRound, with the tree-wide
+// value and outcome already in st, and passes it on to the children.
 func (b *Barrier) release(ctx *congest.Context, seq int32, st *barrierSeq, startRound int64) {
-	if st.released {
-		return
-	}
 	st.released = true
 	b.words++
 	st.startRound = startRound
 	for _, child := range b.tree.Children {
-		ctx.Send(child, wire.Msg(wire.KindBarrierGo, seq, int32(startRound)))
+		ctx.Send(child, wire.Msg(wire.KindBarrierGo, seq, int32(startRound), int32(st.max), flag(st.failed)))
 	}
+}
+
+// flag is a boolean as a message argument.
+func flag(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Released reports whether barrier seq has been released at this node.
@@ -198,6 +241,22 @@ func (b *Barrier) StartRound(seq int32) int64 {
 		return st.startRound
 	}
 	return 0
+}
+
+// Max returns the largest value any node arrived at barrier seq with (valid
+// once Released(seq) is true); every node receives the same value.
+func (b *Barrier) Max(seq int32) int64 {
+	if st := b.seqs[seq]; st != nil {
+		return st.max
+	}
+	return 0
+}
+
+// AllOK reports whether every node arrived at barrier seq ok (valid once
+// Released(seq) is true); every node receives the same answer.
+func (b *Barrier) AllOK(seq int32) bool {
+	st := b.seqs[seq]
+	return st != nil && !st.failed
 }
 
 // MemoryWords estimates retained state for metering: one word per recorded

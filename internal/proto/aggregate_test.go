@@ -6,6 +6,7 @@ import (
 	"dhc/internal/congest"
 	"dhc/internal/graph"
 	"dhc/internal/rng"
+	"dhc/internal/rotation"
 )
 
 // countNode builds a BFS tree for bfsBudget rounds, then runs a Counter.
@@ -59,9 +60,13 @@ func TestCounterSumsTree(t *testing.T) {
 	if _, err := net.Run(3); err != nil {
 		t.Fatal(err)
 	}
+	ecc, _ := g.Ecc(0)
 	for v, p := range progs {
 		if p.counter.Total != wantTotal {
 			t.Fatalf("node %d learned total %d, want %d", v, p.counter.Total, wantTotal)
+		}
+		if want := rotation.BroadcastBound(ecc); p.counter.Bound != want {
+			t.Fatalf("node %d learned bound %d, want %d (root eccentricity %d)", v, p.counter.Bound, want, ecc)
 		}
 	}
 }
@@ -85,6 +90,9 @@ func TestCounterCountsNodes(t *testing.T) {
 	for v, p := range progs {
 		if p.counter.Total != 17 {
 			t.Fatalf("node %d counted %d, want 17", v, p.counter.Total)
+		}
+		if p.counter.Bound != 17 { // 2·8+1: the ring's far side is 8 hops from the root
+			t.Fatalf("node %d learned bound %d, want 17", v, p.counter.Bound)
 		}
 	}
 }
@@ -116,7 +124,7 @@ func (n *barrierNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
 		return
 	}
 	if n.barrier == nil {
-		n.barrier = NewBarrier(n.bfs, n.bfsBudget)
+		n.barrier = NewBarrier(n.bfs)
 	}
 	n.barrier.Absorb(ctx, inbox)
 	// Arrive at barrier k once the previous barrier released, after a
@@ -128,7 +136,7 @@ func (n *barrierNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
 				n.arrivedAt[n.nextSeq] = ctx.Round() + n.arrivalGap
 			}
 			if ctx.Round() >= n.arrivedAt[n.nextSeq] {
-				n.barrier.Arrive(ctx, n.nextSeq)
+				n.barrier.Arrive(ctx, n.nextSeq, int64(ctx.ID())%11, n.nextSeq != 1 || ctx.ID() != 7)
 			}
 		}
 	}
@@ -182,6 +190,21 @@ func TestBarrierSequencing(t *testing.T) {
 		if minRelease < maxArrive {
 			t.Fatalf("barrier %d released at round %d before last arrival at %d",
 				s, minRelease, maxArrive)
+		}
+		// Every node agrees on the start round, which lies after the
+		// release reached every node, and on the largest arrival value.
+		start := progs[0].barrier.StartRound(s)
+		for v, p := range progs {
+			if got := p.barrier.StartRound(s); got != start || p.releasedAt[s] >= start {
+				t.Fatalf("barrier %d: node %d released at %d with start round %d, node 0's %d",
+					s, v, p.releasedAt[s], got, start)
+			}
+			if got := p.barrier.Max(s); got != 10 {
+				t.Fatalf("barrier %d: node %d learned max %d, want 10", s, v, got)
+			}
+			if got, want := p.barrier.AllOK(s), s != 1; got != want { // node 7 arrives at barrier 1 not ok
+				t.Fatalf("barrier %d: node %d learned all-ok %v, want %v", s, v, got, want)
+			}
 		}
 	}
 }

@@ -96,7 +96,9 @@ const Attempts = 6
 // BroadcastBound is B = 2·ecc+1 for a scope whose root has eccentricity ecc
 // within it: 2·ecc is at least the scope's diameter, so a broadcast from any
 // member settles within B rounds. Both engines charge the rotation
-// consistency wait at it, and the exact algorithms also bound their
+// consistency wait at it — DHC per partition, for the partition leader's
+// eccentricity, which the exact engine measures with the partition's size
+// count (proto.Counter) — and the exact algorithms also bound their
 // election and BFS settling times by it.
 func BroadcastBound(ecc int) int64 { return int64(2*ecc + 1) }
 

@@ -153,9 +153,11 @@ type Cost struct {
 
 // broadcastBound charges rotation.BroadcastBound of ecc(0), the bound every
 // exact algorithm defaults to, from the allocation-lean eccentricity scan.
-// The exact DHC default (core.defaultB) also floors B at 3⌈log₂ n⌉+6, so on
-// graphs of small diameter the exact engine waits longer per rotation than
-// the step engine charges.
+// Each DHC partition is charged its own bound instead (solvePartition), as
+// the exact engine's partitions measure it: 2·ecc+1 for the partition
+// leader, its smallest id, which is the induced subgraph's vertex 0. The
+// exact DHC scaffolding windows still wait core.defaultB, floored at
+// 3⌈log₂ n⌉+6, where scaffolding charges the largest partition bound.
 func broadcastBound(g *graph.Graph) int64 {
 	if g.N() == 0 {
 		return 1
