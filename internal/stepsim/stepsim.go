@@ -359,6 +359,24 @@ func (s *Session) runPhase1(ctx context.Context, g *graph.Graph, k int, src *rng
 // schedule.
 func scaffolding(b int64) int64 { return 4*b + 8 + 2*b + 2 }
 
+// startDHC is the opening DHC1 and DHC2 share: it seeds the run's source,
+// runs phase 1 over k colours and prices it. Only their phase 2 differs,
+// and it draws from the returned source.
+func (s *Session) startDHC(ctx context.Context, g *graph.Graph, seed uint64, k, workers int) (*phase1Result, *rng.Source, Cost, error) {
+	src := rng.New(seed)
+	s.Hooks.phase("phase1")
+	p1, err := s.runPhase1(ctx, g, k, src, workers)
+	if err != nil {
+		return nil, nil, Cost{}, err
+	}
+	return p1, src, Cost{
+		B:            p1.scopeB,
+		Steps:        p1.steps,
+		Restarts:     p1.restarts,
+		Phase1Rounds: scaffolding(p1.scopeB) + p1.maxRounds,
+	}, nil
+}
+
 // DHC1 simulates Algorithm 2: Phase 1 partitioning plus the hypernode
 // rotation of Phase 2 (with port orientations; see internal/core/hyper.go).
 func DHC1(g *graph.Graph, seed uint64, opts Options) (*cycle.Cycle, Cost, error) {
@@ -369,19 +387,11 @@ func DHC1(g *graph.Graph, seed uint64, opts Options) (*cycle.Cycle, Cost, error)
 // rotation-step batches.
 func (s *Session) DHC1(ctx context.Context, g *graph.Graph, seed uint64, opts Options) (*cycle.Cycle, Cost, error) {
 	numColors, _ := core.Colors(g.N(), opts.NumColors, 0.5) // δ = 1/2 is in range: no error
-	src := rng.New(seed)
-	s.Hooks.phase("phase1")
-	p1, err := s.runPhase1(ctx, g, numColors, src, opts.Workers)
+	p1, src, cost, err := s.startDHC(ctx, g, seed, numColors, opts.Workers)
 	if err != nil {
 		return nil, Cost{}, err
 	}
 	gb := broadcastBound(g)
-	cost := Cost{
-		B:            p1.scopeB,
-		Steps:        p1.steps,
-		Restarts:     p1.restarts,
-		Phase1Rounds: scaffolding(p1.scopeB) + p1.maxRounds,
-	}
 	if numColors == 1 {
 		cost.Rounds = cost.Phase1Rounds
 		hc := p1.cycles[0]
@@ -436,17 +446,9 @@ func (s *Session) DHC2(ctx context.Context, g *graph.Graph, seed uint64, opts Op
 	if err != nil {
 		return nil, Cost{}, fmt.Errorf("stepsim: %w", err)
 	}
-	src := rng.New(seed)
-	s.Hooks.phase("phase1")
-	p1, err := s.runPhase1(ctx, g, numColors, src, opts.Workers)
+	p1, src, cost, err := s.startDHC(ctx, g, seed, numColors, opts.Workers)
 	if err != nil {
 		return nil, Cost{}, err
-	}
-	cost := Cost{
-		B:            p1.scopeB,
-		Steps:        p1.steps,
-		Restarts:     p1.restarts,
-		Phase1Rounds: scaffolding(p1.scopeB) + p1.maxRounds,
 	}
 	s.Hooks.phase("phase2")
 	hc, levels, err := s.runMergeTree(ctx, g, p1.cycles, src, opts.Workers)
