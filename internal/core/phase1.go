@@ -122,14 +122,17 @@ func (p *phase1) scopeBFSStart() int64 { return p.cfg.B + 2 }
 func (p *phase1) countStart() int64    { return 2*p.cfg.B + 3 }
 
 // draStart is the round the partition's DRA begins at this node: its
-// measured start once the count completed here, else the latest start any
-// partition can have.
+// measured start once the count completed here, else lastDRAStart.
 func (p *phase1) draStart() int64 {
 	if p.draAt > 0 {
 		return p.draAt
 	}
-	return 4*p.cfg.B + 8
+	return p.lastDRAStart()
 }
+
+// lastDRAStart is the latest round any partition's DRA begins in: by then a
+// count of depth up to B+2 has completed.
+func (p *phase1) lastDRAStart() int64 { return 4*p.cfg.B + 8 }
 
 // recycled returns a zero phase under cfg that keeps the backing arrays of
 // p's per-port tables: init refills nbColor and the election round refills
@@ -238,7 +241,7 @@ func (p *phase1) tick(ctx *congest.Context, inbox []congest.Envelope) bool {
 		p.counter.Tick(ctx, inbox)
 		if p.draAt == 0 && p.counter.Done() {
 			p.scopeB = p.counter.Bound
-			p.draAt = min(p.countStart()+p.scopeB, 4*p.cfg.B+8)
+			p.draAt = min(p.countStart()+p.scopeB, p.lastDRAStart())
 		}
 	case round >= p.draStart():
 		done = p.tickDRA(ctx, inbox)
