@@ -42,10 +42,10 @@ type phase1Config struct {
 	// NumColors is K, the number of partitions.
 	NumColors int32
 	// B upper-bounds every settling time that must be fixed before a
-	// partition has measured its own: the global BFS and barrier, and the
-	// scoped election, partition BFS and count, whose colour class may
-	// have a larger diameter than the whole graph. The partition's DRA
-	// waits its own bound instead (see tickDRA).
+	// partition has measured its own: the global BFS, and the scoped
+	// election, partition BFS and count, whose colour class may have a
+	// larger diameter than the whole graph. The partition's DRA waits its
+	// own bound instead (see tickDRA), and the barrier measures its tree.
 	B int64
 }
 
