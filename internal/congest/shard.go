@@ -412,14 +412,14 @@ func (s *Shard) invokeOne(v int32, round int64, isInit bool) *Context {
 // buckets, expanding each record edge by edge in send order: each message
 // passes through FaultHook, then is metered against the per-edge bandwidth
 // and bucketed, unless the receiver already holds the same flood payload
-// this round (see deliverRecord). inbound must be the concatenation of the OTHER shards'
-// cross-shard records destined here, in shard order; the records Step
-// retained locally are spliced back in at their sender position (inbound
-// senders below Lo, then local, then the rest), which reconstructs the
-// global sender-ascending order — runs of equal From stay contiguous, so
-// each run is one bandwidth generation exactly as a whole-network shard
-// sees it. It performs no comparison sort and, at steady state, no
-// allocations.
+// this round (see deliverRecord). inbound must be the concatenation of the
+// OTHER shards' cross-shard records destined here, in shard order; the
+// records Step retained locally are spliced back in at their sender
+// position (inbound senders below Lo, then local, then the rest), which
+// reconstructs the global sender-ascending order — runs of equal From stay
+// contiguous, so each run is one bandwidth generation exactly as a
+// whole-network shard sees it. It performs no comparison sort and, at
+// steady state, no allocations.
 func (s *Shard) Deliver(round int64, inbound []Record) error {
 	below := 0
 	for below < len(inbound) && int(inbound[below].From) < s.lo {

@@ -32,10 +32,11 @@ type mergePhase struct {
 	// scope is a union of partitions, and it settles within B as long as
 	// every node of it has a neighbor in each partition of it, so that any
 	// two of its nodes are at most one hop plus one partition's diameter
-	// apart. That holds with high probability wherever every partition has
-	// the minimum degree a subcycle needs, the regime the algorithm is run
-	// in. A level whose floods fail to settle leaves pointers the final
-	// cycle verification rejects.
+	// apart. In G(n, p) a node's neighbors in another partition are as
+	// many, in distribution, as in its own, so this holds with high
+	// probability wherever the partitions are dense enough for their
+	// subcycles, the regime the algorithm runs in. A level whose floods
+	// fail to settle leaves pointers the final cycle verification rejects.
 	B int64
 	K int32
 
