@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"dhc/internal/graph"
 	"dhc/internal/metrics"
@@ -187,16 +186,5 @@ func TestFloodCoalescingOnlyFloodKinds(t *testing.T) {
 		if len(inbox) != want {
 			t.Fatalf("%s: hub read %d copies, want %d", k, len(inbox), want)
 		}
-	}
-}
-
-// TestMailboxIsOneCacheLine: delivery touches a receiver's mailbox for every
-// copy it meters, so on 64-bit hosts the mailbox fills one 64-byte line.
-func TestMailboxIsOneCacheLine(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("layout pinned on 64-bit hosts only")
-	}
-	if got := unsafe.Sizeof(mailbox{}); got != 64 {
-		t.Fatalf("mailbox is %d bytes, want 64", got)
 	}
 }

@@ -352,23 +352,13 @@ type mailbox struct {
 	// message of kind k. invokeOne hands it to the Context, so
 	// Context.Received costs one AND.
 	kinds uint32
-	// flood is the first flood payload in envs, valid while kinds holds a
-	// flood kind. Duplicate copies of it, the common case, are recognized
-	// without reading envs. The struct is 64 bytes, one cache line.
-	flood wire.Message
 }
 
-// holds reports whether envs already holds m, a message of a flood kind:
-// delivery keeps only the first copy of a flood payload per receiver per
-// round. A receiver rarely gets two flood payloads in one round, so after
-// the check against the first one the scan is short.
+// holds reports whether envs already holds m, a message of a flood kind
+// whose kind bit is bit: delivery keeps only the first copy of a flood
+// payload per receiver per round.
 func (b *mailbox) holds(m wire.Message, bit uint32) bool {
-	switch {
-	case b.kinds&floodKinds == 0:
-		return false
-	case b.flood == m:
-		return true
-	case b.kinds&bit == 0:
+	if b.kinds&bit == 0 {
 		return false
 	}
 	for i := range b.envs {
@@ -488,13 +478,8 @@ func (s *Shard) deliverRecord(round int64, r *Record) error {
 		if halted[lv] {
 			continue // metered, but a halted node consumes nothing
 		}
-		if eBit&floodKinds != 0 {
-			if box.holds(e.Msg, eBit) {
-				continue // metered, but the receiver reads one copy of a flood payload
-			}
-			if box.kinds&floodKinds == 0 {
-				box.flood = e.Msg
-			}
+		if eBit&floodKinds != 0 && box.holds(e.Msg, eBit) {
+			continue // metered, but the receiver reads one copy of a flood payload
 		}
 		if len(box.envs) == 0 {
 			s.msgActive = append(s.msgActive, int32(lv))
