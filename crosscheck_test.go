@@ -123,7 +123,8 @@ func TestCrosscheckEnginesLarge(t *testing.T) {
 // tree at levels·(2·scopeB+10) (DHC2) and the hypernode rotation at the
 // global broadcast bound (DHC1), while the exact engine measures its phase 2
 // round by round, timed by the largest partition or global-tree bound the
-// phase-1 barrier reported. The two must agree within the phase-2 slack;
+// phase-1 barrier reported (every node of these dense graphs vouches for
+// every merge level). The two must agree within the phase-2 slack;
 // anything beyond it would mean the phase-2 accounting diverged
 // asymptotically.
 func TestCrosscheckPhase2Costs(t *testing.T) {

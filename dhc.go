@@ -199,12 +199,17 @@ type Options struct {
 	// and DHC2 it is the windows timed before anything is measured: the
 	// global BFS and each partition's election, BFS tree and size count.
 	// Their partitions then wait their own measured bounds (2·depth+1 of
-	// the partition's BFS tree) after each rotation, and the phase after
-	// the barrier waits the largest of those and the global tree's, as the
-	// barrier reports it. Zero keeps each algorithm's default: a tight
-	// bound computed from an eccentricity BFS — global knowledge the
-	// CONGEST model does not actually grant — which DHC floors at
-	// 3⌈log₂ n⌉+6 for colour classes of larger diameter than the graph.
+	// the partition's BFS tree) after each rotation. DHC1's hypernode
+	// phase, whose floods stay within one partition or on the global BFS
+	// tree, waits the largest of those and the global tree's bound, as the
+	// barrier reports it. DHC2's merge levels flood unions of partitions,
+	// which no node measures: a level waits the largest partition bound if
+	// every node has a neighbor in each partition of its union, else B, or
+	// the largest partition bound where that is larger. Zero keeps each
+	// algorithm's default: a tight bound computed from an eccentricity BFS
+	// — global knowledge the CONGEST model does not actually grant — which
+	// DHC floors at 3⌈log₂ n⌉+6 for colour classes of larger diameter than
+	// the graph.
 	// Setting BroadcastBound to n selects the paper's assumption-free
 	// trivial bound for those windows; its long quiet waits are exactly
 	// what the event-driven engine skips. Exact engine only.

@@ -29,11 +29,13 @@ type Options struct {
 	// NumColors overrides K directly when positive (Delta then unused).
 	NumColors int
 	// B bounds the settling times that are fixed before anything is
-	// measured: the global BFS, and each partition's election, BFS tree
-	// and size count. Zero selects defaultB, safe whp for threshold random
-	// graphs and their partitions. The partitions' rotations and restarts
-	// and the phase after the barrier wait bounds the run measures itself
-	// (see phase1), whatever B is.
+	// measured: the global BFS, each partition's election, BFS tree and
+	// size count, and those of DHC2's merge levels whose unions of
+	// partitions not every node vouches for (mergePhase.B). Zero selects
+	// defaultB, safe whp for
+	// threshold random graphs and their partitions. The partitions'
+	// rotations and restarts and DHC1's hypernode phase wait bounds the run
+	// measures itself (see phase1), whatever B is.
 	B int64
 }
 
@@ -76,8 +78,10 @@ func (d *dhc2Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 				return
 			}
 			d.stage = 2
-			d.mp = d.mp.recycled(d.p1.phase2B(), d.cfg.NumColors)
-			d.mp.start(d.p1.color, d.p1.dra.Succ(), d.p1.dra.Pred(), d.p1.phase2Start)
+			tight := d.p1.phase2B()
+			d.mp = d.mp.recycled(d.cfg.NumColors)
+			d.mp.start(d.p1.color, d.p1.dra.Succ(), d.p1.dra.Pred(), d.p1.phase2Start,
+				tight, max(tight, d.cfg.B), d.p1.vouchedMergeLevels())
 		}
 		d.armWake(ctx)
 		return
@@ -179,17 +183,20 @@ func (a *dhc2Algorithm) Bind(g *graph.Graph, netOpts *congest.Options) error {
 	if err != nil {
 		return err
 	}
+	a.cfg.MergeLevels = numMergeLevels(a.cfg.NumColors)
 	if netOpts.MaxRounds == 0 {
-		// Phase 2 adds the merge levels.
-		b, levels := a.cfg.B, int64((&mergePhase{K: a.cfg.NumColors}).levels())
-		netOpts.MaxRounds = budget + levels*(2*b+10) + 4*b + 1024
+		// Phase 2 adds the merge levels, each waiting at most the larger of
+		// B and the largest partition bound, 2(B+2)+1 for a count of depth
+		// B+2.
+		b, levels := a.cfg.B, int64(a.cfg.MergeLevels)
+		netOpts.MaxRounds = budget + levels*(4*b+20) + 4*b + 1024
 	}
 	return nil
 }
 
 // Recycle implements congest.Algorithm, keeping the per-port tables.
 func (a *dhc2Algorithm) Recycle(p *dhc2Node) {
-	*p = dhc2Node{cfg: a.cfg, p1: p.p1.recycled(a.cfg), mp: p.mp.recycled(a.cfg.B, a.cfg.NumColors)}
+	*p = dhc2Node{cfg: a.cfg, p1: p.p1.recycled(a.cfg), mp: p.mp.recycled(a.cfg.NumColors)}
 }
 
 // Extract implements congest.Algorithm: the merged successors form the cycle.

@@ -27,18 +27,24 @@ import (
 // Unlike Phase 1's DRA, merging needs no position indices — only the
 // succ/pred pointers, which is exactly the paper's output format.
 type mergePhase struct {
-	// B is the broadcast settling bound, K the initial color count. B is
-	// phase1.phase2B: at least every partition's measured bound. A level's
-	// scope is a union of partitions, and it settles within B as long as
-	// every node of it has a neighbor in each partition of it, so that any
-	// two of its nodes are at most one hop plus one partition's diameter
-	// apart. In G(n, p) a node's neighbors in another partition are as
-	// many, in distribution, as in its own, so this holds with high
-	// probability wherever the partitions are dense enough for their
-	// subcycles, the regime the algorithm runs in. A level whose floods
-	// fail to settle leaves pointers the final cycle verification rejects.
-	B int64
-	K int32
+	// B is the current level's broadcast settling bound, K the initial
+	// color count. A level's floods run within a union of partitions,
+	// which, like a single colour class, can have a larger diameter than
+	// the whole graph, and no node measures it. But if every node of the
+	// union has a neighbor in each of its partitions, any two of its nodes
+	// are at most one hop plus one partition's diameter apart, so the
+	// union settles within the largest partition bound, tight
+	// (phase1.phase2B). Phase 1's barrier tells every node how many levels,
+	// from level 0, all nodes vouch for that way (tightLevels,
+	// phase1.vouchedMergeLevels); those levels wait tight, and the rest
+	// wait wide, the larger of tight and the global bound the partition
+	// windows wait before their own measurement (phase1Config.B, with its
+	// floor). A level whose floods fail to settle leaves pointers the final
+	// cycle verification rejects.
+	B           int64
+	tight, wide int64
+	tightLevels int32
+	K           int32
 
 	color int32
 	// nbColor[port] is the color the neighbor on that port announced this
@@ -97,31 +103,41 @@ type candidate struct {
 func (m *mergePhase) levelRounds() int64 { return 2*m.B + 10 }
 
 // levels returns the number of merge levels ⌈log₂ K⌉.
-func (m *mergePhase) levels() int32 {
+func (m *mergePhase) levels() int32 { return numMergeLevels(m.K) }
+
+// numMergeLevels returns the number of merge levels for k colors, ⌈log₂ k⌉.
+func numMergeLevels(k int32) int32 {
 	lv := int32(0)
-	for k := m.K; k > 1; k = (k + 1) / 2 {
+	for ; k > 1; k = (k + 1) / 2 {
 		lv++
 	}
 	return lv
 }
 
-// recycled returns a zero phase for bound b and k colors that keeps the
-// backing arrays of m's per-port tables, which every level refills.
-func (m *mergePhase) recycled(b int64, k int32) mergePhase {
-	return mergePhase{B: b, K: k, nbColor: m.nbColor, scopePorts: m.scopePorts[:0], partnerPorts: m.partnerPorts[:0]}
+// recycled returns a zero phase for k colors that keeps the backing arrays
+// of m's per-port tables, which every level refills.
+func (m *mergePhase) recycled(k int32) mergePhase {
+	return mergePhase{K: k, nbColor: m.nbColor, scopePorts: m.scopePorts[:0], partnerPorts: m.partnerPorts[:0]}
 }
 
-// start initializes the phase from Phase 1 results.
-func (m *mergePhase) start(color int32, succ, pred graph.NodeID, startRound int64) {
+// start initializes the phase from Phase 1 results: the levels below
+// tightLevels wait tight, the rest wide (see B).
+func (m *mergePhase) start(color int32, succ, pred graph.NodeID, startRound, tight, wide int64, tightLevels int32) {
 	m.color = color
 	m.succ = succ
 	m.pred = pred
+	m.tight, m.wide, m.tightLevels = tight, wide, tightLevels
 	m.level = 0
 	m.levelStart = startRound
 	m.resetLevel()
 }
 
+// resetLevel clears the per-level scratch and sets the level's bound.
 func (m *mergePhase) resetLevel() {
+	m.B = m.wide
+	if m.level < m.tightLevels {
+		m.B = m.tight
+	}
 	m.nbKnown = 0
 	m.scopePorts = m.scopePorts[:0]
 	m.partnerPorts = m.partnerPorts[:0]

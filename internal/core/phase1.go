@@ -19,6 +19,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"dhc/internal/arena"
 	"dhc/internal/congest"
@@ -44,9 +45,15 @@ type phase1Config struct {
 	// B upper-bounds every settling time that must be fixed before a
 	// partition has measured its own: the global BFS, and the scoped
 	// election, partition BFS and count, whose colour class may have a
-	// larger diameter than the whole graph. The partition's DRA waits its
-	// own bound instead (see tickDRA), and the barrier measures its tree.
+	// larger diameter than the whole graph. DHC2's merge levels, whose
+	// scopes are unions of colour classes, keep it too (mergePhase.B). The
+	// partition's DRA waits its own bound instead (see tickDRA), and the
+	// barrier measures its tree.
 	B int64
+	// MergeLevels is how many DHC2 merge levels follow phase 1, 0 for DHC1.
+	// Each node reports at the barrier how many of them it vouches for
+	// (vouchedLevels).
+	MergeLevels int32
 }
 
 // phase1 is the per-node state of the shared first phase. The embedding node
@@ -66,6 +73,9 @@ type phase1 struct {
 	// floods: each is one SendPorts call over it. It is filled once, in the
 	// election round, when every neighbor's color is in.
 	scopePorts []int32
+	// colorScratch holds the distinct neighbor colors while vouchedLevels
+	// runs; it is kept only so a reused program does not reallocate it.
+	colorScratch []int32
 
 	elect  proto.Flooder
 	leader bool
@@ -111,11 +121,14 @@ type phase1 struct {
 //	                never reached waits until 4B+8, as if d were B+2
 //	then:           global barrier 0, which each node arrives at one round
 //	                after its partition finished, carrying the larger of Bp
-//	                and its global tree level's bound and whether the
-//	                partition succeeded; Phase 2 starts at
-//	                barrier.StartRound(0) if every partition succeeded
-//	                (everySucceeded) and times its floods by the largest
-//	                value carried (phase2B)
+//	                and its global tree level's bound, and 0 if the
+//	                partition failed, else 1 + the merge levels it vouches
+//	                for; Phase 2 starts at barrier.StartRound(0) if every
+//	                partition succeeded (everySucceeded). DHC1's hypernode
+//	                phase times its floods by the largest bound carried
+//	                (phase2B); DHC2's merge levels do too while every node
+//	                vouches for them (vouchedMergeLevels), and wait the
+//	                larger of that and B from the first level one does not
 func (p *phase1) electStart() int64    { return 1 }
 func (p *phase1) electEnd() int64      { return p.cfg.B + 1 }
 func (p *phase1) scopeBFSStart() int64 { return p.cfg.B + 2 }
@@ -140,7 +153,7 @@ func (p *phase1) lastDRAStart() int64 { return 4*p.cfg.B + 8 }
 // that point into the phase (the barrier, the counter) are set up after the
 // copy, by init and tick.
 func (p *phase1) recycled(cfg phase1Config) phase1 {
-	return phase1{cfg: cfg, nbColor: p.nbColor, scopePorts: p.scopePorts[:0]}
+	return phase1{cfg: cfg, nbColor: p.nbColor, scopePorts: p.scopePorts[:0], colorScratch: p.colorScratch[:0]}
 }
 
 func (p *phase1) init(ctx *congest.Context) {
@@ -285,7 +298,11 @@ func (p *phase1) tickDRA(ctx *congest.Context, inbox []congest.Envelope) bool {
 		} else if ctx.Round() > p.finishedAt {
 			p.arrived = true
 			treeB := rotation.BroadcastBound(int(p.globalBFS.Level))
-			p.barrier.Arrive(ctx, 0, max(p.scopeB, treeB), p.succeeded())
+			var grade int64
+			if p.succeeded() {
+				grade = 1 + int64(p.vouchedLevels())
+			}
+			p.barrier.Arrive(ctx, 0, max(p.scopeB, treeB), grade)
 		}
 	}
 	if p.arrived && p.barrier.Released(0) {
@@ -349,18 +366,58 @@ func (p *phase1) treeNeighbors(ctx *congest.Context) []graph.NodeID {
 	return append(nbrs, t.Children...)
 }
 
-// phase2B is the broadcast bound of the phase after the barrier: the largest
-// value any node arrived with, so at least every partition's measured bound
-// and the global tree's, 2·depth+1 for the tree rooted at node 0. Every
-// partition flood and every tree flood therefore settles within it. Valid
-// once the barrier released.
+// phase2B is the largest value any node arrived at the barrier with, so at
+// least every partition's measured bound and the global tree's, 2·depth+1
+// for the tree rooted at node 0. Every partition flood and every tree flood
+// therefore settles within it, which covers every flood of DHC1's hypernode
+// phase; a flood over a union of partitions may need longer (mergePhase.B).
+// Valid once the barrier released.
 func (p *phase1) phase2B() int64 { return p.barrier.Max(0) }
 
 // everySucceeded reports whether every partition completed its subcycle, as
 // the barrier learned from the arrivals. Without that there is nothing to
 // join, so Phase 2 does not run: every node halts once the barrier released
 // and the run ends without a cycle. Valid once the barrier released.
-func (p *phase1) everySucceeded() bool { return p.barrier.AllOK(0) }
+func (p *phase1) everySucceeded() bool { return p.barrier.Min(0) > 0 }
+
+// vouchedMergeLevels is how many merge levels, from level 0, every node
+// vouches for (vouchedLevels). Valid once the barrier released and
+// everySucceeded.
+func (p *phase1) vouchedMergeLevels() int32 { return int32(p.barrier.Min(0) - 1) }
+
+// vouchedLevels returns how many of the cfg.MergeLevels merge levels, from
+// level 0, this node vouches for. Level l's scope is the colour classes c
+// with c>>l == color>>l, and the node vouches for it if it has a neighbor
+// in each of them but its own. When every node of a scope does, any two of
+// its nodes are at most one hop plus one partition's diameter apart, so the
+// scope settles within the largest partition bound (mergePhase.B). Level 0's
+// scope is the node's own class, and each level's scope holds the last
+// one's, so the first level it cannot vouch for ends the count.
+func (p *phase1) vouchedLevels() int32 {
+	levels, k := p.cfg.MergeLevels, p.cfg.NumColors
+	if levels <= 1 {
+		return levels
+	}
+	cs := p.colorScratch[:0]
+	for _, c := range p.nbColor {
+		if c != p.color && c >= 0 && c < k {
+			cs = append(cs, c)
+		}
+	}
+	slices.Sort(cs)
+	cs = slices.Compact(cs)
+	p.colorScratch = cs
+	for l := int32(1); l < levels; l++ {
+		lo := p.color >> l << l
+		hi := min(lo+1<<l, k)
+		i, _ := slices.BinarySearch(cs, lo)
+		j, _ := slices.BinarySearch(cs, hi)
+		if int32(j-i) < hi-lo-1 {
+			return l
+		}
+	}
+	return levels
+}
 
 // succeeded reports whether this node's partition completed its subcycle.
 func (p *phase1) succeeded() bool {

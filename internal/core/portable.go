@@ -14,7 +14,7 @@ import (
 // resolved values (NumColors after clamping, B after defaultB's
 // rotation.BroadcastBound), which DHC2Session's Bind computes.
 func NewDHC2Node(spec congest.ProgramSpec) congest.Node {
-	return &dhc2Node{cfg: phase1Config{NumColors: spec.NumColors, B: spec.B}}
+	return &dhc2Node{cfg: phase1Config{NumColors: spec.NumColors, B: spec.B, MergeLevels: numMergeLevels(spec.NumColors)}}
 }
 
 var _ congest.PortableProgram = (*dhc2Node)(nil)

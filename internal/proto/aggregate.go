@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"math"
+
 	"dhc/internal/congest"
 	"dhc/internal/rotation"
 	"dhc/internal/wire"
@@ -97,12 +99,12 @@ func (c *Counter) announceDown(ctx *congest.Context) {
 func (c *Counter) Done() bool { return c.Total >= 0 }
 
 // Barrier synchronizes global phase transitions over a network-wide BFS
-// tree: every node Arrives at numbered barriers in order, with a value and
-// an outcome; a node reports "subtree at barrier s" to its parent once it
-// has arrived and all children reported, carrying the largest value, whether
-// every outcome was ok, and the deepest tree level of its subtree; the root
-// then releases the barrier down the tree with the tree-wide largest value
-// and outcome. One barrier costs O(tree depth) rounds — within the paper's
+// tree: every node Arrives at numbered barriers in order, with two values; a
+// node reports "subtree at barrier s" to its parent once it has arrived and
+// all children reported, carrying the largest first value, the smallest
+// second value and the deepest tree level of its subtree; the root then
+// releases the barrier down the tree with the tree-wide largest and
+// smallest. One barrier costs O(tree depth) rounds — within the paper's
 // round budgets, which are all Ω(diameter) — and the reports measure that
 // depth, so the release needs no bound on it.
 type Barrier struct {
@@ -120,13 +122,12 @@ type barrierSeq struct {
 	sentUp       bool
 	released     bool
 	startRound   int64
-	// max is the largest value arrived with in this node's subtree so
-	// far, and after the release the tree-wide largest; failed is whether
-	// any of those arrivals was not ok, likewise; depth is the deepest
-	// tree level reported from the subtree so far.
-	max    int64
-	failed bool
-	depth  int32
+	// max is the largest first value arrived with in this node's subtree
+	// so far, and after the release the tree-wide largest; min is the
+	// smallest second value, likewise; depth is the deepest tree level
+	// reported from the subtree so far.
+	max, min int64
+	depth    int32
 }
 
 // NewBarrier creates barrier state over a final BFS tree.
@@ -138,23 +139,24 @@ func NewBarrier(tree *BFSState) *Barrier {
 func (b *Barrier) seq(seq int32) *barrierSeq {
 	st := b.seqs[seq]
 	if st == nil {
-		st = &barrierSeq{}
+		st = &barrierSeq{min: math.MaxInt32}
 		b.seqs[seq] = st
 	}
 	return st
 }
 
-// Arrive marks this node's arrival at barrier seq with a non-negative value
-// that fits in int32 and whether its part of the phase went ok (idempotent:
-// a second arrival changes nothing).
-func (b *Barrier) Arrive(ctx *congest.Context, seq int32, value int64, ok bool) {
+// Arrive marks this node's arrival at barrier seq with two non-negative
+// values that fit in int32: hi joins the tree-wide largest (Max), lo the
+// tree-wide smallest (Min). It is idempotent: a second arrival changes
+// nothing.
+func (b *Barrier) Arrive(ctx *congest.Context, seq int32, hi, lo int64) {
 	st := b.seq(seq)
 	if st.arrived {
 		return
 	}
 	st.arrived = true
-	st.max = max(st.max, value)
-	st.failed = st.failed || !ok
+	st.max = max(st.max, hi)
+	st.min = min(st.min, lo)
 	b.words++
 	b.maybeSendUp(ctx, seq, st)
 }
@@ -174,13 +176,13 @@ func (b *Barrier) Absorb(ctx *congest.Context, inbox []congest.Envelope) {
 			}
 			st.childReports++
 			st.max = max(st.max, int64(env.Msg.Arg(1)))
-			st.failed = st.failed || env.Msg.Arg(3) != 0
+			st.min = min(st.min, int64(env.Msg.Arg(3)))
 			st.depth = max(st.depth, env.Msg.Arg(2))
 			b.maybeSendUp(ctx, seq, st)
 		case wire.KindBarrierGo:
 			st := b.seq(seq)
 			if !st.released {
-				st.max, st.failed = int64(env.Msg.Arg(2)), env.Msg.Arg(3) != 0
+				st.max, st.min = int64(env.Msg.Arg(2)), int64(env.Msg.Arg(3))
 				b.release(ctx, seq, st, int64(env.Msg.Arg(1)))
 			}
 		}
@@ -200,7 +202,7 @@ func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32, st *barrierSeq) {
 		// reached the deepest node.
 		b.release(ctx, seq, st, ctx.Round()+int64(depth)+1)
 	} else if b.tree.Adopted() {
-		ctx.Send(b.tree.Parent, wire.Msg(wire.KindBarrierUp, seq, int32(st.max), depth, flag(st.failed)))
+		ctx.Send(b.tree.Parent, wire.Msg(wire.KindBarrierUp, seq, int32(st.max), depth, int32(st.min)))
 	}
 	// A node the tree never adopted (disconnected from the root) has nowhere
 	// to report; it stays silent and the barrier never releases, so the run
@@ -209,22 +211,14 @@ func (b *Barrier) maybeSendUp(ctx *congest.Context, seq int32, st *barrierSeq) {
 }
 
 // release records barrier seq released at startRound, with the tree-wide
-// value and outcome already in st, and passes it on to the children.
+// largest and smallest already in st, and passes it on to the children.
 func (b *Barrier) release(ctx *congest.Context, seq int32, st *barrierSeq, startRound int64) {
 	st.released = true
 	b.words++
 	st.startRound = startRound
 	for _, child := range b.tree.Children {
-		ctx.Send(child, wire.Msg(wire.KindBarrierGo, seq, int32(startRound), int32(st.max), flag(st.failed)))
+		ctx.Send(child, wire.Msg(wire.KindBarrierGo, seq, int32(startRound), int32(st.max), int32(st.min)))
 	}
-}
-
-// flag is a boolean as a message argument.
-func flag(b bool) int32 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Released reports whether barrier seq has been released at this node.
@@ -243,8 +237,8 @@ func (b *Barrier) StartRound(seq int32) int64 {
 	return 0
 }
 
-// Max returns the largest value any node arrived at barrier seq with (valid
-// once Released(seq) is true); every node receives the same value.
+// Max returns the largest hi any node arrived at barrier seq with (valid once
+// Released(seq) is true); every node receives the same value.
 func (b *Barrier) Max(seq int32) int64 {
 	if st := b.seqs[seq]; st != nil {
 		return st.max
@@ -252,11 +246,13 @@ func (b *Barrier) Max(seq int32) int64 {
 	return 0
 }
 
-// AllOK reports whether every node arrived at barrier seq ok (valid once
-// Released(seq) is true); every node receives the same answer.
-func (b *Barrier) AllOK(seq int32) bool {
-	st := b.seqs[seq]
-	return st != nil && !st.failed
+// Min returns the smallest lo any node arrived at barrier seq with (valid
+// once Released(seq) is true); every node receives the same value.
+func (b *Barrier) Min(seq int32) int64 {
+	if st := b.seqs[seq]; st != nil {
+		return st.min
+	}
+	return 0
 }
 
 // MemoryWords estimates retained state for metering: one word per recorded

@@ -136,7 +136,7 @@ func (n *barrierNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
 				n.arrivedAt[n.nextSeq] = ctx.Round() + n.arrivalGap
 			}
 			if ctx.Round() >= n.arrivedAt[n.nextSeq] {
-				n.barrier.Arrive(ctx, n.nextSeq, int64(ctx.ID())%11, n.nextSeq != 1 || ctx.ID() != 7)
+				n.barrier.Arrive(ctx, n.nextSeq, int64(ctx.ID())%11, n.low(ctx.ID()))
 			}
 		}
 	}
@@ -151,6 +151,15 @@ func (n *barrierNode) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	if n.nextSeq >= 3 {
 		ctx.Halt()
 	}
+}
+
+// low is the second value node v arrives at the next barrier with: at
+// barrier s, 3+s at node 7 and more elsewhere.
+func (n *barrierNode) low(v graph.NodeID) int64 {
+	if v == 7 {
+		return 3 + int64(n.nextSeq)
+	}
+	return 4 + int64(n.nextSeq) + int64(v)%5
 }
 
 func TestBarrierSequencing(t *testing.T) {
@@ -202,8 +211,8 @@ func TestBarrierSequencing(t *testing.T) {
 			if got := p.barrier.Max(s); got != 10 {
 				t.Fatalf("barrier %d: node %d learned max %d, want 10", s, v, got)
 			}
-			if got, want := p.barrier.AllOK(s), s != 1; got != want { // node 7 arrives at barrier 1 not ok
-				t.Fatalf("barrier %d: node %d learned all-ok %v, want %v", s, v, got, want)
+			if got, want := p.barrier.Min(s), int64(3+s); got != want {
+				t.Fatalf("barrier %d: node %d learned min %d, want %d", s, v, got, want)
 			}
 		}
 	}

@@ -157,7 +157,10 @@ type Cost struct {
 // the exact engine's partitions measure it: 2·ecc+1 for the partition
 // leader, its smallest id, which is the induced subgraph's vertex 0. The
 // exact DHC scaffolding windows still wait core.defaultB, floored at
-// 3⌈log₂ n⌉+6, where scaffolding charges the largest partition bound.
+// 3⌈log₂ n⌉+6, where scaffolding charges the largest partition bound, and
+// so do exact DHC2's merge levels from the first one whose union of
+// partitions some node lacks a neighbor in (core's mergePhase.B); the step
+// engine charges every merge level the largest partition bound.
 func broadcastBound(g *graph.Graph) int64 {
 	if g.N() == 0 {
 		return 1
