@@ -46,9 +46,10 @@ type phase1Config struct {
 	// partition has measured its own: the global BFS, and the scoped
 	// election, partition BFS and count, whose colour class may have a
 	// larger diameter than the whole graph. DHC2's merge levels, whose
-	// scopes are unions of colour classes, keep it too (mergePhase.B). The
-	// partition's DRA waits its own bound instead (see tickDRA), and the
-	// barrier measures its tree.
+	// scopes are unions of colour classes, fall back to it from the first
+	// level not every node vouches for (mergePhase.B). The partition's DRA
+	// waits its own bound instead (see tickDRA), and the barrier measures
+	// its tree.
 	B int64
 	// MergeLevels is how many DHC2 merge levels follow phase 1, 0 for DHC1.
 	// Each node reports at the barrier how many of them it vouches for
