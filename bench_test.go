@@ -141,7 +141,7 @@ func BenchmarkE4_DHC2Rounds(b *testing.B) {
 func BenchmarkE5_MergeBridges(b *testing.B) {
 	g := graph.GNP(240, 0.75, rng.New(99))
 	for i := 0; i < b.N; i++ {
-		res, err := core.NewDHC2Session(core.Options{NumColors: 8, B: 10}).RunLocal(g, uint64(i), congest.Options{})
+		res, err := core.NewDHC2Session(core.Options{NumColors: 8}).RunLocal(g, uint64(i), congest.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

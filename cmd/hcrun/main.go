@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		recipe    = fs.String("graph", "gnp", "graph recipe FAMILY/n=N/param=C/delta=D/gs=SEED (omitted keys default)")
 		seed      = fs.Uint64("seed", 1, "solver seed (the graph seed is the recipe's gs)")
 		engine    = fs.String("engine", "exact", "engine: exact or step")
-		bound     = fs.Int64("bound", 0, "broadcast-bound override B for the exact engines: every wait of dra and upcast, the windows before a DHC partition has measured its own bound, and the dhc2 merge levels whose partition unions not every node vouches for (0 = eccentricity default)")
 		maxR      = fs.Int64("maxrounds", 0, "round-budget override for the exact engines (0 = derived default)")
 		timeout   = fs.Duration("timeout", 0, "wall-clock bound on the run (0 = none)")
 		progress  = fs.Bool("progress", false, "stream phases, restarts and round progress to stderr")
@@ -96,16 +95,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	opts := dhc.Options{
-		Seed:           *seed,
-		Engine:         eng,
-		Delta:          r.Delta,
-		NumColors:      *colors,
-		Workers:        *workers,
-		BroadcastBound: *bound,
-		MaxRounds:      *maxR,
-		Shards:         *shards,
-		Transport:      *transport,
-		ShardBinary:    *shardBin,
+		Seed:        *seed,
+		Engine:      eng,
+		Delta:       r.Delta,
+		NumColors:   *colors,
+		Workers:     *workers,
+		MaxRounds:   *maxR,
+		Shards:      *shards,
+		Transport:   *transport,
+		ShardBinary: *shardBin,
 	}
 	if *progress {
 		opts.Observer = progressObserver(stderr)

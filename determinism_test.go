@@ -4,8 +4,8 @@ package dhc
 // byte-identical cycle and identical cost metrics for both engines, at every
 // Workers value. This pins the step engine's sharded phase 1 AND parallel
 // phase-2 merge tree to sequential behavior — the property reproducible
-// experiments rely on — and pins that the exact engine, which ignores
-// Workers, gives the same result at every value.
+// experiments rely on. The exact engine ignores Workers, so a run and a
+// same-seed repeat cover it.
 
 import (
 	"context"
@@ -67,31 +67,23 @@ func TestDeterminismAcrossWorkersStep(t *testing.T) {
 	}
 }
 
+// TestDeterminismAcrossWorkersExact: the exact engine ignores Workers, so
+// one run and a same-seed repeat at another Workers value must agree byte
+// for byte (TestGoldenExact pins the values themselves).
 func TestDeterminismAcrossWorkersExact(t *testing.T) {
 	g := NewGNP(160, 0.7, 13)
 	for _, algo := range []Algorithm{AlgorithmDHC1, AlgorithmDHC2} {
 		t.Run(algo.String(), func(t *testing.T) {
 			var want string
-			var wantP2 int64
-			for _, workers := range workerGrid {
-				res, err := Solve(g, algo, Options{
-					Seed: 5, NumColors: 8, Workers: workers,
-				})
+			for _, workers := range []int{1, 4} {
+				res, err := Solve(g, algo, Options{Seed: 5, NumColors: 8, Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
-				got := fingerprint(res)
-				if want == "" {
+				if got := fingerprint(res); want == "" {
 					want = got
-					wantP2 = res.Phase2Rounds
-					continue
-				}
-				if got != want {
+				} else if got != want {
 					t.Fatalf("workers=%d diverged:\n got %s\nwant %s", workers, got, want)
-				}
-				if res.Phase2Rounds != wantP2 {
-					t.Fatalf("workers=%d: Phase2Rounds %d, want %d",
-						workers, res.Phase2Rounds, wantP2)
 				}
 			}
 		})
@@ -124,38 +116,36 @@ func solveDense(g *Graph, algo Algorithm, opts Options) (*Result, error) {
 
 // TestEventDrivenMatchesDenseSweep is the differential test of the
 // event-driven exact engine against its dense-sweep oracle: for both DHC
-// algorithms, across the full worker grid, the event-driven runs must
-// produce the dense sweep's cycle, round counts, and message/bit counters
-// byte for byte — while actually skipping rounds and invoking far fewer
-// nodes, or the engine isn't event-driven at all.
+// algorithms, the event-driven run must produce the dense sweep's cycle,
+// round counts, and message/bit counters byte for byte — while actually
+// skipping rounds and invoking far fewer nodes, or the engine isn't
+// event-driven at all.
 func TestEventDrivenMatchesDenseSweep(t *testing.T) {
 	skipIfShort(t)
 	g := NewGNP(160, 0.7, 13)
 	for _, algo := range []Algorithm{AlgorithmDHC1, AlgorithmDHC2} {
 		t.Run(algo.String(), func(t *testing.T) {
-			dense, err := solveDense(g, algo, Options{Seed: 5, NumColors: 8})
+			opts := Options{Seed: 5, NumColors: 8}
+			dense, err := solveDense(g, algo, opts)
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
 			if dense.Counters.RoundsSkipped != 0 {
 				t.Fatalf("dense sweep skipped %d rounds", dense.Counters.RoundsSkipped)
 			}
-			want := eventVsDenseFingerprint(dense)
-			for _, workers := range workerGrid {
-				res, err := Solve(g, algo, Options{Seed: 5, NumColors: 8, Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if got := eventVsDenseFingerprint(res); got != want {
-					t.Fatalf("workers=%d diverged from the dense sweep:\n got %s\nwant %s", workers, got, want)
-				}
-				if res.Counters.RoundsSkipped == 0 {
-					t.Fatal("event-driven run skipped no rounds")
-				}
-				if res.Counters.Invocations >= dense.Counters.Invocations {
-					t.Fatalf("event-driven run invoked %d nodes, dense %d — no activity savings",
-						res.Counters.Invocations, dense.Counters.Invocations)
-				}
+			res, err := Solve(g, algo, opts)
+			if err != nil {
+				t.Fatalf("event-driven: %v", err)
+			}
+			if got, want := eventVsDenseFingerprint(res), eventVsDenseFingerprint(dense); got != want {
+				t.Fatalf("event-driven run diverged from the dense sweep:\n got %s\nwant %s", got, want)
+			}
+			if res.Counters.RoundsSkipped == 0 {
+				t.Fatal("event-driven run skipped no rounds")
+			}
+			if res.Counters.Invocations >= dense.Counters.Invocations {
+				t.Fatalf("event-driven run invoked %d nodes, dense %d — no activity savings",
+					res.Counters.Invocations, dense.Counters.Invocations)
 			}
 		})
 	}

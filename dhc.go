@@ -193,33 +193,15 @@ type Options struct {
 	// byte-identical results; only wall-clock changes. The exact engine
 	// ignores it: it runs on one goroutine, or on Shards workers.
 	Workers int
-	// BroadcastBound overrides B, the bound the exact engine's
-	// broadcast/BFS settling waits are charged at. For DRA and Upcast that
-	// is every wait (DRA's rotation consistency waits included). For DHC1
-	// and DHC2 it is the windows timed before anything is measured: the
-	// global BFS and each partition's election, BFS tree and size count.
-	// Their partitions then wait their own measured bounds (2·depth+1 of
-	// the partition's BFS tree) after each rotation. DHC1's hypernode
-	// phase, whose floods stay within one partition or on the global BFS
-	// tree, waits the largest of those and the global tree's bound, as the
-	// barrier reports it. DHC2's merge levels flood unions of partitions,
-	// which no node measures: a level waits the largest partition bound if
-	// every node has a neighbor in each partition of its union, else B, or
-	// the largest partition bound where that is larger. Zero keeps each
-	// algorithm's default: a tight bound computed from an eccentricity BFS
-	// — global knowledge the CONGEST model does not actually grant — which
-	// DHC floors at 3⌈log₂ n⌉+6 for colour classes of larger diameter than
-	// the graph.
-	// Setting BroadcastBound to n selects the paper's assumption-free
-	// trivial bound for those windows; its long quiet waits are exactly
-	// what the event-driven engine skips. Exact engine only.
-	BroadcastBound int64
 	// MaxRounds overrides the exact engine's round budget — the watchdog
 	// that turns a non-terminating run into ErrRoundLimit. Zero keeps each
-	// algorithm's derived default; negatives are rejected up front (like
-	// BroadcastBound, a negative budget would surface as a round-limit
-	// failure and corrupt the failure taxonomy). Ignored by EngineStep,
-	// which has no round loop to bound — use a context deadline there.
+	// algorithm's derived default; negatives are rejected up front (a
+	// negative budget would surface as a round-limit failure and corrupt
+	// the failure taxonomy). Ignored by EngineStep, which has no round loop
+	// to bound — use a context deadline there. The exact engine's broadcast
+	// bound is not an option: every run computes it from one BFS of the
+	// graph (rotation.GraphBound), which also refuses a disconnected graph
+	// as no Hamiltonian cycle before round 0.
 	MaxRounds int64
 	// Shards > 1 runs the exact engine distributed: the vertex set is
 	// partitioned into that many contiguous shards, each executed by its own
@@ -458,7 +440,7 @@ type Solver struct {
 var ErrSolverInUse = errors.New("dhc: solver in concurrent use")
 
 // NewSolver validates the configuration up front — unknown algorithm or
-// engine, negative BroadcastBound or MaxRounds — and returns a reusable
+// engine, negative MaxRounds or Shards — and returns a reusable
 // Solver. Validation here rather than per call means a Solver that
 // constructed successfully cannot fail on configuration later.
 func NewSolver(algo Algorithm, opts Options) (*Solver, error) {
@@ -471,15 +453,10 @@ func NewSolver(algo Algorithm, opts Options) (*Solver, error) {
 	if _, ok := algorithmNames[algo]; !ok {
 		return nil, fmt.Errorf("dhc: unknown algorithm %d", algo)
 	}
-	if opts.BroadcastBound < 0 {
-		// A negative bound would poison the derived round budgets and
-		// surface as a round-limit failure, which wrapNoHC would then
-		// misclassify as a genuine no-cycle outcome; reject it up front.
-		return nil, fmt.Errorf("dhc: broadcast bound %d must be >= 0", opts.BroadcastBound)
-	}
 	if opts.MaxRounds < 0 {
-		// Same reasoning as BroadcastBound: a negative budget is a usage
-		// error, not a round-limit verdict.
+		// A negative budget would surface as a round-limit failure, which
+		// wrapNoHC would then misclassify as a genuine no-cycle outcome;
+		// reject it up front as the usage error it is.
 		return nil, fmt.Errorf("dhc: max rounds %d must be >= 0", opts.MaxRounds)
 	}
 	if opts.Shards < 0 {
@@ -512,13 +489,13 @@ func NewSolver(algo Algorithm, opts Options) (*Solver, error) {
 		}
 		switch algo {
 		case AlgorithmDRA:
-			s.exact = dra.NewSession(dra.NodeOptions{BroadcastRounds: opts.BroadcastBound}).Run
+			s.exact = dra.NewSession(dra.NodeOptions{}).Run
 		case AlgorithmDHC1:
-			s.exact = core.NewDHC1Session(core.Options{NumColors: opts.NumColors, B: opts.BroadcastBound}).Run
+			s.exact = core.NewDHC1Session(core.Options{NumColors: opts.NumColors}).Run
 		case AlgorithmDHC2:
-			s.exact = core.NewDHC2Session(core.Options{Delta: opts.Delta, NumColors: opts.NumColors, B: opts.BroadcastBound}).Run
+			s.exact = core.NewDHC2Session(core.Options{Delta: opts.Delta, NumColors: opts.NumColors}).Run
 		case AlgorithmUpcast:
-			s.exact = upcast.NewSession(upcast.Options{B: opts.BroadcastBound}).Run
+			s.exact = upcast.NewSession().Run
 		}
 	}
 	return s, nil
@@ -634,6 +611,7 @@ var noCycleErrs = []error{
 	core.ErrNoHC,
 	dra.ErrFailed,
 	upcast.ErrNoHC,
+	congest.ErrDisconnected,
 	congest.ErrRoundLimit,
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dhc/internal/congest"
 	"dhc/internal/graph"
 )
 
@@ -97,8 +98,6 @@ func TestConfigErrorsAreNotNoCycle(t *testing.T) {
 		{"dhc2/step/delta-zero", AlgorithmDHC2, Options{Seed: 1, Engine: EngineStep}},
 		{"dhc2/exact/delta-too-big", AlgorithmDHC2, Options{Seed: 1, Delta: 2.5}},
 		{"dhc2/exact/delta-zero", AlgorithmDHC2, Options{Seed: 1}},
-		{"dhc2/exact/negative-bound", AlgorithmDHC2, Options{Seed: 1, Delta: 0.5, BroadcastBound: -5}},
-		{"dhc1/exact/negative-bound", AlgorithmDHC1, Options{Seed: 1, BroadcastBound: -5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,6 +133,51 @@ func TestTinyGraphsAreErrorsOnBothEngines(t *testing.T) {
 					_, class, err := Trial(g, algo, Options{Seed: 1, Engine: engine, Delta: 0.5})
 					if class != FailureError {
 						t.Fatalf("class %s (%v), want %s", class, err, FailureError)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestDisconnectedInputIsNoHCOnBothEngines: a disconnected graph has no
+// Hamiltonian cycle, so every algorithm on both engines must classify it as
+// no_hc, never round_limit. Three are the recipe gnp/n=16/param=2/delta=1 at
+// graph seeds 11, 45 and 50, where vertex 0 reaches 15 of the 16 vertices;
+// the fourth is two disjoint K4s. The exact engine refuses them before round
+// 0, from the BFS that gives the broadcast bound.
+func TestDisconnectedInputIsNoHCOnBothEngines(t *testing.T) {
+	var k4s []graph.Edge
+	for _, base := range []graph.NodeID{0, 4} {
+		for u := graph.NodeID(0); u < 4; u++ {
+			for v := u + 1; v < 4; v++ {
+				k4s = append(k4s, graph.Edge{U: base + u, V: base + v})
+			}
+		}
+	}
+	inputs := []struct {
+		name string
+		g    *Graph
+	}{{"two-K4", graph.FromEdges(8, k4s)}}
+	for _, gs := range []uint64{11, 45, 50} {
+		inputs = append(inputs, struct {
+			name string
+			g    *Graph
+		}{fmt.Sprintf("gnp/n=16/param=2/delta=1/gs=%d", gs), NewGNP(16, ThresholdP(16, 2, 1), gs)})
+	}
+	for _, in := range inputs {
+		if in.g.Connected() {
+			t.Fatalf("%s is connected", in.name)
+		}
+		for _, algo := range []Algorithm{AlgorithmDRA, AlgorithmDHC1, AlgorithmDHC2, AlgorithmUpcast} {
+			for _, engine := range []Engine{EngineExact, EngineStep} {
+				t.Run(fmt.Sprintf("%s/%s/%s", in.name, algo, engine), func(t *testing.T) {
+					_, class, err := Trial(in.g, algo, Options{Seed: 1, Engine: engine, Delta: 1})
+					if class != FailureNoHC {
+						t.Fatalf("class %s (%v), want %s", class, err, FailureNoHC)
+					}
+					if engine == EngineExact && !errors.Is(err, congest.ErrDisconnected) {
+						t.Fatalf("exact run got past the connectivity check: %v", err)
 					}
 				})
 			}

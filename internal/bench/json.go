@@ -50,8 +50,9 @@ type Record struct {
 	GraphSeed uint64 `json:"graph_seed"`
 	// NumColors is the partition count K passed to the run (0 = derived).
 	NumColors int `json:"num_colors,omitempty"`
-	// BroadcastBound is the B override passed to the run (0 = the
-	// algorithm's default tight bound).
+	// BroadcastBound is the B override a legacy run was given (the
+	// trivial B = n of BENCH_pr3.json). The option is gone: every run now
+	// computes its bound, so only committed reports carry this field.
 	BroadcastBound int64 `json:"broadcast_bound,omitempty"`
 	// Workers is the worker-pool bound the run was measured at.
 	Workers int `json:"workers"`

@@ -2,13 +2,19 @@ package congest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"dhc/internal/arena"
 	"dhc/internal/cycle"
 	"dhc/internal/graph"
 	"dhc/internal/metrics"
+	"dhc/internal/rotation"
 )
+
+// ErrDisconnected is Session.Run's verdict on a graph whose vertex 0 does
+// not reach every vertex: no Hamiltonian cycle exists, so no round runs.
+var ErrDisconnected = errors.New("graph is disconnected")
 
 // Result is a successful Session run. Steps is the rotation-step total the
 // algorithm reports (DHC1/DHC2 sum it over partitions and phases, as the
@@ -25,9 +31,10 @@ type Result struct {
 
 // Algorithm is what one algorithm contributes to a Session.
 type Algorithm[P Node] interface {
-	// Bind resolves the run's parameters for g, which has n >= 3, and sets
-	// opts.MaxRounds to the algorithm's round budget when it is zero.
-	Bind(g *graph.Graph, opts *Options) error
+	// Bind resolves the run's parameters for g, which is connected and has
+	// n >= 3, from b, its rotation.GraphBound, and sets opts.MaxRounds to
+	// the algorithm's round budget when it is zero.
+	Bind(g *graph.Graph, b int64, opts *Options) error
 	// Recycle readies one program, the previous run's or a zero one.
 	Recycle(p P)
 	// Extract reads the halted programs into res, whose Counters are set.
@@ -67,13 +74,19 @@ func (s *Session[T, P]) RunLocal(g *graph.Graph, seed uint64, opts Options) (*Re
 
 // Run binds the programs to g, resets ex to them and executes one trial,
 // honoring ctx at the executor's amortized cancellation checkpoint. A
-// cancelled run returns ctx's error and leaves the session reusable.
+// cancelled run returns ctx's error and leaves the session reusable. The
+// BFS that gives g's broadcast bound also checks that g is connected: a
+// disconnected g ends in ErrDisconnected before round 0.
 func (s *Session[T, P]) Run(ctx context.Context, ex Runner, g *graph.Graph, seed uint64, opts Options) (*Result, error) {
 	n := g.N()
 	if n < 3 {
 		return nil, fmt.Errorf("%s: need n >= 3, got %d", s.name, n)
 	}
-	if err := s.algo.Bind(g, &opts); err != nil {
+	b, reached := rotation.GraphBound(g)
+	if reached < n {
+		return nil, fmt.Errorf("%s: %w: vertex 0 reaches %d of %d vertices", s.name, ErrDisconnected, reached, n)
+	}
+	if err := s.algo.Bind(g, b, &opts); err != nil {
 		return nil, err
 	}
 	s.progs = arena.Resize(s.progs, n)

@@ -136,7 +136,8 @@ func TestMergeLevelsFallBackToGlobalBound(t *testing.T) {
 	g := graph.GNP(256, 0.6, rng.New(4))
 	a := &dhc2Algorithm{binding{opts: Options{NumColors: 8}}}
 	netOpts := congest.Options{}
-	if err := a.Bind(g, &netOpts); err != nil {
+	b, _ := rotation.GraphBound(g)
+	if err := a.Bind(g, b, &netOpts); err != nil {
 		t.Fatal(err)
 	}
 	progs := make([]*dhc2Node, g.N())
@@ -225,7 +226,8 @@ func runBlockPath(t *testing.T, mutant bool) (error, int64, int64) {
 		}
 		return m, true
 	}}
-	if err := a.Bind(g, &netOpts); err != nil {
+	b, _ := rotation.GraphBound(g)
+	if err := a.Bind(g, b, &netOpts); err != nil {
 		t.Fatal(err)
 	}
 	progs := make([]*dhc2Node, g.N())

@@ -85,8 +85,8 @@ func NewDHC1Session(opts Options) *DHC1Session {
 type dhc1Algorithm struct{ binding }
 
 // Bind implements congest.Algorithm.
-func (a *dhc1Algorithm) Bind(g *graph.Graph, netOpts *congest.Options) error {
-	budget, _ := a.bind(g, 0.5) // δ = 1/2 is in range: no error
+func (a *dhc1Algorithm) Bind(g *graph.Graph, b int64, netOpts *congest.Options) error {
+	budget, _ := a.bind(g, b, 0.5) // δ = 1/2 is in range: no error
 	if netOpts.MaxRounds == 0 {
 		// Phase 2 adds the hypernode rotation, 4× the budget for K.
 		b, hyperSteps := a.cfg.B, 4*rotation.DefaultMaxSteps(int(a.cfg.NumColors))

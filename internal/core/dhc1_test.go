@@ -10,7 +10,7 @@ import (
 
 func TestDHC1OnCompleteGraph(t *testing.T) {
 	g := graph.Complete(64)
-	res, err := NewDHC1Session(Options{B: 8}).RunLocal(g, 1, congest.Options{})
+	res, err := NewDHC1Session(Options{}).RunLocal(g, 1, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestDHC1OnDenseGNP(t *testing.T) {
 	// partition far above the rotation threshold and gives plenty of
 	// hypernode cross edges.
 	g := graph.GNP(300, 0.9, rng.New(21))
-	res, err := NewDHC1Session(Options{B: 10}).RunLocal(g, 2, congest.Options{})
+	res, err := NewDHC1Session(Options{}).RunLocal(g, 2, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestDHC1OnDenseGNP(t *testing.T) {
 
 func TestDHC1SinglePartition(t *testing.T) {
 	g := graph.Complete(24)
-	res, err := NewDHC1Session(Options{NumColors: 1, B: 6}).RunLocal(g, 3, congest.Options{})
+	res, err := NewDHC1Session(Options{NumColors: 1}).RunLocal(g, 3, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestDHC1SinglePartition(t *testing.T) {
 
 func TestDHC1FailsCleanlyOnSparse(t *testing.T) {
 	g := graph.Ring(48)
-	if _, err := NewDHC1Session(Options{NumColors: 4, B: 52}).RunLocal(g, 1, congest.Options{}); err == nil {
+	if _, err := NewDHC1Session(Options{NumColors: 4}).RunLocal(g, 1, congest.Options{}); err == nil {
 		t.Fatal("ring accepted")
 	}
 }
@@ -58,11 +58,11 @@ func TestDHC1FailsCleanlyOnSparse(t *testing.T) {
 // cycle.
 func TestDHC1Deterministic(t *testing.T) {
 	g := graph.GNP(200, 0.9, rng.New(31))
-	a, err := NewDHC1Session(Options{B: 10}).RunLocal(g, 7, congest.Options{})
+	a, err := NewDHC1Session(Options{}).RunLocal(g, 7, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewDHC1Session(Options{B: 10}).RunLocal(g, 7, congest.Options{})
+	b, err := NewDHC1Session(Options{}).RunLocal(g, 7, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestDHC1SuccessRateAcrossSeeds(t *testing.T) {
 	const trials = 4
 	for seed := uint64(0); seed < trials; seed++ {
 		g := graph.GNP(220, 0.9, rng.New(500+seed))
-		if _, err := NewDHC1Session(Options{B: 10}).RunLocal(g, seed, congest.Options{}); err == nil {
+		if _, err := NewDHC1Session(Options{}).RunLocal(g, seed, congest.Options{}); err == nil {
 			ok++
 		}
 	}

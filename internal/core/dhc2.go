@@ -28,15 +28,6 @@ type Options struct {
 	Delta float64
 	// NumColors overrides K directly when positive (Delta then unused).
 	NumColors int
-	// B bounds the settling times that are fixed before anything is
-	// measured: the global BFS, each partition's election, BFS tree and
-	// size count, and those of DHC2's merge levels whose unions of
-	// partitions not every node vouches for (mergePhase.B). Zero selects
-	// defaultB, safe whp for
-	// threshold random graphs and their partitions. The partitions'
-	// rotations and restarts and DHC1's hypernode phase wait bounds the run
-	// measures itself (see phase1), whatever B is.
-	B int64
 }
 
 // dhc2Node is the per-node program: Phase 1 (shared) then tree merging.
@@ -95,15 +86,16 @@ func (d *dhc2Node) Round(ctx *congest.Context, inbox []congest.Envelope) {
 	d.armWake(ctx)
 }
 
-// defaultB returns the broadcast bound used when the caller does not set one:
-// rotation.BroadcastBound of ecc(0), floored at 3⌈log₂ n⌉+6. The floor is
-// for the partition windows timed before a partition has measured itself
-// (election, BFS tree, size count): a colour class can have a larger
-// diameter than the whole graph. Once its count is in, a partition waits
-// its own measured bound instead.
-func defaultB(g *graph.Graph) int64 {
-	ecc, _ := g.Ecc(0)
-	return max(rotation.BroadcastBound(ecc), int64(3*bits.Len(uint(g.N()-1))+6))
+// defaultB floors b, an n-vertex graph's broadcast bound
+// (rotation.GraphBound), at 3⌈log₂ n⌉+6: the bound of every settling time
+// fixed before anything is measured — the global BFS, each partition's
+// election, BFS tree and size count, and those of DHC2's merge levels whose
+// unions of partitions not every node vouches for (mergePhase.B). The floor
+// is for the partition windows: a colour class can have a larger diameter
+// than the whole graph. Once its count is in, a partition waits its own
+// measured bound instead, and so does DHC1's hypernode phase.
+func defaultB(b int64, n int) int64 {
+	return max(b, int64(3*bits.Len(uint(n-1))+6))
 }
 
 // Colors resolves the partition count K of a DHC run on n vertices, in both
@@ -127,18 +119,16 @@ type binding struct {
 	cfg  phase1Config
 }
 
-// bind resolves K at δ and B for g, and returns Phase 1's share of the round
-// budget: the scaffolding plus a worst-case partition DRA in which every
-// step pays a broadcast, over a generous 3n/K partition-size bound.
-func (a *binding) bind(g *graph.Graph, delta float64) (int64, error) {
+// bind resolves K at δ and B from g's broadcast bound b, and returns Phase
+// 1's share of the round budget: the scaffolding plus a worst-case partition
+// DRA in which every step pays a broadcast, over a generous 3n/K
+// partition-size bound.
+func (a *binding) bind(g *graph.Graph, b int64, delta float64) (int64, error) {
 	k, err := Colors(g.N(), a.opts.NumColors, delta)
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	b := a.opts.B
-	if b == 0 {
-		b = defaultB(g)
-	}
+	b = defaultB(b, g.N())
 	a.cfg = phase1Config{NumColors: int32(k), B: b}
 	return 4*b + 8 + rotation.DefaultMaxSteps(3*g.N()/k)*(b+3), nil
 }
@@ -178,8 +168,8 @@ func NewDHC2Session(opts Options) *DHC2Session {
 type dhc2Algorithm struct{ binding }
 
 // Bind implements congest.Algorithm.
-func (a *dhc2Algorithm) Bind(g *graph.Graph, netOpts *congest.Options) error {
-	budget, err := a.bind(g, a.opts.Delta)
+func (a *dhc2Algorithm) Bind(g *graph.Graph, b int64, netOpts *congest.Options) error {
+	budget, err := a.bind(g, b, a.opts.Delta)
 	if err != nil {
 		return err
 	}

@@ -11,8 +11,8 @@ import (
 
 // NewDHC2Node constructs one vertex's DHC2 program from a portable spec — the
 // reconstruction entry point worker processes use. The spec must carry the
-// resolved values (NumColors after clamping, B after defaultB's
-// rotation.BroadcastBound), which DHC2Session's Bind computes.
+// resolved values (NumColors after clamping, B after defaultB's floor),
+// which DHC2Session's Bind computes.
 func NewDHC2Node(spec congest.ProgramSpec) congest.Node {
 	return &dhc2Node{cfg: phase1Config{NumColors: spec.NumColors, B: spec.B, MergeLevels: numMergeLevels(spec.NumColors)}}
 }

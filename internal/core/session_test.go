@@ -24,7 +24,7 @@ func sameResult(t *testing.T, what string, got, want *congest.Result) {
 // for run, exactly what fresh sessions return.
 func TestDHC2SessionReusesNodeBuffers(t *testing.T) {
 	g := graph.GNP(320, 0.6, rng.New(2))
-	opts := Options{NumColors: 5, B: 10}
+	opts := Options{NumColors: 5}
 	sess := NewDHC2Session(opts)
 	seeds := []uint64{3, 4}
 	var results []*congest.Result
@@ -67,7 +67,7 @@ func TestDHC2SessionReusesNodeBuffers(t *testing.T) {
 // colour table survives the second Run, and both runs match fresh sessions.
 func TestDHC1SessionReusesNodeBuffers(t *testing.T) {
 	g := graph.GNP(300, 0.9, rng.New(21))
-	opts := Options{B: 10}
+	opts := Options{}
 	sess := NewDHC1Session(opts)
 	seeds := []uint64{2, 5}
 	var results []*congest.Result

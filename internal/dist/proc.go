@@ -70,7 +70,7 @@ func BuildPrograms(spec congest.ProgramSpec, lo, hi int) ([]congest.Node, error)
 	switch spec.Algo {
 	case "dra":
 		for i := range nodes {
-			nodes[i] = dra.NewNode(dra.NodeOptions{BroadcastRounds: spec.B, MaxSteps: spec.MaxSteps})
+			nodes[i] = dra.NewNode(dra.NodeOptions{MaxSteps: spec.MaxSteps}, spec.B)
 		}
 	case "dhc2":
 		for i := range nodes {

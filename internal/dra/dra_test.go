@@ -195,19 +195,11 @@ func TestExtractCycleRejectsIncompleteRun(t *testing.T) {
 // for every node after a successful run.
 func TestPointerConsistency(t *testing.T) {
 	g := graph.Complete(30)
-	nodes := make([]congest.Node, g.N())
-	progs := make([]*Node, g.N())
-	for i := range nodes {
-		progs[i] = &Node{}
-		nodes[i] = progs[i]
-	}
-	net, err := congest.NewNetwork(g, nodes, congest.Options{})
-	if err != nil {
+	sess := NewSession(NodeOptions{})
+	if _, err := sess.RunLocal(g, 11, congest.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(11); err != nil {
-		t.Fatal(err)
-	}
+	progs := sess.Programs()
 	for v, p := range progs {
 		succ := p.state.Succ()
 		if succ < 0 {

@@ -22,13 +22,11 @@ var ErrFailed = errors.New("dra: rotation process failed")
 type Node struct {
 	state *State
 	opts  NodeOptions
+	b     int64 // the graph's broadcast bound, resolved by Bind
 }
 
 // NodeOptions configures the standalone instance.
 type NodeOptions struct {
-	// BroadcastRounds bounds the graph diameter for rotation consistency
-	// waits. Zero selects n (always safe for a connected graph).
-	BroadcastRounds int64
 	// MaxSteps overrides the Theorem 2 budget (0 = default).
 	MaxSteps int64
 }
@@ -37,15 +35,11 @@ var _ congest.Node = (*Node)(nil)
 
 // Init implements congest.Node.
 func (d *Node) Init(ctx *congest.Context) {
-	b := d.opts.BroadcastRounds
-	if b == 0 {
-		b = int64(ctx.N())
-	}
 	p := Params{
 		ScopeSize:       ctx.N(),
 		IsInitialHead:   ctx.ID() == 0,
 		ScopePorts:      ctx.AllPorts(), // the whole graph is the scope
-		BroadcastRounds: b,
+		BroadcastRounds: d.b,
 		StartRound:      1,
 		Tag:             1,
 		MaxSteps:        d.opts.MaxSteps,
@@ -93,33 +87,31 @@ func NewSession(opts NodeOptions) *Session {
 }
 
 // algorithm is the standalone DRA's part of a Session: opts as configured,
-// run as resolved for the current graph.
+// b as resolved for the current graph.
 type algorithm struct {
-	opts, run NodeOptions
+	opts NodeOptions
+	b    int64
 }
 
-// Bind implements congest.Algorithm.
-func (a *algorithm) Bind(g *graph.Graph, netOpts *congest.Options) error {
-	a.run = a.opts
-	if a.run.BroadcastRounds == 0 {
-		ecc, _ := g.Ecc(0)
-		a.run.BroadcastRounds = rotation.BroadcastBound(ecc)
-	}
+// Bind implements congest.Algorithm: every rotation waits b, the graph's
+// broadcast bound.
+func (a *algorithm) Bind(g *graph.Graph, b int64, netOpts *congest.Options) error {
+	a.b = b
 	if netOpts.MaxRounds == 0 {
-		maxSteps := a.run.MaxSteps
+		maxSteps := a.opts.MaxSteps
 		if maxSteps == 0 {
 			maxSteps = rotation.DefaultMaxSteps(g.N())
 		}
-		// Every step costs at most BroadcastRounds+2 rounds, plus slack
-		// for the terminal broadcast.
-		netOpts.MaxRounds = maxSteps*(a.run.BroadcastRounds+3) + 1024
+		// Every step costs at most b+2 rounds, plus slack for the terminal
+		// broadcast.
+		netOpts.MaxRounds = maxSteps*(b+3) + 1024
 	}
 	return nil
 }
 
 // Recycle implements congest.Algorithm: the program keeps its state machine
-// for reuse; only the run's options are refreshed.
-func (a *algorithm) Recycle(p *Node) { p.opts = a.run }
+// for reuse; only the run's options and bound are refreshed.
+func (a *algorithm) Recycle(p *Node) { p.opts, p.b = a.opts, a.b }
 
 // Extract implements congest.Algorithm: it reconstructs and verifies the
 // Hamiltonian cycle from the per-node successors (every node knows its two
@@ -144,15 +136,15 @@ func (a *algorithm) Extract(g *graph.Graph, progs []*Node, res *congest.Result) 
 
 // NewNode constructs a standalone program for one vertex — the reconstruction
 // entry point worker processes use to rebuild a session's programs from a
-// ProgramSpec. opts must carry a resolved BroadcastRounds, which Session's
-// Bind computes with rotation.BroadcastBound.
-func NewNode(opts NodeOptions) *Node { return &Node{opts: opts} }
+// ProgramSpec. b is the graph's broadcast bound as Session's Bind received
+// it (rotation.GraphBound).
+func NewNode(opts NodeOptions, b int64) *Node { return &Node{opts: opts, b: b} }
 
 var _ congest.PortableProgram = (*Node)(nil)
 
 // DistSpec implements congest.PortableProgram.
 func (d *Node) DistSpec() congest.ProgramSpec {
-	return congest.ProgramSpec{Algo: "dra", B: d.opts.BroadcastRounds, MaxSteps: d.opts.MaxSteps}
+	return congest.ProgramSpec{Algo: "dra", B: d.b, MaxSteps: d.opts.MaxSteps}
 }
 
 // AppendFinal implements congest.PortableProgram: status, step count, and the

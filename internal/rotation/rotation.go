@@ -102,6 +102,16 @@ const Attempts = 6
 // election and BFS settling times by it.
 func BroadcastBound(ecc int) int64 { return int64(2*ecc + 1) }
 
+// GraphBound is the broadcast bound of the whole graph, the one every
+// engine computes: BroadcastBound of vertex 0's eccentricity, from one BFS.
+// reached is how many vertices that BFS found, n exactly when g is
+// connected. An exact run refuses a graph with reached < n before round 0
+// (congest.ErrDisconnected).
+func GraphBound(g *graph.Graph) (b int64, reached int) {
+	ecc, reached := g.Ecc(0)
+	return BroadcastBound(ecc), reached
+}
+
 // DefaultMaxSteps returns the Theorem 2 step budget for an n-vertex graph.
 func DefaultMaxSteps(n int) int64 {
 	if n < 2 {

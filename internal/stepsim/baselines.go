@@ -119,7 +119,7 @@ func maxInt64(a, b int64) int64 {
 // collector's degree, bounded below by m/deg + D) and solve locally. It
 // returns the round cost without materializing the collection.
 func Trivial(g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
-	b := broadcastBound(g)
+	b, _ := rotation.GraphBound(g)
 	deg := g.Degree(0)
 	if deg == 0 {
 		return nil, Cost{}, fmt.Errorf("%w: isolated collector", ErrFailed)
@@ -154,7 +154,7 @@ func Trivial(g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
 func Levy(g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
 	n := g.N()
 	src := rng.New(seed)
-	b := broadcastBound(g)
+	b, _ := rotation.GraphBound(g)
 	cost := Cost{B: b}
 
 	// Phase A: parallel path growth. Every vertex starts as a singleton

@@ -151,24 +151,6 @@ type Cost struct {
 	Restarts int64
 }
 
-// broadcastBound charges rotation.BroadcastBound of ecc(0), the bound every
-// exact algorithm defaults to, from the allocation-lean eccentricity scan.
-// Each DHC partition is charged its own bound instead (solvePartition), as
-// the exact engine's partitions measure it: 2·ecc+1 for the partition
-// leader, its smallest id, which is the induced subgraph's vertex 0. The
-// exact DHC scaffolding windows still wait core.defaultB, floored at
-// 3⌈log₂ n⌉+6, where scaffolding charges the largest partition bound, and
-// so do exact DHC2's merge levels from the first one whose union of
-// partitions some node lacks a neighbor in (core's mergePhase.B); the step
-// engine charges every merge level the largest partition bound.
-func broadcastBound(g *graph.Graph) int64 {
-	if g.N() == 0 {
-		return 1
-	}
-	ecc, _ := g.Ecc(0)
-	return rotation.BroadcastBound(ecc)
-}
-
 // chargeRotationRounds prices a machine run like the adaptive exact engine:
 // extensions cost one round, rotations cost B+2 (broadcast settle plus the
 // probe/response exchange).
@@ -186,7 +168,8 @@ func DRA(g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
 // ctx between rotation-step batches.
 func (s *Session) DRA(ctx context.Context, g *graph.Graph, seed uint64) (*cycle.Cycle, Cost, error) {
 	s.Hooks.phase("run")
-	return rotate(ctx, g, rng.New(seed), broadcastBound(g), s.Hooks.restart)
+	b, _ := rotation.GraphBound(g)
+	return rotate(ctx, g, rng.New(seed), b, s.Hooks.restart)
 }
 
 // rotate runs DRA on g, the step engine's one restart loop: at most
@@ -283,7 +266,15 @@ type partOutcome struct {
 // all randomness from the partition's private stream. The class is
 // ascending (partition's order), so it is the subgraph's id map as is; the
 // build borrows the worker's scratch table. ctx is polled between attempts
-// and inside the rotation machine's step batches.
+// and inside the rotation machine's step batches. The partition is charged
+// its own bound, as the exact engine's partitions measure it: 2·ecc+1 for
+// the partition leader, its smallest id, which is the induced subgraph's
+// vertex 0. The exact DHC scaffolding windows still wait core's floored
+// global bound (3⌈log₂ n⌉+6 at least), where scaffolding charges the
+// largest partition bound, and so do exact DHC2's merge levels from the
+// first one whose union of partitions some node lacks a neighbor in (core's
+// mergePhase.B); the step engine charges every merge level the largest
+// partition bound.
 func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.NodeID, src *rng.Source, sc *workerScratch) partOutcome {
 	out := partOutcome{cost: Cost{B: 1}}
 	if len(class) < 3 {
@@ -292,12 +283,12 @@ func solvePartition(ctx context.Context, g *graph.Graph, c int, class []graph.No
 	}
 	sub := g.InducedSubgraphIndexed(class, sc.pos)
 	// One BFS gives both the connectivity check and B.
-	ecc, reached := sub.Ecc(0)
+	b, reached := rotation.GraphBound(sub)
 	if reached != sub.N() {
 		out.err = fmt.Errorf("%w: partition %d disconnected", ErrFailed, c)
 		return out
 	}
-	hc, cost, err := rotate(ctx, sub, src, rotation.BroadcastBound(ecc), nil)
+	hc, cost, err := rotate(ctx, sub, src, b, nil)
 	out.cost = cost
 	switch {
 	case err == nil:
@@ -394,7 +385,7 @@ func (s *Session) DHC1(ctx context.Context, g *graph.Graph, seed uint64, opts Op
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	gb := broadcastBound(g)
+	gb, _ := rotation.GraphBound(g)
 	if numColors == 1 {
 		cost.Rounds = cost.Phase1Rounds
 		hc := p1.cycles[0]

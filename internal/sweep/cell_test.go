@@ -63,7 +63,7 @@ func TestFirstErrorPrefersConfigErrors(t *testing.T) {
 // must be recorded as fail_error carrying the constructor's real message —
 // not panic on a nil solver, and not silently fall back to a different error.
 func TestConstructorErrorSurfacesAsFailError(t *testing.T) {
-	ctorErr := errors.New("dhc: broadcast bound -1 must be >= 0")
+	ctorErr := errors.New("dhc: max rounds -1 must be >= 0")
 	old := newSolver
 	newSolver = func(dhc.Algorithm, dhc.Options) (*dhc.Solver, error) { return nil, ctorErr }
 	defer func() { newSolver = old }()

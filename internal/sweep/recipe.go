@@ -221,7 +221,6 @@ type Record struct {
 	Seed      uint64 `json:"seed"`
 	NumColors int    `json:"num_colors,omitempty"`
 	MaxRounds int64  `json:"max_rounds,omitempty"`
-	Bound     int64  `json:"bound,omitempty"`
 	N         int    `json:"n,omitempty"`
 	M         int64  `json:"m,omitempty"`
 	Rounds    int64  `json:"rounds,omitempty"`
@@ -243,7 +242,7 @@ func NewRecord(recipe string, algo dhc.Algorithm, opts dhc.Options, g *dhc.Graph
 	rec := Record{
 		Status: dhc.Classify(err).String(), Recipe: recipe,
 		Algo: algo.String(), Engine: opts.Engine.String(), Seed: opts.Seed,
-		NumColors: opts.NumColors, MaxRounds: opts.MaxRounds, Bound: opts.BroadcastBound,
+		NumColors: opts.NumColors, MaxRounds: opts.MaxRounds,
 		N: g.N(), M: int64(g.M()),
 	}
 	if err != nil {

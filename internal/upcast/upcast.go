@@ -41,15 +41,9 @@ func SamplesPerNode(n int) int { return int(math.Ceil(3 * math.Log(float64(n))))
 // The step engine's Upcast retries as often.
 const RootAttempts = 20
 
-// Options configures a run.
-type Options struct {
-	// B bounds election/BFS settling (0 = rotation.BroadcastBound of ecc(0)).
-	B int64
-}
-
 // node is the per-node program.
 type node struct {
-	opts Options
+	b int64 // the graph's broadcast bound: election and BFS settling
 
 	flood *proto.Flooder
 	tree  *proto.BFSState
@@ -74,10 +68,10 @@ type node struct {
 
 var _ congest.Node = (*node)(nil)
 
-func (u *node) electEnd() int64   { return u.opts.B + 1 }
-func (u *node) bfsEnd() int64     { return 2*u.opts.B + 1 }
-func (u *node) countStart() int64 { return 2*u.opts.B + 2 }
-func (u *node) upcastAt() int64   { return 4*u.opts.B + 8 }
+func (u *node) electEnd() int64   { return u.b + 1 }
+func (u *node) bfsEnd() int64     { return 2*u.b + 1 }
+func (u *node) countStart() int64 { return 2*u.b + 2 }
+func (u *node) upcastAt() int64   { return 4*u.b + 8 }
 
 func (u *node) Init(ctx *congest.Context) {
 	u.flood = proto.NewFlooder(ctx.ID(), ctx.AllPorts())
@@ -334,37 +328,30 @@ func forward(ctx *congest.Context, m wire.Message, except graph.NodeID) {
 // survives across Run calls.
 type Session = congest.Session[node, *node]
 
-// NewSession returns an empty session that runs Upcast under opts; the first
-// Run sizes it.
-func NewSession(opts Options) *Session {
-	return congest.NewSession[node]("upcast", &algorithm{opts: opts})
+// NewSession returns an empty Upcast session; the first Run sizes it.
+func NewSession() *Session {
+	return congest.NewSession[node]("upcast", new(algorithm))
 }
 
-// algorithm is Upcast's part of a Session: opts as configured, run as
-// resolved for the current graph.
-type algorithm struct {
-	opts, run Options
-}
+// algorithm is Upcast's part of a Session: b is the current graph's
+// broadcast bound.
+type algorithm struct{ b int64 }
 
 // Bind implements congest.Algorithm.
-func (a *algorithm) Bind(g *graph.Graph, netOpts *congest.Options) error {
+func (a *algorithm) Bind(g *graph.Graph, b int64, netOpts *congest.Options) error {
 	n := g.N()
-	a.run = a.opts
-	if a.run.B == 0 {
-		ecc, _ := g.Ecc(0)
-		a.run.B = rotation.BroadcastBound(ecc)
-	}
+	a.b = b
 	if netOpts.MaxRounds == 0 {
 		// Upcast/downcast move O(n log n) messages over the root edges in
 		// the worst (star) case.
-		netOpts.MaxRounds = 8*a.run.B + int64(n)*int64(SamplesPerNode(n)+2) + 4096
+		netOpts.MaxRounds = 8*b + int64(n)*int64(SamplesPerNode(n)+2) + 4096
 	}
 	return nil
 }
 
 // Recycle implements congest.Algorithm. The program's routing maps and queues
 // are rebuilt by Init; a fresh value drops the previous trial's state.
-func (a *algorithm) Recycle(p *node) { *p = node{opts: a.run} }
+func (a *algorithm) Recycle(p *node) { *p = node{b: a.b} }
 
 // Extract implements congest.Algorithm: the downcast successors form the
 // cycle.

@@ -13,7 +13,7 @@ func TestRunOnDenseGNP(t *testing.T) {
 	n := 200
 	p := 0.3
 	g := graph.GNP(n, p, rng.New(1))
-	res, err := NewSession(Options{}).RunLocal(g, 2, congest.Options{})
+	res, err := NewSession().RunLocal(g, 2, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestRunOnThresholdGNP(t *testing.T) {
 	n := 400
 	p := 3 * math.Log(float64(n)) / math.Sqrt(float64(n))
 	g := graph.GNP(n, p, rng.New(3))
-	res, err := NewSession(Options{}).RunLocal(g, 4, congest.Options{})
+	res, err := NewSession().RunLocal(g, 4, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRunOnThresholdGNP(t *testing.T) {
 
 func TestMemoryConcentratesAtRoot(t *testing.T) {
 	g := graph.GNP(300, 0.2, rng.New(5))
-	res, err := NewSession(Options{}).RunLocal(g, 6, congest.Options{})
+	res, err := NewSession().RunLocal(g, 6, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFailsOnSparseGraph(t *testing.T) {
 	// Sampling from a path cannot produce a Hamiltonian-cycle-bearing
 	// subgraph; the run must fail cleanly.
 	g := graph.Path(40)
-	if _, err := NewSession(Options{}).RunLocal(g, 1, congest.Options{}); err == nil {
+	if _, err := NewSession().RunLocal(g, 1, congest.Options{}); err == nil {
 		t.Fatal("path accepted")
 	}
 }
@@ -69,11 +69,11 @@ func TestFailsOnSparseGraph(t *testing.T) {
 // networks must produce the same cycle.
 func TestDeterministicAcrossExecutors(t *testing.T) {
 	g := graph.GNP(150, 0.25, rng.New(7))
-	a, err := NewSession(Options{}).RunLocal(g, 8, congest.Options{})
+	a, err := NewSession().RunLocal(g, 8, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSession(Options{}).RunLocal(g, 8, congest.Options{})
+	b, err := NewSession().RunLocal(g, 8, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSampleCapRespectsDegree(t *testing.T) {
 	// On a ring every node has degree 2 < 3 ln n: samples are capped, the
 	// sampled graph equals the ring, and the ring IS its own HC.
 	g := graph.Ring(50)
-	res, err := NewSession(Options{}).RunLocal(g, 9, congest.Options{})
+	res, err := NewSession().RunLocal(g, 9, congest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSampleCapRespectsDegree(t *testing.T) {
 }
 
 func TestRejectsTinyGraph(t *testing.T) {
-	if _, err := NewSession(Options{}).RunLocal(graph.Complete(2), 1, congest.Options{}); err == nil {
+	if _, err := NewSession().RunLocal(graph.Complete(2), 1, congest.Options{}); err == nil {
 		t.Fatal("n=2 accepted")
 	}
 }

@@ -374,8 +374,8 @@ func TestObserverCallbacks(t *testing.T) {
 	assertSameResult(t, "observer vs plain", plain, res)
 }
 
-// TestMaxRoundsOption pins the new Options.MaxRounds: negatives are rejected
-// up front (FailureError, like BroadcastBound), and a tiny budget turns
+// TestMaxRoundsOption pins Options.MaxRounds: negatives are rejected up
+// front (FailureError), and a tiny budget turns
 // every exact-engine algorithm's run into a round-limit failure — through
 // the congest layer for the single-phase algorithms and through both DHC
 // core drivers.

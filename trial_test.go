@@ -90,7 +90,7 @@ func TestTrialEndToEnd(t *testing.T) {
 		t.Fatalf("bad-delta trial: class=%v err=%v res=%v", class, err, res)
 	}
 
-	if _, class, _ = Trial(g, AlgorithmDRA, Options{BroadcastBound: -1}); class != FailureError {
-		t.Fatalf("negative broadcast bound: class=%v", class)
+	if _, class, _ = Trial(g, AlgorithmDRA, Options{MaxRounds: -1}); class != FailureError {
+		t.Fatalf("negative round budget: class=%v", class)
 	}
 }
