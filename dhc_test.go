@@ -155,15 +155,13 @@ func TestDisconnectedInputIsNoHCOnBothEngines(t *testing.T) {
 			}
 		}
 	}
-	inputs := []struct {
+	type input struct {
 		name string
 		g    *Graph
-	}{{"two-K4", graph.FromEdges(8, k4s)}}
+	}
+	inputs := []input{{"two-K4", graph.FromEdges(8, k4s)}}
 	for _, gs := range []uint64{11, 45, 50} {
-		inputs = append(inputs, struct {
-			name string
-			g    *Graph
-		}{fmt.Sprintf("gnp/n=16/param=2/delta=1/gs=%d", gs), NewGNP(16, ThresholdP(16, 2, 1), gs)})
+		inputs = append(inputs, input{fmt.Sprintf("gnp/n=16/param=2/delta=1/gs=%d", gs), NewGNP(16, ThresholdP(16, 2, 1), gs)})
 	}
 	for _, in := range inputs {
 		if in.g.Connected() {
