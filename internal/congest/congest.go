@@ -63,10 +63,13 @@
 // are copied into the node's per-invocation arena at call time, so the
 // caller may reuse its port slice at once; consecutive sends of an equal
 // message extend the previous record. Records change only how traffic is
-// carried, never what is metered: delivery expands each record edge by
-// edge in send order, and bandwidth, message and bit counts, halted drops
-// and FaultHook calls stay per edge. Which send form a program uses never
-// changes an execution.
+// carried, never what is metered: delivery walks each record in send
+// order, and message and bit counts, the bandwidth check, halted drops and
+// FaultHook calls stay per edge. Which send form a program uses never
+// changes an execution. Delivery stamps an edge's bandwidth only where the
+// edge can overrun: a record that is its sender's only one in the round,
+// fits the budget and has strictly ascending receivers cannot (see
+// Shard.Deliver).
 //
 // A flood reaches a node once from every neighbor that forwards it, and a
 // flood kind's programs act on the first copy only. So for the kinds wire
@@ -74,7 +77,10 @@
 // copy, but appends only the first copy of each payload a receiver gets in
 // one round, in sender order: later identical copies would be read and
 // dropped by the program anyway. Payloads compare after the FaultHook, so a
-// corrupted copy is never merged with an intact one.
+// corrupted copy is never merged with an intact one. A hook-free copy whose
+// payload token (one per distinct flood payload per Deliver) matches the
+// one its receiver's mailbox keeps is a duplicate at once; any other copy
+// is compared with the receiver's inbox.
 //
 // Determinism: a run is a pure function of (graph, node programs, seed).
 // Each node receives its own RNG stream split from the run seed, inboxes
@@ -223,17 +229,19 @@ func (c *Context) Send(to graph.NodeID, m wire.Message) {
 // edge separately.
 func (c *Context) SendPorts(ports []int32, except graph.NodeID, m wire.Message) {
 	nbrs := c.Neighbors()
-	start := len(c.ids)
+	ids := c.ids
+	start := len(ids)
 	for _, p := range ports {
 		if uint32(p) >= uint32(len(nbrs)) {
-			c.ids = c.ids[:start]
+			c.ids = ids[:start]
 			c.failPort(int(p), len(nbrs), m)
 			return
 		}
 		if to := nbrs[p]; to != except {
-			c.ids = append(c.ids, to)
+			ids = append(ids, to)
 		}
 	}
+	c.ids = ids
 	c.push(start, m)
 }
 

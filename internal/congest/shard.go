@@ -3,6 +3,8 @@ package congest
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"unsafe"
 
 	"dhc/internal/bitset"
 	"dhc/internal/graph"
@@ -99,12 +101,17 @@ type Shard struct {
 	out      []Record
 	// ports is the shared [0, max local degree) list Context.AllPorts views.
 	ports []int32
-	// splitLocal/splitCross hold, for one round, the receivers of the
-	// records Step splits into a local and a cross part.
-	splitLocal, splitCross []graph.NodeID
+	// split holds, for one round, the receivers route copies: both parts of
+	// a record whose receivers do not ascend, and the cross part of one
+	// that reaches past both ends of [Lo, Hi).
+	split []graph.NodeID
 	// bwGen is the current sender generation of the bandwidth accounting
 	// (see mailbox).
 	bwGen int64
+	// floods maps this Deliver's flood payloads to their tokens (see
+	// mailbox.flood); lastToken is the token issued last.
+	floods    []floodToken
+	lastToken uint32
 
 	// localPending holds this round's src/dst-local messages between Step
 	// (which retains them) and Deliver (which splices them back into the
@@ -237,7 +244,7 @@ func (s *Shard) Step(round int64, isInit bool) ([]Record, StepReport, error) {
 	// sender-ascending whole.
 	out := s.out[:0]
 	local := s.localPending[:0]
-	s.splitLocal, s.splitCross = s.splitLocal[:0], s.splitCross[:0]
+	s.split = s.split[:0]
 	nh := s.newlyHalted[:0]
 	eventDriven := !s.opts.DenseSweep
 	whole := s.hi-s.lo == s.g.N() // every target is local
@@ -310,35 +317,73 @@ func (s *Shard) idOrder(active []int32) []int32 {
 }
 
 // route appends r to local when every receiver is in [Lo, Hi), to out when
-// none is, and otherwise splits it into a local and a cross record, whose
-// receivers it copies, each part in send order, into splitLocal and
-// splitCross. It counts r's edges by routing class.
+// none is, and otherwise splits it into a local and a cross record, each
+// part in send order. It counts r's edges by routing class. Ascending
+// receivers are split by two binary searches into views of r.To; only a
+// cross part that reaches past both ends of the range is copied, into
+// split, as are both parts of a record whose receivers do not ascend.
 func (s *Shard) route(r *Record, local, out []Record) ([]Record, []Record) {
-	l0, c0 := len(s.splitLocal), len(s.splitCross)
-	for _, to := range r.To {
-		if uint(int(to)-s.lo) < uint(s.hi-s.lo) {
-			s.splitLocal = append(s.splitLocal, to)
-		} else {
-			s.splitCross = append(s.splitCross, to)
+	to := r.To
+	var in, cross []graph.NodeID
+	if slices.IsSorted(to) {
+		a := lowerBound(to, graph.NodeID(s.lo))
+		b := a + lowerBound(to[a:], graph.NodeID(s.hi))
+		in = to[a:b:b]
+		switch {
+		case a == 0:
+			cross = to[b:]
+		case b == len(to):
+			cross = to[:a:a]
+		default:
+			c0 := len(s.split)
+			s.split = append(append(s.split, to[:a]...), to[b:]...)
+			cross = s.split[c0:len(s.split):len(s.split)]
 		}
+	} else {
+		l0 := len(s.split)
+		for _, v := range to {
+			if s.holds(v) {
+				s.split = append(s.split, v)
+			}
+		}
+		c0 := len(s.split)
+		for _, v := range to {
+			if !s.holds(v) {
+				s.split = append(s.split, v)
+			}
+		}
+		in, cross = s.split[l0:c0:c0], s.split[c0:len(s.split):len(s.split)]
 	}
-	in := len(s.splitLocal) - l0
-	s.localRouted += int64(in)
-	s.crossRouted += int64(len(r.To) - in)
-	switch in {
-	case len(r.To):
-		s.splitLocal = s.splitLocal[:l0]
-		return append(local, *r), out
-	case 0:
-		s.splitCross = s.splitCross[:c0]
-		return local, append(out, *r)
+	s.localRouted += int64(len(in))
+	s.crossRouted += int64(len(cross))
+	if len(in) > 0 {
+		local = append(local, Record{From: r.From, Msg: r.Msg, To: in})
 	}
-	local = append(local, Record{From: r.From, Msg: r.Msg, To: s.splitLocal[l0:len(s.splitLocal):len(s.splitLocal)]})
-	return local, append(out, Record{From: r.From, Msg: r.Msg, To: s.splitCross[c0:len(s.splitCross):len(s.splitCross)]})
+	if len(cross) > 0 {
+		out = append(out, Record{From: r.From, Msg: r.Msg, To: cross})
+	}
+	return local, out
 }
 
-// mailbox is one local receiver's delivery state. Delivering a message reads
-// and writes all of it, so it is one struct rather than parallel arrays.
+// lowerBound returns the index of the first of the ascending ids that is
+// at least v, len(ids) if none is.
+func lowerBound(ids []graph.NodeID, v graph.NodeID) int {
+	lo, hi := 0, len(ids)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); ids[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// holds reports whether vertex v is in the shard's range.
+func (s *Shard) holds(v graph.NodeID) bool { return uint(int(v)-s.lo) < uint(s.hi-s.lo) }
+
+// mailbox is one local receiver's delivery state, one struct rather than
+// parallel arrays so that delivering a message touches one cache line.
 type mailbox struct {
 	// envs holds the messages delivered for the next round, in delivery
 	// order.
@@ -346,27 +391,75 @@ type mailbox struct {
 	// bwBits accumulates the bits the current sender pushed to this
 	// receiver this round, valid while bwStamp equals the shard's sender
 	// generation. Generations never repeat, so neither needs clearing
-	// between senders, rounds or runs.
+	// between senders, rounds or runs. Only the per-edge loop of
+	// deliverRecord stamps: an edge that cannot overrun is not stamped.
 	bwStamp, bwBits int64
 	// kinds is envs' kind mask: bit kindBit(k) is set iff envs holds a
 	// message of kind k. invokeOne hands it to the Context, so
 	// Context.Received costs one AND.
 	kinds uint32
+	// flood is the token (see Shard.floodToken) of a flood payload envs
+	// holds, or a token no payload of this round carries. Tokens are unique
+	// per Deliver until the counter wraps, and the wrap clears every
+	// mailbox's token, so a match proves the payload is held.
+	flood uint32
 }
 
-// holds reports whether envs already holds m, a message of a flood kind
+// The mailbox is one slice header and 24 bytes of fields: 48 bytes on a
+// 64-bit platform, with the flood token in what was padding.
+var (
+	_ [unsafe.Sizeof(mailbox{}) - unsafe.Sizeof([]Envelope(nil)) - 24]struct{}
+	_ [unsafe.Sizeof([]Envelope(nil)) + 24 - unsafe.Sizeof(mailbox{})]struct{}
+)
+
+// holds reports whether envs already holds *m, a message of a flood kind
 // whose kind bit is bit: delivery keeps only the first copy of a flood
-// payload per receiver per round.
-func (b *mailbox) holds(m wire.Message, bit uint32) bool {
+// payload per receiver per round. It scans envs; a receiver whose flood
+// token matches the payload's is known to hold it without the scan.
+func (b *mailbox) holds(m *wire.Message, bit uint32) bool {
 	if b.kinds&bit == 0 {
 		return false
 	}
 	for i := range b.envs {
-		if b.envs[i].Msg == m {
+		if b.envs[i].Msg == *m {
 			return true
 		}
 	}
 	return false
+}
+
+// floodToken is a flood payload of the current Deliver and its token.
+type floodToken struct {
+	msg wire.Message
+	tok uint32
+}
+
+// maxFloodTokens caps the payloads one Deliver remembers. A payload past
+// the cap gets a fresh token per record, which only costs the receivers of
+// its later records a scan.
+const maxFloodTokens = 16
+
+// floodToken returns the token of flood payload m in this Deliver: every
+// record of one payload gets the same token, and no other payload of any
+// Deliver gets it until the counter wraps. The wrap clears every mailbox's
+// token and the payload table, so an old token is never taken for a new one.
+func (s *Shard) floodToken(m *wire.Message) uint32 {
+	for i := len(s.floods) - 1; i >= 0; i-- {
+		if s.floods[i].msg == *m {
+			return s.floods[i].tok
+		}
+	}
+	if s.lastToken++; s.lastToken == 0 {
+		for v := range s.boxes {
+			s.boxes[v].flood = 0
+		}
+		s.floods = s.floods[:0]
+		s.lastToken = 1
+	}
+	if len(s.floods) < maxFloodTokens {
+		s.floods = append(s.floods, floodToken{msg: *m, tok: s.lastToken})
+	}
+	return s.lastToken
 }
 
 // floodKinds is the kind mask of the idempotent flood kinds (wire.Kind.Flood).
@@ -399,31 +492,45 @@ func (s *Shard) invokeOne(v int32, round int64, isInit bool) *Context {
 }
 
 // Deliver routes this round's inbound records into next-round inbox
-// buckets, expanding each record edge by edge in send order: each message
-// passes through FaultHook, then is metered against the per-edge bandwidth
-// and bucketed, unless the receiver already holds the same flood payload
-// this round (see deliverRecord). inbound must be the concatenation of the
-// OTHER shards' cross-shard records destined here, in shard order; the
-// records Step retained locally are spliced back in at their sender
-// position (inbound senders below Lo, then local, then the rest), which
-// reconstructs the global sender-ascending order — runs of equal From stay
-// contiguous, so each run is one bandwidth generation exactly as a
-// whole-network shard sees it. It performs no comparison sort and, at
-// steady state, no allocations.
+// buckets, in send order. Each message passes through FaultHook, is counted
+// per edge, and is bucketed unless the receiver already holds the same
+// flood payload this round (see deliverRecord). Bandwidth is checked per
+// edge, but stamped only where an edge can overrun (see deliverRecord).
+// inbound must be the concatenation of the OTHER shards' cross-shard
+// records destined here, in shard order; the records Step retained locally
+// are spliced back in at their sender position (inbound senders below Lo,
+// then local, then the rest), which reconstructs the global
+// sender-ascending order — runs of equal From stay contiguous, so each run
+// is one bandwidth generation exactly as a whole-network shard sees it. It
+// performs no comparison sort and, at steady state, no allocations.
 func (s *Shard) Deliver(round int64, inbound []Record) error {
 	below := 0
 	for below < len(inbound) && int(inbound[below].From) < s.lo {
 		below++
 	}
+	s.floods = s.floods[:0]
+	parts := [...][]Record{inbound[:below], s.localPending, inbound[below:]}
 	curFrom := graph.NodeID(-1)
-	for _, part := range [...][]Record{inbound[:below], s.localPending, inbound[below:]} {
+	for p, part := range parts {
+		after := graph.NodeID(-1) // the sender of the record after part
+		for _, q := range parts[p+1:] {
+			if len(q) > 0 {
+				after = q[0].From
+				break
+			}
+		}
 		for i := range part {
 			r := &part[i]
-			if r.From != curFrom {
+			next := after
+			if i+1 < len(part) {
+				next = part[i+1].From
+			}
+			first := r.From != curFrom
+			if first {
 				curFrom = r.From
 				s.bwGen++
 			}
-			if err := s.deliverRecord(round, r); err != nil {
+			if err := s.deliverRecord(round, r, first && next != r.From); err != nil {
 				return err
 			}
 		}
@@ -432,34 +539,71 @@ func (s *Shard) Deliver(round int64, inbound []Record) error {
 	return nil
 }
 
-// deliverRecord expands one record. Its message size and kind bit are
-// computed once; with a FaultHook set, each edge's hooked copy is sized,
-// metered and masked on its own. Every copy is metered against its edge,
-// but a copy of a flood kind (wire.Kind.Flood) whose exact payload, after
-// the FaultHook, the receiver already holds this round is not appended: the
-// receiver keeps the first copy in sender order, the one whose From a
-// forwarding flood excludes.
-func (s *Shard) deliverRecord(round int64, r *Record) error {
+// deliverRecord delivers one record; sole reports that no other record
+// this Deliver has the same sender. Its message size and kind bit are computed once;
+// with a FaultHook set, each edge's hooked copy is sized, metered and
+// masked on its own. Every copy is counted against its edge, but a copy of
+// a flood kind (wire.Kind.Flood) whose exact payload, after the FaultHook,
+// the receiver already holds this round is not appended: the receiver keeps
+// the first copy in sender order, the one whose From a forwarding flood
+// excludes.
+//
+// No edge of a sole, hook-free record that fits the budget can overrun
+// while its receivers strictly ascend, since each such edge carries exactly
+// this one message. Those receivers are delivered without bandwidth stamps;
+// at the first receiver out of order, the receivers already delivered are
+// stamped and the per-edge loop takes the rest. The per-edge loop stamps and
+// checks every edge, and serves every other record.
+func (s *Shard) deliverRecord(round int64, r *Record, sole bool) error {
 	hook := s.opts.FaultHook
 	sz := s.codec.Bits(r.Msg)
-	env := Envelope{From: r.From, Msg: r.Msg}
 	bit := kindBit(r.Msg.Kind)
-	gen, budget := s.bwGen, s.opts.BandwidthBits
+	tok := uint32(0)
+	if hook == nil && bit&floodKinds != 0 {
+		tok = s.floodToken(&r.Msg)
+	}
 	halted, boxes := s.halted, s.boxes
+	i := 0
+	if sole && hook == nil && sz <= s.opts.BandwidthBits {
+		prev := -1
+		for ; i < len(r.To); i++ {
+			lv := int(r.To[i]) - s.lo
+			if uint(lv) >= uint(len(halted)) {
+				s.counters.AddMessages(int64(i), sz)
+				return fmt.Errorf("congest: shard [%d,%d) received message for node %d", s.lo, s.hi, r.To[i])
+			}
+			if lv <= prev {
+				for _, to := range r.To[:i] {
+					box := &boxes[int(to)-s.lo]
+					box.bwStamp, box.bwBits = s.bwGen, sz
+				}
+				break
+			}
+			prev = lv
+			if box := &boxes[lv]; !halted[lv] && (tok == 0 || box.flood != tok) {
+				s.bucket(box, lv, r.From, &r.Msg, bit, tok)
+			}
+		}
+		s.counters.AddMessages(int64(i), sz)
+		if i == len(r.To) {
+			return nil
+		}
+	}
+	gen, budget := s.bwGen, s.opts.BandwidthBits
 	metered := int64(0) // hook-free messages metered so far, added in bulk
-	for _, to := range r.To {
+	for _, to := range r.To[i:] {
 		lv := int(to) - s.lo
 		if uint(lv) >= uint(len(halted)) {
 			s.counters.AddMessages(metered, sz)
 			return fmt.Errorf("congest: shard [%d,%d) received message for node %d", s.lo, s.hi, to)
 		}
-		e, bits, eBit := env, sz, bit
+		m, bits, eBit := &r.Msg, sz, bit
 		if hook != nil {
-			var deliverIt bool
-			if e.Msg, deliverIt = hook(round, r.From, to, r.Msg); !deliverIt {
+			hm, deliverIt := hook(round, r.From, to, r.Msg)
+			if !deliverIt {
 				continue
 			}
-			bits, eBit = s.codec.Bits(e.Msg), kindBit(e.Msg.Kind)
+			m, bits, eBit = &hm, s.codec.Bits(hm), kindBit(hm.Kind)
 		}
 		box := &boxes[lv]
 		if box.bwStamp != gen {
@@ -475,20 +619,45 @@ func (s *Shard) deliverRecord(round int64, r *Record) error {
 		} else {
 			metered++
 		}
-		if halted[lv] {
-			continue // metered, but a halted node consumes nothing
+		if !halted[lv] && (tok == 0 || box.flood != tok) { // a halted node is metered but consumes nothing
+			s.bucket(box, lv, r.From, m, eBit, tok)
 		}
-		if eBit&floodKinds != 0 && box.holds(e.Msg, eBit) {
-			continue // metered, but the receiver reads one copy of a flood payload
-		}
-		if len(box.envs) == 0 {
-			s.msgActive = append(s.msgActive, int32(lv))
-		}
-		box.envs = append(box.envs, e)
-		box.kinds |= eBit
 	}
 	s.counters.AddMessages(metered, sz)
 	return nil
+}
+
+// bucket appends *m from sender from, of kind bit bit, to local receiver
+// lv's inbox, unless it is a flood payload the receiver already holds; tok
+// is the payload's token, or 0 for a hooked copy. Its callers skip a
+// receiver whose token already matches, so the common duplicate costs no
+// call.
+func (s *Shard) bucket(box *mailbox, lv int, from graph.NodeID, m *wire.Message, bit, tok uint32) {
+	if bit&floodKinds != 0 {
+		if box.holds(m, bit) {
+			return // the receiver reads one copy of a flood payload
+		}
+		if tok != 0 {
+			box.flood = tok
+		}
+	}
+	k := len(box.envs)
+	if k == 0 {
+		s.msgActive = append(s.msgActive, int32(lv))
+	}
+	if k < cap(box.envs) {
+		box.envs = box.envs[:k+1]
+	} else {
+		box.envs = append(box.envs, Envelope{})
+	}
+	// The message is copied field by field: a whole-struct copy through a
+	// pointer goes through a stack temporary, whose narrow stores and wide
+	// reloads stall on store forwarding, and that was the costliest line
+	// of delivery.
+	e := &box.envs[k]
+	e.From, e.Msg.Kind, e.Msg.NArgs = from, m.Kind, m.NArgs
+	e.Msg.Args[0], e.Msg.Args[1], e.Msg.Args[2], e.Msg.Args[3] = m.Args[0], m.Args[1], m.Args[2], m.Args[3]
+	box.kinds |= bit
 }
 
 // RoutedSplit returns the shard's cumulative per-edge message counts by

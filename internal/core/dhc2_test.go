@@ -7,6 +7,7 @@ import (
 	"dhc/internal/congest"
 	"dhc/internal/graph"
 	"dhc/internal/rng"
+	"dhc/internal/wire"
 )
 
 // mergeLevels is ⌈log₂ K⌉ for a run's partition count K.
@@ -155,5 +156,21 @@ func TestDHC2SuccessRateAcrossSeeds(t *testing.T) {
 	}
 	if ok < trials-1 {
 		t.Fatalf("only %d/%d runs succeeded on dense graphs", ok, trials)
+	}
+}
+
+// TestDHC2N5RoundZeroOverrun pins the n = 5 case of exact DHC2: on K5
+// (gnp/n=5/param=100/delta=0.5, whose p clamps to 1), vertex 0 overruns its
+// edge to vertex 1 in round 0. The error must name that edge, its bits and
+// the round exactly, whether delivery runs hook-free or, under an identity
+// FaultHook, one edge at a time.
+func TestDHC2N5RoundZeroOverrun(t *testing.T) {
+	const want = "dhc2: congest: per-edge bandwidth exceeded: edge 0->1 carried 25 bits in round 0 (budget 24)"
+	identity := func(_ int64, _, _ graph.NodeID, m wire.Message) (wire.Message, bool) { return m, true }
+	for _, opts := range []congest.Options{{}, {FaultHook: identity}} {
+		_, err := NewDHC2Session(Options{Delta: 0.5}).RunLocal(graph.Complete(5), 1, opts)
+		if err == nil || err.Error() != want {
+			t.Fatalf("hook %v: got %v, want %q", opts.FaultHook != nil, err, want)
+		}
 	}
 }

@@ -57,8 +57,9 @@
 // validating every record — kind, arg count, argument range, sender and
 // receiver ranges, receiver count, and the header's counts — so a corrupt
 // section is caught by the shard that receives it, which drops its
-// connection and surfaces as ErrShardDown. Delivery then expands each
-// record edge by edge, so metering is per edge exactly as in process.
+// connection and surfaces as ErrShardDown. Delivery then walks each record
+// as in process: counts stay per edge, and a bandwidth stamp is taken only
+// where an edge can overrun, so metering is exactly the in-process one.
 //
 // Differential tests solve the same instances in process and distributed
 // and assert byte-identical results and counters; the golden fixtures in
@@ -428,6 +429,9 @@ type sectionWriter struct {
 	n, k, self int
 	bufs       []sectionBuf // indexed by destination shard
 	touched    []int        // destinations of the record being split
+	// cur is the shard the last receiver fell in, and [curLo, curHi) its
+	// range: ascending receivers mostly stay in it.
+	cur, curLo, curHi int
 }
 
 // sectionBuf accumulates one destination's section while an outbox is
@@ -442,8 +446,31 @@ type sectionBuf struct {
 	pending      uint64 // receivers here of the record being split
 }
 
+// add counts run more receivers of the record being split for the
+// destination s it buffers, appending s to touched on its first.
+func (b *sectionBuf) add(touched []int, s int, run uint64) []int {
+	if b.pending == 0 {
+		touched = append(touched, s)
+	}
+	b.pending += run
+	return touched
+}
+
 func newSectionWriter(n, k, self int) *sectionWriter {
-	return &sectionWriter{n: n, k: k, self: self, bufs: make([]sectionBuf, k)}
+	w := &sectionWriter{n: n, k: k, self: self, bufs: make([]sectionBuf, k)}
+	w.curLo, w.curHi = shardRange(n, k, 0)
+	return w
+}
+
+// locate returns the shard holding receiver v. It compares v with the
+// range of the shard the previous receiver fell in, and divides only when v
+// lies outside it.
+func (w *sectionWriter) locate(v graph.NodeID) int {
+	if int(v) < w.curLo || int(v) >= w.curHi {
+		w.cur = shardOf(int(v), w.n, w.k)
+		w.curLo, w.curHi = shardRange(w.n, w.k, w.cur)
+	}
+	return w.cur
 }
 
 // appendMessage appends m's record form: kind and arg-count bytes, then
@@ -468,14 +495,21 @@ func (w *sectionWriter) appendSections(dst []byte, out []congest.Record) []byte 
 	}
 	for i := range out {
 		r := &out[i]
-		touched := w.touched[:0]
-		for _, v := range r.To {
-			s := shardOf(int(v), w.n, w.k)
-			if w.bufs[s].pending == 0 {
-				touched = append(touched, s)
-			}
-			w.bufs[s].pending++
+		if len(r.To) == 0 {
+			continue
 		}
+		// Count each destination's receivers a run at a time: ascending
+		// receivers form one run per destination.
+		touched := w.touched[:0]
+		run, cur := uint64(0), w.locate(r.To[0])
+		for _, v := range r.To {
+			if s := w.locate(v); s != cur {
+				touched = w.bufs[cur].add(touched, cur, run)
+				run, cur = 0, s
+			}
+			run++
+		}
+		touched = w.bufs[cur].add(touched, cur, run)
 		from := uint64(uint32(r.From))
 		for _, s := range touched {
 			b := &w.bufs[s]
@@ -490,13 +524,10 @@ func (w *sectionWriter) appendSections(dst []byte, out []congest.Record) []byte 
 		}
 		if len(touched) == 1 {
 			b := &w.bufs[touched[0]]
-			for _, v := range r.To {
-				b.recs = binary.AppendVarint(b.recs, int64(v)-b.last)
-				b.last = int64(v)
-			}
+			b.recs, b.last = appendDeltas(b.recs, r.To, b.last)
 		} else {
 			for _, v := range r.To {
-				b := &w.bufs[shardOf(int(v), w.n, w.k)]
+				b := &w.bufs[w.locate(v)]
 				b.recs = binary.AppendVarint(b.recs, int64(v)-b.last)
 				b.last = int64(v)
 			}
@@ -520,6 +551,21 @@ func (w *sectionWriter) appendSections(dst []byte, out []congest.Record) []byte 
 		dst = append(dst, b.recs...)
 	}
 	return dst
+}
+
+// appendDeltas appends the receivers to as zigzag varint deltas, the first
+// from last, and returns the extended dst and the last receiver.
+func appendDeltas(dst []byte, to []graph.NodeID, last int64) ([]byte, int64) {
+	for _, v := range to {
+		d := int64(v) - last
+		last = int64(v)
+		if u := uint64(d<<1) ^ uint64(d>>63); u < 0x80 { // the usual one-byte delta
+			dst = append(dst, byte(u))
+		} else {
+			dst = binary.AppendUvarint(dst, u)
+		}
+	}
+	return dst, last
 }
 
 // section is one per-destination section of a fused reply, as the
@@ -674,19 +720,29 @@ func decodeSection(d *dec, n, k, src, dst int, recs []congest.Record, ids []grap
 			return nil, nil, fmt.Errorf("dist: record with %d receivers in a section from shard %d with %d of %d messages left", rcount, src, left, edges)
 		}
 		left -= rcount
+		// ids has room for every message the header declares, and rcount
+		// is within what is left of them.
 		start := len(ids)
-		to := int64(rlo)
-		for j := uint64(0); j < rcount; j++ {
-			dv, kv := varintAt(b)
-			if kv <= 0 {
-				return nil, nil, d.truncated()
+		ids = ids[:start+int(rcount)]
+		to, pos := int64(rlo), 0
+		for j := start; j < len(ids); j++ {
+			var dv int64
+			if pos < len(b) && b[pos] < 0x80 { // the usual one-byte delta
+				dv = int64(b[pos]>>1) ^ -int64(b[pos]&1)
+				pos++
+			} else {
+				var kv int
+				if dv, kv = varintAt(b[pos:]); kv <= 0 {
+					return nil, nil, d.truncated()
+				}
+				pos += kv
 			}
-			b = b[kv:]
 			if to += dv; to < int64(rlo) || to >= int64(rhi) {
 				return nil, nil, fmt.Errorf("dist: message %d->%d outside [%d,%d) in a section from shard %d to shard %d", from, to, rlo, rhi, src, dst)
 			}
-			ids = append(ids, graph.NodeID(to))
+			ids[j] = graph.NodeID(to)
 		}
+		b = b[pos:]
 		cost += rcount * fixedRecordLen(m)
 		recs = append(recs, congest.Record{From: graph.NodeID(from), Msg: m, To: ids[start:len(ids):len(ids)]})
 	}
