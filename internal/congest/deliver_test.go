@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -147,7 +148,7 @@ func runChaos(t *testing.T, g *graph.Graph, opts Options, shards int, seed uint6
 		}
 	}
 	total := metrics.NewCounters(n)
-	err := RunRounds(t.Context(), m, NormalizeOptions(opts, n), total)
+	err := RunRounds(context.Background(), m, NormalizeOptions(opts, n), total)
 	for _, sh := range m.shards {
 		total.Merge(sh.Counters())
 	}
