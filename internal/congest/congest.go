@@ -47,17 +47,21 @@
 // # Sending
 //
 // A node sends only on its incident edges, and every send is validated.
-// There are two send forms. Send(to, m) names one edge by the neighbor's id
+// There are two send forms, and a cached form of the second. Send(to, m) names one edge by the neighbor's id
 // and checks it with a binary search of the node's sorted neighbor list;
 // point sends to a known id, such as a reply to Envelope.From, use it.
 // SendPorts(ports, except, m) is a flood: it sends m on every listed port
 // (the index of a neighbor in Neighbors()) whose neighbor is not except,
 // and checks each port with a bounds check. AllPorts() is the shared
 // read-only [0, Degree()) list for floods over every incident edge; a flood
-// inside a subgraph keeps its own port list. Any failure records
-// ErrNotNeighbor.
+// inside a subgraph keeps its own port list. A program that floods one port
+// list many times builds a Scope of it once (Context.Scope checks each port
+// and keeps the neighbor ids) and floods with SendScope(scope, except, m),
+// which copies the ids instead of reading every port's neighbor again; a
+// Scope is valid only for the node and the run that built it. Any failure
+// records ErrNotNeighbor.
 //
-// Both append to the same outbox through one record append: an
+// All three append to the same outbox through one record append: an
 // outbox entry is a Record — the sender, the message and its receivers —
 // so a flood is one entry however many edges it covers. The receiver ids
 // are copied into the node's per-invocation arena at call time, so the
@@ -238,6 +242,53 @@ func (c *Context) SendPorts(ports []int32, except graph.NodeID, m wire.Message) 
 			return
 		}
 		if to := nbrs[p]; to != except {
+			ids = append(ids, to)
+		}
+	}
+	c.ids = ids
+	c.push(start, m)
+}
+
+// Scope is one node's flood scope as checked receiver ids: the neighbors a
+// port list names, in list order. A program that floods over the same port
+// list many times builds the Scope once and floods it with SendScope, which
+// copies the ids instead of looking every port up in the neighbor list
+// again. It is valid only for the node and the run that built it.
+type Scope struct {
+	owner graph.NodeID
+	run   uint64
+	ids   []graph.NodeID
+}
+
+// Scope returns the Scope of ports, reusing old's storage. An out-of-range
+// port records ErrNotNeighbor naming the port, as SendPorts does, and yields
+// a Scope no SendScope accepts.
+func (c *Context) Scope(ports []int32, old Scope) Scope {
+	nbrs := c.Neighbors()
+	ids := old.ids[:0]
+	for _, p := range ports {
+		if uint32(p) >= uint32(len(nbrs)) {
+			c.fail(fmt.Errorf("%w: %d -> port %d of %d (scope)", ErrNotNeighbor, c.id, p, len(nbrs)))
+			return Scope{ids: ids[:0]}
+		}
+		ids = append(ids, nbrs[p])
+	}
+	return Scope{owner: c.id, run: c.sh.run, ids: ids}
+}
+
+// SendScope is SendPorts over the port list s was built from: it floods m
+// to every receiver of s that is not except, in order, as one outbox
+// record. A Scope another node built, or that a previous run built, records
+// ErrNotNeighbor and queues nothing.
+func (c *Context) SendScope(s Scope, except graph.NodeID, m wire.Message) {
+	if s.owner != c.id || s.run != c.sh.run {
+		c.fail(fmt.Errorf("%w: %d floods a scope it did not build this run (%s)", ErrNotNeighbor, c.id, m))
+		return
+	}
+	ids := c.ids
+	start := len(ids)
+	for _, to := range s.ids {
+		if to != except {
 			ids = append(ids, to)
 		}
 	}

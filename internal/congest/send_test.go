@@ -294,15 +294,26 @@ func TestOnePortSendPortsMatchesSend(t *testing.T) {
 // to a random third of the ports (listing the arrival port, for except to
 // skip), an empty flood, and from some receiving nodes a flood naming port
 // 0 twice.
-// loop sends each flood as a Send loop over the listed ports' neighbors
-// instead of one SendPorts call, so the two must produce the same
-// execution. After every flood the node overwrites its port list, which
-// SendPorts must already have copied.
+// form selects how each flood is sent: one SendPorts call, a Send loop over
+// the listed ports' neighbors, or a Scope built from the list and flooded
+// with SendScope; all three must produce the same execution. After every
+// flood the node overwrites its port list, which SendPorts and Scope must
+// already have copied.
 type portsNode struct {
-	loop  bool
+	form  floodForm
 	ports []int32
+	scope Scope
 	log   []delivery
 }
+
+// floodForm is how portsNode sends a flood over a port list.
+type floodForm int
+
+const (
+	floodSendPorts floodForm = iota
+	floodSendLoop
+	floodScope
+)
 
 func (p *portsNode) Init(ctx *Context) {
 	ctx.WakeAt(fanoutHalt)
@@ -341,14 +352,18 @@ func (p *portsNode) Round(ctx *Context, inbox []Envelope) {
 }
 
 func (p *portsNode) flood(ctx *Context, ports []int32, except graph.NodeID, m wire.Message) {
-	if p.loop {
+	switch p.form {
+	case floodSendLoop:
 		nbrs := ctx.Neighbors()
 		for _, port := range ports {
 			if nbrs[port] != except {
 				ctx.Send(nbrs[port], m)
 			}
 		}
-	} else {
+	case floodScope:
+		p.scope = ctx.Scope(ports, p.scope)
+		ctx.SendScope(p.scope, except, m)
+	default:
 		ctx.SendPorts(ports, except, m)
 	}
 }
@@ -360,45 +375,49 @@ func (p *portsNode) scrub() {
 	}
 }
 
-// TestSendPortsMatchesSendLoop: a flood sent as one SendPorts record must
-// be the same execution as the Send loop over the ports' neighbors —
-// identical inboxes, counters, rounds and skipped rounds — with except set
-// and unset, an empty port list, a duplicated port, AllPorts, and the
-// caller overwriting its list right after the call, on every engine
-// configuration.
+// TestSendPortsMatchesSendLoop: a flood sent as one SendPorts record, and
+// one sent with SendScope over a Scope of the same ports, must be the same
+// execution as the Send loop over the ports' neighbors — identical inboxes,
+// counters, rounds and skipped rounds — with except set and unset, an empty
+// port list, a duplicated port, AllPorts, and the caller overwriting its
+// list right after the call, on every engine configuration.
 func TestSendPortsMatchesSendLoop(t *testing.T) {
 	g := graph.GNP(120, 0.3, rng.New(6))
-	run := func(t *testing.T, c config, loop bool) (*metrics.Counters, []*portsNode) {
+	run := func(t *testing.T, c config, form floodForm) (*metrics.Counters, []*portsNode) {
 		t.Helper()
 		progs := make([]*portsNode, g.N())
 		nodes := make([]Node, g.N())
 		for v := range progs {
-			progs[v] = &portsNode{loop: loop}
+			progs[v] = &portsNode{form: form}
 			nodes[v] = progs[v]
 		}
 		counters, err := runConfig(g, nodes, c.opts, c.shards, 4)
 		if err != nil {
-			t.Fatalf("loop=%v: %v", loop, err)
+			t.Fatalf("form %d: %v", form, err)
 		}
 		return counters, progs
 	}
 	// The duplicated port puts two messages on one edge in a round, beside
 	// the forwards: budget past the default.
 	configs := sendConfigs(Options{BandwidthBits: 256})
-	ref, refProgs := run(t, configs[0], true)
+	ref, refProgs := run(t, configs[0], floodSendLoop)
 	if ref.Messages == 0 {
 		t.Fatal("floods sent no messages")
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
-			loop, loopProgs := run(t, c, true)
-			ports, portsProgs := run(t, c, false)
-			if !reflect.DeepEqual(loop, ports) {
-				t.Fatalf("counters differ:\n  Send loop: %v\n  SendPorts: %v", loop, ports)
+			loop, loopProgs := run(t, c, floodSendLoop)
+			ports, portsProgs := run(t, c, floodSendPorts)
+			scope, scopeProgs := run(t, c, floodScope)
+			if !reflect.DeepEqual(loop, ports) || !reflect.DeepEqual(loop, scope) {
+				t.Fatalf("counters differ:\n  Send loop: %v\n  SendPorts: %v\n  SendScope: %v", loop, ports, scope)
 			}
 			for v := range portsProgs {
 				if !reflect.DeepEqual(portsProgs[v].log, loopProgs[v].log) {
 					t.Fatalf("node %d inbox sequence differs between SendPorts and the Send loop", v)
+				}
+				if !reflect.DeepEqual(scopeProgs[v].log, loopProgs[v].log) {
+					t.Fatalf("node %d inbox sequence differs between SendScope and the Send loop", v)
 				}
 				if !reflect.DeepEqual(portsProgs[v].log, refProgs[v].log) {
 					t.Fatalf("node %d inbox sequence differs from the sequential engine", v)
@@ -415,17 +434,23 @@ func TestSendPortsMatchesSendLoop(t *testing.T) {
 	}
 }
 
-// portSender makes one SendPorts call during Init: over the given port, or
-// with second over port 0 and then port.
+// portSender makes one SendPorts call during Init, or with scope one
+// SendScope over the Scope of the same list: over the given port, or with
+// second over port 0 and then port.
 type portSender struct {
 	port   int
 	second bool
+	scope  bool
 }
 
 func (p *portSender) Init(ctx *Context) {
 	ports := []int32{int32(p.port)}
 	if p.second {
 		ports = []int32{0, int32(p.port)}
+	}
+	if p.scope {
+		ctx.SendScope(ctx.Scope(ports, Scope{}), -1, wire.Msg(wire.KindBroadcast, 0))
+		return
 	}
 	ctx.SendPorts(ports, -1, wire.Msg(wire.KindBroadcast, 0))
 }
@@ -434,22 +459,24 @@ func (p *portSender) Round(ctx *Context, inbox []Envelope) { ctx.Halt() }
 // TestSendPortsOutOfRangeFails: a port outside [0, Degree()) is a send to a
 // non-neighbor — the run aborts after the round with ErrNotNeighbor naming
 // the port, and the valid sends of the same round, the same call's valid
-// port included, are never delivered.
+// port included, are never delivered. A Scope of such a list fails alike.
 func TestSendPortsOutOfRangeFails(t *testing.T) {
 	g := graph.Path(3) // node 1 has ports 0 (node 0) and 1 (node 2)
 	for _, tc := range []struct {
-		name   string
-		port   int
-		second bool
+		name          string
+		port          int
+		second, scope bool
 	}{
-		{"port=-1", -1, false},
-		{"port=2", 2, false},
-		{"second/port=-1", -1, true},
-		{"second/port=2", 2, true},
+		{"port=-1", -1, false, false},
+		{"port=2", 2, false, false},
+		{"second/port=-1", -1, true, false},
+		{"second/port=2", 2, true, false},
+		{"scope/port=-1", -1, false, true},
+		{"scope/second/port=2", 2, true, true},
 	} {
 		port := tc.port
 		t.Run(tc.name, func(t *testing.T) {
-			nodes := []Node{&portSender{port: 0}, &portSender{port: port, second: tc.second}, &portSender{port: 0}}
+			nodes := []Node{&portSender{port: 0}, &portSender{port: port, second: tc.second, scope: tc.scope}, &portSender{port: 0}}
 			net, err := NewNetwork(g, nodes, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -506,4 +533,46 @@ func BenchmarkSend(b *testing.B) {
 		}
 		perSend(b)
 	})
+}
+
+// scopeThief floods during Init with the Scope in *shared, after building
+// its own there when build is set: vertex 1 builds, vertex 2 floods
+// vertex 1's.
+type scopeThief struct {
+	shared *Scope
+	build  bool
+}
+
+func (s *scopeThief) Init(ctx *Context) {
+	if s.build {
+		*s.shared = ctx.Scope(ctx.AllPorts(), *s.shared)
+	}
+	ctx.SendScope(*s.shared, -1, wire.Msg(wire.KindBroadcast, 0))
+}
+
+func (s *scopeThief) Round(ctx *Context, _ []Envelope) { ctx.Halt() }
+
+// TestSendScopeRejectsForeignAndStaleScopes: a Scope is valid only for the
+// node and the run that built it. Flooding another node's Scope, or one
+// built in an earlier run of the same network, is a send to non-neighbors:
+// ErrNotNeighbor, and nothing of that round is delivered.
+func TestSendScopeRejectsForeignAndStaleScopes(t *testing.T) {
+	g := graph.Path(4)
+	shared := new(Scope)
+	nodes := []Node{&portSender{port: 0}, &scopeThief{shared: shared, build: true}, &scopeThief{shared: shared}, &portSender{port: 0}}
+	net, err := NewNetwork(g, nodes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters, err := net.Run(1)
+	if !errors.Is(err, ErrNotNeighbor) || !strings.Contains(err.Error(), "2 floods a scope it did not build") {
+		t.Fatalf("foreign scope: got %v, want ErrNotNeighbor from vertex 2", err)
+	}
+	if counters.Messages != 0 {
+		t.Fatalf("foreign scope: %d messages delivered from the failed round", counters.Messages)
+	}
+	nodes[1].(*scopeThief).build, nodes[2] = false, &portSender{port: 0}
+	if _, err = net.Run(1); !errors.Is(err, ErrNotNeighbor) || !strings.Contains(err.Error(), "1 floods a scope it did not build") {
+		t.Fatalf("stale scope: got %v, want ErrNotNeighbor from vertex 1", err)
+	}
 }

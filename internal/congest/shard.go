@@ -108,6 +108,8 @@ type Shard struct {
 	// bwGen is the current sender generation of the bandwidth accounting
 	// (see mailbox).
 	bwGen int64
+	// run counts Begin calls: a Scope is valid in the run that built it.
+	run uint64
 	// floods maps this Deliver's flood payloads to their tokens (see
 	// mailbox.flood); lastToken is the token issued last.
 	floods    []floodToken
@@ -171,6 +173,7 @@ func newShard(g *graph.Graph, local []Node, opts Options, lo, hi int) *Shard {
 // rerun allocates nothing up front but its counters.
 func (s *Shard) Begin(seed uint64) {
 	root := rng.New(seed)
+	s.run++
 	s.inActive.Reset()
 	for v, ctx := range s.ctxs {
 		s.halted[v] = false

@@ -50,11 +50,10 @@ type Params struct {
 	// IsInitialHead designates the single starting node.
 	IsInitialHead bool
 	// ScopePorts lists this node's in-scope neighbors as ports (indices into
-	// ctx.Neighbors()), ascending. A flood is one congest.Context.SendPorts
-	// call over them, so it is one outbox record and each send costs a
-	// bounds check instead of a neighbor-list search. The slice is retained
-	// (read-only) for flood forwarding, so one precomputed list serves every
-	// session; Reset also seeds the unused list from it, as neighbor ids.
+	// ctx.Neighbors()), ascending. Reset builds a congest.Scope of them, so a
+	// flood is one SendScope call: one outbox record, whose receivers are
+	// copied from the Scope instead of being looked up port by port. Reset
+	// also seeds the unused list from them, as neighbor ids.
 	ScopePorts []int32
 	// BroadcastRounds is the consistency wait after a rotation; it must be
 	// an upper bound on the scope diameter.
@@ -99,7 +98,7 @@ type State struct {
 	terminalSeen  bool  // success/failure flood already forwarded
 	terminalRound int64 // round stamped into the terminal flood
 
-	scope  []int32         // in-scope neighbor ports (shared, read-only)
+	scope  congest.Scope   // in-scope neighbors, from Params.ScopePorts
 	unused rotation.Unused // in-scope neighbor ids no progress message has crossed yet
 	steps  int64           // this attempt's steps
 	status Status          // this attempt's status
@@ -139,10 +138,10 @@ func (s *State) Reset(ctx *congest.Context, p Params) {
 		succ:     -1,
 		lastSent: -1,
 		status:   Running,
-		scope:    p.ScopePorts,
+		scope:    ctx.Scope(p.ScopePorts, s.scope),
 	}
 	nbrs := ctx.Neighbors()
-	for _, port := range s.scope {
+	for _, port := range p.ScopePorts {
 		unused = append(unused, nbrs[port])
 	}
 	s.unused = unused
@@ -299,7 +298,7 @@ func (s *State) originate(ctx *congest.Context, m wire.Message) {
 }
 
 func (s *State) forwardScope(ctx *congest.Context, m wire.Message, except graph.NodeID) {
-	ctx.SendPorts(s.scope, except, m)
+	ctx.SendScope(s.scope, except, m)
 }
 
 // applyRotation applies the renumbering i <- h + j + 1 - i for positions in
