@@ -345,13 +345,13 @@ func (s *Shard) route(r *Record, local, out []Record) ([]Record, []Record) {
 	} else {
 		l0 := len(s.split)
 		for _, v := range to {
-			if s.holds(v) {
+			if s.owns(v) {
 				s.split = append(s.split, v)
 			}
 		}
 		c0 := len(s.split)
 		for _, v := range to {
-			if !s.holds(v) {
+			if !s.owns(v) {
 				s.split = append(s.split, v)
 			}
 		}
@@ -382,8 +382,8 @@ func lowerBound(ids []graph.NodeID, v graph.NodeID) int {
 	return lo
 }
 
-// holds reports whether vertex v is in the shard's range.
-func (s *Shard) holds(v graph.NodeID) bool { return uint(int(v)-s.lo) < uint(s.hi-s.lo) }
+// owns reports whether vertex v is in the shard's range.
+func (s *Shard) owns(v graph.NodeID) bool { return uint(int(v)-s.lo) < uint(s.hi-s.lo) }
 
 // mailbox is one local receiver's delivery state, one struct rather than
 // parallel arrays so that delivering a message touches one cache line.
@@ -542,14 +542,14 @@ func (s *Shard) Deliver(round int64, inbound []Record) error {
 	return nil
 }
 
-// deliverRecord delivers one record; sole reports that no other record
-// this Deliver has the same sender. Its message size and kind bit are computed once;
-// with a FaultHook set, each edge's hooked copy is sized, metered and
-// masked on its own. Every copy is counted against its edge, but a copy of
-// a flood kind (wire.Kind.Flood) whose exact payload, after the FaultHook,
-// the receiver already holds this round is not appended: the receiver keeps
-// the first copy in sender order, the one whose From a forwarding flood
-// excludes.
+// deliverRecord delivers one record; sole reports that no other record of
+// this Deliver has the same sender. Its message size and kind bit are
+// computed once; with a FaultHook set, each edge's hooked copy is sized,
+// metered and masked on its own. Every copy is counted against its edge,
+// but a copy of a flood kind (wire.Kind.Flood) whose exact payload, after
+// the FaultHook, the receiver already holds this round is not appended: the
+// receiver keeps the first copy in sender order, the one whose From a
+// forwarding flood excludes.
 //
 // No edge of a sole, hook-free record that fits the budget can overrun
 // while its receivers strictly ascend, since each such edge carries exactly
