@@ -47,9 +47,10 @@
 // # Sending
 //
 // A node sends only on its incident edges, and every send is validated.
-// There are two send forms, and a cached form of the second. Send(to, m) names one edge by the neighbor's id
-// and checks it with a binary search of the node's sorted neighbor list;
-// point sends to a known id, such as a reply to Envelope.From, use it.
+// There are two send forms, and a cached form of the second. Send(to, m)
+// names one edge by the neighbor's id and checks it with a binary search of
+// the node's sorted neighbor list; point sends to a known id, such as a
+// reply to Envelope.From, use it.
 // SendPorts(ports, except, m) is a flood: it sends m on every listed port
 // (the index of a neighbor in Neighbors()) whose neighbor is not except,
 // and checks each port with a bounds check. AllPorts() is the shared
