@@ -59,8 +59,8 @@
 // list many times builds a Scope of it once (Context.Scope checks each port
 // and keeps the neighbor ids) and floods with SendScope(scope, except, m),
 // which copies the ids instead of reading every port's neighbor again; a
-// Scope is valid only for the node and the run that built it. Any failure
-// records ErrNotNeighbor.
+// Scope is valid only for the node, the shard and the run that built it.
+// Any failure records ErrNotNeighbor.
 //
 // All three append to the same outbox through one record append: an
 // outbox entry is a Record — the sender, the message and its receivers —
@@ -254,7 +254,8 @@ func (c *Context) SendPorts(ports []int32, except graph.NodeID, m wire.Message) 
 // port list names, in list order. A program that floods over the same port
 // list many times builds the Scope once and floods it with SendScope, which
 // copies the ids instead of looking every port up in the neighbor list
-// again. It is valid only for the node and the run that built it.
+// again. It is valid only for the node, the shard and the run that built
+// it.
 type Scope struct {
 	owner graph.NodeID
 	run   uint64
@@ -279,8 +280,8 @@ func (c *Context) Scope(ports []int32, old Scope) Scope {
 
 // SendScope is SendPorts over the port list s was built from: it floods m
 // to every receiver of s that is not except, in order, as one outbox
-// record. A Scope another node built, or that a previous run built, records
-// ErrNotNeighbor and queues nothing.
+// record. A Scope another node built, or that a previous run or another
+// shard or network built, records ErrNotNeighbor and queues nothing.
 func (c *Context) SendScope(s Scope, except graph.NodeID, m wire.Message) {
 	if s.owner != c.id || s.run != c.sh.run {
 		c.fail(fmt.Errorf("%w: %d floods a scope it did not build this run (%s)", ErrNotNeighbor, c.id, m))

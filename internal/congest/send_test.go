@@ -553,9 +553,10 @@ func (s *scopeThief) Init(ctx *Context) {
 func (s *scopeThief) Round(ctx *Context, _ []Envelope) { ctx.Halt() }
 
 // TestSendScopeRejectsForeignAndStaleScopes: a Scope is valid only for the
-// node and the run that built it. Flooding another node's Scope, or one
-// built in an earlier run of the same network, is a send to non-neighbors:
-// ErrNotNeighbor, and nothing of that round is delivered.
+// node, the network and the run that built it. Flooding another node's
+// Scope, one built in an earlier run of the same network, or one built by
+// another network is a send to non-neighbors: ErrNotNeighbor, and nothing
+// of that round is delivered.
 func TestSendScopeRejectsForeignAndStaleScopes(t *testing.T) {
 	g := graph.Path(4)
 	shared := new(Scope)
@@ -574,5 +575,24 @@ func TestSendScopeRejectsForeignAndStaleScopes(t *testing.T) {
 	nodes[1].(*scopeThief).build, nodes[2] = false, &portSender{port: 0}
 	if _, err = net.Run(1); !errors.Is(err, ErrNotNeighbor) || !strings.Contains(err.Error(), "1 floods a scope it did not build") {
 		t.Fatalf("stale scope: got %v, want ErrNotNeighbor from vertex 1", err)
+	}
+	// Vertex 1 of K4 builds a Scope naming 0, 2 and 3 in the first run of
+	// one network; vertex 1 of a fresh path network, in its own first run,
+	// must not flood it to 3, which is no neighbor there.
+	nodes = []Node{&portSender{port: 0}, &scopeThief{shared: shared, build: true}, &portSender{port: 0}, &portSender{port: 0}}
+	k4, err := NewNetwork(graph.Complete(4), nodes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = k4.Run(1); err != nil {
+		t.Fatalf("K4 run: %v", err)
+	}
+	nodes[1].(*scopeThief).build = false
+	path, err := NewNetwork(g, nodes, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err = path.Run(1); !errors.Is(err, ErrNotNeighbor) || !strings.Contains(err.Error(), "1 floods a scope it did not build") {
+		t.Fatalf("scope of another network: got %v, want ErrNotNeighbor from vertex 1", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 	"unsafe"
 
 	"dhc/internal/bitset"
@@ -108,7 +109,8 @@ type Shard struct {
 	// bwGen is the current sender generation of the bandwidth accounting
 	// (see mailbox).
 	bwGen int64
-	// run counts Begin calls: a Scope is valid in the run that built it.
+	// run numbers the current run, unique among every shard's runs in the
+	// process (see runs): a Scope is valid in the run that built it.
 	run uint64
 	// floods maps this Deliver's flood payloads to their tokens (see
 	// mailbox.flood); lastToken is the token issued last.
@@ -164,6 +166,10 @@ func newShard(g *graph.Graph, local []Node, opts Options, lo, hi int) *Shard {
 	return s
 }
 
+// runs numbers the runs of every shard in the process, so that a Scope of
+// one network's run is never taken for another's.
+var runs atomic.Uint64
+
 // Begin readies the shard for a run: it clears what a previous run left
 // (halts, inboxes, the wake schedule, retained messages), starts fresh
 // counters, sizes the AllPorts list for the bound graph, and derives the
@@ -173,7 +179,7 @@ func newShard(g *graph.Graph, local []Node, opts Options, lo, hi int) *Shard {
 // rerun allocates nothing up front but its counters.
 func (s *Shard) Begin(seed uint64) {
 	root := rng.New(seed)
-	s.run++
+	s.run = runs.Add(1)
 	s.inActive.Reset()
 	for v, ctx := range s.ctxs {
 		s.halted[v] = false
@@ -439,7 +445,9 @@ type floodToken struct {
 
 // maxFloodTokens caps the payloads one Deliver remembers. A payload past
 // the cap gets a fresh token per record, which only costs the receivers of
-// its later records a scan.
+// its later records a scan. Exact DHC2 with K = 8 on G(n, 32 ln n/n) has a
+// median of 3 and at most 7 (n = 512) or 8 (n = 4096) distinct flood
+// payloads in a Deliver, so the cap leaves twice the largest count.
 const maxFloodTokens = 16
 
 // floodToken returns the token of flood payload m in this Deliver: every
